@@ -141,10 +141,14 @@ class SubalgebraBasis:
     def n(self) -> int:
         return self.ambient.n
 
+    def _project_vecs(self, v: np.ndarray) -> np.ndarray:
+        """Orthogonal projection onto the span of vectorised matrices, one
+        per row of v (or a single vector)."""
+        return (v @ self._span_q.conj().T) @ self._span_q
+
     def _span_distance(self, m) -> float:
         v = _vec(m)
-        proj = (v @ self._span_q.conj().T) @ self._span_q
-        return float(np.linalg.norm(v - proj))
+        return float(np.linalg.norm(v - self._project_vecs(v)))
 
     def contains(self, m, tol: float = _SPAN_TOL) -> bool:
         v = _vec(as_matrix(m))
@@ -160,9 +164,7 @@ class SubalgebraBasis:
         return c, res
 
     def project(self, m) -> np.ndarray:
-        v = _vec(as_matrix(m))
-        proj = (v @ self._span_q.conj().T) @ self._span_q
-        return proj.reshape(self.n, self.n)
+        return self._project_vecs(_vec(as_matrix(m))).reshape(self.n, self.n)
 
     def __repr__(self):
         return f"SubalgebraBasis(dim={self.dim}, n={self.n}, unit={'yes' if self.unit is not None else 'no'})"

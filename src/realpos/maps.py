@@ -3,8 +3,8 @@ matrix-level norm estimation, real-positivity preservation testing, and
 symmetric projections.
 
 A map is stored as its coordinate action between explicit subalgebra
-bases; amplification to M_k(A) is the basis-level tensor with the
-k-by-k matrix units.  Complete positivity is decided exactly through
+bases; the amplification T_k to M_k(A) applies T to each block of a
+k-by-k block matrix.  Complete positivity is decided exactly through
 the Choi matrix (full-domain maps); real complete positivity (RCP) is
 tested by seeded sampling plus a witness search over the accretive cone,
 short-circuited by the CP certificate when one exists.
@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import SubalgebraBasis, _vec, full_matrix_algebra, spans_equal
-from .cones import AmbientContext, corner_context, full_context
 from .errors import InputError, NumericError, PreconditionError, UnsupportedError
 from .linalg import (
     Tolerances,
@@ -75,24 +74,16 @@ class LinearMapOnAlgebra:
         self.action = a
         cols_out = np.array([_vec(b) for b in codomain.basis]).T
         self._vec_action = cols_out @ a @ domain._pinv
-        self._span_q = domain._span_q
 
     @property
     def full_domain(self) -> bool:
         return self.domain.dim == self.domain.n ** 2
 
-    @property
-    def endomorphism(self) -> bool:
-        return (self.domain.n == self.codomain.n
-                and self.domain.dim == self.codomain.dim
-                and spans_equal(self.domain, self.codomain))
-
     def apply(self, a, check: bool = True) -> np.ndarray:
         m = as_matrix(a)
         v = _vec(m)
         if check and not self.full_domain:
-            proj = (v @ self._span_q.conj().T) @ self._span_q
-            res = float(np.linalg.norm(v - proj))
+            res = self.domain._span_distance(m)
             if res > 1e-7 * (1.0 + np.linalg.norm(v)):
                 raise InputError(
                     f"map input lies outside the domain span (residual {res:.3g})"
@@ -158,40 +149,81 @@ def map_affine_combo(t_map: LinearMapOnAlgebra, alpha: float, beta: float) -> Li
                               alpha * eye + beta * t_map.action)
 
 
-def _amplified_context(ctx: AmbientContext, k: int) -> AmbientContext:
-    if ctx.mode == "full":
-        return full_context(k * ctx.n)
-    return corner_context(np.kron(np.eye(k, dtype=complex), ctx.unit))
+class AmplifiedMap:
+    """T_k = id_{M_k} tensor T on M_k(span(domain)), applied blockwise:
+    (T_k X)_ij = T(X_ij).
+
+    Every operation splits its kn-by-kn argument into k*k vectorised
+    blocks, ordered (i, j) row-major, and works on all of them at once
+    with the base map's vectorised action or the base domain's span
+    projector, so no basis of M_k(domain) is ever built.
+    """
+
+    def __init__(self, t_map: LinearMapOnAlgebra, k: int):
+        self.base = t_map
+        self.k = k
+        self.n_in = k * t_map.domain.n
+        self.full_domain = t_map.full_domain
+        u = t_map.domain.unit
+        self.unit = None if u is None else np.kron(np.eye(k, dtype=complex), u)
+
+    def _blocks(self, x: np.ndarray) -> np.ndarray:
+        k, n = self.k, x.shape[0] // self.k
+        return x.reshape(k, n, k, n).transpose(0, 2, 1, 3).reshape(k * k, n * n)
+
+    def _unblocks(self, rows: np.ndarray) -> np.ndarray:
+        k, n = self.k, math.isqrt(rows.shape[1])
+        return rows.reshape(k, k, n, n).transpose(0, 2, 1, 3).reshape(k * n, k * n)
+
+    def apply(self, x, check: bool = True) -> np.ndarray:
+        rows = self._blocks(as_matrix(x))
+        if check and not self.full_domain:
+            res = float(np.linalg.norm(rows - self.base.domain._project_vecs(rows)))
+            if res > 1e-7 * (1.0 + np.linalg.norm(rows)):
+                raise InputError(
+                    f"map input lies outside M_{self.k}(domain span) (residual {res:.3g})"
+                )
+        return self._unblocks(rows @ self.base._vec_action.T)
+
+    def apply_transpose(self, y: np.ndarray) -> np.ndarray:
+        """The transpose action: sum(apply_transpose(y) * x) equals
+        sum(y * apply(x)) for every x in M_k(domain span)."""
+        return self._unblocks(self._blocks(y) @ self.base._vec_action)
+
+    def project(self, x: np.ndarray) -> np.ndarray:
+        """Orthogonal projection onto M_k(domain span), block by block."""
+        return self._unblocks(self.base.domain._project_vecs(self._blocks(x)))
+
+    def random_element(self, rng) -> np.ndarray:
+        """sum_{i,j,l} c_ijl E_ij tensor b_l for complex Gaussian c, drawn
+        as all real parts then all imaginary parts in (i, j, l) order."""
+        basis = self.base.domain.basis
+        d = self.k * self.k * len(basis)
+        coef = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        stacked = np.array([_vec(b) for b in basis])
+        return self._unblocks(coef.reshape(self.k * self.k, len(basis)) @ stacked)
 
 
-def amplify(t_map: LinearMapOnAlgebra, k: int) -> LinearMapOnAlgebra:
+def amplify(t_map: LinearMapOnAlgebra, k: int) -> AmplifiedMap:
     """The matrix-level amplification T_k = id_{M_k} tensor T, acting
     blockwise on M_k(span(domain))."""
     k = int(k)
     if k < 1:
         raise InputError(f"amplification level must be >= 1, got {k}")
-    if k == 1:
-        return t_map
-    dom, cod = t_map.domain, t_map.codomain
+    return AmplifiedMap(t_map, k)
 
-    def product_basis(alta: SubalgebraBasis):
-        mats = []
-        for i in range(k):
-            for j in range(k):
-                e = np.zeros((k, k), dtype=complex)
-                e[i, j] = 1.0
-                for b in alta.basis:
-                    mats.append(np.kron(e, b))
-        unit = None
-        if alta.unit is not None:
-            unit = np.kron(np.eye(k, dtype=complex), alta.unit)
-        return SubalgebraBasis(mats, ambient=_amplified_context(alta.ambient, k),
-                               unit=unit, validate=False)
 
-    dom_k = product_basis(dom)
-    cod_k = product_basis(cod)
-    action_k = np.kron(np.eye(k * k, dtype=complex), t_map.action)
-    return LinearMapOnAlgebra(dom_k, cod_k, action_k)
+def _unit_pairing(k: int, n: int, swap: bool = False) -> np.ndarray:
+    """sum_{i,j < min(k, n)} E_ij tensor E_ij in M_k(M_n), or with swap
+    sum E_ij tensor E_ji.  The first is min(k, n) times a rank-one
+    projection (positive); the second is the swap operator for k = n."""
+    out = np.zeros((k, n, k, n), dtype=complex)
+    i, j = np.indices((min(k, n), min(k, n)))
+    if swap:
+        out[i, j, j, i] = 1.0
+    else:
+        out[i, i, j, j] = 1.0
+    return out.reshape(k * n, k * n)
 
 
 # ---------------------------------------------------------------------------
@@ -216,15 +248,7 @@ def choi_matrix(t_map: LinearMapOnAlgebra, tol: Tolerances | None = None) -> Cho
         raise UnsupportedError("the Choi matrix is defined for full-domain maps only")
     n = t_map.domain.n
     m = t_map.codomain.n
-    blocks = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            e = np.zeros((n, n), dtype=complex)
-            e[i, j] = 1.0
-            row.append(t_map.apply(e, check=False))
-        blocks.append(row)
-    c = np.block(blocks)
+    c = amplify(t_map, n).apply(_unit_pairing(n, n), check=False)
     herm_res = operator_norm(c - c.conj().T)
     herm = herm_res <= 100 * t.eq_tol * (1.0 + operator_norm(c))
     min_eig = float(np.linalg.eigvalsh(herm_part(c))[0])
@@ -316,52 +340,29 @@ def op_norm_estimate(t_map: LinearMapOnAlgebra, k: int = 1, budget: int = 240,
     if int(budget) < 1:
         raise InputError(f"budget must be >= 1, got {budget}")
     tk = amplify(t_map, k)
-    n_in = tk.domain.n
-    a_vec = tk._vec_action
-    span_q = tk.domain._span_q
+    n_in = tk.n_in
     full = tk.full_domain
     rng = rng_for(seed)
 
     def objective(u):
-        y = (a_vec @ _vec(u)).reshape(tk.codomain.n, tk.codomain.n)
-        uu, sv, vvh = np.linalg.svd(y)
+        uu, sv, vvh = np.linalg.svd(tk.apply(u, check=False))
         return float(sv[0]), uu[:, 0], vvh[0].conj()
 
-    def project_span(m):
-        v = _vec(m)
-        proj = (v @ span_q.conj().T) @ span_q
-        return proj.reshape(n_in, n_in)
-
-    starts = []
-    if tk.domain.unit is not None:
-        u0 = tk.domain.unit
-        starts.append(u0 / max(operator_norm(u0), 1e-30))
-    else:
-        b0 = tk.domain.basis[0]
-        starts.append(b0 / max(operator_norm(b0), 1e-30))
-    base_n = t_map.domain.n
+    base = t_map.domain
+    if tk.unit is not None:
+        u0 = tk.unit
+    else:  # E_00 tensor the first basis element
+        u0 = np.zeros((n_in, n_in), dtype=complex)
+        u0[:base.n, :base.n] = base.basis[0]
+    starts = [u0 / max(operator_norm(u0), 1e-30)]
     if full and k >= 2:
-        mm = min(k, base_n)
-        swap = np.zeros((n_in, n_in), dtype=complex)
-        ent = np.zeros((n_in, n_in), dtype=complex)
-        for i in range(mm):
-            for j in range(mm):
-                ek = np.zeros((k, k), dtype=complex)
-                ek[i, j] = 1.0
-                en_ji = np.zeros((base_n, base_n), dtype=complex)
-                en_ji[j, i] = 1.0
-                en_ij = np.zeros((base_n, base_n), dtype=complex)
-                en_ij[i, j] = 1.0
-                swap += np.kron(ek, en_ji)
-                ent += np.kron(ek, en_ij)
-        starts.append(swap)
-        starts.append(ent / mm)
+        starts.append(_unit_pairing(k, base.n, swap=True))
+        starts.append(_unit_pairing(k, base.n) / min(k, base.n))
     while len(starts) < 6:
         if full:
             starts.append(random_unitary(n_in, rng))
         else:
-            coef = rng.standard_normal(tk.domain.dim) + 1j * rng.standard_normal(tk.domain.dim)
-            cand = sum(c * b for c, b in zip(coef, tk.domain.basis))
+            cand = tk.random_element(rng)
             starts.append(cand / max(operator_norm(cand), 1e-30))
 
     per_start = max(3, int(budget) // len(starts))
@@ -371,12 +372,11 @@ def op_norm_estimate(t_map: LinearMapOnAlgebra, k: int = 1, budget: int = 240,
         stationary = False
         for _ in range(per_start):
             total_iter += 1
-            gamma = a_vec.T @ np.kron(w.conj(), v)
-            g = gamma.reshape(n_in, n_in).T
+            g = tk.apply_transpose(np.outer(w.conj(), v)).T
             gu, _, gvh = np.linalg.svd(g)
             u_new = gvh.conj().T @ gu.conj().T
             if not full:
-                u_new = project_span(u_new)
+                u_new = tk.project(u_new)
                 nn = operator_norm(u_new)
                 if nn > 1.0:
                     u_new = u_new / nn
@@ -415,14 +415,13 @@ class RcpVerdict:
     note: str = ""
 
 
-def _accretive_sample(domain: SubalgebraBasis, rng) -> np.ndarray | None:
-    """Random accretive element of the span: unit shift of a random combo."""
-    if domain.unit is None:
+def _accretive_sample(tk: AmplifiedMap, rng) -> np.ndarray | None:
+    """Random accretive element of M_k(domain): unit shift of a random combo."""
+    if tk.unit is None:
         return None
-    coef = rng.standard_normal(domain.dim) + 1j * rng.standard_normal(domain.dim)
-    z = sum(c * b for c, b in zip(coef, domain.basis))
+    z = tk.random_element(rng)
     z = z / max(operator_norm(z), 1e-30)
-    return domain.unit + z  # abscissa >= lambda_min(unit-part) - ||z|| >= 0
+    return tk.unit + z  # abscissa >= lambda_min(unit-part) - ||z|| >= 0
 
 
 def _clip_accretive(x: np.ndarray) -> np.ndarray:
@@ -461,7 +460,7 @@ def rcp_test(t_map: LinearMapOnAlgebra, levels=(1, 2, 3), samples: int = 20,
     for k in levels:
         tk = amps[k]
         for s_idx in range(samples):
-            x = _accretive_sample(tk.domain, rng)
+            x = _accretive_sample(tk, rng)
             if x is None:
                 break
             y = tk.apply(x, check=False)
@@ -506,19 +505,17 @@ def _rcp_witness_search(t_map, amps, levels, budget, rng, worst_x):
     for k in levels:
         evals_left = per_level
         tk = amps[k]
-        n_in = tk.domain.n
+        n_in = tk.n_in
         full = tk.full_domain
 
         def certify(x):
             xc = _clip_accretive(x)
             if not full:
-                v = _vec(xc)
-                proj = (v @ tk.domain._span_q.conj().T) @ tk.domain._span_q
-                xc = proj.reshape(n_in, n_in)
+                xc = tk.project(xc)
             in_absc = abscissa(xc)
             if in_absc < -1e-10 * (1.0 + operator_norm(xc)):
-                if tk.domain.unit is not None:
-                    xc = xc - in_absc * tk.domain.unit
+                if tk.unit is not None:
+                    xc = xc - in_absc * tk.unit
                     in_absc = abscissa(xc)
                 else:
                     return None
@@ -531,20 +528,11 @@ def _rcp_witness_search(t_map, amps, levels, budget, rng, worst_x):
 
         seeds = []
         if full and k >= 2:
-            mm = min(k, base_n)
-            ent = np.zeros((n_in, n_in), dtype=complex)
-            for i in range(mm):
-                for j in range(mm):
-                    ek = np.zeros((k, k), dtype=complex)
-                    ek[i, j] = 1.0
-                    en = np.zeros((base_n, base_n), dtype=complex)
-                    en[i, j] = 1.0
-                    ent += np.kron(ek, en)
-            seeds.append(ent / mm)
+            seeds.append(_unit_pairing(k, base_n) / min(k, base_n))
         if k in worst_x:
             seeds.append(worst_x[k][1])
         else:
-            s = _accretive_sample(tk.domain, rng)
+            s = _accretive_sample(tk, rng)
             if s is not None:
                 seeds.append(s)
         for seed_x in seeds:
@@ -564,9 +552,7 @@ def _rcp_witness_search(t_map, amps, levels, budget, rng, worst_x):
                     d = (rng.standard_normal((n_in, n_in))
                          + 1j * rng.standard_normal((n_in, n_in)))
                 else:
-                    coef = rng.standard_normal(tk.domain.dim) * (1 + 0j)
-                    coef = coef + 1j * rng.standard_normal(tk.domain.dim)
-                    d = sum(c * b for c, b in zip(coef, tk.domain.basis))
+                    d = tk.random_element(rng)
                 d = d / max(operator_norm(d), 1e-30)
                 cand = _clip_accretive(x + sigma * d)
                 nn = operator_norm(cand)

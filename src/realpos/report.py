@@ -3,8 +3,8 @@ the command-line tool.
 
 A VerificationReport is a plain record: named boolean verdicts, the
 residuals backing them, the tolerances in force, and an overall pass
-flag.  Serialization lives in the io module; this one has no numpy
-dependency beyond digesting input matrices into a stable identifier.
+flag.  Serialization lives in realpos.serialize; this module uses numpy
+only to digest input matrices into a stable identifier.
 """
 from __future__ import annotations
 
@@ -39,7 +39,6 @@ class VerificationReport:
     details: dict = field(default_factory=dict)
     instance: str = ""
     seed: object = None
-    wall_time_s: float | None = None
 
     def to_json_dict(self) -> dict:
         out = {
@@ -53,6 +52,4 @@ class VerificationReport:
         }
         if self.seed is not None:
             out["seed"] = self.seed
-        if self.wall_time_s is not None:
-            out["wall_time_s"] = float(self.wall_time_s)
         return out

@@ -10,11 +10,13 @@ import subprocess
 import sys
 import time
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import gamma
 
+import realpos
 from realpos import (
     block_diag_algebra,
     build_symmetric_projection,
@@ -424,8 +426,11 @@ def test_criterion_13_cli_determinism(tmp_path):
     if exe:
         base = [exe]
     else:
+        # run the realpos this test imported, whether or not it is on PYTHONPATH
+        src = str(Path(realpos.__file__).resolve().parents[1])
         base = [sys.executable, "-c",
-                "import sys; from realpos.cli import main; sys.exit(main())"]
+                f"import sys; sys.path.insert(0, {src!r}); "
+                "from realpos.cli import main; sys.exit(main())"]
     t0 = time.monotonic()
     reports = []
     for name in ("r1.json", "r2.json"):

@@ -88,7 +88,7 @@ def test_kraus_rejects_non_cp():
 def test_amplify_identity_and_blocks():
     t_map = identity_map(full_matrix_algebra(2))
     t2 = amplify(t_map, 2)
-    assert t2.domain.n == 4
+    assert t2.n_in == 4
     rng = rng_for(3)
     x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     assert np.allclose(t2.apply(x), x, atol=1e-12)
@@ -104,6 +104,66 @@ def test_amplify_acts_blockwise():
     y = t2.apply(x)
     expect = np.block([[blocks[i][j].T for j in range(2)] for i in range(2)])
     assert np.allclose(y, expect, atol=1e-12)
+
+
+def _amplify_reference(t_map, x, k):
+    """sum_ij E_ij tensor T(X_ij), block by block."""
+    n = t_map.domain.n
+    out = 0
+    for i in range(k):
+        for j in range(k):
+            e = np.zeros((k, k), dtype=complex)
+            e[i, j] = 1.0
+            out = out + np.kron(e, t_map.apply(x[i * n:(i + 1) * n, j * n:(j + 1) * n]))
+    return out
+
+
+def _domain_element(alg, rng):
+    coef = rng.standard_normal(alg.dim) + 1j * rng.standard_normal(alg.dim)
+    return sum(c * b for c, b in zip(coef, alg.basis))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("domain", ["full", "block21"])
+def test_amplify_matches_blockwise_reference(k, domain):
+    rng = rng_for(40 + k)
+    if domain == "full":
+        ops = [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(2)]
+        t_map = map_from_kraus(ops, 3)
+    else:
+        alg = block_diag_algebra([2, 1])
+        action = rng.standard_normal((alg.dim, alg.dim)) + 1j * rng.standard_normal((alg.dim, alg.dim))
+        t_map = LinearMapOnAlgebra(alg, alg, action)
+    alg = t_map.domain
+    x = np.block([[_domain_element(alg, rng) for _ in range(k)] for _ in range(k)])
+    tk = amplify(t_map, k)
+    y = tk.apply(x)
+    assert np.allclose(y, _amplify_reference(t_map, x, k), atol=1e-12)
+    # transpose action pairs with apply under sum(a * b)
+    z = rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape)
+    assert np.sum(tk.apply_transpose(z) * x) == pytest.approx(np.sum(z * y), abs=1e-10)
+    # projection onto M_k(domain) is the domain projection of each block
+    n = alg.n
+    w = rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape)
+    expect = np.block([[alg.project(w[i * n:(i + 1) * n, j * n:(j + 1) * n])
+                        for j in range(k)] for i in range(k)])
+    assert np.allclose(tk.project(w), expect, atol=1e-12)
+    assert np.allclose(tk.project(x), x, atol=1e-12)
+    r = tk.random_element(rng)
+    assert np.allclose(tk.project(r), r, atol=1e-12)
+
+
+def test_amplify_rejects_off_span_block_and_level_zero():
+    alg = block_diag_algebra([2, 1])
+    t_map = identity_map(alg)
+    t2 = amplify(t_map, 2)
+    x = np.kron(np.eye(2), alg.unit).astype(complex)
+    assert np.allclose(t2.apply(x), x, atol=1e-12)
+    x[0, 2] = 1.0  # off the block-diagonal pattern in block (0, 0)
+    with pytest.raises(InputError):
+        t2.apply(x)
+    with pytest.raises(InputError):
+        amplify(t_map, 0)
 
 
 def test_map_rejects_out_of_domain_input():
