@@ -13,7 +13,6 @@ from .errors import (
     UnsupportedError,
 )
 from .linalg import (
-    SpectrumResult,
     Tolerances,
     default_tolerances,
     herm_part,
@@ -26,7 +25,6 @@ from .linalg import (
     random_matrix,
     random_unitary,
     rng_for,
-    spectrum,
 )
 from .numrange import (
     NearlyPositiveReport,

@@ -427,16 +427,15 @@ def support_idem(x, ctx: AmbientContext | None = None,
 def _riesz_zero_projection(xc: np.ndarray, rho: float, t: Tolerances) -> np.ndarray:
     """Spectral projection onto the zero cluster by trapezoid quadrature
     of the resolvent on |lambda| = rho (geometric convergence in the node
-    count; doubled until stable)."""
-    k = xc.shape[0]
-    eye = np.eye(k, dtype=complex)
+    count; doubled until stable).  Each rule is one stacked solve of
+    lambda_j - x against the identity over all its nodes lambda_j,
+    summed with the weights lambda_j / nodes."""
+    eye = np.eye(xc.shape[0], dtype=complex)
 
     def trapezoid(nodes: int) -> np.ndarray:
-        acc = np.zeros_like(xc)
-        for j in range(nodes):
-            lam = rho * np.exp(2j * np.pi * j / nodes)
-            acc += lam * np.linalg.solve(lam * eye - xc, eye)
-        return acc / nodes
+        lam = rho * np.exp(2j * np.pi * np.arange(nodes) / nodes)
+        resolvents = np.linalg.solve(lam[:, None, None] * eye - xc, eye)
+        return np.tensordot(lam, resolvents, axes=1) / nodes
 
     prev = trapezoid(64)
     for nodes in (128, 256, 512):

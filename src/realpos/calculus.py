@@ -111,14 +111,15 @@ def _power_tri(t: np.ndarray, r: float) -> np.ndarray:
     eye = np.eye(n, dtype=complex)
     b = t.astype(complex)
     sqrts = 0
-    while operator_norm(eye - b) > 0.3:
+    # b and e_mat are internal complex arrays: no as_matrix round trip
+    while np.linalg.norm(eye - b, 2) > 0.3:
         if sqrts >= 60:
             raise NumericError("inverse scaling-and-squaring failed to contract the spectrum")
         b = _sqrtm_tri(b)
         sqrts += 1
     # binomial series (I - E)^r = sum_j a_j E^j, a_0 = 1, a_j = a_{j-1}(j-1-r)/j
     e_mat = eye - b
-    e_norm = operator_norm(e_mat)
+    e_norm = float(np.linalg.norm(e_mat, 2))
     y = eye.copy()
     p = eye.copy()
     a = 1.0
@@ -321,22 +322,21 @@ def power_shifted(x, r: float, ctx: AmbientContext | None = None,
 
 
 @lru_cache(maxsize=32)
-def _gl_rule(nodes: int):
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    return x, w
-
-
 def _gl_panels(nodes: int, panels: int = 4):
-    """Gauss-Legendre nodes/weights compounded over equal panels of [0, 1]."""
+    """Gauss-Legendre nodes/weights compounded over equal panels of [0, 1].
+
+    Cached; the arrays are read-only."""
     per = max(4, nodes // panels)
-    base_x, base_w = _gl_rule(per)
+    base_x, base_w = np.polynomial.legendre.leggauss(per)
     xs, ws = [], []
     for p in range(panels):
         a, b = p / panels, (p + 1) / panels
         half = (b - a) / 2.0
         xs.append(half * base_x + (a + b) / 2.0)
         ws.append(half * base_w)
-    return np.concatenate(xs), np.concatenate(ws)
+    x, w = np.concatenate(xs), np.concatenate(ws)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def _balakrishnan_block(t11: np.ndarray, r: float, nodes: int) -> np.ndarray:
@@ -348,18 +348,18 @@ def _balakrishnan_block(t11: np.ndarray, r: float, nodes: int) -> np.ndarray:
         int = (1/r) int_0^1 (v^{1/r} + T)^{-1} T dv
             + (1/(1-r)) int_0^1 (I + v^{1/(1-r)} T)^{-1} T dv,
     both with bounded analytic integrands handled by panelled
-    Gauss-Legendre quadrature.
+    Gauss-Legendre quadrature.  Each integral is one batched solve over
+    all its nodes, (nodes, k, k) shifted matrices against T, contracted
+    with the weights.
     """
-    k = t11.shape[0]
-    eye = np.eye(k, dtype=complex)
+    eye = np.eye(t11.shape[0], dtype=complex)
     v_nodes, v_weights = _gl_panels(nodes)
-    acc_a = np.zeros_like(t11)
-    acc_b = np.zeros_like(t11)
-    for v, w in zip(v_nodes, v_weights):
-        s = v ** (1.0 / r)
-        acc_a += w * sla.solve_triangular(s * eye + t11, t11)
-        u = v ** (1.0 / (1.0 - r))
-        acc_b += w * sla.solve_triangular(eye + u * t11, t11)
+
+    def integral(lhs: np.ndarray) -> np.ndarray:
+        return np.tensordot(v_weights, np.linalg.solve(lhs, t11), axes=1)
+
+    acc_a = integral((v_nodes ** (1.0 / r))[:, None, None] * eye + t11)
+    acc_b = integral(eye + (v_nodes ** (1.0 / (1.0 - r)))[:, None, None] * t11)
     total = acc_a / r + acc_b / (1.0 - r)
     return (math.sin(r * math.pi) / math.pi) * total
 

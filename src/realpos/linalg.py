@@ -19,13 +19,10 @@ from .errors import InputError, NumericError
 __all__ = [
     "Tolerances",
     "default_tolerances",
-    "SpectrumResult",
     "as_matrix",
     "operator_norm",
     "herm_part",
     "matrix_exp",
-    "spectrum",
-    "solve",
     "rng_for",
     "random_matrix",
     "random_unitary",
@@ -82,16 +79,6 @@ def resolve_tol(tol: Tolerances | None) -> Tolerances:
     return default_tolerances() if tol is None else tol
 
 
-@dataclass(frozen=True)
-class SpectrumResult:
-    """Eigenvalues plus the (complex Schur) similarity data needed to
-    evaluate holomorphic functions of the matrix."""
-
-    eigenvalues: np.ndarray
-    schur_t: np.ndarray
-    schur_z: np.ndarray
-
-
 def as_matrix(x, name: str = "x") -> np.ndarray:
     """Validate and return ``x`` as a square finite complex matrix."""
     try:
@@ -131,21 +118,6 @@ def matrix_exp(x) -> np.ndarray:
     if not np.all(np.isfinite(e)):
         raise NumericError(f"matrix_exp overflow for input of norm {operator_norm(a):.3g}")
     return e
-
-
-def spectrum(x) -> SpectrumResult:
-    """Eigenvalues (with multiplicity) and the complex Schur form."""
-    a = as_matrix(x)
-    t, z = sla.schur(a, output="complex")
-    return SpectrumResult(eigenvalues=np.diag(t).copy(), schur_t=t, schur_z=z)
-
-
-def solve(a, b):
-    """Linear solve with library error translated to NumericError."""
-    try:
-        return np.linalg.solve(as_matrix(a), np.asarray(b, dtype=complex))
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"singular linear system: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

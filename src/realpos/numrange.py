@@ -3,8 +3,11 @@ and the sectorial angle.
 
 The numerical range W(x) = {v*xv : ||v|| = 1} is compact and convex; its
 support function in direction e^{i theta} is the top eigenvalue of the
-Hermitian part of e^{-i theta} x.  Every routine here reduces to small
-Hermitian eigenproblems on rotated copies of x.
+Hermitian part of e^{-i theta} x.  Every angle sweep here (the boundary,
+the distance grid, the sector grid and its crossing search) runs as one
+stacked Hermitian eigenproblem over all its angles (Johnson, SIAM J.
+Numer. Anal. 15, 1978); only the bisection and golden-section
+refinements, whose next angle depends on the last, go angle by angle.
 """
 from __future__ import annotations
 
@@ -69,23 +72,44 @@ class NearlyPositiveReport:
     herm_distance_ok: bool
 
 
+def _herm_parts(x: np.ndarray, theta) -> np.ndarray:
+    """Hermitian parts of e^{-i theta} x, stacked along the shape of theta.
+
+    Built in place as (y + y*)/2 with y = e^{-i theta} x, entry for entry
+    the same floating-point operations as ``herm_part`` on each rotated
+    copy, so the eigenvalues match the one-angle evaluation bitwise.
+    """
+    y = np.exp(-1j * np.asarray(theta))[..., None, None] * x
+    re, im = y.real, y.imag
+    re += re.swapaxes(-1, -2)
+    im -= im.swapaxes(-1, -2)
+    y /= 2.0
+    return y
+
+
+def _check_finite(value, name: str):
+    if not np.isfinite(value):
+        raise InputError(f"{name} must be finite, got {value!r}")
+    return value
+
+
 def _support_at(x: np.ndarray, theta: float):
     """Support value and attaining range point in direction e^{i theta}."""
-    h = herm_part(np.exp(-1j * theta) * x)
-    w, v = np.linalg.eigh(h)
+    w, v = np.linalg.eigh(_herm_parts(x, theta))
     vec = v[:, -1]
     return float(w[-1]), complex(vec.conj() @ (x @ vec))
 
 
-def _min_herm_eig(x: np.ndarray, psi: float) -> float:
-    """g(psi) = smallest eigenvalue of the Hermitian part of e^{-i psi} x."""
-    h = herm_part(np.exp(-1j * psi) * x)
-    return float(np.linalg.eigvalsh(h)[0])
+def _min_herm_eig(x: np.ndarray, psi) -> np.ndarray:
+    """g(psi) = smallest eigenvalue of the Hermitian part of e^{-i psi} x,
+    for a scalar psi or elementwise over an array of angles."""
+    return np.linalg.eigvalsh(_herm_parts(x, psi))[..., 0]
 
 
 def support_function(x, theta: float) -> float:
     """h(theta) = sup {Re(e^{-i theta} z) : z in W(x)}."""
-    return _support_at(as_matrix(x), float(theta))[0]
+    a = as_matrix(x)
+    return _support_at(a, _check_finite(float(theta), "theta"))[0]
 
 
 def boundary(x, m: int = 256) -> RangeBoundary:
@@ -100,11 +124,10 @@ def boundary(x, m: int = 256) -> RangeBoundary:
     if m < 8:
         raise InputError(f"boundary needs at least 8 angles, got {m}")
     angles = 2.0 * np.pi * np.arange(m) / m
-    values = np.empty(m)
-    points = np.empty(m, dtype=complex)
-    for j, th in enumerate(angles):
-        values[j], points[j] = _support_at(a, th)
-    return RangeBoundary(angles=angles, support_values=values, boundary_points=points)
+    w, v = np.linalg.eigh(_herm_parts(a, angles))
+    vecs = v[:, :, -1:]
+    points = (vecs.swapaxes(-1, -2).conj() @ (a @ vecs))[:, 0, 0]
+    return RangeBoundary(angles=angles, support_values=w[:, -1], boundary_points=points)
 
 
 def abscissa(x) -> float:
@@ -121,14 +144,14 @@ def dist_to_point(x, z, m: int = 256) -> float:
     1e-6 * (||x|| + |z| + 1).
     """
     a = as_matrix(x)
-    z = complex(z)
+    z = _check_finite(complex(z), "z")
     m = max(int(m), 32)
 
     def gap(theta: float) -> float:
         return (z * np.exp(-1j * theta)).real - _support_at(a, theta)[0]
 
     grid = 2.0 * np.pi * np.arange(m) / m
-    vals = np.array([gap(t) for t in grid])
+    vals = (z * np.exp(-1j * grid)).real - np.linalg.eigh(_herm_parts(a, grid))[0][:, -1]
     j = int(np.argmax(vals))
     lo = grid[j] - 2.0 * np.pi / m
     hi = grid[j] + 2.0 * np.pi / m
@@ -165,11 +188,13 @@ def sectorial_angle(x, tol: Tolerances | None = None, m: int = 256) -> SectorVer
 
     Method: the set D = {psi : min eig Re(e^{-i psi} x) >= 0} of
     supporting directions whose half-plane constraint passes through 0 is
-    a closed arc (convexity of W).  Its endpoints psi-, psi+ are located
-    by bisection, and the extreme argument rays of the enclosing cone are
-    rho_inf = psi+ - pi/2 and rho_sup = psi- + pi/2.  The verdict angle
-    is max(|rho_inf|, |rho_sup|) after branch normalisation; if D is
-    empty, 0 is interior to W(x) and no sector works (angle None).
+    a closed arc (convexity of W).  Its endpoints psi-, psi+ are bracketed
+    by one stacked sweep of 128 steps on each side of the best grid
+    direction and refined by bisection; the extreme argument rays of the
+    enclosing cone are rho_inf = psi+ - pi/2 and rho_sup = psi- + pi/2.
+    The verdict angle is max(|rho_inf|, |rho_sup|) after branch
+    normalisation; if D is empty, 0 is interior to W(x) and no sector
+    works (angle None).
     """
     a = as_matrix(x)
     t = resolve_tol(tol)
@@ -179,27 +204,21 @@ def sectorial_angle(x, tol: Tolerances | None = None, m: int = 256) -> SectorVer
 
     m = max(int(m), 64)
     grid = np.linspace(-np.pi, np.pi, m, endpoint=False)
-    g = np.array([_min_herm_eig(a, p) for p in grid])
+    g = _min_herm_eig(a, grid)
     j0 = int(np.argmax(g))
     if g[j0] < 0.0:
         # even the best direction cuts into W: 0 is interior
         return SectorVerdict(angle=None, witness=None)
     psi0 = float(grid[j0])
+    u = np.pi * np.arange(1, 129) / 128
 
     def locate_crossing(sign: float) -> float:
         """First zero of u -> g(psi0 + sign*u) on (0, pi]."""
-        lo, glo = 0.0, g[j0]
-        hi = None
-        steps = 128
-        for i in range(1, steps + 1):
-            u = np.pi * i / steps
-            gu = _min_herm_eig(a, psi0 + sign * u)
-            if gu < 0.0:
-                hi = u
-                break
-            lo, glo = u, gu
-        if hi is None:
+        neg = np.flatnonzero(_min_herm_eig(a, psi0 + sign * u) < 0.0)
+        if neg.size == 0:
             return np.pi  # degenerate arc of full half-length (ray-like range)
+        i = int(neg[0])
+        lo, hi = (u[i - 1] if i > 0 else 0.0), u[i]
         for _ in range(60):
             mid = (lo + hi) / 2.0
             if _min_herm_eig(a, psi0 + sign * mid) >= 0.0:

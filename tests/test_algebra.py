@@ -109,6 +109,22 @@ def test_support_idempotent_block_oracle():
     assert operator_norm(x @ res.s - x) <= 1e-9 * (1 + operator_norm(x))
 
 
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_support_idempotent_kernel_is_idempotent(n):
+    """The stacked Riesz quadrature still yields s^2 = s and s x = x."""
+    for seed in range(3):
+        rng = np.random.default_rng(20 + seed)
+        u = random_unitary(n, rng)
+        k = 1 + seed % (n - 1)
+        x = np.zeros((n, n), dtype=complex)
+        x[k:, k:] = random_accretive(n - k, rng) + 0.2 * np.eye(n - k)
+        x = u @ x @ u.conj().T
+        res = support_idem(x)
+        assert res.method == "RieszProjection"
+        assert operator_norm(res.s @ res.s - res.s) <= 1e-10
+        assert operator_norm(res.s @ x - x) <= 1e-9 * (1 + operator_norm(x))
+
+
 def test_support_idempotent_invertible_is_unit():
     x = random_accretive(3, 3) + 0.3 * np.eye(3)
     res = support_idem(x)

@@ -2,6 +2,7 @@
 F-transform, and the power-law property reports."""
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from realpos.calculus import (
     QuadratureConfig,
@@ -207,3 +208,13 @@ def test_root_bai_check_kernel_block():
     x = np.diag([1.0, 0.0]).astype(complex)
     rep = root_bai_check(x, n_max=64)
     assert rep.passed
+
+
+@pytest.mark.parametrize("r", [0.3, 0.7])
+@pytest.mark.parametrize("n", [3, 6])
+def test_balakrishnan_matches_scipy_fractional_power(r, n):
+    for seed in range(4):
+        x = random_accretive(n, 40 + seed, angle_cap=0.4 + 0.3 * seed) + 0.05 * np.eye(n)
+        expect = sla.fractional_matrix_power(x, r)
+        y = power_balakrishnan(x, r)
+        assert operator_norm(y - expect) <= 1e-9 * (1.0 + operator_norm(expect))

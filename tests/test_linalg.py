@@ -17,7 +17,6 @@ from realpos.linalg import (
     random_matrix,
     random_unitary,
     rng_for,
-    spectrum,
 )
 from realpos.numrange import abscissa
 
@@ -82,16 +81,6 @@ def test_matrix_exp_matches_diagonal():
 def test_matrix_exp_overflow_guard():
     with pytest.raises(NumericError):
         matrix_exp(np.diag([1000.0, 0.0]).astype(complex))
-
-
-def test_spectrum_unitary_similarity():
-    rng = rng_for(5)
-    x = random_matrix(4, rng)
-    res = spectrum(x)
-    rebuilt = res.schur_z @ res.schur_t @ res.schur_z.conj().T
-    assert np.allclose(rebuilt, x, atol=1e-12)
-    assert sorted(np.round(res.eigenvalues, 10)) == sorted(
-        np.round(np.linalg.eigvals(x), 10))
 
 
 def test_generators_deterministic():

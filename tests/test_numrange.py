@@ -3,10 +3,13 @@ angles.  Oracles come from normal matrices, whose range is the convex
 hull of the spectrum."""
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from realpos import numrange
 from realpos.errors import InputError
+from realpos.linalg import random_accretive, random_matrix
 from realpos.numrange import (
     abscissa,
     boundary,
@@ -148,3 +151,51 @@ def test_dist_to_point_lower_bounds_support_gap(re, im):
     for theta in np.linspace(-np.pi, np.pi, 9):
         gap = (np.exp(-1j * theta) * z).real - support_function(x, theta)
         assert d >= gap - 1e-8
+
+
+def rotated_herm(x, theta):
+    """Re(e^{-i theta} x), formed one angle at a time."""
+    y = np.exp(-1j * theta) * x
+    return (y + y.conj().T) / 2.0
+
+
+@pytest.mark.parametrize("n", [4, 8, 16])
+def test_stacked_sweeps_match_per_angle_loop_bitwise(n):
+    grid = np.linspace(-np.pi, np.pi, 256, endpoint=False)
+    for seed in range(5):
+        x = random_matrix(n, seed) if seed % 2 else random_accretive(n, seed)
+        stacked = numrange._min_herm_eig(x, grid)
+        loop = np.array([np.linalg.eigvalsh(rotated_herm(x, th))[0] for th in grid])
+        assert np.array_equal(stacked, loop)
+        rb = boundary(x)
+        top, points = [], []
+        for th in rb.angles:
+            w, v = np.linalg.eigh(rotated_herm(x, th))
+            top.append(w[-1])
+            points.append(v[:, -1].conj() @ (x @ v[:, -1]))
+        assert np.array_equal(rb.support_values, np.array(top))
+        assert np.array_equal(rb.boundary_points, np.array(points))
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 16])
+def test_sectorial_angle_matches_pencil_angle(n):
+    """For x = H + iK with H positive definite, the sectorial angle is
+    arctan max |lambda| over K v = lambda H v."""
+    for seed in range(6):
+        x = random_accretive(n, 100 * n + seed, angle_cap=0.15 + 0.25 * seed)
+        h = (x + x.conj().T) / 2.0
+        k = (x - x.conj().T) / 2j
+        exact = np.arctan(np.max(np.abs(sla.eigvalsh(k, h))))
+        v = sectorial_angle(x)
+        assert v.angle == pytest.approx(exact, abs=1e-8)
+        assert abs(abs(np.angle(v.witness)) - exact) <= 1e-6
+
+
+def test_non_finite_point_or_angle_rejected():
+    x = np.diag([1.0, 1.0j]).astype(complex)
+    for z in (np.nan, complex(0.0, np.inf), -np.inf):
+        with pytest.raises(InputError, match="z must be finite"):
+            dist_to_point(x, z)
+    for theta in (np.inf, np.nan):
+        with pytest.raises(InputError, match="theta must be finite"):
+            support_function(x, theta)
