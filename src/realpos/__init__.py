@@ -45,8 +45,6 @@ from .cones import (
     corner_context,
     decompose_halfF,
     full_context,
-    in_F,
-    in_r,
     membership,
     order_leq,
     scale_into_F,

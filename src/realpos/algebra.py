@@ -6,6 +6,12 @@ Subalgebras are represented by explicit bases inside an ambient matrix
 algebra; span questions reduce to numerical rank decisions on stacked
 vectorisations, with an explicit ambiguity window that refuses to guess
 when singular values sit too close to the cut.
+
+The structural certificates (basis closure, ideals, unit residuals) run
+on stacked ``(m, n, n)`` arrays: one matmul per right factor, then one
+projection or one stacked operator norm per check.  The inner-ideal
+products of ``hsa_from_z`` run as one ``(d_A, d_D)`` stack per element of
+D, so their memory is bounded by the dimensions of A and D.
 """
 from __future__ import annotations
 
@@ -54,14 +60,39 @@ def _vec(m: np.ndarray) -> np.ndarray:
 def _stack(mats) -> np.ndarray:
     """Rows are the vectorised matrices, each normalised to unit length
     (zero rows stay zero) so rank cuts are scale-free."""
-    rows = []
-    for m in mats:
-        v = _vec(m)
-        nv = np.linalg.norm(v)
-        rows.append(v / nv if nv > 0 else v)
-    if not rows:
+    if len(mats) == 0:
         return np.zeros((0, 1), dtype=complex)
-    return np.array(rows)
+    rows = np.asarray(mats, dtype=complex).reshape(len(mats), -1)
+    nv = np.linalg.norm(rows, axis=1, keepdims=True)
+    return rows / np.where(nv > 0, nv, 1.0)
+
+
+def _pair_products(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Rows vec(l r) for every l in the (p, n, n) stack left and every r
+    in the (q, n, n) stack right, by one (p n, n) @ (n, n) product per r."""
+    n = left.shape[-1]
+    return (left.reshape(-1, n) @ right).reshape(-1, n * n)
+
+
+def _worst_span_residual(products: np.ndarray, q: np.ndarray) -> float:
+    """Largest relative distance ||v - (v q*) q|| / (1 + ||v||) of a row v
+    of products from the span of q, a stack of orthonormal vectorised or
+    (n, n) matrices (0.0 for no rows)."""
+    q = q.reshape(len(q), products.shape[1])
+    res = products - (products @ q.conj().T) @ q
+    rel = np.linalg.norm(res, axis=1) / (1.0 + np.linalg.norm(products, axis=1))
+    return float(np.max(rel, initial=0.0))
+
+
+def _max_op_norm(mats: np.ndarray) -> float:
+    """Largest operator norm over an (m, n, n) stack (0.0 for m = 0)."""
+    return float(np.max(np.linalg.norm(mats, 2, axis=(1, 2)), initial=0.0))
+
+
+def _worst_unit_residual(s: np.ndarray, mats: np.ndarray) -> float:
+    """Largest operator norm of s b - b and b s - b over the (m, n, n)
+    stack mats (0.0 for no matrices)."""
+    return _max_op_norm(np.concatenate([s @ mats - mats, mats @ s - mats]))
 
 
 class SubalgebraBasis:
@@ -106,18 +137,15 @@ class SubalgebraBasis:
                 f"basis is not linearly independent: rank {rank} < {len(mats)} elements"
             )
         # orthonormal row basis of the span, and the coordinate solver
-        _, _, vh = np.linalg.svd(np.array([_vec(m) for m in mats]), full_matrices=False)
+        cube = np.array(mats)
+        vecs = cube.reshape(len(mats), -1)
+        _, _, vh = np.linalg.svd(vecs, full_matrices=False)
         self._span_q = vh[:rank]
-        self._pinv = np.linalg.pinv(np.array([_vec(m) for m in mats]).T)
+        self._pinv = np.linalg.pinv(vecs.T)
 
         self.closure_residual = 0.0
         if validate:
-            worst = 0.0
-            for bi in mats:
-                for bj in mats:
-                    prod = bi @ bj
-                    worst = max(worst, self._span_distance(prod) / (1.0 + np.linalg.norm(prod)))
-            self.closure_residual = float(worst)
+            self.closure_residual = _worst_span_residual(_pair_products(cube, cube), self._span_q)
             if self.closure_residual > 100 * t.eq_tol:
                 raise InputError(
                     f"basis is not multiplicatively closed: relative closure residual "
@@ -126,11 +154,8 @@ class SubalgebraBasis:
             if self.unit is not None:
                 if self._span_distance(self.unit) > 100 * t.eq_tol * (1.0 + np.linalg.norm(self.unit)):
                     raise InputError("declared unit does not lie in the span")
-                worst_u = max(
-                    max(operator_norm(self.unit @ b - b), operator_norm(b @ self.unit - b))
-                    for b in mats
-                )
-                if worst_u > 100 * t.eq_tol * (1.0 + max(operator_norm(b) for b in mats)):
+                worst_u = _worst_unit_residual(self.unit, cube)
+                if worst_u > 100 * t.eq_tol * (1.0 + _max_op_norm(cube)):
                     raise InputError(f"declared unit fails u b = b = b u (residual {worst_u:.3g})")
 
     @property
@@ -229,8 +254,7 @@ def span_contains(mats, m, tol: float = _SPAN_TOL) -> bool:
     nv = np.linalg.norm(v)
     if stack.shape[0] == 0:
         return nv <= tol
-    _, _, vh = np.linalg.svd(stack, full_matrices=False)
-    sv = np.linalg.svd(stack, compute_uv=False)
+    _, sv, vh = np.linalg.svd(stack, full_matrices=False)
     keep = vh[sv / sv[0] >= 10 * _RANK_TOL] if sv[0] > 0 else vh[:0]
     proj = (v @ keep.conj().T) @ keep
     return float(np.linalg.norm(v - proj)) <= tol * (1.0 + nv)
@@ -267,20 +291,20 @@ def spans_equal(mats_a, mats_b, rank_tol: float = _RANK_TOL) -> bool:
     return rj == ra
 
 
-def _ortho_matrices(mats, n: int, rank_tol: float = _RANK_TOL):
-    """Orthonormal matrices spanning span(mats) (Frobenius inner product)."""
+def _ortho_matrices(mats, n: int, rank_tol: float = _RANK_TOL) -> np.ndarray:
+    """Orthonormal matrices spanning span(mats) (Frobenius inner product),
+    as an (r, n, n) stack."""
     stack = _stack(mats)
     if stack.shape[0] == 0:
-        return []
-    sv = np.linalg.svd(stack, compute_uv=False)
-    _, _, vh = np.linalg.svd(stack, full_matrices=False)
+        return np.zeros((0, n, n), dtype=complex)
+    _, sv, vh = np.linalg.svd(stack, full_matrices=False)
     if sv[0] == 0:
-        return []
+        return np.zeros((0, n, n), dtype=complex)
     rel = sv / sv[0]
     if np.any((rel >= rank_tol) & (rel < 10 * rank_tol)):
         raise NumericError("span rank decision is ambiguous; pass cleaner generators")
     r = int(np.sum(rel >= 10 * rank_tol))
-    return [vh[i].reshape(n, n) for i in range(r)]
+    return vh[:r].reshape(r, n, n)
 
 
 # ---------------------------------------------------------------------------
@@ -328,26 +352,19 @@ def ba(x, ambient: AmbientContext | None = None, tol: Tolerances | None = None,
 def _unit_candidate(alg: SubalgebraBasis, t: Tolerances):
     """Least-squares element u of the span with u b = b = b u for all
     basis b; None when the residual says there is no unit."""
-    d = alg.dim
-    n = alg.n
-    cols = []
-    rhs = []
-    for b in alg.basis:
-        # rows for u @ b = b and b @ u = b, as linear maps applied to coords
-        left_blocks = np.array([_vec(f @ b) for f in alg.basis]).T
-        right_blocks = np.array([_vec(b @ f) for f in alg.basis]).T
-        cols.append(left_blocks)
-        rhs.append(_vec(b))
-        cols.append(right_blocks)
-        rhs.append(_vec(b))
-    m = np.concatenate(cols, axis=0)
-    v = np.concatenate(rhs)
+    cube = np.array(alg.basis)
+    d = len(cube)
+    # for each b, the rows of u b = b (columns vec(f b) over the basis f)
+    # and of b u = b (columns vec(b f)), both against vec(b)
+    prods = _pair_products(cube, cube).reshape(d, d, -1)  # [b, f] = vec(f b)
+    blocks = np.stack([prods, prods.transpose(1, 0, 2)], axis=1)
+    m = blocks.transpose(0, 1, 3, 2).reshape(-1, d)
+    v = np.repeat(cube.reshape(d, -1), 2, axis=0).ravel()
     c, *_ = np.linalg.lstsq(m, v, rcond=None)
     res = float(np.linalg.norm(m @ c - v))
     if res > 1e-8 * (1.0 + np.linalg.norm(v)):
         return None
-    u = sum(ci * bi for ci, bi in zip(c, alg.basis))
-    return u
+    return np.tensordot(c, cube, axes=1)
 
 
 @dataclass(frozen=True)
@@ -580,6 +597,10 @@ def hsa_from_z(z, algebra: SubalgebraBasis, tol: Tolerances | None = None) -> Hs
 
     Certifies: J is a right ideal, K is a left ideal, D = z A z is an
     inner ideal (d a d' stays in D), and s(z) acts as a unit on D.
+
+    Each certificate is one stacked product and projection; the products
+    d b d' run as one (dim A, dim D) stack per d in D, so peak memory is
+    about dim A * dim D * n^2 complex numbers.
     """
     t = resolve_tol(tol)
     a = as_matrix(z, "z")
@@ -592,33 +613,18 @@ def hsa_from_z(z, algebra: SubalgebraBasis, tol: Tolerances | None = None) -> Hs
     if not algebra.contains(a, 1e-7):
         raise PreconditionError("hsa_from_z input does not lie in the given algebra")
     n = algebra.n
-    j_basis = _ortho_matrices([a @ b for b in algebra.basis], n)
-    d_basis = _ortho_matrices([a @ b @ a for b in algebra.basis], n)
-    k_basis = _ortho_matrices([b @ a for b in algebra.basis], n)
+    cube = np.array(algebra.basis)
+    j_cube = _ortho_matrices(a @ cube, n)
+    d_cube = _ortho_matrices(a @ cube @ a, n)
+    k_cube = _ortho_matrices(cube @ a, n)
 
-    def worst_span_residual(products, span_mats):
-        if not span_mats:
-            return max((np.linalg.norm(_vec(p)) for p in products), default=0.0)
-        stack_q = np.array([_vec(m) for m in span_mats])
-        worst = 0.0
-        for p in products:
-            v = _vec(p)
-            proj = (v @ stack_q.conj().T) @ stack_q
-            worst = max(worst, float(np.linalg.norm(v - proj)) / (1.0 + np.linalg.norm(v)))
-        return worst
-
-    r_right = worst_span_residual(
-        [j @ b for j in j_basis for b in algebra.basis], j_basis)
-    r_left = worst_span_residual(
-        [b @ k for k in k_basis for b in algebra.basis], k_basis)
-    r_inner = worst_span_residual(
-        [d @ b @ dd for d in d_basis for b in algebra.basis for dd in d_basis], d_basis)
+    r_right = _worst_span_residual(_pair_products(j_cube, cube), j_cube)
+    r_left = _worst_span_residual(_pair_products(cube, k_cube), k_cube)
+    r_inner = max((_worst_span_residual(_pair_products(d @ cube, d_cube), d_cube)
+                   for d in d_cube), default=0.0)
 
     s = support_idem(a, ctx, t).s
-    r_unit = max(
-        (max(operator_norm(s @ d - d), operator_norm(d @ s - d)) for d in d_basis),
-        default=0.0,
-    )
+    r_unit = _worst_unit_residual(s, d_cube)
 
     verdicts = {
         "right_ideal": r_right <= 1e-7,
@@ -633,10 +639,11 @@ def hsa_from_z(z, algebra: SubalgebraBasis, tol: Tolerances | None = None) -> Hs
         residuals={"right_ideal": r_right, "left_ideal": r_left,
                    "inner_ideal": r_inner, "support_unit": r_unit},
         tolerances=t.as_dict(),
-        details={"dim_J": len(j_basis), "dim_D": len(d_basis), "dim_K": len(k_basis)},
+        details={"dim_J": len(j_cube), "dim_D": len(d_cube), "dim_K": len(k_cube)},
         instance=matrix_digest(a),
     )
-    return HsaResult(j_basis=j_basis, d_basis=d_basis, k_basis=k_basis, report=report)
+    return HsaResult(j_basis=list(j_cube), d_basis=list(d_cube), k_basis=list(k_cube),
+                     report=report)
 
 
 def supp_order(x, y, algebra: SubalgebraBasis, tol: Tolerances | None = None) -> VerificationReport:
@@ -715,15 +722,12 @@ def aarnes_kadison_check(x, algebra: SubalgebraBasis,
     ctx = algebra.ambient
     if not membership(a, ctx, t).in_r:
         raise PreconditionError("aarnes_kadison_check needs an accretive input")
-    basis = algebra.basis
-    c1 = spans_equal([a @ b @ a for b in basis], basis)
-    c2 = spans_equal([a @ b for b in basis], basis) and spans_equal(
-        [b @ a for b in basis], basis)
+    cube = np.array(algebra.basis)
+    c1 = spans_equal(a @ cube @ a, cube)
+    c2 = spans_equal(a @ cube, cube) and spans_equal(cube @ a, cube)
     s = support_idem(a, ctx, t).s
-    res_unit = max(
-        max(operator_norm(s @ b - b), operator_norm(b @ s - b)) for b in basis
-    )
-    scale = 1.0 + max(operator_norm(b) for b in basis)
+    res_unit = _worst_unit_residual(s, cube)
+    scale = 1.0 + _max_op_norm(cube)
     c3 = res_unit <= 1e-7 * scale and algebra.contains(s, 1e-7)
     verdicts = {"sandwich_full": bool(c1), "one_sided_full": bool(c2),
                 "support_is_unit": bool(c3)}
@@ -777,19 +781,10 @@ def idempotent_ideal(q, algebra: SubalgebraBasis, x=None,
         raise PreconditionError(f"idempotent_ideal needs q in F; residual {mem.F_residual:.3g}")
     if not algebra.contains(aq, 1e-7):
         raise PreconditionError("q does not lie in the given algebra")
-    n = algebra.n
-    ideal = _ortho_matrices([aq @ b for b in algebra.basis], n)
-    stack_q = np.array([_vec(m) for m in ideal]) if ideal else np.zeros((0, n * n))
-    worst_ideal = 0.0
-    worst_unit = 0.0
-    for j in ideal:
-        for b in algebra.basis:
-            prod = j @ b
-            v = _vec(prod)
-            proj = (v @ stack_q.conj().T) @ stack_q
-            worst_ideal = max(worst_ideal,
-                              float(np.linalg.norm(v - proj)) / (1.0 + np.linalg.norm(v)))
-        worst_unit = max(worst_unit, operator_norm(aq @ j - j))
+    cube = np.array(algebra.basis)
+    ideal = _ortho_matrices(aq @ cube, algebra.n)
+    worst_ideal = _worst_span_residual(_pair_products(ideal, cube), ideal)
+    worst_unit = _max_op_norm(aq @ ideal - ideal)
     verdicts = {"right_ideal": worst_ideal <= 1e-7, "left_unit": worst_unit <= 1e-7}
     residuals = {"right_ideal": worst_ideal, "left_unit": worst_unit}
     details = {"dim_ideal": len(ideal)}

@@ -34,8 +34,6 @@ __all__ = [
     "corner_context",
     "ConeMembership",
     "membership",
-    "in_F",
-    "in_r",
     "chaccr_verify",
     "scale_into_F",
     "approximate_from_F",
@@ -178,16 +176,6 @@ def membership(x, ctx: AmbientContext, tol: Tolerances | None = None) -> ConeMem
         psd_tol=t.psd_tol,
         boundary=bool(on_edge),
     )
-
-
-def in_F(x, ctx: AmbientContext, tol: Tolerances | None = None) -> ConeMembership:
-    """Membership in F = {x : ||e - x|| <= 1} (both residuals reported)."""
-    return membership(x, ctx, tol)
-
-
-def in_r(x, ctx: AmbientContext, tol: Tolerances | None = None) -> ConeMembership:
-    """Membership in the accretive cone (both residuals reported)."""
-    return membership(x, ctx, tol)
 
 
 def chaccr_verify(x, ctx: AmbientContext, t_grid=None,

@@ -244,8 +244,8 @@ def suite_decompose(seed: int, count: int, n: int, tol: Tolerances) -> list:
         p, q = cones_mod.decompose_halfF(b, ctx, tol)
         rec = operator_norm((p - q) - b)
         sum_res = operator_norm((p + q) - np.eye(n))
-        mp = cones_mod.in_F(2.0 * p, ctx, tol)
-        mq = cones_mod.in_F(2.0 * q, ctx, tol)
+        mp = cones_mod.membership(2.0 * p, ctx, tol)
+        mq = cones_mod.membership(2.0 * q, ctx, tol)
         verdicts = {
             "half_F_plus": bool(mp.in_F),
             "half_F_minus": bool(mq.in_F),

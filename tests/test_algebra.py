@@ -1,10 +1,15 @@
 """Subalgebra spans, generated algebras, support idempotents, and the
 structural equivalence checks."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from realpos.algebra import (
     SubalgebraBasis,
+    _pair_products,
+    _worst_span_residual,
+    _worst_unit_residual,
     aarnes_kadison_check,
     ba,
     ba_ftransform_equal,
@@ -21,8 +26,8 @@ from realpos.algebra import (
     ws_suite,
 )
 from realpos.cones import full_context
-from realpos.errors import InputError, NumericError
-from realpos.linalg import operator_norm, random_accretive, random_unitary
+from realpos.errors import InputError, NumericError, PreconditionError
+from realpos.linalg import operator_norm, random_accretive, random_contraction, random_unitary
 
 
 def test_standard_algebras():
@@ -166,7 +171,7 @@ def test_hsa_from_z_dimension_oracle():
 
 def test_hsa_rejects_outside_F():
     z = np.diag([4.0, 0.0]).astype(complex)
-    with pytest.raises(Exception):
+    with pytest.raises(PreconditionError):
         hsa_from_z(z, full_matrix_algebra(2))
 
 
@@ -239,3 +244,157 @@ def test_idempotent_ideal():
     q = np.diag([1.0, 1.0, 0.0]).astype(complex)
     rep = idempotent_ideal(q, full_matrix_algebra(3))
     assert rep.passed
+
+
+# per-product reference loops for the stacked certificates
+
+def _loop_ortho(mats):
+    """Orthonormal matrices spanning span(mats): SVD of the normalised
+    vectorisations with the library's rank cut (10 * 1e-10 relative)."""
+    n = mats[0].shape[0]
+    rows = [m.ravel() / np.linalg.norm(m) if np.linalg.norm(m) > 0 else m.ravel() for m in mats]
+    _, sv, vh = np.linalg.svd(np.array(rows), full_matrices=False)
+    if sv[0] == 0:
+        return []
+    return [vh[i].reshape(n, n) for i in range(int(np.sum(sv / sv[0] >= 1e-9)))]
+
+
+def _loop_span_residual(products, span):
+    worst = 0.0
+    for p in products:
+        v = p.ravel()
+        proj = sum(np.vdot(q.ravel(), v) * q.ravel() for q in span) if span else 0.0
+        worst = max(worst, float(np.linalg.norm(v - proj)) / (1.0 + np.linalg.norm(v)))
+    return worst
+
+
+def _loop_unit_residual(s, mats):
+    return max((max(operator_norm(s @ b - b), operator_norm(b @ s - b)) for b in mats),
+               default=0.0)
+
+
+def _loop_hsa(z, basis):
+    j = _loop_ortho([z @ b for b in basis])
+    d = _loop_ortho([z @ b @ z for b in basis])
+    k = _loop_ortho([b @ z for b in basis])
+    residuals = {
+        "right_ideal": _loop_span_residual([x @ b for x in j for b in basis], j),
+        "left_ideal": _loop_span_residual([b @ x for x in k for b in basis], k),
+        "inner_ideal": _loop_span_residual([x @ b @ y for x in d for b in basis for y in d], d),
+        "support_unit": _loop_unit_residual(support_idem(z).s, d),
+    }
+    verdicts = {"right_ideal": residuals["right_ideal"] <= 1e-7,
+                "left_ideal": residuals["left_ideal"] <= 1e-7,
+                "inner_ideal": residuals["inner_ideal"] <= 1e-7,
+                "support_unit_on_core": residuals["support_unit"] <= 1e-6}
+    return residuals, verdicts, {"dim_J": len(j), "dim_D": len(d), "dim_K": len(k)}
+
+
+def _loop_aarnes(x, algebra):
+    basis = algebra.basis
+    s = support_idem(x).s
+    res_unit = _loop_unit_residual(s, basis)
+    scale = 1.0 + max(operator_norm(b) for b in basis)
+    verdicts = {
+        "sandwich_full": spans_equal([x @ b @ x for b in basis], basis),
+        "one_sided_full": (spans_equal([x @ b for b in basis], basis)
+                           and spans_equal([b @ x for b in basis], basis)),
+        "support_is_unit": res_unit <= 1e-7 * scale and algebra.contains(s, 1e-7),
+    }
+    return {"support_unit": res_unit}, verdicts
+
+
+def _loop_idempotent_ideal(q, basis):
+    ideal = _loop_ortho([q @ b for b in basis])
+    residuals = {
+        "right_ideal": _loop_span_residual([j @ b for j in ideal for b in basis], ideal),
+        "left_unit": max((operator_norm(q @ j - j) for j in ideal), default=0.0),
+    }
+    verdicts = {"right_ideal": residuals["right_ideal"] <= 1e-7,
+                "left_unit": residuals["left_unit"] <= 1e-7}
+    return residuals, verdicts, {"dim_ideal": len(ideal)}
+
+
+def _certificate_cases():
+    """(algebra, z in F, the support projection of z) on invertible,
+    kernel and zero inputs."""
+    cases = []
+    for n in (2, 3, 4):
+        rng = np.random.default_rng(40 + n)
+        u = random_unitary(n, rng)
+        k = n - 1
+        zb = np.zeros((n, n), dtype=complex)
+        zb[:k, :k] = np.eye(k) - random_contraction(k, rng, norm=0.8)
+        proj = np.diag([1.0] * k + [0.0]).astype(complex)
+        alg = full_matrix_algebra(n)
+        cases.append((alg, np.eye(n) - random_contraction(n, rng, norm=0.8), np.eye(n)))
+        cases.append((alg, u @ zb @ u.conj().T, u @ proj @ u.conj().T))
+    rng = np.random.default_rng(47)
+    blocks = block_diag_algebra([2, 1])
+    for corner in (0.5, 0.0):
+        z = np.zeros((3, 3), dtype=complex)
+        z[:2, :2] = np.eye(2) - random_contraction(2, rng, norm=0.8)
+        z[2, 2] = corner
+        cases.append((blocks, z, np.diag([1.0, 1.0, float(corner > 0)]).astype(complex)))
+    zero = np.zeros((3, 3), dtype=complex)
+    cases.append((full_matrix_algebra(3), zero, zero))
+    return cases
+
+
+@pytest.mark.parametrize("case", range(len(_certificate_cases())))
+def test_stacked_certificates_match_per_product_loop(case):
+    algebra, z, q = _certificate_cases()[case]
+
+    rep = hsa_from_z(z, algebra).report
+    residuals, verdicts, dims = _loop_hsa(z, algebra.basis)
+    assert rep.verdicts == verdicts and rep.details == dims
+    for key, value in residuals.items():
+        assert abs(rep.residuals[key] - value) <= 1e-14, key
+
+    rep = aarnes_kadison_check(z, algebra)
+    residuals, verdicts = _loop_aarnes(z, algebra)
+    assert rep.verdicts == verdicts
+    assert abs(rep.residuals["support_unit"] - residuals["support_unit"]) <= 1e-14
+
+    rep = idempotent_ideal(q, algebra)
+    residuals, verdicts, dims = _loop_idempotent_ideal(q, algebra.basis)
+    assert rep.verdicts == verdicts and rep.details == dims
+    for key, value in residuals.items():
+        assert abs(rep.residuals[key] - value) <= 1e-14, key
+
+
+def test_stacked_residual_helpers_match_loops():
+    """Off-span products and a one-sided unit, where the residuals are
+    not rounding noise."""
+    rng = np.random.default_rng(48)
+    left = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
+    right = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
+    span = _loop_ortho(list(left[:2]))
+    products = [l @ r for r in right for l in left]
+    rows = _pair_products(left, right)
+    assert np.array_equal(rows, np.array([p.ravel() for p in products]))
+    for i in range(len(products)):
+        assert abs(_worst_span_residual(rows[i:i + 1], np.array(span))
+                   - _loop_span_residual(products[i:i + 1], span)) <= 1e-14
+    assert abs(_worst_span_residual(rows, np.array(span))
+               - _loop_span_residual(products, span)) <= 1e-14
+    s = np.diag([1.0, 0.0, 0.0]).astype(complex)
+    e12 = np.zeros((1, 3, 3), dtype=complex)
+    e12[0, 0, 1] = 1.0  # s e12 = e12 but e12 s = 0
+    for mats in (e12, left, e12[:0]):
+        assert abs(_worst_unit_residual(s, mats) - _loop_unit_residual(s, list(mats))) <= 1e-14
+
+
+def test_hsa_from_z_memory_bounded_at_n8():
+    """The inner-ideal products run one (dim A, dim D) stack at a time;
+    all d_D^2 d_A = 262144 products of 8x8 matrices would take 290 MB."""
+    z = np.eye(8) - random_contraction(8, 5, norm=0.8)
+    algebra = full_matrix_algebra(8)
+    tracemalloc.start()
+    try:
+        rep = hsa_from_z(z, algebra).report
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed and rep.details["dim_D"] == 64
+    assert peak < 32 * 2**20

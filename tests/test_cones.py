@@ -10,8 +10,6 @@ from realpos.cones import (
     corner_context,
     decompose_halfF,
     full_context,
-    in_F,
-    in_r,
     membership,
     order_leq,
     scale_into_F,
@@ -35,6 +33,9 @@ def test_membership_diagonal_cases():
     # not accretive at all
     m4 = membership(-eye, ctx)
     assert not m4.in_F and not m4.in_r
+    # a kernel projection: in F and accretive, on the boundary of both
+    m5 = membership(np.diag([1.0, 0.0]).astype(complex), ctx)
+    assert m5.in_F and m5.in_r and m5.boundary
 
 
 def test_membership_F_implies_accretive():
@@ -46,12 +47,6 @@ def test_membership_F_implies_accretive():
         m = membership(x, ctx)
         if m.in_F:
             assert m.in_r
-
-
-def test_in_F_in_r_wrappers():
-    ctx = full_context(2)
-    assert in_F(np.eye(2, dtype=complex), ctx).in_F
-    assert in_r(np.diag([1.0, 0.0]).astype(complex), ctx).in_r
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -126,8 +121,8 @@ def test_decompose_halfF_reconstruction():
         p, q = decompose_halfF(b, ctx)
         assert operator_norm((p - q) - b) <= 1e-13
         assert operator_norm((p + q) - np.eye(3)) <= 1e-13
-        assert in_F(2 * p, ctx).in_F
-        assert in_F(2 * q, ctx).in_F
+        assert membership(2 * p, ctx).in_F
+        assert membership(2 * q, ctx).in_F
 
 
 def test_decompose_halfF_rejects_big_norm():
