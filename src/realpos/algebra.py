@@ -20,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import _split_zero_cluster, _sqrtm_tri, f_transform
-from .cones import AmbientContext, full_context, membership
+from .calculus import _f_transform, _split_zero_cluster, _sqrtm_tri
+from .cones import AmbientContext, _membership, full_context
 from .errors import InputError, MethodDisagreementError, NumericError, PreconditionError
-from .linalg import Tolerances, as_matrix, operator_norm, resolve_tol
+from .linalg import Tolerances, _norm2, as_matrix, resolve_tol
 from .report import VerificationReport, matrix_digest
 
 __all__ = [
@@ -86,7 +86,7 @@ def _worst_span_residual(products: np.ndarray, q: np.ndarray) -> float:
 
 def _max_op_norm(mats: np.ndarray) -> float:
     """Largest operator norm over an (m, n, n) stack (0.0 for m = 0)."""
-    return float(np.max(np.linalg.norm(mats, 2, axis=(1, 2)), initial=0.0))
+    return float(np.max(_norm2(mats), initial=0.0))
 
 
 def _worst_unit_residual(s: np.ndarray, mats: np.ndarray) -> float:
@@ -103,13 +103,17 @@ class SubalgebraBasis:
     product from the span; the constructor rejects sets that are not
     actually algebras (unless validate=False for trusted internal
     constructions, which still computes spans but skips the O(d^2)
-    product check).
+    product check and the per-matrix input validation).
     """
 
     def __init__(self, basis, ambient: AmbientContext | None = None,
                  unit=None, tol: Tolerances | None = None, validate: bool = True):
         t = resolve_tol(tol)
-        mats = [as_matrix(b, f"basis[{i}]") for i, b in enumerate(basis)]
+        if validate:
+            mats = [as_matrix(b, f"basis[{i}]") for i, b in enumerate(basis)]
+            unit = None if unit is None else as_matrix(unit, "unit")
+        else:
+            mats = list(basis)
         if not mats:
             raise InputError("a subalgebra basis needs at least one element")
         n = mats[0].shape[0]
@@ -121,7 +125,7 @@ class SubalgebraBasis:
             raise InputError(f"basis matrices are {n}x{n} but ambient has n={ambient.n}")
         self.ambient = ambient
         self.basis = mats
-        self.unit = None if unit is None else as_matrix(unit, "unit")
+        self.unit = unit
 
         stack = _stack(mats)
         sv = np.linalg.svd(stack, compute_uv=False)
@@ -176,13 +180,18 @@ class SubalgebraBasis:
         return float(np.linalg.norm(v - self._project_vecs(v)))
 
     def contains(self, m, tol: float = _SPAN_TOL) -> bool:
-        v = _vec(as_matrix(m))
-        return self._span_distance(m) <= tol * (1.0 + np.linalg.norm(v))
+        return self._contains(as_matrix(m), tol)
+
+    def _contains(self, a: np.ndarray, tol: float) -> bool:
+        return self._span_distance(a) <= tol * (1.0 + np.linalg.norm(_vec(a)))
 
     def coords(self, m):
         """Least-squares coordinates of m in the (original) basis,
         with the representation residual."""
-        v = _vec(as_matrix(m))
+        return self._coords(as_matrix(m))
+
+    def _coords(self, a: np.ndarray):
+        v = _vec(a)
         c = self._pinv @ v
         cols = np.array([_vec(b) for b in self.basis]).T
         res = float(np.linalg.norm(cols @ c - v))
@@ -324,9 +333,14 @@ def ba(x, ambient: AmbientContext | None = None, tol: Tolerances | None = None,
     if ambient is None:
         ambient = full_context(a.shape[0])
     t = resolve_tol(tol)
-    ambient.check_member(a, t)
+    return _ba(ambient._check_member(a, t), ambient, t, rank_tol)
+
+
+def _ba(a: np.ndarray, ambient: AmbientContext, t: Tolerances,
+        rank_tol: float = _RANK_TOL) -> SubalgebraBasis:
+    """ba(x) for a checked member a of the ambient algebra."""
     n = a.shape[0]
-    nrm = operator_norm(a)
+    nrm = _norm2(a)
     if nrm <= t.eq_tol:
         raise InputError("ba(x) of a (numerically) zero element is the zero space")
     xn = a / nrm
@@ -398,14 +412,20 @@ def support_idem(x, ctx: AmbientContext | None = None,
     if ctx is None:
         ctx = full_context(a.shape[0])
     t = resolve_tol(tol)
-    mem = membership(a, ctx, t)
+    xc = ctx._compress_member(a, t)
+    mem = _membership(xc, t)
     if not mem.in_r:
         raise PreconditionError(
             f"support_idem needs an accretive input; abscissa residual {mem.r_residual:.3g}"
         )
-    xc = ctx.compress(ctx.check_member(a, t))
+    return _support_idem(xc, ctx, t, zero_tol, n_max)
+
+
+def _support_idem(xc: np.ndarray, ctx: AmbientContext, t: Tolerances,
+                  zero_tol: float | None = None, n_max: int = 1024) -> SupportIdempotent:
+    """support_idem on the corner coordinates xc of an accretive element."""
     k_dim = xc.shape[0]
-    nrm = operator_norm(xc)
+    nrm = _norm2(xc)
     ztol = 1e-9 * (1.0 + nrm) if zero_tol is None else float(zero_tol)
     eigs = np.linalg.eigvals(xc)
     zero_mask = np.abs(eigs) <= ztol
@@ -430,14 +450,14 @@ def support_idem(x, ctx: AmbientContext | None = None,
         s_riesz = eye - p0
         s_root = _root_limit_block(xc, ztol, t, n_max)
 
-    agreement = float(operator_norm(s_riesz - s_root))
+    agreement = _norm2(s_riesz - s_root)
     if agreement > 1e-6:
         raise MethodDisagreementError(
             f"support idempotent methods disagree by {agreement:.3g} (> 1e-6)",
-            values={"riesz": ctx.embed(s_riesz), "root_limit": ctx.embed(s_root)},
+            values={"riesz": ctx._embed(s_riesz), "root_limit": ctx._embed(s_root)},
         )
     return SupportIdempotent(
-        s=ctx.embed(s_riesz), method="RieszProjection", agreement_residual=agreement
+        s=ctx._embed(s_riesz), method="RieszProjection", agreement_residual=agreement
     )
 
 
@@ -457,7 +477,7 @@ def _riesz_zero_projection(xc: np.ndarray, rho: float, t: Tolerances) -> np.ndar
     prev = trapezoid(64)
     for nodes in (128, 256, 512):
         cur = trapezoid(nodes)
-        if operator_norm(cur - prev) <= max(t.conv_tol, 1e-13) * (1.0 + operator_norm(cur)):
+        if _norm2(cur - prev) <= max(t.conv_tol, 1e-13) * (1.0 + _norm2(cur)):
             return cur
         prev = cur
     raise NumericError("resolvent contour integral failed to stabilise by 512 nodes")
@@ -513,19 +533,20 @@ def ws_suite(x, algebra: SubalgebraBasis, tol: Tolerances | None = None) -> Veri
     t = resolve_tol(tol)
     a = as_matrix(x)
     ctx = algebra.ambient
-    mem = membership(a, ctx, t)
+    xc = ctx._compress_member(a, t)
+    mem = _membership(xc, t)
     if not mem.in_r:
         raise PreconditionError(
             f"ws_suite needs an accretive input; abscissa residual {mem.r_residual:.3g}"
         )
-    if not algebra.contains(a, 1e-7):
+    if not algebra._contains(a, 1e-7):
         raise PreconditionError("ws_suite input does not lie in the given algebra")
 
-    nrm = operator_norm(a)
-    sup = support_idem(a, ctx, t)
+    nrm = _norm2(a)
+    sup = _support_idem(xc, ctx, t)
     s = sup.s
 
-    v1 = algebra.contains(s, 1e-7)
+    v1 = algebra._contains(s, 1e-7)
 
     # (iv): least squares for x y x = x over the algebra
     cols = np.array([_vec(a @ b @ a) for b in algebra.basis]).T
@@ -538,7 +559,7 @@ def ws_suite(x, algebra: SubalgebraBasis, tol: Tolerances | None = None) -> Veri
     v5 = False
     res_v = np.inf
     if nrm > t.eq_tol:
-        gen = ba(a, ctx, t)
+        gen = _ba(a, ctx, t)
         if gen.unit is not None:
             u = gen.unit
             cols_l = np.array([_vec(a @ b) for b in gen.basis]).T
@@ -550,7 +571,7 @@ def ws_suite(x, algebra: SubalgebraBasis, tol: Tolerances | None = None) -> Veri
             v5 = res_v <= 1e-8 * (1.0 + np.linalg.norm(v))
 
     # (vi): spectral gap at zero
-    eigs = np.linalg.eigvals(ctx.compress(a))
+    eigs = np.linalg.eigvals(xc)
     ztol = 1e-9 * (1.0 + nrm)
     nonzero = np.abs(eigs)[np.abs(eigs) > ztol]
     gap = float(np.min(nonzero)) if nonzero.size else np.inf
@@ -605,12 +626,13 @@ def hsa_from_z(z, algebra: SubalgebraBasis, tol: Tolerances | None = None) -> Hs
     t = resolve_tol(tol)
     a = as_matrix(z, "z")
     ctx = algebra.ambient
-    mem = membership(a, ctx, t)
+    xc = ctx._compress_member(a, t)
+    mem = _membership(xc, t)
     if not mem.in_F:
         raise PreconditionError(
             f"hsa_from_z needs z in F; residual {mem.F_residual:.3g} exceeds eq_tol"
         )
-    if not algebra.contains(a, 1e-7):
+    if not algebra._contains(a, 1e-7):
         raise PreconditionError("hsa_from_z input does not lie in the given algebra")
     n = algebra.n
     cube = np.array(algebra.basis)
@@ -623,7 +645,7 @@ def hsa_from_z(z, algebra: SubalgebraBasis, tol: Tolerances | None = None) -> Hs
     r_inner = max((_worst_span_residual(_pair_products(d @ cube, d_cube), d_cube)
                    for d in d_cube), default=0.0)
 
-    s = support_idem(a, ctx, t).s
+    s = _support_idem(xc, ctx, t).s
     r_unit = _worst_unit_residual(s, d_cube)
 
     verdicts = {
@@ -652,17 +674,19 @@ def supp_order(x, y, algebra: SubalgebraBasis, tol: Tolerances | None = None) ->
     ax = as_matrix(x, "x")
     ay = as_matrix(y, "y")
     ctx = algebra.ambient
+    xcs = []
     for m, name in ((ax, "x"), (ay, "y")):
-        if not membership(m, ctx, t).in_r:
+        xcs.append(ctx._compress_member(m, t))
+        if not _membership(xcs[-1], t).in_r:
             raise PreconditionError(f"supp_order needs accretive inputs; {name} is not")
     xa = [ax @ b for b in algebra.basis]
     ya = [ay @ b for b in algebra.basis]
     r_ya = _span_rank(ya)
     r_joint = _span_rank(ya + xa)
     contained = r_joint == r_ya
-    sx = support_idem(ax, ctx, t).s
-    sy = support_idem(ay, ctx, t).s
-    res = float(operator_norm(sy @ sx - sx))
+    sx = _support_idem(xcs[0], ctx, t).s
+    sy = _support_idem(xcs[1], ctx, t).s
+    res = _norm2(sy @ sx - sx)
     dominates = res <= 1e-7
     verdicts = {"ideal_containment": bool(contained), "support_domination": bool(dominates)}
     return VerificationReport(
@@ -693,11 +717,11 @@ def lump_check(p, ctx: AmbientContext | None = None,
     a = as_matrix(p, "p")
     if ctx is None:
         ctx = full_context(a.shape[0])
-    nrm = operator_norm(a)
-    idem_res = operator_norm(a @ a - a)
+    nrm = _norm2(a)
+    idem_res = _norm2(a @ a - a)
     if idem_res > 100 * t.eq_tol * (1.0 + nrm) ** 2:
         raise PreconditionError(f"lump_check needs an idempotent; residual {idem_res:.3g}")
-    mem = membership(a, ctx, t)
+    mem = _membership(ctx._compress_member(a, t), t)
     band = max(t.eq_tol, 2.0 * t.psd_tol)
     verdicts = {"in_F": mem.F_residual <= band,
                 "accretive": mem.r_residual >= -band / 2.0}
@@ -720,15 +744,16 @@ def aarnes_kadison_check(x, algebra: SubalgebraBasis,
     t = resolve_tol(tol)
     a = as_matrix(x)
     ctx = algebra.ambient
-    if not membership(a, ctx, t).in_r:
+    xc = ctx._compress_member(a, t)
+    if not _membership(xc, t).in_r:
         raise PreconditionError("aarnes_kadison_check needs an accretive input")
     cube = np.array(algebra.basis)
     c1 = spans_equal(a @ cube @ a, cube)
     c2 = spans_equal(a @ cube, cube) and spans_equal(cube @ a, cube)
-    s = support_idem(a, ctx, t).s
+    s = _support_idem(xc, ctx, t).s
     res_unit = _worst_unit_residual(s, cube)
     scale = 1.0 + _max_op_norm(cube)
-    c3 = res_unit <= 1e-7 * scale and algebra.contains(s, 1e-7)
+    c3 = res_unit <= 1e-7 * scale and algebra._contains(s, 1e-7)
     verdicts = {"sandwich_full": bool(c1), "one_sided_full": bool(c2),
                 "support_is_unit": bool(c3)}
     return VerificationReport(
@@ -748,11 +773,12 @@ def ba_ftransform_equal(x, ctx: AmbientContext | None = None,
     a = as_matrix(x)
     if ctx is None:
         ctx = full_context(a.shape[0])
-    if not membership(a, ctx, t).in_r:
+    xc = ctx._compress_member(a, t)
+    if not _membership(xc, t).in_r:
         raise PreconditionError("ba_ftransform_equal needs an accretive input")
-    y = f_transform(a, ctx, t)
-    b1 = ba(a, ctx, t)
-    b2 = ba(y, ctx, t)
+    y = ctx._embed(_f_transform(xc))
+    b1 = _ba(a, ctx, t)
+    b2 = _ba(y, ctx, t)
     equal = spans_equal(b1, b2)
     return VerificationReport(
         check="ba_ftransform",
@@ -773,13 +799,13 @@ def idempotent_ideal(q, algebra: SubalgebraBasis, x=None,
     t = resolve_tol(tol)
     aq = as_matrix(q, "q")
     ctx = algebra.ambient
-    idem_res = operator_norm(aq @ aq - aq)
-    if idem_res > 100 * t.eq_tol * (1.0 + operator_norm(aq)) ** 2:
+    idem_res = _norm2(aq @ aq - aq)
+    if idem_res > 100 * t.eq_tol * (1.0 + _norm2(aq)) ** 2:
         raise PreconditionError(f"idempotent_ideal needs an idempotent q; residual {idem_res:.3g}")
-    mem = membership(aq, ctx, t)
+    mem = _membership(ctx._compress_member(aq, t), t)
     if not mem.in_F:
         raise PreconditionError(f"idempotent_ideal needs q in F; residual {mem.F_residual:.3g}")
-    if not algebra.contains(aq, 1e-7):
+    if not algebra._contains(aq, 1e-7):
         raise PreconditionError("q does not lie in the given algebra")
     cube = np.array(algebra.basis)
     ideal = _ortho_matrices(aq @ cube, algebra.n)
@@ -790,10 +816,11 @@ def idempotent_ideal(q, algebra: SubalgebraBasis, x=None,
     details = {"dim_ideal": len(ideal)}
     if x is not None:
         axm = as_matrix(x)
-        if not membership(axm, ctx, t).in_r:
+        xc = ctx._compress_member(axm, t)
+        if not _membership(xc, t).in_r:
             raise PreconditionError("supplied x must be accretive")
-        s = support_idem(axm, ctx, t).s
-        if algebra.contains(s, 1e-7):
+        s = _support_idem(xc, ctx, t).s
+        if algebra._contains(s, 1e-7):
             same = spans_equal([axm @ b for b in algebra.basis],
                                [s @ b for b in algebra.basis])
             verdicts["xA_equals_sA"] = bool(same)

@@ -29,10 +29,10 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.special
 
-from .cones import AmbientContext, full_context, membership
+from .cones import AmbientContext, _membership, full_context
 from .errors import InputError, MethodDisagreementError, NumericError, PreconditionError
-from .linalg import Tolerances, as_matrix, operator_norm, resolve_tol
-from .numrange import dist_to_point, sectorial_angle
+from .linalg import Tolerances, _norm2, as_matrix, resolve_tol
+from .numrange import _dist_to_point, _sectorial_angle
 from .report import VerificationReport, matrix_digest
 
 __all__ = [
@@ -111,15 +111,14 @@ def _power_tri(t: np.ndarray, r: float) -> np.ndarray:
     eye = np.eye(n, dtype=complex)
     b = t.astype(complex)
     sqrts = 0
-    # b and e_mat are internal complex arrays: no as_matrix round trip
-    while np.linalg.norm(eye - b, 2) > 0.3:
+    while _norm2(eye - b) > 0.3:
         if sqrts >= 60:
             raise NumericError("inverse scaling-and-squaring failed to contract the spectrum")
         b = _sqrtm_tri(b)
         sqrts += 1
     # binomial series (I - E)^r = sum_j a_j E^j, a_0 = 1, a_j = a_{j-1}(j-1-r)/j
     e_mat = eye - b
-    e_norm = float(np.linalg.norm(e_mat, 2))
+    e_norm = _norm2(e_mat)
     y = eye.copy()
     p = eye.copy()
     a = 1.0
@@ -144,7 +143,7 @@ def _split_zero_cluster(xc: np.ndarray, zero_tol: float, tol: Tolerances):
     large defect signals an ill-separated spectrum near zero.
     """
     n = xc.shape[0]
-    nrm = operator_norm(xc)
+    nrm = _norm2(xc)
     t, z, sdim = sla.schur(xc, output="complex", sort=lambda lam: abs(lam) > zero_tol)
     k = int(sdim)
     t11 = t[:k, :k]
@@ -153,8 +152,8 @@ def _split_zero_cluster(xc: np.ndarray, zero_tol: float, tol: Tolerances):
     defect = 0.0
     if n - k > 0:
         defect = max(
-            float(np.linalg.norm(t12, 2)) if t12.size else 0.0,
-            float(np.linalg.norm(t22, 2)) if t22.size else 0.0,
+            _norm2(t12) if t12.size else 0.0,
+            _norm2(t22) if t22.size else 0.0,
         )
         if defect > 1e-7 * (1.0 + nrm):
             raise NumericError(
@@ -172,8 +171,9 @@ def _reassemble(z: np.ndarray, block: np.ndarray, n: int) -> np.ndarray:
     return z @ full @ z.conj().T
 
 
-def _require_accretive(x, ctx: AmbientContext, t: Tolerances, who: str):
-    mem = membership(x, ctx, t)
+def _require_accretive(xc: np.ndarray, t: Tolerances, who: str):
+    """Cone membership of the corner coordinates xc; raises unless accretive."""
+    mem = _membership(xc, t)
     if not mem.in_r:
         raise PreconditionError(
             f"{who} needs an accretive input; abscissa residual {mem.r_residual:.3g} "
@@ -213,14 +213,20 @@ def power_series(x, r: float, ctx: AmbientContext | None = None,
         ctx = full_context(a.shape[0])
     t = resolve_tol(tol)
     r = _validate_exponent(r, 0.0, 1.0, allow_hi=True)
-    mem = membership(a, ctx, t)
+    xc = ctx._compress_member(a, t)
+    mem = _membership(xc, t)
     if not mem.in_F:
         raise PreconditionError(
             f"power_series needs ||e - x|| <= 1; residual {mem.F_residual:.3g} exceeds eq_tol"
         )
-    xc = ctx.compress(ctx.check_member(a, t))
+    return ctx._embed(_power_series(xc, r, t, max_terms))
+
+
+def _power_series(xc: np.ndarray, r: float, t: Tolerances,
+                  max_terms: int = 200_000) -> np.ndarray:
+    """The binomial series on the corner coordinates xc of an F element."""
     if r == 1.0:
-        return ctx.embed(xc.copy())
+        return xc.copy()
     k_dim = xc.shape[0]
     eye = np.eye(k_dim, dtype=complex)
     d = eye - xc
@@ -229,11 +235,11 @@ def power_series(x, r: float, ctx: AmbientContext | None = None,
     b = r
     tail = 1.0 - r
     y -= b * p
-    min_pow = operator_norm(d)
+    min_pow = _norm2(d)
     k = 1
     while True:
         p_next = p @ d
-        min_pow = min(min_pow, operator_norm(p_next))
+        min_pow = min(min_pow, _norm2(p_next))
         if tail * min_pow <= t.conv_tol:
             break
         if k >= max_terms:
@@ -255,7 +261,7 @@ def power_series(x, r: float, ctx: AmbientContext | None = None,
         tail -= b
         p = p_next
         y -= b * p
-    return ctx.embed(y)
+    return y
 
 
 def power_shifted(x, r: float, ctx: AmbientContext | None = None,
@@ -277,16 +283,23 @@ def power_shifted(x, r: float, ctx: AmbientContext | None = None,
     t = resolve_tol(tol)
     q = _DEFAULT_QUAD if quad is None else quad
     r = _validate_exponent(r, 0.0, 1.0, allow_hi=True)
-    _require_accretive(a, ctx, t, "power_shifted")
-    xc = ctx.compress(ctx.check_member(a, t))
+    xc = ctx._compress_member(a, t)
+    _require_accretive(xc, t, "power_shifted")
+    return ctx._embed(_power_shifted(xc, r, q, t, zero_tol))
+
+
+def _power_shifted(xc: np.ndarray, r: float, q: QuadratureConfig, t: Tolerances,
+                   zero_tol: float | None = None) -> np.ndarray:
+    """The shifted spectral power on the corner coordinates xc of an
+    accretive element."""
     if r == 1.0:
-        return ctx.embed(xc.copy())
+        return xc.copy()
     n = xc.shape[0]
-    nrm = operator_norm(xc)
+    nrm = _norm2(xc)
     ztol = 1e-9 * (1.0 + nrm) if zero_tol is None else float(zero_tol)
     z, t11, k, _ = _split_zero_cluster(xc, ztol, t)
     if k == 0:
-        return ctx.embed(np.zeros_like(xc))
+        return np.zeros_like(xc)
     eye = np.eye(k, dtype=complex)
     eps0 = 1e-3 * max(1.0, nrm)
     settle = t.conv_tol * (1.0 + nrm)
@@ -300,7 +313,7 @@ def power_shifted(x, r: float, ctx: AmbientContext | None = None,
         if v_prev is not None:
             r_cur = 2.0 * v - v_prev
             if r_prev is not None:
-                d = operator_norm(r_cur - r_prev)
+                d = _norm2(r_cur - r_prev)
                 diffs.append(d)
                 if d <= settle:
                     result = r_cur
@@ -318,7 +331,7 @@ def power_shifted(x, r: float, ctx: AmbientContext | None = None,
             "shifted-power ladder exhausted without settling; residual tail "
             f"{[f'{dd:.3g}' for dd in diffs[-3:]]}"
         )
-    return ctx.embed(_reassemble(z, result, n))
+    return _reassemble(z, result, n)
 
 
 @lru_cache(maxsize=32)
@@ -382,30 +395,37 @@ def power_balakrishnan(x, r: float, ctx: AmbientContext | None = None,
     t = resolve_tol(tol)
     q = _DEFAULT_QUAD if quad is None else quad
     r = float(r)
+    if r != 1.0:
+        r = _validate_exponent(r, 0.0, 1.0, allow_hi=False)
+    xc = ctx._compress_member(a, t)
+    _require_accretive(xc, t, "power_balakrishnan")
+    y, est = _power_balakrishnan(xc, r, q, t, zero_tol)
+    y = ctx._embed(y)
+    return (y, est) if return_estimate else y
+
+
+def _power_balakrishnan(xc: np.ndarray, r: float, q: QuadratureConfig, t: Tolerances,
+                        zero_tol: float | None = None):
+    """(x^r, quadrature error estimate) on the corner coordinates xc of an
+    accretive element."""
     if r == 1.0:
-        _require_accretive(a, ctx, t, "power_balakrishnan")
-        return (ctx.embed(ctx.compress(a)), 0.0) if return_estimate else ctx.embed(ctx.compress(a))
-    r = _validate_exponent(r, 0.0, 1.0, allow_hi=False)
-    _require_accretive(a, ctx, t, "power_balakrishnan")
-    xc = ctx.compress(ctx.check_member(a, t))
+        return xc, 0.0
     n = xc.shape[0]
-    nrm = operator_norm(xc)
+    nrm = _norm2(xc)
     ztol = 1e-9 * (1.0 + nrm) if zero_tol is None else float(zero_tol)
     z, t11, k, _ = _split_zero_cluster(xc, ztol, t)
     if k == 0:
-        y = np.zeros_like(xc)
-        return (ctx.embed(y), 0.0) if return_estimate else ctx.embed(y)
+        return np.zeros_like(xc), 0.0
     coarse = _balakrishnan_block(t11, r, q.node_count)
     fine = _balakrishnan_block(t11, r, 2 * q.node_count)
-    est = operator_norm(fine - coarse)
+    est = _norm2(fine - coarse)
     target = 1e-6 * max(nrm, 1e-12) ** r
     if est > target:
         raise NumericError(
             f"quadrature error estimate {est:.3g} exceeds {target:.3g}; "
             f"increase node_count (currently {q.node_count})"
         )
-    y = ctx.embed(_reassemble(z, fine, n))
-    return (y, est) if return_estimate else y
+    return _reassemble(z, fine, n), est
 
 
 # ---------------------------------------------------------------------------
@@ -429,32 +449,38 @@ def power_all_methods(x, r: float, ctx: AmbientContext | None = None,
     t = resolve_tol(tol)
     q = _DEFAULT_QUAD if quad is None else quad
     r = _validate_exponent(r, 0.0, 1.0, allow_hi=True)
-    mem = _require_accretive(a, ctx, t, "power")
+    return _power_all_methods(ctx._compress_member(a, t), r, ctx, q, t)
+
+
+def _power_all_methods(xc: np.ndarray, r: float, ctx: AmbientContext,
+                       q: QuadratureConfig, t: Tolerances):
+    """power_all_methods on the corner coordinates xc; values are embedded."""
+    mem = _require_accretive(xc, t, "power")
     if r == 1.0:
-        xe = ctx.embed(ctx.compress(a))
+        xe = ctx._embed(xc)
         return xe, {"shifted": xe, "series": xe, "balakrishnan": xe}, {}, {}
 
     candidates = {}
     skipped = {}
-    candidates["shifted"] = power_shifted(a, r, ctx, q, t)
+    candidates["shifted"] = ctx._embed(_power_shifted(xc, r, q, t))
     if mem.in_F:
         try:
-            candidates["series"] = power_series(a, r, ctx, t)
+            candidates["series"] = ctx._embed(_power_series(xc, r, t))
         except NumericError as exc:
             skipped["series"] = str(exc)
     if 0.0 < r < 1.0:
         try:
-            candidates["balakrishnan"] = power_balakrishnan(a, r, ctx, q, t)
+            candidates["balakrishnan"] = ctx._embed(_power_balakrishnan(xc, r, q, t)[0])
         except NumericError as exc:
             skipped["balakrishnan"] = str(exc)
 
-    nrm = ctx.corner_norm(a)
+    nrm = _norm2(xc)
     cross_tol = 1e-6 * (1.0 + nrm)
     deviations = {}
     names = sorted(candidates)
     for i, ni in enumerate(names):
         for nj in names[i + 1:]:
-            deviations[f"{ni}|{nj}"] = operator_norm(candidates[ni] - candidates[nj])
+            deviations[f"{ni}|{nj}"] = _norm2(candidates[ni] - candidates[nj])
     worst = max(deviations.values(), default=0.0)
     if worst > cross_tol:
         raise MethodDisagreementError(
@@ -495,20 +521,26 @@ def f_transform(x, ctx: AmbientContext | None = None,
     if ctx is None:
         ctx = full_context(a.shape[0])
     t = resolve_tol(tol)
-    _require_accretive(a, ctx, t, "f_transform")
-    xc = ctx.compress(ctx.check_member(a, t))
+    xc = ctx._compress_member(a, t)
+    _require_accretive(xc, t, "f_transform")
+    return ctx._embed(_f_transform(xc))
+
+
+def _f_transform(xc: np.ndarray) -> np.ndarray:
+    """F(x) with its contraction certificate, on the corner coordinates xc
+    of an accretive element."""
     k = xc.shape[0]
     eye = np.eye(k, dtype=complex)
     y = np.linalg.solve(eye + xc, xc)
-    lhs = operator_norm(eye - y)
-    d = dist_to_point(xc, -1.0)
+    lhs = _norm2(eye - y)
+    d = _dist_to_point(xc, complex(-1.0))
     bound = min(1.0, 1.0 / d) if d > 0 else 1.0
     if lhs > bound + 1e-8:
         raise NumericError(
             f"F-transform contraction certificate failed: ||e - F(x)|| = {lhs:.12g} "
             f"exceeds min(1, 1/dist(-1, W(x))) = {bound:.12g}"
         )
-    return ctx.embed(y)
+    return y
 
 
 def f_inverse(y, ctx: AmbientContext | None = None,
@@ -523,7 +555,7 @@ def f_inverse(y, ctx: AmbientContext | None = None,
     if ctx is None:
         ctx = full_context(a.shape[0])
     t = resolve_tol(tol)
-    yc = ctx.compress(ctx.check_member(a, t))
+    yc = ctx._compress_member(a, t)
     k = yc.shape[0]
     eye = np.eye(k, dtype=complex)
     m = eye - yc
@@ -531,7 +563,7 @@ def f_inverse(y, ctx: AmbientContext | None = None,
     if not np.isfinite(cond) or cond > 1e14:
         raise InputError(f"e - y is singular or nearly so (cond {cond:.3g})")
     x = np.linalg.solve(m, yc)
-    return ctx.embed(x), cond
+    return ctx._embed(x), cond
 
 
 # ---------------------------------------------------------------------------
@@ -557,24 +589,28 @@ def power_property_report(x, ctx: AmbientContext | None = None,
         ctx = full_context(a.shape[0])
     t = resolve_tol(tol)
     q = _DEFAULT_QUAD if quad is None else quad
-    mem = _require_accretive(a, ctx, t, "power_property_report")
+    xc = ctx._compress_member(a, t)
+    mem = _require_accretive(xc, t, "power_property_report")
     if exponent_grid is None:
         exponent_grid = np.round(np.arange(1, 10) * 0.1, 10)
     grid = sorted(float(g) for g in exponent_grid)
     if any(not (0.0 < g < 1.0) for g in grid):
         raise InputError("exponent grid entries must lie in (0, 1)")
 
-    xc = ctx.compress(a)
-    nrm = operator_norm(xc)
+    nrm = _norm2(xc)
     cache: dict[float, np.ndarray] = {}
+
+    def power_c(yc: np.ndarray, expo: float) -> np.ndarray:
+        """power() of the element with corner coordinates yc, as coordinates."""
+        return ctx._compress(_power_all_methods(yc, expo, ctx, q, t)[0])
 
     def pw(expo: float, base=None) -> np.ndarray:
         if base is None:
             key = round(expo, 12)
             if key not in cache:
-                cache[key] = ctx.compress(power(a, expo, ctx, t, q))
+                cache[key] = power_c(xc, expo)
             return cache[key]
-        return ctx.compress(power(ctx.embed(base), expo, ctx, t, q))
+        return power_c(ctx._compress(ctx._embed(base)), expo)
 
     verdicts = {}
     residuals = {}
@@ -587,7 +623,7 @@ def power_property_report(x, ctx: AmbientContext | None = None,
                 continue
             lhs = pw(s) @ pw(u)
             rhs = pw(min(s + u, 1.0))
-            worst = max(worst, operator_norm(lhs - rhs))
+            worst = max(worst, _norm2(lhs - rhs))
     residuals["semigroup"] = worst
     verdicts["semigroup"] = worst <= 1e-7 * (1.0 + nrm) ** 2
 
@@ -595,8 +631,8 @@ def power_property_report(x, ctx: AmbientContext | None = None,
     c = 2.0
     worst = 0.0
     for u in grid:
-        lhs = ctx.compress(power(ctx.embed(c * xc), u, ctx, t, q))
-        worst = max(worst, operator_norm(lhs - (c ** u) * pw(u)))
+        lhs = power_c(ctx._compress(ctx._embed(c * xc)), u)
+        worst = max(worst, _norm2(lhs - (c ** u) * pw(u)))
     residuals["scaling"] = worst
     verdicts["scaling"] = worst <= 1e-7 * (1.0 + c) * (1.0 + nrm)
 
@@ -604,9 +640,9 @@ def power_property_report(x, ctx: AmbientContext | None = None,
     if mem.in_F:
         worst = 0.0
         for u in (0.2, 0.5, 0.8):
-            worst = max(worst, operator_norm(pw(0.5, base=pw(u)) - pw(u / 2.0)))
+            worst = max(worst, _norm2(pw(0.5, base=pw(u)) - pw(u / 2.0)))
             if 2.0 * u <= 1.0 + 1e-12:
-                worst = max(worst, operator_norm(pw(u) @ pw(u) - pw(2.0 * u)))
+                worst = max(worst, _norm2(pw(u) @ pw(u) - pw(2.0 * u)))
         residuals["iterated"] = worst
         verdicts["iterated"] = worst <= 1e-6 * (1.0 + nrm)
     else:
@@ -618,7 +654,7 @@ def power_property_report(x, ctx: AmbientContext | None = None,
     worst_drury = -np.inf
     gamma = scipy.special.gamma
     for u in grid:
-        pn = operator_norm(pw(u))
+        pn = _norm2(pw(u))
         bal_bound = math.sin(math.pi * u) / (math.pi * u * (1.0 - u)) * nrm ** u
         worst_bal = max(worst_bal, pn - bal_bound)
         if nrm <= 1.0 + t.eq_tol:
@@ -635,12 +671,12 @@ def power_property_report(x, ctx: AmbientContext | None = None,
         verdicts["norm_bound_contractive"] = True
 
     # sector laws
-    base_angle = sectorial_angle(xc, tol=t).angle
+    base_angle = _sectorial_angle(xc, t).angle
     worst_sharp = -np.inf
     worst_banach = -np.inf
     if base_angle is not None:
         for u in grid:
-            ang = sectorial_angle(pw(u), tol=t).angle
+            ang = _sectorial_angle(pw(u), t).angle
             if ang is None:
                 worst_sharp = worst_banach = np.inf
                 break
@@ -679,12 +715,12 @@ def root_bai_check(x, ctx: AmbientContext | None = None, n_max: int = 1024,
     if ctx is None:
         ctx = full_context(a.shape[0])
     t = resolve_tol(tol)
-    _require_accretive(a, ctx, t, "root_bai_check")
+    xc = ctx._compress_member(a, t)
+    _require_accretive(xc, t, "root_bai_check")
     n_max = int(n_max)
     if n_max < 2:
         raise InputError(f"n_max must be >= 2, got {n_max}")
-    xc = ctx.compress(ctx.check_member(a, t))
-    nrm = operator_norm(xc)
+    nrm = _norm2(xc)
     ztol = 1e-9 * (1.0 + nrm)
     z, t11, k, _ = _split_zero_cluster(xc, ztol, t)
     levels = max(1, math.ceil(math.log2(n_max)))
@@ -694,7 +730,7 @@ def root_bai_check(x, ctx: AmbientContext | None = None, n_max: int = 1024,
     for _ in range(levels):
         block = _sqrtm_tri(block) if k > 0 else block
         root = _reassemble(z, block, n_dim) if k > 0 else np.zeros_like(xc)
-        residuals_seq.append(float(operator_norm(root @ xc - xc)))
+        residuals_seq.append(_norm2(root @ xc - xc))
     decay_ok = all(
         residuals_seq[i + 1] <= residuals_seq[i] * 1.05 + 1e-12
         for i in range(len(residuals_seq) - 1)

@@ -3,8 +3,15 @@
 Everything is deterministic: decompositions come straight from LAPACK
 through numpy/scipy, and all randomness flows through explicit integer
 seeds (PCG64 generators, never global state).  Matrices are plain
-``numpy.ndarray`` values of dtype complex128; ``as_matrix`` is the single
-entry point that validates shape and finiteness.
+``numpy.ndarray`` values of dtype complex128.
+
+Validation contract: a public function validates each matrix it receives
+once, with ``as_matrix`` (square, nonempty, finite, complex), and then
+works on the validated array.  The ``_``-prefixed kernels (``_norm2``,
+``_herm_part``, ``_matrix_exp`` here; ``_abscissa`` in numrange and the
+like elsewhere) trust their input and are what the package calls on
+arrays it built itself; a kernel raises ``NumericError``, never
+``InputError``, when its own arithmetic overflows.
 """
 from __future__ import annotations
 
@@ -87,37 +94,55 @@ def as_matrix(x, name: str = "x") -> np.ndarray:
         raise InputError(f"{name} is not convertible to a complex matrix: {exc}") from exc
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
         raise InputError(f"{name} must be a nonempty square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():
         raise InputError(f"{name} contains non-finite entries")
     return a
 
 
+def _norm2(a: np.ndarray):
+    """Largest singular value of a matrix (a float) or of each matrix in
+    an (m, k, k) stack (an array), bitwise the value of
+    ``np.linalg.norm(a, 2)``; raises NumericError when it is not finite."""
+    try:
+        s = np.linalg.svd(a, compute_uv=False)[..., 0]
+    except np.linalg.LinAlgError as exc:  # LAPACK gives up on non-finite entries
+        raise NumericError(f"operator norm failed: {exc}") from exc
+    if not np.isfinite(s).all():
+        raise NumericError("operator norm is not finite: the matrix overflowed")
+    return s if s.ndim else float(s)
+
+
 def operator_norm(x) -> float:
     """Largest singular value (the operator norm on column vectors)."""
-    a = as_matrix(x)
-    return float(np.linalg.norm(a, 2))
+    return _norm2(as_matrix(x))
+
+
+def _herm_part(a: np.ndarray) -> np.ndarray:
+    return (a + a.conj().T) / 2.0
 
 
 def herm_part(x) -> np.ndarray:
     """Hermitian (real) part (x + x*)/2."""
-    a = as_matrix(x)
-    return (a + a.conj().T) / 2.0
+    return _herm_part(as_matrix(x))
 
 
-def matrix_exp(x) -> np.ndarray:
-    """Matrix exponential via scipy's scaling-and-squaring Pade evaluation."""
-    a = as_matrix(x)
+def _matrix_exp(a: np.ndarray) -> np.ndarray:
     # cheap overflow guard: the largest Hermitian-part eigenvalue bounds
     # log||exp(a)|| from below
-    growth = float(np.max(np.linalg.eigvalsh(herm_part(a))))
+    growth = float(np.max(np.linalg.eigvalsh(_herm_part(a))))
     if growth > _EXP_OVERFLOW:
         raise NumericError(
             f"matrix_exp overflow: Hermitian-part abscissa {growth:.3g} exceeds {_EXP_OVERFLOW}"
         )
     e = sla.expm(a)
     if not np.all(np.isfinite(e)):
-        raise NumericError(f"matrix_exp overflow for input of norm {operator_norm(a):.3g}")
+        raise NumericError(f"matrix_exp overflow for input of norm {_norm2(a):.3g}")
     return e
+
+
+def matrix_exp(x) -> np.ndarray:
+    """Matrix exponential via scipy's scaling-and-squaring Pade evaluation."""
+    return _matrix_exp(as_matrix(x))
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +178,7 @@ def random_hermitian(n: int, seed, psd: bool = False) -> np.ndarray:
         h = g @ g.conj().T
     else:
         h = (g + g.conj().T) / 2.0
-    nrm = operator_norm(h)
+    nrm = _norm2(h)
     return h / nrm if nrm > 0 else h
 
 
@@ -186,7 +211,7 @@ def random_contraction(n: int, seed, norm: float | None = None) -> np.ndarray:
     if not 0 <= target < 1:
         raise InputError(f"contraction norm must lie in [0, 1), got {target!r}")
     g = random_matrix(n, rng)
-    nrm = operator_norm(g)
+    nrm = _norm2(g)
     return g * (target / nrm) if nrm > 0 else g
 
 

@@ -20,14 +20,14 @@ from .algebra import SubalgebraBasis, _vec, full_matrix_algebra, spans_equal
 from .errors import InputError, NumericError, PreconditionError, UnsupportedError
 from .linalg import (
     Tolerances,
+    _herm_part,
+    _norm2,
     as_matrix,
-    herm_part,
-    operator_norm,
     random_unitary,
     resolve_tol,
     rng_for,
 )
-from .numrange import abscissa
+from .numrange import _abscissa
 
 __all__ = [
     "LinearMapOnAlgebra",
@@ -81,16 +81,18 @@ class LinearMapOnAlgebra:
 
     def apply(self, a, check: bool = True) -> np.ndarray:
         m = as_matrix(a)
-        v = _vec(m)
         if check and not self.full_domain:
             res = self.domain._span_distance(m)
-            if res > 1e-7 * (1.0 + np.linalg.norm(v)):
+            if res > 1e-7 * (1.0 + np.linalg.norm(_vec(m))):
                 raise InputError(
                     f"map input lies outside the domain span (residual {res:.3g})"
                 )
-        out = self._vec_action @ v
+        return self._apply(m)
+
+    def _apply(self, m: np.ndarray) -> np.ndarray:
+        """T(m) for a matrix m of the domain span, unchecked."""
         n_out = self.codomain.n
-        return out.reshape(n_out, n_out)
+        return (self._vec_action @ _vec(m)).reshape(n_out, n_out)
 
     def __repr__(self):
         return (f"LinearMapOnAlgebra(domain dim={self.domain.dim}, "
@@ -117,7 +119,7 @@ def map_from_function(f, domain: SubalgebraBasis,
     cols = []
     for i, b in enumerate(domain.basis):
         img = as_matrix(f(b), f"image[{i}]")
-        c, res = codomain.coords(img)
+        c, res = codomain._coords(img)
         if res > 1e-8 * (1.0 + np.linalg.norm(_vec(img))):
             raise InputError(
                 f"image of basis element {i} lies outside the codomain span "
@@ -176,14 +178,19 @@ class AmplifiedMap:
         return rows.reshape(k, k, n, n).transpose(0, 2, 1, 3).reshape(k * n, k * n)
 
     def apply(self, x, check: bool = True) -> np.ndarray:
-        rows = self._blocks(as_matrix(x))
+        a = as_matrix(x)
         if check and not self.full_domain:
+            rows = self._blocks(a)
             res = float(np.linalg.norm(rows - self.base.domain._project_vecs(rows)))
             if res > 1e-7 * (1.0 + np.linalg.norm(rows)):
                 raise InputError(
                     f"map input lies outside M_{self.k}(domain span) (residual {res:.3g})"
                 )
-        return self._unblocks(rows @ self.base._vec_action.T)
+        return self._apply(a)
+
+    def _apply(self, x: np.ndarray) -> np.ndarray:
+        """T_k(x) for x in M_k(domain span), unchecked."""
+        return self._unblocks(self._blocks(x) @ self.base._vec_action.T)
 
     def apply_transpose(self, y: np.ndarray) -> np.ndarray:
         """The transpose action: sum(apply_transpose(y) * x) equals
@@ -248,10 +255,10 @@ def choi_matrix(t_map: LinearMapOnAlgebra, tol: Tolerances | None = None) -> Cho
         raise UnsupportedError("the Choi matrix is defined for full-domain maps only")
     n = t_map.domain.n
     m = t_map.codomain.n
-    c = amplify(t_map, n).apply(_unit_pairing(n, n), check=False)
-    herm_res = operator_norm(c - c.conj().T)
-    herm = herm_res <= 100 * t.eq_tol * (1.0 + operator_norm(c))
-    min_eig = float(np.linalg.eigvalsh(herm_part(c))[0])
+    c = amplify(t_map, n)._apply(_unit_pairing(n, n))
+    herm_res = _norm2(c - c.conj().T)
+    herm = herm_res <= 100 * t.eq_tol * (1.0 + _norm2(c))
+    min_eig = _abscissa(c)
     return ChoiMatrix(c=c, herm=bool(herm), min_eig=min_eig, n_in=n, n_out=m)
 
 
@@ -286,7 +293,7 @@ def kraus_factor(t_map: LinearMapOnAlgebra, tol: Tolerances | None = None):
             f"herm={verdict.herm}"
         )
     n, m = verdict.choi.n_in, verdict.choi.n_out
-    w, vecs = np.linalg.eigh(herm_part(verdict.choi.c))
+    w, vecs = np.linalg.eigh(_herm_part(verdict.choi.c))
     cutoff = max(t.psd_tol, 1e-12 * max(float(w[-1]), 0.0))
     ops = []
     for idx in range(len(w) - 1, -1, -1):
@@ -301,7 +308,7 @@ def kraus_factor(t_map: LinearMapOnAlgebra, tol: Tolerances | None = None):
             e = np.zeros((n, n), dtype=complex)
             e[i, j] = 1.0
             rebuilt = sum(o.conj().T @ e @ o for o in ops) if ops else np.zeros((m, m))
-            worst = max(worst, operator_norm(t_map.apply(e, check=False) - rebuilt))
+            worst = max(worst, _norm2(t_map._apply(e) - rebuilt))
     if worst > 1e-8:
         raise NumericError(f"Kraus reconstruction residual {worst:.3g} exceeds 1e-8")
     return ops, float(worst)
@@ -345,7 +352,7 @@ def op_norm_estimate(t_map: LinearMapOnAlgebra, k: int = 1, budget: int = 240,
     rng = rng_for(seed)
 
     def objective(u):
-        uu, sv, vvh = np.linalg.svd(tk.apply(u, check=False))
+        uu, sv, vvh = np.linalg.svd(tk._apply(u))
         return float(sv[0]), uu[:, 0], vvh[0].conj()
 
     base = t_map.domain
@@ -354,7 +361,7 @@ def op_norm_estimate(t_map: LinearMapOnAlgebra, k: int = 1, budget: int = 240,
     else:  # E_00 tensor the first basis element
         u0 = np.zeros((n_in, n_in), dtype=complex)
         u0[:base.n, :base.n] = base.basis[0]
-    starts = [u0 / max(operator_norm(u0), 1e-30)]
+    starts = [u0 / max(_norm2(u0), 1e-30)]
     if full and k >= 2:
         starts.append(_unit_pairing(k, base.n, swap=True))
         starts.append(_unit_pairing(k, base.n) / min(k, base.n))
@@ -363,7 +370,7 @@ def op_norm_estimate(t_map: LinearMapOnAlgebra, k: int = 1, budget: int = 240,
             starts.append(random_unitary(n_in, rng))
         else:
             cand = tk.random_element(rng)
-            starts.append(cand / max(operator_norm(cand), 1e-30))
+            starts.append(cand / max(_norm2(cand), 1e-30))
 
     per_start = max(3, int(budget) // len(starts))
     best_val, best_idx, best_stat, total_iter = -1.0, 0, False, 0
@@ -377,7 +384,7 @@ def op_norm_estimate(t_map: LinearMapOnAlgebra, k: int = 1, budget: int = 240,
             u_new = gvh.conj().T @ gu.conj().T
             if not full:
                 u_new = tk.project(u_new)
-                nn = operator_norm(u_new)
+                nn = _norm2(u_new)
                 if nn > 1.0:
                     u_new = u_new / nn
             val_new, w_new, v_new = objective(u_new)
@@ -420,13 +427,13 @@ def _accretive_sample(tk: AmplifiedMap, rng) -> np.ndarray | None:
     if tk.unit is None:
         return None
     z = tk.random_element(rng)
-    z = z / max(operator_norm(z), 1e-30)
+    z = z / max(_norm2(z), 1e-30)
     return tk.unit + z  # abscissa >= lambda_min(unit-part) - ||z|| >= 0
 
 
 def _clip_accretive(x: np.ndarray) -> np.ndarray:
     """Nearest-ish accretive matrix: clip the Hermitian part to PSD."""
-    h = herm_part(x)
+    h = _herm_part(x)
     s = x - h
     w, v = np.linalg.eigh(h)
     hp = (v * np.clip(w, 0.0, None)) @ v.conj().T
@@ -463,9 +470,9 @@ def rcp_test(t_map: LinearMapOnAlgebra, levels=(1, 2, 3), samples: int = 20,
             x = _accretive_sample(tk, rng)
             if x is None:
                 break
-            y = tk.apply(x, check=False)
-            out_absc = abscissa(y)
-            if out_absc < -1e-8 * (1.0 + operator_norm(y)):
+            y = tk._apply(x)
+            out_absc = _abscissa(y)
+            if out_absc < -1e-8 * (1.0 + _norm2(y)):
                 violations.append({"level": k, "sample": s_idx,
                                    "out_abscissa": float(out_absc)})
                 if k not in worst_x or out_absc < worst_x[k][0]:
@@ -512,16 +519,16 @@ def _rcp_witness_search(t_map, amps, levels, budget, rng, worst_x):
             xc = _clip_accretive(x)
             if not full:
                 xc = tk.project(xc)
-            in_absc = abscissa(xc)
-            if in_absc < -1e-10 * (1.0 + operator_norm(xc)):
+            in_absc = _abscissa(xc)
+            if in_absc < -1e-10 * (1.0 + _norm2(xc)):
                 if tk.unit is not None:
                     xc = xc - in_absc * tk.unit
-                    in_absc = abscissa(xc)
+                    in_absc = _abscissa(xc)
                 else:
                     return None
-            y = tk.apply(xc, check=False)
-            out_absc = abscissa(y)
-            if out_absc <= -max(1e-8 * (1.0 + operator_norm(y)), 1e-9):
+            y = tk._apply(xc)
+            out_absc = _abscissa(y)
+            if out_absc <= -max(1e-8 * (1.0 + _norm2(y)), 1e-9):
                 return {"level": k, "matrix": xc, "in_abscissa": float(in_absc),
                         "out_abscissa": float(out_absc)}
             return None
@@ -544,21 +551,20 @@ def _rcp_witness_search(t_map, amps, levels, budget, rng, worst_x):
                 return found
             # descent from this seed
             x = _clip_accretive(seed_x)
-            y = tk.apply(x, check=False)
-            fval = abscissa(y)
-            sigma = 0.25 * max(operator_norm(x), 1e-3)
+            fval = _abscissa(tk._apply(x))
+            sigma = 0.25 * max(_norm2(x), 1e-3)
             while evals_left > 0:
                 if full:
                     d = (rng.standard_normal((n_in, n_in))
                          + 1j * rng.standard_normal((n_in, n_in)))
                 else:
                     d = tk.random_element(rng)
-                d = d / max(operator_norm(d), 1e-30)
+                d = d / max(_norm2(d), 1e-30)
                 cand = _clip_accretive(x + sigma * d)
-                nn = operator_norm(cand)
+                nn = _norm2(cand)
                 if nn > 4.0:
                     cand = cand * (4.0 / nn)
-                fc = abscissa(tk.apply(cand, check=False))
+                fc = _abscissa(tk._apply(cand))
                 evals_left -= 1
                 if fc < fval:
                     x, fval = cand, fc
@@ -611,7 +617,7 @@ def build_symmetric_projection(theta: LinearMapOnAlgebra, q, algebra: Subalgebra
     """
     t = resolve_tol(tol)
     qm = as_matrix(q, "q")
-    scale = 1.0 + max(operator_norm(b) for b in algebra.basis)
+    scale = 1.0 + max(_norm2(b) for b in algebra.basis)
 
     if not (theta.domain.dim == algebra.dim and spans_equal(theta.domain, algebra)):
         raise PreconditionError("theta's domain is not the given algebra")
@@ -619,35 +625,35 @@ def build_symmetric_projection(theta: LinearMapOnAlgebra, q, algebra: Subalgebra
         raise PreconditionError("theta's codomain is not the given algebra")
 
     worst = max(
-        operator_norm(theta.apply(theta.apply(b, check=False), check=False) - b)
+        _norm2(theta._apply(theta._apply(b)) - b)
         for b in algebra.basis
     )
     if worst > 100 * t.eq_tol * scale:
         raise PreconditionError(f"theta is not period-2: residual {worst:.3g}")
     worst = 0.0
     for bi in algebra.basis:
-        ti = theta.apply(bi, check=False)
+        ti = theta._apply(bi)
         for bj in algebra.basis:
-            worst = max(worst, operator_norm(
-                theta.apply(bi @ bj, check=False) - ti @ theta.apply(bj, check=False)))
+            worst = max(worst, _norm2(
+                theta._apply(bi @ bj) - ti @ theta._apply(bj)))
     if worst > 100 * t.eq_tol * scale ** 2:
         raise PreconditionError(f"theta is not multiplicative: residual {worst:.3g}")
-    idem_res = operator_norm(qm @ qm - qm)
-    if idem_res > 100 * t.eq_tol * (1.0 + operator_norm(qm)) ** 2:
+    idem_res = _norm2(qm @ qm - qm)
+    if idem_res > 100 * t.eq_tol * (1.0 + _norm2(qm)) ** 2:
         raise PreconditionError(f"q is not idempotent: residual {idem_res:.3g}")
-    if not algebra.contains(qm, 1e-7):
+    if not algebra._contains(qm, 1e-7):
         raise PreconditionError("q does not lie in the algebra span")
-    fix_res = operator_norm(theta.apply(qm, check=False) - qm)
-    if fix_res > 100 * t.eq_tol * (1.0 + operator_norm(qm)):
+    fix_res = _norm2(theta._apply(qm) - qm)
+    if fix_res > 100 * t.eq_tol * (1.0 + _norm2(qm)):
         raise PreconditionError(f"theta does not fix q: residual {fix_res:.3g}")
 
     images = []
     for b in algebra.basis:
-        tb = theta.apply(b, check=False)
+        tb = theta._apply(b)
         images.append(0.5 * (b + 2.0 * (tb @ qm) - tb))
     cols = []
     for i, img in enumerate(images):
-        c, res = algebra.coords(img)
+        c, res = algebra._coords(img)
         if res > 1e-8 * (1.0 + np.linalg.norm(_vec(img))):
             raise PreconditionError(
                 f"projection image of basis element {i} leaves the algebra "
@@ -657,7 +663,7 @@ def build_symmetric_projection(theta: LinearMapOnAlgebra, q, algebra: Subalgebra
     p_map = LinearMapOnAlgebra(algebra, algebra, np.array(cols).T)
 
     va = p_map._vec_action
-    idem = float(np.linalg.norm(va @ va - va, 2))
+    idem = _norm2(va @ va - va)
     sym_map = map_affine_combo(p_map, 1.0, -2.0)
     comp_map = map_affine_combo(p_map, 1.0, -1.0)
     sym_norms = {}
@@ -673,7 +679,7 @@ def build_symmetric_projection(theta: LinearMapOnAlgebra, q, algebra: Subalgebra
     d = algebra.dim
     comp_action = np.zeros((d, d), dtype=complex)
     for j, b in enumerate(algebra.basis):
-        c, _ = algebra.coords(qm @ b @ qm)
+        c, _ = algebra._coords(qm @ b @ qm)
         comp_action[:, j] = c
     stackm = np.concatenate([theta.action - np.eye(d), comp_action - np.eye(d)], axis=0)
     _, sv, vh = np.linalg.svd(stackm)
@@ -682,18 +688,18 @@ def build_symmetric_projection(theta: LinearMapOnAlgebra, q, algebra: Subalgebra
         if sv[i] <= 1e-9 * max(1.0, float(sv[0])):
             coefv = vh.conj().T[:, i]
             fixed.append(sum(cc * bb for cc, bb in zip(coefv, algebra.basis)))
-    range_mats = [p_map.apply(b, check=False) for b in algebra.basis]
+    range_mats = [p_map._apply(b) for b in algebra.basis]
     range_ok = spans_equal(range_mats, fixed) if fixed or range_mats else True
 
     vanish = 0.0
     for b in algebra.basis:
         left = b - qm @ b
         right = b - b @ qm
-        vanish = max(vanish, operator_norm(p_map.apply(left, check=False)))
-        vanish = max(vanish, operator_norm(p_map.apply(right, check=False)))
+        vanish = max(vanish, _norm2(p_map._apply(left)))
+        vanish = max(vanish, _norm2(p_map._apply(right)))
 
     passed = (
-        idem <= 1e-9 * (1.0 + float(np.linalg.norm(p_map.action, 2)) ** 2)
+        idem <= 1e-9 * (1.0 + _norm2(p_map.action) ** 2)
         and all(v <= 1.0 + 1e-6 for v in sym_norms.values())
         and rcp.passed
         and range_ok
@@ -754,8 +760,8 @@ def classify_projection(p_map: LinearMapOnAlgebra, levels=(1, 2, 3), seed: int =
         raise PreconditionError("classify_projection needs an endomorphism")
     act = p_map.action
     va = p_map._vec_action
-    idem_res = float(np.linalg.norm(va @ va - va, 2))
-    scale = 1.0 + float(np.linalg.norm(act, 2)) ** 2
+    idem_res = _norm2(va @ va - va)
+    scale = 1.0 + _norm2(act) ** 2
     if idem_res > 100 * t.eq_tol * scale:
         raise PreconditionError(f"map is not idempotent: residual {idem_res:.3g}")
 
@@ -776,19 +782,19 @@ def classify_projection(p_map: LinearMapOnAlgebra, levels=(1, 2, 3), seed: int =
     rcp = rcp_test(p_map, levels=levels, budget=budget, seed=seed, tol=t)
 
     basis = p_map.domain.basis
-    p_of = [p_map.apply(b, check=False) for b in basis]
+    p_of = [p_map._apply(b) for b in basis]
     worst_ce = 0.0
     for pa in p_of:
         for b, pb in zip(basis, p_of):
             for pc in p_of:
-                lhs = p_map.apply(pa @ b @ pc, check=False)
-                worst_ce = max(worst_ce, operator_norm(lhs - pa @ pb @ pc))
+                lhs = p_map._apply(pa @ b @ pc)
+                worst_ce = max(worst_ce, _norm2(lhs - pa @ pb @ pc))
     cond_exp = worst_ce <= 1e-9
 
     range_prods = [pi @ pj for pi in p_of for pj in p_of]
     try:
         range_closed = spans_equal(p_of, p_of + [rp for rp in range_prods
-                                                 if operator_norm(rp) > 1e-12])
+                                                 if _norm2(rp) > 1e-12])
     except NumericError:
         range_closed = False
 
@@ -796,9 +802,9 @@ def classify_projection(p_map: LinearMapOnAlgebra, levels=(1, 2, 3), seed: int =
     for pa in p_of:
         for pb in p_of:
             for pc in p_of:
-                lhs = p_map.apply(p_map.apply(pa @ pb, check=False) @ pc, check=False)
-                rhs = p_map.apply(pa @ p_map.apply(pb @ pc, check=False), check=False)
-                worst_assoc = max(worst_assoc, operator_norm(lhs - rhs))
+                lhs = p_map._apply(p_map._apply(pa @ pb) @ pc)
+                rhs = p_map._apply(pa @ p_map._apply(pb @ pc))
+                worst_assoc = max(worst_assoc, _norm2(lhs - rhs))
 
     # kernel basis from the SVD null space of the action
     d = p_map.domain.dim
@@ -812,7 +818,7 @@ def classify_projection(p_map: LinearMapOnAlgebra, levels=(1, 2, 3), seed: int =
     worst_kernel = 0.0
     for ki in kern:
         for kj in kern:
-            worst_kernel = max(worst_kernel, operator_norm(ki @ kj))
+            worst_kernel = max(worst_kernel, _norm2(ki @ kj))
 
     return ProjectionClassification(
         idempotent_residual=idem_res,

@@ -4,10 +4,11 @@ and the sectorial angle.
 The numerical range W(x) = {v*xv : ||v|| = 1} is compact and convex; its
 support function in direction e^{i theta} is the top eigenvalue of the
 Hermitian part of e^{-i theta} x.  Every angle sweep here (the boundary,
-the distance grid, the sector grid and its crossing search) runs as one
-stacked Hermitian eigenproblem over all its angles (Johnson, SIAM J.
-Numer. Anal. 15, 1978); only the bisection and golden-section
-refinements, whose next angle depends on the last, go angle by angle.
+the distance grid, and the sector grid, which also brackets the sector's
+arc endpoints) runs as one stacked Hermitian eigenproblem over all its
+angles (Johnson, SIAM J. Numer. Anal. 15, 1978); only the bisection and
+golden-section refinements, whose next angle depends on the last, go
+angle by angle.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .linalg import Tolerances, as_matrix, herm_part, operator_norm, resolve_tol
+from .linalg import Tolerances, _herm_part, _norm2, as_matrix, resolve_tol
 
 __all__ = [
     "RangeBoundary",
@@ -130,9 +131,13 @@ def boundary(x, m: int = 256) -> RangeBoundary:
     return RangeBoundary(angles=angles, support_values=w[:, -1], boundary_points=points)
 
 
+def _abscissa(a: np.ndarray) -> float:
+    return float(np.linalg.eigvalsh(_herm_part(a))[0])
+
+
 def abscissa(x) -> float:
     """Leftmost point of W(x): the smallest Hermitian-part eigenvalue."""
-    return float(np.linalg.eigvalsh(herm_part(as_matrix(x)))[0])
+    return _abscissa(as_matrix(x))
 
 
 def dist_to_point(x, z, m: int = 256) -> float:
@@ -143,8 +148,10 @@ def dist_to_point(x, z, m: int = 256) -> float:
     section refinement sharpens it; accuracy is far better than
     1e-6 * (||x|| + |z| + 1).
     """
-    a = as_matrix(x)
-    z = _check_finite(complex(z), "z")
+    return _dist_to_point(as_matrix(x), _check_finite(complex(z), "z"), m)
+
+
+def _dist_to_point(a: np.ndarray, z: complex, m: int = 256) -> float:
     m = max(int(m), 32)
 
     def gap(theta: float) -> float:
@@ -188,21 +195,24 @@ def sectorial_angle(x, tol: Tolerances | None = None, m: int = 256) -> SectorVer
 
     Method: the set D = {psi : min eig Re(e^{-i psi} x) >= 0} of
     supporting directions whose half-plane constraint passes through 0 is
-    a closed arc (convexity of W).  Its endpoints psi-, psi+ are bracketed
-    by one stacked sweep of 128 steps on each side of the best grid
-    direction and refined by bisection; the extreme argument rays of the
-    enclosing cone are rho_inf = psi+ - pi/2 and rho_sup = psi- + pi/2.
-    The verdict angle is max(|rho_inf|, |rho_sup|) after branch
-    normalisation; if D is empty, 0 is interior to W(x) and no sector
-    works (angle None).
+    a closed arc (convexity of W).  One stacked sweep over m equispaced
+    directions (m even, at least 64) finds the best direction psi0; the
+    same sweep, read outwards from psi0 on each side, brackets the arc
+    endpoints psi-, psi+ to one grid step, and bisection refines them.
+    The extreme argument rays of the enclosing cone are
+    rho_inf = psi+ - pi/2 and rho_sup = psi- + pi/2.  The verdict angle
+    is max(|rho_inf|, |rho_sup|) after branch normalisation; if D is
+    empty, 0 is interior to W(x) and no sector works (angle None).
     """
-    a = as_matrix(x)
-    t = resolve_tol(tol)
-    nrm = operator_norm(a)
-    if nrm <= t.eq_tol:
+    return _sectorial_angle(as_matrix(x), resolve_tol(tol), m)
+
+
+def _sectorial_angle(a: np.ndarray, t: Tolerances, m: int = 256) -> SectorVerdict:
+    if _norm2(a) <= t.eq_tol:
         return SectorVerdict(angle=0.0, witness=0j)
 
     m = max(int(m), 64)
+    m += m % 2
     grid = np.linspace(-np.pi, np.pi, m, endpoint=False)
     g = _min_herm_eig(a, grid)
     j0 = int(np.argmax(g))
@@ -210,25 +220,29 @@ def sectorial_angle(x, tol: Tolerances | None = None, m: int = 256) -> SectorVer
         # even the best direction cuts into W: 0 is interior
         return SectorVerdict(angle=None, witness=None)
     psi0 = float(grid[j0])
-    u = np.pi * np.arange(1, 129) / 128
+    steps = np.arange(1, m // 2 + 1)
+    # psi0 + sign * u[i] is the grid direction j0 + sign * (i + 1), up to rounding
+    u = 2.0 * np.pi * steps / m
 
-    def locate_crossing(sign: float) -> float:
+    def locate_crossing(sign: int) -> float:
         """First zero of u -> g(psi0 + sign*u) on (0, pi]."""
-        neg = np.flatnonzero(_min_herm_eig(a, psi0 + sign * u) < 0.0)
+        neg = np.flatnonzero(g[(j0 + sign * steps) % m] < 0.0)
         if neg.size == 0:
             return np.pi  # degenerate arc of full half-length (ray-like range)
         i = int(neg[0])
         lo, hi = (u[i - 1] if i > 0 else 0.0), u[i]
         for _ in range(60):
             mid = (lo + hi) / 2.0
+            if mid == lo or mid == hi:
+                break  # the bracket is one ulp wide: further steps repeat this one
             if _min_herm_eig(a, psi0 + sign * mid) >= 0.0:
                 lo = mid
             else:
                 hi = mid
         return (lo + hi) / 2.0
 
-    u_plus = locate_crossing(+1.0)
-    u_minus = locate_crossing(-1.0)
+    u_plus = locate_crossing(+1)
+    u_minus = locate_crossing(-1)
     psi_plus = psi0 + u_plus
     psi_minus = psi0 - u_minus
 
@@ -267,14 +281,14 @@ def is_nearly_positive(x, eps: float, tol: Tolerances | None = None) -> NearlyPo
     eps = float(eps)
     if not 0.0 < eps < 1.0:
         raise InputError(f"eps must lie in (0, 1), got {eps!r}")
-    nrm = operator_norm(a)
-    sect = sectorial_angle(a, tol=t)
+    nrm = _norm2(a)
+    sect = _sectorial_angle(a, t)
     verdict = (
         nrm <= 1.0 + t.eq_tol
         and sect.angle is not None
         and sect.angle < math.asin(eps)
     )
-    hdist = operator_norm(a - herm_part(a))
+    hdist = _norm2(a - _herm_part(a))
     hdist_ok = (not verdict) or (hdist <= eps + t.eq_tol)
     return NearlyPositiveReport(
         verdict=bool(verdict),

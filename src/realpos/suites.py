@@ -17,7 +17,7 @@ from . import maps as maps_mod
 from .errors import InputError, NumericError, RealposError
 from .linalg import (
     Tolerances,
-    operator_norm,
+    _norm2,
     random_accretive,
     random_contraction,
     random_idempotent,
@@ -72,7 +72,7 @@ def suite_bal(seed: int, count: int, n: int, tol: Tolerances) -> list:
     for i in range(count):
         rng = _rng(seed, "bal", i)
         x = random_accretive(n, rng)
-        nrm = operator_norm(x)
+        nrm = _norm2(x)
         residuals = {}
         verdicts = {}
         details = {}
@@ -82,7 +82,7 @@ def suite_bal(seed: int, count: int, n: int, tol: Tolerances) -> list:
             try:
                 yb = calc_mod.power_balakrishnan(x, r, ctx, tol=tol)
                 ys = calc_mod.power_shifted(x, r, ctx, tol=tol)
-                dev = operator_norm(yb - ys)
+                dev = _norm2(yb - ys)
                 residuals[key] = float(dev)
                 ok = dev <= 1e-6 * (1.0 + nrm)
                 verdicts[key] = bool(ok)
@@ -242,14 +242,14 @@ def suite_decompose(seed: int, count: int, n: int, tol: Tolerances) -> list:
         rng = _rng(seed, "decompose", i)
         b = random_contraction(n, rng, norm=float(rng.uniform(0.1, 0.99)))
         p, q = cones_mod.decompose_halfF(b, ctx, tol)
-        rec = operator_norm((p - q) - b)
-        sum_res = operator_norm((p + q) - np.eye(n))
+        rec = _norm2((p - q) - b)
+        sum_res = _norm2((p + q) - np.eye(n))
         mp = cones_mod.membership(2.0 * p, ctx, tol)
         mq = cones_mod.membership(2.0 * q, ctx, tol)
         verdicts = {
             "half_F_plus": bool(mp.in_F),
             "half_F_minus": bool(mq.in_F),
-            "reconstruction": bool(rec <= 1e-12 * (1.0 + operator_norm(b))),
+            "reconstruction": bool(rec <= 1e-12 * (1.0 + _norm2(b))),
             "complementary": bool(sum_res <= 1e-12),
         }
         rep = VerificationReport(

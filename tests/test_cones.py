@@ -15,8 +15,16 @@ from realpos.cones import (
     scale_into_F,
     upper_bound_pair,
 )
-from realpos.errors import InputError, PreconditionError
-from realpos.linalg import operator_norm, random_accretive, random_contraction, random_matrix
+from realpos.errors import InputError, NumericError, PreconditionError
+from realpos.linalg import (
+    Tolerances,
+    matrix_exp,
+    operator_norm,
+    random_accretive,
+    random_contraction,
+    random_matrix,
+)
+from realpos.numrange import abscissa
 
 
 def test_membership_diagonal_cases():
@@ -62,6 +70,50 @@ def test_chaccr_accretive_passes(seed):
     rep = chaccr_verify(x, ctx)
     assert rep.passed
     assert all(rep.verdicts.values())
+
+
+def _chaccr_margins_per_t(x, eq_tol):
+    """Worst margins of conditions 2-5, one t and one norm at a time: the
+    loop that the stacked norms of chaccr_verify must reproduce bit for bit."""
+    eye = np.eye(x.shape[0])
+    nrm = operator_norm(x)
+    worst = {"c2": -np.inf, "c3": -np.inf, "c4": -np.inf, "c5": -np.inf}
+    for t in np.logspace(-2.0, 2.0, 20):
+        slack = eq_tol * (1.0 + (nrm * t) ** 2)
+        m2 = operator_norm(eye - t * x) - (1.0 + (t * nrm) ** 2) - slack
+        try:
+            m3 = operator_norm(matrix_exp(-t * x)) - 1.0 - slack
+        except NumericError:
+            m3 = np.inf
+        try:
+            m4 = operator_norm(np.linalg.solve(t * eye + x, eye)) - 1.0 / t - slack / t
+        except np.linalg.LinAlgError:
+            m4 = np.inf
+        m5 = operator_norm(eye - t * x) - operator_norm(eye - t * t * (x @ x)) - slack
+        for key, m in (("c2", m2), ("c3", m3), ("c4", m4), ("c5", m5)):
+            worst[key] = max(worst[key], m)
+    return worst
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_chaccr_residuals_match_per_t_loop_bitwise(n):
+    rng = np.random.default_rng(n)
+    t4 = np.logspace(-2.0, 2.0, 20)[4]
+    inputs = [random_accretive(n, rng), random_matrix(n, rng) - 0.5 * np.eye(n),
+              random_accretive(n, rng) * np.diag([1.0] * (n - 1) + [0.0]),
+              -t4 * np.eye(n),       # t e + x singular at one grid point
+              -10.0 * np.eye(n)]     # exp(-t x) overflows at t = 100
+    for x in inputs:
+        rep = chaccr_verify(x, full_context(n))
+        ref = _chaccr_margins_per_t(np.asarray(x, dtype=complex), Tolerances().eq_tol)
+        assert rep.residuals == {"abscissa": abscissa(x), **ref}
+
+
+def test_chaccr_internal_overflow_is_numeric_error():
+    # a finite PSD input whose square overflows: the failure is numeric,
+    # not malformed input, and names the condition
+    with pytest.raises(NumericError, match=r"chaccr_verify: condition c5"):
+        chaccr_verify(1e200 * np.eye(3), full_context(3))
 
 
 @pytest.mark.parametrize("seed", range(8))

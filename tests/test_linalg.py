@@ -5,6 +5,7 @@ import pytest
 from realpos.errors import InputError, NumericError
 from realpos.linalg import (
     Tolerances,
+    _norm2,
     as_matrix,
     default_tolerances,
     herm_part,
@@ -64,6 +65,20 @@ def test_as_matrix_rejects_bad_input():
         as_matrix(np.array([[np.inf, 0], [0, 1]]))
     with pytest.raises(InputError):
         as_matrix(np.zeros((0, 0)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
+def test_norm2_kernel_is_bitwise_numpy_spectral_norm(n):
+    stack = np.array([np.zeros((n, n), dtype=complex)]
+                     + [random_matrix(n, seed) for seed in range(5)])
+    for m in stack:
+        assert _norm2(m) == np.linalg.norm(m, 2)
+    assert np.array_equal(_norm2(stack), np.linalg.norm(stack, 2, axis=(1, 2)))
+    stack[3, 0, -1] = np.inf
+    with pytest.raises(NumericError):
+        _norm2(stack[3])
+    with pytest.raises(NumericError):
+        _norm2(stack)
 
 
 def test_herm_part():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from realpos import numrange
 from realpos.errors import InputError
-from realpos.linalg import random_accretive, random_matrix
+from realpos.linalg import random_accretive, random_hermitian, random_matrix
 from realpos.numrange import (
     abscissa,
     boundary,
@@ -189,6 +189,64 @@ def test_sectorial_angle_matches_pencil_angle(n):
         v = sectorial_angle(x)
         assert v.angle == pytest.approx(exact, abs=1e-8)
         assert abs(abs(np.angle(v.witness)) - exact) <= 1e-6
+
+
+def _sectorial_angle_per_side_sweep(x, m=256):
+    """sectorial_angle with its crossing brackets found by a separate
+    128-angle sweep per side and 60 full bisection steps: the evaluation
+    that reading the brackets off the grid, and stopping the bisection
+    once the bracket is one ulp wide, must reproduce bit for bit."""
+    if np.linalg.norm(x, 2) <= 1e-9:
+        return 0.0, 0j
+    grid = np.linspace(-np.pi, np.pi, m, endpoint=False)
+    g = numrange._min_herm_eig(x, grid)
+    j0 = int(np.argmax(g))
+    if g[j0] < 0.0:
+        return None, None
+    psi0 = float(grid[j0])
+    u = np.pi * np.arange(1, 129) / 128
+
+    def crossing(sign):
+        neg = np.flatnonzero(numrange._min_herm_eig(x, psi0 + sign * u) < 0.0)
+        if neg.size == 0:
+            return np.pi
+        i = int(neg[0])
+        lo, hi = (u[i - 1] if i > 0 else 0.0), u[i]
+        for _ in range(60):
+            mid = (lo + hi) / 2.0
+            if numrange._min_herm_eig(x, psi0 + sign * mid) >= 0.0:
+                lo = mid
+            else:
+                hi = mid
+        return (lo + hi) / 2.0
+
+    psi_plus = psi0 + crossing(1.0)
+    psi_minus = psi0 - crossing(-1.0)
+    rho_inf, rho_sup = psi_plus - np.pi / 2.0, psi_minus + np.pi / 2.0
+    mid = (rho_inf + rho_sup) / 2.0
+    shift = numrange._normalize_angle(mid) - mid
+    lo_arg, hi_arg = rho_inf + shift, rho_sup + shift
+    if lo_arg < -np.pi - 1e-12 or hi_arg > np.pi + 1e-12:
+        angle = float(np.pi)
+    else:
+        angle = float(min(np.pi, max(abs(lo_arg), abs(hi_arg))))
+    cand = [(abs(lo_arg), lo_arg, numrange._support_at(x, psi_plus + np.pi)[1]),
+            (abs(hi_arg), hi_arg, numrange._support_at(x, psi_minus + np.pi)[1])]
+    if abs(cand[0][0] - cand[1][0]) <= 1e-12:
+        return angle, min(cand, key=lambda item: item[1])[2]
+    return angle, max(cand, key=lambda item: item[0])[2]
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 16])
+def test_sectorial_angle_matches_per_side_sweep_bitwise(n):
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        inputs = (random_accretive(n, rng), random_hermitian(n, rng, psd=True),
+                  random_accretive(n, rng, angle_cap=float(rng.uniform(0.05, 1.5))),
+                  random_matrix(n, rng))
+        for x in inputs:
+            v = sectorial_angle(x)
+            assert (v.angle, v.witness) == _sectorial_angle_per_side_sweep(x)
 
 
 def test_non_finite_point_or_angle_rejected():
