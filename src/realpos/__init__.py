@@ -51,7 +51,6 @@ from .cones import (
     upper_bound_pair,
 )
 from .calculus import (
-    QuadratureConfig,
     f_inverse,
     f_transform,
     power,

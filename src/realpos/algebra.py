@@ -254,12 +254,27 @@ def block_diag_algebra(sizes) -> SubalgebraBasis:
                            validate=False)
 
 
+def _as_matrices(mats, name: str) -> list:
+    """The validated elements of a list of same-size matrices; a
+    SubalgebraBasis is trusted as it is."""
+    if isinstance(mats, SubalgebraBasis):
+        return mats.basis
+    out = [as_matrix(b, f"{name}[{i}]") for i, b in enumerate(mats)]
+    if len({b.shape for b in out}) > 1:
+        raise InputError(f"{name} mixes matrix sizes")
+    return out
+
+
 def span_contains(mats, m, tol: float = _SPAN_TOL) -> bool:
     """Does m lie in the linear span of mats (relative residual <= tol)?"""
     if isinstance(mats, SubalgebraBasis):
         return mats.contains(m, tol)
+    mats = _as_matrices(mats, "mats")
+    a = as_matrix(m)
+    if mats and mats[0].shape != a.shape:
+        raise InputError(f"m has shape {a.shape}, the span elements {mats[0].shape}")
     stack = _stack(mats)
-    v = _vec(as_matrix(m))
+    v = _vec(a)
     nv = np.linalg.norm(v)
     if stack.shape[0] == 0:
         return nv <= tol
@@ -288,6 +303,15 @@ def _span_rank(mats, rank_tol: float = _RANK_TOL) -> int:
 def spans_equal(mats_a, mats_b, rank_tol: float = _RANK_TOL) -> bool:
     """Two-sided span equality by rank tests on the separate and joined
     stacks of normalised vectorisations."""
+    mats_a = _as_matrices(mats_a, "mats_a")
+    mats_b = _as_matrices(mats_b, "mats_b")
+    if mats_a and mats_b and mats_a[0].shape != mats_b[0].shape:
+        raise InputError("mats_a and mats_b hold matrices of different sizes")
+    return _spans_equal(mats_a, mats_b, rank_tol)
+
+
+def _spans_equal(mats_a, mats_b, rank_tol: float = _RANK_TOL) -> bool:
+    """spans_equal on trusted lists, stacks or subalgebra bases."""
     if isinstance(mats_a, SubalgebraBasis):
         mats_a = mats_a.basis
     if isinstance(mats_b, SubalgebraBasis):
@@ -748,8 +772,8 @@ def aarnes_kadison_check(x, algebra: SubalgebraBasis,
     if not _membership(xc, t).in_r:
         raise PreconditionError("aarnes_kadison_check needs an accretive input")
     cube = np.array(algebra.basis)
-    c1 = spans_equal(a @ cube @ a, cube)
-    c2 = spans_equal(a @ cube, cube) and spans_equal(cube @ a, cube)
+    c1 = _spans_equal(a @ cube @ a, cube)
+    c2 = _spans_equal(a @ cube, cube) and _spans_equal(cube @ a, cube)
     s = _support_idem(xc, ctx, t).s
     res_unit = _worst_unit_residual(s, cube)
     scale = 1.0 + _max_op_norm(cube)
@@ -779,7 +803,7 @@ def ba_ftransform_equal(x, ctx: AmbientContext | None = None,
     y = ctx._embed(_f_transform(xc))
     b1 = _ba(a, ctx, t)
     b2 = _ba(y, ctx, t)
-    equal = spans_equal(b1, b2)
+    equal = _spans_equal(b1, b2)
     return VerificationReport(
         check="ba_ftransform",
         passed=bool(equal),
@@ -821,8 +845,8 @@ def idempotent_ideal(q, algebra: SubalgebraBasis, x=None,
             raise PreconditionError("supplied x must be accretive")
         s = _support_idem(xc, ctx, t).s
         if algebra._contains(s, 1e-7):
-            same = spans_equal([axm @ b for b in algebra.basis],
-                               [s @ b for b in algebra.basis])
+            same = _spans_equal([axm @ b for b in algebra.basis],
+                                [s @ b for b in algebra.basis])
             verdicts["xA_equals_sA"] = bool(same)
             details["support_in_algebra"] = True
         else:

@@ -4,9 +4,14 @@ Three independent constructions of x^r are implemented:
 
 * ``power_series``       -- binomial series in (e - x), valid on the
                             shrunken cone F = {||e - x|| <= 1};
-* ``power_shifted``      -- holomorphic powers of x + eps on the Schur
-                            form with Richardson extrapolation eps -> 0,
-                            valid on the whole accretive cone;
+* ``power_shifted``      -- the limit eps -> 0 of (x + eps e)^r, taken
+                            exactly: 0 on the kernel, and on the invertible
+                            Schur block the principal power by inverse
+                            scaling-and-squaring (the Schur-Pade scheme of
+                            Higham & Lin, SIAM J. Matrix Anal. Appl. 32,
+                            2011, with a binomial series in place of the
+                            Pade approximant), valid on the whole
+                            accretive cone;
 * ``power_balakrishnan`` -- resolvent integral
                             x^r = sin(r pi)/pi * int_0^inf s^{r-1}(s+x)^{-1} x ds,
                             valid for accretive x and 0 < r < 1.
@@ -16,13 +21,12 @@ completed methods disagree beyond 1e-6 * (1 + ||x||).
 
 Accretive matrices have a semisimple reducing kernel (ker x = ker x*,
 orthogonal to the range), so the zero eigenvalue cluster is split off
-exactly by an ordered Schur form before any shifting or quadrature; the
+exactly by an ordered Schur form before any power or quadrature; the
 power acts as zero on that block for every r > 0.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -36,7 +40,6 @@ from .numrange import _dist_to_point, _sectorial_angle
 from .report import VerificationReport, matrix_digest
 
 __all__ = [
-    "QuadratureConfig",
     "power_series",
     "power_shifted",
     "power_balakrishnan",
@@ -49,27 +52,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Knobs for the integral / extrapolation based power methods.
-
-    node_count        -- Gauss-Legendre nodes per integral piece
-    richardson_levels -- maximum rungs of the eps-halving ladder
-    """
-
-    node_count: int = 200
-    richardson_levels: int = 45
-
-    def __post_init__(self):
-        if not (isinstance(self.node_count, int) and self.node_count >= 8):
-            raise InputError(f"node_count must be an integer >= 8, got {self.node_count!r}")
-        if not (isinstance(self.richardson_levels, int) and self.richardson_levels >= 1):
-            raise InputError(
-                f"richardson_levels must be an integer >= 1, got {self.richardson_levels!r}"
-            )
-
-
-_DEFAULT_QUAD = QuadratureConfig()
+# Gauss-Legendre nodes per integral of the Balakrishnan rule; the error
+# estimate compares it with twice as many
+_BAL_NODES = 200
 
 
 # ---------------------------------------------------------------------------
@@ -265,73 +250,38 @@ def _power_series(xc: np.ndarray, r: float, t: Tolerances,
 
 
 def power_shifted(x, r: float, ctx: AmbientContext | None = None,
-                  quad: QuadratureConfig | None = None,
                   tol: Tolerances | None = None,
                   zero_tol: float | None = None) -> np.ndarray:
-    """x^r for accretive x via holomorphic powers of x + eps e, eps -> 0.
+    """x^r for accretive x as the limit eps -> 0 of (x + eps e)^r.
 
     The kernel of x is split off exactly (it is reducing and semisimple
-    for accretive x), the invertible Schur block is shifted by a halving
-    ladder eps_k = eps_0 2^{-k}, each rung evaluated by triangular
-    inverse scaling-and-squaring, and consecutive rungs are combined by
-    first-order Richardson extrapolation R_k = 2 v_{k+1} - v_k.  The
-    ladder stops when successive extrapolants settle to conv_tol scale.
+    for accretive x), and there the limit is 0.  The remaining Schur
+    block is invertible with spectrum in the closed right half-plane
+    minus 0, so the limit there is its principal power, computed directly
+    by triangular inverse scaling-and-squaring.
     """
     a = as_matrix(x)
     if ctx is None:
         ctx = full_context(a.shape[0])
     t = resolve_tol(tol)
-    q = _DEFAULT_QUAD if quad is None else quad
     r = _validate_exponent(r, 0.0, 1.0, allow_hi=True)
     xc = ctx._compress_member(a, t)
     _require_accretive(xc, t, "power_shifted")
-    return ctx._embed(_power_shifted(xc, r, q, t, zero_tol))
+    return ctx._embed(_power_shifted(xc, r, t, zero_tol))
 
 
-def _power_shifted(xc: np.ndarray, r: float, q: QuadratureConfig, t: Tolerances,
+def _power_shifted(xc: np.ndarray, r: float, t: Tolerances,
                    zero_tol: float | None = None) -> np.ndarray:
     """The shifted spectral power on the corner coordinates xc of an
     accretive element."""
     if r == 1.0:
         return xc.copy()
-    n = xc.shape[0]
     nrm = _norm2(xc)
     ztol = 1e-9 * (1.0 + nrm) if zero_tol is None else float(zero_tol)
     z, t11, k, _ = _split_zero_cluster(xc, ztol, t)
     if k == 0:
         return np.zeros_like(xc)
-    eye = np.eye(k, dtype=complex)
-    eps0 = 1e-3 * max(1.0, nrm)
-    settle = t.conv_tol * (1.0 + nrm)
-    v_prev = None
-    r_prev = None
-    diffs = []
-    result = None
-    for level in range(q.richardson_levels + 1):
-        eps = eps0 * 2.0 ** (-level)
-        v = _power_tri(t11 + eps * eye, r)
-        if v_prev is not None:
-            r_cur = 2.0 * v - v_prev
-            if r_prev is not None:
-                d = _norm2(r_cur - r_prev)
-                diffs.append(d)
-                if d <= settle:
-                    result = r_cur
-                    break
-                if (len(diffs) >= 4 and diffs[-1] > diffs[-2] > diffs[-3] > diffs[-4]
-                        and diffs[-1] > 1e3 * settle):
-                    raise NumericError(
-                        "shifted-power extrapolation diverging; ladder residuals "
-                        f"{[f'{dd:.3g}' for dd in diffs[-4:]]}"
-                    )
-            r_prev = r_cur
-        v_prev = v
-    if result is None:
-        raise NumericError(
-            "shifted-power ladder exhausted without settling; residual tail "
-            f"{[f'{dd:.3g}' for dd in diffs[-3:]]}"
-        )
-    return _reassemble(z, result, n)
+    return _reassemble(z, _power_tri(t11, r), xc.shape[0])
 
 
 @lru_cache(maxsize=32)
@@ -378,33 +328,31 @@ def _balakrishnan_block(t11: np.ndarray, r: float, nodes: int) -> np.ndarray:
 
 
 def power_balakrishnan(x, r: float, ctx: AmbientContext | None = None,
-                       quad: QuadratureConfig | None = None,
                        tol: Tolerances | None = None,
                        zero_tol: float | None = None,
                        return_estimate: bool = False):
     """x^r for accretive x and 0 < r < 1 via the Balakrishnan integral.
 
     The zero cluster is deflated first; the integral is evaluated on the
-    invertible Schur block at node_count and 2*node_count nodes, and the
-    difference serves as the quadrature error estimate, required to stay
-    below 1e-6 * ||x||^r.
+    invertible Schur block at 200 and 400 Gauss-Legendre nodes per
+    integral, and the difference serves as the quadrature error estimate,
+    required to stay below 1e-6 * ||x||^r.
     """
     a = as_matrix(x)
     if ctx is None:
         ctx = full_context(a.shape[0])
     t = resolve_tol(tol)
-    q = _DEFAULT_QUAD if quad is None else quad
     r = float(r)
     if r != 1.0:
         r = _validate_exponent(r, 0.0, 1.0, allow_hi=False)
     xc = ctx._compress_member(a, t)
     _require_accretive(xc, t, "power_balakrishnan")
-    y, est = _power_balakrishnan(xc, r, q, t, zero_tol)
+    y, est = _power_balakrishnan(xc, r, t, zero_tol)
     y = ctx._embed(y)
     return (y, est) if return_estimate else y
 
 
-def _power_balakrishnan(xc: np.ndarray, r: float, q: QuadratureConfig, t: Tolerances,
+def _power_balakrishnan(xc: np.ndarray, r: float, t: Tolerances,
                         zero_tol: float | None = None):
     """(x^r, quadrature error estimate) on the corner coordinates xc of an
     accretive element."""
@@ -416,14 +364,15 @@ def _power_balakrishnan(xc: np.ndarray, r: float, q: QuadratureConfig, t: Tolera
     z, t11, k, _ = _split_zero_cluster(xc, ztol, t)
     if k == 0:
         return np.zeros_like(xc), 0.0
-    coarse = _balakrishnan_block(t11, r, q.node_count)
-    fine = _balakrishnan_block(t11, r, 2 * q.node_count)
+    coarse = _balakrishnan_block(t11, r, _BAL_NODES)
+    fine = _balakrishnan_block(t11, r, 2 * _BAL_NODES)
     est = _norm2(fine - coarse)
     target = 1e-6 * max(nrm, 1e-12) ** r
     if est > target:
         raise NumericError(
-            f"quadrature error estimate {est:.3g} exceeds {target:.3g}; "
-            f"increase node_count (currently {q.node_count})"
+            f"quadrature error estimate {est:.3g} exceeds {target:.3g} at "
+            f"{_BAL_NODES} and {2 * _BAL_NODES} nodes; the Balakrishnan rule does "
+            "not resolve this spectrum"
         )
     return _reassemble(z, fine, n), est
 
@@ -433,13 +382,14 @@ def _power_balakrishnan(xc: np.ndarray, r: float, q: QuadratureConfig, t: Tolera
 # ---------------------------------------------------------------------------
 
 def power_all_methods(x, r: float, ctx: AmbientContext | None = None,
-                      tol: Tolerances | None = None,
-                      quad: QuadratureConfig | None = None):
+                      tol: Tolerances | None = None):
     """Run every applicable power method.
 
     Returns (value, candidates, deviations, skipped): the shifted-method
-    value, a dict of completed method results, the pairwise deviations,
-    and a dict naming methods that raised NumericError at this budget.
+    value (the exact eps -> 0 limit of (x + eps e)^r), a dict of
+    completed method results, the pairwise deviations, and a dict naming
+    methods that raised NumericError: the series past its term budget,
+    the Balakrishnan rule past its quadrature error target.
     Raises MethodDisagreementError when completed methods differ by more
     than 1e-6 * (1 + ||x||).
     """
@@ -447,13 +397,12 @@ def power_all_methods(x, r: float, ctx: AmbientContext | None = None,
     if ctx is None:
         ctx = full_context(a.shape[0])
     t = resolve_tol(tol)
-    q = _DEFAULT_QUAD if quad is None else quad
     r = _validate_exponent(r, 0.0, 1.0, allow_hi=True)
-    return _power_all_methods(ctx._compress_member(a, t), r, ctx, q, t)
+    return _power_all_methods(ctx._compress_member(a, t), r, ctx, t)
 
 
 def _power_all_methods(xc: np.ndarray, r: float, ctx: AmbientContext,
-                       q: QuadratureConfig, t: Tolerances):
+                       t: Tolerances):
     """power_all_methods on the corner coordinates xc; values are embedded."""
     mem = _require_accretive(xc, t, "power")
     if r == 1.0:
@@ -462,7 +411,7 @@ def _power_all_methods(xc: np.ndarray, r: float, ctx: AmbientContext,
 
     candidates = {}
     skipped = {}
-    candidates["shifted"] = ctx._embed(_power_shifted(xc, r, q, t))
+    candidates["shifted"] = ctx._embed(_power_shifted(xc, r, t))
     if mem.in_F:
         try:
             candidates["series"] = ctx._embed(_power_series(xc, r, t))
@@ -470,7 +419,7 @@ def _power_all_methods(xc: np.ndarray, r: float, ctx: AmbientContext,
             skipped["series"] = str(exc)
     if 0.0 < r < 1.0:
         try:
-            candidates["balakrishnan"] = ctx._embed(_power_balakrishnan(xc, r, q, t)[0])
+            candidates["balakrishnan"] = ctx._embed(_power_balakrishnan(xc, r, t)[0])
         except NumericError as exc:
             skipped["balakrishnan"] = str(exc)
 
@@ -492,8 +441,7 @@ def _power_all_methods(xc: np.ndarray, r: float, ctx: AmbientContext,
 
 
 def power(x, r: float, ctx: AmbientContext | None = None,
-          tol: Tolerances | None = None,
-          quad: QuadratureConfig | None = None) -> np.ndarray:
+          tol: Tolerances | None = None) -> np.ndarray:
     """Fractional power x^r of an accretive matrix, cross-validated.
 
     All applicable methods run (shifted spectral always; the binomial
@@ -502,7 +450,7 @@ def power(x, r: float, ctx: AmbientContext | None = None,
     MethodDisagreementError carrying the candidate values.  The shifted
     spectral value is returned.  r = 1 returns x exactly.
     """
-    value, _, _, _ = power_all_methods(x, r, ctx, tol, quad)
+    value, _, _, _ = power_all_methods(x, r, ctx, tol)
     return value
 
 
@@ -572,8 +520,7 @@ def f_inverse(y, ctx: AmbientContext | None = None,
 
 def power_property_report(x, ctx: AmbientContext | None = None,
                           exponent_grid=None,
-                          tol: Tolerances | None = None,
-                          quad: QuadratureConfig | None = None) -> VerificationReport:
+                          tol: Tolerances | None = None) -> VerificationReport:
     """Verify the functional-calculus laws on an exponent grid.
 
     Checks: the semigroup law x^s x^t = x^{s+t}; the scaling law
@@ -588,7 +535,6 @@ def power_property_report(x, ctx: AmbientContext | None = None,
     if ctx is None:
         ctx = full_context(a.shape[0])
     t = resolve_tol(tol)
-    q = _DEFAULT_QUAD if quad is None else quad
     xc = ctx._compress_member(a, t)
     mem = _require_accretive(xc, t, "power_property_report")
     if exponent_grid is None:
@@ -602,7 +548,7 @@ def power_property_report(x, ctx: AmbientContext | None = None,
 
     def power_c(yc: np.ndarray, expo: float) -> np.ndarray:
         """power() of the element with corner coordinates yc, as coordinates."""
-        return ctx._compress(_power_all_methods(yc, expo, ctx, q, t)[0])
+        return ctx._compress(_power_all_methods(yc, expo, ctx, t)[0])
 
     def pw(expo: float, base=None) -> np.ndarray:
         if base is None:

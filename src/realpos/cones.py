@@ -237,20 +237,26 @@ def chaccr_verify(x, ctx: AmbientContext, t_grid=None,
             invs[i] = np.linalg.solve(t * eye + xc, eye)
         except np.linalg.LinAlgError:
             invs[i], inv_ok[i] = eye, False  # -t is an eigenvalue: certainly not accretive
-    # scalar powers, as in the per-t formula: an array power rounds differently
-    growth = np.array([1.0 + (nrm * t) ** 2 for t in t_grid])
-    slack = tl.eq_tol * growth
-    ts = t_grid[:, None, None]
-    lin = grid_norms(eye - ts * xc, "condition c2/c5 ||e - t x||")
-    margins = {
-        "c2": lin - growth - slack,
-        "c3": np.where(exp_ok, grid_norms(exps, "condition c3 ||exp(-t x)||") - 1.0 - slack,
-                       np.inf),
-        "c4": np.where(inv_ok, grid_norms(invs, "condition c4 ||(t e + x)^-1||")
-                       - 1.0 / t_grid - slack / t_grid, np.inf),
-        "c5": lin - grid_norms(eye - ts * ts * (xc @ xc), "condition c5 ||e - t^2 x^2||")
-              - slack,
-    }
+    # an overflow on the t-grid is reported as NumericError (by grid_norms or
+    # the growth check below), not as numpy warnings; growth takes scalar
+    # powers, as in the per-t formula: an array power rounds differently
+    with np.errstate(over="ignore", invalid="ignore"):
+        growth = np.array([1.0 + (nrm * t) ** 2 for t in t_grid])
+        slack = tl.eq_tol * growth
+        ts = t_grid[:, None, None]
+        lin = grid_norms(eye - ts * xc, "condition c2/c5 ||e - t x||")
+        margins = {
+            "c2": lin - growth - slack,
+            "c3": np.where(exp_ok, grid_norms(exps, "condition c3 ||exp(-t x)||")
+                           - 1.0 - slack, np.inf),
+            "c4": np.where(inv_ok, grid_norms(invs, "condition c4 ||(t e + x)^-1||")
+                           - 1.0 / t_grid - slack / t_grid, np.inf),
+            "c5": lin - grid_norms(eye - ts * ts * (xc @ xc),
+                                   "condition c5 ||e - t^2 x^2||") - slack,
+        }
+    if not np.isfinite(growth).all():  # x^2 need not overflow when x does, e.g. nilpotent x
+        raise NumericError("chaccr_verify: the growth bound 1 + (t ||x||)^2 overflows "
+                           f"on the t-grid (||x|| = {nrm:.3g})")
     verdicts = {"c1_abscissa": bool(v1),
                 "c2_norm_growth": bool(np.all(margins["c2"] <= 0)),
                 "c3_semigroup": bool(np.all(margins["c3"] <= 0)),

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import SubalgebraBasis, _vec, full_matrix_algebra, spans_equal
+from .algebra import SubalgebraBasis, _spans_equal, _vec, full_matrix_algebra
 from .errors import InputError, NumericError, PreconditionError, UnsupportedError
 from .linalg import (
     Tolerances,
@@ -619,9 +619,9 @@ def build_symmetric_projection(theta: LinearMapOnAlgebra, q, algebra: Subalgebra
     qm = as_matrix(q, "q")
     scale = 1.0 + max(_norm2(b) for b in algebra.basis)
 
-    if not (theta.domain.dim == algebra.dim and spans_equal(theta.domain, algebra)):
+    if not (theta.domain.dim == algebra.dim and _spans_equal(theta.domain, algebra)):
         raise PreconditionError("theta's domain is not the given algebra")
-    if not (theta.codomain.dim == algebra.dim and spans_equal(theta.codomain, algebra)):
+    if not (theta.codomain.dim == algebra.dim and _spans_equal(theta.codomain, algebra)):
         raise PreconditionError("theta's codomain is not the given algebra")
 
     worst = max(
@@ -689,7 +689,7 @@ def build_symmetric_projection(theta: LinearMapOnAlgebra, q, algebra: Subalgebra
             coefv = vh.conj().T[:, i]
             fixed.append(sum(cc * bb for cc, bb in zip(coefv, algebra.basis)))
     range_mats = [p_map._apply(b) for b in algebra.basis]
-    range_ok = spans_equal(range_mats, fixed) if fixed or range_mats else True
+    range_ok = _spans_equal(range_mats, fixed) if fixed or range_mats else True
 
     vanish = 0.0
     for b in algebra.basis:
@@ -793,8 +793,8 @@ def classify_projection(p_map: LinearMapOnAlgebra, levels=(1, 2, 3), seed: int =
 
     range_prods = [pi @ pj for pi in p_of for pj in p_of]
     try:
-        range_closed = spans_equal(p_of, p_of + [rp for rp in range_prods
-                                                 if _norm2(rp) > 1e-12])
+        range_closed = _spans_equal(p_of, p_of + [rp for rp in range_prods
+                                                  if _norm2(rp) > 1e-12])
     except NumericError:
         range_closed = False
 

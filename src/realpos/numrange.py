@@ -158,7 +158,7 @@ def _dist_to_point(a: np.ndarray, z: complex, m: int = 256) -> float:
         return (z * np.exp(-1j * theta)).real - _support_at(a, theta)[0]
 
     grid = 2.0 * np.pi * np.arange(m) / m
-    vals = (z * np.exp(-1j * grid)).real - np.linalg.eigh(_herm_parts(a, grid))[0][:, -1]
+    vals = (z * np.exp(-1j * grid)).real - np.linalg.eigvalsh(_herm_parts(a, grid))[:, -1]
     j = int(np.argmax(vals))
     lo = grid[j] - 2.0 * np.pi / m
     hi = grid[j] + 2.0 * np.pi / m

@@ -110,3 +110,28 @@ def test_every_public_function_is_classified():
 def test_public_boundary_rejects_malformed_matrix(name, bad):
     with pytest.raises(InputError):
         MATRIX_CALLS[name](_bad_inputs()[bad])
+
+
+# public functions taking lists of matrices -> call with m as a list element
+LIST_CALLS = {
+    "span_contains": lambda m: realpos.span_contains([GOOD, m], GOOD),
+    "spans_equal.mats_a": lambda m: realpos.spans_equal([m], [GOOD]),
+    "spans_equal.mats_b": lambda m: realpos.spans_equal([GOOD], [GOOD, m]),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(_bad_inputs()))
+@pytest.mark.parametrize("name", sorted(LIST_CALLS))
+def test_list_element_rejects_malformed_matrix(name, bad):
+    with pytest.raises(InputError):
+        LIST_CALLS[name](_bad_inputs()[bad])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: realpos.span_contains([GOOD], np.eye(3)),
+    lambda: realpos.span_contains([GOOD, np.eye(3)], GOOD),
+    lambda: realpos.spans_equal([GOOD], [np.eye(3)]),
+])
+def test_span_functions_reject_mixed_sizes(call):
+    with pytest.raises(InputError):
+        call()

@@ -5,7 +5,6 @@ import pytest
 import scipy.linalg as sla
 
 from realpos.calculus import (
-    QuadratureConfig,
     f_inverse,
     f_transform,
     power,
@@ -137,13 +136,6 @@ def test_balakrishnan_r_one_is_exact_and_bad_r_rejected():
         power_balakrishnan(x, 0.0)
 
 
-def test_quadrature_config_validation():
-    with pytest.raises(InputError):
-        QuadratureConfig(node_count=0)
-    with pytest.raises(InputError):
-        QuadratureConfig(richardson_levels=0)
-
-
 def test_semigroup_property():
     x = random_accretive(4, 13)
     nrm = operator_norm(x)
@@ -218,3 +210,38 @@ def test_balakrishnan_matches_scipy_fractional_power(r, n):
         expect = sla.fractional_matrix_power(x, r)
         y = power_balakrishnan(x, r)
         assert operator_norm(y - expect) <= 1e-9 * (1.0 + operator_norm(expect))
+
+
+def _shifted_cases(n):
+    """(x, r -> x^r) pairs: invertible accretive inputs, kernel inputs
+    u (B + 0) u* whose power is u (B^r + 0) u*, and at n = 3 the
+    imaginary-axis spectrum u diag(i, -i, 1) u*."""
+    cases = []
+    for seed in range(3):
+        x = random_accretive(n, 60 + seed)
+        cases.append((x, lambda r, x=x: sla.fractional_matrix_power(x, r)))
+    for k in sorted({1, n // 2, n - 1}):
+        u = random_unitary(n, 70 + k)
+        b = random_accretive(k, 80 + k) + 0.1 * np.eye(k)
+
+        def embed(m, u=u, k=k):
+            p = np.zeros((n, n), dtype=complex)
+            p[:k, :k] = m
+            return u @ p @ u.conj().T
+
+        cases.append((embed(b), lambda r, b=b, embed=embed:
+                      embed(sla.fractional_matrix_power(b, r))))
+    if n == 3:
+        u = random_unitary(3, 90)
+        d = np.array([1j, -1j, 1.0])
+        cases.append((u @ np.diag(d) @ u.conj().T,
+                      lambda r, u=u, d=d: u @ np.diag(d ** r) @ u.conj().T))
+    return cases
+
+
+@pytest.mark.parametrize("r", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("n", [2, 3, 4, 8])
+def test_power_shifted_matches_scipy_fractional_power(n, r):
+    for x, oracle in _shifted_cases(n):
+        err = operator_norm(power_shifted(x, r) - oracle(r))
+        assert err <= 1e-12 * (1.0 + operator_norm(x)), err

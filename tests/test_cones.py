@@ -1,6 +1,8 @@
 """Cone membership, the five-way accretivity characterisation, scaling
 maps between the cones, order helpers, and corner (relative-unit)
 contexts."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -112,8 +114,15 @@ def test_chaccr_residuals_match_per_t_loop_bitwise(n):
 def test_chaccr_internal_overflow_is_numeric_error():
     # a finite PSD input whose square overflows: the failure is numeric,
     # not malformed input, and names the condition
-    with pytest.raises(NumericError, match=r"chaccr_verify: condition c5"):
-        chaccr_verify(1e200 * np.eye(3), full_context(3))
+    # and numpy emits no overflow warnings on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NumericError, match=r"chaccr_verify: condition c5"):
+            chaccr_verify(1e200 * np.eye(3), full_context(3))
+    # a nilpotent input whose square is 0: only the growth bound overflows
+    huge_nilpotent = np.array([[0.0, 1e200], [0.0, 0.0]], dtype=complex)
+    with pytest.raises(NumericError, match=r"chaccr_verify: the growth bound"):
+        chaccr_verify(huge_nilpotent, full_context(2))
 
 
 @pytest.mark.parametrize("seed", range(8))
