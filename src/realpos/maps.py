@@ -16,7 +16,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import SubalgebraBasis, _spans_equal, _vec, full_matrix_algebra
+from .algebra import (
+    SubalgebraBasis,
+    _max_op_norm,
+    _pair_products,
+    _spans_equal,
+    _vec,
+    full_matrix_algebra,
+)
 from .errors import InputError, NumericError, PreconditionError, UnsupportedError
 from .linalg import (
     Tolerances,
@@ -51,6 +58,12 @@ __all__ = [
     "ProjectionClassification",
     "classify_projection",
 ]
+
+
+def _products(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """(len(right) * len(left), n, n) stack with [j, i] = left[i] @ right[j]."""
+    n = left.shape[-1]
+    return _pair_products(left, right).reshape(-1, n, n)
 
 
 class LinearMapOnAlgebra:
@@ -93,6 +106,13 @@ class LinearMapOnAlgebra:
         """T(m) for a matrix m of the domain span, unchecked."""
         n_out = self.codomain.n
         return (self._vec_action @ _vec(m)).reshape(n_out, n_out)
+
+    def _apply_stack(self, mats: np.ndarray) -> np.ndarray:
+        """T of each matrix of a (k, n, n) stack of domain-span matrices, by
+        one matmul, unchecked; returns the (k, n, n) stack of images."""
+        n_out = self.codomain.n
+        rows = mats.reshape(len(mats), -1) @ self._vec_action.T
+        return rows.reshape(-1, n_out, n_out)
 
     def __repr__(self):
         return (f"LinearMapOnAlgebra(domain dim={self.domain.dim}, "
@@ -617,25 +637,20 @@ def build_symmetric_projection(theta: LinearMapOnAlgebra, q, algebra: Subalgebra
     """
     t = resolve_tol(tol)
     qm = as_matrix(q, "q")
-    scale = 1.0 + max(_norm2(b) for b in algebra.basis)
+    cube = np.array(algebra.basis)
+    scale = 1.0 + _max_op_norm(cube)
 
     if not (theta.domain.dim == algebra.dim and _spans_equal(theta.domain, algebra)):
         raise PreconditionError("theta's domain is not the given algebra")
     if not (theta.codomain.dim == algebra.dim and _spans_equal(theta.codomain, algebra)):
         raise PreconditionError("theta's codomain is not the given algebra")
 
-    worst = max(
-        _norm2(theta._apply(theta._apply(b)) - b)
-        for b in algebra.basis
-    )
+    t_cube = theta._apply_stack(cube)
+    worst = _max_op_norm(theta._apply_stack(t_cube) - cube)
     if worst > 100 * t.eq_tol * scale:
         raise PreconditionError(f"theta is not period-2: residual {worst:.3g}")
-    worst = 0.0
-    for bi in algebra.basis:
-        ti = theta._apply(bi)
-        for bj in algebra.basis:
-            worst = max(worst, _norm2(
-                theta._apply(bi @ bj) - ti @ theta._apply(bj)))
+    worst = _max_op_norm(theta._apply_stack(_products(cube, cube))
+                         - _products(t_cube, t_cube))
     if worst > 100 * t.eq_tol * scale ** 2:
         raise PreconditionError(f"theta is not multiplicative: residual {worst:.3g}")
     idem_res = _norm2(qm @ qm - qm)
@@ -782,32 +797,26 @@ def classify_projection(p_map: LinearMapOnAlgebra, levels=(1, 2, 3), seed: int =
     rcp = rcp_test(p_map, levels=levels, budget=budget, seed=seed, tol=t)
 
     basis = p_map.domain.basis
-    p_of = [p_map._apply(b) for b in basis]
-    worst_ce = 0.0
-    for pa in p_of:
-        for b, pb in zip(basis, p_of):
-            for pc in p_of:
-                lhs = p_map._apply(pa @ b @ pc)
-                worst_ce = max(worst_ce, _norm2(lhs - pa @ pb @ pc))
+    cube = np.array(basis)
+    d, n = p_map.domain.dim, p_map.domain.n
+    p_of = p_map._apply_stack(cube)
+    pp = _products(p_of, p_of)  # [b, a] = P(a) P(b)
+    p_pp = p_map._apply_stack(pp)  # [b, a] = P(P(a) P(b))
+    p_b = _products(p_of, cube)  # [b, a] = P(a) b
+    # one (b, a) stack per c, so no stack holds more than d^2 products
+    worst_ce = worst_assoc = 0.0
+    for pc, p_bc in zip(p_of, p_pp.reshape(d, d, n, n)):  # p_bc[b] = P(P(b) P(c))
+        worst_ce = max(worst_ce, _max_op_norm(p_map._apply_stack(p_b @ pc) - pp @ pc))
+        worst_assoc = max(worst_assoc, _max_op_norm(
+            p_map._apply_stack(p_pp @ pc) - p_map._apply_stack(_products(p_of, p_bc))))
     cond_exp = worst_ce <= 1e-9
 
-    range_prods = [pi @ pj for pi in p_of for pj in p_of]
     try:
-        range_closed = _spans_equal(p_of, p_of + [rp for rp in range_prods
-                                                  if _norm2(rp) > 1e-12])
+        range_closed = _spans_equal(p_of, np.concatenate([p_of, pp[_norm2(pp) > 1e-12]]))
     except NumericError:
         range_closed = False
 
-    worst_assoc = 0.0
-    for pa in p_of:
-        for pb in p_of:
-            for pc in p_of:
-                lhs = p_map._apply(p_map._apply(pa @ pb) @ pc)
-                rhs = p_map._apply(pa @ p_map._apply(pb @ pc))
-                worst_assoc = max(worst_assoc, _norm2(lhs - rhs))
-
     # kernel basis from the SVD null space of the action
-    d = p_map.domain.dim
     _, sv, vh = np.linalg.svd(act)
     kern = []
     for i in range(d):

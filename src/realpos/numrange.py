@@ -4,11 +4,20 @@ and the sectorial angle.
 The numerical range W(x) = {v*xv : ||v|| = 1} is compact and convex; its
 support function in direction e^{i theta} is the top eigenvalue of the
 Hermitian part of e^{-i theta} x.  Every angle sweep here (the boundary,
-the distance grid, and the sector grid, which also brackets the sector's
-arc endpoints) runs as one stacked Hermitian eigenproblem over all its
-angles (Johnson, SIAM J. Numer. Anal. 15, 1978); only the bisection and
-golden-section refinements, whose next angle depends on the last, go
-angle by angle.
+the distance grid, and the sector grid of non-accretive inputs) runs as
+one stacked Hermitian eigenproblem over all its angles (Johnson, SIAM J.
+Numer. Anal. 15, 1978); only the bisection and golden-section
+refinements, whose next angle depends on the last, go angle by angle.
+
+The sectorial angle of an accretive x = H + iK (H >= 0) needs no sweep:
+|v*Kv| <= tan(theta) v*Hv for every v exactly when -tan(theta) H <= K <=
+tan(theta) H, so theta = arctan max |lambda| over the pencil K v =
+lambda H v on the range of H, and theta = pi/2 when K does not vanish on
+the kernel of H.  Both the accretivity test and the kernel are decided
+by a cut at a small multiple of the rounding level of the eigen-solve,
+_KER_ULPS * n * eps * ||x||, never by the sign of rounding noise: the cut
+scales with x, so the angle of s x is that of x, and every eigenvalue of
+H above rounding noise enters the pencil.
 """
 from __future__ import annotations
 
@@ -54,7 +63,8 @@ class SectorVerdict:
     angle is the half-angle in [0, pi], or None when no sector centred on
     the positive real axis contains W(x) (0 is interior, so every ray
     direction appears).  witness is a numerical-range point attaining the
-    extreme argument (None in the sentinel case or for x ~ 0).
+    extreme argument (within the kernel tolerance when the kernel rule
+    gives pi/2; 0 for x ~ 0; None in the sentinel case).
     """
 
     angle: float | None
@@ -193,24 +203,76 @@ def _normalize_angle(a: float) -> float:
 def sectorial_angle(x, tol: Tolerances | None = None, m: int = 256) -> SectorVerdict:
     """Smallest half-angle theta with W(x) inside {|arg z| <= theta}.
 
-    Method: the set D = {psi : min eig Re(e^{-i psi} x) >= 0} of
-    supporting directions whose half-plane constraint passes through 0 is
-    a closed arc (convexity of W).  One stacked sweep over m equispaced
-    directions (m even, at least 64) finds the best direction psi0; the
-    same sweep, read outwards from psi0 on each side, brackets the arc
-    endpoints psi-, psi+ to one grid step, and bisection refines them.
-    The extreme argument rays of the enclosing cone are
-    rho_inf = psi+ - pi/2 and rho_sup = psi- + pi/2.  The verdict angle
-    is max(|rho_inf|, |rho_sup|) after branch normalisation; if D is
-    empty, 0 is interior to W(x) and no sector works (angle None).
+    Write x = H + iK with H, K Hermitian and let ktol = _KER_ULPS * n *
+    eps * ||x||, a small multiple of the rounding error of an eigen-solve
+    of H.  If the smallest eigenvalue of H is at least -ktol, x is
+    accretive and the angle is exact, from one Hermitian eigen-solve of H
+    and one of the whitened K:
+
+    - Kernel rule: let V span the eigenvectors of H with eigenvalue <=
+      ktol.  If ||K V|| > ktol, the range reaches the imaginary axis and
+      the angle is pi/2; the witness is i*lambda for the eigenvalue of
+      V*KV of largest modulus, or 0 when every eigenvalue is within
+      ktol of 0 (then 0 is the only point of W(x) on the axis).
+    - Otherwise theta = arctan max |lambda| over the eigenvalues of
+      W*KW with W = V_r diag(w_r)^(-1/2) whitening the range of H; the
+      witness is u*xu for the matching unit vector u = W e / ||W e||.
+
+    A non-accretive x is swept instead.  The set D = {psi : min eig
+    Re(e^{-i psi} x) >= 0} of supporting directions whose half-plane
+    constraint passes through 0 is a closed arc (convexity of W).  One
+    stacked sweep over m equispaced directions (m even, at least 64)
+    finds the best direction psi0; the same sweep, read outwards from
+    psi0 on each side, brackets the arc endpoints psi-, psi+ to one grid
+    step, and bisection refines them.  The extreme argument rays of the
+    enclosing cone are rho_inf = psi+ - pi/2 and rho_sup = psi- + pi/2.
+    The verdict angle is max(|rho_inf|, |rho_sup|) after branch
+    normalisation; if D is empty, 0 is interior to W(x) and no sector
+    works (angle None).
     """
     return _sectorial_angle(as_matrix(x), resolve_tol(tol), m)
 
 
-def _sectorial_angle(a: np.ndarray, t: Tolerances, m: int = 256) -> SectorVerdict:
-    if _norm2(a) <= t.eq_tol:
-        return SectorVerdict(angle=0.0, witness=0j)
+# Kernel cut of the exact path, in units of n * eps * ||x||.  eigh resolves
+# H only to about n * eps * ||H||: Haar-conjugated kernels u (B + 0) u* and
+# the kernels of their shifted-route powers come out below 3 n eps ||x||.
+_KER_ULPS = 64.0
 
+
+def _sectorial_angle(a: np.ndarray, t: Tolerances, m: int = 256) -> SectorVerdict:
+    nrm = _norm2(a)
+    if nrm <= t.eq_tol:
+        return SectorVerdict(angle=0.0, witness=0j)
+    ktol = _KER_ULPS * a.shape[0] * np.finfo(float).eps * nrm
+    w, v = np.linalg.eigh(_herm_part(a))
+    if w[0] >= -ktol:
+        return _accretive_sector(a, w, v, ktol)
+    return _swept_sector(a, m)
+
+
+def _accretive_sector(a: np.ndarray, w: np.ndarray, v: np.ndarray,
+                      ktol: float) -> SectorVerdict:
+    """Exact sector of an accretive a from the eigenpairs (w, v) of its
+    Hermitian part: the kernel rule, then the whitened pencil."""
+    k = _herm_part(-1j * a)
+    ker = w <= ktol
+    v_ker = v[:, ker]
+    if v_ker.shape[1] and _norm2(k @ v_ker) > ktol:
+        lam = np.linalg.eigvalsh(v_ker.conj().T @ k @ v_ker)
+        top = float(lam[np.argmax(np.abs(lam))])
+        return SectorVerdict(angle=np.pi / 2.0, witness=1j * top if abs(top) > ktol else 0j)
+    # some of H is range: were all of it kernel, ||x|| <= ||H|| + ||K|| <= 2 ktol
+    wr = v[:, ~ker] / np.sqrt(w[~ker])
+    lam, e = np.linalg.eigh(wr.conj().T @ k @ wr)
+    j = int(np.argmax(np.abs(lam)))
+    u = wr @ e[:, j]
+    u /= np.linalg.norm(u)
+    return SectorVerdict(angle=float(np.arctan(abs(lam[j]))),
+                         witness=complex(u.conj() @ (a @ u)))
+
+
+def _swept_sector(a: np.ndarray, m: int) -> SectorVerdict:
+    """Sector of a non-accretive a by the stacked sweep and bisection."""
     m = max(int(m), 64)
     m += m % 2
     grid = np.linspace(-np.pi, np.pi, m, endpoint=False)

@@ -26,6 +26,14 @@ def test_nrange_writes_csv_and_svg(tmp_path, capsys):
     assert svg.read_text().startswith("<svg ")
 
 
+def test_nrange_rank_one_psd_has_angle_zero(tmp_path, capsys):
+    v = np.array([1.0, -1.0j, 0.5, 0.0])
+    p = tmp_path / "p.json"
+    write_matrix(np.outer(v, v.conj()), str(p))
+    assert cli.main(["nrange", str(p)]) == cli.EXIT_OK
+    assert "sectorial angle: 0\n" in capsys.readouterr().out
+
+
 def test_nrange_rejects_malformed_json(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text("{not json")

@@ -3,7 +3,12 @@ estimation, real-complete-positivity testing, symmetric projections."""
 import numpy as np
 import pytest
 
-from realpos.algebra import block_diag_algebra, diagonal_algebra, full_matrix_algebra
+from realpos.algebra import (
+    block_diag_algebra,
+    diagonal_algebra,
+    full_matrix_algebra,
+    spans_equal,
+)
 from realpos.errors import InputError, PreconditionError, UnsupportedError
 from realpos.linalg import operator_norm, random_unitary, rng_for
 from realpos.maps import (
@@ -297,6 +302,61 @@ def test_classify_block_conditional_expectation():
     assert c.bicontractive
     # kernel = off-diagonal span; E12 E21 = E11, so squares do not vanish
     assert not c.kernel_square_zero
+
+
+def _projection_residuals_by_loop(p_map):
+    """cond-exp and associativity residuals and range closure of P, one
+    product and one application of P at a time."""
+    basis = p_map.domain.basis
+    p_of = [p_map.apply(b) for b in basis]
+    worst_ce = worst_assoc = 0.0
+    for pa in p_of:
+        for b, pb in zip(basis, p_of):
+            for pc in p_of:
+                worst_ce = max(worst_ce, operator_norm(
+                    p_map.apply(pa @ b @ pc) - pa @ pb @ pc))
+                lhs = p_map.apply(p_map.apply(pa @ pb) @ pc)
+                worst_assoc = max(worst_assoc, operator_norm(
+                    lhs - p_map.apply(pa @ p_map.apply(pb @ pc))))
+    prods = [pi @ pj for pi in p_of for pj in p_of]
+    closed = spans_equal(p_of, p_of + [m for m in prods if operator_norm(m) > 1e-12])
+    return worst_ce, worst_assoc, closed
+
+
+@pytest.mark.parametrize("kind", ["scalar_avg", "diagonal", "rank_one"])
+def test_classify_projection_stacks_match_loop(kind):
+    alg = full_matrix_algebra(2)
+    if kind == "scalar_avg":
+        f = lambda m: np.trace(m) / 2.0 * np.eye(2, dtype=complex)
+    elif kind == "diagonal":
+        f = lambda m: np.diag(np.diag(m)).astype(complex)
+    else:
+        # P(m) = tr(m a) b with tr(b a) = 1: idempotent, not a conditional
+        # expectation, so the residuals compared are far from 0
+        rng = rng_for(5)
+        a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        b = b / np.trace(b @ a)
+        f = lambda m: np.trace(m @ a) * b
+    p_map = map_from_function(f, alg)
+    c = classify_projection(p_map, levels=(1,), budget=20, seed=1)
+    ce, assoc, closed = _projection_residuals_by_loop(p_map)
+    assert c.cond_exp_residual == pytest.approx(ce, rel=1e-12, abs=1e-14)
+    assert c.induced_assoc_residual == pytest.approx(assoc, rel=1e-12, abs=1e-14)
+    assert c.range_product_closed == closed
+    if kind == "rank_one":
+        assert ce > 1e-3 and not c.conditional_expectation
+
+
+def test_build_symmetric_projection_multiplicativity_matches_loop():
+    # the transpose is period-2 and fixes diag(1, 0), but reverses products
+    alg = full_matrix_algebra(2)
+    theta = transpose_map(2)
+    worst = max(operator_norm(theta.apply(bi @ bj) - theta.apply(bi) @ theta.apply(bj))
+                for bi in alg.basis for bj in alg.basis)
+    q = np.diag([1.0, 0.0]).astype(complex)
+    with pytest.raises(PreconditionError, match=f"not multiplicative: residual {worst:.3g}"):
+        build_symmetric_projection(theta, q, alg)
 
 
 def test_classify_rejects_non_idempotent():

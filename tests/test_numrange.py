@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 
 from realpos import numrange
 from realpos.errors import InputError
-from realpos.linalg import random_accretive, random_hermitian, random_matrix
+from realpos.calculus import power_property_report
+from realpos.linalg import (
+    random_accretive,
+    random_hermitian,
+    random_matrix,
+    random_unitary,
+)
 from realpos.numrange import (
     abscissa,
     boundary,
@@ -102,6 +108,10 @@ def test_sectorial_angle_psd_is_zero():
 def test_sectorial_angle_zero_matrix():
     v = sectorial_angle(np.zeros((3, 3), dtype=complex))
     assert v.angle == 0.0
+    # just above eq_tol in norm: a positive multiple of I, W(x) = {1.0000000005e-9}
+    v = sectorial_angle(1.0000000005e-9 * np.eye(3, dtype=complex))
+    assert v.angle == 0.0
+    assert v.witness == pytest.approx(1.0000000005e-9, rel=1e-12)
 
 
 def test_sectorial_angle_segment_to_i():
@@ -177,15 +187,20 @@ def test_stacked_sweeps_match_per_angle_loop_bitwise(n):
         assert np.array_equal(rb.boundary_points, np.array(points))
 
 
+def pencil_angle(x):
+    """arctan max |lambda| over K v = lambda H v for x = H + iK, H > 0."""
+    h = (x + x.conj().T) / 2.0
+    k = (x - x.conj().T) / 2j
+    return np.arctan(np.max(np.abs(sla.eigvalsh(k, h))))
+
+
 @pytest.mark.parametrize("n", [2, 4, 8, 16])
 def test_sectorial_angle_matches_pencil_angle(n):
     """For x = H + iK with H positive definite, the sectorial angle is
     arctan max |lambda| over K v = lambda H v."""
     for seed in range(6):
         x = random_accretive(n, 100 * n + seed, angle_cap=0.15 + 0.25 * seed)
-        h = (x + x.conj().T) / 2.0
-        k = (x - x.conj().T) / 2j
-        exact = np.arctan(np.max(np.abs(sla.eigvalsh(k, h))))
+        exact = pencil_angle(x)
         v = sectorial_angle(x)
         assert v.angle == pytest.approx(exact, abs=1e-8)
         assert abs(abs(np.angle(v.witness)) - exact) <= 1e-6
@@ -239,14 +254,108 @@ def _sectorial_angle_per_side_sweep(x, m=256):
 
 @pytest.mark.parametrize("n", [2, 4, 8, 16])
 def test_sectorial_angle_matches_per_side_sweep_bitwise(n):
+    """Non-accretive inputs take the sweep, bit for bit as the per-side
+    reference; accretive ones take the exact pencil."""
     rng = np.random.default_rng(n)
     for _ in range(3):
-        inputs = (random_accretive(n, rng), random_hermitian(n, rng, psd=True),
-                  random_accretive(n, rng, angle_cap=float(rng.uniform(0.05, 1.5))),
-                  random_matrix(n, rng))
-        for x in inputs:
+        for x in (random_accretive(n, rng), random_hermitian(n, rng, psd=True),
+                  random_accretive(n, rng, angle_cap=float(rng.uniform(0.05, 1.5)))):
+            exact = pencil_angle(x)
             v = sectorial_angle(x)
-            assert (v.angle, v.witness) == _sectorial_angle_per_side_sweep(x)
+            assert v.angle == pytest.approx(exact, abs=1e-8)
+            assert abs(abs(np.angle(v.witness)) - exact) <= 1e-6
+        x = random_matrix(n, rng)
+        assert abscissa(x) < 0.0
+        v = sectorial_angle(x)
+        assert (v.angle, v.witness) == _sectorial_angle_per_side_sweep(x)
+
+
+def embed_with_kernel(block, n, seed):
+    """u (block + 0) u* with a Haar unitary u of size n."""
+    z = np.zeros((n, n), dtype=complex)
+    k = block.shape[0]
+    z[:k, :k] = block
+    u = random_unitary(n, seed)
+    return u @ z @ u.conj().T
+
+
+def test_sectorial_angle_rank_one_projection_is_zero():
+    u = random_unitary(2, 11)
+    v = sectorial_angle(u @ np.diag([1.0, 0.0]) @ u.conj().T)
+    assert abs(v.angle) <= 1e-12
+    assert abs(np.angle(v.witness)) <= 1e-12
+
+
+def test_sectorial_angle_rank_one_psd_is_zero_not_none():
+    g = random_matrix(4, 12)[:, :1]
+    v = sectorial_angle(g @ g.conj().T)
+    assert v.angle == 0.0
+
+
+@pytest.mark.parametrize("n", [4, 8, 16])
+def test_sectorial_angle_with_kernel_is_block_pencil_angle(n):
+    for seed in range(4):
+        block = random_accretive(n // 2, 1000 * n + seed, angle_cap=0.2 + 0.4 * seed)
+        exact = pencil_angle(block)
+        v = sectorial_angle(embed_with_kernel(block, n, seed))
+        assert v.angle == pytest.approx(exact, abs=1e-8)
+        assert abs(abs(np.angle(v.witness)) - exact) <= 1e-6
+
+
+def test_sectorial_angle_kernel_rule():
+    # K is nonzero on the kernel of H = diag(1, 0): the point i is in W
+    v = sectorial_angle(np.diag([1.0, 1.0j]))
+    assert v.angle == np.pi / 2 and v.witness == 1j
+    # H = diag(1, 0) and K = [[0, -i], [i, 0]]: K is zero on ker H x ker H
+    # but K e2 != 0, so W touches the imaginary axis only at 0
+    v = sectorial_angle(np.array([[1.0, 1.0], [-1.0, 0.0]]))
+    assert v.angle == np.pi / 2 and v.witness == 0j
+
+
+@pytest.mark.parametrize("delta", [1e-9, 1.9e-9, 1e-6])
+def test_sectorial_angle_keeps_small_range_eigenvalues(delta):
+    # W(x) is the segment from 1 to delta (1 + i): H = diag(1, delta) has no
+    # kernel, however small delta is against ||x||
+    v = sectorial_angle(np.diag([1.0, delta * (1 + 1j)]))
+    assert v.angle == pytest.approx(np.pi / 4, abs=1e-12)
+    assert v.witness == pytest.approx(delta * (1 + 1j), rel=1e-12)
+
+
+def test_sectorial_angle_small_h_eigenvalue_with_coupling_is_pencil_angle():
+    # H = diag(1, 1e-9) is positive definite; K = 1e-8 sigma_x couples its
+    # two directions, so the angle is arctan(1e-8 / sqrt(1e-9)), not pi/2
+    x = np.diag([1.0, 1e-9]) + 1e-8j * np.array([[0.0, 1.0], [1.0, 0.0]])
+    assert sectorial_angle(x).angle == pytest.approx(pencil_angle(x), rel=1e-9)
+    assert sectorial_angle(x).angle == pytest.approx(np.arctan(1e-8 / np.sqrt(1e-9)), rel=1e-9)
+
+
+@pytest.mark.parametrize("s", [1e-6, 1.0, 1e6])
+def test_sectorial_angle_is_scale_invariant(s):
+    kernel_input = embed_with_kernel(random_accretive(3, 21, angle_cap=0.9), 6, 22)
+    for x in (np.diag([1.0, 1e-3 * (1 + 1j)]), random_accretive(5, 23, angle_cap=0.6),
+              kernel_input, random_hermitian(4, 24, psd=True)):
+        assert sectorial_angle(s * x).angle == pytest.approx(sectorial_angle(x).angle, abs=1e-12)
+
+
+def test_nearly_positive_singular_psd_contraction():
+    x = embed_with_kernel(np.diag([0.9, 0.5]).astype(complex), 4, 13)
+    rep = is_nearly_positive(x, eps=0.1)
+    assert rep.verdict
+    assert rep.angle == pytest.approx(0.0, abs=1e-12)
+
+
+def test_power_property_report_sector_laws_on_kernel_input():
+    x = embed_with_kernel(random_accretive(2, 14, angle_cap=0.8), 4, 15)
+    rep = power_property_report(x)
+    assert rep.verdicts["sector_sharp"] and rep.verdicts["sector_banach"]
+
+
+def test_power_property_report_sector_laws_with_small_range_eigenvalue():
+    # angle(x) = pi/4 exactly, and the shifted route keeps the eigenvalue
+    # 1.9e-9 (1 + i), so angle(x^t) = t pi/4
+    rep = power_property_report(np.diag([1.0, 1.9e-9 * (1 + 1j)]))
+    assert rep.details["angle"] == pytest.approx(np.pi / 4, abs=1e-12)
+    assert rep.verdicts["sector_sharp"] and rep.verdicts["sector_banach"]
 
 
 def test_non_finite_point_or_angle_rejected():
