@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -169,6 +170,14 @@ class SubalgebraBasis:
     @property
     def n(self) -> int:
         return self.ambient.n
+
+    @cached_property
+    def _star_closed(self) -> bool:
+        """Is the span closed under the adjoint?  One projection of the
+        stacked adjoints of the basis, each within _SPAN_TOL relative."""
+        adj = np.array(self.basis).transpose(0, 2, 1).conj().reshape(self.dim, -1)
+        res = np.linalg.norm(adj - self._project_vecs(adj), axis=1)
+        return bool(np.all(res <= _SPAN_TOL * (1.0 + np.linalg.norm(adj, axis=1))))
 
     def _project_vecs(self, v: np.ndarray) -> np.ndarray:
         """Orthogonal projection onto the span of vectorised matrices, one

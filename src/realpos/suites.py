@@ -322,7 +322,8 @@ def _theta_q_fixture(rng, n: int):
 
 def suite_proj(seed: int, count: int, n: int, tol: Tolerances) -> list:
     """Symmetric-projection construction certificates plus the
-    scalar-averaging classification."""
+    scalar-averaging classification; details["rcp_certificate"] names the
+    certificate behind the RCP verdict ("" for evidence only)."""
     out = []
     for i in range(count):
         rng = _rng(seed, "proj", i)
@@ -344,7 +345,8 @@ def suite_proj(seed: int, count: int, n: int, tol: Tolerances) -> list:
                            **{f"symmetry_level_{k}": float(v)
                               for k, v in cls.symmetric_levels.items()}},
                 tolerances=tol.as_dict(),
-                details={"fixture": "scalar_averaging_M2"},
+                details={"fixture": "scalar_averaging_M2",
+                         "rcp_certificate": cls.rcp.certificate or ""},
             )
             out.append(_tag(rep, "proj", i, seed, p_map.action))
             continue
@@ -367,7 +369,8 @@ def suite_proj(seed: int, count: int, n: int, tol: Tolerances) -> list:
                        **{f"symmetry_level_{k}": float(v)
                           for k, v in cert.symmetry_norms.items()}},
             tolerances=tol.as_dict(),
-            details={"fixture": "theta_q_block"},
+            details={"fixture": "theta_q_block",
+                     "rcp_certificate": cert.rcp.certificate or ""},
         )
         out.append(_tag(rep, "proj", i, seed, p_map.action))
     return out

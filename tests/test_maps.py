@@ -8,9 +8,10 @@ from realpos.algebra import (
     diagonal_algebra,
     full_matrix_algebra,
     spans_equal,
+    subalgebra,
 )
 from realpos.errors import InputError, PreconditionError, UnsupportedError
-from realpos.linalg import operator_norm, random_unitary, rng_for
+from realpos.linalg import operator_norm, random_matrix, random_unitary, rng_for
 from realpos.maps import (
     LinearMapOnAlgebra,
     amplify,
@@ -26,6 +27,9 @@ from realpos.maps import (
     rcp_test,
     transpose_map,
 )
+from realpos.maps import _accretive_sample
+from realpos.numrange import abscissa
+from realpos.suites import _theta_q_fixture
 
 SWAP2 = np.array([
     [1, 0, 0, 0],
@@ -83,6 +87,21 @@ def test_kraus_roundtrip_random_cp():
     a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     rebuilt = sum(o.conj().T @ a @ o for o in kops)
     assert np.allclose(rebuilt, t_map.apply(a), atol=1e-8)
+
+
+def test_kraus_factor_between_sizes():
+    # T(a) = v^* a v from M_2 to M_3; rcp_test decides it through its Choi matrix
+    rng = rng_for(1)
+    v = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+    t_map = map_from_function(lambda a: v.conj().T @ a @ v, full_matrix_algebra(2),
+                              full_matrix_algebra(3))
+    kops, res = kraus_factor(t_map)
+    assert len(kops) == 1 and kops[0].shape == (2, 3)
+    assert res <= 1e-12
+    a = random_matrix(2, rng)
+    assert np.allclose(kops[0].conj().T @ a @ kops[0], t_map.apply(a), atol=1e-10)
+    verdict = rcp_test(t_map)
+    assert verdict.passed and verdict.certificate == "choi_psd"
 
 
 def test_kraus_rejects_non_cp():
@@ -221,9 +240,110 @@ def test_rcp_transpose_witness():
 
 
 def test_rcp_non_full_domain_uncertified_pass():
-    d = diagonal_algebra(3)
-    v = rcp_test(identity_map(d), seed=1, budget=60)
-    assert v.passed and not v.certified
+    # the diagonal algebra is a C*-algebra: decided exactly, certified
+    v = rcp_test(identity_map(diagonal_algebra(3)), seed=1, budget=60)
+    assert v.passed and v.certified and v.certificate == "choi_psd"
+    # the upper-triangular algebra is not *-closed: sampling is evidence only
+    e = np.eye(2, dtype=complex)
+    upper = subalgebra([np.outer(e[0], e[0]), np.outer(e[0], e[1]), np.outer(e[1], e[1])],
+                       unit=np.eye(2))
+    v = rcp_test(identity_map(upper), seed=1, budget=60)
+    assert v.passed and not v.certified and v.certificate is None
+
+
+def _criterion_12_maps():
+    """The identity on M_3 and the 20 seeded Kraus maps of acceptance
+    criterion 12."""
+    maps = [identity_map(full_matrix_algebra(3))]
+    for i in range(20):
+        rng = np.random.default_rng((20260816, 12, i))
+        n = 2 + (i % 3)
+        ops = [random_matrix(n, rng) / np.sqrt(2 * n)
+               for _ in range(1 + int(rng.integers(0, 3)))]
+        maps.append(map_from_kraus(ops, n))
+    return maps
+
+
+def _theta_q_projection(n, seed=5):
+    theta, q, alg = _theta_q_fixture(rng_for(seed), n)
+    p_map, _ = build_symmetric_projection(theta, q, alg, levels=(1,), seed=seed)
+    return p_map
+
+
+def _id_plus_transpose(beta):
+    return map_from_function(lambda m: m + beta * m.T, full_matrix_algebra(2))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_rcp_exact_on_theta_q_projection(n):
+    v = rcp_test(_theta_q_projection(n), seed=n)
+    assert v.passed and v.certified and v.certificate == "choi_psd"
+    assert not v.sampled_violations
+
+
+def test_rcp_exact_witness_on_block_diagonal_transpose():
+    alg = block_diag_algebra([2, 1])
+    t_map = map_from_function(lambda m: m.T.copy(), alg)
+    v = rcp_test(t_map)
+    assert not v.passed and v.certified and v.certificate == "witness"
+    w = v.witness
+    assert w["level"] == 3
+    assert w["in_abscissa"] >= -1e-10
+    assert w["out_abscissa"] <= -1e-4
+    y = amplify(t_map, 3).apply(w["matrix"], check=True)
+    assert abscissa(y) == pytest.approx(w["out_abscissa"], abs=1e-12)
+
+
+def test_rcp_exact_witness_for_non_hermitian_choi():
+    t_map = map_from_function(lambda m: 1j * m, full_matrix_algebra(2))
+    assert not choi_matrix(t_map).herm
+    v = rcp_test(t_map)
+    assert not v.passed and v.certified and v.certificate == "witness"
+    assert v.witness["level"] == 2
+    assert v.witness["in_abscissa"] >= -1e-10
+    assert v.witness["out_abscissa"] <= -1e-4
+
+
+@pytest.mark.parametrize("beta, passed, certified", [
+    (1e-10, True, True),   # Choi min eigenvalue -1e-10 is within psd_tol
+    (3e-9, True, False),   # image abscissa -1.5e-9 is above the witness threshold
+    (1e-6, False, True),
+])
+def test_rcp_near_cp_boundary(beta, passed, certified):
+    v = rcp_test(_id_plus_transpose(beta))
+    assert (v.passed, v.certified) == (passed, certified)
+    if certified:
+        assert v.certificate == ("choi_psd" if passed else "witness")
+
+
+def test_rcp_verdict_is_cp_verdict_on_criterion_12_maps():
+    for i, t_map in enumerate(_criterion_12_maps()):
+        cp = is_cp(t_map).cp
+        v = rcp_test(t_map, seed=i)
+        assert v.passed == cp and v.certified == cp
+
+
+def _sampled_accretivity_holds(t_map, seed):
+    """The phase-1 sampler of the evidence path (20 seeded accretive
+    samples per level, levels 1-3): every image abscissa is at least
+    -1e-8 * (1 + ||T_k(X)||)."""
+    rng = rng_for(seed)
+    for k in (1, 2, 3):
+        tk = amplify(t_map, k)
+        for _ in range(20):
+            y = tk.apply(_accretive_sample(tk, rng))
+            if abscissa(y) < -1e-8 * (1.0 + operator_norm(y)):
+                return False
+    return True
+
+
+def test_exact_rcp_passes_agree_with_sampling():
+    certified = [identity_map(diagonal_algebra(3)), _id_plus_transpose(1e-10),
+                 *(_theta_q_projection(n) for n in (2, 3, 4)), *_criterion_12_maps()]
+    for seed, t_map in enumerate(certified):
+        v = rcp_test(t_map, seed=seed)
+        assert v.passed and v.certified, seed
+        assert _sampled_accretivity_holds(t_map, seed), seed
 
 
 def _theta_q_m2_plus_m1(seed=0):

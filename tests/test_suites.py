@@ -38,6 +38,12 @@ def test_supp3_exercises_both_answers():
     assert all(rep.passed for rep in reports)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_proj_rcp_is_decided_by_choi_certificate(n):
+    reports = run_suite("proj", seed=3, count=3, n=n)
+    assert [rep.details["rcp_certificate"] for rep in reports] == ["choi_psd"] * 3
+
+
 def test_transpose_fixture_only_with_rcp_alone():
     reports, ok = run_suites(["rcp"], seed=0, count=1, n=2,
                              fixture="transpose2")
