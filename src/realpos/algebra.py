@@ -179,6 +179,11 @@ class SubalgebraBasis:
         res = np.linalg.norm(adj - self._project_vecs(adj), axis=1)
         return bool(np.all(res <= _SPAN_TOL * (1.0 + np.linalg.norm(adj, axis=1))))
 
+    @cached_property
+    def _cols(self) -> np.ndarray:
+        """The vectorised basis matrices as the columns of an (n^2, dim) array."""
+        return np.array([_vec(b) for b in self.basis]).T
+
     def _project_vecs(self, v: np.ndarray) -> np.ndarray:
         """Orthogonal projection onto the span of vectorised matrices, one
         per row of v (or a single vector)."""
@@ -202,9 +207,15 @@ class SubalgebraBasis:
     def _coords(self, a: np.ndarray):
         v = _vec(a)
         c = self._pinv @ v
-        cols = np.array([_vec(b) for b in self.basis]).T
-        res = float(np.linalg.norm(cols @ c - v))
+        res = float(np.linalg.norm(self._cols @ c - v))
         return c, res
+
+    def _coords_stack(self, mats: np.ndarray):
+        """_coords of each matrix of an (m, n, n) stack: the (dim, m)
+        coordinate columns and the (m,) representation residuals."""
+        v = mats.reshape(len(mats), -1).T
+        c = self._pinv @ v
+        return c, np.linalg.norm(self._cols @ c - v, axis=0)
 
     def project(self, m) -> np.ndarray:
         return self._project_vecs(_vec(as_matrix(m))).reshape(self.n, self.n)

@@ -87,8 +87,7 @@ class LinearMapOnAlgebra:
                 f"domain dim {domain.dim})"
             )
         self.action = a
-        cols_out = np.array([_vec(b) for b in codomain.basis]).T
-        self._vec_action = cols_out @ a @ domain._pinv
+        self._vec_action = codomain._cols @ a @ domain._pinv
 
     @property
     def full_domain(self) -> bool:
@@ -192,12 +191,14 @@ class AmplifiedMap:
         self.unit = None if u is None else np.kron(np.eye(k, dtype=complex), u)
 
     def _blocks(self, x: np.ndarray) -> np.ndarray:
-        k, n = self.k, x.shape[0] // self.k
-        return x.reshape(k, n, k, n).transpose(0, 2, 1, 3).reshape(k * k, n * n)
+        """The (k*k, n*n) block rows of x, or of each matrix of a stack x."""
+        k, n, lead = self.k, x.shape[-1] // self.k, x.shape[:-2]
+        return x.reshape(*lead, k, n, k, n).swapaxes(-3, -2).reshape(*lead, k * k, n * n)
 
     def _unblocks(self, rows: np.ndarray) -> np.ndarray:
-        k, n = self.k, math.isqrt(rows.shape[1])
-        return rows.reshape(k, k, n, n).transpose(0, 2, 1, 3).reshape(k * n, k * n)
+        """Inverse of _blocks, for one matrix or a stack."""
+        k, n, lead = self.k, math.isqrt(rows.shape[-1]), rows.shape[:-2]
+        return rows.reshape(*lead, k, k, n, n).swapaxes(-3, -2).reshape(*lead, k * n, k * n)
 
     def apply(self, x, check: bool = True) -> np.ndarray:
         a = as_matrix(x)
@@ -220,17 +221,17 @@ class AmplifiedMap:
         return self._unblocks(self._blocks(y) @ self.base._vec_action)
 
     def project(self, x: np.ndarray) -> np.ndarray:
-        """Orthogonal projection onto M_k(domain span), block by block."""
+        """Orthogonal projection onto M_k(domain span), block by block, of
+        one matrix or of each matrix of a stack."""
         return self._unblocks(self.base.domain._project_vecs(self._blocks(x)))
 
     def random_element(self, rng) -> np.ndarray:
         """sum_{i,j,l} c_ijl E_ij tensor b_l for complex Gaussian c, drawn
         as all real parts then all imaginary parts in (i, j, l) order."""
-        basis = self.base.domain.basis
-        d = self.k * self.k * len(basis)
+        dim = self.base.domain.dim
+        d = self.k * self.k * dim
         coef = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        stacked = np.array([_vec(b) for b in basis])
-        return self._unblocks(coef.reshape(self.k * self.k, len(basis)) @ stacked)
+        return self._unblocks(coef.reshape(self.k * self.k, dim) @ self.base.domain._cols.T)
 
 
 def amplify(t_map: LinearMapOnAlgebra, k: int) -> AmplifiedMap:
@@ -359,8 +360,11 @@ class NormEstimate:
     start_index: int
 
 
-def op_norm_estimate(t_map: LinearMapOnAlgebra, k: int = 1, budget: int = 240,
-                     seed: int = 0, tol: Tolerances | None = None) -> NormEstimate:
+_NORM_BUDGET = 240
+
+
+def op_norm_estimate(t_map: LinearMapOnAlgebra, k: int = 1, budget: int = _NORM_BUDGET,
+                     seed: int = 0) -> NormEstimate:
     """Estimate ||T_k|| = sup {||T_k(u)|| : u in M_k(domain), ||u|| <= 1}.
 
     Alternating ascent: for the current u take the top singular pair
@@ -373,57 +377,82 @@ def op_norm_estimate(t_map: LinearMapOnAlgebra, k: int = 1, budget: int = 240,
     """
     if int(budget) < 1:
         raise InputError(f"budget must be >= 1, got {budget}")
-    tk = amplify(t_map, k)
-    n_in = tk.n_in
-    full = tk.full_domain
+    return _op_norm_estimates([t_map], k, budget, seed)[0]
+
+
+def _op_norm_estimates(t_maps, k: int, budget: int, seed: int) -> list:
+    """op_norm_estimate of each map of t_maps, which share one domain and
+    one codomain size, as a list of NormEstimate.
+
+    The starts depend only on the domain, k and seed, so every map gets
+    the same six.  All (map, start) ascents run in lockstep: a step is
+    one stacked SVD of the active T_k(u), one stacked transpose action,
+    one stacked polar SVD and, on a proper domain, one projection and one
+    batched rescale; an ascent stops at its first step that does not
+    improve its value by more than 1e-12 * (1 + value).
+    """
+    tk = amplify(t_maps[0], k)
+    base = tk.base.domain
     rng = rng_for(seed)
-
-    def objective(u):
-        uu, sv, vvh = np.linalg.svd(tk._apply(u))
-        return float(sv[0]), uu[:, 0], vvh[0].conj()
-
-    base = t_map.domain
     if tk.unit is not None:
         u0 = tk.unit
     else:  # E_00 tensor the first basis element
-        u0 = np.zeros((n_in, n_in), dtype=complex)
+        u0 = np.zeros((tk.n_in, tk.n_in), dtype=complex)
         u0[:base.n, :base.n] = base.basis[0]
     starts = [u0 / max(_norm2(u0), 1e-30)]
-    if full and k >= 2:
+    if tk.full_domain and k >= 2:
         starts.append(_unit_pairing(k, base.n, swap=True))
         starts.append(_unit_pairing(k, base.n) / min(k, base.n))
     while len(starts) < 6:
-        if full:
-            starts.append(random_unitary(n_in, rng))
+        if tk.full_domain:
+            starts.append(random_unitary(tk.n_in, rng))
         else:
             cand = tk.random_element(rng)
             starts.append(cand / max(_norm2(cand), 1e-30))
 
-    per_start = max(3, int(budget) // len(starts))
-    best_val, best_idx, best_stat, total_iter = -1.0, 0, False, 0
-    for idx, u in enumerate(starts):
-        val, w, v = objective(u)
-        stationary = False
-        for _ in range(per_start):
-            total_iter += 1
-            g = tk.apply_transpose(np.outer(w.conj(), v)).T
-            gu, _, gvh = np.linalg.svd(g)
-            u_new = gvh.conj().T @ gu.conj().T
-            if not full:
-                u_new = tk.project(u_new)
-                nn = _norm2(u_new)
-                if nn > 1.0:
-                    u_new = u_new / nn
-            val_new, w_new, v_new = objective(u_new)
-            if val_new > val + 1e-12 * (1.0 + val):
-                u, val, w, v = u_new, val_new, w_new, v_new
-            else:
-                stationary = True
-                break
-        if val > best_val + 1e-15:
-            best_val, best_idx, best_stat = val, idx, stationary
-    return NormEstimate(value=best_val, stationary=best_stat,
-                        iterations=total_iter, start_index=best_idx)
+    n_maps, n_starts = len(t_maps), len(starts)
+    per_start = max(3, int(budget) // n_starts)
+    owner = np.repeat(np.arange(n_maps), n_starts)  # ascent -> its map
+    va = np.array([t._vec_action for t in t_maps])[owner]
+
+    def objective(idx, u):  # top singular triple of T_k(u[i]) for ascent idx[i]
+        y = tk._unblocks(tk._blocks(u) @ va[idx].transpose(0, 2, 1))
+        uu, sv, vvh = np.linalg.svd(y)
+        return sv[:, 0], uu[:, :, 0], vvh[:, 0].conj()
+
+    active = np.arange(len(owner))
+    val, w, v = objective(active, np.tile(np.array(starts), (n_maps, 1, 1)))
+    stationary = np.zeros(len(owner), dtype=bool)
+    iterations = np.zeros(n_maps, dtype=int)
+    for _ in range(per_start):
+        if not len(active):
+            break
+        iterations += np.bincount(owner[active], minlength=n_maps)
+        outer = w[active].conj()[:, :, None] * v[active][:, None, :]
+        g = tk._unblocks(tk._blocks(outer) @ va[active]).swapaxes(-2, -1)
+        gu, _, gvh = np.linalg.svd(g)
+        u_new = gvh.conj().swapaxes(-2, -1) @ gu.conj().swapaxes(-2, -1)
+        if not tk.full_domain:
+            u_new = tk.project(u_new)
+            nn = _norm2(u_new)
+            big = nn > 1.0
+            u_new[big] /= nn[big, None, None]
+        val_new, w_new, v_new = objective(active, u_new)
+        up = val_new > val[active] + 1e-12 * (1.0 + val[active])
+        stationary[active[~up]] = True
+        active = active[up]
+        val[active], w[active], v[active] = val_new[up], w_new[up], v_new[up]
+
+    out = []
+    for m in range(n_maps):
+        best_val, best_idx, best_stat = -1.0, 0, False
+        for idx in range(n_starts):
+            a = m * n_starts + idx
+            if val[a] > best_val + 1e-15:
+                best_val, best_idx, best_stat = float(val[a]), idx, bool(stationary[a])
+        out.append(NormEstimate(value=best_val, stationary=best_stat,
+                                iterations=int(iterations[m]), start_index=best_idx))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -699,56 +728,36 @@ def build_symmetric_projection(theta: LinearMapOnAlgebra, q, algebra: Subalgebra
     if fix_res > 100 * t.eq_tol * (1.0 + _norm2(qm)):
         raise PreconditionError(f"theta does not fix q: residual {fix_res:.3g}")
 
-    images = []
-    for b in algebra.basis:
-        tb = theta._apply(b)
-        images.append(0.5 * (b + 2.0 * (tb @ qm) - tb))
-    cols = []
-    for i, img in enumerate(images):
-        c, res = algebra._coords(img)
-        if res > 1e-8 * (1.0 + np.linalg.norm(_vec(img))):
-            raise PreconditionError(
-                f"projection image of basis element {i} leaves the algebra "
-                f"(residual {res:.3g}); theta, q are not compatible"
-            )
-        cols.append(c)
-    p_map = LinearMapOnAlgebra(algebra, algebra, np.array(cols).T)
+    images = 0.5 * (cube + 2.0 * (t_cube @ qm) - t_cube)
+    cols, res = algebra._coords_stack(images)
+    bad = np.flatnonzero(res > 1e-8 * (1.0 + np.linalg.norm(images, axis=(1, 2))))
+    if len(bad):
+        raise PreconditionError(
+            f"projection image of basis element {bad[0]} leaves the algebra "
+            f"(residual {res[bad[0]]:.3g}); theta, q are not compatible"
+        )
+    p_map = LinearMapOnAlgebra(algebra, algebra, cols)
 
     va = p_map._vec_action
     idem = _norm2(va @ va - va)
     sym_map = map_affine_combo(p_map, 1.0, -2.0)
     comp_map = map_affine_combo(p_map, 1.0, -1.0)
-    sym_norms = {}
-    p_norms = {}
-    comp_norms = {}
+    sym_norms, p_norms, comp_norms = {}, {}, {}
     for k in levels:
-        sym_norms[k] = op_norm_estimate(sym_map, k, seed=seed).value
-        p_norms[k] = op_norm_estimate(p_map, k, seed=seed).value
-        comp_norms[k] = op_norm_estimate(comp_map, k, seed=seed).value
+        sym_norms[k], p_norms[k], comp_norms[k] = (e.value for e in _op_norm_estimates(
+            [sym_map, p_map, comp_map], k, _NORM_BUDGET, seed))
     rcp = rcp_test(p_map, levels=levels, budget=rcp_budget, seed=seed, tol=t)
 
     # range = fixed points of theta intersected with the q corner
     d = algebra.dim
-    comp_action = np.zeros((d, d), dtype=complex)
-    for j, b in enumerate(algebra.basis):
-        c, _ = algebra._coords(qm @ b @ qm)
-        comp_action[:, j] = c
+    comp_action, _ = algebra._coords_stack(qm @ cube @ qm)
     stackm = np.concatenate([theta.action - np.eye(d), comp_action - np.eye(d)], axis=0)
     _, sv, vh = np.linalg.svd(stackm)
-    fixed = []
-    for i in range(d):
-        if sv[i] <= 1e-9 * max(1.0, float(sv[0])):
-            coefv = vh.conj().T[:, i]
-            fixed.append(sum(cc * bb for cc, bb in zip(coefv, algebra.basis)))
-    range_mats = [p_map._apply(b) for b in algebra.basis]
-    range_ok = _spans_equal(range_mats, fixed) if fixed or range_mats else True
+    fixed = np.tensordot(vh[sv <= 1e-9 * max(1.0, float(sv[0]))].conj(), cube, axes=1)
+    range_ok = _spans_equal(p_map._apply_stack(cube), fixed)
 
-    vanish = 0.0
-    for b in algebra.basis:
-        left = b - qm @ b
-        right = b - b @ qm
-        vanish = max(vanish, _norm2(p_map._apply(left)))
-        vanish = max(vanish, _norm2(p_map._apply(right)))
+    vanish = _max_op_norm(p_map._apply_stack(
+        np.concatenate([cube - qm @ cube, cube - cube @ qm])))
 
     passed = (
         idem <= 1e-9 * (1.0 + _norm2(p_map.action) ** 2)
@@ -819,13 +828,10 @@ def classify_projection(p_map: LinearMapOnAlgebra, levels=(1, 2, 3), seed: int =
 
     comp = map_affine_combo(p_map, 1.0, -1.0)
     sym = map_affine_combo(p_map, 1.0, -2.0)
-    contr = {}
-    bicon = {}
-    symn = {}
+    contr, bicon, symn = {}, {}, {}
     for k in levels:
-        contr[k] = op_norm_estimate(p_map, k, seed=seed).value
-        bicon[k] = op_norm_estimate(comp, k, seed=seed).value
-        symn[k] = op_norm_estimate(sym, k, seed=seed).value
+        contr[k], bicon[k], symn[k] = (e.value for e in _op_norm_estimates(
+            [p_map, comp, sym], k, _NORM_BUDGET, seed))
     contractive = all(v <= 1.0 + 1e-6 for v in contr.values())
     bicontractive = contractive and all(v <= 1.0 + 1e-6 for v in bicon.values())
     symmetric = symn[min(levels)] <= 1.0 + 1e-6 if levels else False
@@ -833,8 +839,7 @@ def classify_projection(p_map: LinearMapOnAlgebra, levels=(1, 2, 3), seed: int =
 
     rcp = rcp_test(p_map, levels=levels, budget=budget, seed=seed, tol=t)
 
-    basis = p_map.domain.basis
-    cube = np.array(basis)
+    cube = np.array(p_map.domain.basis)
     d, n = p_map.domain.dim, p_map.domain.n
     p_of = p_map._apply_stack(cube)
     pp = _products(p_of, p_of)  # [b, a] = P(a) P(b)
@@ -853,18 +858,10 @@ def classify_projection(p_map: LinearMapOnAlgebra, levels=(1, 2, 3), seed: int =
     except NumericError:
         range_closed = False
 
-    # kernel basis from the SVD null space of the action
+    # kernel basis from the SVD null space of the (square) action
     _, sv, vh = np.linalg.svd(act)
-    kern = []
-    for i in range(d):
-        s_i = sv[i] if i < len(sv) else 0.0
-        if s_i <= 1e-9 * max(1.0, sv[0] if len(sv) else 1.0):
-            coefv = vh.conj().T[:, i]
-            kern.append(sum(cc * bb for cc, bb in zip(coefv, basis)))
-    worst_kernel = 0.0
-    for ki in kern:
-        for kj in kern:
-            worst_kernel = max(worst_kernel, _norm2(ki @ kj))
+    kern = np.tensordot(vh[sv <= 1e-9 * max(1.0, sv[0])].conj(), cube, axes=1)
+    worst_kernel = _max_op_norm(_products(kern, kern))
 
     return ProjectionClassification(
         idempotent_residual=idem_res,

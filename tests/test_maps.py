@@ -27,7 +27,15 @@ from realpos.maps import (
     rcp_test,
     transpose_map,
 )
-from realpos.maps import _accretive_sample
+from realpos.linalg import _norm2
+from realpos.maps import (
+    _NORM_BUDGET,
+    NormEstimate,
+    _accretive_sample,
+    _op_norm_estimates,
+    _unit_pairing,
+    map_affine_combo,
+)
 from realpos.numrange import abscissa
 from realpos.suites import _theta_q_fixture
 
@@ -222,6 +230,126 @@ def test_op_norm_scaling():
     alg = full_matrix_algebra(2)
     t_map = map_from_function(lambda m: 3.0 * m, alg)
     assert op_norm_estimate(t_map, k=1).value == pytest.approx(3.0, abs=1e-8)
+
+
+def _norm_estimate_by_loop(t_map, k, budget=_NORM_BUDGET, seed=0):
+    """op_norm_estimate one start, one step and one SVD at a time: the
+    reference the lockstep ascent must reproduce bitwise."""
+    tk = amplify(t_map, k)
+    base, full, rng = t_map.domain, tk.full_domain, rng_for(seed)
+
+    def objective(u):
+        uu, sv, vvh = np.linalg.svd(tk._apply(u))
+        return float(sv[0]), uu[:, 0], vvh[0].conj()
+
+    if tk.unit is not None:
+        u0 = tk.unit
+    else:
+        u0 = np.zeros((tk.n_in, tk.n_in), dtype=complex)
+        u0[:base.n, :base.n] = base.basis[0]
+    starts = [u0 / max(_norm2(u0), 1e-30)]
+    if full and k >= 2:
+        starts.append(_unit_pairing(k, base.n, swap=True))
+        starts.append(_unit_pairing(k, base.n) / min(k, base.n))
+    while len(starts) < 6:
+        if full:
+            starts.append(random_unitary(tk.n_in, rng))
+        else:
+            cand = tk.random_element(rng)
+            starts.append(cand / max(_norm2(cand), 1e-30))
+
+    per_start = max(3, int(budget) // len(starts))
+    best_val, best_idx, best_stat, total_iter = -1.0, 0, False, 0
+    for idx, u in enumerate(starts):
+        val, w, v = objective(u)
+        stationary = False
+        for _ in range(per_start):
+            total_iter += 1
+            g = tk.apply_transpose(np.outer(w.conj(), v)).T
+            gu, _, gvh = np.linalg.svd(g)
+            u_new = gvh.conj().T @ gu.conj().T
+            if not full:
+                u_new = tk.project(u_new)
+                nn = _norm2(u_new)
+                if nn > 1.0:
+                    u_new = u_new / nn
+            val_new, w_new, v_new = objective(u_new)
+            if val_new > val + 1e-12 * (1.0 + val):
+                u, val, w, v = u_new, val_new, w_new, v_new
+            else:
+                stationary = True
+                break
+        if val > best_val + 1e-15:
+            best_val, best_idx, best_stat = val, idx, stationary
+    return NormEstimate(value=best_val, stationary=best_stat,
+                        iterations=total_iter, start_index=best_idx)
+
+
+def _scalar_averaging_p():
+    return map_from_function(lambda m: np.trace(m) / 2.0 * np.eye(2, dtype=complex),
+                             full_matrix_algebra(2))
+
+
+def _rank_one_p():
+    """P(m) = tr(m a) b with tr(b a) = 1: idempotent, not a conditional
+    expectation, and its norm ascents are slow (far from stationary)."""
+    rng = rng_for(5)
+    a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    b = b / np.trace(b @ a)
+    return map_from_function(lambda m: np.trace(m @ a) * b, full_matrix_algebra(2))
+
+
+def _projection_family(p_map):
+    """P, I - P and I - 2P: one domain, so one set of ascent starts."""
+    return [p_map, map_affine_combo(p_map, 1.0, -1.0), map_affine_combo(p_map, 1.0, -2.0)]
+
+
+def _norm_family(kind):
+    if kind == "scalar_avg":
+        return _projection_family(_scalar_averaging_p())
+    if kind == "rank_one":
+        return _projection_family(_rank_one_p())
+    if kind == "transpose2":
+        return [transpose_map(2)]
+    n = int(kind[-1])  # theta_q_<n>: the proj suite's CP fixture, proper domain
+    p_map, _ = build_symmetric_projection(*_theta_q_fixture(rng_for(n), n), levels=(1,))
+    return _projection_family(p_map)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["scalar_avg", "rank_one", "theta_q_3", "theta_q_4",
+                                  "transpose2"])
+def test_lockstep_norm_estimates_match_per_start_loop(kind, k, seed):
+    family = _norm_family(kind)
+    want = [_norm_estimate_by_loop(t, k, seed=seed) for t in family]
+    assert _op_norm_estimates(family, k, _NORM_BUDGET, seed) == want
+    assert [op_norm_estimate(t, k, seed=seed) for t in family] == want
+
+
+def test_norm_estimates_exact_values():
+    # I - 2P for the scalar-averaging P is -(Ad R) o transpose: norm 1, then 2
+    sym = _projection_family(_scalar_averaging_p())[2]
+    assert op_norm_estimate(sym, 1).value == pytest.approx(1.0, abs=1e-9)
+    assert op_norm_estimate(sym, 2).value == pytest.approx(2.0, abs=1e-9)
+    # the theta-q projection is CP and unital, so ||P_k|| = ||P(1)|| = 1
+    for n in (3, 4):
+        p_map = _norm_family(f"theta_q_{n}")[0]
+        for k in (1, 2, 3):
+            assert op_norm_estimate(p_map, k).value == pytest.approx(1.0, abs=1e-9)
+
+
+def test_norm_estimate_budget_edges():
+    with pytest.raises(InputError, match="budget"):
+        op_norm_estimate(transpose_map(2), 1, budget=0)
+    # below the six starts every ascent still runs up to 3 steps: the
+    # rank-one projection's I - P and I - 2P use all 3 at each start
+    family = _norm_family("rank_one")
+    got = _op_norm_estimates(family, 1, 1, 5)
+    assert got == [_norm_estimate_by_loop(t, 1, budget=1, seed=5) for t in family]
+    assert [e.iterations for e in got][1:] == [3 * 6, 3 * 6]
+    assert not got[2].stationary
 
 
 def test_rcp_cp_certificate():
@@ -425,8 +553,8 @@ def test_classify_block_conditional_expectation():
 
 
 def _projection_residuals_by_loop(p_map):
-    """cond-exp and associativity residuals and range closure of P, one
-    product and one application of P at a time."""
+    """cond-exp, associativity and kernel-square residuals and range
+    closure of P, one product and one application of P at a time."""
     basis = p_map.domain.basis
     p_of = [p_map.apply(b) for b in basis]
     worst_ce = worst_assoc = 0.0
@@ -440,30 +568,28 @@ def _projection_residuals_by_loop(p_map):
                     lhs - p_map.apply(pa @ p_map.apply(pb @ pc))))
     prods = [pi @ pj for pi in p_of for pj in p_of]
     closed = spans_equal(p_of, p_of + [m for m in prods if operator_norm(m) > 1e-12])
-    return worst_ce, worst_assoc, closed
+    _, sv, vh = np.linalg.svd(p_map.action)
+    kern = [sum(c * b for c, b in zip(vh[i].conj(), basis))
+            for i in range(len(sv)) if sv[i] <= 1e-9 * max(1.0, sv[0])]
+    worst_kernel = max((operator_norm(ki @ kj) for ki in kern for kj in kern), default=0.0)
+    return worst_ce, worst_assoc, closed, worst_kernel
 
 
 @pytest.mark.parametrize("kind", ["scalar_avg", "diagonal", "rank_one"])
 def test_classify_projection_stacks_match_loop(kind):
-    alg = full_matrix_algebra(2)
     if kind == "scalar_avg":
-        f = lambda m: np.trace(m) / 2.0 * np.eye(2, dtype=complex)
+        p_map = _scalar_averaging_p()
     elif kind == "diagonal":
-        f = lambda m: np.diag(np.diag(m)).astype(complex)
-    else:
-        # P(m) = tr(m a) b with tr(b a) = 1: idempotent, not a conditional
-        # expectation, so the residuals compared are far from 0
-        rng = rng_for(5)
-        a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        b = b / np.trace(b @ a)
-        f = lambda m: np.trace(m @ a) * b
-    p_map = map_from_function(f, alg)
+        p_map = map_from_function(lambda m: np.diag(np.diag(m)).astype(complex),
+                                  full_matrix_algebra(2))
+    else:  # the compared residuals are far from 0
+        p_map = _rank_one_p()
     c = classify_projection(p_map, levels=(1,), budget=20, seed=1)
-    ce, assoc, closed = _projection_residuals_by_loop(p_map)
+    ce, assoc, closed, kernel = _projection_residuals_by_loop(p_map)
     assert c.cond_exp_residual == pytest.approx(ce, rel=1e-12, abs=1e-14)
     assert c.induced_assoc_residual == pytest.approx(assoc, rel=1e-12, abs=1e-14)
     assert c.range_product_closed == closed
+    assert c.kernel_square_residual == pytest.approx(kernel, rel=1e-12, abs=1e-14)
     if kind == "rank_one":
         assert ce > 1e-3 and not c.conditional_expectation
 
