@@ -4,17 +4,21 @@ symmetric projections.
 
 A map is stored as its coordinate action between explicit subalgebra
 bases; the amplification T_k to M_k(A) applies T to each block of a
-k-by-k block matrix.  Complete positivity is decided exactly through
-the Choi matrix.  On a C*-algebra domain B real complete positivity
-(RCP) is complete positivity, decided by the Choi matrix of T o E_B
-(E_B the Hilbert-Schmidt projection onto B): a certified PASS or a
-certified witness at level n.  Elsewhere RCP is tested by seeded
-sampling plus a witness search, which is evidence, not proof.
+k-by-k block matrix.  Matrix-level norms are bracketed: a seeded ascent
+gives the lower end and a factorisation read off the Choi matrix bounds
+the completely bounded norm from above.  Complete positivity is decided
+exactly through the Choi matrix.  On a C*-algebra domain B real
+complete positivity (RCP) is complete positivity, decided by the Choi
+matrix of T o E_B (E_B the Hilbert-Schmidt projection onto B): a
+certified PASS or a certified witness at level n.  Elsewhere RCP is
+tested by seeded sampling plus a witness search, which is evidence, not
+proof.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,7 +40,7 @@ from .linalg import (
     resolve_tol,
     rng_for,
 )
-from .numrange import _abscissa
+from .numrange import _KER_ULPS, _abscissa
 
 __all__ = [
     "LinearMapOnAlgebra",
@@ -187,8 +191,12 @@ class AmplifiedMap:
         self.k = k
         self.n_in = k * t_map.domain.n
         self.full_domain = t_map.full_domain
-        u = t_map.domain.unit
-        self.unit = None if u is None else np.kron(np.eye(k, dtype=complex), u)
+
+    @cached_property
+    def unit(self) -> np.ndarray | None:
+        """I_k tensor the domain unit, or None; built on first use."""
+        u = self.base.domain.unit
+        return None if u is None else np.kron(np.eye(self.k, dtype=complex), u)
 
     def _blocks(self, x: np.ndarray) -> np.ndarray:
         """The (k*k, n*n) block rows of x, or of each matrix of a stack x."""
@@ -278,14 +286,20 @@ def choi_matrix(t_map: LinearMapOnAlgebra, tol: Tolerances | None = None) -> Cho
     return _choi(t_map, resolve_tol(tol))
 
 
-def _choi(t_map: LinearMapOnAlgebra, t: Tolerances) -> ChoiMatrix:
-    """Choi matrix of T o E_B, E_B the Hilbert-Schmidt projection onto the
-    domain span B: the vectorised action reads least-squares coordinates,
-    which are those of E_B(m).  For a full-domain map this is Choi(T)."""
+def _choi_block(t_map: LinearMapOnAlgebra) -> np.ndarray:
+    """Block matrix of Choi(T o E_B), E_B the Hilbert-Schmidt projection onto
+    the domain span B: the vectorised action reads least-squares
+    coordinates, which are those of E_B(m).  For a full-domain map this is
+    Choi(T)."""
     n = t_map.domain.n
-    c = amplify(t_map, n)._apply(_unit_pairing(n, n))
+    return amplify(t_map, n)._apply(_unit_pairing(n, n))
+
+
+def _choi(t_map: LinearMapOnAlgebra, t: Tolerances) -> ChoiMatrix:
+    """ChoiMatrix of T o E_B (see _choi_block)."""
+    c = _choi_block(t_map)
     herm = _norm2(c - c.conj().T) <= 100 * t.eq_tol * (1.0 + _norm2(c))
-    return ChoiMatrix(c=c, herm=bool(herm), min_eig=_abscissa(c), n_in=n,
+    return ChoiMatrix(c=c, herm=bool(herm), min_eig=_abscissa(c), n_in=t_map.domain.n,
                       n_out=t_map.codomain.n)
 
 
@@ -348,13 +362,20 @@ def kraus_factor(t_map: LinearMapOnAlgebra, tol: Tolerances | None = None):
 
 @dataclass(frozen=True)
 class NormEstimate:
-    """Lower bound for ||T_k|| from monotone alternating ascent.
+    """Bracket value <= ||T_k|| <= ||T||_cb <= upper.
 
-    stationary means the last accepted step improved by less than the
-    settle threshold (a local maximiser); the value is always a valid
-    lower bound but only that."""
+    value is the lower bound of a monotone alternating ascent; upper is
+    the Choi-factorisation bound of _cb_upper (or, for a projection
+    family, the bound derived from that of I - 2P).  When the unit start
+    already reaches upper to within 2 * delta * upper (delta the rounding
+    allowance of _cb_delta) the bracket is closed: no ascent runs, and
+    iterations is 0, stationary True and start_index 0.  Otherwise
+    stationary means the last accepted step of the best start improved by
+    less than the settle threshold (a local maximiser), and value is only
+    a lower bound."""
 
     value: float
+    upper: float
     stationary: bool
     iterations: int
     start_index: int
@@ -363,11 +384,41 @@ class NormEstimate:
 _NORM_BUDGET = 240
 
 
+def _cb_delta(t_map: LinearMapOnAlgebra) -> float:
+    """Relative rounding allowance of _cb_upper: _KER_ULPS * n * m * eps for
+    an n-by-n domain and m-by-m codomain (the side of the Choi matrix is
+    n * m)."""
+    return _KER_ULPS * t_map.domain.n * t_map.codomain.n * float(np.finfo(float).eps)
+
+
+def _cb_upper(t_map: LinearMapOnAlgebra) -> float:
+    """Certified upper bound on ||T||_cb over the domain span B.
+
+    One SVD C = sum_l s_l x_l y_l* of C = Choi(T o E_B) gives T(a) =
+    sum_l A_l a B_l* on B, with A_l, B_l the m-by-n unvectorisations of
+    sqrt(s_l) x_l and sqrt(s_l) y_l, so ||T||_cb <= ||[A_1 ... A_L]|| *
+    ||[B_1 ... B_L]|| = sqrt(||Tr_in |C*||| * ||Tr_in |C|||) (Paulsen,
+    Completely Bounded Maps and Operator Algebras, 2002, ch. 8); T o E_B
+    agrees with T on B, so its cb norm bounds that of T there.  The bound
+    is exact for a CP map, where Tr_in C = T(1), and the factor
+    1 + _cb_delta covers rounding."""
+    n, m = t_map.domain.n, t_map.codomain.n
+    x, s, yh = np.linalg.svd(_choi_block(t_map))
+    rt = np.sqrt(s)
+    left = (x * rt).reshape(n, m, -1).swapaxes(0, 1).reshape(m, -1)
+    right = (rt[:, None] * yh).reshape(-1, n, m).transpose(2, 0, 1).reshape(m, -1)
+    return _norm2(left) * _norm2(right) * (1.0 + _cb_delta(t_map))
+
+
 def op_norm_estimate(t_map: LinearMapOnAlgebra, k: int = 1, budget: int = _NORM_BUDGET,
                      seed: int = 0) -> NormEstimate:
-    """Estimate ||T_k|| = sup {||T_k(u)|| : u in M_k(domain), ||u|| <= 1}.
+    """Bracket ||T_k|| = sup {||T_k(u)|| : u in M_k(domain), ||u|| <= 1}.
 
-    Alternating ascent: for the current u take the top singular pair
+    The upper end is the Choi-factorisation bound on ||T||_cb (see
+    NormEstimate); when the unit start (I_k tensor the domain unit, or
+    E_00 tensor the first basis element) meets it, the bracket is closed
+    and nothing else runs.  Otherwise the lower end comes from
+    alternating ascent: for the current u take the top singular pair
     (w, v) of Y = T_k(u); the functional u -> Re w* T_k(u) v is linear,
     represented by a matrix G, and its maximiser over the full unit ball
     is the polar factor of G (projected back onto the domain span when
@@ -380,26 +431,47 @@ def op_norm_estimate(t_map: LinearMapOnAlgebra, k: int = 1, budget: int = _NORM_
     return _op_norm_estimates([t_map], k, budget, seed)[0]
 
 
-def _op_norm_estimates(t_maps, k: int, budget: int, seed: int) -> list:
+def _op_norm_estimates(t_maps, k: int, budget: int, seed: int, uppers=None) -> list:
     """op_norm_estimate of each map of t_maps, which share one domain and
-    one codomain size, as a list of NormEstimate.
+    one codomain size, as a list of NormEstimate; uppers are the maps'
+    upper bounds (default: _cb_upper of each).
 
-    The starts depend only on the domain, k and seed, so every map gets
-    the same six.  All (map, start) ascents run in lockstep: a step is
-    one stacked SVD of the active T_k(u), one stacked transpose action,
-    one stacked polar SVD and, on a proper domain, one projection and one
-    batched rescale; an ascent stops at its first step that does not
-    improve its value by more than 1e-12 * (1 + value).
+    The unit start is evaluated for every map first, and a map whose
+    value is within 2 * delta * upper of its upper bound is closed.  The
+    other starts depend only on the domain, k and seed, so every open map
+    gets the same six.  All (open map, start) ascents run in lockstep: a
+    step is one stacked SVD of the active T_k(u), one stacked transpose
+    action, one stacked polar SVD and, on a proper domain, one projection
+    and one batched rescale; an ascent stops at its first step that does
+    not improve its value by more than 1e-12 * (1 + value).
     """
+    if uppers is None:
+        uppers = [_cb_upper(t) for t in t_maps]
     tk = amplify(t_maps[0], k)
     base = tk.base.domain
-    rng = rng_for(seed)
     if tk.unit is not None:
         u0 = tk.unit
     else:  # E_00 tensor the first basis element
         u0 = np.zeros((tk.n_in, tk.n_in), dtype=complex)
         u0[:base.n, :base.n] = base.basis[0]
     starts = [u0 / max(_norm2(u0), 1e-30)]
+
+    def objective(va, u):  # top singular triple of T_k(u[i]) under action va[i]
+        y = tk._unblocks(tk._blocks(u) @ va.transpose(0, 2, 1))
+        uu, sv, vvh = np.linalg.svd(y)
+        return sv[:, 0], uu[:, :, 0], vvh[:, 0].conj()
+
+    vas = np.array([t._vec_action for t in t_maps])
+    unit_vals = objective(vas, np.tile(starts[0], (len(t_maps), 1, 1)))[0]
+    keep = 1.0 - 2.0 * _cb_delta(t_maps[0])
+    out = [NormEstimate(value=float(v), upper=float(up), stationary=True, iterations=0,
+                        start_index=0) if v >= up * keep else None
+           for v, up in zip(unit_vals, uppers)]
+    open_maps = [m for m, e in enumerate(out) if e is None]
+    if not open_maps:
+        return out
+
+    rng = rng_for(seed)
     if tk.full_domain and k >= 2:
         starts.append(_unit_pairing(k, base.n, swap=True))
         starts.append(_unit_pairing(k, base.n) / min(k, base.n))
@@ -410,18 +482,13 @@ def _op_norm_estimates(t_maps, k: int, budget: int, seed: int) -> list:
             cand = tk.random_element(rng)
             starts.append(cand / max(_norm2(cand), 1e-30))
 
-    n_maps, n_starts = len(t_maps), len(starts)
+    n_maps, n_starts = len(open_maps), len(starts)
     per_start = max(3, int(budget) // n_starts)
-    owner = np.repeat(np.arange(n_maps), n_starts)  # ascent -> its map
-    va = np.array([t._vec_action for t in t_maps])[owner]
-
-    def objective(idx, u):  # top singular triple of T_k(u[i]) for ascent idx[i]
-        y = tk._unblocks(tk._blocks(u) @ va[idx].transpose(0, 2, 1))
-        uu, sv, vvh = np.linalg.svd(y)
-        return sv[:, 0], uu[:, :, 0], vvh[:, 0].conj()
+    owner = np.repeat(np.arange(n_maps), n_starts)  # ascent -> its open map
+    va = vas[open_maps][owner]
 
     active = np.arange(len(owner))
-    val, w, v = objective(active, np.tile(np.array(starts), (n_maps, 1, 1)))
+    val, w, v = objective(va, np.tile(np.array(starts), (n_maps, 1, 1)))
     stationary = np.zeros(len(owner), dtype=bool)
     iterations = np.zeros(n_maps, dtype=int)
     for _ in range(per_start):
@@ -437,21 +504,20 @@ def _op_norm_estimates(t_maps, k: int, budget: int, seed: int) -> list:
             nn = _norm2(u_new)
             big = nn > 1.0
             u_new[big] /= nn[big, None, None]
-        val_new, w_new, v_new = objective(active, u_new)
+        val_new, w_new, v_new = objective(va[active], u_new)
         up = val_new > val[active] + 1e-12 * (1.0 + val[active])
         stationary[active[~up]] = True
         active = active[up]
         val[active], w[active], v[active] = val_new[up], w_new[up], v_new[up]
 
-    out = []
-    for m in range(n_maps):
+    for i, m in enumerate(open_maps):
         best_val, best_idx, best_stat = -1.0, 0, False
         for idx in range(n_starts):
-            a = m * n_starts + idx
+            a = i * n_starts + idx
             if val[a] > best_val + 1e-15:
                 best_val, best_idx, best_stat = float(val[a]), idx, bool(stationary[a])
-        out.append(NormEstimate(value=best_val, stationary=best_stat,
-                                iterations=int(iterations[m]), start_index=best_idx))
+        out[m] = NormEstimate(value=best_val, upper=float(uppers[m]), stationary=best_stat,
+                              iterations=int(iterations[i]), start_index=best_idx)
     return out
 
 
@@ -669,6 +735,16 @@ def _rcp_witness_search(t_map, amps, levels, budget, rng, worst_x):
 # symmetric projections
 # ---------------------------------------------------------------------------
 
+def _projection_uppers(p_map: LinearMapOnAlgebra, sym_map: LinearMapOnAlgebra) -> tuple:
+    """Upper bounds on the cb norms of I - 2P, P and I - P, once for every
+    level: u_S = _cb_upper(I - 2P); I - P = (I + (I - 2P)) / 2 and P =
+    (I - (I - 2P)) / 2 with ||id||_cb = 1 give (1 + u_S) / 2 for both, and
+    P also has its own Choi bound."""
+    u_sym = _cb_upper(sym_map)
+    half = (1.0 + u_sym) / 2.0
+    return u_sym, min(_cb_upper(p_map), half), half
+
+
 @dataclass
 class SymmetricProjectionCert:
     """Certificates attached to a built symmetric projection."""
@@ -693,13 +769,15 @@ def build_symmetric_projection(theta: LinearMapOnAlgebra, q, algebra: Subalgebra
     the algebra with theta(theta(a)) = a and theta(ab) = theta(a)theta(b)
     on the basis; q is an idempotent in the span with theta(q) = q.
 
-    Returns (P, cert) with certificates: P idempotent; ||I - 2P|| and
-    ||P|| estimated at the requested matrix levels; rcp_test on P; the
-    range of P equals the theta-fixed points compressed to the q corner;
-    and P vanishes on the complementary corner pieces (this last
-    certificate holds when theta acts as the identity on the complement,
-    the compatibility the construction needs to be a projection onto a
-    hereditary piece).
+    Returns (P, cert) with certificates: P idempotent; ||I - 2P||, ||P||
+    and ||I - P|| estimated at the requested matrix levels (the lower ends
+    of their brackets, with the upper bounds of _projection_uppers computed
+    once for all levels, so a family that meets them at the unit start
+    runs no ascent); rcp_test on P; the range of P equals the theta-fixed
+    points compressed to the q corner; and P vanishes on the complementary
+    corner pieces (this last certificate holds when theta acts as the
+    identity on the complement, the compatibility the construction needs
+    to be a projection onto a hereditary piece).
     """
     t = resolve_tol(tol)
     qm = as_matrix(q, "q")
@@ -742,10 +820,11 @@ def build_symmetric_projection(theta: LinearMapOnAlgebra, q, algebra: Subalgebra
     idem = _norm2(va @ va - va)
     sym_map = map_affine_combo(p_map, 1.0, -2.0)
     comp_map = map_affine_combo(p_map, 1.0, -1.0)
+    u_sym, u_p, u_comp = _projection_uppers(p_map, sym_map)
     sym_norms, p_norms, comp_norms = {}, {}, {}
     for k in levels:
         sym_norms[k], p_norms[k], comp_norms[k] = (e.value for e in _op_norm_estimates(
-            [sym_map, p_map, comp_map], k, _NORM_BUDGET, seed))
+            [sym_map, p_map, comp_map], k, _NORM_BUDGET, seed, [u_sym, u_p, u_comp]))
     rcp = rcp_test(p_map, levels=levels, budget=rcp_budget, seed=seed, tol=t)
 
     # range = fixed points of theta intersected with the q corner
@@ -812,7 +891,10 @@ class ProjectionClassification:
 def classify_projection(p_map: LinearMapOnAlgebra, levels=(1, 2, 3), seed: int = 0,
                         budget: int = 600, tol: Tolerances | None = None) -> ProjectionClassification:
     """Classify an idempotent map: contractivity per level, bicontractivity,
-    symmetry, RCP sampling, the conditional-expectation identity
+    symmetry (each judged on the lower end of the norm bracket of P, I - P
+    or I - 2P; the upper bounds of _projection_uppers are computed once for
+    all levels and let the ascent stop at the unit start when met), RCP
+    sampling, the conditional-expectation identity
     P(P(a) b P(c)) = P(a) P(b) P(c), multiplicative closure of the range,
     associativity of the induced product a o b = P(ab), and square-zero
     behaviour of the kernel."""
@@ -828,10 +910,11 @@ def classify_projection(p_map: LinearMapOnAlgebra, levels=(1, 2, 3), seed: int =
 
     comp = map_affine_combo(p_map, 1.0, -1.0)
     sym = map_affine_combo(p_map, 1.0, -2.0)
+    u_sym, u_p, u_comp = _projection_uppers(p_map, sym)
     contr, bicon, symn = {}, {}, {}
     for k in levels:
         contr[k], bicon[k], symn[k] = (e.value for e in _op_norm_estimates(
-            [p_map, comp, sym], k, _NORM_BUDGET, seed))
+            [p_map, comp, sym], k, _NORM_BUDGET, seed, [u_p, u_comp, u_sym]))
     contractive = all(v <= 1.0 + 1e-6 for v in contr.values())
     bicontractive = contractive and all(v <= 1.0 + 1e-6 for v in bicon.values())
     symmetric = symn[min(levels)] <= 1.0 + 1e-6 if levels else False

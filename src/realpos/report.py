@@ -22,8 +22,8 @@ def matrix_digest(*matrices) -> str:
     for m in matrices:
         a = np.asarray(m, dtype=complex)
         h.update(str(a.shape).encode())
-        for v in a.ravel():
-            h.update(f"{v.real:.17g},{v.imag:.17g};".encode())
+        # "re,im;" per entry, 17 significant digits, in one format call
+        h.update((("%.17g,%.17g;" * a.size) % tuple(a.ravel().view(float).tolist())).encode())
     return h.hexdigest()[:16]
 
 

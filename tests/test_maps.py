@@ -32,7 +32,10 @@ from realpos.maps import (
     _NORM_BUDGET,
     NormEstimate,
     _accretive_sample,
+    _cb_delta,
+    _cb_upper,
     _op_norm_estimates,
+    _projection_uppers,
     _unit_pairing,
     map_affine_combo,
 )
@@ -232,9 +235,12 @@ def test_op_norm_scaling():
     assert op_norm_estimate(t_map, k=1).value == pytest.approx(3.0, abs=1e-8)
 
 
-def _norm_estimate_by_loop(t_map, k, budget=_NORM_BUDGET, seed=0):
+def _norm_estimate_by_loop(t_map, k, budget=_NORM_BUDGET, seed=0, upper=None):
     """op_norm_estimate one start, one step and one SVD at a time: the
-    reference the lockstep ascent must reproduce bitwise."""
+    reference the lockstep ascent must reproduce bitwise.  upper defaults
+    to the map's own Choi bound; the unit start closes the bracket when it
+    is within 2 delta of upper, and upper = inf never closes it."""
+    upper = _cb_upper(t_map) if upper is None else upper
     tk = amplify(t_map, k)
     base, full, rng = t_map.domain, tk.full_domain, rng_for(seed)
 
@@ -248,6 +254,10 @@ def _norm_estimate_by_loop(t_map, k, budget=_NORM_BUDGET, seed=0):
         u0 = np.zeros((tk.n_in, tk.n_in), dtype=complex)
         u0[:base.n, :base.n] = base.basis[0]
     starts = [u0 / max(_norm2(u0), 1e-30)]
+    unit_val = objective(starts[0])[0]
+    if unit_val >= upper * (1.0 - 2.0 * _cb_delta(t_map)):
+        return NormEstimate(value=unit_val, upper=upper, stationary=True,
+                            iterations=0, start_index=0)
     if full and k >= 2:
         starts.append(_unit_pairing(k, base.n, swap=True))
         starts.append(_unit_pairing(k, base.n) / min(k, base.n))
@@ -281,7 +291,7 @@ def _norm_estimate_by_loop(t_map, k, budget=_NORM_BUDGET, seed=0):
                 break
         if val > best_val + 1e-15:
             best_val, best_idx, best_stat = val, idx, stationary
-    return NormEstimate(value=best_val, stationary=best_stat,
+    return NormEstimate(value=best_val, upper=upper, stationary=best_stat,
                         iterations=total_iter, start_index=best_idx)
 
 
@@ -324,8 +334,87 @@ def _norm_family(kind):
 def test_lockstep_norm_estimates_match_per_start_loop(kind, k, seed):
     family = _norm_family(kind)
     want = [_norm_estimate_by_loop(t, k, seed=seed) for t in family]
+    assert all(e.value <= e.upper for e in want)
     assert _op_norm_estimates(family, k, _NORM_BUDGET, seed) == want
     assert [op_norm_estimate(t, k, seed=seed) for t in family] == want
+    if len(family) == 3:  # a projection family, with the bounds its callers pass
+        u_sym, u_p, u_comp = _projection_uppers(family[0], family[2])
+        uppers = [u_p, u_comp, u_sym]
+        want = [_norm_estimate_by_loop(t, k, seed=seed, upper=u)
+                for t, u in zip(family, uppers)]
+        assert _op_norm_estimates(family, k, _NORM_BUDGET, seed, uppers) == want
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["scalar_avg", "rank_one", "theta_q_3", "theta_q_4",
+                                  "transpose2"])
+def test_lockstep_without_bounds_is_the_plain_ascent(kind, k):
+    # upper = inf never closes a bracket: every start ascends, as before the bound
+    family = _norm_family(kind)
+    inf = [float("inf")] * len(family)
+    want = [_norm_estimate_by_loop(t, k, seed=3, upper=u) for t, u in zip(family, inf)]
+    assert _op_norm_estimates(family, k, _NORM_BUDGET, 3, inf) == want
+    assert all(e.iterations > 0 for e in want)
+
+
+def _close_to(bound, exact, t_map):
+    return abs(bound - exact) <= 2.0 * _cb_delta(t_map) * bound
+
+
+def test_cb_upper_exact_values():
+    # CP maps: ||T||_cb = ||T(1)||
+    for n in (3, 4):
+        p_map = _norm_family(f"theta_q_{n}")[0]
+        assert _close_to(_cb_upper(p_map), _norm2(p_map._apply(np.eye(n))), p_map)
+    for seed, (n, n_ops) in enumerate([(3, 2), (4, 3)]):
+        rng = rng_for(seed)
+        ops = [random_matrix(n, rng) for _ in range(n_ops)]
+        t_map = map_from_kraus(ops, n)
+        assert _close_to(_cb_upper(t_map), _norm2(t_map._apply(np.eye(n))), t_map)
+    # ||transpose_n||_cb = n
+    for n in (2, 3, 4):
+        assert _close_to(_cb_upper(transpose_map(n)), float(n), transpose_map(n))
+    # the theta-q I - 2P is T1 - T2 with orthogonal Choi supports: bound 1
+    for n in (3, 4):
+        sym = _norm_family(f"theta_q_{n}")[2]
+        assert _close_to(_cb_upper(sym), 1.0, sym)
+    # scalar averaging on M_2: P, I - P, I - 2P
+    for t_map, want in zip(_norm_family("scalar_avg"), (1.0, 1.5, 2.0)):
+        assert _close_to(_cb_upper(t_map), want, t_map)
+
+
+@pytest.mark.parametrize("domain", ["full", "block"])
+def test_norm_bracket_holds_on_random_maps(domain):
+    rng = rng_for(11)
+    alg = full_matrix_algebra(3) if domain == "full" else block_diag_algebra([2, 1])
+    for _ in range(3):
+        action = (rng.standard_normal((alg.dim, alg.dim))
+                  + 1j * rng.standard_normal((alg.dim, alg.dim)))
+        t_map = LinearMapOnAlgebra(alg, alg, action)
+        upper = _cb_upper(t_map)
+        for k in (1, 2, 3):
+            est = op_norm_estimate(t_map, k, budget=60)
+            assert est.upper == upper
+            assert est.value <= est.upper
+            if est.iterations == 0:
+                assert est.upper - est.value <= 2.0 * _cb_delta(t_map) * est.upper
+
+
+def test_norm_bracket_closes_at_the_unit_start():
+    for kind in ("theta_q_3", "theta_q_4"):
+        family = _norm_family(kind)
+        u_sym, u_p, u_comp = _projection_uppers(family[0], family[2])
+        for k in (1, 2, 3):
+            got = _op_norm_estimates(family, k, _NORM_BUDGET, 0, [u_p, u_comp, u_sym])
+            assert [e.iterations for e in got] == [0, 0, 0]
+            assert all(e.upper - e.value <= 2.0 * _cb_delta(family[0]) * e.upper
+                       for e in got)
+    # the scalar-averaging I - 2P has norm 1 < 2 = ||I - 2P||_cb at level 1
+    family = _norm_family("scalar_avg")
+    u_sym, u_p, u_comp = _projection_uppers(family[0], family[2])
+    sym = _op_norm_estimates(family, 1, _NORM_BUDGET, 0, [u_p, u_comp, u_sym])[2]
+    assert sym.iterations > 0
+    assert sym.value == pytest.approx(1.0, abs=1e-9)
 
 
 def test_norm_estimates_exact_values():

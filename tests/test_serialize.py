@@ -1,5 +1,6 @@
 """Deterministic serialization: float formatting, JSON round trips,
 CSV table shape, SVG structure."""
+import hashlib
 import json
 
 import numpy as np
@@ -11,6 +12,7 @@ from realpos.algebra import block_diag_algebra
 from realpos.errors import InputError
 from realpos.maps import identity_map
 from realpos.numrange import boundary
+from realpos.report import matrix_digest
 from realpos.serialize import (
     algebra_from_obj,
     algebra_to_obj,
@@ -126,3 +128,34 @@ def test_dump_json_uses_lf(tmp_path):
     assert b"\r" not in raw
     assert raw.endswith(b"\n")
     assert load_json(str(p)) == {"k": 1.0}
+
+
+def _digest_by_entry(*matrices):
+    """matrix_digest one entry at a time: the formula the one-call
+    formatting must reproduce byte for byte."""
+    h = hashlib.sha256()
+    for m in matrices:
+        a = np.asarray(m, dtype=complex)
+        h.update(str(a.shape).encode())
+        for v in a.ravel():
+            h.update(f"{v.real:.17g},{v.imag:.17g};".encode())
+    return h.hexdigest()[:16]
+
+
+def test_matrix_digest_matches_per_entry_formula():
+    rng = np.random.default_rng(3)
+    z = rng.standard_normal((5, 6)) + 1j * rng.standard_normal((5, 6))
+    special = np.array([[0.0, -0.0, 5e-324, -2.2250738585072014e-308],
+                        [1e308, -1e308, 1.0 / 3.0, -7.0]])
+    cases = [
+        (special + 1j * special[::-1],),
+        (special,),                                  # real
+        (np.arange(12).reshape(3, 4),),              # int
+        (z[::2, 1::2],),                             # non-contiguous view
+        (z.T,),                                      # Fortran order
+        (np.zeros((0, 0), dtype=complex),),
+        (z, special, np.eye(3, dtype=int), z[1:3, 2:4]),  # several at once
+    ]
+    for mats in cases:
+        assert matrix_digest(*mats) == _digest_by_entry(*mats)
+    assert matrix_digest(np.zeros((1, 1))) != matrix_digest(-np.zeros((1, 1)))
