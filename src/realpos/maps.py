@@ -119,6 +119,16 @@ class LinearMapOnAlgebra:
         rows = mats.reshape(len(mats), -1) @ self._vec_action.T
         return rows.reshape(-1, n_out, n_out)
 
+    @cached_property
+    def _choi_block(self) -> np.ndarray:
+        """Block matrix of Choi(T o E_B), E_B the Hilbert-Schmidt projection
+        onto the domain span B (least-squares coordinates are those of
+        E_B(m)); Choi(T) on a full domain.  Built once, read-only."""
+        n = self.domain.n
+        c = amplify(self, n)._apply(_unit_pairing(n, n))
+        c.flags.writeable = False
+        return c
+
     def __repr__(self):
         return (f"LinearMapOnAlgebra(domain dim={self.domain.dim}, "
                 f"codomain dim={self.codomain.dim}, full={self.full_domain})")
@@ -286,18 +296,9 @@ def choi_matrix(t_map: LinearMapOnAlgebra, tol: Tolerances | None = None) -> Cho
     return _choi(t_map, resolve_tol(tol))
 
 
-def _choi_block(t_map: LinearMapOnAlgebra) -> np.ndarray:
-    """Block matrix of Choi(T o E_B), E_B the Hilbert-Schmidt projection onto
-    the domain span B: the vectorised action reads least-squares
-    coordinates, which are those of E_B(m).  For a full-domain map this is
-    Choi(T)."""
-    n = t_map.domain.n
-    return amplify(t_map, n)._apply(_unit_pairing(n, n))
-
-
 def _choi(t_map: LinearMapOnAlgebra, t: Tolerances) -> ChoiMatrix:
-    """ChoiMatrix of T o E_B (see _choi_block)."""
-    c = _choi_block(t_map)
+    """ChoiMatrix of T o E_B (see LinearMapOnAlgebra._choi_block)."""
+    c = t_map._choi_block
     herm = _norm2(c - c.conj().T) <= 100 * t.eq_tol * (1.0 + _norm2(c))
     return ChoiMatrix(c=c, herm=bool(herm), min_eig=_abscissa(c), n_in=t_map.domain.n,
                       n_out=t_map.codomain.n)
@@ -403,7 +404,7 @@ def _cb_upper(t_map: LinearMapOnAlgebra) -> float:
     is exact for a CP map, where Tr_in C = T(1), and the factor
     1 + _cb_delta covers rounding."""
     n, m = t_map.domain.n, t_map.codomain.n
-    x, s, yh = np.linalg.svd(_choi_block(t_map))
+    x, s, yh = np.linalg.svd(t_map._choi_block)
     rt = np.sqrt(s)
     left = (x * rt).reshape(n, m, -1).swapaxes(0, 1).reshape(m, -1)
     right = (rt[:, None] * yh).reshape(-1, n, m).transpose(2, 0, 1).reshape(m, -1)

@@ -3,11 +3,9 @@ and the sectorial angle.
 
 The numerical range W(x) = {v*xv : ||v|| = 1} is compact and convex; its
 support function in direction e^{i theta} is the top eigenvalue of the
-Hermitian part of e^{-i theta} x.  Every angle sweep here (the boundary,
-the distance grid, and the sector grid of non-accretive inputs) runs as
-one stacked Hermitian eigenproblem over all its angles (Johnson, SIAM J.
-Numer. Anal. 15, 1978); only the bisection and golden-section
-refinements, whose next angle depends on the last, go angle by angle.
+Hermitian part of e^{-i theta} x.  Both angle sweeps here (the boundary
+and the distance grid) run as one stacked Hermitian eigenproblem over all
+their angles (Johnson, SIAM J. Numer. Anal. 15, 1978).
 
 The sectorial angle of an accretive x = H + iK (H >= 0) needs no sweep:
 |v*Kv| <= tan(theta) v*Hv for every v exactly when -tan(theta) H <= K <=
@@ -17,7 +15,10 @@ the kernel of H.  Both the accretivity test and the kernel are decided
 by a cut at a small multiple of the rounding level of the eigen-solve,
 _KER_ULPS * n * eps * ||x||, never by the sign of rounding noise: the cut
 scales with x, so the angle of s x is that of x, and every eigenvalue of
-H above rounding noise enters the pencil.
+H above rounding noise enters the pencil.  A non-accretive x needs no
+sweep either: the ends of its arc of admissible directions are real
+eigen-angles of the pencil (H, -K) (Higham, Tisseur and Van Dooren,
+Linear Algebra Appl. 351-352, 2002).
 """
 from __future__ import annotations
 
@@ -25,6 +26,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 
 from .errors import InputError
 from .linalg import Tolerances, _herm_part, _norm2, as_matrix, resolve_tol
@@ -60,11 +62,13 @@ class RangeBoundary:
 class SectorVerdict:
     """Smallest symmetric sector containing the numerical range.
 
-    angle is the half-angle in [0, pi], or None when no sector centred on
-    the positive real axis contains W(x) (0 is interior, so every ray
-    direction appears).  witness is a numerical-range point attaining the
-    extreme argument (within the kernel tolerance when the kernel rule
-    gives pi/2; 0 for x ~ 0; None in the sentinel case).
+    angle is the half-angle in [0, pi], or None when 0 is interior to W(x)
+    (decided with the cut ktol of sectorial_angle).  0 on the boundary of
+    W(x) is exact too: pi once W(x) meets the negative axis, and max(|phi|,
+    pi - |phi|) when W(x) lies on a line e^{i phi} R.
+    witness is a numerical-range point attaining the extreme argument
+    (within ktol when the kernel rule gives pi/2; 0 for x ~ 0 or when only
+    0 is on the extreme ray; None when angle is None).
     """
 
     angle: float | None
@@ -109,12 +113,6 @@ def _support_at(x: np.ndarray, theta: float):
     w, v = np.linalg.eigh(_herm_parts(x, theta))
     vec = v[:, -1]
     return float(w[-1]), complex(vec.conj() @ (x @ vec))
-
-
-def _min_herm_eig(x: np.ndarray, psi) -> np.ndarray:
-    """g(psi) = smallest eigenvalue of the Hermitian part of e^{-i psi} x,
-    for a scalar psi or elementwise over an array of angles."""
-    return np.linalg.eigvalsh(_herm_parts(x, psi))[..., 0]
 
 
 def support_function(x, theta: float) -> float:
@@ -200,7 +198,7 @@ def _normalize_angle(a: float) -> float:
     return a - math.pi
 
 
-def sectorial_angle(x, tol: Tolerances | None = None, m: int = 256) -> SectorVerdict:
+def sectorial_angle(x, tol: Tolerances | None = None) -> SectorVerdict:
     """Smallest half-angle theta with W(x) inside {|arg z| <= theta}.
 
     Write x = H + iK with H, K Hermitian and let ktol = _KER_ULPS * n *
@@ -218,19 +216,19 @@ def sectorial_angle(x, tol: Tolerances | None = None, m: int = 256) -> SectorVer
       W*KW with W = V_r diag(w_r)^(-1/2) whitening the range of H; the
       witness is u*xu for the matching unit vector u = W e / ||W e||.
 
-    A non-accretive x is swept instead.  The set D = {psi : min eig
-    Re(e^{-i psi} x) >= 0} of supporting directions whose half-plane
-    constraint passes through 0 is a closed arc (convexity of W).  One
-    stacked sweep over m equispaced directions (m even, at least 64)
-    finds the best direction psi0; the same sweep, read outwards from
-    psi0 on each side, brackets the arc endpoints psi-, psi+ to one grid
-    step, and bisection refines them.  The extreme argument rays of the
-    enclosing cone are rho_inf = psi+ - pi/2 and rho_sup = psi- + pi/2.
-    The verdict angle is max(|rho_inf|, |rho_sup|) after branch
-    normalisation; if D is empty, 0 is interior to W(x) and no sector
-    works (angle None).
+    A non-accretive x is exact too.  The directions psi with min eig
+    Re(e^{-i psi} x) >= 0 form an arc D, or two antipodal points when W(x)
+    lies on a line e^{i phi} R through 0.  Their ends make cos psi H + sin
+    psi K singular, so they are real eigen-angles of the pencil (H, -K);
+    one stacked eigen-solve at these candidates and the midpoints between
+    them reads D: the run of midpoints above ktol (0 outside W(x)), else
+    the samples at or above -ktol.  An arc [psi-, psi+] gives the extreme
+    rays psi+ - pi/2 and psi- + pi/2, two points the rays phi and phi +
+    pi; the angle is the larger |arg| (pi once the cone holds the negative
+    axis), and the witness the farthest point of W(x) on that ray.  angle
+    is None only when no sample reaches -ktol: 0 is interior to W(x).
     """
-    return _sectorial_angle(as_matrix(x), resolve_tol(tol), m)
+    return _sectorial_angle(as_matrix(x), resolve_tol(tol))
 
 
 # Kernel cut of the exact path, in units of n * eps * ||x||.  eigh resolves
@@ -239,7 +237,7 @@ def sectorial_angle(x, tol: Tolerances | None = None, m: int = 256) -> SectorVer
 _KER_ULPS = 64.0
 
 
-def _sectorial_angle(a: np.ndarray, t: Tolerances, m: int = 256) -> SectorVerdict:
+def _sectorial_angle(a: np.ndarray, t: Tolerances) -> SectorVerdict:
     nrm = _norm2(a)
     if nrm <= t.eq_tol:
         return SectorVerdict(angle=0.0, witness=0j)
@@ -247,7 +245,7 @@ def _sectorial_angle(a: np.ndarray, t: Tolerances, m: int = 256) -> SectorVerdic
     w, v = np.linalg.eigh(_herm_part(a))
     if w[0] >= -ktol:
         return _accretive_sector(a, w, v, ktol)
-    return _swept_sector(a, m)
+    return _pencil_sector(a, ktol)
 
 
 def _accretive_sector(a: np.ndarray, w: np.ndarray, v: np.ndarray,
@@ -271,65 +269,64 @@ def _accretive_sector(a: np.ndarray, w: np.ndarray, v: np.ndarray,
                          witness=complex(u.conj() @ (a @ u)))
 
 
-def _swept_sector(a: np.ndarray, m: int) -> SectorVerdict:
-    """Sector of a non-accretive a by the stacked sweep and bisection."""
-    m = max(int(m), 64)
-    m += m % 2
-    grid = np.linspace(-np.pi, np.pi, m, endpoint=False)
-    g = _min_herm_eig(a, grid)
-    j0 = int(np.argmax(g))
-    if g[j0] < 0.0:
-        # even the best direction cuts into W: 0 is interior
-        return SectorVerdict(angle=None, witness=None)
-    psi0 = float(grid[j0])
-    steps = np.arange(1, m // 2 + 1)
-    # psi0 + sign * u[i] is the grid direction j0 + sign * (i + 1), up to rounding
-    u = 2.0 * np.pi * steps / m
+def _runs(ok: np.ndarray) -> list:
+    """(first, last) index of each cyclic run of True in ok, with last >=
+    first and indices read mod len(ok)."""
+    k = int(np.argmin(ok))
+    d = np.diff(np.concatenate(([False], np.roll(ok, -k), [False])).astype(np.int8))
+    return list(zip(np.flatnonzero(d == 1) + k, np.flatnonzero(d == -1) - 1 + k))
 
-    def locate_crossing(sign: int) -> float:
-        """First zero of u -> g(psi0 + sign*u) on (0, pi]."""
-        neg = np.flatnonzero(g[(j0 + sign * steps) % m] < 0.0)
-        if neg.size == 0:
-            return np.pi  # degenerate arc of full half-length (ray-like range)
-        i = int(neg[0])
-        lo, hi = (u[i - 1] if i > 0 else 0.0), u[i]
-        for _ in range(60):
-            mid = (lo + hi) / 2.0
-            if mid == lo or mid == hi:
-                break  # the bracket is one ulp wide: further steps repeat this one
-            if _min_herm_eig(a, psi0 + sign * mid) >= 0.0:
-                lo = mid
-            else:
-                hi = mid
-        return (lo + hi) / 2.0
 
-    u_plus = locate_crossing(+1)
-    u_minus = locate_crossing(-1)
-    psi_plus = psi0 + u_plus
-    psi_minus = psi0 - u_minus
+def _ray_point(a: np.ndarray, psi: float, rho: float, ktol: float) -> complex:
+    """Farthest point of W(a) on the ray e^{i rho} R+, which lies on the
+    supporting line Re(e^{-i psi} z) = 0: the top of Re(e^{-i rho} v*av)
+    over the bottom eigenspace (within ktol) of Re(e^{-i psi} a)."""
+    w, v = np.linalg.eigh(_herm_parts(a, psi))
+    v = v[:, w <= w[0] + ktol]
+    u = v @ np.linalg.eigh(v.conj().T @ _herm_parts(a, rho) @ v)[1][:, -1]
+    return complex(u.conj() @ (a @ u))
 
-    rho_inf = psi_plus - np.pi / 2.0
-    rho_sup = psi_minus + np.pi / 2.0
-    # shift the argument interval so its midpoint lies in (-pi, pi]
-    mid = (rho_inf + rho_sup) / 2.0
+
+def _pencil_sector(a: np.ndarray, ktol: float) -> SectorVerdict:
+    """Exact sector of a non-accretive a from the eigen-angles of (H, -K)."""
+    alpha, beta = sla.eigvals(_herm_part(a), -_herm_part(-1j * a), homogeneous_eigvals=True)
+    s = np.where(np.abs(alpha) >= np.abs(beta), alpha, beta).conj()
+    psi = np.arctan2((alpha * s).real, (beta * s).real)
+    c = np.sort(np.mod(np.concatenate((psi, psi + np.pi)), 2.0 * np.pi))
+    # samples: candidate c[i] at 2i, the midpoint after it at 2i + 1; run
+    # indices reach past the end, so `at` repeats the samples one turn on
+    samples = np.column_stack((c, (c + np.append(c[1:], c[0] + 2.0 * np.pi)) / 2.0)).ravel()
+    g = np.linalg.eigvalsh(_herm_parts(a, samples))[:, 0]
+    at = np.append(samples, samples + 2.0 * np.pi)
+    positive = _runs(g[1::2] > ktol)
+    if positive:
+        i, j = positive[0]
+        psi_minus, psi_plus = float(at[2 * i]), float(at[2 * j + 2])
+    else:
+        runs = _runs(g >= -ktol)
+        if not runs:
+            # every direction cuts into W beyond ktol: 0 is interior
+            return SectorVerdict(angle=None, witness=None)
+        psi_minus, psi_plus = float(at[runs[0][0]]), float(at[runs[0][1]])
+        if len(runs) > 1:
+            # D is two antipodal points: W lies on the line e^{i phi} R
+            psi = (psi_minus + psi_plus) / 2.0
+            phi = _normalize_angle(psi - np.pi / 2.0)
+            ray = phi if abs(phi) >= np.pi / 2.0 else phi + np.pi
+            return SectorVerdict(angle=float(max(abs(phi), np.pi - abs(phi))),
+                                 witness=_ray_point(a, psi, ray, ktol))
+
+    # the argument interval [psi+ - pi/2, psi- + pi/2], shifted so that its
+    # midpoint lies in (-pi, pi]
+    mid = (psi_minus + psi_plus) / 2.0
     shift = _normalize_angle(mid) - mid
-    lo_arg = rho_inf + shift
-    hi_arg = rho_sup + shift
-    if lo_arg < -np.pi - 1e-12 or hi_arg > np.pi + 1e-12:
-        angle = float(np.pi)
-    else:
-        angle = float(min(np.pi, max(abs(lo_arg), abs(hi_arg))))
-
-    # witness: boundary point attaining the extreme argument ray
-    _, w_plus = _support_at(a, psi_plus + np.pi)
-    _, w_minus = _support_at(a, psi_minus + np.pi)
-    cand = [(abs(lo_arg), lo_arg, w_plus), (abs(hi_arg), hi_arg, w_minus)]
-    if abs(cand[0][0] - cand[1][0]) <= 1e-12:
-        # tie between the two extreme rays: report the smaller-angle one
-        witness = min(cand, key=lambda item: item[1])[2]
-    else:
-        witness = max(cand, key=lambda item: item[0])[2]
-    return SectorVerdict(angle=angle, witness=witness)
+    lo_arg, hi_arg = psi_plus - np.pi / 2.0 + shift, psi_minus + np.pi / 2.0 + shift
+    angle = float(min(np.pi, max(abs(lo_arg), abs(hi_arg))))
+    # witness on the extreme ray; on a tie, on the one of smaller argument
+    tie = abs(abs(lo_arg) - abs(hi_arg)) <= 1e-12
+    if (lo_arg <= hi_arg) if tie else (abs(lo_arg) > abs(hi_arg)):
+        return SectorVerdict(angle=angle, witness=_ray_point(a, psi_plus, lo_arg, ktol))
+    return SectorVerdict(angle=angle, witness=_ray_point(a, psi_minus, hi_arg, ktol))
 
 
 def is_nearly_positive(x, eps: float, tol: Tolerances | None = None) -> NearlyPositiveReport:

@@ -34,6 +34,14 @@ def test_nrange_rank_one_psd_has_angle_zero(tmp_path, capsys):
     assert "sectorial angle: 0\n" in capsys.readouterr().out
 
 
+def test_nrange_segment_through_zero_has_angle_pi(tmp_path, capsys):
+    # W = [-1e-10, 1]: 0 is on the boundary, not interior
+    p = tmp_path / "seg.json"
+    write_matrix(np.diag([1.0, -1e-10]).astype(complex), str(p))
+    assert cli.main(["nrange", str(p)]) == cli.EXIT_OK
+    assert "sectorial angle: 3.14159265359\n" in capsys.readouterr().out
+
+
 def test_nrange_rejects_malformed_json(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text("{not json")

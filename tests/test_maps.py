@@ -71,6 +71,15 @@ def test_choi_of_identity_is_entangled_projector():
     assert is_cp(identity_map(full_matrix_algebra(2))).cp
 
 
+def test_choi_block_is_built_once_and_read_only():
+    # the cb bound and the RCP test of a projection share one Choi block
+    t_map = transpose_map(2)
+    c = choi_matrix(t_map).c
+    assert c is t_map._choi_block and is_cp(t_map).choi.c is c
+    with pytest.raises(ValueError):
+        c[0, 0] = 2.0
+
+
 def test_choi_requires_full_domain():
     with pytest.raises(UnsupportedError):
         choi_matrix(identity_map(diagonal_algebra(2)))

@@ -174,7 +174,7 @@ def test_stacked_sweeps_match_per_angle_loop_bitwise(n):
     grid = np.linspace(-np.pi, np.pi, 256, endpoint=False)
     for seed in range(5):
         x = random_matrix(n, seed) if seed % 2 else random_accretive(n, seed)
-        stacked = numrange._min_herm_eig(x, grid)
+        stacked = np.linalg.eigvalsh(numrange._herm_parts(x, grid))[:, 0]
         loop = np.array([np.linalg.eigvalsh(rotated_herm(x, th))[0] for th in grid])
         assert np.array_equal(stacked, loop)
         rb = boundary(x)
@@ -206,15 +206,20 @@ def test_sectorial_angle_matches_pencil_angle(n):
         assert abs(abs(np.angle(v.witness)) - exact) <= 1e-6
 
 
+def _min_herm_eig(x, psi):
+    """Smallest eigenvalue of Re(e^{-i psi} x), elementwise over psi."""
+    return np.linalg.eigvalsh(numrange._herm_parts(x, psi))[..., 0]
+
+
 def _sectorial_angle_per_side_sweep(x, m=256):
-    """sectorial_angle with its crossing brackets found by a separate
-    128-angle sweep per side and 60 full bisection steps: the evaluation
-    that reading the brackets off the grid, and stopping the bisection
-    once the bracket is one ulp wide, must reproduce bit for bit."""
+    """Sector of a non-accretive x by a sweep of m directions, a separate
+    128-angle sweep per side to bracket the ends of the admissible arc,
+    and 60 bisection steps on each: an independent reference for the
+    pencil eigen-angles of sectorial_angle."""
     if np.linalg.norm(x, 2) <= 1e-9:
         return 0.0, 0j
     grid = np.linspace(-np.pi, np.pi, m, endpoint=False)
-    g = numrange._min_herm_eig(x, grid)
+    g = _min_herm_eig(x, grid)
     j0 = int(np.argmax(g))
     if g[j0] < 0.0:
         return None, None
@@ -222,14 +227,14 @@ def _sectorial_angle_per_side_sweep(x, m=256):
     u = np.pi * np.arange(1, 129) / 128
 
     def crossing(sign):
-        neg = np.flatnonzero(numrange._min_herm_eig(x, psi0 + sign * u) < 0.0)
+        neg = np.flatnonzero(_min_herm_eig(x, psi0 + sign * u) < 0.0)
         if neg.size == 0:
             return np.pi
         i = int(neg[0])
         lo, hi = (u[i - 1] if i > 0 else 0.0), u[i]
         for _ in range(60):
             mid = (lo + hi) / 2.0
-            if numrange._min_herm_eig(x, psi0 + sign * mid) >= 0.0:
+            if _min_herm_eig(x, psi0 + sign * mid) >= 0.0:
                 lo = mid
             else:
                 hi = mid
@@ -253,9 +258,11 @@ def _sectorial_angle_per_side_sweep(x, m=256):
 
 
 @pytest.mark.parametrize("n", [2, 4, 8, 16])
-def test_sectorial_angle_matches_per_side_sweep_bitwise(n):
-    """Non-accretive inputs take the sweep, bit for bit as the per-side
-    reference; accretive ones take the exact pencil."""
+def test_sectorial_angle_matches_per_side_sweep(n):
+    """Accretive inputs take the whitened pencil; non-accretive ones (random
+    matrices, and accretive draws rotated off the right half-plane so that
+    their angle is defined) agree with the per-side sweep reference to
+    rounding."""
     rng = np.random.default_rng(n)
     for _ in range(3):
         for x in (random_accretive(n, rng), random_hermitian(n, rng, psd=True),
@@ -264,10 +271,17 @@ def test_sectorial_angle_matches_per_side_sweep_bitwise(n):
             v = sectorial_angle(x)
             assert v.angle == pytest.approx(exact, abs=1e-8)
             assert abs(abs(np.angle(v.witness)) - exact) <= 1e-6
-        x = random_matrix(n, rng)
-        assert abscissa(x) < 0.0
-        v = sectorial_angle(x)
-        assert (v.angle, v.witness) == _sectorial_angle_per_side_sweep(x)
+        cap = float(rng.uniform(0.05, 0.7))
+        phi = rng.choice([-1.0, 1.0]) * rng.uniform(np.pi / 2 + cap, np.pi - cap)
+        for x in (random_matrix(n, rng), np.exp(1j * phi) * random_accretive(n, rng, cap)):
+            assert abscissa(x) < 0.0
+            v = sectorial_angle(x)
+            angle, witness = _sectorial_angle_per_side_sweep(x)
+            if angle is None:
+                assert v.angle is None and v.witness is None
+            else:
+                assert abs(v.angle - angle) <= 1e-12
+                assert abs(v.witness - witness) <= 1e-10
 
 
 def embed_with_kernel(block, n, seed):
@@ -329,12 +343,45 @@ def test_sectorial_angle_small_h_eigenvalue_with_coupling_is_pencil_angle():
     assert sectorial_angle(x).angle == pytest.approx(np.arctan(1e-8 / np.sqrt(1e-9)), rel=1e-9)
 
 
+# non-accretive inputs with 0 on the boundary of W(x), or interior to it:
+# the exact angle (None: 0 is interior) and the farthest point of W(x) on
+# the extreme ray (0 for the disk, which meets its extreme rays only at 0)
+BOUNDARY_INPUTS = [
+    pytest.param(np.diag([1.0, -1e-10]), np.pi, -1e-10, id="segment-through-0"),
+    pytest.param(np.diag([1.0, 1.0j, -0.5]), np.pi, -0.5, id="0-on-an-edge"),
+    pytest.param(np.exp(0.7j) * np.diag([1.0, -3.0]), np.pi - 0.7, -3.0 * np.exp(0.7j),
+                 id="line-through-0"),
+    pytest.param(np.exp(-0.7j) * np.diag([1.0, -3.0]), np.pi - 0.7, -3.0 * np.exp(-0.7j),
+                 id="line-through-0-below"),
+    pytest.param(np.exp(2.5j) * np.array([[1.0, 2.0], [0.0, 1.0]]), np.pi, 0.0,
+                 id="disk-tangent-at-0"),
+    pytest.param(np.array([[0.0, 1.0], [0.0, 0.0]]), None, None, id="0-interior"),
+    pytest.param(np.exp(2.0j) * np.diag([1.0, 0.0]), 2.0, np.exp(2.0j), id="segment-ending-at-0"),
+    pytest.param(np.diag([np.exp(2.0j), np.exp(2.5j), 0.0]), 2.5, np.exp(2.5j), id="0-a-corner"),
+]
+
+
+@pytest.mark.parametrize("x, angle, witness", BOUNDARY_INPUTS)
+def test_sectorial_angle_on_boundary_inputs(x, angle, witness):
+    v = sectorial_angle(x)
+    if angle is None:
+        assert v.angle is None and v.witness is None
+        return
+    assert abs(v.angle - angle) <= 1e-12
+    # the tangent point is an eigen-angle of multiplicity two, known to sqrt(eps)
+    assert v.witness == pytest.approx(witness, abs=1e-12 if witness else 1e-7)
+
+
 @pytest.mark.parametrize("s", [1e-6, 1.0, 1e6])
 def test_sectorial_angle_is_scale_invariant(s):
     kernel_input = embed_with_kernel(random_accretive(3, 21, angle_cap=0.9), 6, 22)
     for x in (np.diag([1.0, 1e-3 * (1 + 1j)]), random_accretive(5, 23, angle_cap=0.6),
               kernel_input, random_hermitian(4, 24, psd=True)):
         assert sectorial_angle(s * x).angle == pytest.approx(sectorial_angle(x).angle, abs=1e-12)
+    for param in BOUNDARY_INPUTS:
+        x, expected, _ = param.values
+        angle = sectorial_angle(s * x).angle
+        assert angle is None if expected is None else abs(angle - expected) <= 1e-12
 
 
 def test_nearly_positive_singular_psd_contraction():
