@@ -22,12 +22,15 @@ completed methods disagree beyond 1e-6 * (1 + ||x||).
 Accretive matrices have a semisimple reducing kernel (ker x = ker x*,
 orthogonal to the range), so the zero eigenvalue cluster is split off
 exactly by an ordered Schur form before any power or quadrature; the
-power acts as zero on that block for every r > 0.
+power acts as zero on that block for every r > 0.  One split and one
+square-root chain per input (``_deflate``) serve every exponent and both
+spectral routes; the Balakrishnan nodes are solved by triangular back
+substitution on the Schur block.
 """
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.linalg as sla
@@ -78,44 +81,15 @@ def _sqrtm_tri(t: np.ndarray) -> np.ndarray:
     return r
 
 
-def _power_tri(t: np.ndarray, r: float) -> np.ndarray:
-    """Principal fractional power of an upper-triangular matrix with
-    spectrum off the closed negative real axis.
-
-    Inverse scaling and squaring: take square roots until ||I - B|| is
-    small, run the binomial series for B^r, then square back.
-    """
-    n = t.shape[0]
-    if n == 0:
-        return t.copy()
-    if abs(r - 1.0) < 1e-300:
-        return t.copy()
-    if n == 1:
-        lam = complex(t[0, 0])
-        return np.array([[np.exp(r * np.log(lam))]], dtype=complex)
-    eye = np.eye(n, dtype=complex)
-    b = t.astype(complex)
-    sqrts = 0
-    while _norm2(eye - b) > 0.3:
-        if sqrts >= 60:
-            raise NumericError("inverse scaling-and-squaring failed to contract the spectrum")
-        b = _sqrtm_tri(b)
-        sqrts += 1
-    # binomial series (I - E)^r = sum_j a_j E^j, a_0 = 1, a_j = a_{j-1}(j-1-r)/j
-    e_mat = eye - b
-    e_norm = _norm2(e_mat)
-    y = eye.copy()
-    p = eye.copy()
-    a = 1.0
-    for j in range(1, 600):
-        a *= (j - 1.0 - r) / j
-        p = p @ e_mat
-        y += a * p
-        if abs(a) * e_norm ** j / max(1e-300, 1.0 - e_norm) < 1e-18 and j >= 8:
-            break
-    for _ in range(sqrts):
-        y = y @ y
-    return y
+def _solve_upper_stack(u: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve u_j x_j = b for a stack (m, k, k) of upper-triangular u_j
+    against one right-hand side b (k, k): back substitution over the whole
+    stack, k row steps of one batched matmul each."""
+    x = np.empty(u.shape[:1] + b.shape, dtype=complex)
+    for i in reversed(range(b.shape[0])):
+        rest = b[i] - (u[:, i:i + 1, i + 1:] @ x[:, i + 1:, :])[:, 0, :]
+        x[:, i, :] = rest / u[:, i, i, None]
+    return x
 
 
 def _split_zero_cluster(xc: np.ndarray, zero_tol: float, tol: Tolerances):
@@ -128,7 +102,6 @@ def _split_zero_cluster(xc: np.ndarray, zero_tol: float, tol: Tolerances):
     large defect signals an ill-separated spectrum near zero.
     """
     n = xc.shape[0]
-    nrm = _norm2(xc)
     t, z, sdim = sla.schur(xc, output="complex", sort=lambda lam: abs(lam) > zero_tol)
     k = int(sdim)
     t11 = t[:k, :k]
@@ -140,7 +113,7 @@ def _split_zero_cluster(xc: np.ndarray, zero_tol: float, tol: Tolerances):
             _norm2(t12) if t12.size else 0.0,
             _norm2(t22) if t22.size else 0.0,
         )
-        if defect > 1e-7 * (1.0 + nrm):
+        if defect > 1e-7 * (1.0 + _norm2(xc)):
             raise NumericError(
                 "zero eigenvalue cluster is not cleanly reducing "
                 f"(coupling {defect:.3g}); pass a different zero_tol "
@@ -154,6 +127,89 @@ def _reassemble(z: np.ndarray, block: np.ndarray, n: int) -> np.ndarray:
     full = np.zeros((n, n), dtype=complex)
     full[:k, :k] = block
     return z @ full @ z.conj().T
+
+
+class _Deflation:
+    """One accretive input xc, shared by every exponent and by the shifted
+    and Balakrishnan routes.  Its Schur split (z, t11, k) and the square-
+    root chain of t11 are built on first use, so r = 1 needs neither; a
+    split that fails raises again at each use."""
+
+    def __init__(self, xc: np.ndarray, nrm: float, zero_tol: float, t: Tolerances):
+        self.xc, self.nrm, self._ztol, self.t = xc, nrm, zero_tol, t
+
+    @cached_property
+    def _split(self):
+        return _split_zero_cluster(self.xc, self._ztol, self.t)[:3]
+
+    @cached_property
+    def _chain(self):
+        """(b, sqrts, ||I - b||): square roots of t11 until ||I - b|| <= 0.3."""
+        b = self._split[1]
+        eye = np.eye(b.shape[0], dtype=complex)
+        sqrts = 0
+        e_norm = _norm2(eye - b)
+        while e_norm > 0.3:
+            if sqrts >= 60:
+                raise NumericError("inverse scaling-and-squaring failed to contract the spectrum")
+            b = _sqrtm_tri(b)
+            sqrts += 1
+            e_norm = _norm2(eye - b)
+        return b, sqrts, e_norm
+
+    def shifted(self, r: float) -> np.ndarray:
+        """The shifted-route x^r: 0 on the kernel; on t11 the principal power,
+        the binomial series for b^r on the chain's last root b squared back."""
+        if r == 1.0:
+            return self.xc.copy()
+        z, t11, k = self._split
+        if k == 0:
+            return np.zeros_like(self.xc)
+        if k == 1:
+            y = np.array([[np.exp(r * np.log(complex(t11[0, 0])))]], dtype=complex)
+            return _reassemble(z, y, self.xc.shape[0])
+        b, sqrts, e_norm = self._chain
+        eye = np.eye(k, dtype=complex)
+        # binomial series (I - E)^r = sum_j a_j E^j, a_0 = 1, a_j = a_{j-1}(j-1-r)/j
+        e_mat = eye - b
+        y = eye.copy()
+        p = eye.copy()
+        a = 1.0
+        for j in range(1, 600):
+            a *= (j - 1.0 - r) / j
+            p = p @ e_mat
+            y += a * p
+            if abs(a) * e_norm ** j / max(1e-300, 1.0 - e_norm) < 1e-18 and j >= 8:
+                break
+        for _ in range(sqrts):
+            y = y @ y
+        return _reassemble(z, y, self.xc.shape[0])
+
+    def balakrishnan(self, r: float):
+        """(x^r, quadrature error estimate) by the Balakrishnan rule on t11."""
+        if r == 1.0:
+            return self.xc, 0.0
+        z, t11, k = self._split
+        if k == 0:
+            return np.zeros_like(self.xc), 0.0
+        coarse = _balakrishnan_block(t11, r, _BAL_NODES)
+        fine = _balakrishnan_block(t11, r, 2 * _BAL_NODES)
+        est = _norm2(fine - coarse)
+        target = 1e-6 * max(self.nrm, 1e-12) ** r
+        if est > target:
+            raise NumericError(
+                f"quadrature error estimate {est:.3g} exceeds {target:.3g} at "
+                f"{_BAL_NODES} and {2 * _BAL_NODES} nodes; the Balakrishnan rule does "
+                "not resolve this spectrum"
+            )
+        return _reassemble(z, fine, self.xc.shape[0]), est
+
+
+def _deflate(xc: np.ndarray, t: Tolerances, zero_tol: float | None = None) -> _Deflation:
+    """Deflation record of the corner coordinates xc of an accretive element
+    (zero cluster |lambda| <= zero_tol, by default 1e-9 (1 + ||x||))."""
+    nrm = _norm2(xc)
+    return _Deflation(xc, nrm, 1e-9 * (1.0 + nrm) if zero_tol is None else float(zero_tol), t)
 
 
 def _require_accretive(xc: np.ndarray, t: Tolerances, who: str):
@@ -267,21 +323,7 @@ def power_shifted(x, r: float, ctx: AmbientContext | None = None,
     r = _validate_exponent(r, 0.0, 1.0, allow_hi=True)
     xc = ctx._compress_member(a, t)
     _require_accretive(xc, t, "power_shifted")
-    return ctx._embed(_power_shifted(xc, r, t, zero_tol))
-
-
-def _power_shifted(xc: np.ndarray, r: float, t: Tolerances,
-                   zero_tol: float | None = None) -> np.ndarray:
-    """The shifted spectral power on the corner coordinates xc of an
-    accretive element."""
-    if r == 1.0:
-        return xc.copy()
-    nrm = _norm2(xc)
-    ztol = 1e-9 * (1.0 + nrm) if zero_tol is None else float(zero_tol)
-    z, t11, k, _ = _split_zero_cluster(xc, ztol, t)
-    if k == 0:
-        return np.zeros_like(xc)
-    return _reassemble(z, _power_tri(t11, r), xc.shape[0])
+    return ctx._embed(_deflate(xc, t, zero_tol).shifted(r))
 
 
 @lru_cache(maxsize=32)
@@ -311,15 +353,16 @@ def _balakrishnan_block(t11: np.ndarray, r: float, nodes: int) -> np.ndarray:
         int = (1/r) int_0^1 (v^{1/r} + T)^{-1} T dv
             + (1/(1-r)) int_0^1 (I + v^{1/(1-r)} T)^{-1} T dv,
     both with bounded analytic integrands handled by panelled
-    Gauss-Legendre quadrature.  Each integral is one batched solve over
-    all its nodes, (nodes, k, k) shifted matrices against T, contracted
-    with the weights.
+    Gauss-Legendre quadrature.  The shifted matrices (nodes, k, k) are
+    upper triangular like T, so each integral is one triangular back
+    substitution on the Schur block over all its nodes, contracted with
+    the weights.
     """
     eye = np.eye(t11.shape[0], dtype=complex)
     v_nodes, v_weights = _gl_panels(nodes)
 
     def integral(lhs: np.ndarray) -> np.ndarray:
-        return np.tensordot(v_weights, np.linalg.solve(lhs, t11), axes=1)
+        return np.tensordot(v_weights, _solve_upper_stack(lhs, t11), axes=1)
 
     acc_a = integral((v_nodes ** (1.0 / r))[:, None, None] * eye + t11)
     acc_b = integral(eye + (v_nodes ** (1.0 / (1.0 - r)))[:, None, None] * t11)
@@ -347,34 +390,9 @@ def power_balakrishnan(x, r: float, ctx: AmbientContext | None = None,
         r = _validate_exponent(r, 0.0, 1.0, allow_hi=False)
     xc = ctx._compress_member(a, t)
     _require_accretive(xc, t, "power_balakrishnan")
-    y, est = _power_balakrishnan(xc, r, t, zero_tol)
+    y, est = _deflate(xc, t, zero_tol).balakrishnan(r)
     y = ctx._embed(y)
     return (y, est) if return_estimate else y
-
-
-def _power_balakrishnan(xc: np.ndarray, r: float, t: Tolerances,
-                        zero_tol: float | None = None):
-    """(x^r, quadrature error estimate) on the corner coordinates xc of an
-    accretive element."""
-    if r == 1.0:
-        return xc, 0.0
-    n = xc.shape[0]
-    nrm = _norm2(xc)
-    ztol = 1e-9 * (1.0 + nrm) if zero_tol is None else float(zero_tol)
-    z, t11, k, _ = _split_zero_cluster(xc, ztol, t)
-    if k == 0:
-        return np.zeros_like(xc), 0.0
-    coarse = _balakrishnan_block(t11, r, _BAL_NODES)
-    fine = _balakrishnan_block(t11, r, 2 * _BAL_NODES)
-    est = _norm2(fine - coarse)
-    target = 1e-6 * max(nrm, 1e-12) ** r
-    if est > target:
-        raise NumericError(
-            f"quadrature error estimate {est:.3g} exceeds {target:.3g} at "
-            f"{_BAL_NODES} and {2 * _BAL_NODES} nodes; the Balakrishnan rule does "
-            "not resolve this spectrum"
-        )
-    return _reassemble(z, fine, n), est
 
 
 # ---------------------------------------------------------------------------
@@ -398,20 +416,22 @@ def power_all_methods(x, r: float, ctx: AmbientContext | None = None,
         ctx = full_context(a.shape[0])
     t = resolve_tol(tol)
     r = _validate_exponent(r, 0.0, 1.0, allow_hi=True)
-    return _power_all_methods(ctx._compress_member(a, t), r, ctx, t)
-
-
-def _power_all_methods(xc: np.ndarray, r: float, ctx: AmbientContext,
-                       t: Tolerances):
-    """power_all_methods on the corner coordinates xc; values are embedded."""
+    xc = ctx._compress_member(a, t)
     mem = _require_accretive(xc, t, "power")
+    return _power_all_methods(_deflate(xc, t), r, ctx, mem)
+
+
+def _power_all_methods(d: _Deflation, r: float, ctx: AmbientContext, mem):
+    """power_all_methods on the deflated accretive input d, whose cone
+    membership is mem; both routes share d, and values are embedded."""
+    xc, t = d.xc, d.t
     if r == 1.0:
         xe = ctx._embed(xc)
         return xe, {"shifted": xe, "series": xe, "balakrishnan": xe}, {}, {}
 
     candidates = {}
     skipped = {}
-    candidates["shifted"] = ctx._embed(_power_shifted(xc, r, t))
+    candidates["shifted"] = ctx._embed(d.shifted(r))
     if mem.in_F:
         try:
             candidates["series"] = ctx._embed(_power_series(xc, r, t))
@@ -419,12 +439,11 @@ def _power_all_methods(xc: np.ndarray, r: float, ctx: AmbientContext,
             skipped["series"] = str(exc)
     if 0.0 < r < 1.0:
         try:
-            candidates["balakrishnan"] = ctx._embed(_power_balakrishnan(xc, r, t)[0])
+            candidates["balakrishnan"] = ctx._embed(d.balakrishnan(r)[0])
         except NumericError as exc:
             skipped["balakrishnan"] = str(exc)
 
-    nrm = _norm2(xc)
-    cross_tol = 1e-6 * (1.0 + nrm)
+    cross_tol = 1e-6 * (1.0 + d.nrm)
     deviations = {}
     names = sorted(candidates)
     for i, ni in enumerate(names):
@@ -543,20 +562,21 @@ def power_property_report(x, ctx: AmbientContext | None = None,
     if any(not (0.0 < g < 1.0) for g in grid):
         raise InputError("exponent grid entries must lie in (0, 1)")
 
-    nrm = _norm2(xc)
+    d_x = _deflate(xc, t)
+    nrm = d_x.nrm
     cache: dict[float, np.ndarray] = {}
 
-    def power_c(yc: np.ndarray, expo: float) -> np.ndarray:
-        """power() of the element with corner coordinates yc, as coordinates."""
-        return ctx._compress(_power_all_methods(yc, expo, ctx, t)[0])
+    def power_c(yc: np.ndarray, expos):
+        """power() of the element with corner coordinates yc at each
+        exponent, as coordinates; one deflation serves them all."""
+        d, m = _deflate(yc, t), _require_accretive(yc, t, "power")
+        return [ctx._compress(_power_all_methods(d, e, ctx, m)[0]) for e in expos]
 
-    def pw(expo: float, base=None) -> np.ndarray:
-        if base is None:
-            key = round(expo, 12)
-            if key not in cache:
-                cache[key] = power_c(xc, expo)
-            return cache[key]
-        return power_c(ctx._compress(ctx._embed(base)), expo)
+    def pw(expo: float) -> np.ndarray:
+        key = round(expo, 12)
+        if key not in cache:
+            cache[key] = ctx._compress(_power_all_methods(d_x, expo, ctx, mem)[0])
+        return cache[key]
 
     verdicts = {}
     residuals = {}
@@ -576,8 +596,7 @@ def power_property_report(x, ctx: AmbientContext | None = None,
     # scaling law with c = 2
     c = 2.0
     worst = 0.0
-    for u in grid:
-        lhs = power_c(ctx._compress(ctx._embed(c * xc)), u)
+    for u, lhs in zip(grid, power_c(ctx._compress(ctx._embed(c * xc)), grid)):
         worst = max(worst, _norm2(lhs - (c ** u) * pw(u)))
     residuals["scaling"] = worst
     verdicts["scaling"] = worst <= 1e-7 * (1.0 + c) * (1.0 + nrm)
@@ -586,7 +605,8 @@ def power_property_report(x, ctx: AmbientContext | None = None,
     if mem.in_F:
         worst = 0.0
         for u in (0.2, 0.5, 0.8):
-            worst = max(worst, _norm2(pw(0.5, base=pw(u)) - pw(u / 2.0)))
+            root = power_c(ctx._compress(ctx._embed(pw(u))), (0.5,))[0]
+            worst = max(worst, _norm2(root - pw(u / 2.0)))
             if 2.0 * u <= 1.0 + 1e-12:
                 worst = max(worst, _norm2(pw(u) @ pw(u) - pw(2.0 * u)))
         residuals["iterated"] = worst
@@ -666,9 +686,8 @@ def root_bai_check(x, ctx: AmbientContext | None = None, n_max: int = 1024,
     n_max = int(n_max)
     if n_max < 2:
         raise InputError(f"n_max must be >= 2, got {n_max}")
-    nrm = _norm2(xc)
-    ztol = 1e-9 * (1.0 + nrm)
-    z, t11, k, _ = _split_zero_cluster(xc, ztol, t)
+    d = _deflate(xc, t)
+    z, t11, k = d._split
     levels = max(1, math.ceil(math.log2(n_max)))
     residuals_seq = []
     block = t11.copy()
@@ -681,7 +700,7 @@ def root_bai_check(x, ctx: AmbientContext | None = None, n_max: int = 1024,
         residuals_seq[i + 1] <= residuals_seq[i] * 1.05 + 1e-12
         for i in range(len(residuals_seq) - 1)
     )
-    envelope = 1e-6 + 40.0 * (1.0 + nrm) / (2 ** levels)
+    envelope = 1e-6 + 40.0 * (1.0 + d.nrm) / (2 ** levels)
     final_ok = residuals_seq[-1] <= envelope
     verdicts = {"decay_monotone": bool(decay_ok), "final_below_envelope": bool(final_ok)}
     return VerificationReport(

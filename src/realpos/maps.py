@@ -563,10 +563,10 @@ def _clip_accretive(x: np.ndarray) -> np.ndarray:
     return hp + s
 
 
-def _witness(tk: AmplifiedMap, x: np.ndarray) -> dict | None:
+def _witness(tk: AmplifiedMap, x: np.ndarray, cut: float | None = None) -> dict | None:
     """The witness dict for x in M_k(domain), or None.  x must be accretive
     to -1e-10 * (1 + ||x||) (a domain with a unit shifts x by the unit
-    into the cone), and T_k(x) must have abscissa at most
+    into the cone), and T_k(x) must have abscissa at most -cut, by default
     -max(1e-8 * (1 + ||T_k(x)||), 1e-9)."""
     in_absc = _abscissa(x)
     if in_absc < -1e-10 * (1.0 + _norm2(x)):
@@ -576,21 +576,28 @@ def _witness(tk: AmplifiedMap, x: np.ndarray) -> dict | None:
         in_absc = _abscissa(x)
     y = tk._apply(x)
     out_absc = _abscissa(y)
-    if out_absc <= -max(1e-8 * (1.0 + _norm2(y)), 1e-9):
+    if cut is None:
+        cut = max(1e-8 * (1.0 + _norm2(y)), 1e-9)
+    if out_absc <= -cut:
         return {"level": tk.k, "matrix": x, "in_abscissa": float(in_absc),
                 "out_abscissa": float(out_absc)}
     return None
 
 
-def _choi_witness(t_map: LinearMapOnAlgebra, levels: tuple) -> dict | None:
-    """For a map on a C*-algebra domain B whose Choi(T o E_B) is not PSD:
-    the witness at the smallest requested level k >= n, or None.
+def _choi_witness(t_map: LinearMapOnAlgebra, ch: ChoiMatrix, t: Tolerances,
+                  levels: tuple) -> dict | None:
+    """For a map on a C*-algebra domain B whose Choi(T o E_B), ch, fails
+    ``_choi_psd``: the witness at the smallest requested level k >= n, or
+    None.
 
     The input is X = (E_B)_k(P) / n with P = sum_{i,j<n} E_ij (x) E_ij:
     E_B is CP, so X is PSD, and T_k(X) is Choi(T o E_B) / n (padded with
-    zeros when k > n).  A Hermitian Choi matrix that is not PSD gives X a
-    non-accretive image; a non-Hermitian one gives that to i X or -i X,
-    whose images have Hermitian parts -/+ the skew part of Choi / n."""
+    zeros when k > n).  A Hermitian Choi matrix with lambda_min < -psd_tol
+    gives X an image abscissa below -psd_tol / n; a non-Hermitian one
+    (||C - C*|| > 100 eq_tol (1 + ||C||)) gives that to i X or -i X, whose
+    images have Hermitian parts -/+ the skew part of C / n, below
+    -50 eq_tol (1 + ||C||) / n.  Held to the smaller cut, a witness is
+    found whenever is_cp rejects the map."""
     n = t_map.domain.n
     k = min((lv for lv in levels if lv >= n), default=None)
     if k is None:
@@ -599,8 +606,9 @@ def _choi_witness(t_map: LinearMapOnAlgebra, levels: tuple) -> dict | None:
     x = _unit_pairing(k, n)
     if not tk.full_domain:
         x = tk.project(x)
+    cut = min(t.psd_tol, 50.0 * t.eq_tol * (1.0 + _norm2(ch.c))) / n
     for cand in (x / n, 1j * x / n, -1j * x / n):
-        w = _witness(tk, cand)
+        w = _witness(tk, cand, cut)
         if w is not None:
             return w
     return None
@@ -616,7 +624,8 @@ def rcp_test(t_map: LinearMapOnAlgebra, levels=(1, 2, 3), samples: int = 20,
     Hermitian eigen-solve of Choi(T o E_B): PSD gives a certified PASS;
     otherwise a fixed input at the smallest requested level >= n (n for
     the default levels and n <= 3) is a certified witness, with no
-    sampling or search.  Every other case is tested for evidence: phase 1
+    sampling or search, and it is held to the cut of is_cp.  Every
+    other case is tested for evidence: phase 1
     samples seeded accretive elements of M_k(domain) per level and
     checks the image abscissa against -1e-8 * (1 + ||T_k(X)||); phase 2
     runs a random-direction descent over the accretive cone minimising
@@ -630,12 +639,13 @@ def rcp_test(t_map: LinearMapOnAlgebra, levels=(1, 2, 3), samples: int = 20,
         raise InputError("levels must be positive integers")
     dom = t_map.domain
     if (dom.unit is not None or t_map.full_domain) and dom._star_closed:
-        if _choi_psd(_choi(t_map, t), t):
+        ch = _choi(t_map, t)
+        if _choi_psd(ch, t):
             return RcpVerdict(passed=True, certified=True, certificate="choi_psd",
                               witness=None, levels=levels, sampled_violations=[],
                               note="Choi(T o E_B) is PSD: T is CP on the C*-domain, "
                                    "so RCP at every level")
-        witness = _choi_witness(t_map, levels)
+        witness = _choi_witness(t_map, ch, t, levels)
         if witness is not None:
             return RcpVerdict(passed=False, certified=True, certificate="witness",
                               witness=witness, levels=levels, sampled_violations=[],

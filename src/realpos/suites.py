@@ -65,14 +65,15 @@ def suite_chaccr(seed: int, count: int, n: int, tol: Tolerances) -> list:
 
 
 def suite_bal(seed: int, count: int, n: int, tol: Tolerances) -> list:
-    """Quadrature power against the spectral power on accretive inputs."""
-    ctx = cones_mod.full_context(n)
+    """Quadrature power against the spectral power on accretive inputs;
+    both routes share one deflation of each input."""
     exponents = (0.3, 0.7)
     out = []
     for i in range(count):
         rng = _rng(seed, "bal", i)
         x = random_accretive(n, rng)
-        nrm = _norm2(x)
+        calc_mod._require_accretive(x, tol, "power_balakrishnan")
+        d = calc_mod._deflate(x, tol)
         residuals = {}
         verdicts = {}
         details = {}
@@ -80,11 +81,9 @@ def suite_bal(seed: int, count: int, n: int, tol: Tolerances) -> list:
         for r in exponents:
             key = f"r={r:g}"
             try:
-                yb = calc_mod.power_balakrishnan(x, r, ctx, tol=tol)
-                ys = calc_mod.power_shifted(x, r, ctx, tol=tol)
-                dev = _norm2(yb - ys)
+                dev = _norm2(d.balakrishnan(r)[0] - d.shifted(r))
                 residuals[key] = float(dev)
-                ok = dev <= 1e-6 * (1.0 + nrm)
+                ok = dev <= 1e-6 * (1.0 + d.nrm)
                 verdicts[key] = bool(ok)
                 passed = passed and ok
             except NumericError as exc:
@@ -100,8 +99,8 @@ def suite_bal(seed: int, count: int, n: int, tol: Tolerances) -> list:
 
 def suite_sectt(seed: int, count: int, n: int, tol: Tolerances) -> list:
     """Sector transformation: angle(x^t) against the sharp and generic
-    bounds, and root angles against pi/(2n)."""
-    ctx = cones_mod.full_context(n)
+    bounds, and root angles against pi/(2n).  One deflation of each input
+    gives every power; the roots x^{1/2} and x^{1/4} are grid points."""
     caps = (0.3, 0.6, 0.9, 1.2, np.pi / 2 - 0.1)
     t_grid = (0.25, 0.5, 0.75)
     out = []
@@ -118,10 +117,12 @@ def suite_sectt(seed: int, count: int, n: int, tol: Tolerances) -> list:
                                      tolerances=tol.as_dict())
             out.append(_tag(rep, "sectt", i, seed, x))
             continue
+        calc_mod._require_accretive(x, tol, "power_shifted")
+        d = calc_mod._deflate(x, tol)
+        angles = {}
         for t_exp in t_grid:
-            y = calc_mod.power_shifted(x, t_exp, ctx, tol=tol)
-            ay = sectorial_angle(y, tol).angle
-            ay = 0.0 if ay is None else ay
+            ay = sectorial_angle(d.shifted(t_exp), tol).angle
+            angles[t_exp] = ay = 0.0 if ay is None else ay
             sharp = ay <= t_exp * ang + 1e-6
             generic = ay <= t_exp * ang + (1.0 - t_exp) * np.pi / 2 + 1e-6
             verdicts[f"sharp_t={t_exp:g}"] = bool(sharp)
@@ -129,9 +130,7 @@ def suite_sectt(seed: int, count: int, n: int, tol: Tolerances) -> list:
             residuals[f"angle_t={t_exp:g}"] = float(ay)
             passed = passed and sharp and generic
         for nn in (2, 4):
-            y = calc_mod.power_shifted(x, 1.0 / nn, ctx, tol=tol)
-            ay = sectorial_angle(y, tol).angle
-            ay = 0.0 if ay is None else ay
+            ay = angles[1.0 / nn]
             ok = ay <= np.pi / (2 * nn) + 1e-6
             verdicts[f"root_n={nn}"] = bool(ok)
             residuals[f"root_angle_n={nn}"] = float(ay)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from realpos import calculus
 from realpos.calculus import (
     f_inverse,
     f_transform,
@@ -15,9 +16,9 @@ from realpos.calculus import (
     power_shifted,
     root_bai_check,
 )
-from realpos.cones import full_context
+from realpos.cones import corner_context, full_context
 from realpos.errors import InputError, NumericError, PreconditionError
-from realpos.linalg import operator_norm, random_accretive, random_unitary
+from realpos.linalg import Tolerances, operator_norm, random_accretive, random_unitary
 
 
 def normal_power_oracle(x, r):
@@ -203,7 +204,7 @@ def test_root_bai_check_kernel_block():
 
 
 @pytest.mark.parametrize("r", [0.3, 0.7])
-@pytest.mark.parametrize("n", [3, 6])
+@pytest.mark.parametrize("n", [3, 6, 16])
 def test_balakrishnan_matches_scipy_fractional_power(r, n):
     for seed in range(4):
         x = random_accretive(n, 40 + seed, angle_cap=0.4 + 0.3 * seed) + 0.05 * np.eye(n)
@@ -245,3 +246,44 @@ def test_power_shifted_matches_scipy_fractional_power(n, r):
     for x, oracle in _shifted_cases(n):
         err = operator_norm(power_shifted(x, r) - oracle(r))
         assert err <= 1e-12 * (1.0 + operator_norm(x)), err
+
+
+def _deflation_cases():
+    """(x, ctx, corner coordinates) for an invertible input, a kernel
+    input u (B + 0) u* and an element of the corner e M_4 e."""
+    x_inv = random_accretive(4, 101)
+    u = random_unitary(4, 102)
+    d = np.zeros((4, 4), dtype=complex)
+    d[:2, :2] = random_accretive(2, 103) + 0.1 * np.eye(2)
+    x_ker = u @ d @ u.conj().T
+    e = u @ np.diag([1.0, 1.0, 1.0, 0.0]) @ u.conj().T
+    d = np.zeros((4, 4), dtype=complex)
+    d[:3, :3] = random_accretive(3, 104)
+    x_cor = u @ d @ u.conj().T
+    cases = [(x_inv, full_context(4), x_inv), (x_ker, full_context(4), x_ker)]
+    ctx = corner_context(e)
+    cases.append((x_cor, ctx, ctx.compress(x_cor)))
+    return cases
+
+
+def test_one_deflation_gives_every_shifted_power_bitwise():
+    t = Tolerances()
+    for x, ctx, xc in _deflation_cases():
+        d = calculus._deflate(xc, t)
+        for r in (0.25, 0.5, 0.75, 1.0):
+            assert np.array_equal(ctx.embed(d.shifted(r)), power_shifted(x, r, ctx, tol=t)), r
+        y, est = d.balakrishnan(0.5)
+        ref, ref_est = power_balakrishnan(x, 0.5, ctx, tol=t, return_estimate=True)
+        assert np.array_equal(ctx.embed(y), ref) and est == ref_est
+
+
+@pytest.mark.parametrize("k", [1, 2, 4, 16])
+def test_upper_triangular_stack_solve_matches_general_solve(k):
+    t11 = sla.schur(random_accretive(k, 110 + k) + 0.05 * np.eye(k), output="complex")[0]
+    s = np.logspace(-6, 6, 25)
+    eye = np.eye(k, dtype=complex)
+    for lhs in (s[:, None, None] * eye + t11, eye + s[:, None, None] * t11):
+        got = calculus._solve_upper_stack(lhs, t11)
+        ref = np.linalg.solve(lhs, t11)
+        err = np.linalg.norm(got - ref, axis=(1, 2)) / np.linalg.norm(ref, axis=(1, 2))
+        assert err.max() <= 1e-12, err.max()

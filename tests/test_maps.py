@@ -532,7 +532,7 @@ def test_rcp_exact_witness_for_non_hermitian_choi():
 
 @pytest.mark.parametrize("beta, passed, certified", [
     (1e-10, True, True),   # Choi min eigenvalue -1e-10 is within psd_tol
-    (3e-9, True, False),   # image abscissa -1.5e-9 is above the witness threshold
+    (3e-9, False, True),   # Choi min eigenvalue -3e-9 is past psd_tol: certified witness
     (1e-6, False, True),
 ])
 def test_rcp_near_cp_boundary(beta, passed, certified):

@@ -1,8 +1,10 @@
 """Verification suites: every suite passes at small scale, runs are
 deterministic, and option validation is enforced."""
+import numpy as np
 import pytest
 
-from realpos.errors import InputError
+from realpos import calculus, suites
+from realpos.errors import InputError, NumericError, PreconditionError
 from realpos.serialize import dumps_stable, report_file_obj
 from realpos.suites import SUITE_ORDER, run_suite, run_suites
 
@@ -63,3 +65,21 @@ def test_bad_options_rejected():
         run_suite("lump", seed=0, count=0, n=3)
     with pytest.raises(InputError):
         run_suite("lump", seed=0, count=1, n=1)
+
+
+def test_bal_reports_a_failed_deflation_per_exponent(monkeypatch):
+    def fail(*args):
+        raise NumericError("zero eigenvalue cluster is not cleanly reducing")
+
+    monkeypatch.setattr(calculus, "_split_zero_cluster", fail)
+    for rep in run_suite("bal", seed=3, count=2, n=3):
+        assert not rep.passed and rep.residuals == {}
+        assert rep.verdicts == {"r=0.3": False, "r=0.7": False}
+        assert rep.details == {key: "zero eigenvalue cluster is not cleanly reducing"
+                               for key in ("r=0.3", "r=0.7")}
+
+
+def test_bal_propagates_a_non_accretive_input(monkeypatch):
+    monkeypatch.setattr(suites, "random_accretive", lambda n, rng: -np.eye(n, dtype=complex))
+    with pytest.raises(PreconditionError):
+        run_suite("bal", seed=3, count=1, n=3)
