@@ -9,19 +9,18 @@ when singular values sit too close to the cut.
 
 The structural certificates (basis closure, ideals, unit residuals) run
 on stacked ``(m, n, n)`` arrays: one matmul per right factor, then one
-projection or one stacked operator norm per check.  The inner-ideal
-products of ``hsa_from_z`` run as one ``(d_A, d_D)`` stack per element of
-D, so their memory is bounded by the dimensions of A and D.
+projection or one stacked operator norm per check.  ``hsa_from_z``
+certifies its ideals through the support idempotent s(z), by span
+residuals between (d_A, n, n) stacks, so no triple product is formed.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .calculus import _f_transform, _split_zero_cluster, _sqrtm_tri
+from .calculus import _f_transform, _split_zero_cluster
 from .cones import AmbientContext, _membership, full_context
 from .errors import InputError, MethodDisagreementError, NumericError, PreconditionError
 from .linalg import Tolerances, _norm2, as_matrix, resolve_tol
@@ -427,8 +426,10 @@ def _unit_candidate(alg: SubalgebraBasis, t: Tolerances):
 
 @dataclass(frozen=True)
 class SupportIdempotent:
-    """Support projection of an accretive element, with the method used
-    and the cross-method agreement residual."""
+    """Support projection s(x) of an accretive element: the projection
+    onto the range of x read from an ordered Schur split (method
+    "RieszProjection": s = e - P_0 with P_0 the spectral projection at
+    0), and its distance from the range projection of an SVD."""
 
     s: np.ndarray
     method: str
@@ -437,20 +438,19 @@ class SupportIdempotent:
 
 def support_idem(x, ctx: AmbientContext | None = None,
                  tol: Tolerances | None = None,
-                 zero_tol: float | None = None,
-                 n_max: int = 1024) -> SupportIdempotent:
-    """Support idempotent s(x) of an accretive matrix.
-
-    Primary method: the Riesz projection complementary to the eigenvalue
-    0, computed as a trapezoid contour integral on a circle separating 0
-    from the rest of the spectrum (s = e - P_0).  Cross-check: the
-    root-limit s = lim x^{1/n} along n = 2^k up to n_max, accelerated by
-    two Richardson extrapolation levels in 1/n.  Disagreement beyond
-    1e-6 raises MethodDisagreementError carrying both candidates.
+                 zero_tol: float | None = None) -> SupportIdempotent:
+    """Support idempotent s(x) = lim x^{1/n} of an accretive matrix.
 
     For accretive x the kernel is reducing and semisimple, so s(x) is the
-    orthogonal projection onto the closure of the range, satisfies
-    s x = x s = x, s^2 = s, and lies in F (||e - s|| <= 1).
+    orthogonal projection onto the range of x, e - P_0 with P_0 the
+    Riesz projection at 0; it satisfies s x = x s = x, s^2 = s, and lies
+    in F (||e - s|| <= 1).  It is read exactly as Z_k Z_k* from the
+    Schur vectors Z_k of the k eigenvalues above zero_tol (default
+    1e-9 (1 + ||x||)), and cross-checked against U_k U_k* from the top k
+    left singular vectors of x.  The two factorisations are independent;
+    disagreement beyond 1e-6 raises MethodDisagreementError carrying both
+    candidates.  A zero cluster that the cut cannot separate, or that
+    does not split off cleanly, raises NumericError.
     """
     a = as_matrix(x)
     if ctx is None:
@@ -462,96 +462,36 @@ def support_idem(x, ctx: AmbientContext | None = None,
         raise PreconditionError(
             f"support_idem needs an accretive input; abscissa residual {mem.r_residual:.3g}"
         )
-    return _support_idem(xc, ctx, t, zero_tol, n_max)
+    return _support_idem(xc, ctx, zero_tol)
 
 
-def _support_idem(xc: np.ndarray, ctx: AmbientContext, t: Tolerances,
-                  zero_tol: float | None = None, n_max: int = 1024) -> SupportIdempotent:
+def _support_idem(xc: np.ndarray, ctx: AmbientContext,
+                  zero_tol: float | None = None) -> SupportIdempotent:
     """support_idem on the corner coordinates xc of an accretive element."""
-    k_dim = xc.shape[0]
-    nrm = _norm2(xc)
-    ztol = 1e-9 * (1.0 + nrm) if zero_tol is None else float(zero_tol)
-    eigs = np.linalg.eigvals(xc)
-    zero_mask = np.abs(eigs) <= ztol
-    eye = np.eye(k_dim, dtype=complex)
-
-    if np.all(zero_mask):
-        s_riesz = np.zeros_like(xc)
-        s_root = np.zeros_like(xc)
-    elif not np.any(zero_mask):
-        s_riesz = eye.copy()
-        s_root = _root_limit_block(xc, ztol, t, n_max)
-    else:
-        lam_min = float(np.min(np.abs(eigs[~zero_mask])))
-        lam_zero = float(np.max(np.abs(eigs[zero_mask]))) if np.any(zero_mask) else 0.0
-        rho = lam_min / 2.0
+    ztol = 1e-9 * (1.0 + _norm2(xc)) if zero_tol is None else float(zero_tol)
+    mags = np.abs(np.linalg.eigvals(xc))
+    zero_mask = mags <= ztol
+    if np.any(zero_mask) and not np.all(zero_mask):
+        rho = float(np.min(mags[~zero_mask])) / 2.0
+        lam_zero = float(np.max(mags[zero_mask]))
         if rho <= 3.0 * lam_zero:
             raise NumericError(
                 f"cannot separate the zero cluster: radius {rho:.3g} vs cluster "
                 f"extent {lam_zero:.3g}; pass a different zero_tol"
             )
-        p0 = _riesz_zero_projection(xc, rho, t)
-        s_riesz = eye - p0
-        s_root = _root_limit_block(xc, ztol, t, n_max)
-
-    agreement = _norm2(s_riesz - s_root)
+    z, _, k = _split_zero_cluster(xc, ztol)
+    u = np.linalg.svd(xc)[0][:, :k]
+    s_schur = z[:, :k] @ z[:, :k].conj().T
+    s_svd = u @ u.conj().T
+    agreement = _norm2(s_schur - s_svd)
     if agreement > 1e-6:
         raise MethodDisagreementError(
             f"support idempotent methods disagree by {agreement:.3g} (> 1e-6)",
-            values={"riesz": ctx._embed(s_riesz), "root_limit": ctx._embed(s_root)},
+            values={"schur": ctx._embed(s_schur), "svd": ctx._embed(s_svd)},
         )
     return SupportIdempotent(
-        s=ctx._embed(s_riesz), method="RieszProjection", agreement_residual=agreement
+        s=ctx._embed(s_schur), method="RieszProjection", agreement_residual=agreement
     )
-
-
-def _riesz_zero_projection(xc: np.ndarray, rho: float, t: Tolerances) -> np.ndarray:
-    """Spectral projection onto the zero cluster by trapezoid quadrature
-    of the resolvent on |lambda| = rho (geometric convergence in the node
-    count; doubled until stable).  Each rule is one stacked solve of
-    lambda_j - x against the identity over all its nodes lambda_j,
-    summed with the weights lambda_j / nodes."""
-    eye = np.eye(xc.shape[0], dtype=complex)
-
-    def trapezoid(nodes: int) -> np.ndarray:
-        lam = rho * np.exp(2j * np.pi * np.arange(nodes) / nodes)
-        resolvents = np.linalg.solve(lam[:, None, None] * eye - xc, eye)
-        return np.tensordot(lam, resolvents, axes=1) / nodes
-
-    prev = trapezoid(64)
-    for nodes in (128, 256, 512):
-        cur = trapezoid(nodes)
-        if _norm2(cur - prev) <= max(t.conv_tol, 1e-13) * (1.0 + _norm2(cur)):
-            return cur
-        prev = cur
-    raise NumericError("resolvent contour integral failed to stabilise by 512 nodes")
-
-
-def _root_limit_block(xc: np.ndarray, ztol: float, t: Tolerances, n_max: int) -> np.ndarray:
-    """lim_k x^{1/2^k} with two Richardson levels in 1/n.
-
-    x^{1/n} = s + s log(x')/n + O(1/n^2) on the invertible part, so
-    R1_k = 2 a_{k+1} - a_k kills the 1/n term and a second level kills
-    1/n^2, reaching ~1e-9 accuracy by n = 1024 where the raw root alone
-    would still be ~|log lambda|/n.
-    """
-    levels = max(3, int(math.ceil(math.log2(max(4, n_max)))))
-    z, t11, k, _ = _split_zero_cluster(xc, ztol, t)
-    n_dim = xc.shape[0]
-    if k == 0:
-        return np.zeros_like(xc)
-    block = t11.copy()
-    tail = []
-    for lev in range(1, levels + 1):
-        block = _sqrtm_tri(block)
-        if lev >= levels - 2:
-            tail.append(block.copy())
-    r1a = 2.0 * tail[1] - tail[0]
-    r1b = 2.0 * tail[2] - tail[1]
-    r2 = (4.0 * r1b - r1a) / 3.0
-    out = np.zeros((n_dim, n_dim), dtype=complex)
-    out[:k, :k] = r2
-    return z @ out @ z.conj().T
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +527,7 @@ def ws_suite(x, algebra: SubalgebraBasis, tol: Tolerances | None = None) -> Veri
         raise PreconditionError("ws_suite input does not lie in the given algebra")
 
     nrm = _norm2(a)
-    sup = _support_idem(xc, ctx, t)
+    sup = _support_idem(xc, ctx)
     s = sup.s
 
     v1 = algebra._contains(s, 1e-7)
@@ -660,12 +600,14 @@ class HsaResult:
 def hsa_from_z(z, algebra: SubalgebraBasis, tol: Tolerances | None = None) -> HsaResult:
     """Build the hereditary structure generated by z in F.
 
-    Certifies: J is a right ideal, K is a left ideal, D = z A z is an
-    inner ideal (d a d' stays in D), and s(z) acts as a unit on D.
-
-    Each certificate is one stacked product and projection; the products
-    d b d' run as one (dim A, dim D) stack per d in D, so peak memory is
-    about dim A * dim D * n^2 complex numbers.
+    In finite dimensions the hereditary subalgebra of z is s A s with
+    s = s(z) in ba(z), a subset of A.  The certificate checks that s lies
+    in A, s^2 = s and s z = z s = z, and that the spans zA = sA, Az = As
+    and zAz = sAs agree (each side's dim A rows against an orthonormal
+    basis of the other side).  J = zA is then a right ideal and K = Az a
+    left ideal (sA A lies in sA), and D = zAz an inner ideal (sAs A sAs
+    lies in sAs), with s acting as a unit on D.  Memory is a few
+    (dim A, n, n) stacks.
     """
     t = resolve_tol(tol)
     a = as_matrix(z, "z")
@@ -680,30 +622,34 @@ def hsa_from_z(z, algebra: SubalgebraBasis, tol: Tolerances | None = None) -> Hs
         raise PreconditionError("hsa_from_z input does not lie in the given algebra")
     n = algebra.n
     cube = np.array(algebra.basis)
-    j_cube = _ortho_matrices(a @ cube, n)
-    d_cube = _ortho_matrices(a @ cube @ a, n)
-    k_cube = _ortho_matrices(cube @ a, n)
+    s = _support_idem(xc, ctx).s
 
-    r_right = _worst_span_residual(_pair_products(j_cube, cube), j_cube)
-    r_left = _worst_span_residual(_pair_products(cube, k_cube), k_cube)
-    r_inner = max((_worst_span_residual(_pair_products(d @ cube, d_cube), d_cube)
-                   for d in d_cube), default=0.0)
+    residuals = {}
+    bases = {}
+    sides = {"right_ideal": lambda m: m @ cube, "inner_ideal": lambda m: m @ cube @ m,
+             "left_ideal": lambda m: cube @ m}
+    for key, side in sides.items():
+        z_side, s_side = side(a), side(s)
+        bases[key] = _ortho_matrices(z_side, n)
+        z_rows, s_rows = z_side.reshape(len(cube), -1), s_side.reshape(len(cube), -1)
+        residuals[key] = max(_worst_span_residual(z_rows, _ortho_matrices(s_side, n)),
+                             _worst_span_residual(s_rows, bases[key]))
+    residuals["support_in_algebra"] = algebra._span_distance(s) / (1.0 + np.linalg.norm(s))
+    residuals["idempotent"] = _norm2(s @ s - s)
+    residuals["support_commutes"] = _worst_unit_residual(s, a[None])
+    residuals["support_unit"] = _worst_unit_residual(s, bases["inner_ideal"])
 
-    s = _support_idem(xc, ctx, t).s
-    r_unit = _worst_unit_residual(s, d_cube)
-
-    verdicts = {
-        "right_ideal": r_right <= 1e-7,
-        "left_ideal": r_left <= 1e-7,
-        "inner_ideal": r_inner <= 1e-7,
-        "support_unit_on_core": r_unit <= 1e-6,
-    }
+    support = all(residuals[key] <= 1e-7
+                  for key in ("support_in_algebra", "idempotent", "support_commutes"))
+    verdicts = {key: support and residuals[key] <= 1e-7
+                for key in ("right_ideal", "left_ideal", "inner_ideal")}
+    verdicts["support_unit_on_core"] = residuals["support_unit"] <= 1e-6
+    j_cube, d_cube, k_cube = bases["right_ideal"], bases["inner_ideal"], bases["left_ideal"]
     report = VerificationReport(
         check="hsa",
         passed=all(verdicts.values()),
         verdicts=verdicts,
-        residuals={"right_ideal": r_right, "left_ideal": r_left,
-                   "inner_ideal": r_inner, "support_unit": r_unit},
+        residuals=residuals,
         tolerances=t.as_dict(),
         details={"dim_J": len(j_cube), "dim_D": len(d_cube), "dim_K": len(k_cube)},
         instance=matrix_digest(a),
@@ -728,8 +674,8 @@ def supp_order(x, y, algebra: SubalgebraBasis, tol: Tolerances | None = None) ->
     r_ya = _span_rank(ya)
     r_joint = _span_rank(ya + xa)
     contained = r_joint == r_ya
-    sx = _support_idem(xcs[0], ctx, t).s
-    sy = _support_idem(xcs[1], ctx, t).s
+    sx = _support_idem(xcs[0], ctx).s
+    sy = _support_idem(xcs[1], ctx).s
     res = _norm2(sy @ sx - sx)
     dominates = res <= 1e-7
     verdicts = {"ideal_containment": bool(contained), "support_domination": bool(dominates)}
@@ -794,7 +740,7 @@ def aarnes_kadison_check(x, algebra: SubalgebraBasis,
     cube = np.array(algebra.basis)
     c1 = _spans_equal(a @ cube @ a, cube)
     c2 = _spans_equal(a @ cube, cube) and _spans_equal(cube @ a, cube)
-    s = _support_idem(xc, ctx, t).s
+    s = _support_idem(xc, ctx).s
     res_unit = _worst_unit_residual(s, cube)
     scale = 1.0 + _max_op_norm(cube)
     c3 = res_unit <= 1e-7 * scale and algebra._contains(s, 1e-7)
@@ -863,7 +809,7 @@ def idempotent_ideal(q, algebra: SubalgebraBasis, x=None,
         xc = ctx._compress_member(axm, t)
         if not _membership(xc, t).in_r:
             raise PreconditionError("supplied x must be accretive")
-        s = _support_idem(xc, ctx, t).s
+        s = _support_idem(xc, ctx).s
         if algebra._contains(s, 1e-7):
             same = _spans_equal([axm @ b for b in algebra.basis],
                                 [s @ b for b in algebra.basis])

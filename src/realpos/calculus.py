@@ -92,34 +92,27 @@ def _solve_upper_stack(u: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _split_zero_cluster(xc: np.ndarray, zero_tol: float, tol: Tolerances):
+def _split_zero_cluster(xc: np.ndarray, zero_tol: float):
     """Ordered complex Schur split isolating the zero eigenvalue cluster.
 
-    Returns (z, t11, k, defect) with the nonzero-spectrum block t11 of
-    size k leading, and xc = z diag(t11, ~0) z* up to the reported defect
-    norm.  For accretive matrices the kernel is reducing and semisimple,
-    so the off-diagonal coupling and the zero block are both tiny; a
-    large defect signals an ill-separated spectrum near zero.
+    Returns (z, t11, k) with the nonzero-spectrum block t11 of size k
+    leading, so xc = z diag(t11, ~0) z*.  For accretive matrices the
+    kernel is reducing and semisimple, so the off-diagonal coupling and
+    the zero block are both tiny; a large one signals an ill-separated
+    spectrum near zero and raises NumericError.
     """
     n = xc.shape[0]
     t, z, sdim = sla.schur(xc, output="complex", sort=lambda lam: abs(lam) > zero_tol)
     k = int(sdim)
-    t11 = t[:k, :k]
-    t12 = t[:k, k:]
-    t22 = t[k:, k:]
-    defect = 0.0
     if n - k > 0:
-        defect = max(
-            _norm2(t12) if t12.size else 0.0,
-            _norm2(t22) if t22.size else 0.0,
-        )
+        defect = max(_norm2(t[:k, k:]) if k else 0.0, _norm2(t[k:, k:]))
         if defect > 1e-7 * (1.0 + _norm2(xc)):
             raise NumericError(
                 "zero eigenvalue cluster is not cleanly reducing "
                 f"(coupling {defect:.3g}); pass a different zero_tol "
                 f"(current {zero_tol:.3g}) or check accretivity of the input"
             )
-    return z, t11, k, defect
+    return z, t[:k, :k], k
 
 
 def _reassemble(z: np.ndarray, block: np.ndarray, n: int) -> np.ndarray:
@@ -140,7 +133,7 @@ class _Deflation:
 
     @cached_property
     def _split(self):
-        return _split_zero_cluster(self.xc, self._ztol, self.t)[:3]
+        return _split_zero_cluster(self.xc, self._ztol)
 
     @cached_property
     def _chain(self):

@@ -116,7 +116,7 @@ def test_support_idempotent_block_oracle():
 
 @pytest.mark.parametrize("n", [3, 5, 8])
 def test_support_idempotent_kernel_is_idempotent(n):
-    """The stacked Riesz quadrature still yields s^2 = s and s x = x."""
+    """The Schur range projection yields s^2 = s and s x = x."""
     for seed in range(3):
         rng = np.random.default_rng(20 + seed)
         u = random_unitary(n, rng)
@@ -139,6 +139,37 @@ def test_support_idempotent_invertible_is_unit():
 def test_support_idempotent_zero_matrix():
     res = support_idem(np.zeros((2, 2), dtype=complex))
     assert operator_norm(res.s) <= 1e-12
+
+
+def test_support_idempotent_rejects_an_unseparated_zero_cluster():
+    """5e-9 sits above the zero cut 2e-9 but within 6x of the 1.5e-9
+    below it, so the cut cannot tell the kernel apart."""
+    x = np.diag([1.0, 5e-9, 1.5e-9]).astype(complex)
+    with pytest.raises(NumericError, match="cannot separate the zero cluster"):
+        support_idem(x)
+
+
+def test_support_idempotent_rejects_a_non_reducing_kernel():
+    """Accretive within psd_tol, but the kernel couples to the range by 3e-5."""
+    x = np.array([[1.0, 3e-5], [0.0, 0.0]], dtype=complex)
+    with pytest.raises(NumericError, match="not cleanly reducing"):
+        support_idem(x)
+
+
+def test_support_idempotent_non_normal_block_with_kernel():
+    """A Jordan-like accretive block I + 1.4 N (one eigenvalue, no
+    eigenbasis) beside a two-dimensional kernel: both factorisations give
+    the range projection to rounding."""
+    b = np.eye(3) + 1.4 * np.diag([1.0, 1.0], 1)
+    for seed in range(3):
+        u = random_unitary(5, seed)
+        x = np.zeros((5, 5), dtype=complex)
+        x[:3, :3] = b
+        x = u @ x @ u.conj().T
+        res = support_idem(x)
+        expect = u @ np.diag([1.0, 1.0, 1.0, 0.0, 0.0]).astype(complex) @ u.conj().T
+        assert operator_norm(res.s - expect) <= 1e-12
+        assert res.agreement_residual <= 1e-12
 
 
 def test_ws_suite_invertible_all_true():
@@ -317,7 +348,8 @@ def _loop_idempotent_ideal(q, basis):
 
 def _certificate_cases():
     """(algebra, z in F, the support projection of z) on invertible,
-    kernel and zero inputs."""
+    kernel and zero inputs, in full, block-diagonal and upper-triangular
+    algebras."""
     cases = []
     for n in (2, 3, 4):
         rng = np.random.default_rng(40 + n)
@@ -338,18 +370,37 @@ def _certificate_cases():
         cases.append((blocks, z, np.diag([1.0, 1.0, float(corner > 0)]).astype(complex)))
     zero = np.zeros((3, 3), dtype=complex)
     cases.append((full_matrix_algebra(3), zero, zero))
+    upper = _upper_triangular_algebra(3)
+    c = np.triu(random_contraction(3, rng))
+    cases.append((upper, np.eye(3) - 0.8 * c / operator_norm(c), np.eye(3)))
+    z = np.zeros((3, 3), dtype=complex)
+    z[:2, :2] = [[0.6, 0.3], [0.0, 0.6]]
+    cases.append((upper, z, np.diag([1.0, 1.0, 0.0]).astype(complex)))
     return cases
+
+
+def _upper_triangular_algebra(n):
+    """span{E_ij : i <= j}, unital and not closed under the adjoint."""
+    units = []
+    for i in range(n):
+        for j in range(i, n):
+            e = np.zeros((n, n), dtype=complex)
+            e[i, j] = 1.0
+            units.append(e)
+    return SubalgebraBasis(units, unit=np.eye(n))
 
 
 @pytest.mark.parametrize("case", range(len(_certificate_cases())))
 def test_stacked_certificates_match_per_product_loop(case):
     algebra, z, q = _certificate_cases()[case]
 
+    # the product certificate is the oracle for the support-idempotent one
     rep = hsa_from_z(z, algebra).report
     residuals, verdicts, dims = _loop_hsa(z, algebra.basis)
     assert rep.verdicts == verdicts and rep.details == dims
-    for key, value in residuals.items():
-        assert abs(rep.residuals[key] - value) <= 1e-14, key
+    for key in ("right_ideal", "left_ideal", "inner_ideal"):
+        assert residuals[key] <= 1e-7, key
+    assert abs(rep.residuals["support_unit"] - residuals["support_unit"]) <= 1e-14
 
     rep = aarnes_kadison_check(z, algebra)
     residuals, verdicts = _loop_aarnes(z, algebra)
@@ -385,16 +436,24 @@ def test_stacked_residual_helpers_match_loops():
         assert abs(_worst_unit_residual(s, mats) - _loop_unit_residual(s, list(mats))) <= 1e-14
 
 
-def test_hsa_from_z_memory_bounded_at_n8():
-    """The inner-ideal products run one (dim A, dim D) stack at a time;
-    all d_D^2 d_A = 262144 products of 8x8 matrices would take 290 MB."""
-    z = np.eye(8) - random_contraction(8, 5, norm=0.8)
-    algebra = full_matrix_algebra(8)
+@pytest.mark.parametrize("n", [8, 16])
+@pytest.mark.parametrize("full", [True, False], ids=["full_rank", "half_rank"])
+def test_hsa_from_z_memory_bounded(n, full):
+    """The certificate holds a few (dim A, n, n) stacks, never the
+    d_D^2 d_A triple products (4.3e9 of them at n = 16, full rank)."""
+    rng = np.random.default_rng(5)
+    k = n if full else n // 2
+    z = np.zeros((n, n), dtype=complex)
+    z[:k, :k] = np.eye(k) - random_contraction(k, rng, norm=0.8)
+    u = random_unitary(n, rng)
+    z = u @ z @ u.conj().T
+    algebra = full_matrix_algebra(n)
     tracemalloc.start()
     try:
         rep = hsa_from_z(z, algebra).report
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rep.passed and rep.details["dim_D"] == 64
-    assert peak < 32 * 2**20
+    assert rep.passed
+    assert rep.details == {"dim_J": k * n, "dim_D": k * k, "dim_K": n * k}
+    assert peak < 16 * 2**20
