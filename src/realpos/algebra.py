@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .calculus import _f_transform, _split_zero_cluster
-from .cones import AmbientContext, _membership, full_context
+from .cones import AmbientContext, _element, _membership, full_context
 from .errors import InputError, MethodDisagreementError, NumericError, PreconditionError
 from .linalg import Tolerances, _norm2, as_matrix, resolve_tol
 from .report import VerificationReport, matrix_digest
@@ -65,6 +65,22 @@ def _stack(mats) -> np.ndarray:
     rows = np.asarray(mats, dtype=complex).reshape(len(mats), -1)
     nv = np.linalg.norm(rows, axis=1, keepdims=True)
     return rows / np.where(nv > 0, nv, 1.0)
+
+
+def _rank(sv: np.ndarray, rank_tol: float = _RANK_TOL) -> int:
+    """Numerical rank from descending singular values: the count of
+    sv / sv[0] >= 10 rank_tol (0 when sv[0] = 0).  A value in the
+    ambiguity window [rank_tol, 10 rank_tol) raises NumericError instead
+    of a guess."""
+    if sv[0] == 0:
+        return 0
+    rel = sv / sv[0]
+    if np.any((rel >= rank_tol) & (rel < 10 * rank_tol)):
+        raise NumericError(
+            "span rank decision is ambiguous (singular value within 10x of the cut "
+            f"{rank_tol:.3g}); pass cleaner generators, or a rank_tol to spans_equal or ba"
+        )
+    return int(np.sum(rel >= 10 * rank_tol))
 
 
 def _pair_products(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -128,14 +144,7 @@ class SubalgebraBasis:
         self.unit = unit
 
         stack = _stack(mats)
-        sv = np.linalg.svd(stack, compute_uv=False)
-        rel = sv / sv[0] if sv[0] > 0 else sv
-        if np.any((rel >= _RANK_TOL) & (rel < 10 * _RANK_TOL)):
-            raise NumericError(
-                "basis rank decision is ambiguous (singular value within 10x of the "
-                "cut); orthogonalise the basis or pass cleaner generators"
-            )
-        rank = int(np.sum(rel >= 10 * _RANK_TOL))
+        rank = _rank(np.linalg.svd(stack, compute_uv=False))
         if rank != len(mats):
             raise InputError(
                 f"basis is not linearly independent: rank {rank} < {len(mats)} elements"
@@ -285,7 +294,8 @@ def _as_matrices(mats, name: str) -> list:
 
 
 def span_contains(mats, m, tol: float = _SPAN_TOL) -> bool:
-    """Does m lie in the linear span of mats (relative residual <= tol)?"""
+    """Does m lie in the linear span of mats (relative residual <= tol)?
+    An ambiguous rank of mats raises NumericError, as in spans_equal."""
     if isinstance(mats, SubalgebraBasis):
         return mats.contains(m, tol)
     mats = _as_matrices(mats, "mats")
@@ -298,7 +308,7 @@ def span_contains(mats, m, tol: float = _SPAN_TOL) -> bool:
     if stack.shape[0] == 0:
         return nv <= tol
     _, sv, vh = np.linalg.svd(stack, full_matrices=False)
-    keep = vh[sv / sv[0] >= 10 * _RANK_TOL] if sv[0] > 0 else vh[:0]
+    keep = vh[:_rank(sv)]
     proj = (v @ keep.conj().T) @ keep
     return float(np.linalg.norm(v - proj)) <= tol * (1.0 + nv)
 
@@ -307,16 +317,7 @@ def _span_rank(mats, rank_tol: float = _RANK_TOL) -> int:
     stack = _stack(mats)
     if stack.shape[0] == 0:
         return 0
-    sv = np.linalg.svd(stack, compute_uv=False)
-    if sv[0] == 0:
-        return 0
-    rel = sv / sv[0]
-    if np.any((rel >= rank_tol) & (rel < 10 * rank_tol)):
-        raise NumericError(
-            "span rank decision is ambiguous (singular value within 10x of the cut "
-            f"{rank_tol:.3g}); pass an explicit rank_tol override"
-        )
-    return int(np.sum(rel >= 10 * rank_tol))
+    return _rank(np.linalg.svd(stack, compute_uv=False), rank_tol)
 
 
 def spans_equal(mats_a, mats_b, rank_tol: float = _RANK_TOL) -> bool:
@@ -350,12 +351,7 @@ def _ortho_matrices(mats, n: int, rank_tol: float = _RANK_TOL) -> np.ndarray:
     if stack.shape[0] == 0:
         return np.zeros((0, n, n), dtype=complex)
     _, sv, vh = np.linalg.svd(stack, full_matrices=False)
-    if sv[0] == 0:
-        return np.zeros((0, n, n), dtype=complex)
-    rel = sv / sv[0]
-    if np.any((rel >= rank_tol) & (rel < 10 * rank_tol)):
-        raise NumericError("span rank decision is ambiguous; pass cleaner generators")
-    r = int(np.sum(rel >= 10 * rank_tol))
+    r = _rank(sv, rank_tol)
     return vh[:r].reshape(r, n, n)
 
 
@@ -452,16 +448,7 @@ def support_idem(x, ctx: AmbientContext | None = None,
     candidates.  A zero cluster that the cut cannot separate, or that
     does not split off cleanly, raises NumericError.
     """
-    a = as_matrix(x)
-    if ctx is None:
-        ctx = full_context(a.shape[0])
-    t = resolve_tol(tol)
-    xc = ctx._compress_member(a, t)
-    mem = _membership(xc, t)
-    if not mem.in_r:
-        raise PreconditionError(
-            f"support_idem needs an accretive input; abscissa residual {mem.r_residual:.3g}"
-        )
+    _, ctx, _, xc, _ = _element(x, ctx, tol, "support_idem")
     return _support_idem(xc, ctx, zero_tol)
 
 
@@ -514,15 +501,7 @@ def ws_suite(x, algebra: SubalgebraBasis, tol: Tolerances | None = None) -> Veri
     sense; the suite verifies that (i), (iv), (v) agree and that each
     implies (vi).
     """
-    t = resolve_tol(tol)
-    a = as_matrix(x)
-    ctx = algebra.ambient
-    xc = ctx._compress_member(a, t)
-    mem = _membership(xc, t)
-    if not mem.in_r:
-        raise PreconditionError(
-            f"ws_suite needs an accretive input; abscissa residual {mem.r_residual:.3g}"
-        )
+    a, ctx, t, xc, _ = _element(x, algebra.ambient, tol, "ws_suite")
     if not algebra._contains(a, 1e-7):
         raise PreconditionError("ws_suite input does not lie in the given algebra")
 
@@ -609,15 +588,7 @@ def hsa_from_z(z, algebra: SubalgebraBasis, tol: Tolerances | None = None) -> Hs
     lies in sAs), with s acting as a unit on D.  Memory is a few
     (dim A, n, n) stacks.
     """
-    t = resolve_tol(tol)
-    a = as_matrix(z, "z")
-    ctx = algebra.ambient
-    xc = ctx._compress_member(a, t)
-    mem = _membership(xc, t)
-    if not mem.in_F:
-        raise PreconditionError(
-            f"hsa_from_z needs z in F; residual {mem.F_residual:.3g} exceeds eq_tol"
-        )
+    a, ctx, t, xc, _ = _element(z, algebra.ambient, tol, "hsa_from_z", cone="F", name="z")
     if not algebra._contains(a, 1e-7):
         raise PreconditionError("hsa_from_z input does not lie in the given algebra")
     n = algebra.n
@@ -660,22 +631,16 @@ def hsa_from_z(z, algebra: SubalgebraBasis, tol: Tolerances | None = None) -> Hs
 
 def supp_order(x, y, algebra: SubalgebraBasis, tol: Tolerances | None = None) -> VerificationReport:
     """Check span(x A) inside span(y A)  <=>  s(y) s(x) = s(x)."""
-    t = resolve_tol(tol)
-    ax = as_matrix(x, "x")
-    ay = as_matrix(y, "y")
     ctx = algebra.ambient
-    xcs = []
-    for m, name in ((ax, "x"), (ay, "y")):
-        xcs.append(ctx._compress_member(m, t))
-        if not _membership(xcs[-1], t).in_r:
-            raise PreconditionError(f"supp_order needs accretive inputs; {name} is not")
+    ax, _, t, xc, _ = _element(x, ctx, tol, "supp_order")
+    ay, _, _, yc, _ = _element(y, ctx, t, "supp_order", name="y")
     xa = [ax @ b for b in algebra.basis]
     ya = [ay @ b for b in algebra.basis]
     r_ya = _span_rank(ya)
     r_joint = _span_rank(ya + xa)
     contained = r_joint == r_ya
-    sx = _support_idem(xcs[0], ctx).s
-    sy = _support_idem(xcs[1], ctx).s
+    sx = _support_idem(xc, ctx).s
+    sy = _support_idem(yc, ctx).s
     res = _norm2(sy @ sx - sx)
     dominates = res <= 1e-7
     verdicts = {"ideal_containment": bool(contained), "support_domination": bool(dominates)}
@@ -731,12 +696,7 @@ def aarnes_kadison_check(x, algebra: SubalgebraBasis,
     """Check the equivalent fullness conditions of an accretive element:
     span(x A x) = span(A)  <=>  span(x A) = span(A x) = span(A)  <=>
     s(x) acts as the unit of A."""
-    t = resolve_tol(tol)
-    a = as_matrix(x)
-    ctx = algebra.ambient
-    xc = ctx._compress_member(a, t)
-    if not _membership(xc, t).in_r:
-        raise PreconditionError("aarnes_kadison_check needs an accretive input")
+    a, ctx, t, xc, _ = _element(x, algebra.ambient, tol, "aarnes_kadison_check")
     cube = np.array(algebra.basis)
     c1 = _spans_equal(a @ cube @ a, cube)
     c2 = _spans_equal(a @ cube, cube) and _spans_equal(cube @ a, cube)
@@ -759,13 +719,7 @@ def aarnes_kadison_check(x, algebra: SubalgebraBasis,
 def ba_ftransform_equal(x, ctx: AmbientContext | None = None,
                         tol: Tolerances | None = None) -> VerificationReport:
     """The subalgebras generated by x and by F(x) = x(e+x)^{-1} coincide."""
-    t = resolve_tol(tol)
-    a = as_matrix(x)
-    if ctx is None:
-        ctx = full_context(a.shape[0])
-    xc = ctx._compress_member(a, t)
-    if not _membership(xc, t).in_r:
-        raise PreconditionError("ba_ftransform_equal needs an accretive input")
+    a, ctx, t, xc, _ = _element(x, ctx, tol, "ba_ftransform_equal")
     y = ctx._embed(_f_transform(xc))
     b1 = _ba(a, ctx, t)
     b2 = _ba(y, ctx, t)
@@ -786,15 +740,10 @@ def idempotent_ideal(q, algebra: SubalgebraBasis, x=None,
     """For an idempotent q in F inside the algebra: span(q A) is a right
     ideal with left unit q.  When an accretive x is supplied and its
     support lies in the algebra, span(x A) = span(s(x) A) as well."""
-    t = resolve_tol(tol)
-    aq = as_matrix(q, "q")
-    ctx = algebra.ambient
+    aq, ctx, t, _, _ = _element(q, algebra.ambient, tol, "idempotent_ideal", cone="F", name="q")
     idem_res = _norm2(aq @ aq - aq)
     if idem_res > 100 * t.eq_tol * (1.0 + _norm2(aq)) ** 2:
         raise PreconditionError(f"idempotent_ideal needs an idempotent q; residual {idem_res:.3g}")
-    mem = _membership(ctx._compress_member(aq, t), t)
-    if not mem.in_F:
-        raise PreconditionError(f"idempotent_ideal needs q in F; residual {mem.F_residual:.3g}")
     if not algebra._contains(aq, 1e-7):
         raise PreconditionError("q does not lie in the given algebra")
     cube = np.array(algebra.basis)
@@ -805,10 +754,7 @@ def idempotent_ideal(q, algebra: SubalgebraBasis, x=None,
     residuals = {"right_ideal": worst_ideal, "left_unit": worst_unit}
     details = {"dim_ideal": len(ideal)}
     if x is not None:
-        axm = as_matrix(x)
-        xc = ctx._compress_member(axm, t)
-        if not _membership(xc, t).in_r:
-            raise PreconditionError("supplied x must be accretive")
+        axm, _, _, xc, _ = _element(x, ctx, t, "idempotent_ideal")
         s = _support_idem(xc, ctx).s
         if algebra._contains(s, 1e-7):
             same = _spans_equal([axm @ b for b in algebra.basis],

@@ -36,9 +36,9 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.special
 
-from .cones import AmbientContext, _membership, full_context
-from .errors import InputError, MethodDisagreementError, NumericError, PreconditionError
-from .linalg import Tolerances, _norm2, as_matrix, resolve_tol
+from .cones import AmbientContext, _element, _require_in
+from .errors import InputError, MethodDisagreementError, NumericError
+from .linalg import Tolerances, _norm2
 from .numrange import _dist_to_point, _sectorial_angle
 from .report import VerificationReport, matrix_digest
 
@@ -58,6 +58,9 @@ __all__ = [
 # Gauss-Legendre nodes per integral of the Balakrishnan rule; the error
 # estimate compares it with twice as many
 _BAL_NODES = 200
+
+# term budget of the binomial series on F
+_SERIES_TERMS = 200_000
 
 
 # ---------------------------------------------------------------------------
@@ -205,17 +208,6 @@ def _deflate(xc: np.ndarray, t: Tolerances, zero_tol: float | None = None) -> _D
     return _Deflation(xc, nrm, 1e-9 * (1.0 + nrm) if zero_tol is None else float(zero_tol), t)
 
 
-def _require_accretive(xc: np.ndarray, t: Tolerances, who: str):
-    """Cone membership of the corner coordinates xc; raises unless accretive."""
-    mem = _membership(xc, t)
-    if not mem.in_r:
-        raise PreconditionError(
-            f"{who} needs an accretive input; abscissa residual {mem.r_residual:.3g} "
-            f"is below -psd_tol = {-t.psd_tol:.3g}"
-        )
-    return mem
-
-
 def _validate_exponent(r, lo_open: float, hi: float, allow_hi: bool) -> float:
     r = float(r)
     hi_ok = (r <= hi) if allow_hi else (r < hi)
@@ -230,7 +222,7 @@ def _validate_exponent(r, lo_open: float, hi: float, allow_hi: bool) -> float:
 # ---------------------------------------------------------------------------
 
 def power_series(x, r: float, ctx: AmbientContext | None = None,
-                 tol: Tolerances | None = None, max_terms: int = 200_000) -> np.ndarray:
+                 tol: Tolerances | None = None) -> np.ndarray:
     """x^r for x in the shrunken cone F, via the binomial series
     x^r = e - sum_k b_k (e - x)^k with b_k = |binom(r, k)|.
 
@@ -239,25 +231,15 @@ def power_series(x, r: float, ctx: AmbientContext | None = None,
     (1 - sum_{k<=K} b_k) * min_{j<=K+1} ||d^j||, which is the rigorous
     stopping rule used here.  Inputs with spectrum touching the unit
     circle of the series (e.g. singular x for small r) may need more
-    than max_terms terms; that raises NumericError rather than silently
-    truncating.
+    than its budget of 200 000 terms; that raises NumericError rather
+    than silently truncating.
     """
-    a = as_matrix(x)
-    if ctx is None:
-        ctx = full_context(a.shape[0])
-    t = resolve_tol(tol)
     r = _validate_exponent(r, 0.0, 1.0, allow_hi=True)
-    xc = ctx._compress_member(a, t)
-    mem = _membership(xc, t)
-    if not mem.in_F:
-        raise PreconditionError(
-            f"power_series needs ||e - x|| <= 1; residual {mem.F_residual:.3g} exceeds eq_tol"
-        )
-    return ctx._embed(_power_series(xc, r, t, max_terms))
+    _, ctx, t, xc, _ = _element(x, ctx, tol, "power_series", cone="F")
+    return ctx._embed(_power_series(xc, r, t))
 
 
-def _power_series(xc: np.ndarray, r: float, t: Tolerances,
-                  max_terms: int = 200_000) -> np.ndarray:
+def _power_series(xc: np.ndarray, r: float, t: Tolerances) -> np.ndarray:
     """The binomial series on the corner coordinates xc of an F element."""
     if r == 1.0:
         return xc.copy()
@@ -276,18 +258,18 @@ def _power_series(xc: np.ndarray, r: float, t: Tolerances,
         min_pow = min(min_pow, _norm2(p_next))
         if tail * min_pow <= t.conv_tol:
             break
-        if k >= max_terms:
+        if k >= _SERIES_TERMS:
             raise NumericError(
                 f"series tail bound {tail * min_pow:.3g} still above conv_tol "
-                f"after {max_terms} terms; the spectrum touches the series boundary"
+                f"after {_SERIES_TERMS} terms; the spectrum touches the series boundary"
             )
         if k % 1000 == 0 and min_pow > 0:
             # project the sublinear tail decay tail_k ~ C k^{-r}; bail out
             # early when the required k provably exceeds the term budget
             needed = k * (tail * min_pow / t.conv_tol) ** (1.0 / r)
-            if needed > 10 * max_terms:
+            if needed > 10 * _SERIES_TERMS:
                 raise NumericError(
-                    f"series would need ~{needed:.3g} terms (> {max_terms}); "
+                    f"series would need ~{needed:.3g} terms (> {_SERIES_TERMS}); "
                     "the spectrum touches the series boundary"
                 )
         k += 1
@@ -309,13 +291,8 @@ def power_shifted(x, r: float, ctx: AmbientContext | None = None,
     minus 0, so the limit there is its principal power, computed directly
     by triangular inverse scaling-and-squaring.
     """
-    a = as_matrix(x)
-    if ctx is None:
-        ctx = full_context(a.shape[0])
-    t = resolve_tol(tol)
     r = _validate_exponent(r, 0.0, 1.0, allow_hi=True)
-    xc = ctx._compress_member(a, t)
-    _require_accretive(xc, t, "power_shifted")
+    _, ctx, t, xc, _ = _element(x, ctx, tol, "power_shifted")
     return ctx._embed(_deflate(xc, t, zero_tol).shifted(r))
 
 
@@ -374,15 +351,10 @@ def power_balakrishnan(x, r: float, ctx: AmbientContext | None = None,
     integral, and the difference serves as the quadrature error estimate,
     required to stay below 1e-6 * ||x||^r.
     """
-    a = as_matrix(x)
-    if ctx is None:
-        ctx = full_context(a.shape[0])
-    t = resolve_tol(tol)
     r = float(r)
     if r != 1.0:
         r = _validate_exponent(r, 0.0, 1.0, allow_hi=False)
-    xc = ctx._compress_member(a, t)
-    _require_accretive(xc, t, "power_balakrishnan")
+    _, ctx, t, xc, _ = _element(x, ctx, tol, "power_balakrishnan")
     y, est = _deflate(xc, t, zero_tol).balakrishnan(r)
     y = ctx._embed(y)
     return (y, est) if return_estimate else y
@@ -404,13 +376,8 @@ def power_all_methods(x, r: float, ctx: AmbientContext | None = None,
     Raises MethodDisagreementError when completed methods differ by more
     than 1e-6 * (1 + ||x||).
     """
-    a = as_matrix(x)
-    if ctx is None:
-        ctx = full_context(a.shape[0])
-    t = resolve_tol(tol)
     r = _validate_exponent(r, 0.0, 1.0, allow_hi=True)
-    xc = ctx._compress_member(a, t)
-    mem = _require_accretive(xc, t, "power")
+    _, ctx, t, xc, mem = _element(x, ctx, tol, "power_all_methods")
     return _power_all_methods(_deflate(xc, t), r, ctx, mem)
 
 
@@ -477,12 +444,7 @@ def f_transform(x, ctx: AmbientContext | None = None,
     The contraction certificate ||e - F(x)|| = ||(e + x)^{-1}||
     <= 1 / dist(-1, W(x)) <= 1 is checked on the way out.
     """
-    a = as_matrix(x)
-    if ctx is None:
-        ctx = full_context(a.shape[0])
-    t = resolve_tol(tol)
-    xc = ctx._compress_member(a, t)
-    _require_accretive(xc, t, "f_transform")
+    _, ctx, _, xc, _ = _element(x, ctx, tol, "f_transform")
     return ctx._embed(_f_transform(xc))
 
 
@@ -511,11 +473,7 @@ def f_inverse(y, ctx: AmbientContext | None = None,
     accuracy expectations can be scaled by it.  A singular or
     numerically singular e - y is rejected.
     """
-    a = as_matrix(y, "y")
-    if ctx is None:
-        ctx = full_context(a.shape[0])
-    t = resolve_tol(tol)
-    yc = ctx._compress_member(a, t)
+    _, ctx, _, yc, _ = _element(y, ctx, tol, "f_inverse", cone=None, name="y")
     k = yc.shape[0]
     eye = np.eye(k, dtype=complex)
     m = eye - yc
@@ -543,12 +501,7 @@ def power_property_report(x, ctx: AmbientContext | None = None,
     for ||x|| <= 1; and the sector laws
     angle(x^t) <= t * angle(x) and <= t*angle(x) + (1-t) pi/2.
     """
-    a = as_matrix(x)
-    if ctx is None:
-        ctx = full_context(a.shape[0])
-    t = resolve_tol(tol)
-    xc = ctx._compress_member(a, t)
-    mem = _require_accretive(xc, t, "power_property_report")
+    a, ctx, t, xc, mem = _element(x, ctx, tol, "power_property_report")
     if exponent_grid is None:
         exponent_grid = np.round(np.arange(1, 10) * 0.1, 10)
     grid = sorted(float(g) for g in exponent_grid)
@@ -562,7 +515,7 @@ def power_property_report(x, ctx: AmbientContext | None = None,
     def power_c(yc: np.ndarray, expos):
         """power() of the element with corner coordinates yc at each
         exponent, as coordinates; one deflation serves them all."""
-        d, m = _deflate(yc, t), _require_accretive(yc, t, "power")
+        d, m = _deflate(yc, t), _require_in(yc, t, "power")
         return [ctx._compress(_power_all_methods(d, e, ctx, m)[0]) for e in expos]
 
     def pw(expo: float) -> np.ndarray:
@@ -670,12 +623,7 @@ def root_bai_check(x, ctx: AmbientContext | None = None, n_max: int = 1024,
     cut at n = 1024 is unattainable already for diag(1, 1/2), whose
     residual there is 3.4e-4.)
     """
-    a = as_matrix(x)
-    if ctx is None:
-        ctx = full_context(a.shape[0])
-    t = resolve_tol(tol)
-    xc = ctx._compress_member(a, t)
-    _require_accretive(xc, t, "root_bai_check")
+    a, ctx, t, xc, _ = _element(x, ctx, tol, "root_bai_check")
     n_max = int(n_max)
     if n_max < 2:
         raise InputError(f"n_max must be >= 2, got {n_max}")

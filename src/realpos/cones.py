@@ -186,6 +186,44 @@ def _membership(xc: np.ndarray, t: Tolerances) -> ConeMembership:
     )
 
 
+def _require_in(xc: np.ndarray, t: Tolerances, who: str, cone: str = "r",
+                name: str = "x") -> ConeMembership:
+    """Cone membership of the corner coordinates xc; raises
+    PreconditionError, naming who, name, the residual and its bound,
+    unless xc lies in the cone ("r" accretive, "F" shrunken)."""
+    mem = _membership(xc, t)
+    if cone == "r" and not mem.in_r:
+        raise PreconditionError(
+            f"{who} needs {name} accretive; abscissa residual {mem.r_residual:.3g} "
+            f"is below -psd_tol = {-t.psd_tol:.3g}"
+        )
+    if cone == "F" and not mem.in_F:
+        raise PreconditionError(
+            f"{who} needs {name} in F; residual ||e - {name}|| - 1 = {mem.F_residual:.3g} "
+            f"exceeds eq_tol = {t.eq_tol:.3g}"
+        )
+    return mem
+
+
+def _element(x, ctx: AmbientContext | None, tol: Tolerances | None, who: str,
+             cone: str | None = "r", name: str = "x"):
+    """The entry check of every function that takes a cone element.
+
+    Validates x (as name), defaults ctx to M_n, checks that x lies in the
+    corner and, unless cone is None, that it lies in the cone ("r" or
+    "F"; see _require_in).  Returns (a, ctx, t, xc, mem): the validated
+    matrix, the context, the tolerances, the corner coordinates and the
+    cone membership (None when cone is None, which computes none).
+    """
+    a = as_matrix(x, name)
+    if ctx is None:
+        ctx = full_context(a.shape[0])
+    t = resolve_tol(tol)
+    xc = ctx._compress_member(a, t)
+    mem = None if cone is None else _require_in(xc, t, who, cone, name)
+    return a, ctx, t, xc, mem
+
+
 def chaccr_verify(x, ctx: AmbientContext, t_grid=None,
                   tol: Tolerances | None = None) -> VerificationReport:
     """Check five equivalent characterisations of accretivity on a t-grid.
@@ -282,17 +320,10 @@ def scale_into_F(x, ctx: AmbientContext, eps: float,
     ||e - y|| <= 1 whenever x is accretive; the certificate is y's
     F-residual (<= eq_tol).
     """
-    t = resolve_tol(tol)
     eps = float(eps)
     if eps <= 0:
         raise InputError(f"eps must be positive, got {eps!r}")
-    a = ctx.check_member(x, t)
-    xc = ctx._compress(a)
-    m = _membership(xc, t)
-    if not m.in_r:
-        raise PreconditionError(
-            f"scale_into_F needs an accretive input; abscissa residual {m.r_residual:.3g}"
-        )
+    a, ctx, t, xc, _ = _element(x, ctx, tol, "scale_into_F")
     nrm = _norm2(xc)
     c = eps + nrm * nrm / eps
     y = (a + eps * ctx.unit) / c
@@ -307,16 +338,10 @@ def approximate_from_F(x, ctx: AmbientContext, t: float,
     t * a_t lies in F and ||a_t - x|| <= t ||x||^2, so a_t -> x as t -> 0
     with every t*a_t inside the shrunken cone.
     """
-    tl = resolve_tol(tol)
     t = float(t)
     if t <= 0:
         raise InputError(f"t must be positive, got {t!r}")
-    xc = ctx._compress(ctx.check_member(x, tl))
-    m = _membership(xc, tl)
-    if not m.in_r:
-        raise PreconditionError(
-            f"approximate_from_F needs an accretive input; abscissa residual {m.r_residual:.3g}"
-        )
+    _, ctx, _, xc, _ = _element(x, ctx, tol, "approximate_from_F")
     k = xc.shape[0]
     at = np.linalg.solve((np.eye(k) + t * xc).conj().T, xc.conj().T).conj().T
     return ctx._embed(at)

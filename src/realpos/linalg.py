@@ -11,7 +11,10 @@ works on the validated array.  The ``_``-prefixed kernels (``_norm2``,
 ``_herm_part``, ``_matrix_exp`` here; ``_abscissa`` in numrange and the
 like elsewhere) trust their input and are what the package calls on
 arrays it built itself; a kernel raises ``NumericError``, never
-``InputError``, when its own arithmetic overflows.
+``InputError``, when its own arithmetic overflows.  A function that takes
+an element of a cone enters through the single entry check
+``cones._element``: ``as_matrix``, the corner check, and the cone
+hypothesis, raised as one ``PreconditionError`` format.
 """
 from __future__ import annotations
 

@@ -383,6 +383,10 @@ class NormEstimate:
 
 
 _NORM_BUDGET = 240
+# seeded accretive samples per level in rcp_test's evidence phase
+_RCP_SAMPLES = 20
+# witness-search evaluations of the rcp_test inside build_symmetric_projection
+_PROJ_RCP_BUDGET = 600
 
 
 def _cb_delta(t_map: LinearMapOnAlgebra) -> float:
@@ -614,8 +618,7 @@ def _choi_witness(t_map: LinearMapOnAlgebra, ch: ChoiMatrix, t: Tolerances,
     return None
 
 
-def rcp_test(t_map: LinearMapOnAlgebra, levels=(1, 2, 3), samples: int = 20,
-             budget: int = 2000, seed: int = 0,
+def rcp_test(t_map: LinearMapOnAlgebra, levels=(1, 2, 3), budget: int = 2000, seed: int = 0,
              tol: Tolerances | None = None) -> RcpVerdict:
     """Does T preserve accretivity at matrix levels?
 
@@ -626,7 +629,7 @@ def rcp_test(t_map: LinearMapOnAlgebra, levels=(1, 2, 3), samples: int = 20,
     the default levels and n <= 3) is a certified witness, with no
     sampling or search, and it is held to the cut of is_cp.  Every
     other case is tested for evidence: phase 1
-    samples seeded accretive elements of M_k(domain) per level and
+    samples 20 seeded accretive elements of M_k(domain) per level and
     checks the image abscissa against -1e-8 * (1 + ||T_k(X)||); phase 2
     runs a random-direction descent over the accretive cone minimising
     the image abscissa.  A certified witness (exactly clipped accretive
@@ -657,7 +660,7 @@ def rcp_test(t_map: LinearMapOnAlgebra, levels=(1, 2, 3), samples: int = 20,
     amps = {k: amplify(t_map, k) for k in levels}
     for k in levels:
         tk = amps[k]
-        for s_idx in range(samples):
+        for s_idx in range(_RCP_SAMPLES):
             x = _accretive_sample(tk, rng)
             if x is None:
                 break
@@ -772,7 +775,7 @@ class SymmetricProjectionCert:
 
 def build_symmetric_projection(theta: LinearMapOnAlgebra, q, algebra: SubalgebraBasis,
                                tol: Tolerances | None = None, levels=(1, 2, 3),
-                               seed: int = 0, rcp_budget: int = 600):
+                               seed: int = 0):
     """P(a) = (a + theta(a)(2q - 1)) / 2 for a period-2 multiplicative
     symmetry theta fixing the Hermitian idempotent q.
 
@@ -836,7 +839,7 @@ def build_symmetric_projection(theta: LinearMapOnAlgebra, q, algebra: Subalgebra
     for k in levels:
         sym_norms[k], p_norms[k], comp_norms[k] = (e.value for e in _op_norm_estimates(
             [sym_map, p_map, comp_map], k, _NORM_BUDGET, seed, [u_sym, u_p, u_comp]))
-    rcp = rcp_test(p_map, levels=levels, budget=rcp_budget, seed=seed, tol=t)
+    rcp = rcp_test(p_map, levels=levels, budget=_PROJ_RCP_BUDGET, seed=seed, tol=t)
 
     # range = fixed points of theta intersected with the q corner
     d = algebra.dim

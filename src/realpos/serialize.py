@@ -157,7 +157,9 @@ def algebra_to_obj(alg) -> dict:
     }
 
 
-def algebra_from_obj(obj, validate: bool = False):
+def algebra_from_obj(obj):
+    """Subalgebra from its JSON object, validated like any caller's basis
+    (square matrices, independence, closure, declared unit)."""
     from .algebra import SubalgebraBasis
 
     try:
@@ -165,7 +167,7 @@ def algebra_from_obj(obj, validate: bool = False):
         unit = None if obj.get("unit") is None else matrix_from_obj(obj["unit"])
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed algebra object: {exc}") from exc
-    return SubalgebraBasis(basis, unit=unit, validate=validate)
+    return SubalgebraBasis(basis, unit=unit)
 
 
 def map_to_obj(t_map) -> dict:

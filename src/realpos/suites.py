@@ -72,7 +72,7 @@ def suite_bal(seed: int, count: int, n: int, tol: Tolerances) -> list:
     for i in range(count):
         rng = _rng(seed, "bal", i)
         x = random_accretive(n, rng)
-        calc_mod._require_accretive(x, tol, "power_balakrishnan")
+        cones_mod._require_in(x, tol, "power_balakrishnan")
         d = calc_mod._deflate(x, tol)
         residuals = {}
         verdicts = {}
@@ -117,7 +117,7 @@ def suite_sectt(seed: int, count: int, n: int, tol: Tolerances) -> list:
                                      tolerances=tol.as_dict())
             out.append(_tag(rep, "sectt", i, seed, x))
             continue
-        calc_mod._require_accretive(x, tol, "power_shifted")
+        cones_mod._require_in(x, tol, "power_shifted")
         d = calc_mod._deflate(x, tol)
         angles = {}
         for t_exp in t_grid:

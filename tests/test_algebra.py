@@ -67,6 +67,20 @@ def test_span_helpers():
     assert not spans_equal(f.basis, d.basis)
 
 
+def test_span_rank_ambiguity_is_refused_by_every_span_question():
+    # the stack [a, a + 4e-10 c] has relative singular values (1, 2e-10),
+    # inside the ambiguity window [1e-10, 1e-9) of the rank cut
+    a = np.diag([1.0, 0.0]).astype(complex)
+    c = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    mats = [a, a + 4e-10 * c]
+    with pytest.raises(NumericError, match="ambiguous"):
+        span_contains(mats, c)
+    with pytest.raises(NumericError, match="ambiguous"):
+        spans_equal(mats, [a])
+    with pytest.raises(NumericError, match="ambiguous"):
+        SubalgebraBasis(mats, validate=False)
+
+
 def test_coords_and_project():
     d = diagonal_algebra(2)
     m = np.diag([2.0, 3.0]).astype(complex)

@@ -1,0 +1,91 @@
+"""The one entry check for cone elements: every function that takes an
+element of r or F rejects an input outside its cone with a
+PreconditionError that starts with the function's name and names the
+input and its residual, and rejects a matrix outside the corner of a
+corner context with an InputError."""
+import numpy as np
+import pytest
+
+from realpos.algebra import (
+    SubalgebraBasis,
+    aarnes_kadison_check,
+    ba_ftransform_equal,
+    full_matrix_algebra,
+    hsa_from_z,
+    idempotent_ideal,
+    supp_order,
+    support_idem,
+    ws_suite,
+)
+from realpos.calculus import (
+    f_inverse,
+    f_transform,
+    power_all_methods,
+    power_balakrishnan,
+    power_property_report,
+    power_series,
+    power_shifted,
+    root_bai_check,
+)
+from realpos.cones import approximate_from_F, corner_context, full_context, scale_into_F
+from realpos.errors import InputError, PreconditionError
+
+# id -> (cone, input name, call(v, ctx, alg, good)); v is the input under
+# test, good an accretive F element of the same ambient algebra
+ENTRIES = {
+    "power_series": ("F", "x", lambda v, ctx, alg, good: power_series(v, 0.5, ctx)),
+    "power_shifted": ("r", "x", lambda v, ctx, alg, good: power_shifted(v, 0.5, ctx)),
+    "power_balakrishnan": ("r", "x", lambda v, ctx, alg, good: power_balakrishnan(v, 0.5, ctx)),
+    "power_all_methods": ("r", "x", lambda v, ctx, alg, good: power_all_methods(v, 0.5, ctx)),
+    "f_transform": ("r", "x", lambda v, ctx, alg, good: f_transform(v, ctx)),
+    "f_inverse": (None, "y", lambda v, ctx, alg, good: f_inverse(v, ctx)),
+    "power_property_report": ("r", "x", lambda v, ctx, alg, good: power_property_report(v, ctx)),
+    "root_bai_check": ("r", "x", lambda v, ctx, alg, good: root_bai_check(v, ctx)),
+    "support_idem": ("r", "x", lambda v, ctx, alg, good: support_idem(v, ctx)),
+    "ws_suite": ("r", "x", lambda v, ctx, alg, good: ws_suite(v, alg)),
+    "hsa_from_z": ("F", "z", lambda v, ctx, alg, good: hsa_from_z(v, alg)),
+    "supp_order[x]": ("r", "x", lambda v, ctx, alg, good: supp_order(v, good, alg)),
+    "supp_order[y]": ("r", "y", lambda v, ctx, alg, good: supp_order(good, v, alg)),
+    "aarnes_kadison_check": ("r", "x", lambda v, ctx, alg, good: aarnes_kadison_check(v, alg)),
+    "ba_ftransform_equal": ("r", "x", lambda v, ctx, alg, good: ba_ftransform_equal(v, ctx)),
+    "idempotent_ideal[q]": ("F", "q", lambda v, ctx, alg, good: idempotent_ideal(v, alg)),
+    "idempotent_ideal[x]": ("r", "x", lambda v, ctx, alg, good: idempotent_ideal(good, alg, x=v)),
+    "scale_into_F": ("r", "x", lambda v, ctx, alg, good: scale_into_F(v, ctx, eps=0.5)),
+    "approximate_from_F": ("r", "x", lambda v, ctx, alg, good: approximate_from_F(v, ctx, 0.1)),
+}
+
+
+def _corner():
+    """The corner e M_3 e, e = diag(1, 1, 0), and its matrix-unit algebra."""
+    e = np.diag([1.0, 1.0, 0.0]).astype(complex)
+    ctx = corner_context(e)
+    basis = []
+    for i in range(2):
+        for j in range(2):
+            b = np.zeros((3, 3), dtype=complex)
+            b[i, j] = 1.0
+            basis.append(b)
+    return ctx, SubalgebraBasis(basis, ambient=ctx, unit=e), e
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
+def test_one_entry_check(entry):
+    cone, name, call = ENTRIES[entry]
+    who = entry.split("[")[0]
+    eye = np.eye(3, dtype=complex)
+    ctx, alg = full_context(3), full_matrix_algebra(3)
+    if cone is None:
+        # no cone requirement: a non-accretive input is computed on
+        call(-eye, ctx, alg, eye)
+    else:
+        # -I is not accretive; 3 I is accretive but ||e - 3 I|| = 2 puts it outside F
+        bad = -eye if cone == "r" else 3.0 * eye
+        with pytest.raises(PreconditionError) as info:
+            call(bad, ctx, alg, eye)
+        msg = str(info.value)
+        assert msg.startswith(f"{who} needs {name} "), msg
+        assert "residual" in msg, msg
+
+    ctx, alg, e = _corner()
+    with pytest.raises(InputError, match="does not lie in the corner"):
+        call(eye, ctx, alg, e)  # I has ex - x != 0

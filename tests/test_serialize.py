@@ -92,6 +92,27 @@ def test_algebra_and_map_roundtrip(tmp_path):
     assert np.allclose(t2.apply(x), t_map.apply(x), atol=1e-14)
 
 
+_E11 = np.diag([1.0, 0.0]).astype(complex)
+_E12 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+_E22 = np.diag([0.0, 1.0]).astype(complex)
+
+
+@pytest.mark.parametrize("basis, unit", [
+    ([_E11 + _E12, _E22], None),                      # (E11 + E12) E22 = E12 leaves the span
+    ([np.ones((2, 3), dtype=complex)], None),         # not square
+    ([_E11, _E22], 2.0 * np.eye(2, dtype=complex)),  # 2 I is no unit
+], ids=["not_closed", "not_square", "wrong_unit"])
+def test_json_algebras_and_maps_are_validated(basis, unit):
+    obj = {"n": 2, "dim": len(basis), "basis": [matrix_to_obj(b) for b in basis],
+           "unit": None if unit is None else matrix_to_obj(unit)}
+    with pytest.raises(InputError):
+        algebra_from_obj(obj)
+    good = algebra_to_obj(block_diag_algebra([1, 1]))
+    with pytest.raises(InputError):
+        map_from_obj({"domain": obj, "codomain": good,
+                      "action": matrix_to_obj(np.eye(len(basis)))})
+
+
 def test_boundary_csv_format(tmp_path):
     x = np.diag([1.0, 1.0j]).astype(complex)
     rb = boundary(x, m=16)
