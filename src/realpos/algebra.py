@@ -207,6 +207,17 @@ class SubalgebraBasis:
     def _contains(self, a: np.ndarray, tol: float) -> bool:
         return self._span_distance(a) <= tol * (1.0 + np.linalg.norm(_vec(a)))
 
+    def _require(self, a: np.ndarray, who: str, name: str, tol: float = 1e-7) -> None:
+        """Raise PreconditionError, in the format of the cone entry check,
+        unless a lies in the span (the test of _contains at tol)."""
+        res = self._span_distance(a)
+        bound = tol * (1.0 + np.linalg.norm(_vec(a)))
+        if res > bound:
+            raise PreconditionError(
+                f"{who} needs {name} in the algebra; span residual {res:.3g} "
+                f"exceeds {tol:.3g} * (1 + ||{name}||_F) = {bound:.3g}"
+            )
+
     def coords(self, m):
         """Least-squares coordinates of m in the (original) basis,
         with the representation residual."""
@@ -502,8 +513,7 @@ def ws_suite(x, algebra: SubalgebraBasis, tol: Tolerances | None = None) -> Veri
     implies (vi).
     """
     a, ctx, t, xc, _ = _element(x, algebra.ambient, tol, "ws_suite")
-    if not algebra._contains(a, 1e-7):
-        raise PreconditionError("ws_suite input does not lie in the given algebra")
+    algebra._require(a, "ws_suite", "x")
 
     nrm = _norm2(a)
     sup = _support_idem(xc, ctx)
@@ -589,8 +599,7 @@ def hsa_from_z(z, algebra: SubalgebraBasis, tol: Tolerances | None = None) -> Hs
     (dim A, n, n) stacks.
     """
     a, ctx, t, xc, _ = _element(z, algebra.ambient, tol, "hsa_from_z", cone="F", name="z")
-    if not algebra._contains(a, 1e-7):
-        raise PreconditionError("hsa_from_z input does not lie in the given algebra")
+    algebra._require(a, "hsa_from_z", "z")
     n = algebra.n
     cube = np.array(algebra.basis)
     s = _support_idem(xc, ctx).s
@@ -744,8 +753,7 @@ def idempotent_ideal(q, algebra: SubalgebraBasis, x=None,
     idem_res = _norm2(aq @ aq - aq)
     if idem_res > 100 * t.eq_tol * (1.0 + _norm2(aq)) ** 2:
         raise PreconditionError(f"idempotent_ideal needs an idempotent q; residual {idem_res:.3g}")
-    if not algebra._contains(aq, 1e-7):
-        raise PreconditionError("q does not lie in the given algebra")
+    algebra._require(aq, "idempotent_ideal", "q")
     cube = np.array(algebra.basis)
     ideal = _ortho_matrices(aq @ cube, algebra.n)
     worst_ideal = _worst_span_residual(_pair_products(ideal, cube), ideal)

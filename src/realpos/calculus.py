@@ -429,8 +429,9 @@ def power(x, r: float, ctx: AmbientContext | None = None,
     MethodDisagreementError carrying the candidate values.  The shifted
     spectral value is returned.  r = 1 returns x exactly.
     """
-    value, _, _, _ = power_all_methods(x, r, ctx, tol)
-    return value
+    r = _validate_exponent(r, 0.0, 1.0, allow_hi=True)
+    _, ctx, t, xc, mem = _element(x, ctx, tol, "power")
+    return _power_all_methods(_deflate(xc, t), r, ctx, mem)[0]
 
 
 # ---------------------------------------------------------------------------

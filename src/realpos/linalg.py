@@ -11,10 +11,11 @@ works on the validated array.  The ``_``-prefixed kernels (``_norm2``,
 ``_herm_part``, ``_matrix_exp`` here; ``_abscissa`` in numrange and the
 like elsewhere) trust their input and are what the package calls on
 arrays it built itself; a kernel raises ``NumericError``, never
-``InputError``, when its own arithmetic overflows.  A function that takes
-an element of a cone enters through the single entry check
-``cones._element``: ``as_matrix``, the corner check, and the cone
-hypothesis, raised as one ``PreconditionError`` format.
+``InputError``, when its own arithmetic overflows (``_matrix_exp``
+instead marks the matrices of its stack whose exponential overflows).
+A function that takes an element of a cone enters through the single
+entry check ``cones._element``: ``as_matrix``, the corner check, and the
+cone hypothesis, raised as one ``PreconditionError`` format.
 """
 from __future__ import annotations
 
@@ -121,7 +122,8 @@ def operator_norm(x) -> float:
 
 
 def _herm_part(a: np.ndarray) -> np.ndarray:
-    return (a + a.conj().T) / 2.0
+    """(a + a*)/2 of a matrix, or of each matrix of a stack."""
+    return (a + a.conj().swapaxes(-1, -2)) / 2.0
 
 
 def herm_part(x) -> np.ndarray:
@@ -129,23 +131,36 @@ def herm_part(x) -> np.ndarray:
     return _herm_part(as_matrix(x))
 
 
-def _matrix_exp(a: np.ndarray) -> np.ndarray:
-    # cheap overflow guard: the largest Hermitian-part eigenvalue bounds
-    # log||exp(a)|| from below
-    growth = float(np.max(np.linalg.eigvalsh(_herm_part(a))))
-    if growth > _EXP_OVERFLOW:
-        raise NumericError(
-            f"matrix_exp overflow: Hermitian-part abscissa {growth:.3g} exceeds {_EXP_OVERFLOW}"
-        )
-    e = sla.expm(a)
-    if not np.all(np.isfinite(e)):
-        raise NumericError(f"matrix_exp overflow for input of norm {_norm2(a):.3g}")
-    return e
+def _matrix_exp(a: np.ndarray):
+    """exp of each matrix of an (m, k, k) stack: one overflow guard and one
+    scipy expm call, each bitwise its one-matrix evaluation.
+
+    Returns (e, ok, growth).  growth is the largest Hermitian-part
+    eigenvalue of each matrix, a lower bound on log||exp(a)||; a matrix
+    with growth above _EXP_OVERFLOW is not exponentiated (its slice of e
+    is 0), and ok marks the matrices whose exponential was computed and is
+    finite.
+    """
+    growth = np.linalg.eigvalsh(_herm_part(a))[:, -1]
+    ok = growth <= _EXP_OVERFLOW
+    e = np.zeros_like(a)
+    if ok.any():
+        e[ok] = sla.expm(a[ok])
+        ok &= np.isfinite(e).all(axis=(1, 2))
+    return e, ok, growth
 
 
 def matrix_exp(x) -> np.ndarray:
     """Matrix exponential via scipy's scaling-and-squaring Pade evaluation."""
-    return _matrix_exp(as_matrix(x))
+    a = as_matrix(x)
+    e, ok, growth = _matrix_exp(a[None])
+    if growth[0] > _EXP_OVERFLOW:
+        raise NumericError(
+            f"matrix_exp overflow: Hermitian-part abscissa {growth[0]:.3g} exceeds {_EXP_OVERFLOW}"
+        )
+    if not ok[0]:
+        raise NumericError(f"matrix_exp overflow for input of norm {_norm2(a):.3g}")
+    return e[0]
 
 
 # ---------------------------------------------------------------------------

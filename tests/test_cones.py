@@ -5,7 +5,9 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
+from realpos import cones
 from realpos.cones import (
     approximate_from_F,
     chaccr_verify,
@@ -27,6 +29,7 @@ from realpos.linalg import (
     random_matrix,
 )
 from realpos.numrange import abscissa
+from realpos.serialize import dumps_stable
 
 
 def test_membership_diagonal_cases():
@@ -74,41 +77,109 @@ def test_chaccr_accretive_passes(seed):
     assert all(rep.verdicts.values())
 
 
+T_GRID = np.logspace(-2.0, 2.0, 20)
+
+
+def _matrix_exp_per_t(a):
+    """exp(a) as chaccr_verify computed it one t at a time: the overflow
+    guard on the top Hermitian-part eigenvalue, then scipy's expm."""
+    if np.max(np.linalg.eigvalsh((a + a.conj().T) / 2.0)) > 700.0:
+        raise NumericError("guard")
+    e = sla.expm(a)
+    if not np.all(np.isfinite(e)):
+        raise NumericError("overflow")
+    return e
+
+
 def _chaccr_margins_per_t(x, eq_tol):
     """Worst margins of conditions 2-5, one t and one norm at a time: the
-    loop that the stacked norms of chaccr_verify must reproduce bit for bit."""
+    loop that the stacked norms of chaccr_verify must reproduce bit for
+    bit.  A t where exp(-t x) or (t e + x)^{-1} cannot be computed is
+    listed as failed and left out of the worst margin (the largest double
+    when every t failed).  Returns (worst, failed)."""
     eye = np.eye(x.shape[0])
     nrm = operator_norm(x)
     worst = {"c2": -np.inf, "c3": -np.inf, "c4": -np.inf, "c5": -np.inf}
-    for t in np.logspace(-2.0, 2.0, 20):
+    failed = {"c3": [], "c4": []}
+    for t in T_GRID:
         slack = eq_tol * (1.0 + (nrm * t) ** 2)
-        m2 = operator_norm(eye - t * x) - (1.0 + (t * nrm) ** 2) - slack
+        margins = {"c2": operator_norm(eye - t * x) - (1.0 + (t * nrm) ** 2) - slack,
+                   "c5": operator_norm(eye - t * x) - operator_norm(eye - t * t * (x @ x)) - slack}
         try:
-            m3 = operator_norm(matrix_exp(-t * x)) - 1.0 - slack
+            margins["c3"] = operator_norm(_matrix_exp_per_t(-t * x)) - 1.0 - slack
         except NumericError:
-            m3 = np.inf
+            failed["c3"].append(float(t))
         try:
-            m4 = operator_norm(np.linalg.solve(t * eye + x, eye)) - 1.0 / t - slack / t
+            margins["c4"] = operator_norm(np.linalg.solve(t * eye + x, eye)) - 1.0 / t - slack / t
         except np.linalg.LinAlgError:
-            m4 = np.inf
-        m5 = operator_norm(eye - t * x) - operator_norm(eye - t * t * (x @ x)) - slack
-        for key, m in (("c2", m2), ("c3", m3), ("c4", m4), ("c5", m5)):
+            failed["c4"].append(float(t))
+        for key, m in margins.items():
             worst[key] = max(worst[key], m)
-    return worst
+    for key in failed:
+        if len(failed[key]) == T_GRID.size:
+            worst[key] = np.finfo(float).max
+    return worst, failed
+
+
+def _chaccr_inputs(n, rng):
+    t4 = T_GRID[4]
+    return [random_accretive(n, rng), random_matrix(n, rng) - 0.5 * np.eye(n),
+            random_accretive(n, rng) * np.diag([1.0] * (n - 1) + [0.0]),
+            -t4 * np.eye(n),       # t e + x singular at one grid point
+            -10.0 * np.eye(n),     # exp(-t x) overflows at t = 100
+            -10.0 * (np.eye(n) + np.eye(n, k=1)),  # non-normal, overflows at large t
+            -1e5 * np.eye(n)]      # exp(-t x) overflows at every t
 
 
 @pytest.mark.parametrize("n", [2, 4, 8])
 def test_chaccr_residuals_match_per_t_loop_bitwise(n):
-    rng = np.random.default_rng(n)
-    t4 = np.logspace(-2.0, 2.0, 20)[4]
-    inputs = [random_accretive(n, rng), random_matrix(n, rng) - 0.5 * np.eye(n),
-              random_accretive(n, rng) * np.diag([1.0] * (n - 1) + [0.0]),
-              -t4 * np.eye(n),       # t e + x singular at one grid point
-              -10.0 * np.eye(n)]     # exp(-t x) overflows at t = 100
-    for x in inputs:
+    for x in _chaccr_inputs(n, np.random.default_rng(n)):
         rep = chaccr_verify(x, full_context(n))
-        ref = _chaccr_margins_per_t(np.asarray(x, dtype=complex), Tolerances().eq_tol)
+        ref, failed = _chaccr_margins_per_t(np.asarray(x, dtype=complex), Tolerances().eq_tol)
         assert rep.residuals == {"abscissa": abscissa(x), **ref}
+        # with no failed t the details are those of the per-t loop, key for key
+        expect = {"t_grid_size": 20, "norm": operator_norm(x)}
+        expect.update({f"{c}_failed_t": ts for c, ts in failed.items() if ts})
+        assert rep.details == expect
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_stacked_semigroup_and_resolvents_match_per_t_loop_bitwise(n):
+    for x in _chaccr_inputs(n, np.random.default_rng(10 + n)):
+        xc = np.asarray(x, dtype=complex)
+        eye = np.eye(n)
+        exps, exp_ok, invs, inv_ok = cones._semigroup_and_resolvents(xc, T_GRID)
+        for i, t in enumerate(T_GRID):
+            try:
+                exp_ref, exp_ref_ok = _matrix_exp_per_t(-t * xc), True
+            except NumericError:
+                exp_ref, exp_ref_ok = eye, False
+            try:
+                inv_ref, inv_ref_ok = np.linalg.solve(t * eye + xc, eye), True
+            except np.linalg.LinAlgError:
+                inv_ref, inv_ref_ok = eye, False
+            assert exp_ok[i] == exp_ref_ok and np.array_equal(exps[i], exp_ref)
+            assert inv_ok[i] == inv_ref_ok and np.array_equal(invs[i], inv_ref)
+
+
+@pytest.mark.parametrize("scale, c3_failed, c4_failed", [
+    (10.0, [T_GRID[19]], []),
+    (T_GRID[5], [], [T_GRID[5]]),
+    (1e5, list(T_GRID), []),
+])
+def test_chaccr_failed_t_report_serialises(scale, c3_failed, c4_failed):
+    """A t where exp(-t x) overflows or t e + x is singular fails its
+    condition, is named in details, and leaves every residual finite."""
+    rep = chaccr_verify(-scale * np.eye(2), full_context(2))
+    assert not rep.verdicts["c1_abscissa"]
+    if c3_failed:
+        assert not rep.verdicts["c3_semigroup"]
+    if c4_failed:
+        assert not rep.verdicts["c4_resolvent"]
+    assert all(np.isfinite(v) for v in rep.residuals.values())
+    assert rep.details.get("c3_failed_t", []) == c3_failed
+    assert rep.details.get("c4_failed_t", []) == c4_failed
+    assert dumps_stable(rep.to_json_dict())
 
 
 def test_chaccr_internal_overflow_is_numeric_error():

@@ -2,7 +2,9 @@
 element of r or F rejects an input outside its cone with a
 PreconditionError that starts with the function's name and names the
 input and its residual, and rejects a matrix outside the corner of a
-corner context with an InputError."""
+corner context with an InputError.  Functions that also need the input
+inside a given algebra reject one outside it in the same format, with
+the span residual and its bound."""
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from realpos.algebra import (
     SubalgebraBasis,
     aarnes_kadison_check,
     ba_ftransform_equal,
+    diagonal_algebra,
     full_matrix_algebra,
     hsa_from_z,
     idempotent_ideal,
@@ -20,6 +23,7 @@ from realpos.algebra import (
 from realpos.calculus import (
     f_inverse,
     f_transform,
+    power,
     power_all_methods,
     power_balakrishnan,
     power_property_report,
@@ -33,6 +37,7 @@ from realpos.errors import InputError, PreconditionError
 # id -> (cone, input name, call(v, ctx, alg, good)); v is the input under
 # test, good an accretive F element of the same ambient algebra
 ENTRIES = {
+    "power": ("r", "x", lambda v, ctx, alg, good: power(v, 0.5, ctx)),
     "power_series": ("F", "x", lambda v, ctx, alg, good: power_series(v, 0.5, ctx)),
     "power_shifted": ("r", "x", lambda v, ctx, alg, good: power_shifted(v, 0.5, ctx)),
     "power_balakrishnan": ("r", "x", lambda v, ctx, alg, good: power_balakrishnan(v, 0.5, ctx)),
@@ -53,6 +58,8 @@ ENTRIES = {
     "scale_into_F": ("r", "x", lambda v, ctx, alg, good: scale_into_F(v, ctx, eps=0.5)),
     "approximate_from_F": ("r", "x", lambda v, ctx, alg, good: approximate_from_F(v, ctx, 0.1)),
 }
+# entries whose input must also lie in the given algebra
+IN_ALGEBRA = ("ws_suite", "hsa_from_z", "idempotent_ideal[q]")
 
 
 def _corner():
@@ -85,6 +92,17 @@ def test_one_entry_check(entry):
         msg = str(info.value)
         assert msg.startswith(f"{who} needs {name} "), msg
         assert "residual" in msg, msg
+
+    if entry in IN_ALGEBRA:
+        # the projection onto (e1 + e2)/sqrt(2) is accretive, in F and
+        # idempotent, but not diagonal
+        p = np.zeros((3, 3), dtype=complex)
+        p[:2, :2] = 0.5
+        with pytest.raises(PreconditionError) as info:
+            call(p, ctx, diagonal_algebra(3), eye)
+        msg = str(info.value)
+        assert msg.startswith(f"{who} needs {name} in the algebra; span residual "), msg
+        assert msg.endswith(f"exceeds 1e-07 * (1 + ||{name}||_F) = 2e-07"), msg
 
     ctx, alg, e = _corner()
     with pytest.raises(InputError, match="does not lie in the corner"):

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from realpos import linalg
 from realpos.errors import InputError, NumericError
 from realpos.linalg import (
     Tolerances,
@@ -96,6 +97,29 @@ def test_matrix_exp_matches_diagonal():
 def test_matrix_exp_overflow_guard():
     with pytest.raises(NumericError):
         matrix_exp(np.diag([1000.0, 0.0]).astype(complex))
+
+
+def test_stacked_matrix_exp_masks_each_failing_slice(monkeypatch):
+    """The guard skips a slice above _EXP_OVERFLOW, and an expm result
+    that is not finite is masked too (forced here: past the guard,
+    ||exp(a)|| <= e^700 stays in range)."""
+    a = np.array([random_matrix(3, s) for s in range(4)])
+    a[1] += 800.0 * np.eye(3)
+    expm = linalg.sla.expm
+
+    def expm_overflowing_first(m):
+        e = expm(m)
+        e[0, 0, 0] = np.inf
+        return e
+
+    monkeypatch.setattr(linalg.sla, "expm", expm_overflowing_first)
+    e, ok, growth = linalg._matrix_exp(a)
+    assert ok.tolist() == [False, False, True, True]
+    assert growth[1] > 700.0 and not e[1].any()
+    for i in (2, 3):
+        assert np.array_equal(e[i], expm(a[i]))
+    with pytest.raises(NumericError, match="overflow for input of norm"):
+        matrix_exp(a[0])
 
 
 def test_generators_deterministic():

@@ -171,20 +171,118 @@ def rotated_herm(x, theta):
 
 @pytest.mark.parametrize("n", [4, 8, 16])
 def test_stacked_sweeps_match_per_angle_loop_bitwise(n):
+    """eigvalsh over a stacked grid is the per-angle loop bit for bit; the
+    boundary sweep solves only its first m/2 angles: the top eigenpairs
+    there, and the bottom ones negated as the tops at theta_k + pi, are
+    bitwise those of the per-angle solve at theta_k, and within rounding
+    of the per-angle solve at theta_k + pi."""
     grid = np.linspace(-np.pi, np.pi, 256, endpoint=False)
+    eps = np.finfo(float).eps
     for seed in range(5):
         x = random_matrix(n, seed) if seed % 2 else random_accretive(n, seed)
         stacked = np.linalg.eigvalsh(numrange._herm_parts(x, grid))[:, 0]
         loop = np.array([np.linalg.eigvalsh(rotated_herm(x, th))[0] for th in grid])
         assert np.array_equal(stacked, loop)
         rb = boundary(x)
-        top, points = [], []
-        for th in rb.angles:
+        half = rb.angles.size // 2
+        top, bottom, points, antipodal_points = [], [], [], []
+        for th in rb.angles[:half]:
             w, v = np.linalg.eigh(rotated_herm(x, th))
             top.append(w[-1])
+            bottom.append(w[0])
             points.append(v[:, -1].conj() @ (x @ v[:, -1]))
-        assert np.array_equal(rb.support_values, np.array(top))
-        assert np.array_equal(rb.boundary_points, np.array(points))
+            antipodal_points.append(v[:, 0].conj() @ (x @ v[:, 0]))
+        assert np.array_equal(rb.support_values[:half], np.array(top))
+        assert np.array_equal(rb.boundary_points[:half], np.array(points))
+        assert np.array_equal(rb.support_values[half:], -np.array(bottom))
+        assert np.array_equal(rb.boundary_points[half:], np.array(antipodal_points))
+        antipodal = np.array([np.linalg.eigvalsh(rotated_herm(x, th))[-1]
+                              for th in rb.angles[half:]])
+        assert np.max(np.abs(rb.support_values[half:] - antipodal)) \
+            <= 64 * n * eps * np.linalg.norm(x, 2)
+
+
+def test_boundary_rejects_odd_m():
+    x = np.diag([1.0, 1.0j]).astype(complex)
+    with pytest.raises(InputError, match="even"):
+        boundary(x, m=9)
+    assert boundary(x, m=10).angles.size == 10
+
+
+def _dist_to_point_golden(x, z, m=256):
+    """dist(z, W(x)) by an m-angle sweep and golden-section ascent on the
+    bracketing interval, one eigen-solve per angle: the method that the
+    Newton refinement of dist_to_point replaced, kept as its oracle."""
+    def gap(theta):
+        return (z * np.exp(-1j * theta)).real - numrange._support_at(x, theta)[0]
+
+    grid = 2.0 * np.pi * np.arange(m) / m
+    vals = (z * np.exp(-1j * grid)).real - np.array(
+        [np.linalg.eigvalsh(rotated_herm(x, th))[-1] for th in grid])
+    j = int(np.argmax(vals))
+    lo, hi = grid[j] - 2.0 * np.pi / m, grid[j] + 2.0 * np.pi / m
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    c, d = hi - invphi * (hi - lo), lo + invphi * (hi - lo)
+    fc, fd = gap(c), gap(d)
+    for _ in range(80):
+        if fc >= fd:
+            hi, d, fd = d, c, fc
+            c = hi - invphi * (hi - lo)
+            fc = gap(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + invphi * (hi - lo)
+            fd = gap(d)
+        if hi - lo < 1e-13:
+            break
+    return max(0.0, float(vals[j]), fc, fd)
+
+
+def _dist_inputs():
+    """(smooth, polygonal, inside) lists of (x, z).  Smooth: accretive and
+    Ginibre x, z = -1 or random; polygonal: normal x, whose gap has kinks
+    where the closest point of W(x) lies on an edge; inside: z = tr(x)/n,
+    an average of points of W(x)."""
+    rng = np.random.default_rng(2015)
+    smooth, polygonal, inside = [], [], []
+    for n in (2, 4, 8, 16):
+        for _ in range(6):
+            z = complex(*rng.normal(scale=3.0, size=2))
+            smooth += [(random_accretive(n, rng), -1.0 + 0j), (random_accretive(n, rng), z),
+                       (random_matrix(n, rng), z)]
+            lam = rng.normal(size=n) + 1j * rng.normal(size=n)
+            u = random_unitary(n, rng)
+            z = complex(*rng.normal(scale=4.0, size=2))
+            polygonal.append((u @ np.diag(lam) @ u.conj().T, z))
+            x = random_matrix(n, rng)
+            inside.append((x, complex(np.trace(x) / n)))
+    return smooth, polygonal, inside
+
+
+def test_dist_to_point_matches_golden_section_oracle():
+    for group in _dist_inputs():
+        for x, z in group:
+            d = dist_to_point(x, z)
+            assert abs(d - _dist_to_point_golden(x, z)) <= 1e-12 * (1.0 + d)
+    x, z = _dist_inputs()[0][1]
+    assert dist_to_point(x, z, m=33) == dist_to_point(x, z, m=34)  # m rounds up to even
+
+
+def test_dist_to_point_single_angle_solves(monkeypatch):
+    """The Newton refinement needs few single-angle eigen-solves on smooth
+    inputs, and stays within 60 at kinks (where it bisects)."""
+    calls = []
+    jet = numrange._gap_jet
+    monkeypatch.setattr(numrange, "_gap_jet", lambda *args: calls.append(1) or jet(*args))
+    counts = []
+    for group in _dist_inputs():
+        counts.append([])
+        for x, z in group:
+            calls.clear()
+            dist_to_point(x, z)
+            counts[-1].append(len(calls))
+    assert max(max(c) for c in counts) <= 60
+    assert np.median(counts[0]) <= 8
 
 
 def pencil_angle(x):
