@@ -3,7 +3,10 @@
 Three independent constructions of x^r are implemented:
 
 * ``power_series``       -- binomial series in (e - x), valid on the
-                            shrunken cone F = {||e - x|| <= 1};
+                            shrunken cone F = {||e - x|| <= 1}, refused
+                            before the first term when a closed-form tail
+                            bound proves it cannot converge within budget
+                            (a kernel, for one);
 * ``power_shifted``      -- the limit eps -> 0 of (x + eps e)^r, taken
                             exactly: 0 on the kernel, and on the invertible
                             Schur block the principal power by inverse
@@ -24,8 +27,10 @@ orthogonal to the range), so the zero eigenvalue cluster is split off
 exactly by an ordered Schur form before any power or quadrature; the
 power acts as zero on that block for every r > 0.  One split and one
 square-root chain per input (``_deflate``) serve every exponent and both
-spectral routes; the Balakrishnan nodes are solved by triangular back
-substitution on the Schur block.
+spectral routes, and its Schur diagonal gives the spectral radius of
+e - x behind the series refusal.  The Balakrishnan nodes of both
+integrals and both quadrature rules are solved by one back substitution
+on the Schur block, with the nodes stacked on the trailing axis.
 """
 from __future__ import annotations
 
@@ -39,7 +44,7 @@ import scipy.special
 from .cones import AmbientContext, _element, _require_in
 from .errors import InputError, MethodDisagreementError, NumericError
 from .linalg import Tolerances, _norm2
-from .numrange import _dist_to_point, _sectorial_angle
+from .numrange import _KER_ULPS, _dist_to_point, _sectorial_angle
 from .report import VerificationReport, matrix_digest
 
 __all__ = [
@@ -84,25 +89,33 @@ def _sqrtm_tri(t: np.ndarray) -> np.ndarray:
     return r
 
 
-def _solve_upper_stack(u: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve u_j x_j = b for a stack (m, k, k) of upper-triangular u_j
-    against one right-hand side b (k, k): back substitution over the whole
-    stack, k row steps of one batched matmul each."""
-    x = np.empty(u.shape[:1] + b.shape, dtype=complex)
-    for i in reversed(range(b.shape[0])):
-        rest = b[i] - (u[:, i:i + 1, i + 1:] @ x[:, i + 1:, :])[:, 0, :]
-        x[:, i, :] = rest / u[:, i, i, None]
+def _solve_shifted_stack(t: np.ndarray, shift: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """x_m = (shift_m I + scale_m t)^{-1} t for an upper-triangular t (k, k)
+    and every node m, stacked on the trailing axis (k, k, m).
+
+    Every shifted matrix shares the strictly upper part of t up to the
+    factor scale_m, so back substitution runs once for all nodes: each of
+    the k row steps is one product of a row of t with the rows below it,
+    over all columns and nodes at once, scaled by scale_m and divided by
+    the diagonal shift_m + scale_m t_ii.  x_m is upper triangular too, so
+    row i needs only its columns i.. .
+    """
+    k, m = t.shape[0], shift.size
+    x = np.zeros((k, k, m), dtype=complex)
+    for i in reversed(range(k)):
+        below = t[i, i + 1:] @ x[i + 1:, i:].reshape(k - i - 1, (k - i) * m)
+        x[i, i:] = (t[i, i:, None] - scale * below.reshape(k - i, m)) / (shift + scale * t[i, i])
     return x
 
 
 def _split_zero_cluster(xc: np.ndarray, zero_tol: float):
     """Ordered complex Schur split isolating the zero eigenvalue cluster.
 
-    Returns (z, t11, k) with the nonzero-spectrum block t11 of size k
-    leading, so xc = z diag(t11, ~0) z*.  For accretive matrices the
-    kernel is reducing and semisimple, so the off-diagonal coupling and
-    the zero block are both tiny; a large one signals an ill-separated
-    spectrum near zero and raises NumericError.
+    Returns (z, t, k): the Schur form xc = z t z* with the nonzero-spectrum
+    block t11 = t[:k, :k] leading and t[k:, k:] ~ 0.  For accretive
+    matrices the kernel is reducing and semisimple, so the off-diagonal
+    coupling and the zero block are both tiny; a large one signals an
+    ill-separated spectrum near zero and raises NumericError.
     """
     n = xc.shape[0]
     t, z, sdim = sla.schur(xc, output="complex", sort=lambda lam: abs(lam) > zero_tol)
@@ -115,7 +128,14 @@ def _split_zero_cluster(xc: np.ndarray, zero_tol: float):
                 f"(coupling {defect:.3g}); pass a different zero_tol "
                 f"(current {zero_tol:.3g}) or check accretivity of the input"
             )
-    return z, t[:k, :k], k
+    return z, t, k
+
+
+def _series_radius(t: np.ndarray) -> float:
+    """rho = max_i |1 - t_ii| over the diagonal of a Schur form t of x: the
+    spectral radius of e - x, so ||(e - x)^j|| >= rho^j up to the Schur
+    backward error (see _power_series)."""
+    return float(np.max(np.abs(1.0 - np.diag(t))))
 
 
 def _reassemble(z: np.ndarray, block: np.ndarray, n: int) -> np.ndarray:
@@ -135,8 +155,19 @@ class _Deflation:
         self.xc, self.nrm, self._ztol, self.t = xc, nrm, zero_tol, t
 
     @cached_property
-    def _split(self):
+    def _schur(self):
         return _split_zero_cluster(self.xc, self._ztol)
+
+    @cached_property
+    def _split(self):
+        """(z, t11, k): the Schur basis, the invertible block and its size."""
+        z, t, k = self._schur
+        return z, t[:k, :k], k
+
+    @cached_property
+    def series_radius(self) -> float:
+        """The spectral radius of e - x, read off the split's Schur diagonal."""
+        return _series_radius(self._schur[1])
 
     @cached_property
     def _chain(self):
@@ -182,14 +213,15 @@ class _Deflation:
         return _reassemble(z, y, self.xc.shape[0])
 
     def balakrishnan(self, r: float):
-        """(x^r, quadrature error estimate) by the Balakrishnan rule on t11."""
+        """(x^r, quadrature error estimate) by the Balakrishnan rule on t11:
+        the rules at 200 and 400 nodes per integral come from one stacked
+        back substitution, and their difference is the estimate."""
         if r == 1.0:
             return self.xc, 0.0
         z, t11, k = self._split
         if k == 0:
             return np.zeros_like(self.xc), 0.0
-        coarse = _balakrishnan_block(t11, r, _BAL_NODES)
-        fine = _balakrishnan_block(t11, r, 2 * _BAL_NODES)
+        coarse, fine = _balakrishnan_rules(t11, r, (_BAL_NODES, 2 * _BAL_NODES))
         est = _norm2(fine - coarse)
         target = 1e-6 * max(self.nrm, 1e-12) ** r
         if est > target:
@@ -228,22 +260,52 @@ def power_series(x, r: float, ctx: AmbientContext | None = None,
 
     The coefficients are positive and sum to 1; with d = e - x and
     ||d|| <= 1 the tail after K terms is bounded by
-    (1 - sum_{k<=K} b_k) * min_{j<=K+1} ||d^j||, which is the rigorous
-    stopping rule used here.  Inputs with spectrum touching the unit
-    circle of the series (e.g. singular x for small r) may need more
-    than its budget of 200 000 terms; that raises NumericError rather
-    than silently truncating.
+    tail_K * min_{j<=K+1} ||d^j||, tail_K = 1 - sum_{k<=K} b_k =
+    |binom(r - 1, K)|, which is the rigorous stopping rule used here.
+    Before the first term, the spectral radius rho of d, read off one
+    Schur form of x, bounds that product from below at the budget of
+    200 000 terms; when the bound stays above conv_tol (a kernel makes
+    rho = 1) the series provably cannot converge within its budget, and
+    NumericError is raised at once rather than silently truncating.
     """
     r = _validate_exponent(r, 0.0, 1.0, allow_hi=True)
     _, ctx, t, xc, _ = _element(x, ctx, tol, "power_series", cone="F")
-    return ctx._embed(_power_series(xc, r, t))
+    rho = _series_radius(sla.schur(xc, output="complex")[0])
+    return ctx._embed(_power_series(xc, r, t, rho, _norm2(xc)))
 
 
-def _power_series(xc: np.ndarray, r: float, t: Tolerances) -> np.ndarray:
-    """The binomial series on the corner coordinates xc of an F element."""
+def _series_tail(r: float, terms):
+    """tail_K = 1 - sum_{1<=k<=K} |binom(r, k)| at K = terms, in closed form:
+    sum_{k<=K} (-1)^k binom(r, k) = (-1)^K binom(r - 1, K)."""
+    return np.abs(scipy.special.binom(r - 1.0, terms))
+
+
+def _power_series(xc: np.ndarray, r: float, t: Tolerances, rho: float,
+                  nrm: float) -> np.ndarray:
+    """The binomial series on the corner coordinates xc of an F element of
+    norm nrm, whose e - x has spectral radius rho.
+
+    The loop stops at the first K with tail_K * min_{j<=K+1} ||d^j|| <=
+    conv_tol.  A Schur form x ~ Z T Z* whose backward error, like the
+    rounding of each product d^{j-1} d, stays below eta = _KER_ULPS * n *
+    eps * (1 + ||x||) gives ||d^j|| >= rho^j - j eta (||d|| <= 1 on F,
+    and the (i, i) entry of (I - T)^j is (1 - t_ii)^j), so if tail_B
+    (rho^{B+1} - (B+1) eta) > conv_tol at the budget B, no K <= B can stop
+    it (both factors fall with K): that is refused before the first term.
+    Any other input iterates as the rule says.
+    """
     if r == 1.0:
         return xc.copy()
     k_dim = xc.shape[0]
+    eta = _KER_ULPS * k_dim * np.finfo(float).eps * (1.0 + nrm)
+    floor = _series_tail(r, _SERIES_TERMS) * (
+        rho ** (_SERIES_TERMS + 1) - (_SERIES_TERMS + 1) * eta)
+    if floor > t.conv_tol:
+        raise NumericError(
+            f"series tail bound is at least {floor:.3g} > conv_tol {t.conv_tol:.3g} "
+            f"through all {_SERIES_TERMS} terms (e - x has spectral radius {rho:.6g}); "
+            "the spectrum touches the series boundary"
+        )
     eye = np.eye(k_dim, dtype=complex)
     d = eye - xc
     y = eye.copy()
@@ -263,15 +325,6 @@ def _power_series(xc: np.ndarray, r: float, t: Tolerances) -> np.ndarray:
                 f"series tail bound {tail * min_pow:.3g} still above conv_tol "
                 f"after {_SERIES_TERMS} terms; the spectrum touches the series boundary"
             )
-        if k % 1000 == 0 and min_pow > 0:
-            # project the sublinear tail decay tail_k ~ C k^{-r}; bail out
-            # early when the required k provably exceeds the term budget
-            needed = k * (tail * min_pow / t.conv_tol) ** (1.0 / r)
-            if needed > 10 * _SERIES_TERMS:
-                raise NumericError(
-                    f"series would need ~{needed:.3g} terms (> {_SERIES_TERMS}); "
-                    "the spectrum touches the series boundary"
-                )
         k += 1
         b *= (k - 1.0 - r) / k
         tail -= b
@@ -314,30 +367,30 @@ def _gl_panels(nodes: int, panels: int = 4):
     return x, w
 
 
-def _balakrishnan_block(t11: np.ndarray, r: float, nodes: int) -> np.ndarray:
+def _balakrishnan_rules(t11: np.ndarray, r: float, counts) -> list:
     """sin(r pi)/pi * int_0^inf s^{r-1} (s + T)^{-1} T ds on the invertible
-    Schur block, as two weight-free [0,1] integrals.
+    Schur block T, by the panelled Gauss-Legendre rule at each node count
+    in counts, as a list in the same order.
 
     Substituting s = v^{1/r} on s in [0, 1] and s = 1/w, w = v^{1/(1-r)}
     on s in [1, inf) gives
         int = (1/r) int_0^1 (v^{1/r} + T)^{-1} T dv
             + (1/(1-r)) int_0^1 (I + v^{1/(1-r)} T)^{-1} T dv,
-    both with bounded analytic integrands handled by panelled
-    Gauss-Legendre quadrature.  The shifted matrices (nodes, k, k) are
-    upper triangular like T, so each integral is one triangular back
-    substitution on the Schur block over all its nodes, contracted with
-    the weights.
+    both with bounded analytic integrands.  Every node of either integral
+    and of every rule is a shifted matrix d_m I + a_m T, so one back
+    substitution (_solve_shifted_stack) solves them all, and one product
+    with a weight matrix, a column per rule, contracts them.
     """
-    eye = np.eye(t11.shape[0], dtype=complex)
-    v_nodes, v_weights = _gl_panels(nodes)
-
-    def integral(lhs: np.ndarray) -> np.ndarray:
-        return np.tensordot(v_weights, _solve_upper_stack(lhs, t11), axes=1)
-
-    acc_a = integral((v_nodes ** (1.0 / r))[:, None, None] * eye + t11)
-    acc_b = integral(eye + (v_nodes ** (1.0 / (1.0 - r)))[:, None, None] * t11)
-    total = acc_a / r + acc_b / (1.0 - r)
-    return (math.sin(r * math.pi) / math.pi) * total
+    rules = [_gl_panels(c) for c in counts]
+    v = np.concatenate([nodes for nodes, _ in rules])
+    one = np.ones_like(v)
+    x = _solve_shifted_stack(t11, np.concatenate((v ** (1.0 / r), one)),
+                             np.concatenate((one, v ** (1.0 / (1.0 - r)))))
+    w = sla.block_diag(*(weights[:, None] for _, weights in rules))
+    w = (math.sin(r * math.pi) / math.pi) * np.concatenate((w / r, w / (1.0 - r)))
+    k = t11.shape[0]
+    total = x.reshape(k * k, -1) @ w
+    return [total[:, j].reshape(k, k) for j in range(len(rules))]
 
 
 def power_balakrishnan(x, r: float, ctx: AmbientContext | None = None,
@@ -348,8 +401,9 @@ def power_balakrishnan(x, r: float, ctx: AmbientContext | None = None,
 
     The zero cluster is deflated first; the integral is evaluated on the
     invertible Schur block at 200 and 400 Gauss-Legendre nodes per
-    integral, and the difference serves as the quadrature error estimate,
-    required to stay below 1e-6 * ||x||^r.
+    integral, all of them solved by one stacked back substitution, and
+    the difference of the two rules serves as the quadrature error
+    estimate, required to stay below 1e-6 * ||x||^r.
     """
     r = float(r)
     if r != 1.0:
@@ -394,7 +448,8 @@ def _power_all_methods(d: _Deflation, r: float, ctx: AmbientContext, mem):
     candidates["shifted"] = ctx._embed(d.shifted(r))
     if mem.in_F:
         try:
-            candidates["series"] = ctx._embed(_power_series(xc, r, t))
+            candidates["series"] = ctx._embed(
+                _power_series(xc, r, t, d.series_radius, d.nrm))
         except NumericError as exc:
             skipped["series"] = str(exc)
     if 0.0 < r < 1.0:

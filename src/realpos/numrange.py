@@ -167,13 +167,16 @@ def dist_to_point(x, z, m: int = 256) -> float:
     gap(theta) = Re(e^{-i theta} z) - h(theta).  A sweep of m angles (m
     at least 32, rounded up to even; antipodal angles share one stacked
     eigen-solve, as in boundary) brackets the maximiser within one grid
-    step on either side, and a safeguarded Newton iteration on the slope
-    gap'(theta) = Im(e^{-i theta}(z - v*xv)) refines it, with the
-    curvature read off the same eigen-solve and a bisection of the bracket
-    wherever the Newton step leaves it, fails to halve, or the curvature
-    is not negative (a kink of h, where two eigenvalues cross).  The
-    largest gap evaluated is returned: a lower bound on the distance, and
-    accurate far beyond 1e-6 * (||x|| + |z| + 1).
+    step on either side.  Since |gap'| <= |z| + ||x||_F, a sweep maximum
+    below -(|z| + ||x||_F) pi / m (less a rounding margin) proves gap < 0
+    at every angle, and 0 is returned at once.  Otherwise a safeguarded
+    Newton iteration on the slope gap'(theta) = Im(e^{-i theta}(z -
+    v*xv)) refines the maximiser, with the curvature read off the same
+    eigen-solve and a bisection of the bracket wherever the Newton step
+    leaves it, fails to halve, or the curvature is not negative (a kink of
+    h, where two eigenvalues cross).  The largest gap evaluated is
+    returned: a lower bound on the distance, and accurate far beyond 1e-6
+    * (||x|| + |z| + 1).
     """
     return _dist_to_point(as_matrix(x), _check_finite(complex(z), "z"), m)
 
@@ -214,6 +217,11 @@ def _dist_to_point(a: np.ndarray, z: complex, m: int = 256) -> float:
     vals = (z * np.exp(-1j * grid)).real - np.concatenate((w[:, -1], -w[:, 0]))
     j = int(np.argmax(vals))
     best, theta = float(vals[j]), float(grid[j])
+    # |gap'| <= |z| + ||x||_F, and every angle lies within step / 2 of the
+    # grid: a sweep this far below 0 proves z inside W(x), so dist = 0
+    lip = abs(z) + float(np.linalg.norm(a))
+    if best + lip * step / 2.0 < -_KER_ULPS * a.shape[0] * np.finfo(float).eps * lip:
+        return 0.0
     lo, hi = theta - step, theta + step
     last = before = hi - lo
     for _ in range(_MAX_SOLVES):

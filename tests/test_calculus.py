@@ -281,9 +281,72 @@ def test_one_deflation_gives_every_shifted_power_bitwise():
 def test_upper_triangular_stack_solve_matches_general_solve(k):
     t11 = sla.schur(random_accretive(k, 110 + k) + 0.05 * np.eye(k), output="complex")[0]
     s = np.logspace(-6, 6, 25)
+    one = np.ones_like(s)
     eye = np.eye(k, dtype=complex)
-    for lhs in (s[:, None, None] * eye + t11, eye + s[:, None, None] * t11):
-        got = calculus._solve_upper_stack(lhs, t11)
+    for shift, scale in ((s, one), (one, s)):
+        lhs = shift[:, None, None] * eye + scale[:, None, None] * t11
+        got = np.moveaxis(calculus._solve_shifted_stack(t11, shift, scale), -1, 0)
         ref = np.linalg.solve(lhs, t11)
         err = np.linalg.norm(got - ref, axis=(1, 2)) / np.linalg.norm(ref, axis=(1, 2))
         assert err.max() <= 1e-12, err.max()
+
+
+@pytest.mark.parametrize("r", [0.3, 0.7])
+@pytest.mark.parametrize("k", [1, 4, 16])
+def test_balakrishnan_rule_pair_matches_separate_rules(k, r):
+    """The coarse and fine rules from one node stack equal each rule
+    solved and contracted on its own."""
+    t11 = sla.schur(random_accretive(k, 120 + k) + 0.05 * np.eye(k), output="complex")[0]
+    pair = calculus._balakrishnan_rules(t11, r, (200, 400))
+    for got, nodes in zip(pair, (200, 400)):
+        ref = calculus._balakrishnan_rules(t11, r, (nodes,))[0]
+        assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref), nodes
+
+
+def test_series_converges_on_a_spectrum_near_its_boundary():
+    """||(e - x)^j|| = 0.99^j decays geometrically, so the series stops
+    near K = 2000, far inside its budget."""
+    y = power_series(np.diag([1.0, 0.01]).astype(complex), 0.5)
+    assert np.abs(y - np.diag([1.0, 0.1])).max() <= 1e-10
+
+
+def _kernel_F_inputs():
+    """diag(1, 0) and u (A + 0) u* with A = F(random accretive) in F."""
+    u = random_unitary(4, 130)
+    d = np.zeros((4, 4), dtype=complex)
+    d[:3, :3] = f_transform(random_accretive(3, 131))
+    return [np.diag([1.0, 0.0]).astype(complex), u @ d @ u.conj().T]
+
+
+@pytest.mark.parametrize("r", [0.1, 0.5, 0.9])
+def test_series_refuses_kernel_input_before_the_first_term(monkeypatch, r):
+    t = Tolerances()
+    for x in _kernel_F_inputs():
+        rho, nrm = calculus._deflate(x, t).series_radius, operator_norm(x)
+
+        def no_term(m):
+            raise AssertionError("a series term was computed")
+
+        with monkeypatch.context() as mp:
+            mp.setattr(calculus, "_norm2", no_term)
+            with pytest.raises(NumericError, match="spectral radius 1"):
+                calculus._power_series(x, r, t, rho, nrm)
+        with pytest.raises(NumericError, match="spectral radius 1"):
+            power_series(x, r)
+
+
+def test_power_all_methods_skips_series_on_kernel_input():
+    for x in _kernel_F_inputs():
+        value, candidates, _, skipped = power_all_methods(x, 0.5)
+        assert "series" not in candidates and "spectral radius" in skipped["series"]
+        assert np.array_equal(value, power_shifted(x, 0.5))
+
+
+@pytest.mark.parametrize("r", [0.1, 0.5, 0.9])
+def test_series_tail_closed_form_matches_recurrence(r):
+    b, tail = r, 1.0 - r
+    closed = calculus._series_tail(r, np.arange(1, 2001))
+    for k in range(1, 2001):
+        assert abs(closed[k - 1] - tail) <= 1e-10 * tail, k
+        b *= (k - r) / (k + 1)
+        tail -= b

@@ -270,7 +270,8 @@ def test_dist_to_point_matches_golden_section_oracle():
 
 def test_dist_to_point_single_angle_solves(monkeypatch):
     """The Newton refinement needs few single-angle eigen-solves on smooth
-    inputs, and stays within 60 at kinks (where it bisects)."""
+    inputs, and stays within 60 at kinks (where it bisects); the sweep
+    alone proves dist = 0 for every z well inside W(x)."""
     calls = []
     jet = numrange._gap_jet
     monkeypatch.setattr(numrange, "_gap_jet", lambda *args: calls.append(1) or jet(*args))
@@ -283,6 +284,7 @@ def test_dist_to_point_single_angle_solves(monkeypatch):
             counts[-1].append(len(calls))
     assert max(max(c) for c in counts) <= 60
     assert np.median(counts[0]) <= 8
+    assert max(counts[2]) == 0
 
 
 def pencil_angle(x):
