@@ -343,16 +343,14 @@ def spans_equal(mats_a, mats_b, rank_tol: float = _RANK_TOL) -> bool:
 
 def _spans_equal(mats_a, mats_b, rank_tol: float = _RANK_TOL) -> bool:
     """spans_equal on trusted lists, stacks or subalgebra bases."""
-    if isinstance(mats_a, SubalgebraBasis):
-        mats_a = mats_a.basis
-    if isinstance(mats_b, SubalgebraBasis):
-        mats_b = mats_b.basis
+    if mats_a is mats_b and isinstance(mats_a, SubalgebraBasis):
+        return True
+    mats_a, mats_b = (m.basis if isinstance(m, SubalgebraBasis) else m for m in (mats_a, mats_b))
     ra = _span_rank(mats_a, rank_tol)
     rb = _span_rank(mats_b, rank_tol)
     if ra != rb:
         return False
-    rj = _span_rank(list(mats_a) + list(mats_b), rank_tol)
-    return rj == ra
+    return _span_rank(list(mats_a) + list(mats_b), rank_tol) == ra
 
 
 def _ortho_matrices(mats, n: int, rank_tol: float = _RANK_TOL) -> np.ndarray:

@@ -229,14 +229,14 @@ def _semigroup_and_resolvents(xc: np.ndarray, t_grid: np.ndarray):
 
     Returns (exps, exp_ok, invs, inv_ok); a slice whose mask is False
     holds the unit.  exp(-t xc) fails at a t where the overflow guard of
-    _matrix_exp trips or expm overflows: the blow-up certifies that
-    condition 3 fails there.  A singular t e + xc (-t an eigenvalue:
-    certainly not accretive) makes the stacked solve raise, and only then
-    does the resolvent run per t to find the singular slices.
+    _matrix_exp trips (on -t abscissa(xc), the top eigenvalue of -t Re xc)
+    or expm overflows, a blow-up certifying that condition 3 fails there.
+    A singular t e + xc (-t an eigenvalue: not accretive) makes the stacked
+    solve raise; only then the resolvent runs per t to find those slices.
     """
     eye = np.eye(xc.shape[0])
     ts = t_grid[:, None, None]
-    exps, exp_ok, _ = _matrix_exp(-ts * xc)
+    exps, exp_ok, _ = _matrix_exp(-ts * xc, -t_grid * _abscissa(xc))
     exps[~exp_ok] = eye
     inv_ok = np.ones(t_grid.size, dtype=bool)
     try:

@@ -131,17 +131,17 @@ def herm_part(x) -> np.ndarray:
     return _herm_part(as_matrix(x))
 
 
-def _matrix_exp(a: np.ndarray):
+def _matrix_exp(a: np.ndarray, growth: np.ndarray | None = None):
     """exp of each matrix of an (m, k, k) stack: one overflow guard and one
     scipy expm call, each bitwise its one-matrix evaluation.
 
-    Returns (e, ok, growth).  growth is the largest Hermitian-part
-    eigenvalue of each matrix, a lower bound on log||exp(a)||; a matrix
-    with growth above _EXP_OVERFLOW is not exponentiated (its slice of e
-    is 0), and ok marks the matrices whose exponential was computed and is
-    finite.
+    Returns (e, ok, growth).  growth (one stacked eigen-solve unless given)
+    is the top Hermitian-part eigenvalue of each matrix, a lower bound on
+    log||exp(a)||; a matrix with growth above _EXP_OVERFLOW is not
+    exponentiated (its slice of e is 0), and ok marks the matrices whose
+    exponential was computed and is finite.
     """
-    growth = np.linalg.eigvalsh(_herm_part(a))[:, -1]
+    growth = np.linalg.eigvalsh(_herm_part(a))[:, -1] if growth is None else growth
     ok = growth <= _EXP_OVERFLOW
     e = np.zeros_like(a)
     if ok.any():

@@ -367,13 +367,13 @@ class NormEstimate:
 
     value is the lower bound of a monotone alternating ascent; upper is
     the Choi-factorisation bound of _cb_upper (or, for a projection
-    family, the bound derived from that of I - 2P).  When the unit start
-    already reaches upper to within 2 * delta * upper (delta the rounding
-    allowance of _cb_delta) the bracket is closed: no ascent runs, and
-    iterations is 0, stationary True and start_index 0.  Otherwise
-    stationary means the last accepted step of the best start improved by
-    less than the settle threshold (a local maximiser), and value is only
-    a lower bound."""
+    family, the bound derived from that of I - 2P).  The bracket closes
+    once value is within 2 * delta * upper of upper (delta the rounding
+    allowance of _cb_delta); stationary is then True, and iterations
+    counts the ascent steps run until then (0 when the unit start closes
+    it, with start_index 0).  On an open bracket stationary means the last
+    accepted step of the best start improved by less than the settle
+    threshold (a local maximiser), and value is only a lower bound."""
 
     value: float
     upper: float
@@ -441,14 +441,14 @@ def _op_norm_estimates(t_maps, k: int, budget: int, seed: int, uppers=None) -> l
     one codomain size, as a list of NormEstimate; uppers are the maps'
     upper bounds (default: _cb_upper of each).
 
-    The unit start is evaluated for every map first, and a map whose
-    value is within 2 * delta * upper of its upper bound is closed.  The
-    other starts depend only on the domain, k and seed, so every open map
-    gets the same six.  All (open map, start) ascents run in lockstep: a
-    step is one stacked SVD of the active T_k(u), one stacked transpose
-    action, one stacked polar SVD and, on a proper domain, one projection
-    and one batched rescale; an ascent stops at its first step that does
-    not improve its value by more than 1e-12 * (1 + value).
+    A map whose unit start is within 2 * delta * upper of its upper bound
+    is closed at once.  The other starts depend only on the domain, k and
+    seed, so every open map gets the same six.  All (open map, start)
+    ascents run in lockstep: a step is one stacked SVD of the active
+    T_k(u), one stacked transpose action, one stacked polar SVD and, on a
+    proper domain, one projection and one batched rescale; an ascent stops
+    at its first step that does not improve its value by more than 1e-12 *
+    (1 + value), and all of a map's once the best of them closes it.
     """
     if uppers is None:
         uppers = [_cb_upper(t) for t in t_maps]
@@ -468,10 +468,10 @@ def _op_norm_estimates(t_maps, k: int, budget: int, seed: int, uppers=None) -> l
 
     vas = np.array([t._vec_action for t in t_maps])
     unit_vals = objective(vas, np.tile(starts[0], (len(t_maps), 1, 1)))[0]
-    keep = 1.0 - 2.0 * _cb_delta(t_maps[0])
+    closing = np.array(uppers, dtype=float) * (1.0 - 2.0 * _cb_delta(t_maps[0]))
     out = [NormEstimate(value=float(v), upper=float(up), stationary=True, iterations=0,
-                        start_index=0) if v >= up * keep else None
-           for v, up in zip(unit_vals, uppers)]
+                        start_index=0) if v >= c else None
+           for v, up, c in zip(unit_vals, uppers, closing)]
     open_maps = [m for m, e in enumerate(out) if e is None]
     if not open_maps:
         return out
@@ -514,13 +514,15 @@ def _op_norm_estimates(t_maps, k: int, budget: int, seed: int, uppers=None) -> l
         stationary[active[~up]] = True
         active = active[up]
         val[active], w[active], v[active] = val_new[up], w_new[up], v_new[up]
+        closed = (val.reshape(n_maps, n_starts).max(axis=1) >= closing[open_maps])[owner]
+        stationary |= closed
+        active = active[~closed[active]]
 
     for i, m in enumerate(open_maps):
         best_val, best_idx, best_stat = -1.0, 0, False
-        for idx in range(n_starts):
-            a = i * n_starts + idx
-            if val[a] > best_val + 1e-15:
-                best_val, best_idx, best_stat = float(val[a]), idx, bool(stationary[a])
+        for idx, (a, stat) in enumerate(zip(val[owner == i], stationary[owner == i])):
+            if a > best_val + 1e-15:
+                best_val, best_idx, best_stat = float(a), idx, bool(stat)
         out[m] = NormEstimate(value=best_val, upper=float(uppers[m]), stationary=best_stat,
                               iterations=int(iterations[i]), start_index=best_idx)
     return out

@@ -1,29 +1,21 @@
-"""Numerical range of a matrix: boundary sweeps, abscissa, distances,
-and the sectorial angle.
+"""Numerical range of a matrix: boundary sweep, abscissa, distance to a
+point, and the sectorial angle.
 
-The numerical range W(x) = {v*xv : ||v|| = 1} is compact and convex; its
-support function in direction e^{i theta} is the top eigenvalue of the
-Hermitian part of e^{-i theta} x.  Both angle sweeps here (the boundary
-and the distance grid) run as one stacked Hermitian eigenproblem over half
-their angles (Johnson, SIAM J. Numer. Anal. 15, 1978): the grids have an
-even number of angles, and since Re(e^{-i(theta + pi)} x) = -Re(e^{-i
-theta} x), the bottom eigenpair at theta, negated, is the top one at theta
-+ pi.  The distance to a point refines the best angle of its sweep by a
-safeguarded Newton iteration on the slope of the support gap, whose first
-and second derivatives come from the same eigen-solve.
-
-The sectorial angle of an accretive x = H + iK (H >= 0) needs no sweep:
-|v*Kv| <= tan(theta) v*Hv for every v exactly when -tan(theta) H <= K <=
-tan(theta) H, so theta = arctan max |lambda| over the pencil K v =
-lambda H v on the range of H, and theta = pi/2 when K does not vanish on
-the kernel of H.  Both the accretivity test and the kernel are decided
-by a cut at a small multiple of the rounding level of the eigen-solve,
-_KER_ULPS * n * eps * ||x||, never by the sign of rounding noise: the cut
-scales with x, so the angle of s x is that of x, and every eigenvalue of
-H above rounding noise enters the pencil.  A non-accretive x needs no
-sweep either: the ends of its arc of admissible directions are real
-eigen-angles of the pencil (H, -K) (Higham, Tisseur and Van Dooren,
-Linear Algebra Appl. 351-352, 2002).
+W(x) = {v*xv : ||v|| = 1} is compact and convex, with support function
+h(theta) = max eig Re(e^{-i theta} x).  Only the boundary sweeps angles (its
+points are its output), as one stacked eigen-solve at half of an even
+number of them (Johnson, SIAM J. Numer. Anal. 15, 1978): the bottom
+eigenpair at theta, negated, is the top one at theta + pi.  Elsewhere the
+directions psi where Re(e^{-i psi} b) is singular, real eigen-angles of the
+pencil (Re b, -Re(-i b)) (Higham, Tisseur and Van Dooren, Linear Algebra
+Appl. 351-352, 2002), and one stacked eigen-solve at the midpoints between
+them bound an arc: for b = x the admissible arc of a non-accretive x, for
+b = x - z the directions that separate z from W(x).  The sector of an
+accretive x = H + iK is arctan max |lambda| over K v = lambda H v on the
+range of H (pi/2 when K does not vanish on ker H).  Each decision is a cut
+at _KER_ULPS * n * eps * ||x||, a small multiple of the rounding level of
+the eigen-solve, never the sign of rounding noise: the cut scales with x,
+so the angle of s x is that of x.
 """
 from __future__ import annotations
 
@@ -129,13 +121,10 @@ def support_function(x, theta: float) -> float:
 def boundary(x, m: int = 256) -> RangeBoundary:
     """Sweep m supporting half-planes of W(x) at equispaced angles.
 
-    m must be even and at least 8.  Re(e^{-i(theta + pi)} x) = -Re(e^{-i
-    theta} x), so one stacked eigen-solve at the first m/2 angles gives
-    both halves of the sweep: the top eigenpair at theta_k, and the bottom
-    one, negated, as the top at theta_k + pi.  The returned points v*xv
-    lie on (or within rounding of) the boundary of the numerical range;
-    the half-planes Re(e^{-i theta_j} z) <= h(theta_j) jointly enclose
-    W(x).
+    m must be even and at least 8; one stacked eigen-solve at the first m/2
+    angles gives both halves of the sweep.  The points v*xv lie on (or
+    within rounding of) the boundary of W(x); the half-planes Re(e^{-i
+    theta_j} z) <= h(theta_j) jointly enclose W(x).
     """
     a = as_matrix(x)
     m = int(m)
@@ -160,89 +149,96 @@ def abscissa(x) -> float:
     return _abscissa(as_matrix(x))
 
 
-def dist_to_point(x, z, m: int = 256) -> float:
+def dist_to_point(x, z) -> float:
     """Distance from the complex point z to the numerical range W(x).
 
-    dist(z, W) = max(0, sup_theta gap(theta)) by convex duality, with
-    gap(theta) = Re(e^{-i theta} z) - h(theta).  A sweep of m angles (m
-    at least 32, rounded up to even; antipodal angles share one stacked
-    eigen-solve, as in boundary) brackets the maximiser within one grid
-    step on either side.  Since |gap'| <= |z| + ||x||_F, a sweep maximum
-    below -(|z| + ||x||_F) pi / m (less a rounding margin) proves gap < 0
-    at every angle, and 0 is returned at once.  Otherwise a safeguarded
-    Newton iteration on the slope gap'(theta) = Im(e^{-i theta}(z -
-    v*xv)) refines the maximiser, with the curvature read off the same
-    eigen-solve and a bisection of the bracket wherever the Newton step
-    leaves it, fails to halve, or the curvature is not negative (a kink of
-    h, where two eigenvalues cross).  The largest gap evaluated is
-    returned: a lower bound on the distance, and accurate far beyond 1e-6
-    * (||x|| + |z| + 1).
+    With b = x - z, dist(z, W) = max(0, max_psi g(psi)) for g(psi) = min
+    eig Re(e^{-i psi} b) = min Re(e^{-i psi}(W - z)).  g > 0 on one arc,
+    bracketed by the pencil candidates of b around the run of midpoints
+    above ktol = _KER_ULPS * n * eps * (|z| + ||x||_F); with none, z is in
+    W(x) up to rounding, and 0 is returned.  g is unimodal on the arc (its
+    superlevel sets are arcs): a safeguarded Newton iteration on g' refines
+    the best midpoint, and at a kink the one-sided slopes decide and the
+    bracket-end tangents give the next angle.  The largest g evaluated is
+    returned, a lower bound accurate far beyond 1e-6 * (||x|| + |z| + 1).
     """
-    return _dist_to_point(as_matrix(x), _check_finite(complex(z), "z"), m)
+    return _dist_to_point(as_matrix(x), _check_finite(complex(z), "z"))
 
 
 # Newton on the slope of the gap stops at a step below _STEP_TOL (the gap is
-# then within about |gap''| * 1e-20 of its maximum), at a bracket narrower
+# then within about |g''| * 1e-20 of its maximum), at a bracket narrower
 # than _BRACKET_TOL, or after _MAX_SOLVES single-angle solves.
 _STEP_TOL = 1e-10
 _BRACKET_TOL = 1e-13
 _MAX_SOLVES = 60
 
 
-def _gap_jet(a: np.ndarray, z: complex, theta: float):
-    """gap(theta), gap'(theta) and gap''(theta) from one eigen-solve.
+def _gap_jet(b: np.ndarray, psi: float):
+    """g(psi) = min eig H for H = Re(e^{-i psi} b), its left and right
+    slopes and a step, from one eigen-solve; H' = H(psi + pi/2), H'' = -H.
+    Over the bottom cluster V of H (within rounding of g) the right slope
+    is the least eigenvalue of V*H'V, the left one the largest (Kato,
+    Perturbation Theory, II.5).  Equal slopes: g'' = -g + 2 sum_j |v_j* H'
+    u|^2 / (g - w_j) over the eigenpairs apart from the bottom one u, and
+    the step is Newton's (inf unless g'' < 0).  Else g has a kink within
+    rounding of the crossing of its extreme branches, and the step goes
+    there."""
+    y = np.exp(-1j * psi) * b
+    w, v = np.linalg.eigh((y + y.conj().T) / 2.0)
+    hp, g, cut = (y - y.conj().T) / 2j, w[0], _KER_ULPS * w.size * np.finfo(float).eps
+    apart = w - g > cut * max(w[-1], -g)
+    k = w.size - int(np.count_nonzero(apart))
+    if k > 1:
+        hpv = v[:, :k].conj().T @ hp @ v[:, :k]
+        s = np.linalg.eigvalsh(hpv)
+        if s[-1] - s[0] > cut * max(w[-1], -g, s[-1], -s[0]):
+            # the lowest branch rises to the crossing if its slope is the larger
+            cross = (w[k - 1] - g) / (s[-1] - s[0])
+            return g, s[-1], s[0], np.copysign(cross, hpv[0, 0].real - hpv[-1, -1].real)
+    coupling = v.conj().T @ (hp @ v[:, 0])
+    slope = coupling[0].real
+    curvature = -g + 2.0 * np.sum(np.abs(coupling[apart]) ** 2 / (g - w[apart]))
+    return g, slope, slope, -slope / curvature if curvature < 0 else np.inf
 
-    With H(theta) = Re(e^{-i theta} a), H' = H(theta + pi/2) and H'' = -H,
-    the top eigenvalue h with unit eigenvector u has h' = u*H'u = Im(e^{-i
-    theta} u*au) and h'' = -h + 2 sum_j |v_j* H' u|^2 / (h - w_j) over the
-    other eigenpairs (w_j, v_j); eigenvalues within rounding of h are
-    taken as part of the top eigenspace, not as coupled to it.
-    """
-    w, v = np.linalg.eigh(_herm_parts(a, theta))
-    h, u = w[-1], v[:, -1]
-    rz = z * np.exp(-1j * theta)
-    slope = (rz - np.exp(-1j * theta) * (u.conj() @ (a @ u))).imag
-    apart = h - w > _KER_ULPS * w.size * np.finfo(float).eps * max(h, -w[0])
-    coupling = v[:, apart].conj().T @ (_herm_parts(a, theta + np.pi / 2.0) @ u)
-    curvature = -rz.real + h - 2.0 * np.sum(np.abs(coupling) ** 2 / (h - w[apart]))
-    return rz.real - h, slope, curvature
 
-
-def _dist_to_point(a: np.ndarray, z: complex, m: int = 256) -> float:
-    m = max(int(m), 32)
-    m += m % 2
-    step = 2.0 * np.pi / m
-    grid = step * np.arange(m)
-    w = np.linalg.eigvalsh(_herm_parts(a, grid[: m // 2]))
-    vals = (z * np.exp(-1j * grid)).real - np.concatenate((w[:, -1], -w[:, 0]))
-    j = int(np.argmax(vals))
-    best, theta = float(vals[j]), float(grid[j])
-    # |gap'| <= |z| + ||x||_F, and every angle lies within step / 2 of the
-    # grid: a sweep this far below 0 proves z inside W(x), so dist = 0
-    lip = abs(z) + float(np.linalg.norm(a))
-    if best + lip * step / 2.0 < -_KER_ULPS * a.shape[0] * np.finfo(float).eps * lip:
+def _dist_to_point(a: np.ndarray, z: complex) -> float:
+    b = a - z * np.eye(a.shape[0])
+    c, mids = _pencil_angles(b)
+    g = np.linalg.eigvalsh(_herm_parts(b, mids))[:, 0]
+    pos = g > _KER_ULPS * a.shape[0] * np.finfo(float).eps * (abs(z) + float(np.linalg.norm(a)))
+    if not pos.any():
         return 0.0
-    lo, hi = theta - step, theta + step
+    # the candidates that bound the run of midpoints above ktol around the
+    # best one (no wrap: g at the antipode of midpoint j is at most -g[j])
+    j = int(np.argmax(g))
+    psi, best, pos = float(mids[j]), float(g[j]), np.roll(pos, -j)
+    lo = psi - float(np.mod(psi - c[(j - int(np.argmin(pos[::-1]))) % c.size], 2.0 * np.pi))
+    hi = psi + float(np.mod(c[(j + int(np.argmin(pos))) % c.size] - psi, 2.0 * np.pi))
+    tan_lo = tan_hi = None  # (g, slope) at the bracket ends, once evaluated
     last = before = hi - lo
     for _ in range(_MAX_SOLVES):
-        gap, slope, curvature = _gap_jet(a, z, theta)
-        best = max(best, gap)
-        if slope > 0:
-            lo = theta
-        elif slope < 0:
-            hi = theta
-        newton = -slope / curvature if curvature < 0 else np.inf
-        if abs(newton) < _STEP_TOL or hi - lo < _BRACKET_TOL:
+        val, left, right, step = _gap_jet(b, psi)
+        best = max(best, val)
+        if right > 0:
+            lo, tan_lo = psi, (val, right)
+        elif left < 0:
+            hi, tan_hi = psi, (val, left)
+        else:  # left >= 0 >= right: the maximum, or a kink within rounding of it
+            return max(best, _gap_jet(b, psi + step)[0]) if left > right else best
+        smooth = left == right
+        if smooth and abs(step) < _STEP_TOL or hi - lo < _BRACKET_TOL:
             break
-        # a Newton step must stay in the bracket and be at most half the
-        # step before last; else bisect
-        if lo < theta + newton < hi and abs(newton) <= before / 2.0:
-            dt = newton
-        else:
-            dt = (lo + hi) / 2.0 - theta
-        theta += dt
-        last, before = abs(dt), last
-    return float(max(0.0, best))
+        # a Newton step stays in the bracket and is at most half the step
+        # before last; else go where the tangents at its ends cross, or bisect
+        new = (lo + hi) / 2.0
+        if smooth and lo < psi + step < hi and abs(step) <= before / 2.0:
+            new = psi + step
+        elif tan_lo and tan_hi:
+            (g0, s0), (g1, s1) = tan_lo, tan_hi
+            cross = (g1 - g0 + s0 * lo - s1 * hi) / (s0 - s1)
+            new = cross if lo < cross < hi else new
+        last, before, psi = abs(new - psi), last, new
+    return best
 
 
 def _normalize_angle(a: float) -> float:
@@ -256,11 +252,9 @@ def _normalize_angle(a: float) -> float:
 def sectorial_angle(x, tol: Tolerances | None = None) -> SectorVerdict:
     """Smallest half-angle theta with W(x) inside {|arg z| <= theta}.
 
-    Write x = H + iK with H, K Hermitian and let ktol = _KER_ULPS * n *
-    eps * ||x||, a small multiple of the rounding error of an eigen-solve
-    of H.  If the smallest eigenvalue of H is at least -ktol, x is
-    accretive and the angle is exact, from one Hermitian eigen-solve of H
-    and one of the whitened K:
+    Write x = H + iK and let ktol = _KER_ULPS * n * eps * ||x||.  If the
+    smallest eigenvalue of H is at least -ktol, x is accretive and the
+    angle is exact, from one eigen-solve of H and one of the whitened K:
 
     - Kernel rule: let V span the eigenvectors of H with eigenvalue <=
       ktol.  If ||K V|| > ktol, the range reaches the imaginary axis and
@@ -272,11 +266,9 @@ def sectorial_angle(x, tol: Tolerances | None = None) -> SectorVerdict:
       witness is u*xu for the matching unit vector u = W e / ||W e||.
 
     A non-accretive x is exact too.  The directions psi with min eig
-    Re(e^{-i psi} x) >= 0 form an arc D, or two antipodal points when W(x)
-    lies on a line e^{i phi} R through 0.  Their ends make cos psi H + sin
-    psi K singular, so they are real eigen-angles of the pencil (H, -K);
-    one stacked eigen-solve at these candidates and the midpoints between
-    them reads D: the run of midpoints above ktol (0 outside W(x)), else
+    Re(e^{-i psi} x) >= 0 form an arc D (two antipodal points when W(x)
+    lies on a line e^{i phi} R through 0), read off the pencil candidates
+    and midpoints: the run of midpoints above ktol (0 outside W(x)), else
     the samples at or above -ktol.  An arc [psi-, psi+] gives the extreme
     rays psi+ - pi/2 and psi- + pi/2, two points the rays phi and phi +
     pi; the angle is the larger |arg| (pi once the cone holds the negative
@@ -342,15 +334,23 @@ def _ray_point(a: np.ndarray, psi: float, rho: float, ktol: float) -> complex:
     return complex(u.conj() @ (a @ u))
 
 
-def _pencil_sector(a: np.ndarray, ktol: float) -> SectorVerdict:
-    """Exact sector of a non-accretive a from the eigen-angles of (H, -K)."""
+def _pencil_angles(a: np.ndarray):
+    """Candidates c for the psi where Re(e^{-i psi} a) = cos psi H + sin psi
+    K is singular: the eigen-angles of (H, -K) and their antipodes, sorted
+    in [0, 2 pi), from one QZ, and mids[i] between c[i] and c[i + 1] (c[0]
+    + 2 pi for the last).  A complex eigenvalue adds a spurious candidate."""
     alpha, beta = sla.eigvals(_herm_part(a), -_herm_part(-1j * a), homogeneous_eigvals=True)
     s = np.where(np.abs(alpha) >= np.abs(beta), alpha, beta).conj()
     psi = np.arctan2((alpha * s).real, (beta * s).real)
     c = np.sort(np.mod(np.concatenate((psi, psi + np.pi)), 2.0 * np.pi))
+    return c, (c + np.append(c[1:], c[0] + 2.0 * np.pi)) / 2.0
+
+
+def _pencil_sector(a: np.ndarray, ktol: float) -> SectorVerdict:
+    """Exact sector of a non-accretive a from the eigen-angles of (H, -K)."""
     # samples: candidate c[i] at 2i, the midpoint after it at 2i + 1; run
     # indices reach past the end, so `at` repeats the samples one turn on
-    samples = np.column_stack((c, (c + np.append(c[1:], c[0] + 2.0 * np.pi)) / 2.0)).ravel()
+    samples = np.column_stack(_pencil_angles(a)).ravel()
     g = np.linalg.eigvalsh(_herm_parts(a, samples))[:, 0]
     at = np.append(samples, samples + 2.0 * np.pi)
     positive = _runs(g[1::2] > ktol)

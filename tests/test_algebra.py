@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from realpos import algebra
 from realpos.algebra import (
     SubalgebraBasis,
     _pair_products,
@@ -65,6 +66,12 @@ def test_span_helpers():
     assert not span_contains(d.basis, m)
     assert spans_equal(f.basis, [b.copy() for b in f.basis])
     assert not spans_equal(f.basis, d.basis)
+
+
+def test_spans_equal_of_an_algebra_with_itself_takes_no_rank(monkeypatch):
+    f = full_matrix_algebra(2)
+    monkeypatch.setattr(algebra, "_span_rank", lambda *args: pytest.fail("rank computed"))
+    assert algebra._spans_equal(f, f)
 
 
 def test_span_rank_ambiguity_is_refused_by_every_span_question():

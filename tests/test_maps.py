@@ -247,9 +247,11 @@ def test_op_norm_scaling():
 def _norm_estimate_by_loop(t_map, k, budget=_NORM_BUDGET, seed=0, upper=None):
     """op_norm_estimate one start, one step and one SVD at a time: the
     reference the lockstep ascent must reproduce bitwise.  upper defaults
-    to the map's own Choi bound; the unit start closes the bracket when it
-    is within 2 delta of upper, and upper = inf never closes it."""
+    to the map's own Choi bound; the bracket is closed when the best value
+    is within 2 delta of upper, at the unit start (no ascent runs) or after
+    any step (every start stops), and upper = inf never closes it."""
     upper = _cb_upper(t_map) if upper is None else upper
+    closing = upper * (1.0 - 2.0 * _cb_delta(t_map))
     tk = amplify(t_map, k)
     base, full, rng = t_map.domain, tk.full_domain, rng_for(seed)
 
@@ -264,7 +266,7 @@ def _norm_estimate_by_loop(t_map, k, budget=_NORM_BUDGET, seed=0, upper=None):
         u0[:base.n, :base.n] = base.basis[0]
     starts = [u0 / max(_norm2(u0), 1e-30)]
     unit_val = objective(starts[0])[0]
-    if unit_val >= upper * (1.0 - 2.0 * _cb_delta(t_map)):
+    if unit_val >= closing:
         return NormEstimate(value=unit_val, upper=upper, stationary=True,
                             iterations=0, start_index=0)
     if full and k >= 2:
@@ -278,11 +280,12 @@ def _norm_estimate_by_loop(t_map, k, budget=_NORM_BUDGET, seed=0, upper=None):
             starts.append(cand / max(_norm2(cand), 1e-30))
 
     per_start = max(3, int(budget) // len(starts))
-    best_val, best_idx, best_stat, total_iter = -1.0, 0, False, 0
-    for idx, u in enumerate(starts):
-        val, w, v = objective(u)
-        stationary = False
-        for _ in range(per_start):
+    state = [list(objective(u)) for u in starts]  # [value, w, v] of each start
+    stationary = [False] * len(starts)
+    active, total_iter = list(range(len(starts))), 0
+    for _ in range(per_start):
+        for idx in list(active):
+            val, w, v = state[idx]
             total_iter += 1
             g = tk.apply_transpose(np.outer(w.conj(), v)).T
             gu, _, gvh = np.linalg.svd(g)
@@ -294,12 +297,18 @@ def _norm_estimate_by_loop(t_map, k, budget=_NORM_BUDGET, seed=0, upper=None):
                     u_new = u_new / nn
             val_new, w_new, v_new = objective(u_new)
             if val_new > val + 1e-12 * (1.0 + val):
-                u, val, w, v = u_new, val_new, w_new, v_new
+                state[idx] = [val_new, w_new, v_new]
             else:
-                stationary = True
-                break
+                stationary[idx] = True
+                active.remove(idx)
+        if max(st[0] for st in state) >= closing:
+            stationary, active = [True] * len(starts), []
+        if not active:
+            break
+    best_val, best_idx, best_stat = -1.0, 0, False
+    for idx, (val, _, _) in enumerate(state):
         if val > best_val + 1e-15:
-            best_val, best_idx, best_stat = val, idx, stationary
+            best_val, best_idx, best_stat = val, idx, stationary[idx]
     return NormEstimate(value=best_val, upper=upper, stationary=best_stat,
                         iterations=total_iter, start_index=best_idx)
 
@@ -424,6 +433,19 @@ def test_norm_bracket_closes_at_the_unit_start():
     sym = _op_norm_estimates(family, 1, _NORM_BUDGET, 0, [u_p, u_comp, u_sym])[2]
     assert sym.iterations > 0
     assert sym.value == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_norm_bracket_closes_mid_ascent(k):
+    """The scalar-averaging I - P has ||(I - P)_k|| = 3/2 = its upper bound
+    at levels 2 and 3: the ascent reaching it stops every start of the map
+    after that step, instead of running on to stationarity."""
+    family = _norm_family("scalar_avg")
+    u_sym, u_p, u_comp = _projection_uppers(family[0], family[2])
+    comp = _op_norm_estimates(family, k, _NORM_BUDGET, 0, [u_p, u_comp, u_sym])[1]
+    assert comp.stationary and 0 < comp.iterations <= 6
+    assert comp.upper - comp.value <= 2.0 * _cb_delta(family[0]) * comp.upper
+    assert comp.value == pytest.approx(1.5, abs=1e-12)
 
 
 def test_norm_estimates_exact_values():

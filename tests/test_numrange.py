@@ -4,6 +4,7 @@ hull of the spectrum."""
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from scipy.spatial import ConvexHull
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -264,14 +265,13 @@ def test_dist_to_point_matches_golden_section_oracle():
         for x, z in group:
             d = dist_to_point(x, z)
             assert abs(d - _dist_to_point_golden(x, z)) <= 1e-12 * (1.0 + d)
-    x, z = _dist_inputs()[0][1]
-    assert dist_to_point(x, z, m=33) == dist_to_point(x, z, m=34)  # m rounds up to even
 
 
 def test_dist_to_point_single_angle_solves(monkeypatch):
     """The Newton refinement needs few single-angle eigen-solves on smooth
-    inputs, and stays within 60 at kinks (where it bisects); the sweep
-    alone proves dist = 0 for every z well inside W(x)."""
+    inputs, and few at kinks too (where it steps to the crossing of the
+    bracket-end tangents); the pencil midpoints alone prove dist = 0 for
+    every z well inside W(x)."""
     calls = []
     jet = numrange._gap_jet
     monkeypatch.setattr(numrange, "_gap_jet", lambda *args: calls.append(1) or jet(*args))
@@ -282,9 +282,109 @@ def test_dist_to_point_single_angle_solves(monkeypatch):
             calls.clear()
             dist_to_point(x, z)
             counts[-1].append(len(calls))
-    assert max(max(c) for c in counts) <= 60
+    assert max(max(c) for c in counts) <= 16
     assert np.median(counts[0]) <= 8
     assert max(counts[2]) == 0
+
+
+def test_dist_to_point_polygon_range():
+    """Normal x: W(x) is the convex hull of the spectrum, and the distance
+    to a z outside it is that to the nearest edge.  Where that point lies
+    inside an edge, the gap has a kink at its maximum; the refinement
+    steps onto the crossing of the two branches there."""
+    for x, z in _dist_inputs()[1]:
+        lam = np.linalg.eigvals(x)
+        pts = np.column_stack((lam.real, lam.imag))
+        if lam.size > 2:
+            hull = ConvexHull(pts)
+            if np.all(hull.equations @ [z.real, z.imag, 1.0] <= 0.0):
+                assert dist_to_point(x, z) == 0.0
+                continue
+        exact = min(seg_dist(z, a, b) for a in lam for b in lam)
+        assert abs(dist_to_point(x, z) - exact) <= 1e-13 * (1.0 + exact)
+
+
+def _segment_input(n, seed, c):
+    """x = h + i c I with h Hermitian: W(x) is the segment [l, r] + i c
+    between the extreme eigenvalues of h."""
+    h = random_hermitian(n, seed)
+    lam = np.linalg.eigvalsh(h)
+    return h + 1j * c * np.eye(n), complex(lam[0], c), complex(lam[-1], c)
+
+
+def test_dist_to_point_degenerate_top_eigenspace():
+    """At psi = pi/2, Re(e^{-i psi}(x - z)) is a multiple of I: the whole
+    space is the bottom cluster.  A slope read off one arbitrary vector of
+    it stopped the refinement there, 1.6e-4 short of the distance to the
+    end of the segment."""
+    x, _, right = _segment_input(2, 0, 0.01)
+    z = right + 0.04 - 5.01j
+    assert abs(dist_to_point(x, z) - abs(z - right)) <= 1e-12
+
+
+@pytest.mark.parametrize("n, seed", [(2, 1), (4, 2), (8, 3)])
+def test_dist_to_point_segment_range(n, seed):
+    """z beyond either end of a segment W(x), at every angle, including the
+    directions perpendicular to the segment (at the ends and in between)."""
+    x, left, right = _segment_input(n, seed, 0.7)
+    for r in (1e-3, 0.5, 4.0):
+        for phi in np.linspace(-np.pi / 2.0, np.pi / 2.0, 7):
+            z = right + r * np.exp(1j * phi)
+            assert abs(dist_to_point(x, z) - r) <= 1e-12 * (1.0 + r)
+            z = left - r * np.exp(1j * phi)
+            assert abs(dist_to_point(x, z) - r) <= 1e-12 * (1.0 + r)
+        mid = (left + right) / 2.0
+        for z in (mid + 1j * r, mid - 1j * r):
+            assert abs(dist_to_point(x, z) - r) <= 1e-12 * (1.0 + r)
+
+
+@pytest.mark.parametrize("c", [0.0, 1.5 - 2.0j])
+def test_dist_to_point_single_point_range(c):
+    """W(c I) = {c}: at every angle the whole space is the bottom cluster,
+    with a single slope."""
+    x = c * np.eye(3, dtype=complex)
+    for z in (c + 1.0, c - 2.0j, c + 3.0 * np.exp(0.3j), c + 1e-6j):
+        assert abs(dist_to_point(x, z) - abs(z - c)) <= 1e-12 * (1.0 + abs(z - c))
+    assert dist_to_point(x, c) == 0.0
+
+
+def test_dist_to_point_at_an_eigenvalue_with_a_normal_eigenvector():
+    """x = (2 + i) (+) y with y small: z = 2 + i is a vertex of W(x) and
+    Re(e^{-i psi}(x - z)) is singular at every psi, a singular pencil.
+    The distance is 0, and a point just beyond the vertex is at its own
+    distance from it."""
+    y = 0.3 * random_matrix(3, 5)
+    x = np.zeros((4, 4), dtype=complex)
+    x[0, 0], x[1:, 1:] = 2.0 + 1.0j, y
+    assert dist_to_point(x, 2.0 + 1.0j) == 0.0
+    z = 2.0 + 1.0j + 0.25 * np.exp(0.4j)
+    assert abs(dist_to_point(x, z) - 0.25) <= 1e-12
+
+
+@pytest.mark.parametrize("n, seed", [(3, 6), (4, 7), (8, 8)])
+def test_dist_to_point_on_and_near_the_boundary(n, seed):
+    """z = p + t e^{i theta} for a boundary point p of W(x) with outward
+    normal e^{i theta}: dist = t, so 0 on the boundary."""
+    x = random_matrix(n, seed)
+    rb = boundary(x, m=16)
+    for theta, p in zip(rb.angles, rb.boundary_points):
+        assert dist_to_point(x, p) <= 1e-12
+        for t in (1e-8, 1e-4):
+            assert abs(dist_to_point(x, p + t * np.exp(1j * theta)) - t) <= 1e-12
+
+
+def test_dist_to_point_stacks_at_most_2n_matrices(monkeypatch):
+    """The midpoints between the 2n pencil candidates are the only stacked
+    eigen-solve: no 128-angle sweep."""
+    stacked = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda m, *args, **kw: stacked.append(m.shape) or eigvalsh(m, *args, **kw))
+    for group in _dist_inputs():
+        for x, z in group:
+            stacked.clear()
+            dist_to_point(x, z)
+            assert max(int(np.prod(s[:-2])) for s in stacked) <= 2 * x.shape[0]
 
 
 def pencil_angle(x):
