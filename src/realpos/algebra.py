@@ -180,14 +180,6 @@ class SubalgebraBasis:
         return self.ambient.n
 
     @cached_property
-    def _star_closed(self) -> bool:
-        """Is the span closed under the adjoint?  One projection of the
-        stacked adjoints of the basis, each within _SPAN_TOL relative."""
-        adj = np.array(self.basis).transpose(0, 2, 1).conj().reshape(self.dim, -1)
-        res = np.linalg.norm(adj - self._project_vecs(adj), axis=1)
-        return bool(np.all(res <= _SPAN_TOL * (1.0 + np.linalg.norm(adj, axis=1))))
-
-    @cached_property
     def _cols(self) -> np.ndarray:
         """The vectorised basis matrices as the columns of an (n^2, dim) array."""
         return np.array([_vec(b) for b in self.basis]).T
@@ -675,15 +667,11 @@ def lump_check(p, ctx: AmbientContext | None = None,
     faces are therefore tested against a common band (scaled 2:1) so
     that no idempotent can straddle the thresholds.
     """
-    t = resolve_tol(tol)
-    a = as_matrix(p, "p")
-    if ctx is None:
-        ctx = full_context(a.shape[0])
-    nrm = _norm2(a)
+    a, ctx, t, pc, _ = _element(p, ctx, tol, "lump_check", cone=None, name="p")
     idem_res = _norm2(a @ a - a)
-    if idem_res > 100 * t.eq_tol * (1.0 + nrm) ** 2:
+    if idem_res > 100 * t.eq_tol * (1.0 + _norm2(a)) ** 2:
         raise PreconditionError(f"lump_check needs an idempotent; residual {idem_res:.3g}")
-    mem = _membership(ctx._compress_member(a, t), t)
+    mem = _membership(pc, t)
     band = max(t.eq_tol, 2.0 * t.psd_tol)
     verdicts = {"in_F": mem.F_residual <= band,
                 "accretive": mem.r_residual >= -band / 2.0}

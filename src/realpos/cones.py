@@ -159,8 +159,8 @@ class ConeMembership:
 
 def membership(x, ctx: AmbientContext, tol: Tolerances | None = None) -> ConeMembership:
     """Evaluate both cone tests for x relative to the ambient context."""
-    t = resolve_tol(tol)
-    return _membership(ctx._compress(ctx.check_member(x, t)), t)
+    _, _, t, xc, _ = _element(x, ctx, tol, "membership", cone=None)
+    return _membership(xc, t)
 
 
 def _membership(xc: np.ndarray, t: Tolerances) -> ConeMembership:
@@ -224,8 +224,9 @@ def _element(x, ctx: AmbientContext | None, tol: Tolerances | None, who: str,
     return a, ctx, t, xc, mem
 
 
-def _semigroup_and_resolvents(xc: np.ndarray, t_grid: np.ndarray):
-    """exp(-t xc) and (t e + xc)^{-1} over the t-grid, each one stacked call.
+def _semigroup_and_resolvents(xc: np.ndarray, absc: float, t_grid: np.ndarray):
+    """exp(-t xc) and (t e + xc)^{-1} over the t-grid, each one stacked call;
+    absc is the abscissa of xc.
 
     Returns (exps, exp_ok, invs, inv_ok); a slice whose mask is False
     holds the unit.  exp(-t xc) fails at a t where the overflow guard of
@@ -236,7 +237,7 @@ def _semigroup_and_resolvents(xc: np.ndarray, t_grid: np.ndarray):
     """
     eye = np.eye(xc.shape[0])
     ts = t_grid[:, None, None]
-    exps, exp_ok, _ = _matrix_exp(-ts * xc, -t_grid * _abscissa(xc))
+    exps, exp_ok, _ = _matrix_exp(-ts * xc, -t_grid * absc)
     exps[~exp_ok] = eye
     inv_ok = np.ones(t_grid.size, dtype=bool)
     try:
@@ -271,9 +272,7 @@ def chaccr_verify(x, ctx: AmbientContext, t_grid=None,
     failed t as c3_failed_t / c4_failed_t.  The report passes iff all five
     verdicts agree.
     """
-    tl = resolve_tol(tol)
-    a = ctx.check_member(x, tl)
-    xc = ctx._compress(a)
+    a, ctx, tl, xc, _ = _element(x, ctx, tol, "chaccr_verify", cone=None)
     k = xc.shape[0]
     eye = np.eye(k)
     nrm = _norm2(xc)
@@ -294,7 +293,7 @@ def chaccr_verify(x, ctx: AmbientContext, t_grid=None,
             raise NumericError(f"chaccr_verify: {what} overflows on the t-grid "
                                f"(||x|| = {nrm:.3g})") from None
 
-    exps, exp_ok, invs, inv_ok = _semigroup_and_resolvents(xc, t_grid)
+    exps, exp_ok, invs, inv_ok = _semigroup_and_resolvents(xc, absc, t_grid)
     # an overflow on the t-grid is reported as NumericError (by grid_norms or
     # the growth check below), not as numpy warnings; growth takes scalar
     # powers, as in the per-t formula: an array power rounds differently
@@ -394,9 +393,8 @@ def decompose_halfF(b, ctx: AmbientContext, tol: Tolerances | None = None):
     x = (e + b)/2 and y = (e - b)/2; then ||e - 2x|| = ||b|| < 1 puts
     both halves strictly inside (1/2) F.
     """
-    t = resolve_tol(tol)
-    a = ctx.check_member(b, t)
-    nrm = _norm2(ctx._compress(a))
+    a, ctx, _, bc, _ = _element(b, ctx, tol, "decompose_halfF", cone=None, name="b")
+    nrm = _norm2(bc)
     if nrm >= 1.0:
         raise PreconditionError(f"decompose_halfF needs ||b|| < 1, got {nrm:.6g}")
     x = (ctx.unit + a) / 2.0
@@ -411,10 +409,9 @@ def upper_bound_pair(x, y, ctx: AmbientContext, tol: Tolerances | None = None):
     accretive order (e - x and e - y are accretive since their Hermitian
     parts are I - Re x >= (1 - ||x||) I > 0).
     """
-    t = resolve_tol(tol)
-    ax = ctx.check_member(x, t)
-    ay = ctx.check_member(y, t)
-    nx, ny = _norm2(ctx._compress(ax)), _norm2(ctx._compress(ay))
+    ax, ctx, t, xc, _ = _element(x, ctx, tol, "upper_bound_pair", cone=None)
+    ay, _, _, yc, _ = _element(y, ctx, t, "upper_bound_pair", cone=None, name="y")
+    nx, ny = _norm2(xc), _norm2(yc)
     if nx >= 1.0 or ny >= 1.0:
         raise PreconditionError(
             f"upper_bound_pair needs open-unit-ball inputs, got norms {nx:.6g}, {ny:.6g}"

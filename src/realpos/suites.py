@@ -322,7 +322,7 @@ def _theta_q_fixture(rng, n: int):
 def suite_proj(seed: int, count: int, n: int, tol: Tolerances) -> list:
     """Symmetric-projection construction certificates plus the
     scalar-averaging classification; details["rcp_certificate"] names the
-    certificate behind the RCP verdict ("" for evidence only)."""
+    certificate behind the RCP verdict ("" for an undecided one)."""
     out = []
     for i in range(count):
         rng = _rng(seed, "proj", i)
@@ -386,7 +386,7 @@ def suite_rcp(seed: int, count: int, n: int, tol: Tolerances,
 
     def transpose_report(i):
         t_map = maps_mod.transpose_map(2)
-        v = maps_mod.rcp_test(t_map, levels=(1, 2, 3), seed=int(seed), tol=tol)
+        v = maps_mod.rcp_test(t_map, tol=tol)
         wit_ok = (v.witness is not None and not v.passed and v.certified
                   and v.witness["out_abscissa"] <= -1e-4
                   and v.witness["in_abscissa"] >= -1e-10)
@@ -422,12 +422,14 @@ def suite_rcp(seed: int, count: int, n: int, tol: Tolerances,
                    / np.sqrt(2.0 * n) for _ in range(n_ops)]
             t_map = maps_mod.map_from_kraus(ops, n)
             name = f"kraus_{n_ops}"
-        v = maps_mod.rcp_test(t_map, levels=(1, 2, 3), seed=int(seed), tol=tol)
-        ok = v.passed and v.certified and not v.sampled_violations
+        v = maps_mod.rcp_test(t_map, tol=tol)
+        ok = v.passed and v.certified
         rep = VerificationReport(
             check="rcp", passed=bool(ok),
             verdicts={"rcp_passed": bool(v.passed), "certified": bool(v.certified),
-                      "no_sampled_violations": bool(not v.sampled_violations)},
+                      # rcp_test samples nothing; the key stays so that the
+                      # verdict keys of the report do not change
+                      "no_sampled_violations": True},
             residuals={},
             tolerances=tol.as_dict(),
             details={"fixture": name, "certificate": v.certificate or ""},

@@ -400,11 +400,10 @@ def test_criterion_12_cp_and_transpose_witness():
                for _ in range(1 + int(rng.integers(0, 3)))]
         maps.append(map_from_kraus(ops, n))
     cp_ok = 0
-    for i, t_map in enumerate(maps):
-        verdict = rcp_test(t_map, levels=(1, 2, 3), seed=i)
+    for t_map in maps:
+        verdict = rcp_test(t_map)
         _, resid = kraus_factor(t_map)
-        cp_ok += (verdict.passed and not verdict.sampled_violations
-                  and resid <= 1e-8)
+        cp_ok += (verdict.passed and verdict.certified and resid <= 1e-8)
     tm = transpose_map(2)
     ch = choi_matrix(tm)
     verdict = rcp_test(tm)

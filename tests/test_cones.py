@@ -148,7 +148,8 @@ def test_stacked_semigroup_and_resolvents_match_per_t_loop_bitwise(n):
     for x in _chaccr_inputs(n, np.random.default_rng(10 + n)):
         xc = np.asarray(x, dtype=complex)
         eye = np.eye(n)
-        exps, exp_ok, invs, inv_ok = cones._semigroup_and_resolvents(xc, T_GRID)
+        exps, exp_ok, invs, inv_ok = cones._semigroup_and_resolvents(
+            xc, abscissa(xc), T_GRID)
         for i, t in enumerate(T_GRID):
             try:
                 exp_ref, exp_ref_ok = _matrix_exp_per_t(-t * xc), True

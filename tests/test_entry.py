@@ -16,6 +16,7 @@ from realpos.algebra import (
     full_matrix_algebra,
     hsa_from_z,
     idempotent_ideal,
+    lump_check,
     supp_order,
     support_idem,
     ws_suite,
@@ -31,7 +32,16 @@ from realpos.calculus import (
     power_shifted,
     root_bai_check,
 )
-from realpos.cones import approximate_from_F, corner_context, full_context, scale_into_F
+from realpos.cones import (
+    approximate_from_F,
+    chaccr_verify,
+    corner_context,
+    decompose_halfF,
+    full_context,
+    membership,
+    scale_into_F,
+    upper_bound_pair,
+)
 from realpos.errors import InputError, PreconditionError
 
 # id -> (cone, input name, call(v, ctx, alg, good)); v is the input under
@@ -57,6 +67,16 @@ ENTRIES = {
     "idempotent_ideal[x]": ("r", "x", lambda v, ctx, alg, good: idempotent_ideal(good, alg, x=v)),
     "scale_into_F": ("r", "x", lambda v, ctx, alg, good: scale_into_F(v, ctx, eps=0.5)),
     "approximate_from_F": ("r", "x", lambda v, ctx, alg, good: approximate_from_F(v, ctx, 0.1)),
+}
+# entries without a cone requirement: id -> (input name, call(v, ctx, good)),
+# good an element of the corner with norm below 1
+PLAIN_ENTRIES = {
+    "membership": ("x", lambda v, ctx, good: membership(v, ctx)),
+    "chaccr_verify": ("x", lambda v, ctx, good: chaccr_verify(v, ctx)),
+    "decompose_halfF": ("b", lambda v, ctx, good: decompose_halfF(v, ctx)),
+    "upper_bound_pair[x]": ("x", lambda v, ctx, good: upper_bound_pair(v, good, ctx)),
+    "upper_bound_pair[y]": ("y", lambda v, ctx, good: upper_bound_pair(good, v, ctx)),
+    "lump_check": ("p", lambda v, ctx, good: lump_check(v, ctx)),
 }
 # entries whose input must also lie in the given algebra
 IN_ALGEBRA = ("ws_suite", "hsa_from_z", "idempotent_ideal[q]")
@@ -107,3 +127,15 @@ def test_one_entry_check(entry):
     ctx, alg, e = _corner()
     with pytest.raises(InputError, match="does not lie in the corner"):
         call(eye, ctx, alg, e)  # I has ex - x != 0
+
+
+@pytest.mark.parametrize("entry", sorted(PLAIN_ENTRIES))
+def test_plain_entry_names_its_input(entry):
+    name, call = PLAIN_ENTRIES[entry]
+    ctx, _, e = _corner()
+    bad = np.eye(3, dtype=complex)
+    bad[0, 1] = np.nan
+    with pytest.raises(InputError, match=f"^{name} contains non-finite entries$"):
+        call(bad, ctx, 0.5 * e)
+    with pytest.raises(InputError, match="does not lie in the corner"):
+        call(np.eye(3, dtype=complex), ctx, 0.5 * e)  # I has ex - x != 0

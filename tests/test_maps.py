@@ -31,7 +31,6 @@ from realpos.linalg import _norm2
 from realpos.maps import (
     _NORM_BUDGET,
     NormEstimate,
-    _accretive_sample,
     _cb_delta,
     _cb_upper,
     _op_norm_estimates,
@@ -473,30 +472,43 @@ def test_norm_estimate_budget_edges():
 
 
 def test_rcp_cp_certificate():
-    v = rcp_test(identity_map(full_matrix_algebra(2)), seed=3)
+    v = rcp_test(identity_map(full_matrix_algebra(2)))
     assert v.passed and v.certified and v.certificate == "choi_psd"
-    assert not v.sampled_violations
+    assert v.steps == 0
+
+
+def _assert_witness(t_map, v):
+    """v is a certified FAIL whose witness, re-applied through the public
+    amplification, is accretive with the recorded non-accretive image."""
+    assert not v.passed and v.certified and v.certificate == "witness"
+    w = v.witness
+    assert abscissa(w["matrix"]) == pytest.approx(w["in_abscissa"], abs=1e-12)
+    assert w["in_abscissa"] >= -1e-10
+    y = amplify(t_map, w["level"]).apply(w["matrix"])
+    assert abscissa(y) == pytest.approx(w["out_abscissa"], abs=1e-12)
+    assert w["out_abscissa"] < 0
+    return w
 
 
 def test_rcp_transpose_witness():
-    v = rcp_test(transpose_map(2), seed=3)
-    assert not v.passed and v.certified and v.certificate == "witness"
-    w = v.witness
+    t_map = transpose_map(2)
+    w = _assert_witness(t_map, rcp_test(t_map))
     assert w["level"] == 2
     assert w["in_abscissa"] >= -1e-10
     assert w["out_abscissa"] <= -1e-4
 
 
-def test_rcp_non_full_domain_uncertified_pass():
+def test_rcp_non_full_domain_certified_pass():
     # the diagonal algebra is a C*-algebra: decided exactly, certified
-    v = rcp_test(identity_map(diagonal_algebra(3)), seed=1, budget=60)
+    v = rcp_test(identity_map(diagonal_algebra(3)))
     assert v.passed and v.certified and v.certificate == "choi_psd"
-    # the upper-triangular algebra is not *-closed: sampling is evidence only
+    # the upper-triangular algebra is not *-closed, but A + A* = M_2 and
+    # the identity there is CP: certified at C_0
     e = np.eye(2, dtype=complex)
     upper = subalgebra([np.outer(e[0], e[0]), np.outer(e[0], e[1]), np.outer(e[1], e[1])],
                        unit=np.eye(2))
-    v = rcp_test(identity_map(upper), seed=1, budget=60)
-    assert v.passed and not v.certified and v.certificate is None
+    v = rcp_test(identity_map(upper))
+    assert v.passed and v.certified and v.certificate == "choi_psd"
 
 
 def _criterion_12_maps():
@@ -524,32 +536,27 @@ def _id_plus_transpose(beta):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_rcp_exact_on_theta_q_projection(n):
-    v = rcp_test(_theta_q_projection(n), seed=n)
+    v = rcp_test(_theta_q_projection(n))
     assert v.passed and v.certified and v.certificate == "choi_psd"
-    assert not v.sampled_violations
 
 
 def test_rcp_exact_witness_on_block_diagonal_transpose():
     alg = block_diag_algebra([2, 1])
     t_map = map_from_function(lambda m: m.T.copy(), alg)
-    v = rcp_test(t_map)
-    assert not v.passed and v.certified and v.certificate == "witness"
-    w = v.witness
+    w = _assert_witness(t_map, rcp_test(t_map))
     assert w["level"] == 3
-    assert w["in_abscissa"] >= -1e-10
     assert w["out_abscissa"] <= -1e-4
-    y = amplify(t_map, 3).apply(w["matrix"], check=True)
-    assert abscissa(y) == pytest.approx(w["out_abscissa"], abs=1e-12)
 
 
 def test_rcp_exact_witness_for_non_hermitian_choi():
     t_map = map_from_function(lambda m: 1j * m, full_matrix_algebra(2))
     assert not choi_matrix(t_map).herm
     v = rcp_test(t_map)
-    assert not v.passed and v.certified and v.certificate == "witness"
-    assert v.witness["level"] == 2
-    assert v.witness["in_abscissa"] >= -1e-10
-    assert v.witness["out_abscissa"] <= -1e-4
+    w = _assert_witness(t_map, v)
+    # +-i h for a Hermitian h, so Re(+-i h) = 0
+    assert w["level"] == 1 and v.steps == 0
+    assert w["in_abscissa"] == 0.0
+    assert w["out_abscissa"] <= -1e-4
 
 
 @pytest.mark.parametrize("beta, passed, certified", [
@@ -558,23 +565,137 @@ def test_rcp_exact_witness_for_non_hermitian_choi():
     (1e-6, False, True),
 ])
 def test_rcp_near_cp_boundary(beta, passed, certified):
-    v = rcp_test(_id_plus_transpose(beta))
+    t_map = _id_plus_transpose(beta)
+    v = rcp_test(t_map)
     assert (v.passed, v.certified) == (passed, certified)
     if certified:
         assert v.certificate == ("choi_psd" if passed else "witness")
+    if not passed:
+        _assert_witness(t_map, v)
 
 
 def test_rcp_verdict_is_cp_verdict_on_criterion_12_maps():
     for i, t_map in enumerate(_criterion_12_maps()):
         cp = is_cp(t_map).cp
-        v = rcp_test(t_map, seed=i)
+        v = rcp_test(t_map)
         assert v.passed == cp and v.certified == cp
 
 
+def _unit_e12_map(c):
+    """T(I) = I, T(E12) = c E12 on span{I, E12}: RCP exactly when |c| <= 1
+    (it extends to the CP map [[a, b], [d, e]] -> [[a, c b], [conj(c) d, e]]
+    on M_2 iff |c| <= 1)."""
+    e12 = np.array([[0, 1], [0, 0]], dtype=complex)
+    alg = subalgebra([np.eye(2), e12], unit=np.eye(2))
+    return LinearMapOnAlgebra(alg, alg, np.diag([1.0, c]))
+
+
+def _toeplitz_maps(count_per_n=12):
+    """(map, lambda_min of the Toeplitz matrix [c_{j-i}]) for seeded
+    unital maps T(J^k) = c_k J^k on the Toeplitz algebra span{I, J, ...,
+    J^(n-1)} (J the n-by-n shift), n = 2..5, |lambda_min| >= 1e-2.  By
+    Caratheodory-Toeplitz T is RCP exactly when the Hermitian Toeplitz
+    matrix [c_{j-i}] (c_0 = 1, c_{-k} = conj(c_k)) is PSD."""
+    out = []
+    for n in range(2, 6):
+        shift = np.eye(n, k=1, dtype=complex)
+        alg = subalgebra([np.linalg.matrix_power(shift, k) for k in range(n)],
+                         unit=np.eye(n))
+        rng = np.random.default_rng((20261019, n))
+        kept = 0
+        while kept < count_per_n:
+            c = np.concatenate([[1.0], rng.uniform(0.1, 0.6) * (
+                rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1))])
+            toep = np.array([[c[j - i] if j >= i else np.conj(c[i - j]) for j in range(n)]
+                             for i in range(n)])
+            lam = float(np.linalg.eigvalsh(toep)[0])
+            if abs(lam) >= 1e-2:
+                out.append((LinearMapOnAlgebra(alg, alg, np.diag(c)), lam))
+                kept += 1
+    return out
+
+
+@pytest.mark.parametrize("c, certificate, steps", [
+    (0.3, "choi_psd", 0),
+    (0.8, "cp_extension", None),
+    (0.99, "cp_extension", None),
+    (1.0, "cp_extension", None),
+    (1.01, "witness", 0),
+    (1.1, "witness", 0),
+    (2.0, "witness", 0),
+    (2j, "witness", 0),
+])
+def test_rcp_unit_e12_decided_by_cp_extension(c, certificate, steps):
+    t_map = _unit_e12_map(c)
+    v = rcp_test(t_map)
+    assert v.certified and v.certificate == certificate
+    assert v.passed == (abs(c) <= 1.0)
+    if steps is not None:
+        assert v.steps == steps
+    else:
+        assert 0 < v.steps < 4096
+    if not v.passed:
+        assert _assert_witness(t_map, v)["level"] == 2
+
+
+def test_rcp_non_hermitian_unit_image_fails_at_level_1():
+    # A cap A* = span{I} for A = span{I, E12}; T(I) = (1 + i/2) I is not
+    # Hermitian, so T~ is not well defined on A + A*
+    e12 = np.array([[0, 1], [0, 0]], dtype=complex)
+    alg = subalgebra([np.eye(2), e12], unit=np.eye(2))
+    t_map = LinearMapOnAlgebra(alg, alg, np.diag([1.0 + 0.5j, 0.3]))
+    v = rcp_test(t_map)
+    assert _assert_witness(t_map, v)["level"] == 1 and v.steps == 0
+
+
+def test_rcp_toeplitz_family_matches_caratheodory_toeplitz():
+    family = _toeplitz_maps()
+    assert len(family) >= 40
+    assert {lam >= 0 for _, lam in family} == {True, False}
+    for i, (t_map, lam) in enumerate(family):
+        v = rcp_test(t_map)
+        assert v.certified and v.passed == (lam >= 0), (i, lam, v.note)
+        if not v.passed:
+            _assert_witness(t_map, v)
+
+
+def test_rcp_nilpotent_domain_certified_pass():
+    # span{E12} has no unit and its only accretive element is 0, so every
+    # map is RCP; 5 id extends to 5 times a CP map on M_2
+    e12 = np.array([[0, 1], [0, 0]], dtype=complex)
+    t_map = map_from_function(lambda m: 5.0 * m, subalgebra([e12]))
+    v = rcp_test(t_map)
+    assert v.passed and v.certified and v.certificate == "cp_extension"
+
+
+def test_rcp_certificates_agree_with_norm_ascent():
+    # a unital RCP map extends to a UCP map, so it is completely contractive
+    maps = [_unit_e12_map(c) for c in (0.3, 0.8, 1.0, 1.01, 1.1, 2.0, 2j)]
+    maps += [t for t, _ in _toeplitz_maps(count_per_n=3)]
+    seen = set()
+    for t_map in maps:
+        v = rcp_test(t_map)
+        assert v.certified
+        for k in (1, 2):
+            value = op_norm_estimate(t_map, k).value
+            if v.passed:
+                assert value <= 1.0 + 1e-6
+            if value > 1.0 + 1e-6:
+                assert not v.passed
+            seen.add((v.passed, value > 1.0 + 1e-6))
+    assert (False, True) in seen and (True, False) in seen
+
+
+def _accretive_sample(tk, rng):
+    """Random accretive element of M_k(domain): the unit plus a random
+    element of norm 1 (abscissa >= 1 - 1 = 0)."""
+    z = tk.random_element(rng)
+    return tk.unit + z / max(operator_norm(z), 1e-30)
+
+
 def _sampled_accretivity_holds(t_map, seed):
-    """The phase-1 sampler of the evidence path (20 seeded accretive
-    samples per level, levels 1-3): every image abscissa is at least
-    -1e-8 * (1 + ||T_k(X)||)."""
+    """20 seeded accretive samples per level, levels 1-3: every image
+    abscissa is at least -1e-8 * (1 + ||T_k(X)||)."""
     rng = rng_for(seed)
     for k in (1, 2, 3):
         tk = amplify(t_map, k)
@@ -589,7 +710,7 @@ def test_exact_rcp_passes_agree_with_sampling():
     certified = [identity_map(diagonal_algebra(3)), _id_plus_transpose(1e-10),
                  *(_theta_q_projection(n) for n in (2, 3, 4)), *_criterion_12_maps()]
     for seed, t_map in enumerate(certified):
-        v = rcp_test(t_map, seed=seed)
+        v = rcp_test(t_map)
         assert v.passed and v.certified, seed
         assert _sampled_accretivity_holds(t_map, seed), seed
 
@@ -704,7 +825,7 @@ def test_classify_projection_stacks_match_loop(kind):
                                   full_matrix_algebra(2))
     else:  # the compared residuals are far from 0
         p_map = _rank_one_p()
-    c = classify_projection(p_map, levels=(1,), budget=20, seed=1)
+    c = classify_projection(p_map, levels=(1,), seed=1)
     ce, assoc, closed, kernel = _projection_residuals_by_loop(p_map)
     assert c.cond_exp_residual == pytest.approx(ce, rel=1e-12, abs=1e-14)
     assert c.induced_assoc_residual == pytest.approx(assoc, rel=1e-12, abs=1e-14)
