@@ -456,7 +456,8 @@ def support_idem(x, ctx: AmbientContext | None = None,
 def _support_idem(xc: np.ndarray, ctx: AmbientContext,
                   zero_tol: float | None = None) -> SupportIdempotent:
     """support_idem on the corner coordinates xc of an accretive element."""
-    ztol = 1e-9 * (1.0 + _norm2(xc)) if zero_tol is None else float(zero_tol)
+    nrm = _norm2(xc)
+    ztol = 1e-9 * (1.0 + nrm) if zero_tol is None else float(zero_tol)
     mags = np.abs(np.linalg.eigvals(xc))
     zero_mask = mags <= ztol
     if np.any(zero_mask) and not np.all(zero_mask):
@@ -467,7 +468,7 @@ def _support_idem(xc: np.ndarray, ctx: AmbientContext,
                 f"cannot separate the zero cluster: radius {rho:.3g} vs cluster "
                 f"extent {lam_zero:.3g}; pass a different zero_tol"
             )
-    z, _, k = _split_zero_cluster(xc, ztol)
+    z, _, k = _split_zero_cluster(xc, ztol, nrm)
     u = np.linalg.svd(xc)[0][:, :k]
     s_schur = z[:, :k] @ z[:, :k].conj().T
     s_svd = u @ u.conj().T

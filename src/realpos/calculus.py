@@ -28,9 +28,10 @@ exactly by an ordered Schur form before any power or quadrature; the
 power acts as zero on that block for every r > 0.  One split and one
 square-root chain per input (``_deflate``) serve every exponent and both
 spectral routes, and its Schur diagonal gives the spectral radius of
-e - x behind the series refusal.  The Balakrishnan nodes of both
-integrals and both quadrature rules are solved by one back substitution
-on the Schur block, with the nodes stacked on the trailing axis.
+e - x behind the series refusal.  The Balakrishnan route maps s = c (1 +
+u)/(1 - u), c = sqrt(min |t_ii| max |t_ii|) over the invertible Schur
+block T; its 32- and 64-node Gauss-Jacobi rules are solved by one back
+substitution on T, and a rule that misses its target is doubled.
 """
 from __future__ import annotations
 
@@ -59,10 +60,6 @@ __all__ = [
     "root_bai_check",
 ]
 
-
-# Gauss-Legendre nodes per integral of the Balakrishnan rule; the error
-# estimate compares it with twice as many
-_BAL_NODES = 200
 
 # term budget of the binomial series on F
 _SERIES_TERMS = 200_000
@@ -108,8 +105,9 @@ def _solve_shifted_stack(t: np.ndarray, shift: np.ndarray, scale: np.ndarray) ->
     return x
 
 
-def _split_zero_cluster(xc: np.ndarray, zero_tol: float):
-    """Ordered complex Schur split isolating the zero eigenvalue cluster.
+def _split_zero_cluster(xc: np.ndarray, zero_tol: float, nrm: float):
+    """Ordered complex Schur split isolating the zero eigenvalue cluster of
+    xc, of operator norm nrm.
 
     Returns (z, t, k): the Schur form xc = z t z* with the nonzero-spectrum
     block t11 = t[:k, :k] leading and t[k:, k:] ~ 0.  For accretive
@@ -122,7 +120,7 @@ def _split_zero_cluster(xc: np.ndarray, zero_tol: float):
     k = int(sdim)
     if n - k > 0:
         defect = max(_norm2(t[:k, k:]) if k else 0.0, _norm2(t[k:, k:]))
-        if defect > 1e-7 * (1.0 + _norm2(xc)):
+        if defect > 1e-7 * (1.0 + nrm):
             raise NumericError(
                 "zero eigenvalue cluster is not cleanly reducing "
                 f"(coupling {defect:.3g}); pass a different zero_tol "
@@ -156,7 +154,7 @@ class _Deflation:
 
     @cached_property
     def _schur(self):
-        return _split_zero_cluster(self.xc, self._ztol)
+        return _split_zero_cluster(self.xc, self._ztol, self.nrm)
 
     @cached_property
     def _split(self):
@@ -213,24 +211,27 @@ class _Deflation:
         return _reassemble(z, y, self.xc.shape[0])
 
     def balakrishnan(self, r: float):
-        """(x^r, quadrature error estimate) by the Balakrishnan rule on t11:
-        the rules at 200 and 400 nodes per integral come from one stacked
-        back substitution, and their difference is the estimate."""
+        """(x^r, quadrature error estimate, nodes) by the Gauss-Jacobi rule on
+        t11: the 32- and 64-node rules are solved in one stack, the last two
+        rules differ by the estimate, and while it misses 1e-6 ||x||^r the
+        rule is doubled up to 1024 nodes; nodes is the accepted rule's (0
+        when x^r needs no rule)."""
         if r == 1.0:
-            return self.xc, 0.0
+            return self.xc, 0.0, 0
         z, t11, k = self._split
         if k == 0:
-            return np.zeros_like(self.xc), 0.0
-        coarse, fine = _balakrishnan_rules(t11, r, (_BAL_NODES, 2 * _BAL_NODES))
-        est = _norm2(fine - coarse)
+            return np.zeros_like(self.xc), 0.0, 0
         target = 1e-6 * max(self.nrm, 1e-12) ** r
-        if est > target:
-            raise NumericError(
-                f"quadrature error estimate {est:.3g} exceeds {target:.3g} at "
-                f"{_BAL_NODES} and {2 * _BAL_NODES} nodes; the Balakrishnan rule does "
-                "not resolve this spectrum"
-            )
-        return _reassemble(z, fine, self.xc.shape[0]), est
+        nodes, (coarse, fine) = 64, _balakrishnan_rules(t11, r, (32, 64))
+        while (est := _norm2(fine - coarse)) > target:
+            if nodes == 1024:
+                raise NumericError(
+                    f"quadrature error estimate {est:.3g} exceeds {target:.3g} at "
+                    f"{nodes} nodes; the Balakrishnan rule does not resolve this spectrum"
+                )
+            nodes *= 2
+            coarse, (fine,) = fine, _balakrishnan_rules(t11, r, (nodes,))
+        return _reassemble(z, fine, self.xc.shape[0]), est, nodes
 
 
 def _deflate(xc: np.ndarray, t: Tolerances, zero_tol: float | None = None) -> _Deflation:
@@ -349,47 +350,45 @@ def power_shifted(x, r: float, ctx: AmbientContext | None = None,
     return ctx._embed(_deflate(xc, t, zero_tol).shifted(r))
 
 
-@lru_cache(maxsize=32)
-def _gl_panels(nodes: int, panels: int = 4):
-    """Gauss-Legendre nodes/weights compounded over equal panels of [0, 1].
-
-    Cached; the arrays are read-only."""
-    per = max(4, nodes // panels)
-    base_x, base_w = np.polynomial.legendre.leggauss(per)
-    xs, ws = [], []
-    for p in range(panels):
-        a, b = p / panels, (p + 1) / panels
-        half = (b - a) / 2.0
-        xs.append(half * base_x + (a + b) / 2.0)
-        ws.append(half * base_w)
-    x, w = np.concatenate(xs), np.concatenate(ws)
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
+@lru_cache(maxsize=64)
+def _gauss_jacobi(nodes: int, r: float):
+    """Gauss rule for the weight (1 - u)^{-r} (1 + u)^{r-1} on (-1, 1), by
+    Golub-Welsch (Math. Comp. 23, 1969): the nodes are the eigenvalues of
+    its Jacobi matrix a_0 = 2r - 1, a_k = (1 - 2r)/((2k - 1)(2k + 1)),
+    b_1^2 = 2r(1 - r), b_k^2 = (k - r)(k + r - 1)/(2k - 1)^2, and the
+    weights, summing to 1, the squared first components of its
+    eigenvectors.  Cached; the arrays are read-only."""
+    k = np.arange(1, nodes)
+    diag = np.concatenate(([2.0 * r - 1.0], (1.0 - 2.0 * r) / ((2 * k - 1) * (2 * k + 1))))
+    off = np.sqrt((k - r) * (k + r - 1.0)) / (2 * k - 1)
+    off[0] = math.sqrt(2.0 * r * (1.0 - r))
+    u, v = sla.eigh_tridiagonal(diag, off)
+    w = v[0] ** 2
+    u.flags.writeable = w.flags.writeable = False
+    return u, w
 
 
 def _balakrishnan_rules(t11: np.ndarray, r: float, counts) -> list:
     """sin(r pi)/pi * int_0^inf s^{r-1} (s + T)^{-1} T ds on the invertible
-    Schur block T, by the panelled Gauss-Legendre rule at each node count
-    in counts, as a list in the same order.
+    Schur block T, by the Gauss-Jacobi rule at each node count in counts,
+    as a list in the same order.
 
-    Substituting s = v^{1/r} on s in [0, 1] and s = 1/w, w = v^{1/(1-r)}
-    on s in [1, inf) gives
-        int = (1/r) int_0^1 (v^{1/r} + T)^{-1} T dv
-            + (1/(1-r)) int_0^1 (I + v^{1/(1-r)} T)^{-1} T dv,
-    both with bounded analytic integrands.  Every node of either integral
-    and of every rule is a shifted matrix d_m I + a_m T, so one back
-    substitution (_solve_shifted_stack) solves them all, and one product
-    with a weight matrix, a column per rule, contracts them.
+    The map s = c (1 + u)/(1 - u), c = sqrt(min |t_ii| max |t_ii|), makes
+    it exactly 2 c^r sum_j w_j (c (1 + u_j) I + (1 - u_j) T)^{-1} T for the
+    Jacobi weight (1 - u)^{-r} (1 + u)^{r-1} of the rule, with an integrand
+    analytic on [-1, 1]; c follows the spectrum, so the rule is scale
+    covariant.  One back substitution (_solve_shifted_stack) solves every
+    node's shifted matrix, and one product with a weight matrix, a column
+    per rule, contracts them.
     """
-    rules = [_gl_panels(c) for c in counts]
-    v = np.concatenate([nodes for nodes, _ in rules])
-    one = np.ones_like(v)
-    x = _solve_shifted_stack(t11, np.concatenate((v ** (1.0 / r), one)),
-                             np.concatenate((one, v ** (1.0 / (1.0 - r)))))
+    d = np.abs(np.diag(t11))
+    c = math.sqrt(d.min()) * math.sqrt(d.max())
+    rules = [_gauss_jacobi(m, r) for m in counts]
+    u = np.concatenate([nodes for nodes, _ in rules])
+    x = _solve_shifted_stack(t11, c * (1.0 + u), 1.0 - u)
     w = sla.block_diag(*(weights[:, None] for _, weights in rules))
-    w = (math.sin(r * math.pi) / math.pi) * np.concatenate((w / r, w / (1.0 - r)))
     k = t11.shape[0]
-    total = x.reshape(k * k, -1) @ w
+    total = x.reshape(k * k, -1) @ ((2.0 * c ** r) * w)
     return [total[:, j].reshape(k, k) for j in range(len(rules))]
 
 
@@ -399,17 +398,18 @@ def power_balakrishnan(x, r: float, ctx: AmbientContext | None = None,
                        return_estimate: bool = False):
     """x^r for accretive x and 0 < r < 1 via the Balakrishnan integral.
 
-    The zero cluster is deflated first; the integral is evaluated on the
-    invertible Schur block at 200 and 400 Gauss-Legendre nodes per
-    integral, all of them solved by one stacked back substitution, and
-    the difference of the two rules serves as the quadrature error
-    estimate, required to stay below 1e-6 * ||x||^r.
+    The zero cluster is deflated first; on the invertible Schur block T
+    the map s = c (1 + u)/(1 - u), c = sqrt(min |t_ii| max |t_ii|), moves
+    the weight s^{r-1} into a Gauss-Jacobi rule.  The rules at 32 and 64
+    nodes come from one stacked back substitution, and the difference of
+    the last two rules, the error estimate, must fall below 1e-6 ||x||^r;
+    the rule is doubled up to 1024 nodes before NumericError is raised.
     """
     r = float(r)
     if r != 1.0:
         r = _validate_exponent(r, 0.0, 1.0, allow_hi=False)
     _, ctx, t, xc, _ = _element(x, ctx, tol, "power_balakrishnan")
-    y, est = _deflate(xc, t, zero_tol).balakrishnan(r)
+    y, est, _ = _deflate(xc, t, zero_tol).balakrishnan(r)
     y = ctx._embed(y)
     return (y, est) if return_estimate else y
 

@@ -26,7 +26,6 @@ from realpos.algebra import (
     support_idem,
     ws_suite,
 )
-from realpos.cones import full_context
 from realpos.errors import InputError, NumericError, PreconditionError
 from realpos.linalg import operator_norm, random_accretive, random_contraction, random_unitary
 

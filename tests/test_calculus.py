@@ -3,6 +3,7 @@ F-transform, and the power-law property reports."""
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.special
 
 from realpos import calculus
 from realpos.calculus import (
@@ -272,7 +273,7 @@ def test_one_deflation_gives_every_shifted_power_bitwise():
         d = calculus._deflate(xc, t)
         for r in (0.25, 0.5, 0.75, 1.0):
             assert np.array_equal(ctx.embed(d.shifted(r)), power_shifted(x, r, ctx, tol=t)), r
-        y, est = d.balakrishnan(0.5)
+        y, est, _ = d.balakrishnan(0.5)
         ref, ref_est = power_balakrishnan(x, 0.5, ctx, tol=t, return_estimate=True)
         assert np.array_equal(ctx.embed(y), ref) and est == ref_est
 
@@ -294,13 +295,98 @@ def test_upper_triangular_stack_solve_matches_general_solve(k):
 @pytest.mark.parametrize("r", [0.3, 0.7])
 @pytest.mark.parametrize("k", [1, 4, 16])
 def test_balakrishnan_rule_pair_matches_separate_rules(k, r):
-    """The coarse and fine rules from one node stack equal each rule
+    """The 32- and 64-node rules from one node stack equal each rule
     solved and contracted on its own."""
     t11 = sla.schur(random_accretive(k, 120 + k) + 0.05 * np.eye(k), output="complex")[0]
-    pair = calculus._balakrishnan_rules(t11, r, (200, 400))
-    for got, nodes in zip(pair, (200, 400)):
+    pair = calculus._balakrishnan_rules(t11, r, (32, 64))
+    for got, nodes in zip(pair, (32, 64)):
         ref = calculus._balakrishnan_rules(t11, r, (nodes,))[0]
         assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref), nodes
+
+
+BAL_EXPONENTS = [0.02, 0.3, 0.5, 0.7, 0.98]
+
+
+def _jacobi_table(degree: int, r: float, u: np.ndarray) -> np.ndarray:
+    """P_m^(-r, r-1)(u) for m = 0 .. degree, a row per degree, by the
+    three-term recurrence of DLMF 18.9.2 at alpha + beta = -1."""
+    a, b = -r, r - 1.0
+    p = np.empty((degree + 1, u.size))
+    p[0], p[1] = 1.0, (1.0 - r) + (u - 1.0) / 2.0
+    for m in range(2, degree + 1):
+        p[m] = ((2 * m - 2) * ((2 * m - 1) * (2 * m - 3) * u + a * a - b * b) * p[m - 1]
+                - 2 * (m + a - 1) * (m + b - 1) * (2 * m - 1) * p[m - 2]) / (
+                    2 * m * (m - 1) * (2 * m - 3))
+    return p
+
+
+@pytest.mark.parametrize("r", BAL_EXPONENTS)
+@pytest.mark.parametrize("nodes", [32, 64, 1024])
+def test_gauss_jacobi_rule_is_exact_to_degree_2n_minus_1(nodes, r):
+    """The weights sum to 1, and the rule integrates the Jacobi
+    polynomials P_m^(-r, r-1), 1 <= m <= 2N - 1, to their exact value 0.
+    The polynomials come from scipy's eval_jacobi; at N = 1024, where it
+    costs O(m) per value (about 20 s), from the recurrence, pinned to
+    eval_jacobi at its first and last degrees."""
+    u, w = calculus._gauss_jacobi(nodes, r)
+    assert abs(w.sum() - 1.0) <= 1e-14
+    top = 2 * nodes - 1
+    if nodes <= 64:
+        p = scipy.special.eval_jacobi(np.arange(1, top + 1)[:, None], -r, r - 1.0, u)
+    else:
+        p = _jacobi_table(top, r, u)[1:]
+        for m in (1, 2, top - 1, top):
+            ref = scipy.special.eval_jacobi(m, -r, r - 1.0, u)
+            assert np.abs(p[m - 1] - ref).max() <= 1e-14 * m, m
+    assert np.abs(p @ w).max() <= 2e-15 * nodes
+
+
+def _balakrishnan_hard_cases():
+    """Spectra that stretch the quadrature: unitarily similar geometric
+    spectra of spread 1e2 .. 1e10 centred on 1 at n = 8 (at 1e10 the
+    default zero cut 1e-9 (1 + ||x||) takes the smallest eigenvalue for
+    kernel, so both routes see a spread of 3.7e8), a pair near the
+    imaginary axis {1e-3 +- i y, 1, 2}, the imaginary-dominated
+    1e-2 I + 50 i (G + G*), and scaled unipotents s (I + N)."""
+    cases = []
+    u = random_unitary(8, 130)
+    for spread in (1e2, 1e6, 1e8, 1e10):
+        lam = np.geomspace(spread ** -0.5, spread ** 0.5, 8)
+        cases.append((f"spread {spread:g}", u @ np.diag(lam) @ u.conj().T))
+    for y in (1e-2, 1e4):
+        u = random_unitary(4, 131)
+        lam = np.array([1e-3 + 1j * y, 1e-3 - 1j * y, 1.0, 2.0])
+        cases.append((f"near axis y={y:g}", u @ np.diag(lam) @ u.conj().T))
+    rng = np.random.default_rng(132)
+    g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    cases.append(("imaginary", 1e-2 * np.eye(6) + 50j * (g + g.conj().T)))
+    unipotent = np.eye(3) + np.triu(np.ones((3, 3)), 1)
+    for s in (1e-6, 1e6):
+        cases.append((f"unipotent x {s:g}", s * unipotent.astype(complex)))
+    return cases
+
+
+BAL_HARD_CASES = _balakrishnan_hard_cases()
+
+
+@pytest.mark.parametrize("r", BAL_EXPONENTS)
+@pytest.mark.parametrize("name,x", BAL_HARD_CASES, ids=[name for name, _ in BAL_HARD_CASES])
+def test_balakrishnan_resolves_hard_spectra(name, x, r):
+    y = power_balakrishnan(x, r)
+    err = operator_norm(y - power_shifted(x, r))
+    assert err <= 1e-6 * (1.0 + operator_norm(x)), err
+
+
+@pytest.mark.parametrize("r", [0.3, 0.5, 0.7])
+@pytest.mark.parametrize("s", [1e-6, 1e6])
+def test_balakrishnan_is_scale_covariant(s, r):
+    """(s x)^r = s^r x^r: the map's scale c follows the spectrum, so the
+    same rule resolves x and s x."""
+    for x in (np.eye(3) + np.triu(np.ones((3, 3)), 1), random_accretive(5, 133)):
+        x = x.astype(complex)
+        ref = s ** r * power_balakrishnan(x, r)
+        err = operator_norm(power_balakrishnan(s * x, r) - ref)
+        assert err <= 1e-12 * operator_norm(ref), err
 
 
 def test_series_converges_on_a_spectrum_near_its_boundary():

@@ -22,7 +22,6 @@ from realpos.cones import (
 from realpos.errors import InputError, NumericError, PreconditionError
 from realpos.linalg import (
     Tolerances,
-    matrix_exp,
     operator_norm,
     random_accretive,
     random_contraction,

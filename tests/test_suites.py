@@ -79,6 +79,12 @@ def test_bal_reports_a_failed_deflation_per_exponent(monkeypatch):
                                for key in ("r=0.3", "r=0.7")}
 
 
+def test_bal_records_the_accepted_node_count_per_exponent():
+    for rep in run_suite("bal", seed=3, count=2, n=3):
+        assert rep.passed
+        assert rep.details == {"nodes_r=0.3": 64, "nodes_r=0.7": 64}
+
+
 def test_bal_propagates_a_non_accretive_input(monkeypatch):
     monkeypatch.setattr(suites, "random_accretive", lambda n, rng: -np.eye(n, dtype=complex))
     with pytest.raises(PreconditionError):
