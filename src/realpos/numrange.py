@@ -3,16 +3,22 @@ point, and the sectorial angle.
 
 W(x) = {v*xv : ||v|| = 1} is compact and convex, with support function
 h(theta) = max eig Re(e^{-i theta} x).  Only the boundary sweeps angles (its
-points are its output), as one stacked eigen-solve at half of an even
-number of them (Johnson, SIAM J. Numer. Anal. 15, 1978): the bottom
-eigenpair at theta, negated, is the top one at theta + pi.  Elsewhere the
-directions psi where Re(e^{-i psi} b) is singular, real eigen-angles of the
-pencil (Re b, -Re(-i b)) (Higham, Tisseur and Van Dooren, Linear Algebra
-Appl. 351-352, 2002), and one stacked eigen-solve at the midpoints between
-them bound an arc: for b = x the admissible arc of a non-accretive x, for
-b = x - z the directions that separate z from W(x).  The sector of an
-accretive x = H + iK is arctan max |lambda| over K v = lambda H v on the
-range of H (pi/2 when K does not vanish on ker H).  Each decision is a cut
+points are its output), at an even number of them (Johnson, SIAM J. Numer.
+Anal. 15, 1978).  One stacked values-only eigen-solve at the first half
+gives h there, and the bottom eigenvalues, negated, give h at theta + pi.
+One stacked shifted solve then gives every supporting point: a step of
+inverse iteration, certified by its Rayleigh quotient (Ipsen, SIAM Review
+39, 1997), with a full eigen-solve only for the slices it leaves
+uncertified.  Elsewhere the directions psi where Re(e^{-i psi} b) is
+singular, real eigen-angles of the pencil (Re b, -Re(-i b)) (Higham,
+Tisseur and Van Dooren, Linear Algebra Appl. 351-352, 2002), and one
+stacked eigen-solve at the midpoints between them bound an arc: for b = x
+the admissible arc of a non-accretive x, for b = x - z the directions that
+separate z from W(x).  An arc end at a tangent point is a double
+eigen-angle, known from the pencil only to about sqrt(eps); one Newton
+step on min eig sharpens it.  The sector of an accretive x = H + iK is
+arctan max |lambda| over K v = lambda H v on the range of H (pi/2 when K
+does not vanish on ker H).  Each decision is a cut
 at _KER_ULPS * n * eps * ||x||, a small multiple of the rounding level of
 the eigen-solve, never the sign of rounding noise: the cut scales with x,
 so the angle of s x is that of x.
@@ -47,7 +53,7 @@ class RangeBoundary:
 
     angles          -- strictly increasing grid in [0, 2*pi)
     support_values  -- h(theta) = max eig of Re(e^{-i theta} x)
-    boundary_points -- v* x v at the corresponding top eigenvectors
+    boundary_points -- v* x v for certified unit top eigenvectors v
     """
 
     angles: np.ndarray
@@ -105,26 +111,23 @@ def _check_finite(value, name: str):
     return value
 
 
-def _support_at(x: np.ndarray, theta: float):
-    """Support value and attaining range point in direction e^{i theta}."""
-    w, v = np.linalg.eigh(_herm_parts(x, theta))
-    vec = v[:, -1]
-    return float(w[-1]), complex(vec.conj() @ (x @ vec))
-
-
 def support_function(x, theta: float) -> float:
-    """h(theta) = sup {Re(e^{-i theta} z) : z in W(x)}."""
+    """h(theta) = sup {Re(e^{-i theta} z) : z in W(x)}, bitwise the value
+    that ``boundary`` reports at the same angle in [0, pi)."""
     a = as_matrix(x)
-    return _support_at(a, _check_finite(float(theta), "theta"))[0]
+    return float(np.linalg.eigvalsh(_herm_parts(a, _check_finite(float(theta), "theta")))[-1])
 
 
 def boundary(x, m: int = 256) -> RangeBoundary:
     """Sweep m supporting half-planes of W(x) at equispaced angles.
 
-    m must be even and at least 8; one stacked eigen-solve at the first m/2
-    angles gives both halves of the sweep.  The points v*xv lie on (or
-    within rounding of) the boundary of W(x); the half-planes Re(e^{-i
-    theta_j} z) <= h(theta_j) jointly enclose W(x).
+    m must be even and at least 8.  One stacked values-only eigen-solve at
+    the first m/2 angles gives both halves of the support values (the
+    bottom eigenvalue at theta, negated, is the top one at theta + pi), and
+    one stacked shifted solve the points v*xv (``_extreme_vectors``), each
+    within _KER_ULPS * n * eps * ||x|| of its supporting line, so of the
+    boundary of W(x).  The half-planes Re(e^{-i theta_j} z) <= h(theta_j)
+    jointly enclose W(x).
     """
     a = as_matrix(x)
     m = int(m)
@@ -133,11 +136,46 @@ def boundary(x, m: int = 256) -> RangeBoundary:
     if m % 2:
         raise InputError(f"boundary needs an even number of angles, got {m}")
     angles = 2.0 * np.pi * np.arange(m) / m
-    w, v = np.linalg.eigh(_herm_parts(a, angles[: m // 2]))
-    vecs = np.concatenate((v[:, :, -1:], v[:, :, :1]))
-    points = (vecs.swapaxes(-1, -2).conj() @ (a @ vecs))[:, 0, 0]
+    h = _herm_parts(a, angles[: m // 2])
+    w = np.linalg.eigvalsh(h)
+    vecs = _extreme_vectors(h, np.concatenate((w[:, -1], w[:, 0])))
+    points = np.einsum("ki,ki->k", vecs.conj(), vecs @ a.T)
     return RangeBoundary(angles=angles, support_values=np.concatenate((w[:, -1], -w[:, 0])),
                          boundary_points=points)
+
+
+def _extreme_vectors(h: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Unit eigenvectors of the k Hermitian matrices h for their top
+    eigenvalues lam[:k] and their bottom ones lam[k:], as rows.
+
+    One step of inverse iteration each, in one stacked solve of (g - sigma
+    I) u = b: g is the slice, sigma its eigenvalue moved one cut outwards
+    (so g - sigma I is definite), b the fixed start b_p = sqrt(p) e^{ip},
+    p = 1..n, whose unequal moduli keep it off every e_p +- e_q.  The cut
+    is _KER_ULPS * n * eps * max |lam| (at most ||x||), and v = u/||u|| is
+    kept when its Rayleigh quotient is within the cut of the eigenvalue:
+    v*xv then lies in W(x) within the cut of the supporting line.  Slices
+    with a non-finite or uncertified v take their vector from eigh, and so
+    do all when the solve is singular (x = 0 makes every g - sigma I zero).
+    """
+    k, n = h.shape[0], h.shape[-1]
+    cut = _KER_ULPS * n * np.finfo(float).eps * float(np.max(np.abs(lam)))
+    shifted = np.concatenate((h, h))
+    shifted.reshape(2 * k, n * n)[:, :: n + 1] -= (lam + np.repeat([cut, -cut], k))[:, None]
+    p = np.arange(1.0, n + 1.0)
+    with np.errstate(all="ignore"):
+        try:
+            u = np.linalg.solve(shifted, (np.sqrt(p) * np.exp(1j * p))[:, None])[..., 0]
+        except np.linalg.LinAlgError:
+            u = np.full((2 * k, n), np.nan, dtype=complex)
+        v = u / np.linalg.norm(u, axis=-1, keepdims=True)
+        hv = (h @ v.reshape(2, k, n, 1)).reshape(2 * k, n)
+        gap = np.abs(np.einsum("ji,ji->j", v.conj(), hv).real - lam)
+    redo = np.flatnonzero(~(gap <= cut))
+    if redo.size:
+        e = np.linalg.eigh(h[redo % k])[1]
+        v[redo] = e[np.arange(redo.size), :, np.where(redo < k, -1, 0)]
+    return v
 
 
 def _abscissa(a: np.ndarray) -> float:
@@ -346,11 +384,30 @@ def _pencil_angles(a: np.ndarray):
     return c, (c + np.append(c[1:], c[0] + 2.0 * np.pi)) / 2.0
 
 
+def _tangent_end(a: np.ndarray, c: np.ndarray, psi: float) -> float:
+    """An end psi of the admissible arc, sharpened where it is a tangent
+    point.  There g(psi) = min eig Re(e^{-i psi} a) touches 0 at its
+    maximum, a double eigen-angle that the pencil splits into candidates
+    about sqrt(eps) apart.  When two or more candidates lie within
+    sqrt(eps) of psi, one Newton step of ``_gap_jet`` from their centre
+    gives the maximum; it is kept only if it stays within sqrt(eps), so a
+    simple crossing of 0 (a large step) keeps psi."""
+    sqrt_eps = math.sqrt(np.finfo(float).eps)
+    d = np.mod(c - psi + np.pi, 2.0 * np.pi) - np.pi
+    near = d[np.abs(d) <= sqrt_eps]
+    if near.size < 2:
+        return psi
+    centre = psi + float(np.mean(near))
+    step = _gap_jet(a, centre)[3]
+    return centre + step if abs(step) <= sqrt_eps else psi
+
+
 def _pencil_sector(a: np.ndarray, ktol: float) -> SectorVerdict:
     """Exact sector of a non-accretive a from the eigen-angles of (H, -K)."""
     # samples: candidate c[i] at 2i, the midpoint after it at 2i + 1; run
     # indices reach past the end, so `at` repeats the samples one turn on
-    samples = np.column_stack(_pencil_angles(a)).ravel()
+    c, mids = _pencil_angles(a)
+    samples = np.column_stack((c, mids)).ravel()
     g = np.linalg.eigvalsh(_herm_parts(a, samples))[:, 0]
     at = np.append(samples, samples + 2.0 * np.pi)
     positive = _runs(g[1::2] > ktol)
@@ -363,13 +420,14 @@ def _pencil_sector(a: np.ndarray, ktol: float) -> SectorVerdict:
             # every direction cuts into W beyond ktol: 0 is interior
             return SectorVerdict(angle=None, witness=None)
         psi_minus, psi_plus = float(at[runs[0][0]]), float(at[runs[0][1]])
-        if len(runs) > 1:
-            # D is two antipodal points: W lies on the line e^{i phi} R
-            psi = (psi_minus + psi_plus) / 2.0
-            phi = _normalize_angle(psi - np.pi / 2.0)
-            ray = phi if abs(phi) >= np.pi / 2.0 else phi + np.pi
-            return SectorVerdict(angle=float(max(abs(phi), np.pi - abs(phi))),
-                                 witness=_ray_point(a, psi, ray, ktol))
+    psi_minus, psi_plus = _tangent_end(a, c, psi_minus), _tangent_end(a, c, psi_plus)
+    if not positive and len(runs) > 1:
+        # D is two antipodal points: W lies on the line e^{i phi} R
+        psi = (psi_minus + psi_plus) / 2.0
+        phi = _normalize_angle(psi - np.pi / 2.0)
+        ray = phi if abs(phi) >= np.pi / 2.0 else phi + np.pi
+        return SectorVerdict(angle=float(max(abs(phi), np.pi - abs(phi))),
+                             witness=_ray_point(a, psi, ray, ktol))
 
     # the argument interval [psi+ - pi/2, psi- + pi/2], shifted so that its
     # midpoint lies in (-pi, pi]

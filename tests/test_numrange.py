@@ -170,13 +170,30 @@ def rotated_herm(x, theta):
     return (y + y.conj().T) / 2.0
 
 
+def eigh_support(x, theta):
+    """Support value and attaining range point in direction e^{i theta},
+    from one full eigen-solve."""
+    w, v = np.linalg.eigh(numrange._herm_parts(x, theta))
+    return float(w[-1]), complex(v[:, -1].conj() @ (x @ v[:, -1]))
+
+
+def certificate_gap(rb):
+    """|h(theta_k) - Re(e^{-i theta_k} p_k)| for each boundary point p_k:
+    how far p_k lies from its supporting line, which for p = v*xv is the
+    Rayleigh gap of v at the extreme eigenvalue."""
+    return np.abs(rb.support_values - (np.exp(-1j * rb.angles) * rb.boundary_points).real)
+
+
 @pytest.mark.parametrize("n", [4, 8, 16])
 def test_stacked_sweeps_match_per_angle_loop_bitwise(n):
-    """eigvalsh over a stacked grid is the per-angle loop bit for bit; the
-    boundary sweep solves only its first m/2 angles: the top eigenpairs
-    there, and the bottom ones negated as the tops at theta_k + pi, are
-    bitwise those of the per-angle solve at theta_k, and within rounding
-    of the per-angle solve at theta_k + pi."""
+    """eigvalsh over a stacked grid is the per-angle loop bit for bit.  The
+    boundary sweep solves only its first m/2 angles: its support values
+    there are bitwise the per-angle eigvalsh, the top eigenvalue at theta_k
+    and minus the bottom one as the top at theta_k + pi, and within
+    rounding of the per-angle solve at theta_k + pi.  Its points come from
+    a certified shifted solve, not from eigh: each passes the Rayleigh
+    certificate, and (the extreme eigenvalues being simple here) lies
+    within 1e-10 (1 + ||x||) of the per-angle eigh point."""
     grid = np.linspace(-np.pi, np.pi, 256, endpoint=False)
     eps = np.finfo(float).eps
     for seed in range(5):
@@ -186,21 +203,107 @@ def test_stacked_sweeps_match_per_angle_loop_bitwise(n):
         assert np.array_equal(stacked, loop)
         rb = boundary(x)
         half = rb.angles.size // 2
+        nrm = np.linalg.norm(x, 2)
         top, bottom, points, antipodal_points = [], [], [], []
         for th in rb.angles[:half]:
-            w, v = np.linalg.eigh(rotated_herm(x, th))
+            r = rotated_herm(x, th)
+            w, v = np.linalg.eigvalsh(r), np.linalg.eigh(r)[1]
             top.append(w[-1])
             bottom.append(w[0])
             points.append(v[:, -1].conj() @ (x @ v[:, -1]))
             antipodal_points.append(v[:, 0].conj() @ (x @ v[:, 0]))
         assert np.array_equal(rb.support_values[:half], np.array(top))
-        assert np.array_equal(rb.boundary_points[:half], np.array(points))
         assert np.array_equal(rb.support_values[half:], -np.array(bottom))
-        assert np.array_equal(rb.boundary_points[half:], np.array(antipodal_points))
+        assert np.max(certificate_gap(rb)) <= 64 * n * eps * nrm
+        assert np.max(np.abs(rb.boundary_points - np.array(points + antipodal_points))) \
+            <= 1e-10 * (1.0 + nrm)
         antipodal = np.array([np.linalg.eigvalsh(rotated_herm(x, th))[-1]
                               for th in rb.angles[half:]])
-        assert np.max(np.abs(rb.support_values[half:] - antipodal)) \
-            <= 64 * n * eps * np.linalg.norm(x, 2)
+        assert np.max(np.abs(rb.support_values[half:] - antipodal)) <= 64 * n * eps * nrm
+
+
+def start_vector_kernel_projection(n):
+    """I - bb*/|b|^2 for the start vector b_p = sqrt(p) e^{ip} of the
+    shifted solve: b spans the bottom eigenspace of H(0), so its one
+    inverse-iteration step cannot reach the top one there."""
+    p = np.arange(1.0, n + 1.0)
+    b = np.sqrt(p) * np.exp(1j * p)
+    return np.eye(n) - np.outer(b, b.conj()) / np.vdot(b, b).real
+
+
+# inputs where the shifted solve could fail: a zero matrix (every shifted
+# matrix singular), H(0) = 0, a repeated top eigenvalue, a point range,
+# extreme scales, a start vector with no component on the top eigenspace
+SHIFT_HARD_INPUTS = [
+    pytest.param(np.zeros((3, 3)), id="zero"),
+    pytest.param(1j * np.eye(3), id="i-identity"),
+    pytest.param(np.diag([1.0, 1.0, 1.0j]), id="repeated-top"),
+    pytest.param(np.array([[0.0, 1.0], [0.0, 0.0]]), id="jordan"),
+    pytest.param(1e6 * random_matrix(5, 31), id="scale-1e6"),
+    pytest.param(1e-6 * random_matrix(5, 31), id="scale-1e-6"),
+    pytest.param(np.array([[2.0 - 0.5j]]), id="n=1"),
+    pytest.param(start_vector_kernel_projection(3), id="start-in-bottom-eigenspace"),
+]
+
+
+@pytest.mark.parametrize("m", [8, 256])
+@pytest.mark.parametrize("x", SHIFT_HARD_INPUTS)
+def test_boundary_points_certified_on_hard_inputs(x, m):
+    """Every point is finite, within the Rayleigh cut of its supporting
+    line, and in W(x); a RuntimeWarning would fail the test."""
+    x = np.asarray(x, dtype=complex)
+    n, nrm = x.shape[0], np.linalg.norm(x, 2)
+    rb = boundary(x, m=m)
+    cut = 64 * n * np.finfo(float).eps * nrm
+    assert np.isfinite(rb.boundary_points).all()
+    assert np.max(certificate_gap(rb)) <= cut
+    for p in rb.boundary_points:
+        assert dist_to_point(x, p) <= cut
+
+
+def test_boundary_points_on_known_ranges():
+    """The Jordan block's range is the disc |z| <= 1/2, whose boundary
+    point in direction theta is e^{i theta}/2; W(diag(1, 1, i)) is the
+    segment [1, i]; W(i I) and W(c) are single points."""
+    eps = np.finfo(float).eps
+    rb = boundary(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    assert np.max(np.abs(np.abs(rb.boundary_points) - 0.5)) <= 4 * eps
+    assert np.max(np.abs(rb.boundary_points - np.exp(1j * rb.angles) / 2.0)) <= 1e-12
+    for z in boundary(np.diag([1.0, 1.0, 1.0j])).boundary_points:
+        assert seg_dist(z, 1.0 + 0j, 1.0j) <= 1e-15
+    assert np.max(np.abs(boundary(1j * np.eye(3)).boundary_points - 1j)) <= 1e-15
+    assert np.max(np.abs(boundary(np.array([[2.0 - 0.5j]]), m=8).boundary_points
+                         - (2.0 - 0.5j))) <= 4 * eps * abs(2.0 - 0.5j)
+
+
+def test_boundary_falls_back_to_eigh_only_when_uncertified(monkeypatch):
+    """The shifted solve certifies every point on random inputs, with no
+    full eigen-solve; x = 0 makes every shifted matrix singular, and the
+    points then come from eigh, as they do where the start vector misses
+    the extreme eigenspace."""
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda *args, **kw: calls.append(1) or eigh(*args, **kw))
+    rng = np.random.default_rng(2020)
+    for k in range(50):
+        n = int(rng.integers(2, 17))
+        x = random_matrix(n, rng) if k % 2 else random_accretive(n, rng)
+        boundary(x)
+    assert not calls
+    assert np.array_equal(boundary(np.zeros((4, 4))).boundary_points, np.zeros(256))
+    assert calls
+    calls.clear()
+    boundary(start_vector_kernel_projection(3))
+    assert calls
+
+
+def test_support_function_is_the_boundary_support_value_bitwise():
+    for n, seed in ((1, 40), (3, 41), (8, 42), (16, 43)):
+        x = random_matrix(n, seed)
+        rb = boundary(x, m=64)
+        half = rb.angles.size // 2
+        assert np.array_equal([support_function(x, th) for th in rb.angles[:half]],
+                              rb.support_values[:half])
 
 
 def test_boundary_rejects_odd_m():
@@ -215,7 +318,7 @@ def _dist_to_point_golden(x, z, m=256):
     bracketing interval, one eigen-solve per angle: the method that the
     Newton refinement of dist_to_point replaced, kept as its oracle."""
     def gap(theta):
-        return (z * np.exp(-1j * theta)).real - numrange._support_at(x, theta)[0]
+        return (z * np.exp(-1j * theta)).real - eigh_support(x, theta)[0]
 
     grid = 2.0 * np.pi * np.arange(m) / m
     vals = (z * np.exp(-1j * grid)).real - np.array(
@@ -450,8 +553,8 @@ def _sectorial_angle_per_side_sweep(x, m=256):
         angle = float(np.pi)
     else:
         angle = float(min(np.pi, max(abs(lo_arg), abs(hi_arg))))
-    cand = [(abs(lo_arg), lo_arg, numrange._support_at(x, psi_plus + np.pi)[1]),
-            (abs(hi_arg), hi_arg, numrange._support_at(x, psi_minus + np.pi)[1])]
+    cand = [(abs(lo_arg), lo_arg, eigh_support(x, psi_plus + np.pi)[1]),
+            (abs(hi_arg), hi_arg, eigh_support(x, psi_minus + np.pi)[1])]
     if abs(cand[0][0] - cand[1][0]) <= 1e-12:
         return angle, min(cand, key=lambda item: item[1])[2]
     return angle, max(cand, key=lambda item: item[0])[2]
@@ -582,6 +685,45 @@ def test_sectorial_angle_is_scale_invariant(s):
         x, expected, _ = param.values
         angle = sectorial_angle(s * x).angle
         assert angle is None if expected is None else abs(angle - expected) <= 1e-12
+
+
+@pytest.mark.parametrize("s", [1e-6, 1.0, 1e6])
+def test_sectorial_angle_at_a_tangent_arc_end(s):
+    """W(e^{0.5i} [[1, 2], [0, 1]]) is the unit disc about e^{0.5i}, tangent
+    to the line through 0: the admissible arc is the double eigen-angle
+    0.5, which the pencil knows only to about sqrt(eps) (4.4e-9 at s =
+    1e6).  A Newton step from the centre of the candidates sharpens it."""
+    x = s * np.exp(0.5j) * np.array([[1.0, 2.0], [0.0, 1.0]])
+    assert abs(sectorial_angle(x).angle - (0.5 + np.pi / 2.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [1e-9, 1e-12])
+def test_sectorial_angle_at_two_close_crossings(d):
+    """W(diag(1, i, -0.5 + d i)) is a triangle just above 0: its admissible
+    arc [pi/2 - 2d, pi/2] ends at simple crossings of two eigenvalues,
+    candidates within sqrt(eps) of each other that are not a tangent
+    point.  The Newton step from their centre is far too long and is
+    refused, so the angle and witness stay at the vertex -0.5 + d i."""
+    corner = -0.5 + d * 1j
+    v = sectorial_angle(np.diag([1.0, 1.0j, corner]))
+    assert abs(v.angle - np.angle(corner)) <= 1e-15
+    assert v.witness == corner
+
+
+def test_tangent_refinement_leaves_random_inputs_bitwise(monkeypatch):
+    """On 400 random non-accretive inputs (Ginibre draws, and accretive
+    draws rotated off the right half-plane) no arc end is a tangent point:
+    the angle and witness are bitwise those without the refinement."""
+    rng = np.random.default_rng(1978)
+    inputs = []
+    for n in (2, 3, 4, 8, 16):
+        for _ in range(40):
+            cap = float(rng.uniform(0.05, 0.7))
+            phi = rng.choice([-1.0, 1.0]) * rng.uniform(np.pi / 2 + cap, np.pi - cap)
+            inputs += [random_matrix(n, rng), np.exp(1j * phi) * random_accretive(n, rng, cap)]
+    with_refinement = [sectorial_angle(x) for x in inputs]
+    monkeypatch.setattr(numrange, "_tangent_end", lambda a, c, psi: psi)
+    assert [sectorial_angle(x) for x in inputs] == with_refinement
 
 
 def test_nearly_positive_singular_psd_contraction():
