@@ -14,7 +14,6 @@ from .errors import (
 )
 from .linalg import (
     Tolerances,
-    default_tolerances,
     herm_part,
     matrix_exp,
     operator_norm,

@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .calculus import _f_transform, _split_zero_cluster
+from .calculus import _deflate, _f_transform
 from .cones import AmbientContext, _element, _membership, full_context
 from .errors import InputError, MethodDisagreementError, NumericError, PreconditionError
 from .linalg import Tolerances, _norm2, as_matrix, resolve_tol
@@ -67,20 +67,20 @@ def _stack(mats) -> np.ndarray:
     return rows / np.where(nv > 0, nv, 1.0)
 
 
-def _rank(sv: np.ndarray, rank_tol: float = _RANK_TOL) -> int:
+def _rank(sv: np.ndarray) -> int:
     """Numerical rank from descending singular values: the count of
-    sv / sv[0] >= 10 rank_tol (0 when sv[0] = 0).  A value in the
-    ambiguity window [rank_tol, 10 rank_tol) raises NumericError instead
+    sv / sv[0] >= 10 _RANK_TOL (0 when sv[0] = 0).  A value in the
+    ambiguity window [_RANK_TOL, 10 _RANK_TOL) raises NumericError instead
     of a guess."""
     if sv[0] == 0:
         return 0
     rel = sv / sv[0]
-    if np.any((rel >= rank_tol) & (rel < 10 * rank_tol)):
+    if np.any((rel >= _RANK_TOL) & (rel < 10 * _RANK_TOL)):
         raise NumericError(
             "span rank decision is ambiguous (singular value within 10x of the cut "
-            f"{rank_tol:.3g}); pass cleaner generators, or a rank_tol to spans_equal or ba"
+            f"{_RANK_TOL:.3g}); pass cleaner generators"
         )
-    return int(np.sum(rel >= 10 * rank_tol))
+    return int(np.sum(rel >= 10 * _RANK_TOL))
 
 
 def _pair_products(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -316,43 +316,43 @@ def span_contains(mats, m, tol: float = _SPAN_TOL) -> bool:
     return float(np.linalg.norm(v - proj)) <= tol * (1.0 + nv)
 
 
-def _span_rank(mats, rank_tol: float = _RANK_TOL) -> int:
+def _span_rank(mats) -> int:
     stack = _stack(mats)
     if stack.shape[0] == 0:
         return 0
-    return _rank(np.linalg.svd(stack, compute_uv=False), rank_tol)
+    return _rank(np.linalg.svd(stack, compute_uv=False))
 
 
-def spans_equal(mats_a, mats_b, rank_tol: float = _RANK_TOL) -> bool:
+def spans_equal(mats_a, mats_b) -> bool:
     """Two-sided span equality by rank tests on the separate and joined
     stacks of normalised vectorisations."""
     mats_a = _as_matrices(mats_a, "mats_a")
     mats_b = _as_matrices(mats_b, "mats_b")
     if mats_a and mats_b and mats_a[0].shape != mats_b[0].shape:
         raise InputError("mats_a and mats_b hold matrices of different sizes")
-    return _spans_equal(mats_a, mats_b, rank_tol)
+    return _spans_equal(mats_a, mats_b)
 
 
-def _spans_equal(mats_a, mats_b, rank_tol: float = _RANK_TOL) -> bool:
+def _spans_equal(mats_a, mats_b) -> bool:
     """spans_equal on trusted lists, stacks or subalgebra bases."""
     if mats_a is mats_b and isinstance(mats_a, SubalgebraBasis):
         return True
     mats_a, mats_b = (m.basis if isinstance(m, SubalgebraBasis) else m for m in (mats_a, mats_b))
-    ra = _span_rank(mats_a, rank_tol)
-    rb = _span_rank(mats_b, rank_tol)
+    ra = _span_rank(mats_a)
+    rb = _span_rank(mats_b)
     if ra != rb:
         return False
-    return _span_rank(list(mats_a) + list(mats_b), rank_tol) == ra
+    return _span_rank(list(mats_a) + list(mats_b)) == ra
 
 
-def _ortho_matrices(mats, n: int, rank_tol: float = _RANK_TOL) -> np.ndarray:
+def _ortho_matrices(mats, n: int) -> np.ndarray:
     """Orthonormal matrices spanning span(mats) (Frobenius inner product),
     as an (r, n, n) stack."""
     stack = _stack(mats)
     if stack.shape[0] == 0:
         return np.zeros((0, n, n), dtype=complex)
     _, sv, vh = np.linalg.svd(stack, full_matrices=False)
-    r = _rank(sv, rank_tol)
+    r = _rank(sv)
     return vh[:r].reshape(r, n, n)
 
 
@@ -360,8 +360,8 @@ def _ortho_matrices(mats, n: int, rank_tol: float = _RANK_TOL) -> np.ndarray:
 # generated subalgebra and support idempotent
 # ---------------------------------------------------------------------------
 
-def ba(x, ambient: AmbientContext | None = None, tol: Tolerances | None = None,
-       rank_tol: float = _RANK_TOL) -> SubalgebraBasis:
+def ba(x, ambient: AmbientContext | None = None,
+       tol: Tolerances | None = None) -> SubalgebraBasis:
     """The (non-unital) subalgebra generated by x: span{x, x^2, x^3, ...}.
 
     Powers of x/||x|| accumulate until the numerical rank of the stacked
@@ -373,11 +373,10 @@ def ba(x, ambient: AmbientContext | None = None, tol: Tolerances | None = None,
     if ambient is None:
         ambient = full_context(a.shape[0])
     t = resolve_tol(tol)
-    return _ba(ambient._check_member(a, t), ambient, t, rank_tol)
+    return _ba(ambient._check_member(a, t), ambient, t)
 
 
-def _ba(a: np.ndarray, ambient: AmbientContext, t: Tolerances,
-        rank_tol: float = _RANK_TOL) -> SubalgebraBasis:
+def _ba(a: np.ndarray, ambient: AmbientContext, t: Tolerances) -> SubalgebraBasis:
     """ba(x) for a checked member a of the ambient algebra."""
     n = a.shape[0]
     nrm = _norm2(a)
@@ -390,12 +389,12 @@ def _ba(a: np.ndarray, ambient: AmbientContext, t: Tolerances,
     for _ in range(n * n + 1):
         cur = cur @ xn
         powers.append(cur)
-        new_rank = _span_rank(powers, rank_tol)
+        new_rank = _span_rank(powers)
         if new_rank == rank:
             powers.pop()
             break
         rank = new_rank
-    basis = _ortho_matrices(powers, n, rank_tol)
+    basis = _ortho_matrices(powers, n)
     alg = SubalgebraBasis(basis, ambient=ambient, validate=False)
     unit = _unit_candidate(alg, t)
     if unit is not None:
@@ -434,42 +433,29 @@ class SupportIdempotent:
 
 
 def support_idem(x, ctx: AmbientContext | None = None,
-                 tol: Tolerances | None = None,
-                 zero_tol: float | None = None) -> SupportIdempotent:
+                 tol: Tolerances | None = None) -> SupportIdempotent:
     """Support idempotent s(x) = lim x^{1/n} of an accretive matrix.
 
     For accretive x the kernel is reducing and semisimple, so s(x) is the
     orthogonal projection onto the range of x, e - P_0 with P_0 the
     Riesz projection at 0; it satisfies s x = x s = x, s^2 = s, and lies
     in F (||e - s|| <= 1).  It is read exactly as Z_k Z_k* from the
-    Schur vectors Z_k of the k eigenvalues above zero_tol (default
-    1e-9 (1 + ||x||)), and cross-checked against U_k U_k* from the top k
-    left singular vectors of x.  The two factorisations are independent;
+    Schur vectors Z_k of the k eigenvalues kept by the zero-cluster split
+    that the powers use (calculus._split_zero_cluster, cut 1e-9 (1 +
+    ||x||)), and cross-checked against U_k U_k* from the top k left
+    singular vectors of x.  The two factorisations are independent;
     disagreement beyond 1e-6 raises MethodDisagreementError carrying both
     candidates.  A zero cluster that the cut cannot separate, or that
-    does not split off cleanly, raises NumericError.
+    does not split off cleanly, raises NumericError, as for the powers.
     """
-    _, ctx, _, xc, _ = _element(x, ctx, tol, "support_idem")
-    return _support_idem(xc, ctx, zero_tol)
+    _, ctx, t, xc, _ = _element(x, ctx, tol, "support_idem")
+    return _support_idem(_deflate(xc, t), ctx)
 
 
-def _support_idem(xc: np.ndarray, ctx: AmbientContext,
-                  zero_tol: float | None = None) -> SupportIdempotent:
-    """support_idem on the corner coordinates xc of an accretive element."""
-    nrm = _norm2(xc)
-    ztol = 1e-9 * (1.0 + nrm) if zero_tol is None else float(zero_tol)
-    mags = np.abs(np.linalg.eigvals(xc))
-    zero_mask = mags <= ztol
-    if np.any(zero_mask) and not np.all(zero_mask):
-        rho = float(np.min(mags[~zero_mask])) / 2.0
-        lam_zero = float(np.max(mags[zero_mask]))
-        if rho <= 3.0 * lam_zero:
-            raise NumericError(
-                f"cannot separate the zero cluster: radius {rho:.3g} vs cluster "
-                f"extent {lam_zero:.3g}; pass a different zero_tol"
-            )
-    z, _, k = _split_zero_cluster(xc, ztol, nrm)
-    u = np.linalg.svd(xc)[0][:, :k]
+def _support_idem(d, ctx: AmbientContext) -> SupportIdempotent:
+    """support_idem on the deflated accretive element d."""
+    z, _, k = d._schur
+    u = np.linalg.svd(d.xc)[0][:, :k]
     s_schur = z[:, :k] @ z[:, :k].conj().T
     s_svd = u @ u.conj().T
     agreement = _norm2(s_schur - s_svd)
@@ -496,7 +482,8 @@ def ws_suite(x, algebra: SubalgebraBasis, tol: Tolerances | None = None) -> Veri
     (iv)  x y x = x is solvable over the algebra;
     (v)   x is invertible within ba(x) (x z = z x = u for ba(x)'s unit
           candidate u);
-    (vi)  0 is isolated in the spectrum (gap above 1e-8).
+    (vi)  0 is isolated in the spectrum: the smallest |eigenvalue| kept
+          by the zero-cluster split of s(x) is above 1e-8.
 
     In finite dimension s(x) is a polynomial in x with zero constant
     term, so (ii) and (iii) hold identically whenever the data make
@@ -506,8 +493,8 @@ def ws_suite(x, algebra: SubalgebraBasis, tol: Tolerances | None = None) -> Veri
     a, ctx, t, xc, _ = _element(x, algebra.ambient, tol, "ws_suite")
     algebra._require(a, "ws_suite", "x")
 
-    nrm = _norm2(a)
-    sup = _support_idem(xc, ctx)
+    d = _deflate(xc, t)
+    sup = _support_idem(d, ctx)
     s = sup.s
 
     v1 = algebra._contains(s, 1e-7)
@@ -522,7 +509,7 @@ def ws_suite(x, algebra: SubalgebraBasis, tol: Tolerances | None = None) -> Veri
     # (v): invertibility within ba(x)
     v5 = False
     res_v = np.inf
-    if nrm > t.eq_tol:
+    if d.nrm > t.eq_tol:
         gen = _ba(a, ctx, t)
         if gen.unit is not None:
             u = gen.unit
@@ -534,10 +521,9 @@ def ws_suite(x, algebra: SubalgebraBasis, tol: Tolerances | None = None) -> Veri
             res_v = float(np.linalg.norm(m @ cz - v))
             v5 = res_v <= 1e-8 * (1.0 + np.linalg.norm(v))
 
-    # (vi): spectral gap at zero
-    eigs = np.linalg.eigvals(xc)
-    ztol = 1e-9 * (1.0 + nrm)
-    nonzero = np.abs(eigs)[np.abs(eigs) > ztol]
+    # (vi): spectral gap at zero, off the split's Schur diagonal
+    mags = np.abs(np.diag(d._schur[1]))
+    nonzero = mags[mags > d.zero_cut]
     gap = float(np.min(nonzero)) if nonzero.size else np.inf
     v6 = gap > 1e-8
 
@@ -593,7 +579,7 @@ def hsa_from_z(z, algebra: SubalgebraBasis, tol: Tolerances | None = None) -> Hs
     algebra._require(a, "hsa_from_z", "z")
     n = algebra.n
     cube = np.array(algebra.basis)
-    s = _support_idem(xc, ctx).s
+    s = _support_idem(_deflate(xc, t), ctx).s
 
     residuals = {}
     bases = {}
@@ -639,8 +625,8 @@ def supp_order(x, y, algebra: SubalgebraBasis, tol: Tolerances | None = None) ->
     r_ya = _span_rank(ya)
     r_joint = _span_rank(ya + xa)
     contained = r_joint == r_ya
-    sx = _support_idem(xc, ctx).s
-    sy = _support_idem(yc, ctx).s
+    sx = _support_idem(_deflate(xc, t), ctx).s
+    sy = _support_idem(_deflate(yc, t), ctx).s
     res = _norm2(sy @ sx - sx)
     dominates = res <= 1e-7
     verdicts = {"ideal_containment": bool(contained), "support_domination": bool(dominates)}
@@ -696,7 +682,7 @@ def aarnes_kadison_check(x, algebra: SubalgebraBasis,
     cube = np.array(algebra.basis)
     c1 = _spans_equal(a @ cube @ a, cube)
     c2 = _spans_equal(a @ cube, cube) and _spans_equal(cube @ a, cube)
-    s = _support_idem(xc, ctx).s
+    s = _support_idem(_deflate(xc, t), ctx).s
     res_unit = _worst_unit_residual(s, cube)
     scale = 1.0 + _max_op_norm(cube)
     c3 = res_unit <= 1e-7 * scale and algebra._contains(s, 1e-7)
@@ -750,7 +736,7 @@ def idempotent_ideal(q, algebra: SubalgebraBasis, x=None,
     details = {"dim_ideal": len(ideal)}
     if x is not None:
         axm, _, _, xc, _ = _element(x, ctx, t, "idempotent_ideal")
-        s = _support_idem(xc, ctx).s
+        s = _support_idem(_deflate(xc, t), ctx).s
         if algebra._contains(s, 1e-7):
             same = _spans_equal([axm @ b for b in algebra.basis],
                                 [s @ b for b in algebra.basis])

@@ -25,13 +25,19 @@ completed methods disagree beyond 1e-6 * (1 + ||x||).
 Accretive matrices have a semisimple reducing kernel (ker x = ker x*,
 orthogonal to the range), so the zero eigenvalue cluster is split off
 exactly by an ordered Schur form before any power or quadrature; the
-power acts as zero on that block for every r > 0.  One split and one
-square-root chain per input (``_deflate``) serve every exponent and both
-spectral routes, and its Schur diagonal gives the spectral radius of
-e - x behind the series refusal.  The Balakrishnan route maps s = c (1 +
-u)/(1 - u), c = sqrt(min |t_ii| max |t_ii|) over the invertible Schur
-block T; its 32- and 64-node Gauss-Jacobi rules are solved by one back
-substitution on T, and a rule that misses its target is doubled.
+power acts as zero on that block for every r > 0.  That split
+(``_deflate``, in ``_split_zero_cluster``) is the package's one zero
+cut: the eigenvalues |lambda| <= 1e-9 (1 + ||x||).  A kept eigenvalue
+within 6x of the largest cut one leaves the cluster unseparated, and
+NumericError is raised alike by the three powers and by
+``algebra.support_idem``, which reads its projection off the same
+split.  One split and one square-root chain per input serve every
+exponent and both spectral routes, and its Schur diagonal gives the
+spectral radius of e - x behind the series refusal.  The Balakrishnan
+route maps s = c (1 + u)/(1 - u), c = sqrt(min |t_ii| max |t_ii|) over
+the invertible Schur block T; its 32- and 64-node Gauss-Jacobi rules are
+solved by one back substitution on T, and a rule that misses its target
+is doubled.
 """
 from __future__ import annotations
 
@@ -105,35 +111,38 @@ def _solve_shifted_stack(t: np.ndarray, shift: np.ndarray, scale: np.ndarray) ->
     return x
 
 
-def _split_zero_cluster(xc: np.ndarray, zero_tol: float, nrm: float):
-    """Ordered complex Schur split isolating the zero eigenvalue cluster of
-    xc, of operator norm nrm.
+def _split_zero_cluster(xc: np.ndarray, zero_cut: float, nrm: float):
+    """Ordered complex Schur split isolating the zero eigenvalue cluster
+    |lambda| <= zero_cut of xc, of operator norm nrm.
 
     Returns (z, t, k): the Schur form xc = z t z* with the nonzero-spectrum
-    block t11 = t[:k, :k] leading and t[k:, k:] ~ 0.  For accretive
+    block t11 = t[:k, :k] leading and t[k:, k:] ~ 0.  A kept eigenvalue
+    within 6x of the largest cut one (read off the Schur diagonal) leaves
+    the cluster unseparated, and raises NumericError.  For accretive
     matrices the kernel is reducing and semisimple, so the off-diagonal
     coupling and the zero block are both tiny; a large one signals an
-    ill-separated spectrum near zero and raises NumericError.
+    ill-separated spectrum near zero and raises NumericError too.
     """
     n = xc.shape[0]
-    t, z, sdim = sla.schur(xc, output="complex", sort=lambda lam: abs(lam) > zero_tol)
+    t, z, sdim = sla.schur(xc, output="complex", sort=lambda lam: abs(lam) > zero_cut)
     k = int(sdim)
+    if 0 < k < n:
+        mags = np.abs(np.diag(t))
+        kept, cut = float(np.min(mags[:k])), float(np.max(mags[k:]))
+        if kept <= 6.0 * cut:
+            raise NumericError(
+                f"cannot separate the zero cluster: smallest kept |eigenvalue| {kept:.3g} "
+                f"is within 6x of the largest cut one {cut:.3g} (zero cut {zero_cut:.3g})"
+            )
     if n - k > 0:
         defect = max(_norm2(t[:k, k:]) if k else 0.0, _norm2(t[k:, k:]))
         if defect > 1e-7 * (1.0 + nrm):
             raise NumericError(
                 "zero eigenvalue cluster is not cleanly reducing "
-                f"(coupling {defect:.3g}); pass a different zero_tol "
-                f"(current {zero_tol:.3g}) or check accretivity of the input"
+                f"(coupling {defect:.3g} at zero cut {zero_cut:.3g}); "
+                "check accretivity of the input"
             )
     return z, t, k
-
-
-def _series_radius(t: np.ndarray) -> float:
-    """rho = max_i |1 - t_ii| over the diagonal of a Schur form t of x: the
-    spectral radius of e - x, so ||(e - x)^j|| >= rho^j up to the Schur
-    backward error (see _power_series)."""
-    return float(np.max(np.abs(1.0 - np.diag(t))))
 
 
 def _reassemble(z: np.ndarray, block: np.ndarray, n: int) -> np.ndarray:
@@ -144,17 +153,21 @@ def _reassemble(z: np.ndarray, block: np.ndarray, n: int) -> np.ndarray:
 
 
 class _Deflation:
-    """One accretive input xc, shared by every exponent and by the shifted
-    and Balakrishnan routes.  Its Schur split (z, t11, k) and the square-
-    root chain of t11 are built on first use, so r = 1 needs neither; a
-    split that fails raises again at each use."""
+    """One accretive input xc, shared by every exponent, by the shifted and
+    Balakrishnan routes, the series refusal and the support idempotent.
+    Its zero cluster is |lambda| <= zero_cut = 1e-9 (1 + ||x||), the one
+    cut of the package.  Its Schur split (z, t11, k) and the square-root
+    chain of t11 are built on first use, so r = 1 needs neither; a split
+    that fails raises again at each use."""
 
-    def __init__(self, xc: np.ndarray, nrm: float, zero_tol: float, t: Tolerances):
-        self.xc, self.nrm, self._ztol, self.t = xc, nrm, zero_tol, t
+    def __init__(self, xc: np.ndarray, t: Tolerances):
+        self.xc, self.t = xc, t
+        self.nrm = _norm2(xc)
+        self.zero_cut = 1e-9 * (1.0 + self.nrm)
 
     @cached_property
     def _schur(self):
-        return _split_zero_cluster(self.xc, self._ztol, self.nrm)
+        return _split_zero_cluster(self.xc, self.zero_cut, self.nrm)
 
     @cached_property
     def _split(self):
@@ -164,8 +177,10 @@ class _Deflation:
 
     @cached_property
     def series_radius(self) -> float:
-        """The spectral radius of e - x, read off the split's Schur diagonal."""
-        return _series_radius(self._schur[1])
+        """rho = max_i |1 - t_ii| over the split's Schur diagonal: the
+        spectral radius of e - x, so ||(e - x)^j|| >= rho^j up to the Schur
+        backward error (see _power_series)."""
+        return float(np.max(np.abs(1.0 - np.diag(self._schur[1]))))
 
     @cached_property
     def _chain(self):
@@ -234,11 +249,9 @@ class _Deflation:
         return _reassemble(z, fine, self.xc.shape[0]), est, nodes
 
 
-def _deflate(xc: np.ndarray, t: Tolerances, zero_tol: float | None = None) -> _Deflation:
-    """Deflation record of the corner coordinates xc of an accretive element
-    (zero cluster |lambda| <= zero_tol, by default 1e-9 (1 + ||x||))."""
-    nrm = _norm2(xc)
-    return _Deflation(xc, nrm, 1e-9 * (1.0 + nrm) if zero_tol is None else float(zero_tol), t)
+def _deflate(xc: np.ndarray, t: Tolerances) -> _Deflation:
+    """Deflation record of the corner coordinates xc of an accretive element."""
+    return _Deflation(xc, t)
 
 
 def _validate_exponent(r, lo_open: float, hi: float, allow_hi: bool) -> float:
@@ -263,16 +276,16 @@ def power_series(x, r: float, ctx: AmbientContext | None = None,
     ||d|| <= 1 the tail after K terms is bounded by
     tail_K * min_{j<=K+1} ||d^j||, tail_K = 1 - sum_{k<=K} b_k =
     |binom(r - 1, K)|, which is the rigorous stopping rule used here.
-    Before the first term, the spectral radius rho of d, read off one
-    Schur form of x, bounds that product from below at the budget of
-    200 000 terms; when the bound stays above conv_tol (a kernel makes
-    rho = 1) the series provably cannot converge within its budget, and
-    NumericError is raised at once rather than silently truncating.
+    Before the first term, the spectral radius rho of d, read off the
+    Schur diagonal of the zero-cluster split, bounds that product from
+    below at the budget of 200 000 terms; when the bound stays above
+    conv_tol (a kernel makes rho = 1) the series provably cannot converge
+    within its budget, and NumericError is raised at once rather than
+    silently truncating.
     """
     r = _validate_exponent(r, 0.0, 1.0, allow_hi=True)
     _, ctx, t, xc, _ = _element(x, ctx, tol, "power_series", cone="F")
-    rho = _series_radius(sla.schur(xc, output="complex")[0])
-    return ctx._embed(_power_series(xc, r, t, rho, _norm2(xc)))
+    return ctx._embed(_power_series(_deflate(xc, t), r))
 
 
 def _series_tail(r: float, terms):
@@ -281,10 +294,9 @@ def _series_tail(r: float, terms):
     return np.abs(scipy.special.binom(r - 1.0, terms))
 
 
-def _power_series(xc: np.ndarray, r: float, t: Tolerances, rho: float,
-                  nrm: float) -> np.ndarray:
-    """The binomial series on the corner coordinates xc of an F element of
-    norm nrm, whose e - x has spectral radius rho.
+def _power_series(d: _Deflation, r: float) -> np.ndarray:
+    """The binomial series on the deflated F element d, whose e - x has
+    spectral radius rho = d.series_radius.
 
     The loop stops at the first K with tail_K * min_{j<=K+1} ||d^j|| <=
     conv_tol.  A Schur form x ~ Z T Z* whose backward error, like the
@@ -295,10 +307,11 @@ def _power_series(xc: np.ndarray, r: float, t: Tolerances, rho: float,
     it (both factors fall with K): that is refused before the first term.
     Any other input iterates as the rule says.
     """
+    xc, t = d.xc, d.t
     if r == 1.0:
         return xc.copy()
-    k_dim = xc.shape[0]
-    eta = _KER_ULPS * k_dim * np.finfo(float).eps * (1.0 + nrm)
+    k_dim, rho = xc.shape[0], d.series_radius
+    eta = _KER_ULPS * k_dim * np.finfo(float).eps * (1.0 + d.nrm)
     floor = _series_tail(r, _SERIES_TERMS) * (
         rho ** (_SERIES_TERMS + 1) - (_SERIES_TERMS + 1) * eta)
     if floor > t.conv_tol:
@@ -335,8 +348,7 @@ def _power_series(xc: np.ndarray, r: float, t: Tolerances, rho: float,
 
 
 def power_shifted(x, r: float, ctx: AmbientContext | None = None,
-                  tol: Tolerances | None = None,
-                  zero_tol: float | None = None) -> np.ndarray:
+                  tol: Tolerances | None = None) -> np.ndarray:
     """x^r for accretive x as the limit eps -> 0 of (x + eps e)^r.
 
     The kernel of x is split off exactly (it is reducing and semisimple
@@ -347,7 +359,7 @@ def power_shifted(x, r: float, ctx: AmbientContext | None = None,
     """
     r = _validate_exponent(r, 0.0, 1.0, allow_hi=True)
     _, ctx, t, xc, _ = _element(x, ctx, tol, "power_shifted")
-    return ctx._embed(_deflate(xc, t, zero_tol).shifted(r))
+    return ctx._embed(_deflate(xc, t).shifted(r))
 
 
 @lru_cache(maxsize=64)
@@ -394,7 +406,6 @@ def _balakrishnan_rules(t11: np.ndarray, r: float, counts) -> list:
 
 def power_balakrishnan(x, r: float, ctx: AmbientContext | None = None,
                        tol: Tolerances | None = None,
-                       zero_tol: float | None = None,
                        return_estimate: bool = False):
     """x^r for accretive x and 0 < r < 1 via the Balakrishnan integral.
 
@@ -409,7 +420,7 @@ def power_balakrishnan(x, r: float, ctx: AmbientContext | None = None,
     if r != 1.0:
         r = _validate_exponent(r, 0.0, 1.0, allow_hi=False)
     _, ctx, t, xc, _ = _element(x, ctx, tol, "power_balakrishnan")
-    y, est, _ = _deflate(xc, t, zero_tol).balakrishnan(r)
+    y, est, _ = _deflate(xc, t).balakrishnan(r)
     y = ctx._embed(y)
     return (y, est) if return_estimate else y
 
@@ -437,10 +448,9 @@ def power_all_methods(x, r: float, ctx: AmbientContext | None = None,
 
 def _power_all_methods(d: _Deflation, r: float, ctx: AmbientContext, mem):
     """power_all_methods on the deflated accretive input d, whose cone
-    membership is mem; both routes share d, and values are embedded."""
-    xc, t = d.xc, d.t
+    membership is mem; every route shares d, and values are embedded."""
     if r == 1.0:
-        xe = ctx._embed(xc)
+        xe = ctx._embed(d.xc)
         return xe, {"shifted": xe, "series": xe, "balakrishnan": xe}, {}, {}
 
     candidates = {}
@@ -448,8 +458,7 @@ def _power_all_methods(d: _Deflation, r: float, ctx: AmbientContext, mem):
     candidates["shifted"] = ctx._embed(d.shifted(r))
     if mem.in_F:
         try:
-            candidates["series"] = ctx._embed(
-                _power_series(xc, r, t, d.series_radius, d.nrm))
+            candidates["series"] = ctx._embed(_power_series(d, r))
         except NumericError as exc:
             skipped["series"] = str(exc)
     if 0.0 < r < 1.0:
@@ -545,9 +554,9 @@ def f_inverse(y, ctx: AmbientContext | None = None,
 # ---------------------------------------------------------------------------
 
 def power_property_report(x, ctx: AmbientContext | None = None,
-                          exponent_grid=None,
                           tol: Tolerances | None = None) -> VerificationReport:
-    """Verify the functional-calculus laws on an exponent grid.
+    """Verify the functional-calculus laws on the fixed exponent grid
+    t = 0.1, 0.2, ..., 0.9.
 
     Checks: the semigroup law x^s x^t = x^{s+t}; the scaling law
     (c x)^t = c^t x^t; iterated powers (x^t)^{1/2} = x^{t/2} and
@@ -558,11 +567,7 @@ def power_property_report(x, ctx: AmbientContext | None = None,
     angle(x^t) <= t * angle(x) and <= t*angle(x) + (1-t) pi/2.
     """
     a, ctx, t, xc, mem = _element(x, ctx, tol, "power_property_report")
-    if exponent_grid is None:
-        exponent_grid = np.round(np.arange(1, 10) * 0.1, 10)
-    grid = sorted(float(g) for g in exponent_grid)
-    if any(not (0.0 < g < 1.0) for g in grid):
-        raise InputError("exponent grid entries must lie in (0, 1)")
+    grid = [k / 10 for k in range(1, 10)]
 
     d_x = _deflate(xc, t)
     nrm = d_x.nrm

@@ -15,6 +15,7 @@ import sys
 
 import numpy as np
 
+from .algebra import SubalgebraBasis, block_diag_algebra
 from .calculus import (
     power_all_methods,
     power_balakrishnan,
@@ -32,7 +33,6 @@ from .errors import (
 )
 from .linalg import (
     Tolerances,
-    default_tolerances,
     random_accretive,
     random_contraction,
     random_idempotent,
@@ -65,7 +65,7 @@ _TOL_FIELDS = ("eq_tol", "psd_tol", "conv_tol")
 
 
 def _parse_tol_overrides(pairs) -> Tolerances:
-    base = default_tolerances()
+    base = Tolerances()
     if not pairs:
         return base
     values = {f: getattr(base, f) for f in _TOL_FIELDS}
@@ -220,17 +220,7 @@ def _cmd_random(args) -> int:
             sizes.append(s)
             left -= s
         u = random_unitary(n, rng)
-        basis = []
-        pos = 0
-        for s in sizes:
-            for i in range(s):
-                for j in range(s):
-                    e = np.zeros((n, n), dtype=complex)
-                    e[pos + i, pos + j] = 1.0
-                    basis.append(u @ e @ u.conj().T)
-            pos += s
-        from .algebra import SubalgebraBasis
-
+        basis = [u @ e @ u.conj().T for e in block_diag_algebra(sizes).basis]
         alg = SubalgebraBasis(basis, unit=np.eye(n, dtype=complex), validate=False)
         obj = algebra_to_obj(alg)
         obj["block_sizes"] = [int(s) for s in sizes]

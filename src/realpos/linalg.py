@@ -19,7 +19,6 @@ cone hypothesis, raised as one ``PreconditionError`` format.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +28,6 @@ from .errors import InputError, NumericError
 
 __all__ = [
     "Tolerances",
-    "default_tolerances",
     "as_matrix",
     "operator_norm",
     "herm_part",
@@ -46,8 +44,6 @@ __all__ = [
 #: overflow guard for the matrix exponential; exp of anything whose
 #: Hermitian part reaches this spills out of double range.
 _EXP_OVERFLOW = 700.0
-
-_TOL_ENV = "REALPOS_DEFAULT_TOL"
 
 
 @dataclass(frozen=True)
@@ -66,28 +62,16 @@ class Tolerances:
     def __post_init__(self):
         for name in ("eq_tol", "psd_tol", "conv_tol"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and np.isfinite(v) and v > 0):
+            if isinstance(v, bool) or not (isinstance(v, (int, float))
+                                           and np.isfinite(v) and v > 0):
                 raise InputError(f"tolerance {name} must be a finite positive real, got {v!r}")
 
     def as_dict(self):
         return {"eq_tol": self.eq_tol, "psd_tol": self.psd_tol, "conv_tol": self.conv_tol}
 
 
-def default_tolerances() -> Tolerances:
-    """Default tolerances; the REALPOS_DEFAULT_TOL environment variable,
-    when set, overrides eq_tol globally."""
-    raw = os.environ.get(_TOL_ENV)
-    if raw is None:
-        return Tolerances()
-    try:
-        eq = float(raw)
-    except ValueError as exc:
-        raise InputError(f"{_TOL_ENV} must be a float, got {raw!r}") from exc
-    return Tolerances(eq_tol=eq)
-
-
 def resolve_tol(tol: Tolerances | None) -> Tolerances:
-    return default_tolerances() if tol is None else tol
+    return Tolerances() if tol is None else tol
 
 
 def as_matrix(x, name: str = "x") -> np.ndarray:

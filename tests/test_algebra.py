@@ -169,6 +169,38 @@ def test_support_idempotent_rejects_an_unseparated_zero_cluster():
         support_idem(x)
 
 
+def test_zero_cut_and_rank_messages_name_no_parameter():
+    """The refusals name the cut value, not a parameter to pass."""
+    cases = [
+        lambda: support_idem(np.diag([1.0, 5e-9, 1.5e-9]).astype(complex)),
+        lambda: support_idem(np.array([[1.0, 3e-5], [0.0, 0.0]], dtype=complex)),
+        lambda: algebra._rank(np.array([1.0, 2e-10])),
+    ]
+    for call in cases:
+        with pytest.raises(NumericError) as exc:
+            call()
+        msg = str(exc.value)
+        assert "_tol" not in msg and "pass a" not in msg, msg
+        assert ("zero cut 2e-09" in msg) or ("the cut 1e-10" in msg), msg
+
+
+def test_support_idem_and_ws_suite_read_the_split_not_eigvals(monkeypatch):
+    """Both read the zero cluster off the one Schur split of the
+    deflation; an eigvals call would be a second zero decision."""
+    x_inv = random_accretive(3, 5) + 0.3 * np.eye(3)
+    u = random_unitary(3, 17)
+    x_ker = u @ np.diag([1.0, 0.5 + 0.2j, 0.0]) @ u.conj().T
+    monkeypatch.setattr(np.linalg, "eigvals",
+                        lambda *a, **k: pytest.fail("eigvals called"))
+    for x, gap in ((x_inv, None), (x_ker, abs(0.5 + 0.2j))):
+        res = support_idem(x)
+        assert res.method == "RieszProjection" and res.agreement_residual <= 1e-12
+        rep = ws_suite(x, full_matrix_algebra(3))
+        assert rep.passed and rep.verdicts["vi_zero_isolated"]
+        if gap is not None:  # the smallest nonzero |eigenvalue|
+            assert abs(rep.residuals["gap"] - gap) <= 1e-12
+
+
 def test_support_idempotent_rejects_a_non_reducing_kernel():
     """Accretive within psd_tol, but the kernel couples to the range by 3e-5."""
     x = np.array([[1.0, 3e-5], [0.0, 0.0]], dtype=complex)

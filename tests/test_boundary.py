@@ -80,7 +80,7 @@ MATRIX_CALLS = {
 # or, for spans_equal and matrix_digest, lists or tuples of arrays
 NO_MATRIX = {
     "amplify", "block_diag_algebra", "choi_matrix", "classify_projection",
-    "default_tolerances", "diagonal_algebra", "full_context", "full_matrix_algebra",
+    "diagonal_algebra", "full_context", "full_matrix_algebra",
     "identity_map", "is_cp", "kraus_factor", "matrix_digest", "op_norm_estimate",
     "random_accretive", "random_contraction", "random_hermitian", "random_idempotent",
     "random_matrix", "random_unitary", "rcp_test", "rng_for", "run_suite", "run_suites",

@@ -190,6 +190,7 @@ def test_power_property_report_passes():
     x = random_accretive(3, 2)
     rep = power_property_report(x)
     assert rep.passed, (rep.verdicts, rep.residuals)
+    assert rep.details["grid"] == [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
 
 
 def test_root_bai_check_invertible():
@@ -408,7 +409,8 @@ def _kernel_F_inputs():
 def test_series_refuses_kernel_input_before_the_first_term(monkeypatch, r):
     t = Tolerances()
     for x in _kernel_F_inputs():
-        rho, nrm = calculus._deflate(x, t).series_radius, operator_norm(x)
+        d = calculus._deflate(x, t)
+        assert abs(d.series_radius - 1.0) <= 1e-15  # split before _norm2 is patched
 
         def no_term(m):
             raise AssertionError("a series term was computed")
@@ -416,9 +418,20 @@ def test_series_refuses_kernel_input_before_the_first_term(monkeypatch, r):
         with monkeypatch.context() as mp:
             mp.setattr(calculus, "_norm2", no_term)
             with pytest.raises(NumericError, match="spectral radius 1"):
-                calculus._power_series(x, r, t, rho, nrm)
+                calculus._power_series(d, r)
         with pytest.raises(NumericError, match="spectral radius 1"):
             power_series(x, r)
+
+
+@pytest.mark.parametrize("route", [power, power_shifted, power_balakrishnan,
+                                   power_all_methods])
+def test_power_routes_refuse_an_unseparated_zero_cluster(route):
+    """5e-9 sits above the zero cut 2e-9 but within 6x of the 1.5e-9 below
+    it: every power route refuses it, as support_idem does, instead of
+    returning a power that depends on where the cut falls."""
+    x = np.diag([1.0, 5e-9, 1.5e-9]).astype(complex)
+    with pytest.raises(NumericError, match="cannot separate the zero cluster"):
+        route(x, 0.5)
 
 
 def test_power_all_methods_skips_series_on_kernel_input():

@@ -1,9 +1,10 @@
 """Command-line interface: exit codes, output files, determinism."""
 import numpy as np
+import pytest
 
 import realpos.cli as cli
 from realpos.report import VerificationReport
-from realpos.serialize import load_json, write_matrix
+from realpos.serialize import algebra_from_obj, load_json, write_matrix
 
 
 def _accretive_path(tmp_path, name="x.json"):
@@ -147,6 +148,19 @@ def test_random_outputs_are_byte_identical(tmp_path):
         assert cli.main(["random", kind, "--n", "4", "--seed", "9",
                          "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_random_algebra_is_a_rotated_block_algebra(tmp_path, n):
+    """The basis is u e u* over the matrix units e of M_{k_1} + ... + M_{k_m}:
+    it validates as a closed unital algebra of dimension sum k_i^2."""
+    out = tmp_path / "a.json"
+    assert cli.main(["random", "algebra", "--n", str(n), "--seed", "4",
+                     "--out", str(out)]) == 0
+    obj = load_json(str(out))
+    sizes = obj["block_sizes"]
+    assert sum(sizes) == n and obj["dim"] == sum(k * k for k in sizes)
+    assert algebra_from_obj(obj).dim == obj["dim"]
 
 
 def test_random_accretive_is_accretive(tmp_path, capsys):

@@ -308,9 +308,3 @@ def test_corner_context_validates_projection():
         corner_context(np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex))  # not Hermitian
     with pytest.raises(InputError):
         corner_context(np.zeros((2, 2), dtype=complex))  # rank 0
-
-
-def test_chaccr_rejects_bad_grid():
-    ctx = full_context(2)
-    with pytest.raises(InputError):
-        chaccr_verify(np.eye(2, dtype=complex), ctx, t_grid=[-1.0, 1.0])

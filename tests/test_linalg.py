@@ -8,7 +8,6 @@ from realpos.linalg import (
     Tolerances,
     _norm2,
     as_matrix,
-    default_tolerances,
     herm_part,
     matrix_exp,
     operator_norm,
@@ -51,12 +50,12 @@ def test_tolerances_validation():
         Tolerances(eq_tol=0.0, psd_tol=1e-9, conv_tol=1e-10)
 
 
-def test_default_tolerances_env_override(monkeypatch):
-    monkeypatch.setenv("REALPOS_DEFAULT_TOL", "1e-7")
-    assert default_tolerances().eq_tol == 1e-7
-    monkeypatch.setenv("REALPOS_DEFAULT_TOL", "not-a-number")
-    with pytest.raises(InputError):
-        default_tolerances()
+@pytest.mark.parametrize("field", ["eq_tol", "psd_tol", "conv_tol"])
+def test_tolerances_reject_bool(field):
+    """bool is an int subclass, but True is no tolerance: it would be
+    written into reports as "eq_tol": true."""
+    with pytest.raises(InputError, match=field):
+        Tolerances(**{field: True})
 
 
 def test_as_matrix_rejects_bad_input():
