@@ -112,7 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
     vf.add_argument("--n", type=int, default=4)
     vf.add_argument("--tol", action="append", default=[], metavar="NAME=VALUE")
     vf.add_argument("--report", help="write the JSON report file here")
-    vf.add_argument("--fixture", help="named fixture (rcp suite: transpose2)")
 
     rd = sub.add_parser("random", help="seeded instance generation")
     rd.add_argument("kind", choices=("accretive", "contraction", "idempotent", "algebra"))
@@ -170,7 +169,7 @@ def _cmd_power(args) -> int:
 def _cmd_verify(args) -> int:
     tol = _parse_tol_overrides(args.tol)
     reports, ok = run_suites([args.suite], seed=args.seed, count=args.count,
-                             n=args.n, tol=tol, fixture=args.fixture)
+                             n=args.n, tol=tol)
     by_suite = {}
     for r in reports:
         by_suite.setdefault(r.check, [0, 0])
@@ -184,8 +183,6 @@ def _cmd_verify(args) -> int:
     if args.report:
         cmd = (f"verify {args.suite} --seed {args.seed} "
                f"--count {args.count} --n {args.n}")
-        if args.fixture:
-            cmd += f" --fixture {args.fixture}"
         dump_json(report_file_obj(cmd, args.seed, tol.as_dict(), reports),
                   args.report)
         print(f"report: {args.report}")

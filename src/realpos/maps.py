@@ -4,9 +4,11 @@ symmetric projections.
 
 A map is stored as its coordinate action between explicit subalgebra
 bases; the amplification T_k to M_k(A) applies T to each block of a
-k-by-k block matrix.  Matrix-level norms are bracketed: a seeded ascent
-gives the lower end and a factorisation read off the Choi matrix bounds
-the completely bounded norm from above.  Complete positivity is decided
+k-by-k block matrix.  Matrix-level norms are bracketed: an ascent from a
+fixed set of starts (the unit, the swap and pairing at full-domain levels
+k >= 2, and the top Hilbert-Schmidt singular directions of the map) gives
+the lower end, and a factorisation read off the Choi matrix bounds the
+completely bounded norm from above.  Complete positivity is decided
 exactly through the Choi matrix.  Real complete positivity (RCP) is
 decided on every domain A by CP extension (Blecher and Read): T is RCP
 when T(a) + T(b)* is a well-defined map on S = A + A* that extends to a
@@ -37,9 +39,7 @@ from .linalg import (
     _herm_part,
     _norm2,
     as_matrix,
-    random_unitary,
     resolve_tol,
-    rng_for,
 )
 from .numrange import _KER_ULPS, _abscissa
 
@@ -244,22 +244,13 @@ class AmplifiedMap:
         one matrix or of each matrix of a stack."""
         return self._unblocks(self.base.domain._project_vecs(self._blocks(x)))
 
-    def random_element(self, rng) -> np.ndarray:
-        """sum_{i,j,l} c_ijl E_ij tensor b_l for complex Gaussian c, drawn
-        as all real parts then all imaginary parts in (i, j, l) order."""
-        dim = self.base.domain.dim
-        d = self.k * self.k * dim
-        coef = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        return self._unblocks(coef.reshape(self.k * self.k, dim) @ self.base.domain._cols.T)
-
 
 def amplify(t_map: LinearMapOnAlgebra, k: int) -> AmplifiedMap:
     """The matrix-level amplification T_k = id_{M_k} tensor T, acting
-    blockwise on M_k(span(domain))."""
-    k = int(k)
-    if k < 1:
-        raise InputError(f"amplification level must be >= 1, got {k}")
-    return AmplifiedMap(t_map, k)
+    blockwise on M_k(span(domain)); the level k is an integer >= 1."""
+    if isinstance(k, (bool, np.bool_)) or not isinstance(k, (int, np.integer)) or k < 1:
+        raise InputError(f"amplification level must be an integer >= 1, got {k!r}")
+    return AmplifiedMap(t_map, int(k))
 
 
 def _unit_pairing(k: int, n: int, swap: bool = False) -> np.ndarray:
@@ -359,15 +350,16 @@ def kraus_factor(t_map: LinearMapOnAlgebra, tol: Tolerances | None = None):
 class NormEstimate:
     """Bracket value <= ||T_k|| <= ||T||_cb <= upper.
 
-    value is the lower bound of a monotone alternating ascent; upper is
-    the Choi-factorisation bound of _cb_upper (or, for a projection
-    family, the bound derived from that of I - 2P).  The bracket closes
-    once value is within 2 * delta * upper of upper (delta the rounding
-    allowance of _cb_delta); stationary is then True, and iterations
-    counts the ascent steps run until then (0 when the unit start closes
-    it, with start_index 0).  On an open bracket stationary means the last
-    accepted step of the best start improved by less than the settle
-    threshold (a local maximiser), and value is only a lower bound."""
+    value is the lower bound of a monotone alternating ascent from the
+    fixed starts of _op_norm_estimates; upper is the Choi-factorisation
+    bound of _cb_upper (or, for a projection family, the bound derived from
+    that of I - 2P).  The bracket closes once value is within 2 * delta *
+    upper of upper (delta the rounding allowance of _cb_delta); stationary
+    is then True, and iterations counts the ascent steps run until then (0
+    when the unit start closes it, with start_index 0).  On an open bracket
+    stationary means the last accepted step of the best start improved by
+    less than the settle threshold (a local maximiser), and value is only a
+    lower bound; start_index is the position of the best start."""
 
     value: float
     upper: float
@@ -376,7 +368,10 @@ class NormEstimate:
     start_index: int
 
 
-_NORM_BUDGET = 240
+#: ascent steps each start may run
+_ASCENT_STEPS = 40
+#: most starts of one map's ascent
+_MAX_STARTS = 6
 
 
 def _cb_delta(t_map: LinearMapOnAlgebra) -> float:
@@ -405,8 +400,7 @@ def _cb_upper(t_map: LinearMapOnAlgebra) -> float:
     return _norm2(left) * _norm2(right) * (1.0 + _cb_delta(t_map))
 
 
-def op_norm_estimate(t_map: LinearMapOnAlgebra, k: int = 1, budget: int = _NORM_BUDGET,
-                     seed: int = 0) -> NormEstimate:
+def op_norm_estimate(t_map: LinearMapOnAlgebra, k: int = 1) -> NormEstimate:
     """Bracket ||T_k|| = sup {||T_k(u)|| : u in M_k(domain), ||u|| <= 1}.
 
     The upper end is the Choi-factorisation bound on ||T||_cb (see
@@ -418,26 +412,30 @@ def op_norm_estimate(t_map: LinearMapOnAlgebra, k: int = 1, budget: int = _NORM_
     represented by a matrix G, and its maximiser over the full unit ball
     is the polar factor of G (projected back onto the domain span when
     the domain is proper, accepting only improving steps so the iteration
-    stays monotone).  Several deterministic starts plus seeded unitary
-    starts are used; the best value is a certified lower bound.
+    stays monotone).  The starts are fixed (see _op_norm_estimates), so
+    the estimate is a function of T and k alone; the best value is a
+    certified lower bound.
     """
-    if int(budget) < 1:
-        raise InputError(f"budget must be >= 1, got {budget}")
-    return _op_norm_estimates([t_map], k, budget, seed)[0]
+    return _op_norm_estimates([t_map], k)[0]
 
 
-def _op_norm_estimates(t_maps, k: int, budget: int, seed: int, uppers=None) -> list:
+def _op_norm_estimates(t_maps, k: int, uppers=None) -> list:
     """op_norm_estimate of each map of t_maps, which share one domain and
     one codomain size, as a list of NormEstimate; uppers are the maps'
     upper bounds (default: _cb_upper of each).
 
     A map whose unit start is within 2 * delta * upper of its upper bound
-    is closed at once.  The other starts depend only on the domain, k and
-    seed, so every open map gets the same six.  All (open map, start)
-    ascents run in lockstep: a step is one stacked SVD of the active
-    T_k(u), one stacked transpose action, one stacked polar SVD and, on a
-    proper domain, one projection and one batched rescale; an ascent stops
-    at its first step that does not improve its value by more than 1e-12 *
+    is closed at once.  Each open map then ascends from at most
+    _MAX_STARTS starts: the unit start; on a full domain with k >= 2 the
+    swap and the normalised pairing of _unit_pairing; and E_00 tensor
+    b_j / ||b_j|| for the top right singular directions b_j of T on the
+    domain span B in the Hilbert-Schmidt inner product (one stacked SVD of
+    the open maps' actions on an orthonormal basis of B), never more than
+    dim B of them.  All (open map, start) ascents run in lockstep: a step
+    is one stacked SVD of the active T_k(u), one stacked transpose action,
+    one stacked polar SVD and, on a proper domain, one projection and one
+    batched rescale; an ascent stops after _ASCENT_STEPS steps or at its
+    first step that does not improve its value by more than 1e-12 *
     (1 + value), and all of a map's once the best of them closes it.
     """
     if uppers is None:
@@ -466,27 +464,26 @@ def _op_norm_estimates(t_maps, k: int, budget: int, seed: int, uppers=None) -> l
     if not open_maps:
         return out
 
-    rng = rng_for(seed)
     if tk.full_domain and k >= 2:
         starts.append(_unit_pairing(k, base.n, swap=True))
         starts.append(_unit_pairing(k, base.n) / min(k, base.n))
-    while len(starts) < 6:
-        if tk.full_domain:
-            starts.append(random_unitary(tk.n_in, rng))
-        else:
-            cand = tk.random_element(rng)
-            starts.append(cand / max(_norm2(cand), 1e-30))
-
-    n_maps, n_starts = len(open_maps), len(starts)
-    per_start = max(3, int(budget) // n_starts)
+    # E_00 tensor b_j / ||b_j||, b_j the top Hilbert-Schmidt right singular
+    # directions of each open T on B, read off an orthonormal basis of B
+    n_maps, n = len(open_maps), base.n
+    vh = np.linalg.svd(vas[open_maps] @ base._span_q.T, full_matrices=False)[2]
+    b = (vh[:, :_MAX_STARTS - len(starts)].conj() @ base._span_q).reshape(n_maps, -1, n, n)
+    hs = np.zeros((*b.shape[:2], tk.n_in, tk.n_in), dtype=complex)
+    hs[..., :n, :n] = b / _norm2(b)[..., None, None]
+    stack = np.concatenate([np.tile(np.array(starts), (n_maps, 1, 1, 1)), hs], axis=1)
+    n_starts = stack.shape[1]
     owner = np.repeat(np.arange(n_maps), n_starts)  # ascent -> its open map
     va = vas[open_maps][owner]
 
     active = np.arange(len(owner))
-    val, w, v = objective(va, np.tile(np.array(starts), (n_maps, 1, 1)))
+    val, w, v = objective(va, stack.reshape(-1, tk.n_in, tk.n_in))
     stationary = np.zeros(len(owner), dtype=bool)
     iterations = np.zeros(n_maps, dtype=int)
-    for _ in range(per_start):
+    for _ in range(_ASCENT_STEPS):
         if not len(active):
             break
         iterations += np.bincount(owner[active], minlength=n_maps)
@@ -701,6 +698,15 @@ def rcp_test(t_map: LinearMapOnAlgebra, tol: Tolerances | None = None) -> RcpVer
 # symmetric projections
 # ---------------------------------------------------------------------------
 
+def _norm_levels(levels) -> tuple:
+    """levels as a tuple; InputError when there is none, since every norm
+    verdict over no level would hold without a norm computed."""
+    levels = tuple(levels)
+    if not levels:
+        raise InputError("levels must name at least one matrix level")
+    return levels
+
+
 def _projection_uppers(p_map: LinearMapOnAlgebra, sym_map: LinearMapOnAlgebra) -> tuple:
     """Upper bounds on the cb norms of I - 2P, P and I - P, once for every
     level: u_S = _cb_upper(I - 2P); I - P = (I + (I - 2P)) / 2 and P =
@@ -726,8 +732,7 @@ class SymmetricProjectionCert:
 
 
 def build_symmetric_projection(theta: LinearMapOnAlgebra, q, algebra: SubalgebraBasis,
-                               tol: Tolerances | None = None, levels=(1, 2, 3),
-                               seed: int = 0):
+                               tol: Tolerances | None = None, levels=(1, 2, 3)):
     """P(a) = (a + theta(a)(2q - 1)) / 2 for a period-2 multiplicative
     symmetry theta fixing the Hermitian idempotent q.
 
@@ -736,17 +741,19 @@ def build_symmetric_projection(theta: LinearMapOnAlgebra, q, algebra: Subalgebra
     on the basis; q is an idempotent in the span with theta(q) = q.
 
     Returns (P, cert) with certificates: P idempotent; ||I - 2P||, ||P||
-    and ||I - P|| estimated at the requested matrix levels (the lower ends
-    of their brackets, with the upper bounds of _projection_uppers computed
-    once for all levels, so a family that meets them at the unit start
-    runs no ascent); the certified RCP verdict of rcp_test on P, which
-    covers every matrix level; the range of P equals the theta-fixed
-    points compressed to the q corner; and P vanishes on the complementary
-    corner pieces (this last certificate holds when theta acts as the
-    identity on the complement, the compatibility the construction needs
-    to be a projection onto a hereditary piece).
+    and ||I - P|| estimated at the requested matrix levels (at least one,
+    else InputError; the lower ends of their brackets, with the upper
+    bounds of _projection_uppers computed once for all levels, so a family
+    that meets them at the unit start runs no ascent); the certified RCP
+    verdict of rcp_test on P, which covers every matrix level; the range
+    of P equals the theta-fixed points compressed to the q corner; and P
+    vanishes on the complementary corner pieces (this last certificate
+    holds when theta acts as the identity on the complement, the
+    compatibility the construction needs to be a projection onto a
+    hereditary piece).
     """
     t = resolve_tol(tol)
+    levels = _norm_levels(levels)
     qm = as_matrix(q, "q")
     cube = np.array(algebra.basis)
     scale = 1.0 + _max_op_norm(cube)
@@ -791,7 +798,7 @@ def build_symmetric_projection(theta: LinearMapOnAlgebra, q, algebra: Subalgebra
     sym_norms, p_norms, comp_norms = {}, {}, {}
     for k in levels:
         sym_norms[k], p_norms[k], comp_norms[k] = (e.value for e in _op_norm_estimates(
-            [sym_map, p_map, comp_map], k, _NORM_BUDGET, seed, [u_sym, u_p, u_comp]))
+            [sym_map, p_map, comp_map], k, [u_sym, u_p, u_comp]))
     rcp = rcp_test(p_map, tol=t)
 
     # range = fixed points of theta intersected with the q corner
@@ -833,7 +840,8 @@ def build_symmetric_projection(theta: LinearMapOnAlgebra, q, algebra: Subalgebra
 class ProjectionClassification:
     """Diagnostic profile of an idempotent linear map on an algebra.
 
-    symmetric is the level-1 statement ||I - 2P|| <= 1 + 1e-6; the
+    symmetric is the statement ||(I - 2P)_k|| <= 1 + 1e-6 read at the
+    lowest requested level k = min(levels) (level 1 by default); the
     per-level norm estimates are recorded separately since symmetries
     need not be completely contractive (the scalar-averaging projection
     on M_2 is the standard example: level 1 norm 1, level 2 norm 2)."""
@@ -855,18 +863,19 @@ class ProjectionClassification:
     kernel_square_zero: bool
 
 
-def classify_projection(p_map: LinearMapOnAlgebra, levels=(1, 2, 3), seed: int = 0,
+def classify_projection(p_map: LinearMapOnAlgebra, levels=(1, 2, 3),
                         tol: Tolerances | None = None) -> ProjectionClassification:
     """Classify an idempotent map: contractivity per level, bicontractivity,
-    symmetry (each judged on the lower end of the norm bracket of P, I - P
-    or I - 2P; the upper bounds of _projection_uppers are computed once for
-    all levels and let the ascent stop at the unit start when met), the
-    RCP verdict of rcp_test (for every level at once), the
-    conditional-expectation identity
-    P(P(a) b P(c)) = P(a) P(b) P(c), multiplicative closure of the range,
-    associativity of the induced product a o b = P(ab), and square-zero
-    behaviour of the kernel."""
+    symmetry (at the given levels, at least one, else InputError; each
+    judged on the lower end of the norm bracket of P, I - P or I - 2P; the
+    upper bounds of _projection_uppers are computed once for all levels and
+    let the ascent stop at the unit start when met), the RCP verdict of
+    rcp_test (for every level at once), the conditional-expectation
+    identity P(P(a) b P(c)) = P(a) P(b) P(c), multiplicative closure of the
+    range, associativity of the induced product a o b = P(ab), and
+    square-zero behaviour of the kernel."""
     t = resolve_tol(tol)
+    levels = _norm_levels(levels)
     if p_map.domain.dim != p_map.codomain.dim:
         raise PreconditionError("classify_projection needs an endomorphism")
     act = p_map.action
@@ -882,10 +891,10 @@ def classify_projection(p_map: LinearMapOnAlgebra, levels=(1, 2, 3), seed: int =
     contr, bicon, symn = {}, {}, {}
     for k in levels:
         contr[k], bicon[k], symn[k] = (e.value for e in _op_norm_estimates(
-            [p_map, comp, sym], k, _NORM_BUDGET, seed, [u_p, u_comp, u_sym]))
+            [p_map, comp, sym], k, [u_p, u_comp, u_sym]))
     contractive = all(v <= 1.0 + 1e-6 for v in contr.values())
     bicontractive = contractive and all(v <= 1.0 + 1e-6 for v in bicon.values())
-    symmetric = symn[min(levels)] <= 1.0 + 1e-6 if levels else False
+    symmetric = symn[min(levels)] <= 1.0 + 1e-6
     completely_symmetric = all(v <= 1.0 + 1e-6 for v in symn.values())
 
     rcp = rcp_test(p_map, tol=t)

@@ -332,7 +332,7 @@ def suite_proj(seed: int, count: int, n: int, tol: Tolerances) -> list:
             alg2 = alg_mod.full_matrix_algebra(2)
             p_map = maps_mod.map_from_function(
                 lambda m: np.trace(m) / 2.0 * np.eye(2, dtype=complex), alg2)
-            cls = maps_mod.classify_projection(p_map, seed=int(seed), tol=tol)
+            cls = maps_mod.classify_projection(p_map, tol=tol)
             verdicts = {
                 "symmetric": bool(cls.symmetric),
                 "conditional_expectation": bool(cls.cond_exp_residual <= 1e-10),
@@ -352,8 +352,7 @@ def suite_proj(seed: int, count: int, n: int, tol: Tolerances) -> list:
             out.append(_tag(rep, "proj", i, seed, p_map.action))
             continue
         theta, q, algebra = _theta_q_fixture(rng, n)
-        p_map, cert = maps_mod.build_symmetric_projection(
-            theta, q, algebra, tol=tol, seed=int(seed))
+        p_map, cert = maps_mod.build_symmetric_projection(theta, q, algebra, tol=tol)
         verdicts = {
             "idempotent": bool(cert.idempotent_residual <= 1e-9),
             "symmetry_levels": bool(all(v <= 1.0 + 1e-6
@@ -377,47 +376,38 @@ def suite_proj(seed: int, count: int, n: int, tol: Tolerances) -> list:
     return out
 
 
-def suite_rcp(seed: int, count: int, n: int, tol: Tolerances,
-              fixture: str | None = None) -> list:
+def suite_rcp(seed: int, count: int, n: int, tol: Tolerances) -> list:
     """Real-complete-positivity verdicts against known ground truth:
-    CP maps must pass (with the Choi certificate), the 2x2 transpose
-    must fail with a certified witness at level 2."""
+    CP maps must pass (with the Choi certificate), the 2x2 transpose (the
+    last instance when count >= 2) must fail with a certified witness at
+    level 2."""
     out = []
-    if fixture is not None and fixture != "transpose2":
-        raise InputError(f"unknown rcp fixture {fixture!r} (supported: transpose2)")
-
-    def transpose_report(i):
-        t_map = maps_mod.transpose_map(2)
-        v = maps_mod.rcp_test(t_map, tol=tol)
-        wit_ok = (v.witness is not None and not v.passed and v.certified
-                  and v.witness["out_abscissa"] <= -1e-4
-                  and v.witness["in_abscissa"] >= -1e-10)
-        rep = VerificationReport(
-            check="rcp", passed=bool(wit_ok),
-            verdicts={"witness_found": bool(v.witness is not None),
-                      "expected_failure": bool(not v.passed),
-                      "certified": bool(v.certified)},
-            residuals={} if v.witness is None else {
-                "witness_out_abscissa": float(v.witness["out_abscissa"]),
-                "witness_in_abscissa": float(v.witness["in_abscissa"])},
-            tolerances=tol.as_dict(),
-            details={"fixture": "transpose2",
-                     "witness_level": None if v.witness is None
-                     else int(v.witness["level"])},
-        )
-        return _tag(rep, "rcp", i, seed, t_map.action)
-
-    if fixture == "transpose2":
-        return [transpose_report(0)]
-
     for i in range(count):
+        if i == count - 1 and count >= 2:  # the last instance: the 2x2 transpose
+            t_map = maps_mod.transpose_map(2)
+            v = maps_mod.rcp_test(t_map, tol=tol)
+            wit_ok = (v.witness is not None and not v.passed and v.certified
+                      and v.witness["out_abscissa"] <= -1e-4
+                      and v.witness["in_abscissa"] >= -1e-10)
+            rep = VerificationReport(
+                check="rcp", passed=bool(wit_ok),
+                verdicts={"witness_found": bool(v.witness is not None),
+                          "expected_failure": bool(not v.passed),
+                          "certified": bool(v.certified)},
+                residuals={} if v.witness is None else {
+                    "witness_out_abscissa": float(v.witness["out_abscissa"]),
+                    "witness_in_abscissa": float(v.witness["in_abscissa"])},
+                tolerances=tol.as_dict(),
+                details={"fixture": "transpose2",
+                         "witness_level": None if v.witness is None
+                         else int(v.witness["level"])},
+            )
+            out.append(_tag(rep, "rcp", i, seed, t_map.action))
+            continue
         rng = _rng(seed, "rcp", i)
         if i == 0:
             t_map = maps_mod.identity_map(alg_mod.full_matrix_algebra(n))
             name = "identity"
-        elif i == count - 1 and count >= 2:
-            out.append(transpose_report(i))
-            continue
         else:
             n_ops = 1 + int(rng.integers(0, 3))
             ops = [(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
@@ -456,7 +446,7 @@ _SUITES = {
 
 
 def run_suite(name: str, seed: int, count: int, n: int,
-              tol: Tolerances | None = None, fixture: str | None = None) -> list:
+              tol: Tolerances | None = None) -> list:
     t = resolve_tol(tol)
     if name not in _SUITES:
         raise InputError(f"unknown suite {name!r}; expected one of "
@@ -465,15 +455,10 @@ def run_suite(name: str, seed: int, count: int, n: int,
         raise InputError(f"count must be >= 1, got {count}")
     if n < 2:
         raise InputError(f"n must be >= 2, got {n}")
-    if name == "rcp":
-        return _SUITES[name](seed, count, n, t, fixture=fixture)
-    if fixture is not None:
-        raise InputError("--fixture is only meaningful for the rcp suite")
     return _SUITES[name](seed, count, n, t)
 
 
-def run_suites(names, seed: int, count: int, n: int,
-               tol: Tolerances | None = None, fixture: str | None = None):
+def run_suites(names, seed: int, count: int, n: int, tol: Tolerances | None = None):
     """Run the named suites in canonical order; returns (reports, all_passed)."""
     ordered = []
     for name in SUITE_ORDER:
@@ -484,9 +469,7 @@ def run_suites(names, seed: int, count: int, n: int,
         raise InputError(f"unknown suites: {', '.join(sorted(unknown))}")
     if "all" in names:
         ordered = list(SUITE_ORDER)
-    if fixture is not None and ordered != ["rcp"]:
-        raise InputError("--fixture is only meaningful for the rcp suite alone")
     reports = []
     for name in ordered:
-        reports.extend(run_suite(name, seed, count, n, tol, fixture=fixture))
+        reports.extend(run_suite(name, seed, count, n, tol))
     return reports, all(r.passed for r in reports)

@@ -375,7 +375,7 @@ def test_criterion_11_symmetric_projections():
         a = 2 + (i % 3)
         b = 1 + (i % 2)
         theta, q, alg = _theta_q_fixture(rng, a, b)
-        p_map, cert = build_symmetric_projection(theta, q, alg, seed=i)
+        p_map, cert = build_symmetric_projection(theta, q, alg)
         ok = (cert.idempotent_residual <= 1e-9
               and all(cert.symmetry_norms[k] <= 1 + 1e-6 for k in (1, 2, 3))
               and cert.rcp.passed

@@ -114,8 +114,8 @@ def test_verify_bad_tolerance_is_usage():
                      "--tol", "eq_tol=abc"]) == cli.EXIT_USAGE
 
 
-def test_verify_fixture_only_for_rcp():
-    assert cli.main(["verify", "lump", "--count", "1",
+def test_verify_has_no_fixture_option():
+    assert cli.main(["verify", "rcp", "--count", "2",
                      "--fixture", "transpose2"]) == cli.EXIT_USAGE
 
 
@@ -129,7 +129,7 @@ def test_verify_failure_exits_one_but_writes_report(tmp_path, capsys, monkeypatc
                              residuals={}, tolerances={}, details={},
                              instance=0, seed=1)
 
-    def fake(names, seed, count, n, tol, fixture=None):
+    def fake(names, seed, count, n, tol):
         return [bad], False
 
     monkeypatch.setattr(cli, "run_suites", fake)

@@ -29,7 +29,8 @@ from realpos.maps import (
 )
 from realpos.linalg import _norm2
 from realpos.maps import (
-    _NORM_BUDGET,
+    _ASCENT_STEPS,
+    _MAX_STARTS,
     NormEstimate,
     _cb_delta,
     _cb_upper,
@@ -161,6 +162,16 @@ def _amplify_reference(t_map, x, k):
     return out
 
 
+def _random_element(tk, rng):
+    """sum_{i,j,l} c_ijl E_ij tensor b_l in M_k(domain span) for complex
+    Gaussian c, drawn as all real parts then all imaginary parts in
+    (i, j, l) order."""
+    dim = tk.base.domain.dim
+    d = tk.k * tk.k * dim
+    coef = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    return tk._unblocks(coef.reshape(tk.k * tk.k, dim) @ tk.base.domain._cols.T)
+
+
 def _domain_element(alg, rng):
     coef = rng.standard_normal(alg.dim) + 1j * rng.standard_normal(alg.dim)
     return sum(c * b for c, b in zip(coef, alg.basis))
@@ -192,7 +203,7 @@ def test_amplify_matches_blockwise_reference(k, domain):
                         for j in range(k)] for i in range(k)])
     assert np.allclose(tk.project(w), expect, atol=1e-12)
     assert np.allclose(tk.project(x), x, atol=1e-12)
-    r = tk.random_element(rng)
+    r = _random_element(tk, rng)
     assert np.allclose(tk.project(r), r, atol=1e-12)
 
 
@@ -207,6 +218,20 @@ def test_amplify_rejects_off_span_block_and_level_zero():
         t2.apply(x)
     with pytest.raises(InputError):
         amplify(t_map, 0)
+
+
+@pytest.mark.parametrize("level", [2.7, 2.0, True, np.True_, "2"],
+                         ids=["2.7", "2.0", "True", "np.True_", "str"])
+def test_amplify_rejects_a_level_that_is_not_an_integer(level):
+    # int(2.7) is 2: the level used to be truncated without a word
+    with pytest.raises(InputError, match="integer"):
+        amplify(transpose_map(2), level)
+    with pytest.raises(InputError, match="integer"):
+        op_norm_estimate(transpose_map(2), level)
+
+
+def test_amplify_accepts_numpy_integer_levels():
+    assert amplify(transpose_map(2), np.int64(2)).k == 2
 
 
 def test_map_rejects_out_of_domain_input():
@@ -243,16 +268,17 @@ def test_op_norm_scaling():
     assert op_norm_estimate(t_map, k=1).value == pytest.approx(3.0, abs=1e-8)
 
 
-def _norm_estimate_by_loop(t_map, k, budget=_NORM_BUDGET, seed=0, upper=None):
+def _norm_estimate_by_loop(t_map, k, upper=None, steps=_ASCENT_STEPS):
     """op_norm_estimate one start, one step and one SVD at a time: the
     reference the lockstep ascent must reproduce bitwise.  upper defaults
     to the map's own Choi bound; the bracket is closed when the best value
     is within 2 delta of upper, at the unit start (no ascent runs) or after
-    any step (every start stops), and upper = inf never closes it."""
+    any step (every start stops), and upper = inf never closes it.  Each
+    start runs at most steps steps."""
     upper = _cb_upper(t_map) if upper is None else upper
     closing = upper * (1.0 - 2.0 * _cb_delta(t_map))
     tk = amplify(t_map, k)
-    base, full, rng = t_map.domain, tk.full_domain, rng_for(seed)
+    base, full = t_map.domain, tk.full_domain
 
     def objective(u):
         uu, sv, vvh = np.linalg.svd(tk._apply(u))
@@ -271,18 +297,19 @@ def _norm_estimate_by_loop(t_map, k, budget=_NORM_BUDGET, seed=0, upper=None):
     if full and k >= 2:
         starts.append(_unit_pairing(k, base.n, swap=True))
         starts.append(_unit_pairing(k, base.n) / min(k, base.n))
-    while len(starts) < 6:
-        if full:
-            starts.append(random_unitary(tk.n_in, rng))
-        else:
-            cand = tk.random_element(rng)
-            starts.append(cand / max(_norm2(cand), 1e-30))
+    # E_00 tensor b_j / ||b_j||, b_j the top right singular directions of T
+    # on the domain span in the Hilbert-Schmidt inner product
+    vh = np.linalg.svd(t_map._vec_action @ base._span_q.T, full_matrices=False)[2]
+    for row in vh[:_MAX_STARTS - len(starts)]:
+        b = (row.conj() @ base._span_q).reshape(base.n, base.n)
+        u = np.zeros((tk.n_in, tk.n_in), dtype=complex)
+        u[:base.n, :base.n] = b / _norm2(b)
+        starts.append(u)
 
-    per_start = max(3, int(budget) // len(starts))
     state = [list(objective(u)) for u in starts]  # [value, w, v] of each start
     stationary = [False] * len(starts)
     active, total_iter = list(range(len(starts))), 0
-    for _ in range(per_start):
+    for _ in range(steps):
         for idx in list(active):
             val, w, v = state[idx]
             total_iter += 1
@@ -332,7 +359,17 @@ def _projection_family(p_map):
     return [p_map, map_affine_combo(p_map, 1.0, -1.0), map_affine_combo(p_map, 1.0, -2.0)]
 
 
+def _open_toeplitz_map():
+    """The first non-RCP map of _toeplitz_maps, on a proper domain: unital,
+    so its unit start has value 1 and leaves the bracket open."""
+    return next(t for t, lam in _toeplitz_maps(count_per_n=3) if lam < 0)
+
+
 def _norm_family(kind):
+    if kind == "unit_e12":  # proper domain; its unit start leaves the bracket open
+        return [_unit_e12_map(1.1)]
+    if kind == "toeplitz":
+        return [_open_toeplitz_map()]
     if kind == "scalar_avg":
         return _projection_family(_scalar_averaging_p())
     if kind == "rank_one":
@@ -344,34 +381,48 @@ def _norm_family(kind):
     return _projection_family(p_map)
 
 
-@pytest.mark.parametrize("seed", [0, 7])
+NORM_KINDS = ["scalar_avg", "rank_one", "theta_q_3", "theta_q_4", "transpose2",
+              "unit_e12", "toeplitz"]
+
+
+@pytest.mark.parametrize("steps", [0, 7, _ASCENT_STEPS])
 @pytest.mark.parametrize("k", [1, 2, 3])
-@pytest.mark.parametrize("kind", ["scalar_avg", "rank_one", "theta_q_3", "theta_q_4",
-                                  "transpose2"])
-def test_lockstep_norm_estimates_match_per_start_loop(kind, k, seed):
+@pytest.mark.parametrize("kind", NORM_KINDS)
+def test_lockstep_norm_estimates_match_per_start_loop(kind, k, steps, monkeypatch):
+    # steps is the per-start step cap: none (the start values alone), a cap
+    # that cuts ascents short, and the default
+    monkeypatch.setattr("realpos.maps._ASCENT_STEPS", steps)
     family = _norm_family(kind)
-    want = [_norm_estimate_by_loop(t, k, seed=seed) for t in family]
+    want = [_norm_estimate_by_loop(t, k, steps=steps) for t in family]
     assert all(e.value <= e.upper for e in want)
-    assert _op_norm_estimates(family, k, _NORM_BUDGET, seed) == want
-    assert [op_norm_estimate(t, k, seed=seed) for t in family] == want
+    assert _op_norm_estimates(family, k) == want
+    assert [op_norm_estimate(t, k) for t in family] == want
     if len(family) == 3:  # a projection family, with the bounds its callers pass
         u_sym, u_p, u_comp = _projection_uppers(family[0], family[2])
         uppers = [u_p, u_comp, u_sym]
-        want = [_norm_estimate_by_loop(t, k, seed=seed, upper=u)
+        want = [_norm_estimate_by_loop(t, k, upper=u, steps=steps)
                 for t, u in zip(family, uppers)]
-        assert _op_norm_estimates(family, k, _NORM_BUDGET, seed, uppers) == want
+        assert _op_norm_estimates(family, k, uppers) == want
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
-@pytest.mark.parametrize("kind", ["scalar_avg", "rank_one", "theta_q_3", "theta_q_4",
-                                  "transpose2"])
+@pytest.mark.parametrize("kind", NORM_KINDS)
 def test_lockstep_without_bounds_is_the_plain_ascent(kind, k):
     # upper = inf never closes a bracket: every start ascends, as before the bound
     family = _norm_family(kind)
     inf = [float("inf")] * len(family)
-    want = [_norm_estimate_by_loop(t, k, seed=3, upper=u) for t, u in zip(family, inf)]
-    assert _op_norm_estimates(family, k, _NORM_BUDGET, 3, inf) == want
+    want = [_norm_estimate_by_loop(t, k, upper=u) for t, u in zip(family, inf)]
+    assert _op_norm_estimates(family, k, inf) == want
     assert all(e.iterations > 0 for e in want)
+
+
+@pytest.mark.parametrize("c", [1.01, 2.0, 2j])
+def test_norm_estimate_reaches_the_e12_scale_on_a_proper_domain(c):
+    # ||T|| = |c| at level 1, attained at E12: the top Hilbert-Schmidt
+    # direction of T on span{I, E12}, so a fixed start finds it
+    est = op_norm_estimate(_unit_e12_map(c), 1)
+    assert est.value == pytest.approx(abs(c), abs=1e-12)
+    assert est.value <= est.upper
 
 
 def _close_to(bound, exact, t_map):
@@ -410,7 +461,7 @@ def test_norm_bracket_holds_on_random_maps(domain):
         t_map = LinearMapOnAlgebra(alg, alg, action)
         upper = _cb_upper(t_map)
         for k in (1, 2, 3):
-            est = op_norm_estimate(t_map, k, budget=60)
+            est = op_norm_estimate(t_map, k)
             assert est.upper == upper
             assert est.value <= est.upper
             if est.iterations == 0:
@@ -422,14 +473,14 @@ def test_norm_bracket_closes_at_the_unit_start():
         family = _norm_family(kind)
         u_sym, u_p, u_comp = _projection_uppers(family[0], family[2])
         for k in (1, 2, 3):
-            got = _op_norm_estimates(family, k, _NORM_BUDGET, 0, [u_p, u_comp, u_sym])
+            got = _op_norm_estimates(family, k, [u_p, u_comp, u_sym])
             assert [e.iterations for e in got] == [0, 0, 0]
             assert all(e.upper - e.value <= 2.0 * _cb_delta(family[0]) * e.upper
                        for e in got)
     # the scalar-averaging I - 2P has norm 1 < 2 = ||I - 2P||_cb at level 1
     family = _norm_family("scalar_avg")
     u_sym, u_p, u_comp = _projection_uppers(family[0], family[2])
-    sym = _op_norm_estimates(family, 1, _NORM_BUDGET, 0, [u_p, u_comp, u_sym])[2]
+    sym = _op_norm_estimates(family, 1, [u_p, u_comp, u_sym])[2]
     assert sym.iterations > 0
     assert sym.value == pytest.approx(1.0, abs=1e-9)
 
@@ -441,7 +492,7 @@ def test_norm_bracket_closes_mid_ascent(k):
     after that step, instead of running on to stationarity."""
     family = _norm_family("scalar_avg")
     u_sym, u_p, u_comp = _projection_uppers(family[0], family[2])
-    comp = _op_norm_estimates(family, k, _NORM_BUDGET, 0, [u_p, u_comp, u_sym])[1]
+    comp = _op_norm_estimates(family, k, [u_p, u_comp, u_sym])[1]
     assert comp.stationary and 0 < comp.iterations <= 6
     assert comp.upper - comp.value <= 2.0 * _cb_delta(family[0]) * comp.upper
     assert comp.value == pytest.approx(1.5, abs=1e-12)
@@ -459,16 +510,20 @@ def test_norm_estimates_exact_values():
             assert op_norm_estimate(p_map, k).value == pytest.approx(1.0, abs=1e-9)
 
 
-def test_norm_estimate_budget_edges():
-    with pytest.raises(InputError, match="budget"):
-        op_norm_estimate(transpose_map(2), 1, budget=0)
-    # below the six starts every ascent still runs up to 3 steps: the
-    # rank-one projection's I - P and I - 2P use all 3 at each start
+def test_norm_estimate_budget_edges(monkeypatch):
+    # with the step cap patched to 3 every ascent still matches the loop:
+    # the rank-one projection's I - P and I - 2P use all 3 steps at each of
+    # their five starts (the unit and the four Hilbert-Schmidt directions of M_2)
+    monkeypatch.setattr("realpos.maps._ASCENT_STEPS", 3)
     family = _norm_family("rank_one")
-    got = _op_norm_estimates(family, 1, 1, 5)
-    assert got == [_norm_estimate_by_loop(t, 1, budget=1, seed=5) for t in family]
-    assert [e.iterations for e in got][1:] == [3 * 6, 3 * 6]
+    got = _op_norm_estimates(family, 1)
+    assert got == [_norm_estimate_by_loop(t, 1, steps=3) for t in family]
+    assert [e.iterations for e in got][1:] == [3 * 5, 3 * 5]
     assert not got[2].stationary
+    # never more Hilbert-Schmidt starts than dim B: span{I, E12} gets the
+    # unit start and two more, and one capped step runs each start once
+    monkeypatch.setattr("realpos.maps._ASCENT_STEPS", 1)
+    assert _op_norm_estimates([_unit_e12_map(1.1)], 1, [float("inf")])[0].iterations == 3
 
 
 def test_rcp_cp_certificate():
@@ -526,7 +581,7 @@ def _criterion_12_maps():
 
 def _theta_q_projection(n, seed=5):
     theta, q, alg = _theta_q_fixture(rng_for(seed), n)
-    p_map, _ = build_symmetric_projection(theta, q, alg, levels=(1,), seed=seed)
+    p_map, _ = build_symmetric_projection(theta, q, alg, levels=(1,))
     return p_map
 
 
@@ -689,7 +744,7 @@ def test_rcp_certificates_agree_with_norm_ascent():
 def _accretive_sample(tk, rng):
     """Random accretive element of M_k(domain): the unit plus a random
     element of norm 1 (abscissa >= 1 - 1 = 0)."""
-    z = tk.random_element(rng)
+    z = _random_element(tk, rng)
     return tk.unit + z / max(operator_norm(z), 1e-30)
 
 
@@ -730,7 +785,7 @@ def _theta_q_m2_plus_m1(seed=0):
 
 def test_build_symmetric_projection_cert():
     theta, q, alg = _theta_q_m2_plus_m1(7)
-    p_map, cert = build_symmetric_projection(theta, q, alg, seed=2)
+    p_map, cert = build_symmetric_projection(theta, q, alg)
     assert cert.passed
     assert cert.idempotent_residual <= 1e-9
     assert all(v <= 1.0 + 1e-6 for v in cert.symmetry_norms.values())
@@ -766,7 +821,7 @@ def test_scalar_averaging_classification():
     alg = full_matrix_algebra(2)
     p_map = map_from_function(
         lambda m: np.trace(m) / 2.0 * np.eye(2, dtype=complex), alg)
-    c = classify_projection(p_map, seed=4)
+    c = classify_projection(p_map)
     assert c.symmetric
     assert not c.completely_symmetric
     # adjugate identity: I - 2P = -(Ad R) o transpose, so level 2 norm is 2
@@ -785,7 +840,7 @@ def test_classify_block_conditional_expectation():
     # expectation, completely symmetric (I - 2P = Ad diag(1,-1))
     alg = full_matrix_algebra(2)
     p_map = map_from_function(lambda m: np.diag(np.diag(m)).astype(complex), alg)
-    c = classify_projection(p_map, seed=4)
+    c = classify_projection(p_map)
     assert c.completely_symmetric
     assert c.conditional_expectation
     assert c.bicontractive
@@ -825,7 +880,7 @@ def test_classify_projection_stacks_match_loop(kind):
                                   full_matrix_algebra(2))
     else:  # the compared residuals are far from 0
         p_map = _rank_one_p()
-    c = classify_projection(p_map, levels=(1,), seed=1)
+    c = classify_projection(p_map, levels=(1,))
     ce, assoc, closed, kernel = _projection_residuals_by_loop(p_map)
     assert c.cond_exp_residual == pytest.approx(ce, rel=1e-12, abs=1e-14)
     assert c.induced_assoc_residual == pytest.approx(assoc, rel=1e-12, abs=1e-14)
@@ -844,6 +899,23 @@ def test_build_symmetric_projection_multiplicativity_matches_loop():
     q = np.diag([1.0, 0.0]).astype(complex)
     with pytest.raises(PreconditionError, match=f"not multiplicative: residual {worst:.3g}"):
         build_symmetric_projection(theta, q, alg)
+
+
+def test_projection_norm_checks_need_a_level():
+    # with no level every norm verdict held without a norm computed
+    with pytest.raises(InputError, match="level"):
+        classify_projection(_scalar_averaging_p(), levels=())
+    theta, q, alg = _theta_q_m2_plus_m1(7)
+    with pytest.raises(InputError, match="level"):
+        build_symmetric_projection(theta, q, alg, levels=())
+
+
+def test_symmetric_is_read_at_the_lowest_level():
+    # the scalar-averaging I - 2P has norm 1 at level 1 and 2 at level 2
+    c = classify_projection(_scalar_averaging_p(), levels=(3, 2))
+    assert not c.symmetric and not c.completely_symmetric
+    assert c.symmetric_levels[2] == pytest.approx(2.0, abs=1e-8)
+    assert classify_projection(_scalar_averaging_p(), levels=(2, 1)).symmetric
 
 
 def test_classify_rejects_non_idempotent():

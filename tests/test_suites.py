@@ -47,15 +47,17 @@ def test_proj_rcp_is_decided_by_choi_certificate(n):
 
 
 def test_transpose_fixture_only_with_rcp_alone():
-    reports, ok = run_suites(["rcp"], seed=0, count=1, n=2,
-                             fixture="transpose2")
-    assert ok and len(reports) == 1
-    assert reports[0].verdicts["witness_found"]
-    with pytest.raises(InputError):
-        run_suites(["rcp", "lump"], seed=0, count=1, n=2,
-                   fixture="transpose2")
-    with pytest.raises(InputError):
-        run_suites(["lump"], seed=0, count=1, n=2, fixture="transpose2")
+    # the last rcp instance of two or more is the 2x2 transpose, which must
+    # fail with a certified witness at level 2; a single instance is the identity
+    reports, ok = run_suites(["rcp"], seed=0, count=2, n=2)
+    assert ok and len(reports) == 2
+    last = reports[-1]
+    assert last.details["fixture"] == "transpose2"
+    assert last.verdicts == {"witness_found": True, "expected_failure": True,
+                             "certified": True}
+    assert last.details["witness_level"] == 2
+    assert [r.details["fixture"] for r in run_suite("rcp", seed=0, count=1, n=2)] == [
+        "identity"]
 
 
 def test_bad_options_rejected():
