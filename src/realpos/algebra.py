@@ -2,10 +2,12 @@
 idempotents, hereditary subalgebras, and the structural equivalences
 that accretive elements satisfy.
 
-Subalgebras are represented by explicit bases inside an ambient matrix
-algebra; span questions reduce to numerical rank decisions on stacked
-vectorisations, with an explicit ambiguity window that refuses to guess
-when singular values sit too close to the cut.
+Subalgebras are explicit bases inside an ambient matrix algebra (matrix
+units are set by indexing one (d, n, n) array), each factored once: one
+SVD of the normalised vectorisations decides independence and gives both
+the orthonormal span rows and the coordinate solver.  Span questions are
+numerical rank decisions with an explicit ambiguity window that refuses
+to guess when singular values sit too close to the cut.
 
 The structural certificates (basis closure, ideals, unit residuals) run
 on stacked ``(m, n, n)`` arrays: one matmul per right factor, then one
@@ -16,7 +18,6 @@ residuals between (d_A, n, n) stacks, so no triple product is formed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -143,18 +144,20 @@ class SubalgebraBasis:
         self.basis = mats
         self.unit = unit
 
-        stack = _stack(mats)
-        rank = _rank(np.linalg.svd(stack, compute_uv=False))
+        # one SVD u sv vh of the normalised rows decides independence and
+        # gives both the orthonormal span rows vh and the coordinate solver
+        cube = np.array(mats)
+        vecs = cube.reshape(len(mats), -1)
+        u, sv, vh = np.linalg.svd(_stack(vecs), full_matrices=False)
+        rank = _rank(sv)
         if rank != len(mats):
             raise InputError(
                 f"basis is not linearly independent: rank {rank} < {len(mats)} elements"
             )
-        # orthonormal row basis of the span, and the coordinate solver
-        cube = np.array(mats)
-        vecs = cube.reshape(len(mats), -1)
-        _, _, vh = np.linalg.svd(vecs, full_matrices=False)
-        self._span_q = vh[:rank]
-        self._pinv = np.linalg.pinv(vecs.T)
+        self._span_q = vh
+        # pinv(vecs.T) = diag(1/norms) conj(u) diag(1/sv) conj(vh) at full rank
+        self._pinv = (u.conj() / sv) @ vh.conj() / np.linalg.norm(vecs, axis=1)[:, None]
+        self._cols = vecs.T
 
         self.closure_residual = 0.0
         if validate:
@@ -178,11 +181,6 @@ class SubalgebraBasis:
     @property
     def n(self) -> int:
         return self.ambient.n
-
-    @cached_property
-    def _cols(self) -> np.ndarray:
-        """The vectorised basis matrices as the columns of an (n^2, dim) array."""
-        return np.array([_vec(b) for b in self.basis]).T
 
     def _project_vecs(self, v: np.ndarray) -> np.ndarray:
         """Orthogonal projection onto the span of vectorised matrices, one
@@ -213,17 +211,13 @@ class SubalgebraBasis:
     def coords(self, m):
         """Least-squares coordinates of m in the (original) basis,
         with the representation residual."""
-        return self._coords(as_matrix(m))
-
-    def _coords(self, a: np.ndarray):
-        v = _vec(a)
-        c = self._pinv @ v
-        res = float(np.linalg.norm(self._cols @ c - v))
-        return c, res
+        c, res = self._coords_stack(as_matrix(m)[None])
+        return c[:, 0], float(res[0])
 
     def _coords_stack(self, mats: np.ndarray):
-        """_coords of each matrix of an (m, n, n) stack: the (dim, m)
-        coordinate columns and the (m,) representation residuals."""
+        """Least-squares coordinates of each matrix of an (m, n, n) stack:
+        the (dim, m) coordinate columns and the (m,) representation
+        residuals."""
         v = mats.reshape(len(mats), -1).T
         c = self._pinv @ v
         return c, np.linalg.norm(self._cols @ c - v, axis=0)
@@ -242,47 +236,29 @@ def subalgebra(basis, ambient: AmbientContext | None = None, unit=None,
 
 
 def full_matrix_algebra(n: int) -> SubalgebraBasis:
-    """The full n-by-n algebra with its matrix-unit basis."""
-    n = int(n)
-    basis = []
-    for i in range(n):
-        for j in range(n):
-            e = np.zeros((n, n), dtype=complex)
-            e[i, j] = 1.0
-            basis.append(e)
-    return SubalgebraBasis(basis, ambient=full_context(n), unit=np.eye(n, dtype=complex),
-                           validate=False)
+    """The full n-by-n algebra with its matrix-unit basis E_ij, row-major."""
+    return block_diag_algebra([n])
 
 
 def diagonal_algebra(n: int) -> SubalgebraBasis:
-    """The diagonal (commutative) subalgebra of M_n."""
-    n = int(n)
-    basis = []
-    for i in range(n):
-        e = np.zeros((n, n), dtype=complex)
-        e[i, i] = 1.0
-        basis.append(e)
-    return SubalgebraBasis(basis, ambient=full_context(n), unit=np.eye(n, dtype=complex),
-                           validate=False)
+    """The diagonal (commutative) subalgebra of M_n, with basis E_ii."""
+    return block_diag_algebra([1] * int(n))
 
 
 def block_diag_algebra(sizes) -> SubalgebraBasis:
-    """M_{k_1} + ... + M_{k_m} embedded block-diagonally in M_n."""
-    sizes = [int(s) for s in sizes]
-    if any(s < 1 for s in sizes):
-        raise InputError("block sizes must be positive")
-    n = sum(sizes)
-    basis = []
-    off = 0
-    for s in sizes:
-        for i in range(s):
-            for j in range(s):
-                e = np.zeros((n, n), dtype=complex)
-                e[off + i, off + j] = 1.0
-                basis.append(e)
-        off += s
-    return SubalgebraBasis(basis, ambient=full_context(n), unit=np.eye(n, dtype=complex),
-                           validate=False)
+    """M_{k_1} + ... + M_{k_m} embedded block-diagonally in M_n, with the
+    matrix units of each block, row-major, block by block."""
+    k = np.asarray(sizes, dtype=int)
+    if k.ndim != 1 or k.size == 0 or np.any(k < 1):
+        raise InputError("block sizes must be a nonempty list of positive integers")
+    blk = np.repeat(np.arange(k.size), k)  # the block of each row and column
+    # the row-major order of the block-diagonal positions is block by block
+    rows, cols = np.nonzero(blk[:, None] == blk)
+    n = blk.size
+    units = np.zeros((len(rows), n, n), dtype=complex)
+    units[np.arange(len(rows)), rows, cols] = 1.0
+    return SubalgebraBasis(list(units), ambient=full_context(n),
+                           unit=np.eye(n, dtype=complex), validate=False)
 
 
 def _as_matrices(mats, name: str) -> list:
@@ -305,15 +281,9 @@ def span_contains(mats, m, tol: float = _SPAN_TOL) -> bool:
     a = as_matrix(m)
     if mats and mats[0].shape != a.shape:
         raise InputError(f"m has shape {a.shape}, the span elements {mats[0].shape}")
-    stack = _stack(mats)
-    v = _vec(a)
-    nv = np.linalg.norm(v)
-    if stack.shape[0] == 0:
-        return nv <= tol
-    _, sv, vh = np.linalg.svd(stack, full_matrices=False)
-    keep = vh[:_rank(sv)]
-    proj = (v @ keep.conj().T) @ keep
-    return float(np.linalg.norm(v - proj)) <= tol * (1.0 + nv)
+    if not mats:
+        return float(np.linalg.norm(a)) <= tol
+    return _worst_span_residual(_vec(a)[None], _ortho_matrices(mats, a.shape[0])) <= tol
 
 
 def _span_rank(mats) -> int:
@@ -500,7 +470,7 @@ def ws_suite(x, algebra: SubalgebraBasis, tol: Tolerances | None = None) -> Veri
     v1 = algebra._contains(s, 1e-7)
 
     # (iv): least squares for x y x = x over the algebra
-    cols = np.array([_vec(a @ b @ a) for b in algebra.basis]).T
+    cols = (a @ np.array(algebra.basis) @ a).reshape(algebra.dim, -1).T
     target = _vec(a)
     c, *_ = np.linalg.lstsq(cols, target, rcond=None)
     res_iv = float(np.linalg.norm(cols @ c - target))
@@ -512,11 +482,9 @@ def ws_suite(x, algebra: SubalgebraBasis, tol: Tolerances | None = None) -> Veri
     if d.nrm > t.eq_tol:
         gen = _ba(a, ctx, t)
         if gen.unit is not None:
-            u = gen.unit
-            cols_l = np.array([_vec(a @ b) for b in gen.basis]).T
-            cols_r = np.array([_vec(b @ a) for b in gen.basis]).T
-            m = np.concatenate([cols_l, cols_r], axis=0)
-            v = np.concatenate([_vec(u), _vec(u)])
+            cube = np.array(gen.basis)
+            m = np.concatenate([a @ cube, cube @ a], axis=1).reshape(gen.dim, -1).T
+            v = np.tile(_vec(gen.unit), 2)
             cz, *_ = np.linalg.lstsq(m, v, rcond=None)
             res_v = float(np.linalg.norm(m @ cz - v))
             v5 = res_v <= 1e-8 * (1.0 + np.linalg.norm(v))
@@ -620,10 +588,10 @@ def supp_order(x, y, algebra: SubalgebraBasis, tol: Tolerances | None = None) ->
     ctx = algebra.ambient
     ax, _, t, xc, _ = _element(x, ctx, tol, "supp_order")
     ay, _, _, yc, _ = _element(y, ctx, t, "supp_order", name="y")
-    xa = [ax @ b for b in algebra.basis]
-    ya = [ay @ b for b in algebra.basis]
+    cube = np.array(algebra.basis)
+    ya = ay @ cube
     r_ya = _span_rank(ya)
-    r_joint = _span_rank(ya + xa)
+    r_joint = _span_rank(np.concatenate([ya, ax @ cube]))
     contained = r_joint == r_ya
     sx = _support_idem(_deflate(xc, t), ctx).s
     sy = _support_idem(_deflate(yc, t), ctx).s
@@ -738,8 +706,7 @@ def idempotent_ideal(q, algebra: SubalgebraBasis, x=None,
         axm, _, _, xc, _ = _element(x, ctx, t, "idempotent_ideal")
         s = _support_idem(_deflate(xc, t), ctx).s
         if algebra._contains(s, 1e-7):
-            same = _spans_equal([axm @ b for b in algebra.basis],
-                                [s @ b for b in algebra.basis])
+            same = _spans_equal(axm @ cube, s @ cube)
             verdicts["xA_equals_sA"] = bool(same)
             details["support_in_algebra"] = True
         else:

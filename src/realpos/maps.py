@@ -150,19 +150,21 @@ def map_from_function(f, domain: SubalgebraBasis,
                       codomain: SubalgebraBasis | None = None) -> LinearMapOnAlgebra:
     """Build the coordinate action from a python function on matrices.
 
-    Every basis image must lie in the codomain span (checked)."""
+    Every basis image must be a codomain-size matrix in the codomain span
+    (checked); one stacked solve gives the coordinates of all images."""
     codomain = domain if codomain is None else codomain
-    cols = []
-    for i, b in enumerate(domain.basis):
-        img = as_matrix(f(b), f"image[{i}]")
-        c, res = codomain._coords(img)
-        if res > 1e-8 * (1.0 + np.linalg.norm(_vec(img))):
-            raise InputError(
-                f"image of basis element {i} lies outside the codomain span "
-                f"(residual {res:.3g})"
-            )
-        cols.append(c)
-    return LinearMapOnAlgebra(domain, codomain, np.array(cols).T)
+    n = codomain.n
+    images = [as_matrix(f(b), f"image[{i}]") for i, b in enumerate(domain.basis)]
+    bad = next((i for i, img in enumerate(images) if img.shape != (n, n)), None)
+    if bad is not None:
+        raise InputError(f"image[{bad}] has shape {images[bad].shape}, the codomain {n}x{n}")
+    stack = np.array(images)
+    cols, res = codomain._coords_stack(stack)
+    outside = np.flatnonzero(res > 1e-8 * (1.0 + np.linalg.norm(stack, axis=(1, 2))))
+    if outside.size:
+        raise InputError(f"image of basis element {outside[0]} lies outside the codomain "
+                         f"span (residual {res[outside[0]]:.3g})")
+    return LinearMapOnAlgebra(domain, codomain, cols)
 
 
 def map_from_kraus(ops, n: int) -> LinearMapOnAlgebra:
@@ -325,21 +327,16 @@ def kraus_factor(t_map: LinearMapOnAlgebra, tol: Tolerances | None = None):
     n, m = verdict.choi.n_in, verdict.choi.n_out
     w, vecs = np.linalg.eigh(_herm_part(verdict.choi.c))
     cutoff = max(t.psd_tol, 1e-12 * max(float(w[-1]), 0.0))
-    ops = []
-    for idx in range(len(w) - 1, -1, -1):
-        if w[idx] <= cutoff:
-            break
-        y = math.sqrt(float(w[idx])) * vecs[:, idx]
-        v_fac = y.reshape(n, m).T  # m x n, block i of y = column i
-        ops.append(v_fac.conj().T)  # convention: T(a) = sum op^* a op
+    # op = conj(y) as an n x m matrix for each eigenvector y above the cutoff, top first
+    top = np.flatnonzero(w > cutoff)[::-1]
+    o = (vecs[:, top] * np.sqrt(w[top])).T.conj().reshape(-1, n, m)
     units = np.eye(n * n, dtype=complex).reshape(n * n, n, n)  # [i n + j] = E_ij
-    o = np.array(ops, dtype=complex).reshape(-1, n, m)
     # sum_l op_l^* E_ij op_l has entry (a, b) = sum_l conj(op_l[i, a]) op_l[j, b]
     rebuilt = np.einsum("lia,ljb->ijab", o.conj(), o).reshape(n * n, m, m)
     worst = _max_op_norm(t_map._apply_stack(units) - rebuilt)
     if worst > 1e-8:
         raise NumericError(f"Kraus reconstruction residual {worst:.3g} exceeds 1e-8")
-    return ops, float(worst)
+    return list(o), float(worst)
 
 
 # ---------------------------------------------------------------------------
@@ -913,10 +910,7 @@ def classify_projection(p_map: LinearMapOnAlgebra, levels=(1, 2, 3),
             p_map._apply_stack(p_pp @ pc) - p_map._apply_stack(_products(p_of, p_bc))))
     cond_exp = worst_ce <= 1e-9
 
-    try:
-        range_closed = _spans_equal(p_of, np.concatenate([p_of, pp[_norm2(pp) > 1e-12]]))
-    except NumericError:
-        range_closed = False
+    range_closed = _spans_equal(p_of, np.concatenate([p_of, pp[_norm2(pp) > 1e-12]]))
 
     # kernel basis from the SVD null space of the (square) action
     _, sv, vh = np.linalg.svd(act)

@@ -121,21 +121,21 @@ def suite_sectt(seed: int, count: int, n: int, tol: Tolerances) -> list:
             continue
         cones_mod._require_in(x, tol, "power_shifted")
         d = calc_mod._deflate(x, tol)
+        # an undefined angle of x^t fails every law that reads it (residual -1.0)
         angles = {}
         for t_exp in t_grid:
-            ay = sectorial_angle(d.shifted(t_exp), tol).angle
-            angles[t_exp] = ay = 0.0 if ay is None else ay
-            sharp = ay <= t_exp * ang + 1e-6
-            generic = ay <= t_exp * ang + (1.0 - t_exp) * np.pi / 2 + 1e-6
+            ay = angles[t_exp] = sectorial_angle(d.shifted(t_exp), tol).angle
+            sharp = ay is not None and ay <= t_exp * ang + 1e-6
+            generic = ay is not None and ay <= t_exp * ang + (1.0 - t_exp) * np.pi / 2 + 1e-6
             verdicts[f"sharp_t={t_exp:g}"] = bool(sharp)
             verdicts[f"generic_t={t_exp:g}"] = bool(generic)
-            residuals[f"angle_t={t_exp:g}"] = float(ay)
+            residuals[f"angle_t={t_exp:g}"] = -1.0 if ay is None else float(ay)
             passed = passed and sharp and generic
         for nn in (2, 4):
             ay = angles[1.0 / nn]
-            ok = ay <= np.pi / (2 * nn) + 1e-6
+            ok = ay is not None and ay <= np.pi / (2 * nn) + 1e-6
             verdicts[f"root_n={nn}"] = bool(ok)
-            residuals[f"root_angle_n={nn}"] = float(ay)
+            residuals[f"root_angle_n={nn}"] = -1.0 if ay is None else float(ay)
             passed = passed and ok
         residuals["angle"] = float(ang)
         rep = VerificationReport(check="sectt", passed=passed, verdicts=verdicts,

@@ -28,6 +28,7 @@ from realpos.algebra import (
 )
 from realpos.errors import InputError, NumericError, PreconditionError
 from realpos.linalg import operator_norm, random_accretive, random_contraction, random_unitary
+from realpos.maps import map_from_function
 
 
 def test_standard_algebras():
@@ -38,6 +39,69 @@ def test_standard_algebras():
     b = block_diag_algebra([2, 1])
     assert b.dim == 5
     assert b.unit is not None
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_full_and_diagonal_algebras_are_ordered_matrix_units(n):
+    units = np.eye(n * n, dtype=complex).reshape(n * n, n, n)  # [i n + j] = E_ij
+    assert np.array_equal(np.array(full_matrix_algebra(n).basis), units)
+    assert np.array_equal(np.array(diagonal_algebra(n).basis), units[::n + 1])
+
+
+def test_block_diag_algebra_lists_each_block_row_major():
+    expected = []
+    off = 0
+    for s in (2, 1, 3):
+        for i in range(s):
+            for j in range(s):
+                e = np.zeros((6, 6), dtype=complex)
+                e[off + i, off + j] = 1.0
+                expected.append(e)
+        off += s
+    b = block_diag_algebra([2, 1, 3])
+    assert np.array_equal(np.array(b.basis), np.array(expected))
+    assert np.array_equal(b.unit, np.eye(6))
+
+
+@pytest.mark.parametrize("sizes", [[], [2, 0]])
+def test_block_diag_algebra_rejects_empty_blocks(sizes):
+    with pytest.raises(InputError):
+        block_diag_algebra(sizes)
+
+
+def _scaled_upper_triangular_basis(rng):
+    """A non-orthogonal basis of the upper-triangular 3x3 algebra whose
+    elements have Frobenius norms from 1e-6 to 1e6."""
+    units = np.eye(9, dtype=complex).reshape(9, 3, 3)[[0, 1, 2, 4, 5, 8]]
+    mix = np.eye(6) + 0.5 * rng.standard_normal((6, 6))
+    cube = np.tensordot(mix, units, axes=1)
+    cube /= np.linalg.norm(cube.reshape(6, -1), axis=1)[:, None, None]
+    return list(cube * np.logspace(-6, 6, 6)[:, None, None])
+
+
+def _lstsq_equilibrated(cols, rhs):
+    """np.linalg.lstsq on the unit-norm columns, rescaled: on the raw
+    columns (condition number ~1e12) lstsq itself is off by ~1e-6."""
+    nrm = np.linalg.norm(cols, axis=0)
+    return (np.linalg.lstsq(cols / nrm, rhs, rcond=None)[0].T / nrm).T
+
+
+def test_coords_and_map_actions_match_lstsq_on_a_scaled_non_orthogonal_basis():
+    rng = np.random.default_rng(5)
+    basis = _scaled_upper_triangular_basis(rng)
+    alg = SubalgebraBasis(basis)
+    cols = np.array(basis).reshape(6, -1).T
+    for _ in range(3):
+        m = np.triu(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+        c, res = alg.coords(m)
+        assert np.allclose(c, _lstsq_equilibrated(cols, m.ravel()), rtol=1e-10, atol=0)
+        assert res <= 1e-10 * np.linalg.norm(m)
+    # a similarity by an invertible upper-triangular g maps the algebra to itself
+    g = np.triu(rng.standard_normal((3, 3))) + 3.0 * np.eye(3)
+    g_inv = np.linalg.inv(g)
+    t_map = map_from_function(lambda m: g @ m @ g_inv, alg)
+    images = np.array([(g @ b @ g_inv).ravel() for b in basis]).T
+    assert np.allclose(t_map.action, _lstsq_equilibrated(cols, images), rtol=1e-10, atol=0)
 
 
 def test_subalgebra_rejects_non_closed_span():

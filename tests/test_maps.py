@@ -10,7 +10,8 @@ from realpos.algebra import (
     spans_equal,
     subalgebra,
 )
-from realpos.errors import InputError, PreconditionError, UnsupportedError
+from realpos import maps
+from realpos.errors import InputError, NumericError, PreconditionError, UnsupportedError
 from realpos.linalg import operator_norm, random_matrix, random_unitary, rng_for
 from realpos.maps import (
     LinearMapOnAlgebra,
@@ -27,7 +28,7 @@ from realpos.maps import (
     rcp_test,
     transpose_map,
 )
-from realpos.linalg import _norm2
+from realpos.linalg import _herm_part, _norm2
 from realpos.maps import (
     _ASCENT_STEPS,
     _MAX_STARTS,
@@ -104,6 +105,12 @@ def test_kraus_roundtrip_random_cp():
     t_map = map_from_kraus(ops, 3)
     kops, res = kraus_factor(t_map)
     assert res <= 1e-8
+    # the per-eigenvector loop, top eigenvalue first, gives the same factors
+    w, vecs = np.linalg.eigh(_herm_part(choi_matrix(t_map).c))
+    assert len(kops) == 2
+    for idx, o in zip((-1, -2), kops):
+        y = np.sqrt(w[idx]) * vecs[:, idx]
+        assert np.array_equal(o, y.reshape(3, 3).T.conj().T)
     a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     rebuilt = sum(o.conj().T @ a @ o for o in kops)
     assert np.allclose(rebuilt, t_map.apply(a), atol=1e-8)
@@ -245,6 +252,11 @@ def test_map_from_function_validates_codomain():
     d = diagonal_algebra(2)
     with pytest.raises(InputError):
         map_from_function(lambda m: np.array([[0, m[0, 0]], [0, 0]], dtype=complex), d)
+    # the error names the first image outside the span, or of the wrong size
+    with pytest.raises(InputError, match="basis element 1 "):
+        map_from_function(lambda m: m + m[1, 1] * np.array([[0, 1.0], [0, 0]]), d)
+    with pytest.raises(InputError, match=r"image\[0\] has shape \(3, 3\)"):
+        map_from_function(lambda m: np.eye(3), d)
 
 
 def test_op_norm_transpose_levels():
@@ -833,6 +845,17 @@ def test_scalar_averaging_classification():
     assert c.contractive
     assert c.range_product_closed
     assert c.induced_assoc_residual <= 1e-10
+
+
+def test_classify_projection_propagates_an_ambiguous_range_closure(monkeypatch):
+    def ambiguous(*args):
+        raise NumericError("span rank decision is ambiguous")
+
+    p_map = map_from_function(lambda m: np.diag(np.diag(m)).astype(complex),
+                              full_matrix_algebra(2))
+    monkeypatch.setattr(maps, "_spans_equal", ambiguous)
+    with pytest.raises(NumericError, match="ambiguous"):
+        classify_projection(p_map, levels=(1,))
 
 
 def test_classify_block_conditional_expectation():

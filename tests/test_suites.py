@@ -1,5 +1,7 @@
 """Verification suites: every suite passes at small scale, runs are
 deterministic, and option validation is enforced."""
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,28 @@ def test_bal_records_the_accepted_node_count_per_exponent():
     for rep in run_suite("bal", seed=3, count=2, n=3):
         assert rep.passed
         assert rep.details == {"nodes_r=0.3": 64, "nodes_r=0.7": 64}
+
+
+def test_sectt_fails_an_undefined_angle_of_a_power(monkeypatch):
+    inputs = []
+    real_accretive, real_angle = suites.random_accretive, suites.sectorial_angle
+
+    def accretive(n, rng, **kw):
+        inputs.append(real_accretive(n, rng, **kw))
+        return inputs[-1]
+
+    def angle(x, tol):  # defined on the inputs, undefined on their powers
+        return real_angle(x, tol) if x is inputs[-1] else SimpleNamespace(angle=None)
+
+    monkeypatch.setattr(suites, "random_accretive", accretive)
+    monkeypatch.setattr(suites, "sectorial_angle", angle)
+    for rep in run_suite("sectt", seed=3, count=2, n=3):
+        assert not rep.passed and not any(rep.verdicts.values())
+        assert len(rep.verdicts) == 8
+        assert {k: v for k, v in rep.residuals.items() if k != "angle"} == {
+            **{f"angle_t={t:g}": -1.0 for t in (0.25, 0.5, 0.75)},
+            **{f"root_angle_n={nn}": -1.0 for nn in (2, 4)}}
+        assert rep.residuals["angle"] >= 0.0
 
 
 def test_bal_propagates_a_non_accretive_input(monkeypatch):
