@@ -24,7 +24,7 @@ import numpy as np
 from .calculus import _deflate, _f_transform
 from .cones import AmbientContext, _element, _membership, full_context
 from .errors import InputError, MethodDisagreementError, NumericError, PreconditionError
-from .linalg import Tolerances, _norm2, as_matrix, resolve_tol
+from .linalg import Tolerances, _as_positive_int, _as_sized, _norm2, as_matrix, resolve_tol
 from .report import VerificationReport, matrix_digest
 
 __all__ = [
@@ -191,8 +191,9 @@ class SubalgebraBasis:
         v = _vec(m)
         return float(np.linalg.norm(v - self._project_vecs(v)))
 
-    def contains(self, m, tol: float = _SPAN_TOL) -> bool:
-        return self._contains(as_matrix(m), tol)
+    def contains(self, m) -> bool:
+        """Does m lie in the span (relative residual <= _SPAN_TOL)?"""
+        return self._contains(_as_sized(m, self.n, "m"), _SPAN_TOL)
 
     def _contains(self, a: np.ndarray, tol: float) -> bool:
         return self._span_distance(a) <= tol * (1.0 + np.linalg.norm(_vec(a)))
@@ -211,7 +212,7 @@ class SubalgebraBasis:
     def coords(self, m):
         """Least-squares coordinates of m in the (original) basis,
         with the representation residual."""
-        c, res = self._coords_stack(as_matrix(m)[None])
+        c, res = self._coords_stack(_as_sized(m, self.n, "m")[None])
         return c[:, 0], float(res[0])
 
     def _coords_stack(self, mats: np.ndarray):
@@ -223,7 +224,7 @@ class SubalgebraBasis:
         return c, np.linalg.norm(self._cols @ c - v, axis=0)
 
     def project(self, m) -> np.ndarray:
-        return self._project_vecs(_vec(as_matrix(m))).reshape(self.n, self.n)
+        return self._project_vecs(_vec(_as_sized(m, self.n, "m"))).reshape(self.n, self.n)
 
     def __repr__(self):
         return f"SubalgebraBasis(dim={self.dim}, n={self.n}, unit={'yes' if self.unit is not None else 'no'})"
@@ -242,15 +243,16 @@ def full_matrix_algebra(n: int) -> SubalgebraBasis:
 
 def diagonal_algebra(n: int) -> SubalgebraBasis:
     """The diagonal (commutative) subalgebra of M_n, with basis E_ii."""
-    return block_diag_algebra([1] * int(n))
+    return block_diag_algebra([1] * _as_positive_int(n, "n"))
 
 
 def block_diag_algebra(sizes) -> SubalgebraBasis:
     """M_{k_1} + ... + M_{k_m} embedded block-diagonally in M_n, with the
     matrix units of each block, row-major, block by block."""
-    k = np.asarray(sizes, dtype=int)
-    if k.ndim != 1 or k.size == 0 or np.any(k < 1):
+    k = np.asarray(sizes, dtype=object)
+    if k.ndim != 1 or k.size == 0:
         raise InputError("block sizes must be a nonempty list of positive integers")
+    k = np.array([_as_positive_int(s, "block size") for s in k])
     blk = np.repeat(np.arange(k.size), k)  # the block of each row and column
     # the row-major order of the block-diagonal positions is block by block
     rows, cols = np.nonzero(blk[:, None] == blk)
@@ -272,18 +274,17 @@ def _as_matrices(mats, name: str) -> list:
     return out
 
 
-def span_contains(mats, m, tol: float = _SPAN_TOL) -> bool:
-    """Does m lie in the linear span of mats (relative residual <= tol)?
-    An ambiguous rank of mats raises NumericError, as in spans_equal."""
+def span_contains(mats, m) -> bool:
+    """Does m lie in the linear span of mats (relative residual <=
+    _SPAN_TOL)?  An ambiguous rank of mats raises NumericError, as in
+    spans_equal."""
     if isinstance(mats, SubalgebraBasis):
-        return mats.contains(m, tol)
+        return mats.contains(m)
     mats = _as_matrices(mats, "mats")
-    a = as_matrix(m)
-    if mats and mats[0].shape != a.shape:
-        raise InputError(f"m has shape {a.shape}, the span elements {mats[0].shape}")
     if not mats:
-        return float(np.linalg.norm(a)) <= tol
-    return _worst_span_residual(_vec(a)[None], _ortho_matrices(mats, a.shape[0])) <= tol
+        return float(np.linalg.norm(as_matrix(m, "m"))) <= _SPAN_TOL
+    a = _as_sized(m, mats[0].shape[0], "m")
+    return _worst_span_residual(_vec(a)[None], _ortho_matrices(mats, a.shape[0])) <= _SPAN_TOL
 
 
 def _span_rank(mats) -> int:

@@ -13,9 +13,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
-from .algebra import SubalgebraBasis, block_diag_algebra
 from .calculus import (
     power_all_methods,
     power_balakrishnan,
@@ -36,12 +33,9 @@ from .linalg import (
     random_accretive,
     random_contraction,
     random_idempotent,
-    random_unitary,
-    rng_for,
 )
 from .numrange import abscissa, boundary, sectorial_angle
 from .serialize import (
-    algebra_to_obj,
     boundary_csv,
     boundary_svg,
     dump_json,
@@ -60,29 +54,6 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 EXIT_PRECONDITION = 4
 EXIT_DISAGREEMENT = 5
-
-_TOL_FIELDS = ("eq_tol", "psd_tol", "conv_tol")
-
-
-def _parse_tol_overrides(pairs) -> Tolerances:
-    base = Tolerances()
-    if not pairs:
-        return base
-    values = {f: getattr(base, f) for f in _TOL_FIELDS}
-    for item in pairs:
-        if "=" not in item:
-            raise InputError(f"--tol expects name=value, got {item!r}")
-        name, _, raw = item.partition("=")
-        name = name.strip()
-        if name not in _TOL_FIELDS:
-            raise InputError(
-                f"unknown tolerance {name!r}; expected one of {', '.join(_TOL_FIELDS)}"
-            )
-        try:
-            values[name] = float(raw)
-        except ValueError as exc:
-            raise InputError(f"--tol {name}: {raw!r} is not a number") from exc
-    return Tolerances(**values)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -110,11 +81,10 @@ def build_parser() -> argparse.ArgumentParser:
     vf.add_argument("--seed", type=int, default=0)
     vf.add_argument("--count", type=int, default=50)
     vf.add_argument("--n", type=int, default=4)
-    vf.add_argument("--tol", action="append", default=[], metavar="NAME=VALUE")
     vf.add_argument("--report", help="write the JSON report file here")
 
     rd = sub.add_parser("random", help="seeded instance generation")
-    rd.add_argument("kind", choices=("accretive", "contraction", "idempotent", "algebra"))
+    rd.add_argument("kind", choices=("accretive", "contraction", "idempotent"))
     rd.add_argument("--n", type=int, default=4)
     rd.add_argument("--seed", type=int, default=0)
     rd.add_argument("--out", help="write the JSON here (default: stdout)")
@@ -123,8 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_nrange(args) -> int:
     x = read_matrix(args.matrix)
-    if x.shape[0] != x.shape[1]:
-        raise InputError(f"nrange needs a square matrix, got shape {x.shape}")
     rb = boundary(x, m=args.m)
     if args.csv:
         boundary_csv(rb, args.csv)
@@ -167,7 +135,7 @@ def _cmd_power(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    tol = _parse_tol_overrides(args.tol)
+    tol = Tolerances()
     reports, ok = run_suites([args.suite], seed=args.seed, count=args.count,
                              n=args.n, tol=tol)
     by_suite = {}
@@ -202,25 +170,9 @@ def _cmd_random(args) -> int:
     n, seed = args.n, args.seed
     if n < 1:
         raise InputError(f"--n must be >= 1, got {n}")
-    if args.kind == "accretive":
-        obj = matrix_to_obj(random_accretive(n, seed))
-    elif args.kind == "contraction":
-        obj = matrix_to_obj(random_contraction(n, seed))
-    elif args.kind == "idempotent":
-        obj = matrix_to_obj(random_idempotent(n, seed))
-    else:
-        rng = rng_for(seed)
-        sizes = []
-        left = n
-        while left > 0:
-            s = int(rng.integers(1, left + 1))
-            sizes.append(s)
-            left -= s
-        u = random_unitary(n, rng)
-        basis = [u @ e @ u.conj().T for e in block_diag_algebra(sizes).basis]
-        alg = SubalgebraBasis(basis, unit=np.eye(n, dtype=complex), validate=False)
-        obj = algebra_to_obj(alg)
-        obj["block_sizes"] = [int(s) for s in sizes]
+    gen = {"accretive": random_accretive, "contraction": random_contraction,
+           "idempotent": random_idempotent}[args.kind]
+    obj = matrix_to_obj(gen(n, seed))
     if args.out:
         dump_json(obj, args.out)
         print(f"wrote {args.out}")

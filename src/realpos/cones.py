@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericError, PreconditionError
-from .linalg import Tolerances, _matrix_exp, _norm2, as_matrix, resolve_tol
+from .linalg import Tolerances, _as_positive_int, _matrix_exp, _norm2, as_matrix, resolve_tol
 from .numrange import _abscissa
 from .report import VerificationReport, matrix_digest
 
@@ -114,9 +114,7 @@ class AmbientContext:
 
 
 def full_context(n: int) -> AmbientContext:
-    n = int(n)
-    if n < 1:
-        raise InputError(f"ambient dimension must be >= 1, got {n}")
+    n = _as_positive_int(n, "ambient dimension")
     return AmbientContext(n=n, unit=np.eye(n, dtype=complex), mode="full",
                           isometry=np.eye(n, dtype=complex))
 

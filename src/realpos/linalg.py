@@ -87,6 +87,22 @@ def as_matrix(x, name: str = "x") -> np.ndarray:
     return a
 
 
+def _as_sized(x, n: int, name: str = "x") -> np.ndarray:
+    """as_matrix(x, name), which must moreover be n-by-n."""
+    a = as_matrix(x, name)
+    if a.shape[0] != n:
+        raise InputError(f"{name} is {a.shape[0]}x{a.shape[0]}, expected {n}x{n}")
+    return a
+
+
+def _as_positive_int(v, what: str) -> int:
+    """v as an int >= 1; InputError for anything else, a bool, a float
+    or a numeric string included."""
+    if isinstance(v, (bool, np.bool_)) or not isinstance(v, (int, np.integer)) or v < 1:
+        raise InputError(f"{what} must be an integer >= 1, got {v!r}")
+    return int(v)
+
+
 def _norm2(a: np.ndarray):
     """Largest singular value of a matrix (a float) or of each matrix in
     an (m, k, k) stack (an array), bitwise the value of
@@ -156,11 +172,11 @@ def rng_for(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def random_matrix(n: int, seed, scale: float = 1.0) -> np.ndarray:
-    """Complex Ginibre matrix, entries N(0,1/2n) + i N(0,1/2n), times scale."""
+def random_matrix(n: int, seed) -> np.ndarray:
+    """Complex Ginibre matrix, entries N(0,1/2n) + i N(0,1/2n)."""
     rng = seed if isinstance(seed, np.random.Generator) else rng_for(seed)
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return scale * g / np.sqrt(2.0 * n)
+    return g / np.sqrt(2.0 * n)
 
 
 def random_unitary(n: int, seed) -> np.ndarray:
@@ -217,12 +233,12 @@ def random_contraction(n: int, seed, norm: float | None = None) -> np.ndarray:
     return g * (target / nrm) if nrm > 0 else g
 
 
-def random_idempotent(n: int, seed, rank: int | None = None,
-                      cond_cap: float = 1e3) -> np.ndarray:
+def random_idempotent(n: int, seed, rank: int | None = None) -> np.ndarray:
     """Random similarity S P S^{-1} of a Hermitian projection P.
 
     The similarity is built as Q1 diag(s) Q2* with log-uniform singular
-    values, so cond(S) <= cond_cap by construction.
+    values between 1e3^(-1/2) and 1e3^(1/2), so cond(S) <= 1e3 by
+    construction.
     """
     rng = seed if isinstance(seed, np.random.Generator) else rng_for(seed)
     r = int(rng.integers(0, n + 1)) if rank is None else int(rank)
@@ -232,7 +248,7 @@ def random_idempotent(n: int, seed, rank: int | None = None,
     p[:r, :r] = np.eye(r)
     q1 = random_unitary(n, rng)
     q2 = random_unitary(n, rng)
-    half = np.sqrt(cond_cap)
+    half = np.sqrt(1e3)
     s = np.exp(rng.uniform(-np.log(half), np.log(half), size=n))
     sim = (q1 * s) @ q2.conj().T
     return sim @ p @ np.linalg.inv(sim)

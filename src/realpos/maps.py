@@ -36,6 +36,8 @@ from .algebra import (
 from .errors import InputError, NumericError, PreconditionError, UnsupportedError
 from .linalg import (
     Tolerances,
+    _as_positive_int,
+    _as_sized,
     _herm_part,
     _norm2,
     as_matrix,
@@ -99,7 +101,7 @@ class LinearMapOnAlgebra:
         return self.domain.dim == self.domain.n ** 2
 
     def apply(self, a) -> np.ndarray:
-        m = as_matrix(a)
+        m = _as_sized(a, self.domain.n)
         if not self.full_domain:
             res = self.domain._span_distance(m)
             if res > 1e-7 * (1.0 + np.linalg.norm(_vec(m))):
@@ -222,7 +224,7 @@ class AmplifiedMap:
         return rows.reshape(*lead, k, k, n, n).swapaxes(-3, -2).reshape(*lead, k * n, k * n)
 
     def apply(self, x) -> np.ndarray:
-        a = as_matrix(x)
+        a = _as_sized(x, self.n_in)
         if not self.full_domain:
             rows = self._blocks(a)
             res = float(np.linalg.norm(rows - self.base.domain._project_vecs(rows)))
@@ -250,9 +252,7 @@ class AmplifiedMap:
 def amplify(t_map: LinearMapOnAlgebra, k: int) -> AmplifiedMap:
     """The matrix-level amplification T_k = id_{M_k} tensor T, acting
     blockwise on M_k(span(domain)); the level k is an integer >= 1."""
-    if isinstance(k, (bool, np.bool_)) or not isinstance(k, (int, np.integer)) or k < 1:
-        raise InputError(f"amplification level must be an integer >= 1, got {k!r}")
-    return AmplifiedMap(t_map, int(k))
+    return AmplifiedMap(t_map, _as_positive_int(k, "amplification level"))
 
 
 def _unit_pairing(k: int, n: int, swap: bool = False) -> np.ndarray:
@@ -695,13 +695,8 @@ def rcp_test(t_map: LinearMapOnAlgebra, tol: Tolerances | None = None) -> RcpVer
 # symmetric projections
 # ---------------------------------------------------------------------------
 
-def _norm_levels(levels) -> tuple:
-    """levels as a tuple; InputError when there is none, since every norm
-    verdict over no level would hold without a norm computed."""
-    levels = tuple(levels)
-    if not levels:
-        raise InputError("levels must name at least one matrix level")
-    return levels
+#: the matrix levels k at which projections have their norms estimated
+_LEVELS = (1, 2, 3)
 
 
 def _projection_uppers(p_map: LinearMapOnAlgebra, sym_map: LinearMapOnAlgebra) -> tuple:
@@ -729,7 +724,7 @@ class SymmetricProjectionCert:
 
 
 def build_symmetric_projection(theta: LinearMapOnAlgebra, q, algebra: SubalgebraBasis,
-                               tol: Tolerances | None = None, levels=(1, 2, 3)):
+                               tol: Tolerances | None = None):
     """P(a) = (a + theta(a)(2q - 1)) / 2 for a period-2 multiplicative
     symmetry theta fixing the Hermitian idempotent q.
 
@@ -738,19 +733,17 @@ def build_symmetric_projection(theta: LinearMapOnAlgebra, q, algebra: Subalgebra
     on the basis; q is an idempotent in the span with theta(q) = q.
 
     Returns (P, cert) with certificates: P idempotent; ||I - 2P||, ||P||
-    and ||I - P|| estimated at the requested matrix levels (at least one,
-    else InputError; the lower ends of their brackets, with the upper
-    bounds of _projection_uppers computed once for all levels, so a family
-    that meets them at the unit start runs no ascent); the certified RCP
-    verdict of rcp_test on P, which covers every matrix level; the range
-    of P equals the theta-fixed points compressed to the q corner; and P
-    vanishes on the complementary corner pieces (this last certificate
-    holds when theta acts as the identity on the complement, the
-    compatibility the construction needs to be a projection onto a
-    hereditary piece).
+    and ||I - P|| estimated at the matrix levels 1, 2 and 3 (the lower ends
+    of their brackets, with the upper bounds of _projection_uppers computed
+    once for all levels, so a family that meets them at the unit start
+    runs no ascent); the certified RCP verdict of rcp_test on P, which
+    covers every matrix level; the range of P equals the theta-fixed
+    points compressed to the q corner; and P vanishes on the
+    complementary corner pieces (this last certificate holds when theta
+    acts as the identity on the complement, the compatibility the
+    construction needs to be a projection onto a hereditary piece).
     """
     t = resolve_tol(tol)
-    levels = _norm_levels(levels)
     qm = as_matrix(q, "q")
     cube = np.array(algebra.basis)
     scale = 1.0 + _max_op_norm(cube)
@@ -793,7 +786,7 @@ def build_symmetric_projection(theta: LinearMapOnAlgebra, q, algebra: Subalgebra
     comp_map = map_affine_combo(p_map, 1.0, -1.0)
     u_sym, u_p, u_comp = _projection_uppers(p_map, sym_map)
     sym_norms, p_norms, comp_norms = {}, {}, {}
-    for k in levels:
+    for k in _LEVELS:
         sym_norms[k], p_norms[k], comp_norms[k] = (e.value for e in _op_norm_estimates(
             [sym_map, p_map, comp_map], k, [u_sym, u_p, u_comp]))
     rcp = rcp_test(p_map, tol=t)
@@ -837,11 +830,11 @@ def build_symmetric_projection(theta: LinearMapOnAlgebra, q, algebra: Subalgebra
 class ProjectionClassification:
     """Diagnostic profile of an idempotent linear map on an algebra.
 
-    symmetric is the statement ||(I - 2P)_k|| <= 1 + 1e-6 read at the
-    lowest requested level k = min(levels) (level 1 by default); the
-    per-level norm estimates are recorded separately since symmetries
-    need not be completely contractive (the scalar-averaging projection
-    on M_2 is the standard example: level 1 norm 1, level 2 norm 2)."""
+    symmetric is the statement ||I - 2P|| <= 1 + 1e-6 read at level 1;
+    the norm estimates at levels 1, 2 and 3 are recorded separately, and
+    completely_symmetric reads all three, since symmetries need not be
+    completely contractive (the scalar-averaging projection on M_2 is the
+    standard example: level 1 norm 1, level 2 norm 2)."""
 
     idempotent_residual: float
     contractive_levels: dict
@@ -860,11 +853,11 @@ class ProjectionClassification:
     kernel_square_zero: bool
 
 
-def classify_projection(p_map: LinearMapOnAlgebra, levels=(1, 2, 3),
+def classify_projection(p_map: LinearMapOnAlgebra,
                         tol: Tolerances | None = None) -> ProjectionClassification:
     """Classify an idempotent map: contractivity per level, bicontractivity,
-    symmetry (at the given levels, at least one, else InputError; each
-    judged on the lower end of the norm bracket of P, I - P or I - 2P; the
+    symmetry (at the levels 1, 2 and 3, each judged on the lower end of
+    the norm bracket of P, I - P or I - 2P; the
     upper bounds of _projection_uppers are computed once for all levels and
     let the ascent stop at the unit start when met), the RCP verdict of
     rcp_test (for every level at once), the conditional-expectation
@@ -872,7 +865,6 @@ def classify_projection(p_map: LinearMapOnAlgebra, levels=(1, 2, 3),
     range, associativity of the induced product a o b = P(ab), and
     square-zero behaviour of the kernel."""
     t = resolve_tol(tol)
-    levels = _norm_levels(levels)
     if p_map.domain.dim != p_map.codomain.dim:
         raise PreconditionError("classify_projection needs an endomorphism")
     act = p_map.action
@@ -886,12 +878,12 @@ def classify_projection(p_map: LinearMapOnAlgebra, levels=(1, 2, 3),
     sym = map_affine_combo(p_map, 1.0, -2.0)
     u_sym, u_p, u_comp = _projection_uppers(p_map, sym)
     contr, bicon, symn = {}, {}, {}
-    for k in levels:
+    for k in _LEVELS:
         contr[k], bicon[k], symn[k] = (e.value for e in _op_norm_estimates(
             [p_map, comp, sym], k, [u_p, u_comp, u_sym]))
     contractive = all(v <= 1.0 + 1e-6 for v in contr.values())
     bicontractive = contractive and all(v <= 1.0 + 1e-6 for v in bicon.values())
-    symmetric = symn[min(levels)] <= 1.0 + 1e-6
+    symmetric = symn[1] <= 1.0 + 1e-6
     completely_symmetric = all(v <= 1.0 + 1e-6 for v in symn.values())
 
     rcp = rcp_test(p_map, tol=t)

@@ -1,5 +1,7 @@
 """Deterministic serialization: JSON with 17-significant-digit floats and
-stable key order, CSV boundary tables, and static SVG range plots.
+stable key order (report files and the {rows, cols, re, im} matrix
+files the CLI reads and writes), CSV boundary tables, and static SVG
+range plots.
 
 Python's json module emits shortest-round-trip floats, which vary in
 length; reports here must be byte-identical across runs, so a small
@@ -24,11 +26,6 @@ __all__ = [
     "matrix_to_obj",
     "matrix_from_obj",
     "read_matrix",
-    "write_matrix",
-    "algebra_to_obj",
-    "algebra_from_obj",
-    "map_to_obj",
-    "map_from_obj",
     "boundary_csv",
     "boundary_svg",
     "report_file_obj",
@@ -102,7 +99,7 @@ def load_json(path: str):
 
 
 # ---------------------------------------------------------------------------
-# matrices, algebras, maps
+# matrices
 # ---------------------------------------------------------------------------
 
 def matrix_to_obj(m) -> dict:
@@ -144,52 +141,6 @@ def read_matrix(path: str) -> np.ndarray:
     return matrix_from_obj(obj)
 
 
-def write_matrix(m, path: str) -> None:
-    dump_json(matrix_to_obj(m), path)
-
-
-def algebra_to_obj(alg) -> dict:
-    return {
-        "n": int(alg.n),
-        "dim": int(alg.dim),
-        "basis": [matrix_to_obj(b) for b in alg.basis],
-        "unit": None if alg.unit is None else matrix_to_obj(alg.unit),
-    }
-
-
-def algebra_from_obj(obj):
-    """Subalgebra from its JSON object, validated like any caller's basis
-    (square matrices, independence, closure, declared unit)."""
-    from .algebra import SubalgebraBasis
-
-    try:
-        basis = [matrix_from_obj(b) for b in obj["basis"]]
-        unit = None if obj.get("unit") is None else matrix_from_obj(obj["unit"])
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"malformed algebra object: {exc}") from exc
-    return SubalgebraBasis(basis, unit=unit)
-
-
-def map_to_obj(t_map) -> dict:
-    return {
-        "domain": algebra_to_obj(t_map.domain),
-        "codomain": algebra_to_obj(t_map.codomain),
-        "action": matrix_to_obj(t_map.action),
-    }
-
-
-def map_from_obj(obj):
-    from .maps import LinearMapOnAlgebra
-
-    try:
-        dom = algebra_from_obj(obj["domain"])
-        cod = algebra_from_obj(obj["codomain"])
-        action = matrix_from_obj(obj["action"])
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"malformed map object: {exc}") from exc
-    return LinearMapOnAlgebra(dom, cod, action)
-
-
 # ---------------------------------------------------------------------------
 # boundary CSV and SVG
 # ---------------------------------------------------------------------------
@@ -205,14 +156,15 @@ def boundary_csv(rb, path: str) -> None:
         fh.write("\n")
 
 
-def boundary_svg(rb, path: str | None = None, size: int = 800) -> str:
-    """Static SVG plot of a numerical-range boundary.
+def boundary_svg(rb, path: str | None = None) -> str:
+    """Static 800-by-800 SVG plot of a numerical-range boundary.
 
     The view box covers the boundary polyline, the unit circle, and the
     origin, padded by 10 percent; the closed right half-plane is shaded,
     the axes and the unit circle are drawn, and the boundary is a
     polyline over the sampled points.
     """
+    size = 800
     pts = np.asarray(rb.boundary_points, dtype=complex)
     xs = np.concatenate([pts.real, [-1.0, 1.0, 0.0]])
     ys = np.concatenate([pts.imag, [-1.0, 1.0, 0.0]])

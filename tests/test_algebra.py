@@ -22,10 +22,12 @@ from realpos.algebra import (
     lump_check,
     span_contains,
     spans_equal,
+    subalgebra,
     supp_order,
     support_idem,
     ws_suite,
 )
+from realpos.cones import full_context
 from realpos.errors import InputError, NumericError, PreconditionError
 from realpos.linalg import operator_norm, random_accretive, random_contraction, random_unitary
 from realpos.maps import map_from_function
@@ -67,6 +69,16 @@ def test_block_diag_algebra_lists_each_block_row_major():
 def test_block_diag_algebra_rejects_empty_blocks(sizes):
     with pytest.raises(InputError):
         block_diag_algebra(sizes)
+
+
+@pytest.mark.parametrize("size", [2.7, True, "2"])
+@pytest.mark.parametrize("make", [
+    lambda k: block_diag_algebra([k]), full_matrix_algebra, diagonal_algebra, full_context,
+], ids=["block_diag_algebra", "full_matrix_algebra", "diagonal_algebra", "full_context"])
+def test_sizes_must_be_integers(make, size):
+    """No size is truncated or converted: 2.7 is not M_2, nor True M_1."""
+    with pytest.raises(InputError, match="integer"):
+        make(size)
 
 
 def _scaled_upper_triangular_basis(rng):
@@ -111,8 +123,13 @@ def test_subalgebra_rejects_non_closed_span():
     e12 = np.array([[0, 1.0], [0, 0]], dtype=complex)
     e22 = np.array([[0, 0], [0, 1.0]], dtype=complex)
     with pytest.raises(InputError):
-        SubalgebraBasis([e11 + e12, e22], validate=True)
-    SubalgebraBasis([e12], validate=True)  # nilpotent line is fine
+        subalgebra([e11 + e12, e22])
+    subalgebra([e12])  # nilpotent line is fine
+    # nor is a basis of non-square matrices, or a declared unit that is none
+    with pytest.raises(InputError):
+        subalgebra([np.ones((2, 3), dtype=complex)])
+    with pytest.raises(InputError):
+        subalgebra([e11, e22], unit=2.0 * np.eye(2, dtype=complex))
 
 
 def test_subalgebra_rejects_dependent_basis():
@@ -446,7 +463,8 @@ def _loop_aarnes(x, algebra):
         "sandwich_full": spans_equal([x @ b @ x for b in basis], basis),
         "one_sided_full": (spans_equal([x @ b for b in basis], basis)
                            and spans_equal([b @ x for b in basis], basis)),
-        "support_is_unit": res_unit <= 1e-7 * scale and algebra.contains(s, 1e-7),
+        "support_is_unit": (res_unit <= 1e-7 * scale
+                            and _loop_span_residual([s], _loop_ortho(basis)) <= 1e-7),
     }
     return {"support_unit": res_unit}, verdicts
 

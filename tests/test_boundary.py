@@ -10,6 +10,7 @@ import realpos
 from realpos import (
     InputError,
     amplify,
+    diagonal_algebra,
     full_context,
     full_matrix_algebra,
     identity_map,
@@ -127,10 +128,23 @@ def test_list_element_rejects_malformed_matrix(name, bad):
         LIST_CALLS[name](_bad_inputs()[bad])
 
 
+# a well-formed matrix of the wrong size: InputError, not a bare numpy
+# ValueError from a matmul or reshape (InputError subclasses ValueError)
+PROPER = identity_map(diagonal_algebra(2))  # a map on a proper domain
+
+
 @pytest.mark.parametrize("call", [
     lambda: realpos.span_contains([GOOD], np.eye(3)),
     lambda: realpos.span_contains([GOOD, np.eye(3)], GOOD),
     lambda: realpos.spans_equal([GOOD], [np.eye(3)]),
+    lambda: ALG.coords(np.eye(3)),
+    lambda: ALG.project(np.eye(3)),
+    lambda: ALG.contains(np.eye(3)),
+    lambda: realpos.span_contains(ALG, np.eye(3)),
+    lambda: transpose_map(2).apply(np.eye(3)),
+    lambda: PROPER.apply(np.eye(3)),
+    lambda: amplify(transpose_map(2), 2).apply(np.eye(3)),
+    lambda: amplify(PROPER, 2).apply(np.eye(3)),
 ])
 def test_span_functions_reject_mixed_sizes(call):
     with pytest.raises(InputError):

@@ -1,16 +1,15 @@
 """Command-line interface: exit codes, output files, determinism."""
 import numpy as np
-import pytest
 
 import realpos.cli as cli
 from realpos.report import VerificationReport
-from realpos.serialize import algebra_from_obj, load_json, write_matrix
+from realpos.serialize import dump_json, load_json, matrix_to_obj
 
 
 def _accretive_path(tmp_path, name="x.json"):
     x = np.array([[1.0, 0.5], [0.0, 2.0]], dtype=complex)
     p = tmp_path / name
-    write_matrix(x, str(p))
+    dump_json(matrix_to_obj(x), str(p))
     return str(p)
 
 
@@ -30,7 +29,7 @@ def test_nrange_writes_csv_and_svg(tmp_path, capsys):
 def test_nrange_rank_one_psd_has_angle_zero(tmp_path, capsys):
     v = np.array([1.0, -1.0j, 0.5, 0.0])
     p = tmp_path / "p.json"
-    write_matrix(np.outer(v, v.conj()), str(p))
+    dump_json(matrix_to_obj(np.outer(v, v.conj())), str(p))
     assert cli.main(["nrange", str(p)]) == cli.EXIT_OK
     assert "sectorial angle: 0\n" in capsys.readouterr().out
 
@@ -38,7 +37,7 @@ def test_nrange_rank_one_psd_has_angle_zero(tmp_path, capsys):
 def test_nrange_segment_through_zero_has_angle_pi(tmp_path, capsys):
     # W = [-1e-10, 1]: 0 is on the boundary, not interior
     p = tmp_path / "seg.json"
-    write_matrix(np.diag([1.0, -1e-10]).astype(complex), str(p))
+    dump_json(matrix_to_obj(np.diag([1.0, -1e-10]).astype(complex)), str(p))
     assert cli.main(["nrange", str(p)]) == cli.EXIT_OK
     assert "sectorial angle: 3.14159265359\n" in capsys.readouterr().out
 
@@ -82,7 +81,7 @@ def test_power_single_method(tmp_path):
 def test_power_nonaccretive_exits_precondition(tmp_path, capsys):
     x = np.diag([-1.0, 1.0]).astype(complex)
     p = tmp_path / "neg.json"
-    write_matrix(x, str(p))
+    dump_json(matrix_to_obj(x), str(p))
     assert cli.main(["power", str(p), "--r", "0.5"]) == cli.EXIT_PRECONDITION
     assert "accretive" in capsys.readouterr().err
 
@@ -108,10 +107,10 @@ def test_verify_single_suite_writes_report(tmp_path, capsys):
 
 
 def test_verify_bad_tolerance_is_usage():
-    assert cli.main(["verify", "lump", "--count", "1",
-                     "--tol", "nonsense=1"]) == cli.EXIT_USAGE
-    assert cli.main(["verify", "lump", "--count", "1",
-                     "--tol", "eq_tol=abc"]) == cli.EXIT_USAGE
+    # verify has no --tol option: reports are judged against Tolerances()
+    for pair in ("nonsense=1", "eq_tol=abc", "eq_tol=1e-8"):
+        assert cli.main(["verify", "lump", "--count", "1",
+                         "--tol", pair]) == cli.EXIT_USAGE
 
 
 def test_verify_has_no_fixture_option():
@@ -142,7 +141,7 @@ def test_verify_failure_exits_one_but_writes_report(tmp_path, capsys, monkeypatc
 
 def test_random_outputs_are_byte_identical(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    for kind in ("accretive", "contraction", "idempotent", "algebra"):
+    for kind in ("accretive", "contraction", "idempotent"):
         assert cli.main(["random", kind, "--n", "4", "--seed", "9",
                          "--out", str(a)]) == 0
         assert cli.main(["random", kind, "--n", "4", "--seed", "9",
@@ -150,17 +149,9 @@ def test_random_outputs_are_byte_identical(tmp_path):
         assert a.read_bytes() == b.read_bytes()
 
 
-@pytest.mark.parametrize("n", [3, 5, 7])
-def test_random_algebra_is_a_rotated_block_algebra(tmp_path, n):
-    """The basis is u e u* over the matrix units e of M_{k_1} + ... + M_{k_m}:
-    it validates as a closed unital algebra of dimension sum k_i^2."""
-    out = tmp_path / "a.json"
-    assert cli.main(["random", "algebra", "--n", str(n), "--seed", "4",
-                     "--out", str(out)]) == 0
-    obj = load_json(str(out))
-    sizes = obj["block_sizes"]
-    assert sum(sizes) == n and obj["dim"] == sum(k * k for k in sizes)
-    assert algebra_from_obj(obj).dim == obj["dim"]
+def test_random_has_no_algebra_kind(tmp_path):
+    assert cli.main(["random", "algebra", "--n", "3",
+                     "--out", str(tmp_path / "a.json")]) == cli.EXIT_USAGE
 
 
 def test_random_accretive_is_accretive(tmp_path, capsys):

@@ -389,7 +389,7 @@ def _norm_family(kind):
     if kind == "transpose2":
         return [transpose_map(2)]
     n = int(kind[-1])  # theta_q_<n>: the proj suite's CP fixture, proper domain
-    p_map, _ = build_symmetric_projection(*_theta_q_fixture(rng_for(n), n), levels=(1,))
+    p_map, _ = build_symmetric_projection(*_theta_q_fixture(rng_for(n), n))
     return _projection_family(p_map)
 
 
@@ -593,7 +593,7 @@ def _criterion_12_maps():
 
 def _theta_q_projection(n, seed=5):
     theta, q, alg = _theta_q_fixture(rng_for(seed), n)
-    p_map, _ = build_symmetric_projection(theta, q, alg, levels=(1,))
+    p_map, _ = build_symmetric_projection(theta, q, alg)
     return p_map
 
 
@@ -855,7 +855,7 @@ def test_classify_projection_propagates_an_ambiguous_range_closure(monkeypatch):
                               full_matrix_algebra(2))
     monkeypatch.setattr(maps, "_spans_equal", ambiguous)
     with pytest.raises(NumericError, match="ambiguous"):
-        classify_projection(p_map, levels=(1,))
+        classify_projection(p_map)
 
 
 def test_classify_block_conditional_expectation():
@@ -903,7 +903,7 @@ def test_classify_projection_stacks_match_loop(kind):
                                   full_matrix_algebra(2))
     else:  # the compared residuals are far from 0
         p_map = _rank_one_p()
-    c = classify_projection(p_map, levels=(1,))
+    c = classify_projection(p_map)
     ce, assoc, closed, kernel = _projection_residuals_by_loop(p_map)
     assert c.cond_exp_residual == pytest.approx(ce, rel=1e-12, abs=1e-14)
     assert c.induced_assoc_residual == pytest.approx(assoc, rel=1e-12, abs=1e-14)
@@ -924,21 +924,13 @@ def test_build_symmetric_projection_multiplicativity_matches_loop():
         build_symmetric_projection(theta, q, alg)
 
 
-def test_projection_norm_checks_need_a_level():
-    # with no level every norm verdict held without a norm computed
-    with pytest.raises(InputError, match="level"):
-        classify_projection(_scalar_averaging_p(), levels=())
-    theta, q, alg = _theta_q_m2_plus_m1(7)
-    with pytest.raises(InputError, match="level"):
-        build_symmetric_projection(theta, q, alg, levels=())
-
-
 def test_symmetric_is_read_at_the_lowest_level():
-    # the scalar-averaging I - 2P has norm 1 at level 1 and 2 at level 2
-    c = classify_projection(_scalar_averaging_p(), levels=(3, 2))
-    assert not c.symmetric and not c.completely_symmetric
-    assert c.symmetric_levels[2] == pytest.approx(2.0, abs=1e-8)
-    assert classify_projection(_scalar_averaging_p(), levels=(2, 1)).symmetric
+    # the scalar-averaging I - 2P has norm 1 at level 1 and 2 at levels 2, 3
+    c = classify_projection(_scalar_averaging_p())
+    assert list(c.symmetric_levels) == [1, 2, 3]
+    for k, norm in ((1, 1.0), (2, 2.0), (3, 2.0)):
+        assert c.symmetric_levels[k] == pytest.approx(norm, abs=1e-8)
+    assert c.symmetric and not c.completely_symmetric
 
 
 def test_classify_rejects_non_idempotent():

@@ -8,26 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from realpos.algebra import block_diag_algebra
 from realpos.errors import InputError
-from realpos.maps import identity_map
 from realpos.numrange import boundary
 from realpos.report import matrix_digest
 from realpos.serialize import (
-    algebra_from_obj,
-    algebra_to_obj,
     boundary_csv,
     boundary_svg,
     dump_json,
     dumps_stable,
     fmt_float,
     load_json,
-    map_from_obj,
-    map_to_obj,
     matrix_from_obj,
     matrix_to_obj,
     read_matrix,
-    write_matrix,
 )
 
 
@@ -65,7 +58,7 @@ def test_matrix_roundtrip(tmp_path):
     rng = np.random.default_rng(2)
     m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     p = tmp_path / "m.json"
-    write_matrix(m, str(p))
+    dump_json(matrix_to_obj(m), str(p))
     back = read_matrix(str(p))
     assert np.array_equal(back, m)  # 17 significant digits: exact
 
@@ -77,40 +70,6 @@ def test_matrix_obj_validation():
         matrix_from_obj({"rows": 1, "cols": 1, "re": [[float("nan")]], "im": [[0.0]]})
     with pytest.raises(InputError):
         matrix_from_obj({"nope": True})
-
-
-def test_algebra_and_map_roundtrip(tmp_path):
-    alg = block_diag_algebra([2, 1])
-    obj = algebra_to_obj(alg)
-    alg2 = algebra_from_obj(obj)
-    assert alg2.dim == alg.dim and alg2.n == alg.n
-    for b1, b2 in zip(alg.basis, alg2.basis):
-        assert np.array_equal(b1, b2)
-    t_map = identity_map(alg)
-    t2 = map_from_obj(map_to_obj(t_map))
-    x = np.diag([1.0, 2.0, 3.0]).astype(complex)
-    assert np.allclose(t2.apply(x), t_map.apply(x), atol=1e-14)
-
-
-_E11 = np.diag([1.0, 0.0]).astype(complex)
-_E12 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-_E22 = np.diag([0.0, 1.0]).astype(complex)
-
-
-@pytest.mark.parametrize("basis, unit", [
-    ([_E11 + _E12, _E22], None),                      # (E11 + E12) E22 = E12 leaves the span
-    ([np.ones((2, 3), dtype=complex)], None),         # not square
-    ([_E11, _E22], 2.0 * np.eye(2, dtype=complex)),  # 2 I is no unit
-], ids=["not_closed", "not_square", "wrong_unit"])
-def test_json_algebras_and_maps_are_validated(basis, unit):
-    obj = {"n": 2, "dim": len(basis), "basis": [matrix_to_obj(b) for b in basis],
-           "unit": None if unit is None else matrix_to_obj(unit)}
-    with pytest.raises(InputError):
-        algebra_from_obj(obj)
-    good = algebra_to_obj(block_diag_algebra([1, 1]))
-    with pytest.raises(InputError):
-        map_from_obj({"domain": obj, "codomain": good,
-                      "action": matrix_to_obj(np.eye(len(basis)))})
 
 
 def test_boundary_csv_format(tmp_path):
