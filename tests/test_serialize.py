@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from realpos.algebra import subalgebra
 from realpos.errors import InputError
 from realpos.numrange import boundary
 from realpos.report import matrix_digest
@@ -70,6 +71,25 @@ def test_matrix_obj_validation():
         matrix_from_obj({"rows": 1, "cols": 1, "re": [[float("nan")]], "im": [[0.0]]})
     with pytest.raises(InputError):
         matrix_from_obj({"nope": True})
+
+
+_E11 = np.diag([1.0, 0.0]).astype(complex)
+_E12 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+_E22 = np.diag([0.0, 1.0]).astype(complex)
+
+
+@pytest.mark.parametrize("basis, unit", [
+    ([_E11 + _E12, _E22], None),                      # (E11 + E12) E22 = E12 leaves the span
+    ([np.ones((2, 3), dtype=complex)], None),         # not square
+    ([_E11, _E22], 2.0 * np.eye(2, dtype=complex)),  # 2 I is no unit
+], ids=["not_closed", "not_square", "wrong_unit"])
+def test_json_algebras_and_maps_are_validated(basis, unit):
+    """A basis decoded from JSON matrix objects is validated like any other:
+    subalgebra(...) refuses it, so no map can be built on it."""
+    decoded = [matrix_from_obj(json.loads(dumps_stable(matrix_to_obj(b)))) for b in basis]
+    decoded_unit = None if unit is None else matrix_from_obj(matrix_to_obj(unit))
+    with pytest.raises(InputError):
+        subalgebra(decoded, unit=decoded_unit)
 
 
 def test_boundary_csv_format(tmp_path):
