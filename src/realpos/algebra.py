@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import _deflate, _f_transform
+from .calculus import _Deflation, _f_transform
 from .cones import AmbientContext, _element, _membership, full_context
 from .errors import InputError, MethodDisagreementError, NumericError, PreconditionError
 from .linalg import Tolerances, _as_positive_int, _as_sized, _norm2, as_matrix, resolve_tol
@@ -340,11 +340,8 @@ def ba(x, ambient: AmbientContext | None = None,
     candidate (an element acting as identity on the span) is attached
     when one exists.
     """
-    a = as_matrix(x)
-    if ambient is None:
-        ambient = full_context(a.shape[0])
-    t = resolve_tol(tol)
-    return _ba(ambient._check_member(a, t), ambient, t)
+    a, ambient, t, _, _ = _element(x, ambient, tol, "ba", cone=None)
+    return _ba(a, ambient, t)
 
 
 def _ba(a: np.ndarray, ambient: AmbientContext, t: Tolerances) -> SubalgebraBasis:
@@ -420,7 +417,7 @@ def support_idem(x, ctx: AmbientContext | None = None,
     does not split off cleanly, raises NumericError, as for the powers.
     """
     _, ctx, t, xc, _ = _element(x, ctx, tol, "support_idem")
-    return _support_idem(_deflate(xc, t), ctx)
+    return _support_idem(_Deflation(xc, t), ctx)
 
 
 def _support_idem(d, ctx: AmbientContext) -> SupportIdempotent:
@@ -464,7 +461,7 @@ def ws_suite(x, algebra: SubalgebraBasis, tol: Tolerances | None = None) -> Veri
     a, ctx, t, xc, _ = _element(x, algebra.ambient, tol, "ws_suite")
     algebra._require(a, "ws_suite", "x")
 
-    d = _deflate(xc, t)
+    d = _Deflation(xc, t)
     sup = _support_idem(d, ctx)
     s = sup.s
 
@@ -548,7 +545,7 @@ def hsa_from_z(z, algebra: SubalgebraBasis, tol: Tolerances | None = None) -> Hs
     algebra._require(a, "hsa_from_z", "z")
     n = algebra.n
     cube = np.array(algebra.basis)
-    s = _support_idem(_deflate(xc, t), ctx).s
+    s = _support_idem(_Deflation(xc, t), ctx).s
 
     residuals = {}
     bases = {}
@@ -594,8 +591,8 @@ def supp_order(x, y, algebra: SubalgebraBasis, tol: Tolerances | None = None) ->
     r_ya = _span_rank(ya)
     r_joint = _span_rank(np.concatenate([ya, ax @ cube]))
     contained = r_joint == r_ya
-    sx = _support_idem(_deflate(xc, t), ctx).s
-    sy = _support_idem(_deflate(yc, t), ctx).s
+    sx = _support_idem(_Deflation(xc, t), ctx).s
+    sy = _support_idem(_Deflation(yc, t), ctx).s
     res = _norm2(sy @ sx - sx)
     dominates = res <= 1e-7
     verdicts = {"ideal_containment": bool(contained), "support_domination": bool(dominates)}
@@ -651,7 +648,7 @@ def aarnes_kadison_check(x, algebra: SubalgebraBasis,
     cube = np.array(algebra.basis)
     c1 = _spans_equal(a @ cube @ a, cube)
     c2 = _spans_equal(a @ cube, cube) and _spans_equal(cube @ a, cube)
-    s = _support_idem(_deflate(xc, t), ctx).s
+    s = _support_idem(_Deflation(xc, t), ctx).s
     res_unit = _worst_unit_residual(s, cube)
     scale = 1.0 + _max_op_norm(cube)
     c3 = res_unit <= 1e-7 * scale and algebra._contains(s, 1e-7)
@@ -705,7 +702,7 @@ def idempotent_ideal(q, algebra: SubalgebraBasis, x=None,
     details = {"dim_ideal": len(ideal)}
     if x is not None:
         axm, _, _, xc, _ = _element(x, ctx, t, "idempotent_ideal")
-        s = _support_idem(_deflate(xc, t), ctx).s
+        s = _support_idem(_Deflation(xc, t), ctx).s
         if algebra._contains(s, 1e-7):
             same = _spans_equal(axm @ cube, s @ cube)
             verdicts["xA_equals_sA"] = bool(same)

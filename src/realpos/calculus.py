@@ -26,7 +26,7 @@ Accretive matrices have a semisimple reducing kernel (ker x = ker x*,
 orthogonal to the range), so the zero eigenvalue cluster is split off
 exactly by an ordered Schur form before any power or quadrature; the
 power acts as zero on that block for every r > 0.  That split
-(``_deflate``, in ``_split_zero_cluster``) is the package's one zero
+(``_Deflation``, in ``_split_zero_cluster``) is the package's one zero
 cut: the eigenvalues |lambda| <= 1e-9 (1 + ||x||).  A kept eigenvalue
 within 6x of the largest cut one leaves the cluster unseparated, and
 NumericError is raised alike by the three powers and by
@@ -249,11 +249,6 @@ class _Deflation:
         return _reassemble(z, fine, self.xc.shape[0]), est, nodes
 
 
-def _deflate(xc: np.ndarray, t: Tolerances) -> _Deflation:
-    """Deflation record of the corner coordinates xc of an accretive element."""
-    return _Deflation(xc, t)
-
-
 def _validate_exponent(r, lo_open: float, hi: float, allow_hi: bool) -> float:
     r = float(r)
     hi_ok = (r <= hi) if allow_hi else (r < hi)
@@ -285,7 +280,7 @@ def power_series(x, r: float, ctx: AmbientContext | None = None,
     """
     r = _validate_exponent(r, 0.0, 1.0, allow_hi=True)
     _, ctx, t, xc, _ = _element(x, ctx, tol, "power_series", cone="F")
-    return ctx._embed(_power_series(_deflate(xc, t), r))
+    return ctx._embed(_power_series(_Deflation(xc, t), r))
 
 
 def _series_tail(r: float, terms):
@@ -359,7 +354,7 @@ def power_shifted(x, r: float, ctx: AmbientContext | None = None,
     """
     r = _validate_exponent(r, 0.0, 1.0, allow_hi=True)
     _, ctx, t, xc, _ = _element(x, ctx, tol, "power_shifted")
-    return ctx._embed(_deflate(xc, t).shifted(r))
+    return ctx._embed(_Deflation(xc, t).shifted(r))
 
 
 @lru_cache(maxsize=64)
@@ -419,7 +414,7 @@ def power_balakrishnan(x, r: float, ctx: AmbientContext | None = None,
     if r != 1.0:
         r = _validate_exponent(r, 0.0, 1.0, allow_hi=False)
     _, ctx, t, xc, _ = _element(x, ctx, tol, "power_balakrishnan")
-    return ctx._embed(_deflate(xc, t).balakrishnan(r)[0])
+    return ctx._embed(_Deflation(xc, t).balakrishnan(r)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +435,7 @@ def power_all_methods(x, r: float, ctx: AmbientContext | None = None,
     """
     r = _validate_exponent(r, 0.0, 1.0, allow_hi=True)
     _, ctx, t, xc, mem = _element(x, ctx, tol, "power_all_methods")
-    return _power_all_methods(_deflate(xc, t), r, ctx, mem)
+    return _power_all_methods(_Deflation(xc, t), r, ctx, mem)
 
 
 def _power_all_methods(d: _Deflation, r: float, ctx: AmbientContext, mem):
@@ -492,7 +487,7 @@ def power(x, r: float, ctx: AmbientContext | None = None,
     """
     r = _validate_exponent(r, 0.0, 1.0, allow_hi=True)
     _, ctx, t, xc, mem = _element(x, ctx, tol, "power")
-    return _power_all_methods(_deflate(xc, t), r, ctx, mem)[0]
+    return _power_all_methods(_Deflation(xc, t), r, ctx, mem)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -566,14 +561,14 @@ def power_property_report(x, ctx: AmbientContext | None = None,
     a, ctx, t, xc, mem = _element(x, ctx, tol, "power_property_report")
     grid = [k / 10 for k in range(1, 10)]
 
-    d_x = _deflate(xc, t)
+    d_x = _Deflation(xc, t)
     nrm = d_x.nrm
     cache: dict[float, np.ndarray] = {}
 
     def power_c(yc: np.ndarray, expos):
         """power() of the element with corner coordinates yc at each
         exponent, as coordinates; one deflation serves them all."""
-        d, m = _deflate(yc, t), _require_in(yc, t, "power")
+        d, m = _Deflation(yc, t), _require_in(yc, t, "power")
         return [ctx._compress(_power_all_methods(d, e, ctx, m)[0]) for e in expos]
 
     def pw(expo: float) -> np.ndarray:
@@ -682,7 +677,7 @@ def root_bai_check(x, ctx: AmbientContext | None = None,
     residual there is 3.4e-4.)
     """
     a, ctx, t, xc, _ = _element(x, ctx, tol, "root_bai_check")
-    d = _deflate(xc, t)
+    d = _Deflation(xc, t)
     z, t11, k = d._split
     levels = 10  # n = 2, 4, ..., 2 ** 10 = 1024
     residuals_seq = []

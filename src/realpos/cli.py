@@ -167,12 +167,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_random(args) -> int:
-    n, seed = args.n, args.seed
-    if n < 1:
-        raise InputError(f"--n must be >= 1, got {n}")
     gen = {"accretive": random_accretive, "contraction": random_contraction,
            "idempotent": random_idempotent}[args.kind]
-    obj = matrix_to_obj(gen(n, seed))
+    obj = matrix_to_obj(gen(args.n, args.seed))
     if args.out:
         dump_json(obj, args.out)
         print(f"wrote {args.out}")

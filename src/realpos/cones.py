@@ -81,7 +81,9 @@ class AmbientContext:
             raise InputError(f"corner coordinates are {y.shape[0]}-dim, expected {self.dim}")
         return self._embed(y)
 
-    def _check_member(self, a: np.ndarray, t: Tolerances) -> np.ndarray:
+    def _compress_member(self, a: np.ndarray, t: Tolerances) -> np.ndarray:
+        """Corner coordinates of a validated matrix, once it is checked to
+        lie in the corner (ex = xe = x)."""
         if a.shape[0] != self.n:
             raise InputError(f"matrix is {a.shape[0]}x{a.shape[0]}, ambient expects n={self.n}")
         if self.mode == "full":
@@ -95,22 +97,7 @@ class AmbientContext:
                 "matrix does not lie in the corner: residuals "
                 f"|ex-x|={r_left:.3g}, |xe-x|={r_right:.3g} exceed tolerance"
             )
-        return a
-
-    def check_member(self, x, tol: Tolerances | None = None) -> np.ndarray:
-        """Validate ex = xe = x (x lies in the corner); returns x."""
-        return self._check_member(as_matrix(x), resolve_tol(tol))
-
-    def corner_norm(self, x) -> float:
-        return _norm2(self.compress(x))
-
-    def corner_abscissa(self, x) -> float:
-        return _abscissa(self.compress(x))
-
-    def _compress_member(self, a: np.ndarray, t: Tolerances) -> np.ndarray:
-        """Corner coordinates of a validated matrix, once it is checked to
-        lie in the corner."""
-        return self._compress(self._check_member(a, t))
+        return self._compress(a)
 
 
 def full_context(n: int) -> AmbientContext:

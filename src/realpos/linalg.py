@@ -164,24 +164,29 @@ def matrix_exp(x) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# seeded generators
+# seeded generators (the size n is an integer >= 1, checked before any draw;
+# random_hermitian and random_accretive leave the check to random_matrix)
 # ---------------------------------------------------------------------------
 
 def rng_for(seed) -> np.random.Generator:
-    """The one way randomness enters: a fresh PCG64 generator per seed."""
+    """The one way randomness enters: a fresh PCG64 generator per seed; a
+    Generator passes through unaltered, so a caller can draw several
+    instances from one stream."""
     return np.random.default_rng(seed)
 
 
 def random_matrix(n: int, seed) -> np.ndarray:
     """Complex Ginibre matrix, entries N(0,1/2n) + i N(0,1/2n)."""
-    rng = seed if isinstance(seed, np.random.Generator) else rng_for(seed)
+    n = _as_positive_int(n, "n")
+    rng = rng_for(seed)
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return g / np.sqrt(2.0 * n)
 
 
 def random_unitary(n: int, seed) -> np.ndarray:
     """Haar-distributed unitary (QR of Ginibre with phase correction)."""
-    rng = seed if isinstance(seed, np.random.Generator) else rng_for(seed)
+    n = _as_positive_int(n, "n")
+    rng = rng_for(seed)
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, r = np.linalg.qr(g)
     d = np.diag(r)
@@ -190,7 +195,7 @@ def random_unitary(n: int, seed) -> np.ndarray:
 
 def random_hermitian(n: int, seed, psd: bool = False) -> np.ndarray:
     """Random Hermitian matrix of unit operator norm; PSD when requested."""
-    rng = seed if isinstance(seed, np.random.Generator) else rng_for(seed)
+    rng = rng_for(seed)
     g = random_matrix(n, rng)
     if psd:
         h = g @ g.conj().T
@@ -211,7 +216,7 @@ def random_accretive(n: int, seed, angle_cap: float = np.pi / 2) -> np.ndarray:
     """
     if not (0 < angle_cap <= np.pi / 2 + 1e-15):
         raise InputError(f"angle_cap must lie in (0, pi/2], got {angle_cap!r}")
-    rng = seed if isinstance(seed, np.random.Generator) else rng_for(seed)
+    rng = rng_for(seed)
     h = random_hermitian(n, rng, psd=True)
     kt = random_hermitian(n, rng)
     if angle_cap >= np.pi / 2 - 1e-12:
@@ -224,7 +229,8 @@ def random_accretive(n: int, seed, angle_cap: float = np.pi / 2) -> np.ndarray:
 
 def random_contraction(n: int, seed, norm: float | None = None) -> np.ndarray:
     """Random matrix rescaled to a chosen operator norm < 1 (drawn when None)."""
-    rng = seed if isinstance(seed, np.random.Generator) else rng_for(seed)
+    n = _as_positive_int(n, "n")
+    rng = rng_for(seed)
     target = rng.uniform(0.0, 0.99) if norm is None else float(norm)
     if not 0 <= target < 1:
         raise InputError(f"contraction norm must lie in [0, 1), got {target!r}")
@@ -238,12 +244,14 @@ def random_idempotent(n: int, seed, rank: int | None = None) -> np.ndarray:
 
     The similarity is built as Q1 diag(s) Q2* with log-uniform singular
     values between 1e3^(-1/2) and 1e3^(1/2), so cond(S) <= 1e3 by
-    construction.
+    construction.  The rank, drawn when None, is an integer in [0, n].
     """
-    rng = seed if isinstance(seed, np.random.Generator) else rng_for(seed)
+    n = _as_positive_int(n, "n")
+    if rank is not None and (isinstance(rank, (bool, np.bool_))
+                             or not isinstance(rank, (int, np.integer)) or not 0 <= rank <= n):
+        raise InputError(f"rank must be an integer in [0, {n}], got {rank!r}")
+    rng = rng_for(seed)
     r = int(rng.integers(0, n + 1)) if rank is None else int(rank)
-    if not 0 <= r <= n:
-        raise InputError(f"rank must lie in [0, {n}], got {r}")
     p = np.zeros((n, n), dtype=complex)
     p[:r, :r] = np.eye(r)
     q1 = random_unitary(n, rng)

@@ -30,7 +30,6 @@ from .algebra import (
     _pair_products,
     _rank,
     _spans_equal,
-    _vec,
     full_matrix_algebra,
 )
 from .errors import InputError, NumericError, PreconditionError, UnsupportedError
@@ -79,9 +78,9 @@ class LinearMapOnAlgebra:
     """A linear map T: span(domain) -> span(codomain), stored as the
     coordinate matrix `action` (codomain dim x domain dim).
 
-    apply() goes through a cached vectorised action, with a span
-    membership check on the input.  full_domain is true when the domain
-    basis spans the whole ambient matrix algebra.
+    apply() is that of the level-1 amplification: a span membership
+    check on the input, then the cached vectorised action.  full_domain is
+    true when the domain basis spans the whole ambient matrix algebra.
     """
 
     def __init__(self, domain: SubalgebraBasis, codomain: SubalgebraBasis, action):
@@ -101,19 +100,8 @@ class LinearMapOnAlgebra:
         return self.domain.dim == self.domain.n ** 2
 
     def apply(self, a) -> np.ndarray:
-        m = _as_sized(a, self.domain.n)
-        if not self.full_domain:
-            res = self.domain._span_distance(m)
-            if res > 1e-7 * (1.0 + np.linalg.norm(_vec(m))):
-                raise InputError(
-                    f"map input lies outside the domain span (residual {res:.3g})"
-                )
-        return self._apply(m)
-
-    def _apply(self, m: np.ndarray) -> np.ndarray:
-        """T(m) for a matrix m of the domain span, unchecked."""
-        n_out = self.codomain.n
-        return (self._vec_action @ _vec(m)).reshape(n_out, n_out)
+        """T(a), through the level-1 amplification (its size and span checks)."""
+        return amplify(self, 1).apply(a)
 
     def _apply_stack(self, mats: np.ndarray) -> np.ndarray:
         """T of each matrix of a (k, n, n) stack of domain-span matrices, by
@@ -349,14 +337,15 @@ class NormEstimate:
 
     value is the lower bound of a monotone alternating ascent from the
     fixed starts of _op_norm_estimates; upper is the Choi-factorisation
-    bound of _cb_upper (or, for a projection family, the bound derived from
-    that of I - 2P).  The bracket closes once value is within 2 * delta *
-    upper of upper (delta the rounding allowance of _cb_delta); stationary
-    is then True, and iterations counts the ascent steps run until then (0
-    when the unit start closes it, with start_index 0).  On an open bracket
-    stationary means the last accepted step of the best start improved by
-    less than the settle threshold (a local maximiser), and value is only a
-    lower bound; start_index is the position of the best start."""
+    bound of _cb_upper (or, for the projection family of _projection_norms,
+    the bound _projection_uppers derives from that of I - 2P).  The bracket
+    closes once value is within 2 * delta * upper of upper (delta the
+    rounding allowance of _cb_delta); stationary is then True, and
+    iterations counts the ascent steps run until then (0 when the unit
+    start closes it, with start_index 0).  On an open bracket stationary
+    means the last accepted step of the best start improved by less than
+    the settle threshold (a local maximiser), and value is only a lower
+    bound; start_index is the position of the best start."""
 
     value: float
     upper: float
@@ -709,6 +698,21 @@ def _projection_uppers(p_map: LinearMapOnAlgebra, sym_map: LinearMapOnAlgebra) -
     return u_sym, min(_cb_upper(p_map), half), half
 
 
+def _projection_norms(p_map: LinearMapOnAlgebra) -> tuple:
+    """The lower ends of the norm brackets of P, I - P and I - 2P at each
+    level of _LEVELS, as three {level: value} dicts.  The upper bounds of
+    _projection_uppers are computed once for every level, so a map that
+    meets its bound at the unit start runs no ascent."""
+    sym_map = map_affine_combo(p_map, 1.0, -2.0)
+    family = [p_map, map_affine_combo(p_map, 1.0, -1.0), sym_map]
+    u_sym, u_p, u_comp = _projection_uppers(p_map, sym_map)
+    p_norms, comp_norms, sym_norms = {}, {}, {}
+    for k in _LEVELS:
+        p_norms[k], comp_norms[k], sym_norms[k] = (e.value for e in _op_norm_estimates(
+            family, k, [u_p, u_comp, u_sym]))
+    return p_norms, comp_norms, sym_norms
+
+
 @dataclass
 class SymmetricProjectionCert:
     """Certificates attached to a built symmetric projection."""
@@ -734,9 +738,7 @@ def build_symmetric_projection(theta: LinearMapOnAlgebra, q, algebra: Subalgebra
 
     Returns (P, cert) with certificates: P idempotent; ||I - 2P||, ||P||
     and ||I - P|| estimated at the matrix levels 1, 2 and 3 (the lower ends
-    of their brackets, with the upper bounds of _projection_uppers computed
-    once for all levels, so a family that meets them at the unit start
-    runs no ascent); the certified RCP verdict of rcp_test on P, which
+    of their brackets, from _projection_norms); the certified RCP verdict of rcp_test on P, which
     covers every matrix level; the range of P equals the theta-fixed
     points compressed to the q corner; and P vanishes on the
     complementary corner pieces (this last certificate holds when theta
@@ -766,7 +768,7 @@ def build_symmetric_projection(theta: LinearMapOnAlgebra, q, algebra: Subalgebra
         raise PreconditionError(f"q is not idempotent: residual {idem_res:.3g}")
     if not algebra._contains(qm, 1e-7):
         raise PreconditionError("q does not lie in the algebra span")
-    fix_res = _norm2(theta._apply(qm) - qm)
+    fix_res = _norm2(theta._apply_stack(qm[None])[0] - qm)
     if fix_res > 100 * t.eq_tol * (1.0 + _norm2(qm)):
         raise PreconditionError(f"theta does not fix q: residual {fix_res:.3g}")
 
@@ -782,13 +784,7 @@ def build_symmetric_projection(theta: LinearMapOnAlgebra, q, algebra: Subalgebra
 
     va = p_map._vec_action
     idem = _norm2(va @ va - va)
-    sym_map = map_affine_combo(p_map, 1.0, -2.0)
-    comp_map = map_affine_combo(p_map, 1.0, -1.0)
-    u_sym, u_p, u_comp = _projection_uppers(p_map, sym_map)
-    sym_norms, p_norms, comp_norms = {}, {}, {}
-    for k in _LEVELS:
-        sym_norms[k], p_norms[k], comp_norms[k] = (e.value for e in _op_norm_estimates(
-            [sym_map, p_map, comp_map], k, [u_sym, u_p, u_comp]))
+    p_norms, comp_norms, sym_norms = _projection_norms(p_map)
     rcp = rcp_test(p_map, tol=t)
 
     # range = fixed points of theta intersected with the q corner
@@ -857,9 +853,8 @@ def classify_projection(p_map: LinearMapOnAlgebra,
                         tol: Tolerances | None = None) -> ProjectionClassification:
     """Classify an idempotent map: contractivity per level, bicontractivity,
     symmetry (at the levels 1, 2 and 3, each judged on the lower end of
-    the norm bracket of P, I - P or I - 2P; the
-    upper bounds of _projection_uppers are computed once for all levels and
-    let the ascent stop at the unit start when met), the RCP verdict of
+    the norm bracket of P, I - P or I - 2P from _projection_norms, the
+    estimates build_symmetric_projection certifies), the RCP verdict of
     rcp_test (for every level at once), the conditional-expectation
     identity P(P(a) b P(c)) = P(a) P(b) P(c), multiplicative closure of the
     range, associativity of the induced product a o b = P(ab), and
@@ -874,13 +869,7 @@ def classify_projection(p_map: LinearMapOnAlgebra,
     if idem_res > 100 * t.eq_tol * scale:
         raise PreconditionError(f"map is not idempotent: residual {idem_res:.3g}")
 
-    comp = map_affine_combo(p_map, 1.0, -1.0)
-    sym = map_affine_combo(p_map, 1.0, -2.0)
-    u_sym, u_p, u_comp = _projection_uppers(p_map, sym)
-    contr, bicon, symn = {}, {}, {}
-    for k in _LEVELS:
-        contr[k], bicon[k], symn[k] = (e.value for e in _op_norm_estimates(
-            [p_map, comp, sym], k, [u_p, u_comp, u_sym]))
+    contr, bicon, symn = _projection_norms(p_map)
     contractive = all(v <= 1.0 + 1e-6 for v in contr.values())
     bicontractive = contractive and all(v <= 1.0 + 1e-6 for v in bicon.values())
     symmetric = symn[1] <= 1.0 + 1e-6

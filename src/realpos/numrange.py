@@ -32,7 +32,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import InputError
-from .linalg import Tolerances, _herm_part, _norm2, as_matrix, resolve_tol
+from .linalg import Tolerances, _as_positive_int, _herm_part, _norm2, as_matrix, resolve_tol
 
 __all__ = [
     "RangeBoundary",
@@ -121,7 +121,7 @@ def support_function(x, theta: float) -> float:
 def boundary(x, m: int = 256) -> RangeBoundary:
     """Sweep m supporting half-planes of W(x) at equispaced angles.
 
-    m must be even and at least 8.  One stacked values-only eigen-solve at
+    m must be an even integer, at least 8.  One stacked values-only eigen-solve at
     the first m/2 angles gives both halves of the support values (the
     bottom eigenvalue at theta, negated, is the top one at theta + pi), and
     one stacked shifted solve the points v*xv (``_extreme_vectors``), each
@@ -130,7 +130,7 @@ def boundary(x, m: int = 256) -> RangeBoundary:
     jointly enclose W(x).
     """
     a = as_matrix(x)
-    m = int(m)
+    m = _as_positive_int(m, "boundary angle count")
     if m < 8:
         raise InputError(f"boundary needs at least 8 angles, got {m}")
     if m % 2:

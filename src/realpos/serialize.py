@@ -214,12 +214,12 @@ def boundary_svg(rb, path: str | None = None) -> str:
 # ---------------------------------------------------------------------------
 
 def report_file_obj(command: str, seed, tolerances, reports) -> dict:
-    """Assemble the stable report-file structure (schema version 1)."""
+    """Assemble the stable report-file structure (schema version 1) from a
+    list of VerificationReport."""
     return {
         "schema_version": "1",
         "command": command,
         "seed": seed,
         "tolerances": dict(tolerances),
-        "instances": [r.to_json_dict() if hasattr(r, "to_json_dict") else r
-                      for r in reports],
+        "instances": [r.to_json_dict() for r in reports],
     }

@@ -17,6 +17,7 @@ from . import maps as maps_mod
 from .errors import InputError, NumericError
 from .linalg import (
     Tolerances,
+    _as_positive_int,
     _norm2,
     random_accretive,
     random_contraction,
@@ -73,7 +74,7 @@ def suite_bal(seed: int, count: int, n: int, tol: Tolerances) -> list:
         rng = _rng(seed, "bal", i)
         x = random_accretive(n, rng)
         cones_mod._require_in(x, tol, "power_balakrishnan")
-        d = calc_mod._deflate(x, tol)
+        d = calc_mod._Deflation(x, tol)
         residuals = {}
         verdicts = {}
         details = {}
@@ -120,7 +121,7 @@ def suite_sectt(seed: int, count: int, n: int, tol: Tolerances) -> list:
             out.append(_tag(rep, "sectt", i, seed, x))
             continue
         cones_mod._require_in(x, tol, "power_shifted")
-        d = calc_mod._deflate(x, tol)
+        d = calc_mod._Deflation(x, tol)
         # an undefined angle of x^t fails every law that reads it (residual -1.0)
         angles = {}
         for t_exp in t_grid:
@@ -410,8 +411,7 @@ def suite_rcp(seed: int, count: int, n: int, tol: Tolerances) -> list:
             name = "identity"
         else:
             n_ops = 1 + int(rng.integers(0, 3))
-            ops = [(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-                   / np.sqrt(2.0 * n) for _ in range(n_ops)]
+            ops = [random_matrix(n, rng) for _ in range(n_ops)]
             t_map = maps_mod.map_from_kraus(ops, n)
             name = f"kraus_{n_ops}"
         v = maps_mod.rcp_test(t_map, tol=tol)
@@ -451,8 +451,7 @@ def run_suite(name: str, seed: int, count: int, n: int,
     if name not in _SUITES:
         raise InputError(f"unknown suite {name!r}; expected one of "
                          f"{', '.join(SUITE_ORDER)} or all")
-    if count < 1:
-        raise InputError(f"count must be >= 1, got {count}")
+    count, n = _as_positive_int(count, "count"), _as_positive_int(n, "n")
     if n < 2:
         raise InputError(f"n must be >= 2, got {n}")
     return _SUITES[name](seed, count, n, t)

@@ -65,11 +65,8 @@ MATRIX_CALLS = {
     "upper_bound_pair": lambda m: realpos.upper_bound_pair(m, GOOD, CTX),
     "ws_suite": lambda m: realpos.ws_suite(m, ALG),
     # public methods
-    "AmbientContext.check_member": CTX.check_member,
     "AmbientContext.compress": CTX.compress,
     "AmbientContext.embed": CTX.embed,
-    "AmbientContext.corner_norm": CTX.corner_norm,
-    "AmbientContext.corner_abscissa": CTX.corner_abscissa,
     "SubalgebraBasis.contains": ALG.contains,
     "SubalgebraBasis.coords": ALG.coords,
     "SubalgebraBasis.project": ALG.project,

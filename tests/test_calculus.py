@@ -125,7 +125,7 @@ def test_power_all_methods_cross_validates():
 
 def test_balakrishnan_error_estimate_flag():
     x = np.diag([2.0, 1.0]).astype(complex)
-    _, est, _ = calculus._deflate(x, Tolerances()).balakrishnan(0.5)
+    _, est, _ = calculus._Deflation(x, Tolerances()).balakrishnan(0.5)
     assert est <= 1e-6 * operator_norm(x) ** 0.5
 
 
@@ -271,7 +271,7 @@ def _deflation_cases():
 def test_one_deflation_gives_every_shifted_power_bitwise():
     t = Tolerances()
     for x, ctx, xc in _deflation_cases():
-        d = calculus._deflate(xc, t)
+        d = calculus._Deflation(xc, t)
         for r in (0.25, 0.5, 0.75, 1.0):
             assert np.array_equal(ctx.embed(d.shifted(r)), power_shifted(x, r, ctx, tol=t)), r
         y, _, _ = d.balakrishnan(0.5)
@@ -408,7 +408,7 @@ def _kernel_F_inputs():
 def test_series_refuses_kernel_input_before_the_first_term(monkeypatch, r):
     t = Tolerances()
     for x in _kernel_F_inputs():
-        d = calculus._deflate(x, t)
+        d = calculus._Deflation(x, t)
         assert abs(d.series_radius - 1.0) <= 1e-15  # split before _norm2 is patched
 
         def no_term(m):

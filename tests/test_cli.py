@@ -154,6 +154,11 @@ def test_random_has_no_algebra_kind(tmp_path):
                      "--out", str(tmp_path / "a.json")]) == cli.EXIT_USAGE
 
 
+def test_random_size_below_one_is_usage(capsys):
+    assert cli.main(["random", "accretive", "--n", "0"]) == cli.EXIT_USAGE
+    assert "integer >= 1" in capsys.readouterr().err
+
+
 def test_random_accretive_is_accretive(tmp_path, capsys):
     out = tmp_path / "x.json"
     assert cli.main(["random", "accretive", "--n", "5", "--seed", "3",

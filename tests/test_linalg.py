@@ -131,6 +131,40 @@ def test_generators_deterministic():
         assert not np.array_equal(a, c)
 
 
+def test_rng_for_passes_a_generator_through():
+    g = rng_for(5)
+    assert rng_for(g) is g
+    for s in (0, 42):
+        assert np.array_equal(random_accretive(4, rng_for(s)), random_accretive(4, s))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: random_matrix(0, 0),
+    lambda: random_unitary(0, 0),
+    lambda: random_matrix(2.7, 0),
+    lambda: random_matrix("3", 0),
+    lambda: random_hermitian(True, 0),
+    lambda: random_accretive(True, 0),
+    lambda: random_contraction(-1, 0),
+    lambda: random_idempotent(0, 0),
+    lambda: random_idempotent(4, 0, rank=2.7),
+    lambda: random_idempotent(4, 0, rank=True),
+    lambda: random_idempotent(4, 0, rank=5),
+    lambda: random_idempotent(4, 0, rank=-1),
+], ids=["matrix_0", "unitary_0", "matrix_2.7", "matrix_str", "hermitian_True",
+        "accretive_True", "contraction_-1", "idempotent_0", "rank_2.7", "rank_True",
+        "rank_5", "rank_-1"])
+def test_generators_refuse_sizes_that_are_not_integers_in_range(call):
+    with pytest.raises(InputError, match="integer"):
+        call()
+
+
+def test_random_idempotent_allows_rank_zero_and_numpy_sizes():
+    assert np.array_equal(random_idempotent(3, 1, rank=0), np.zeros((3, 3)))
+    assert np.array_equal(random_idempotent(np.int64(3), 1, rank=np.int64(2)),
+                          random_idempotent(3, 1, rank=2))
+
+
 def test_random_unitary_is_unitary():
     u = random_unitary(5, 9)
     assert np.allclose(u @ u.conj().T, np.eye(5), atol=1e-12)

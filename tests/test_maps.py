@@ -445,12 +445,12 @@ def test_cb_upper_exact_values():
     # CP maps: ||T||_cb = ||T(1)||
     for n in (3, 4):
         p_map = _norm_family(f"theta_q_{n}")[0]
-        assert _close_to(_cb_upper(p_map), _norm2(p_map._apply(np.eye(n))), p_map)
+        assert _close_to(_cb_upper(p_map), _norm2(p_map.apply(np.eye(n))), p_map)
     for seed, (n, n_ops) in enumerate([(3, 2), (4, 3)]):
         rng = rng_for(seed)
         ops = [random_matrix(n, rng) for _ in range(n_ops)]
         t_map = map_from_kraus(ops, n)
-        assert _close_to(_cb_upper(t_map), _norm2(t_map._apply(np.eye(n))), t_map)
+        assert _close_to(_cb_upper(t_map), _norm2(t_map.apply(np.eye(n))), t_map)
     # ||transpose_n||_cb = n
     for n in (2, 3, 4):
         assert _close_to(_cb_upper(transpose_map(n)), float(n), transpose_map(n))
@@ -931,6 +931,28 @@ def test_symmetric_is_read_at_the_lowest_level():
     for k, norm in ((1, 1.0), (2, 2.0), (3, 2.0)):
         assert c.symmetric_levels[k] == pytest.approx(norm, abs=1e-8)
     assert c.symmetric and not c.completely_symmetric
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_classify_and_build_read_one_norm_profile(n):
+    # both read the P, I - P, I - 2P brackets of the one shared helper
+    p_map, cert = build_symmetric_projection(*_theta_q_fixture(rng_for(n), n))
+    c = classify_projection(p_map)
+    assert c.contractive_levels == cert.contractive_norms
+    assert c.bicontractive_levels == cert.complement_norms
+    assert c.symmetric_levels == cert.symmetry_norms
+
+
+def test_projection_norm_profile_does_not_depend_on_the_family_order():
+    # the lockstep works map by map: listing the family as [I - 2P, P, I - P]
+    # moves no value
+    p_map, comp, sym = _norm_family("scalar_avg")
+    u_sym, u_p, u_comp = _projection_uppers(p_map, sym)
+    c = classify_projection(p_map)
+    for k in (1, 2, 3):
+        e_sym, e_p, e_comp = _op_norm_estimates([sym, p_map, comp], k, [u_sym, u_p, u_comp])
+        assert (c.contractive_levels[k], c.bicontractive_levels[k],
+                c.symmetric_levels[k]) == (e_p.value, e_comp.value, e_sym.value)
 
 
 def test_classify_rejects_non_idempotent():

@@ -78,6 +78,9 @@ def test_boundary_shape_and_points():
         assert seg_dist(z, 1.0 + 0j, 1.0j) <= 1e-9
     with pytest.raises(InputError):
         boundary(x, m=4)
+    for m in (16.7, "8", True, 16.0):  # refused, not truncated by int()
+        with pytest.raises(InputError, match="integer"):
+            boundary(x, m=m)
 
 
 @pytest.mark.parametrize("z", [0.0 + 0j, -1.0 + 0j, 2.0 + 2.0j, 0.5 + 0.1j])

@@ -69,6 +69,10 @@ def test_bad_options_rejected():
         run_suite("lump", seed=0, count=0, n=3)
     with pytest.raises(InputError):
         run_suite("lump", seed=0, count=1, n=1)
+    # refused, not read as 1 (True) nor left to fail with a bare TypeError (2.5)
+    for count, n in ((True, 4), (2.5, 4), ("2", 4), (1, 2.5), (1, True)):
+        with pytest.raises(InputError, match="integer"):
+            run_suite("lump", 0, count, n)
 
 
 def test_bal_reports_a_failed_deflation_per_exponent(monkeypatch):
