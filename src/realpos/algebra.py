@@ -2,10 +2,11 @@
 idempotents, hereditary subalgebras, and the structural equivalences
 that accretive elements satisfy.
 
-Subalgebras are explicit bases inside an ambient matrix algebra (matrix
-units are set by indexing one (d, n, n) array), each factored once: one
-SVD of the normalised vectorisations decides independence and gives both
-the orthonormal span rows and the coordinate solver.  Span questions are
+Subalgebras are explicit bases inside an ambient matrix algebra, each
+factored once: one SVD of the normalised vectorisations decides
+independence and gives both the orthonormal span rows and the coordinate
+solver.  Matrix units, set by indexing one (d, n, n) array, need no SVD:
+their rows are already orthonormal and serve as both.  Span questions are
 numerical rank decisions with an explicit ambiguity window that refuses
 to guess when singular values sit too close to the cut.
 
@@ -174,6 +175,20 @@ class SubalgebraBasis:
                 if worst_u > 100 * t.eq_tol * (1.0 + _max_op_norm(cube)):
                     raise InputError(f"declared unit fails u b = b = b u (residual {worst_u:.3g})")
 
+    @classmethod
+    def _matrix_units(cls, units: np.ndarray) -> "SubalgebraBasis":
+        """The unital algebra spanned by a (d, n, n) stack of distinct
+        matrix units, factored in closed form: the vectorised units are
+        orthonormal 0/1 rows, so they are their own span rows and their own
+        coordinate solver (pinv(rows.T) = rows), and no SVD is taken."""
+        alg = cls.__new__(cls)
+        n = units.shape[-1]
+        rows = units.reshape(len(units), -1)
+        alg.ambient, alg.basis, alg.unit = full_context(n), list(units), np.eye(n, dtype=complex)
+        alg._span_q, alg._pinv, alg._cols = rows, rows, rows.T
+        alg.closure_residual = 0.0
+        return alg
+
     @property
     def dim(self) -> int:
         return len(self.basis)
@@ -259,8 +274,7 @@ def block_diag_algebra(sizes) -> SubalgebraBasis:
     n = blk.size
     units = np.zeros((len(rows), n, n), dtype=complex)
     units[np.arange(len(rows)), rows, cols] = 1.0
-    return SubalgebraBasis(list(units), ambient=full_context(n),
-                           unit=np.eye(n, dtype=complex), validate=False)
+    return SubalgebraBasis._matrix_units(units)
 
 
 def _as_matrices(mats, name: str) -> list:
@@ -308,11 +322,12 @@ def _spans_equal(mats_a, mats_b) -> bool:
     """spans_equal on trusted lists, stacks or subalgebra bases."""
     if mats_a is mats_b and isinstance(mats_a, SubalgebraBasis):
         return True
-    mats_a, mats_b = (m.basis if isinstance(m, SubalgebraBasis) else m for m in (mats_a, mats_b))
-    ra = _span_rank(mats_a)
-    rb = _span_rank(mats_b)
+    # a subalgebra basis is independent: its constructor certified the rank
+    ra, rb = (m.dim if isinstance(m, SubalgebraBasis) else _span_rank(m)
+              for m in (mats_a, mats_b))
     if ra != rb:
         return False
+    mats_a, mats_b = (m.basis if isinstance(m, SubalgebraBasis) else m for m in (mats_a, mats_b))
     return _span_rank(list(mats_a) + list(mats_b)) == ra
 
 
@@ -646,8 +661,8 @@ def aarnes_kadison_check(x, algebra: SubalgebraBasis,
     s(x) acts as the unit of A."""
     a, ctx, t, xc, _ = _element(x, algebra.ambient, tol, "aarnes_kadison_check")
     cube = np.array(algebra.basis)
-    c1 = _spans_equal(a @ cube @ a, cube)
-    c2 = _spans_equal(a @ cube, cube) and _spans_equal(cube @ a, cube)
+    c1 = _spans_equal(a @ cube @ a, algebra)
+    c2 = _spans_equal(a @ cube, algebra) and _spans_equal(cube @ a, algebra)
     s = _support_idem(_Deflation(xc, t), ctx).s
     res_unit = _worst_unit_residual(s, cube)
     scale = 1.0 + _max_op_norm(cube)

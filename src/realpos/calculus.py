@@ -13,14 +13,18 @@ Three independent constructions of x^r are implemented:
                             scaling-and-squaring (the Schur-Pade scheme of
                             Higham & Lin, SIAM J. Matrix Anal. Appl. 32,
                             2011, with a binomial series in place of the
-                            Pade approximant), valid on the whole
-                            accretive cone;
+                            Pade approximant; each triangular square root
+                            is scipy's compiled blocked Schur method of
+                            Deadman, Higham & Ralha, LNCS 7782, 2013),
+                            valid on the whole accretive cone;
 * ``power_balakrishnan`` -- resolvent integral
                             x^r = sin(r pi)/pi * int_0^inf s^{r-1}(s+x)^{-1} x ds,
                             valid for accretive x and 0 < r < 1.
 
 ``power`` runs every applicable method and fails loudly when any two
-completed methods disagree beyond 1e-6 * (1 + ||x||).
+completed methods disagree beyond 1e-6 * (1 + ||x||).  The Balakrishnan
+route takes no square root, so it checks the shifted route independently
+of scipy's triangular square-root kernel.
 
 Accretive matrices have a semisimple reducing kernel (ker x = ker x*,
 orthogonal to the range), so the zero eigenvalue cluster is split off
@@ -41,6 +45,7 @@ is doubled.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from functools import cached_property, lru_cache
 
@@ -76,20 +81,20 @@ _SERIES_TERMS = 200_000
 # ---------------------------------------------------------------------------
 
 def _sqrtm_tri(t: np.ndarray) -> np.ndarray:
-    """Principal square root of an upper-triangular matrix whose spectrum
-    avoids the closed negative real axis (recursive column substitution)."""
-    n = t.shape[0]
-    r = np.zeros_like(t)
-    d = np.sqrt(np.diag(t).astype(complex))
-    for j in range(n):
-        r[j, j] = d[j]
-        for i in range(j - 1, -1, -1):
-            s = t[i, j] - r[i, i + 1:j] @ r[i + 1:j, j]
-            denom = r[i, i] + r[j, j]
-            if abs(denom) < 1e-300:
-                raise NumericError("triangular square root hit a vanishing eigenvalue pair")
-            r[i, j] = s / denom
-    return r
+    """Principal square root of a complex upper-triangular matrix, upper
+    triangular too: scipy's compiled blocked Schur method (Deadman, Higham
+    & Ralha, PARA 2012, LNCS 7782, 2013), which skips the Schur step on
+    triangular input.
+
+    The substitution divides by r_ii + r_jj, which vanishes only for a zero
+    eigenvalue or for a pair -a + 0j, -a - 0j on the negative real axis
+    (principal roots i sqrt(a) and -i sqrt(a)).  scipy flags such input
+    instead of raising, so it raises NumericError here before the call; a
+    lone negative eigenvalue keeps its principal root i sqrt(a)."""
+    cut = [cmath.sqrt(z) for z in t.diagonal().tolist() if z.imag == 0.0 and z.real <= 0.0]
+    if any(abs(a + b) < 1e-300 for a in cut for b in cut):
+        raise NumericError("triangular square root hit a vanishing eigenvalue pair")
+    return sla.sqrtm(t)
 
 
 def _solve_shifted_stack(t: np.ndarray, shift: np.ndarray, scale: np.ndarray) -> np.ndarray:

@@ -168,11 +168,21 @@ def matrix_exp(x) -> np.ndarray:
 # random_hermitian and random_accretive leave the check to random_matrix)
 # ---------------------------------------------------------------------------
 
+def _as_seed(v) -> int:
+    """v as a seed: an int >= 0; InputError for anything else, a bool, a
+    float or a numeric string included."""
+    if isinstance(v, (bool, np.bool_)) or not isinstance(v, (int, np.integer)) or v < 0:
+        raise InputError(f"seed must be an integer >= 0, got {v!r}")
+    return int(v)
+
+
 def rng_for(seed) -> np.random.Generator:
-    """The one way randomness enters: a fresh PCG64 generator per seed; a
-    Generator passes through unaltered, so a caller can draw several
-    instances from one stream."""
-    return np.random.default_rng(seed)
+    """The one way randomness enters: a fresh PCG64 generator per seed (an
+    integer >= 0, see _as_seed); a Generator passes through unaltered, so
+    a caller can draw several instances from one stream."""
+    if isinstance(seed, np.random.Generator):
+        return seed
+    return np.random.default_rng(_as_seed(seed))
 
 
 def random_matrix(n: int, seed) -> np.ndarray:

@@ -40,6 +40,10 @@ def fmt_float(x: float) -> str:
     return "%.17g" % x
 
 
+#: json.dumps(s) for a str s: the ASCII-escaped quoted string
+_quote = json.encoder.encode_basestring_ascii
+
+
 def _emit(obj, parts):
     if obj is None:
         parts.append("null")
@@ -48,7 +52,7 @@ def _emit(obj, parts):
     elif obj is False:
         parts.append("false")
     elif isinstance(obj, str):
-        parts.append(json.dumps(obj))
+        parts.append(_quote(obj))
     elif isinstance(obj, (int, np.integer)):
         parts.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
@@ -62,7 +66,7 @@ def _emit(obj, parts):
             if not first:
                 parts.append(", ")
             first = False
-            parts.append(json.dumps(str(k)))
+            parts.append(_quote(str(k)))
             parts.append(": ")
             _emit(v, parts)
         parts.append("}")

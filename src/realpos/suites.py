@@ -18,6 +18,7 @@ from .errors import InputError, NumericError
 from .linalg import (
     Tolerances,
     _as_positive_int,
+    _as_seed,
     _norm2,
     random_accretive,
     random_contraction,
@@ -41,8 +42,10 @@ def _rng(seed: int, suite: str, i: int) -> np.random.Generator:
 
 
 def _tag(rep: VerificationReport, suite: str, i: int, seed: int, *mats) -> VerificationReport:
+    """Name the report after its suite and instance; a library check has
+    already digested the same mats into rep.instance."""
     rep.check = suite
-    rep.instance = f"{suite}[{i}]:{matrix_digest(*mats)}"
+    rep.instance = f"{suite}[{i}]:{rep.instance or matrix_digest(*mats)}"
     rep.seed = [int(seed), _SUITE_INDEX[suite], int(i)]
     return rep
 
@@ -454,7 +457,7 @@ def run_suite(name: str, seed: int, count: int, n: int,
     count, n = _as_positive_int(count, "count"), _as_positive_int(n, "n")
     if n < 2:
         raise InputError(f"n must be >= 2, got {n}")
-    return _SUITES[name](seed, count, n, t)
+    return _SUITES[name](_as_seed(seed), count, n, t)
 
 
 def run_suites(names, seed: int, count: int, n: int, tol: Tolerances | None = None):

@@ -65,6 +65,38 @@ def test_block_diag_algebra_lists_each_block_row_major():
     assert np.array_equal(b.unit, np.eye(6))
 
 
+def _svd_factored(alg):
+    """The algebra's matrix units factored by the SVD of the general path."""
+    return SubalgebraBasis(alg.basis, ambient=alg.ambient, unit=alg.unit, validate=False)
+
+
+@pytest.mark.parametrize("sizes", [[2], [4], [3, 1], [1] * 4, [8], [16]],
+                         ids=["2", "4", "3-1", "1x4", "8", "16"])
+def test_matrix_units_closed_form_is_bitwise_the_svd_factoring(sizes):
+    alg = block_diag_algebra(sizes)
+    ref = _svd_factored(alg)
+    for name in ("_span_q", "_pinv", "_cols"):
+        got, want = getattr(alg, name), getattr(ref, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("sizes", [[1, 1], [7, 1], [5, 5], [1, 2, 3]],
+                         ids=["1-1", "7-1", "5-5", "1-2-3"])
+def test_matrix_units_closed_form_is_the_svd_span_up_to_row_signs(sizes):
+    """Here LAPACK returns some unit rows negated (and -0.0 for 0); the
+    closed form keeps every row +1, an orthonormal basis of the same span
+    with the same coordinate solver."""
+    alg = block_diag_algebra(sizes)
+    ref = _svd_factored(alg)
+    assert np.array_equal(np.abs(alg._span_q), np.abs(ref._span_q))
+    assert np.array_equal(alg._span_q, np.array(alg.basis).reshape(alg.dim, -1))
+    assert alg._pinv.tobytes() == ref._pinv.tobytes()
+    assert alg._cols.tobytes() == ref._cols.tobytes()
+    m = random_accretive(alg.n, 3)
+    assert np.array_equal(alg.project(m), ref.project(m))
+
+
 @pytest.mark.parametrize("sizes", [[], [2, 0]])
 def test_block_diag_algebra_rejects_empty_blocks(sizes):
     with pytest.raises(InputError):
@@ -192,6 +224,41 @@ def test_ba_nilpotent_has_no_unit():
     alg = ba(x)
     assert alg.dim == 1
     assert alg.unit is None
+
+
+@pytest.mark.parametrize("x", [
+    np.diag([1.0, 2.0, 0.0]).astype(complex),
+    np.array([[0, 1.0], [0, 0]], dtype=complex),
+    np.eye(3, dtype=complex),
+    random_accretive(4, 1),
+    random_accretive(6, 2) @ np.diag([1.0, 1.0, 1.0, 0.0, 0.0, 0.0]),
+], ids=["diag", "nilpotent", "unit", "accretive4", "rank3"])
+def test_ba_basis_is_bitwise_the_orthonormalised_kept_powers(x):
+    """ba's basis is bitwise the orthonormalisation of the normalised powers
+    of x kept until the next power adds no rank."""
+    xn = x / operator_norm(x)
+    powers = [xn]
+    while True:
+        nxt = powers[-1] @ xn
+        if algebra._span_rank(powers + [nxt]) == algebra._span_rank(powers):
+            break
+        powers.append(nxt)
+    got = np.array(ba(x).basis)
+    want = algebra._ortho_matrices(powers, x.shape[0])
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_spans_equal_reads_the_rank_of_a_subalgebra_basis_off_its_dim(monkeypatch):
+    f = full_matrix_algebra(2)
+    sizes = []
+    rank = algebra._span_rank
+    monkeypatch.setattr(algebra, "_span_rank", lambda m: sizes.append(len(m)) or rank(m))
+    x = random_accretive(2, 0) + 0.25 * np.eye(2)
+    assert algebra._spans_equal(x @ np.array(f.basis), f)
+    assert sizes == [4, 8]  # the stack x A and the joint stack, not A
+    sizes.clear()
+    assert aarnes_kadison_check(x, f).passed
+    assert sizes == [4, 8] * 3
 
 
 def test_support_idempotent_block_oracle():

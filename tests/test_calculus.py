@@ -448,3 +448,70 @@ def test_series_tail_closed_form_matches_recurrence(r):
         assert abs(closed[k - 1] - tail) <= 1e-10 * tail, k
         b *= (k - r) / (k + 1)
         tail -= b
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 16])
+def test_sqrtm_tri_is_an_upper_triangular_root_to_working_precision(n, seed):
+    t11 = calculus._Deflation(random_accretive(n, seed), Tolerances())._split[1]
+    root = calculus._sqrtm_tri(t11)
+    assert root.dtype == np.complex128 and root.shape == t11.shape
+    assert np.all(np.tril(root, -1) == 0)
+    bound = calculus._KER_ULPS * n * np.finfo(float).eps * operator_norm(t11)
+    assert operator_norm(root @ root - t11) <= bound
+    assert np.all(np.diag(root).real > 0)  # the principal branch
+
+
+@pytest.mark.parametrize("value", [0.0, -0.0])
+@pytest.mark.parametrize("where", [0, 1, 2])
+def test_sqrtm_tri_refuses_a_zero_diagonal_entry(where, value):
+    t = np.triu(np.ones((3, 3), dtype=complex))
+    t[where, where] = value
+    with pytest.raises(NumericError, match="vanishing eigenvalue pair"):
+        calculus._sqrtm_tri(t)
+
+
+def test_sqrtm_tri_refuses_a_pair_across_the_branch_cut():
+    # -1 + 0j and -1 - 0j have roots i and -i, so r_00 + r_11 = 0
+    t = np.array([[-1.0 + 0.0j, 1.0], [0.0, complex(-1.0, -0.0)]])
+    with pytest.raises(NumericError, match="vanishing eigenvalue pair"):
+        calculus._sqrtm_tri(t)
+
+
+@pytest.mark.parametrize("imag", [0.0, -0.0])
+def test_sqrtm_tri_gives_a_lone_negative_eigenvalue_its_principal_root(imag):
+    t = np.array([[complex(-2.0, imag), 1.0, 0.5], [0.0, 3.0, 1.0], [0.0, 0.0, complex(-5.0, imag)]])
+    root = calculus._sqrtm_tri(t)
+    assert np.array_equal(np.diag(root), np.sqrt(np.diag(t)))
+    assert np.allclose(root @ root, t, atol=1e-14)
+
+
+def test_a_small_negative_eigenvalue_admitted_by_a_loose_psd_tol_keeps_its_root():
+    """Tolerances(psd_tol=1e-6) admits an eigenvalue -1e-7, above the zero
+    cut, into the square-root chain: the routes return its principal power
+    (i sqrt(1e-7) at r = 1/2) instead of refusing."""
+    tol = Tolerances(psd_tol=1e-6)
+    x = np.diag([-1e-7, 1.0, 2.0]).astype(complex)
+    x[1, 2] = 0.3
+    expected = np.array([[1j * np.sqrt(1e-7), 0.0, 0.0],
+                         [0.0, 1.0, 0.3 / (1.0 + np.sqrt(2.0))],
+                         [0.0, 0.0, np.sqrt(2.0)]])
+    for value in (power_shifted(x, 0.5, tol=tol), power(x, 0.5, tol=tol)):
+        assert operator_norm(value - expected) <= 1e-12
+    assert all(root_bai_check(x, tol=tol).verdicts.values())
+
+
+def test_sqrtm_tri_takes_the_principal_root_next_to_the_negative_axis():
+    t = np.array([[complex(-1.0, 1e-12), 1.0], [0.0, 4.0]])
+    root = calculus._sqrtm_tri(t)
+    assert root[0, 0].real > 0 and np.allclose(root @ root, t, atol=1e-14)
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("r", [0.3, 0.5, 0.7])
+def test_shifted_route_matches_the_root_free_balakrishnan_route_at_n16(seed, r):
+    """The Balakrishnan rule takes no square root, so it checks the
+    shifted route's square-root chain independently of scipy's kernel."""
+    x = random_accretive(16, seed)
+    err = operator_norm(power_shifted(x, r) - power_balakrishnan(x, r))
+    assert err <= 1e-6 * (1.0 + operator_norm(x))

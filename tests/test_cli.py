@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output files, determinism."""
 import numpy as np
+import pytest
 
 import realpos.cli as cli
 from realpos.report import VerificationReport
@@ -157,6 +158,15 @@ def test_random_has_no_algebra_kind(tmp_path):
 def test_random_size_below_one_is_usage(capsys):
     assert cli.main(["random", "accretive", "--n", "0"]) == cli.EXIT_USAGE
     assert "integer >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["random", "accretive", "--seed", "-1"],
+    ["verify", "lump", "--seed", "-1", "--n", "3", "--count", "1"],
+], ids=["random", "verify"])
+def test_negative_seed_is_usage(argv, capsys):
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert "seed must be an integer >= 0" in capsys.readouterr().err
 
 
 def test_random_accretive_is_accretive(tmp_path, capsys):

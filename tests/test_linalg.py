@@ -138,6 +138,25 @@ def test_rng_for_passes_a_generator_through():
         assert np.array_equal(random_accretive(4, rng_for(s)), random_accretive(4, s))
 
 
+@pytest.mark.parametrize("seed", [-1, 2.5, True, np.bool_(False), "3", None, (1, 2)],
+                         ids=["negative", "float", "bool", "numpy_bool", "str", "none", "tuple"])
+@pytest.mark.parametrize("gen", [rng_for, lambda s: random_matrix(3, s),
+                                 lambda s: random_accretive(3, s)],
+                         ids=["rng_for", "random_matrix", "random_accretive"])
+def test_seeds_that_are_not_integers_at_least_zero_are_refused(gen, seed):
+    with pytest.raises(InputError, match="seed must be an integer >= 0"):
+        gen(seed)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 42, 2 ** 40, np.int64(7), np.uint8(200)])
+def test_valid_seeds_draw_what_default_rng_draws(seed):
+    assert np.array_equal(rng_for(seed).standard_normal(6),
+                          np.random.default_rng(int(seed)).standard_normal(6))
+    g = np.random.default_rng(int(seed))
+    want = (g.standard_normal((3, 3)) + 1j * g.standard_normal((3, 3))) / np.sqrt(6.0)
+    assert np.array_equal(random_matrix(3, seed), want)
+
+
 @pytest.mark.parametrize("call", [
     lambda: random_matrix(0, 0),
     lambda: random_unitary(0, 0),

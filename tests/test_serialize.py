@@ -2,6 +2,7 @@
 CSV table shape, SVG structure."""
 import hashlib
 import json
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -53,6 +54,31 @@ def test_dumps_stable_complex_and_arrays():
     m = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
     parsed = json.loads(dumps_stable(m))
     assert parsed["rows"] == 2 and parsed["re"][1][0] == 3.0
+
+
+@pytest.mark.parametrize("text", ["plain", 'quote " and \\ backslash', "tab\t newline\n",
+                                  "\x00\x1f\x7f", "ünïcødé ∞", "😀"],
+                         ids=["plain", "escapes", "whitespace", "control", "unicode", "astral"])
+def test_dumps_stable_writes_strings_as_json_dumps(text):
+    assert dumps_stable(text) == json.dumps(text)
+    assert dumps_stable({text: text}) == "{" + json.dumps(text) + ": " + json.dumps(text) + "}"
+
+
+def test_dumps_stable_writes_numpy_scalars_and_subclasses_as_plain_values():
+    class Name(str):
+        pass
+
+    class Count(int):
+        pass
+
+    obj = {Name("k"): [np.float64(0.1), np.int32(3), np.complex128(1 - 2j), Count(4),
+                       (True, None), OrderedDict(a=np.float32(0.5)), 7, 0.25],
+           1: "one"}
+    assert dumps_stable(obj) == ('{"k": [0.10000000000000001, 3, {"re": 1, "im": -2}, 4, '
+                                 '[true, null], {"a": 0.5}, 7, 0.25], "1": "one"}')
+    for bad in (np.bool_(True), {1, 2}, float("nan"), np.float64("inf")):
+        with pytest.raises(InputError):
+            dumps_stable([bad])
 
 
 def test_matrix_roundtrip(tmp_path):

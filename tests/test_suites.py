@@ -7,6 +7,7 @@ import pytest
 
 from realpos import calculus, suites
 from realpos.errors import InputError, NumericError, PreconditionError
+from realpos.report import matrix_digest
 from realpos.serialize import dumps_stable, report_file_obj
 from realpos.suites import SUITE_ORDER, run_suite, run_suites
 
@@ -73,6 +74,38 @@ def test_bad_options_rejected():
     for count, n in ((True, 4), (2.5, 4), ("2", 4), (1, 2.5), (1, True)):
         with pytest.raises(InputError, match="integer"):
             run_suite("lump", 0, count, n)
+
+
+@pytest.mark.parametrize("seed", [-1, 2.5, True, "3", None, np.random.default_rng(0)],
+                         ids=["negative", "float", "bool", "str", "none", "generator"])
+def test_seeds_that_are_not_integers_at_least_zero_are_refused(seed):
+    with pytest.raises(InputError, match="seed must be an integer >= 0"):
+        run_suite("lump", seed, 1, 3)
+
+
+def test_numpy_integer_seed_is_the_int_seed():
+    a = dumps_stable(report_file_obj("verify", 7, {}, run_suite("lump", np.int64(7), 2, 3)))
+    b = dumps_stable(report_file_obj("verify", 7, {}, run_suite("lump", 7, 2, 3)))
+    assert a == b
+
+
+@pytest.mark.parametrize("name", SUITE_ORDER)
+def test_instance_id_is_the_digest_of_the_tagged_matrices(name, monkeypatch):
+    """A library check's own instance digest is reused; it must be the
+    digest of the matrices the suite tags the report with."""
+    tag = suites._tag
+    seen = []
+
+    def checked(rep, suite, i, seed, *mats):
+        out = tag(rep, suite, i, seed, *mats)
+        seen.append((out.instance, f"{suite}[{i}]:{matrix_digest(*mats)}"))
+        return out
+
+    monkeypatch.setattr(suites, "_tag", checked)
+    run_suite(name, seed=3, count=3, n=3)
+    assert len(seen) == 3
+    for got, want in seen:
+        assert got == want
 
 
 def test_bal_reports_a_failed_deflation_per_exponent(monkeypatch):
