@@ -7,8 +7,9 @@ factored once: one SVD of the normalised vectorisations decides
 independence and gives both the orthonormal span rows and the coordinate
 solver.  Matrix units, set by indexing one (d, n, n) array, need no SVD:
 their rows are already orthonormal and serve as both.  Span questions are
-numerical rank decisions with an explicit ambiguity window that refuses
-to guess when singular values sit too close to the cut.
+rank decisions at the relative cut _RANK_CUT by the package's one zero
+rule ``linalg._nonzero``, which refuses to guess inside its window;
+span-membership residuals (_SPAN_TOL) are distances and take no window.
 
 The structural certificates (basis closure, ideals, unit residuals) run
 on stacked ``(m, n, n)`` arrays: one matmul per right factor, then one
@@ -24,8 +25,9 @@ import numpy as np
 
 from .calculus import _Deflation, _f_transform
 from .cones import AmbientContext, _element, _membership, full_context
-from .errors import InputError, MethodDisagreementError, NumericError, PreconditionError
-from .linalg import Tolerances, _as_positive_int, _as_sized, _norm2, as_matrix, resolve_tol
+from .errors import InputError, MethodDisagreementError, PreconditionError
+from .linalg import (Tolerances, _as_positive_int, _as_sized, _nonzero, _norm2, as_matrix,
+                     resolve_tol)
 from .report import VerificationReport, matrix_digest
 
 __all__ = [
@@ -50,7 +52,7 @@ __all__ = [
 ]
 
 #: relative singular-value cut for rank decisions on stacked spans
-_RANK_TOL = 1e-10
+_RANK_CUT = 1e-9
 #: span-equality / containment threshold used by the structural checks
 _SPAN_TOL = 1e-8
 
@@ -70,19 +72,10 @@ def _stack(mats) -> np.ndarray:
 
 
 def _rank(sv: np.ndarray) -> int:
-    """Numerical rank from descending singular values: the count of
-    sv / sv[0] >= 10 _RANK_TOL (0 when sv[0] = 0).  A value in the
-    ambiguity window [_RANK_TOL, 10 _RANK_TOL) raises NumericError instead
-    of a guess."""
-    if sv[0] == 0:
-        return 0
-    rel = sv / sv[0]
-    if np.any((rel >= _RANK_TOL) & (rel < 10 * _RANK_TOL)):
-        raise NumericError(
-            "span rank decision is ambiguous (singular value within 10x of the cut "
-            f"{_RANK_TOL:.3g}); pass cleaner generators"
-        )
-    return int(np.sum(rel >= 10 * _RANK_TOL))
+    """Numerical rank from descending singular values: the count above
+    _RANK_CUT sv[0], decided by linalg._nonzero (a value within its window
+    raises NumericError instead of a guess)."""
+    return int(np.count_nonzero(_nonzero(sv, sv[0], _RANK_CUT, "span rank decision")))
 
 
 def _pair_products(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -425,11 +418,12 @@ def support_idem(x, ctx: AmbientContext | None = None,
     in F (||e - s|| <= 1).  It is read exactly as Z_k Z_k* from the
     Schur vectors Z_k of the k eigenvalues kept by the zero-cluster split
     that the powers use (calculus._split_zero_cluster, cut 1e-9 (1 +
-    ||x||)), and cross-checked against U_k U_k* from the top k left
-    singular vectors of x.  The two factorisations are independent;
-    disagreement beyond 1e-6 raises MethodDisagreementError carrying both
-    candidates.  A zero cluster that the cut cannot separate, or that
-    does not split off cleanly, raises NumericError, as for the powers.
+    ||x||), decided by linalg._nonzero), and cross-checked against U_k U_k*
+    from the top k left singular vectors of x.  The two factorisations are
+    independent; disagreement beyond 1e-6 raises MethodDisagreementError
+    carrying both candidates.  An eigenvalue within the window below the
+    cut (so diag(1, 1e-9) is refused), or a zero cluster that does not
+    split off cleanly, raises NumericError, as for the powers.
     """
     _, ctx, t, xc, _ = _element(x, ctx, tol, "support_idem")
     return _support_idem(_Deflation(xc, t), ctx)
@@ -466,7 +460,8 @@ def ws_suite(x, algebra: SubalgebraBasis, tol: Tolerances | None = None) -> Veri
     (v)   x is invertible within ba(x) (x z = z x = u for ba(x)'s unit
           candidate u);
     (vi)  0 is isolated in the spectrum: the smallest |eigenvalue| kept
-          by the zero-cluster split of s(x) is above 1e-8.
+          by the zero-cluster split of s(x) is above 1e-8 (a reported
+          verdict, not a zero decision: it takes no window).
 
     In finite dimension s(x) is a polynomial in x with zero constant
     term, so (ii) and (iii) hold identically whenever the data make
@@ -502,10 +497,9 @@ def ws_suite(x, algebra: SubalgebraBasis, tol: Tolerances | None = None) -> Veri
             res_v = float(np.linalg.norm(m @ cz - v))
             v5 = res_v <= 1e-8 * (1.0 + np.linalg.norm(v))
 
-    # (vi): spectral gap at zero, off the split's Schur diagonal
-    mags = np.abs(np.diag(d._schur[1]))
-    nonzero = mags[mags > d.zero_cut]
-    gap = float(np.min(nonzero)) if nonzero.size else np.inf
+    # (vi): spectral gap at zero, off the kept part of the split's Schur diagonal
+    _, tri, k = d._schur
+    gap = float(np.min(np.abs(np.diag(tri)[:k]))) if k else np.inf
     v6 = gap > 1e-8
 
     equiv = (v1 == v4 == v5)

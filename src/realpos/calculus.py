@@ -30,13 +30,13 @@ Accretive matrices have a semisimple reducing kernel (ker x = ker x*,
 orthogonal to the range), so the zero eigenvalue cluster is split off
 exactly by an ordered Schur form before any power or quadrature; the
 power acts as zero on that block for every r > 0.  That split
-(``_Deflation``, in ``_split_zero_cluster``) is the package's one zero
-cut: the eigenvalues |lambda| <= 1e-9 (1 + ||x||).  A kept eigenvalue
-within 6x of the largest cut one leaves the cluster unseparated, and
-NumericError is raised alike by the three powers and by
-``algebra.support_idem``, which reads its projection off the same
-split.  One split and one square-root chain per input serve every
-exponent and both spectral routes, and its Schur diagonal gives the
+(``_Deflation``, in ``_split_zero_cluster``) cuts the eigenvalues
+|lambda| <= 1e-9 (1 + ||x||), decided by the package's one zero rule,
+``linalg._nonzero``: an eigenvalue within its window below the cut
+leaves the cluster unseparated, and NumericError is raised alike by the
+three powers and by ``algebra.support_idem``, which reads its projection
+off the same split.  One split and one square-root chain per input serve
+every exponent and both spectral routes, and its Schur diagonal gives the
 spectral radius of e - x behind the series refusal.  The Balakrishnan
 route maps s = c (1 + u)/(1 - u), c = sqrt(min |t_ii| max |t_ii|) over
 the invertible Schur block T; its 32- and 64-node Gauss-Jacobi rules are
@@ -55,8 +55,8 @@ import scipy.special
 
 from .cones import AmbientContext, _element, _require_in
 from .errors import InputError, MethodDisagreementError, NumericError
-from .linalg import Tolerances, _norm2
-from .numrange import _KER_ULPS, _dist_to_point, _sectorial_angle
+from .linalg import Tolerances, _nonzero, _norm2, _rounding_cut
+from .numrange import _dist_to_point, _sectorial_angle
 from .report import VerificationReport, matrix_digest
 
 __all__ = [
@@ -74,6 +74,8 @@ __all__ = [
 
 # term budget of the binomial series on F
 _SERIES_TERMS = 200_000
+#: zero cut of the Schur split, relative to 1 + ||x||
+_ZERO_CUT = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -116,35 +118,30 @@ def _solve_shifted_stack(t: np.ndarray, shift: np.ndarray, scale: np.ndarray) ->
     return x
 
 
-def _split_zero_cluster(xc: np.ndarray, zero_cut: float, nrm: float):
-    """Ordered complex Schur split isolating the zero eigenvalue cluster
-    |lambda| <= zero_cut of xc, of operator norm nrm.
+def _split_zero_cluster(xc: np.ndarray, nrm: float):
+    """Ordered complex Schur split isolating the zero eigenvalue cluster of
+    xc, of operator norm nrm: the eigenvalues |lambda| <= _ZERO_CUT (1 +
+    nrm).
 
     Returns (z, t, k): the Schur form xc = z t z* with the nonzero-spectrum
-    block t11 = t[:k, :k] leading and t[k:, k:] ~ 0.  A kept eigenvalue
-    within 6x of the largest cut one (read off the Schur diagonal) leaves
-    the cluster unseparated, and raises NumericError.  For accretive
-    matrices the kernel is reducing and semisimple, so the off-diagonal
-    coupling and the zero block are both tiny; a large one signals an
-    ill-separated spectrum near zero and raises NumericError too.
+    block t11 = t[:k, :k] leading and t[k:, k:] ~ 0.  The Schur diagonal
+    is decided by linalg._nonzero at cut _ZERO_CUT and scale 1 + nrm: a
+    |t_ii| within its window below the cut leaves the cluster
+    unseparated, and raises NumericError.  For accretive matrices the
+    kernel is reducing and semisimple, so the off-diagonal coupling and
+    the zero block are both tiny; a large one signals an ill-separated
+    spectrum near zero and raises NumericError too.
     """
-    n = xc.shape[0]
-    t, z, sdim = sla.schur(xc, output="complex", sort=lambda lam: abs(lam) > zero_cut)
+    n, scale = xc.shape[0], 1.0 + nrm
+    t, z, sdim = sla.schur(xc, output="complex", sort=lambda lam: abs(lam) > _ZERO_CUT * scale)
     k = int(sdim)
-    if 0 < k < n:
-        mags = np.abs(np.diag(t))
-        kept, cut = float(np.min(mags[:k])), float(np.max(mags[k:]))
-        if kept <= 6.0 * cut:
-            raise NumericError(
-                f"cannot separate the zero cluster: smallest kept |eigenvalue| {kept:.3g} "
-                f"is within 6x of the largest cut one {cut:.3g} (zero cut {zero_cut:.3g})"
-            )
+    _nonzero(np.abs(np.diag(t)), scale, _ZERO_CUT, "zero cluster split")
     if n - k > 0:
         defect = max(_norm2(t[:k, k:]) if k else 0.0, _norm2(t[k:, k:]))
-        if defect > 1e-7 * (1.0 + nrm):
+        if defect > 1e-7 * scale:
             raise NumericError(
                 "zero eigenvalue cluster is not cleanly reducing "
-                f"(coupling {defect:.3g} at zero cut {zero_cut:.3g}); "
+                f"(coupling {defect:.3g} at zero cut {_ZERO_CUT * scale:.3g}); "
                 "check accretivity of the input"
             )
     return z, t, k
@@ -160,19 +157,18 @@ def _reassemble(z: np.ndarray, block: np.ndarray, n: int) -> np.ndarray:
 class _Deflation:
     """One accretive input xc, shared by every exponent, by the shifted and
     Balakrishnan routes, the series refusal and the support idempotent.
-    Its zero cluster is |lambda| <= zero_cut = 1e-9 (1 + ||x||), the one
-    cut of the package.  Its Schur split (z, t11, k) and the square-root
-    chain of t11 are built on first use, so r = 1 needs neither; a split
-    that fails raises again at each use."""
+    Its zero cluster is |lambda| <= _ZERO_CUT (1 + ||x||), decided by
+    linalg._nonzero in _split_zero_cluster.  Its Schur split (z, t11, k)
+    and the square-root chain of t11 are built on first use, so r = 1
+    needs neither; a split that fails raises again at each use."""
 
     def __init__(self, xc: np.ndarray, t: Tolerances):
         self.xc, self.t = xc, t
         self.nrm = _norm2(xc)
-        self.zero_cut = 1e-9 * (1.0 + self.nrm)
 
     @cached_property
     def _schur(self):
-        return _split_zero_cluster(self.xc, self.zero_cut, self.nrm)
+        return _split_zero_cluster(self.xc, self.nrm)
 
     @cached_property
     def _split(self):
@@ -300,8 +296,8 @@ def _power_series(d: _Deflation, r: float) -> np.ndarray:
 
     The loop stops at the first K with tail_K * min_{j<=K+1} ||d^j|| <=
     conv_tol.  A Schur form x ~ Z T Z* whose backward error, like the
-    rounding of each product d^{j-1} d, stays below eta = _KER_ULPS * n *
-    eps * (1 + ||x||) gives ||d^j|| >= rho^j - j eta (||d|| <= 1 on F,
+    rounding of each product d^{j-1} d, stays below eta = _rounding_cut(n,
+    1 + ||x||) gives ||d^j|| >= rho^j - j eta (||d|| <= 1 on F,
     and the (i, i) entry of (I - T)^j is (1 - t_ii)^j), so if tail_B
     (rho^{B+1} - (B+1) eta) > conv_tol at the budget B, no K <= B can stop
     it (both factors fall with K): that is refused before the first term.
@@ -311,7 +307,7 @@ def _power_series(d: _Deflation, r: float) -> np.ndarray:
     if r == 1.0:
         return xc.copy()
     k_dim, rho = xc.shape[0], d.series_radius
-    eta = _KER_ULPS * k_dim * np.finfo(float).eps * (1.0 + d.nrm)
+    eta = _rounding_cut(k_dim, 1.0 + d.nrm)
     floor = _series_tail(r, _SERIES_TERMS) * (
         rho ** (_SERIES_TERMS + 1) - (_SERIES_TERMS + 1) * eta)
     if floor > t.conv_tol:

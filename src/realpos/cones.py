@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericError, PreconditionError
-from .linalg import Tolerances, _as_positive_int, _matrix_exp, _norm2, as_matrix, resolve_tol
+from .linalg import (Tolerances, _as_positive_int, _as_positive_real, _matrix_exp, _norm2,
+                     as_matrix, resolve_tol)
 from .numrange import _abscissa
 from .report import VerificationReport, matrix_digest
 
@@ -332,9 +333,7 @@ def scale_into_F(x, ctx: AmbientContext, eps: float,
     ||e - y|| <= 1 whenever x is accretive; the certificate is y's
     F-residual (<= eq_tol).
     """
-    eps = float(eps)
-    if eps <= 0:
-        raise InputError(f"eps must be positive, got {eps!r}")
+    eps = _as_positive_real(eps, "eps")
     a, ctx, t, xc, _ = _element(x, ctx, tol, "scale_into_F")
     nrm = _norm2(xc)
     c = eps + nrm * nrm / eps
@@ -350,9 +349,7 @@ def approximate_from_F(x, ctx: AmbientContext, t: float,
     t * a_t lies in F and ||a_t - x|| <= t ||x||^2, so a_t -> x as t -> 0
     with every t*a_t inside the shrunken cone.
     """
-    t = float(t)
-    if t <= 0:
-        raise InputError(f"t must be positive, got {t!r}")
+    t = _as_positive_real(t, "t")
     _, ctx, _, xc, _ = _element(x, ctx, tol, "approximate_from_F")
     k = xc.shape[0]
     at = np.linalg.solve((np.eye(k) + t * xc).conj().T, xc.conj().T).conj().T

@@ -16,9 +16,17 @@ instead marks the matrices of its stack whose exponential overflows).
 A function that takes an element of a cone enters through the single
 entry check ``cones._element``: ``as_matrix``, the corner check, and the
 cone hypothesis, raised as one ``PreconditionError`` format.
+
+Decision layer: every rank, null space, zero cluster and Kraus cut asks
+``_nonzero`` whether a singular value or eigenvalue is zero, with its own
+cut and scale; a value in the window between a tenth of the cut and the
+cut raises ``NumericError`` naming the site rather than a guess.
+``_rounding_cut`` is a rounding bound with no window, for the sign and
+cluster tests of ``numrange`` and the series and norm-bracket allowances.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +53,36 @@ __all__ = [
 #: Hermitian part reaches this spills out of double range.
 _EXP_OVERFLOW = 700.0
 
+#: ambiguity window of _nonzero: a value within this factor below its cut
+#: is refused, not decided
+_WINDOW = 10.0
+
+# Rounding cut, in units of n * eps * scale.  eigh resolves H only to about
+# n * eps * ||H||: Haar-conjugated kernels u (B + 0) u* and the kernels of
+# their shifted-route powers come out below 3 n eps ||x||.
+_KER_ULPS = 64.0
+
+
+def _nonzero(values: np.ndarray, scale: float, cut: float, who: str) -> np.ndarray:
+    """Mask of the nonnegative values above cut * scale.  A value at or
+    below cut * scale / _WINDOW is zero; one in between raises
+    NumericError naming who, the value and the cut.  At scale 0 the window
+    is empty and a zero value is zero (a zero stack has rank 0)."""
+    big = values > cut * scale
+    unsure = values[~big & (values > cut * scale / _WINDOW)]
+    if unsure.size:
+        raise NumericError(
+            f"{who} is ambiguous: {float(unsure.max()):.3g} lies within {_WINDOW:g}x "
+            f"below the cut {cut:.3g} x scale {float(scale):.3g}"
+        )
+    return big
+
+
+def _rounding_cut(n: int, scale: float) -> float:
+    """_KER_ULPS * n * eps * scale: a small multiple of the rounding level of
+    an n-by-n eigen-solve of a matrix of size scale."""
+    return _KER_ULPS * n * np.finfo(float).eps * scale
+
 
 @dataclass(frozen=True)
 class Tolerances:
@@ -61,10 +99,7 @@ class Tolerances:
 
     def __post_init__(self):
         for name in ("eq_tol", "psd_tol", "conv_tol"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not (isinstance(v, (int, float))
-                                           and np.isfinite(v) and v > 0):
-                raise InputError(f"tolerance {name} must be a finite positive real, got {v!r}")
+            _as_positive_real(getattr(self, name), f"tolerance {name}")
 
     def as_dict(self):
         return {"eq_tol": self.eq_tol, "psd_tol": self.psd_tol, "conv_tol": self.conv_tol}
@@ -93,6 +128,15 @@ def _as_sized(x, n: int, name: str = "x") -> np.ndarray:
     if a.shape[0] != n:
         raise InputError(f"{name} is {a.shape[0]}x{a.shape[0]}, expected {n}x{n}")
     return a
+
+
+def _as_positive_real(v, what: str) -> float:
+    """v as a finite float > 0; InputError for anything else, a bool, a
+    complex, nan, inf or a string included."""
+    if (isinstance(v, (bool, np.bool_)) or not isinstance(v, numbers.Real)
+            or not (np.isfinite(v) and v > 0)):
+        raise InputError(f"{what} must be a finite positive real, got {v!r}")
+    return float(v)
 
 
 def _as_positive_int(v, what: str) -> int:

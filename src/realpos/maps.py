@@ -19,6 +19,7 @@ accretive witness (see rcp_test).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -38,11 +39,13 @@ from .linalg import (
     _as_positive_int,
     _as_sized,
     _herm_part,
+    _nonzero,
     _norm2,
+    _rounding_cut,
     as_matrix,
     resolve_tol,
 )
-from .numrange import _KER_ULPS, _abscissa
+from .numrange import _abscissa
 
 __all__ = [
     "LinearMapOnAlgebra",
@@ -86,12 +89,17 @@ class LinearMapOnAlgebra:
     def __init__(self, domain: SubalgebraBasis, codomain: SubalgebraBasis, action):
         self.domain = domain
         self.codomain = codomain
-        a = np.asarray(action, dtype=complex)
+        try:
+            a = np.asarray(action, dtype=complex)
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"action is not convertible to a complex matrix: {exc}") from exc
         if a.shape != (codomain.dim, domain.dim):
             raise InputError(
                 f"action shape {a.shape} does not match (codomain dim {codomain.dim}, "
                 f"domain dim {domain.dim})"
             )
+        if not np.isfinite(a).all():
+            raise InputError("action contains non-finite entries")
         self.action = a
         self._vec_action = codomain._cols @ a @ domain._pinv
 
@@ -174,6 +182,8 @@ def map_affine_combo(t_map: LinearMapOnAlgebra, alpha: float, beta: float) -> Li
     """alpha * id + beta * T for an endomorphism T (used for I-P, I-2P)."""
     if t_map.domain.dim != t_map.codomain.dim:
         raise InputError("affine combinations need an endomorphism")
+    if not all(isinstance(c, numbers.Number) and np.isfinite(c) for c in (alpha, beta)):
+        raise InputError(f"alpha and beta must be finite numbers, got {alpha!r}, {beta!r}")
     eye = np.eye(t_map.domain.dim, dtype=complex)
     return LinearMapOnAlgebra(t_map.domain, t_map.codomain,
                               alpha * eye + beta * t_map.action)
@@ -316,7 +326,7 @@ def kraus_factor(t_map: LinearMapOnAlgebra, tol: Tolerances | None = None):
     w, vecs = np.linalg.eigh(_herm_part(verdict.choi.c))
     cutoff = max(t.psd_tol, 1e-12 * max(float(w[-1]), 0.0))
     # op = conj(y) as an n x m matrix for each eigenvector y above the cutoff, top first
-    top = np.flatnonzero(w > cutoff)[::-1]
+    top = np.flatnonzero(_nonzero(np.maximum(w, 0.0), 1.0, cutoff, "kraus_factor"))[::-1]
     o = (vecs[:, top] * np.sqrt(w[top])).T.conj().reshape(-1, n, m)
     units = np.eye(n * n, dtype=complex).reshape(n * n, n, n)  # [i n + j] = E_ij
     # sum_l op_l^* E_ij op_l has entry (a, b) = sum_l conj(op_l[i, a]) op_l[j, b]
@@ -364,7 +374,7 @@ def _cb_delta(t_map: LinearMapOnAlgebra) -> float:
     """Relative rounding allowance of _cb_upper: _KER_ULPS * n * m * eps for
     an n-by-n domain and m-by-m codomain (the side of the Choi matrix is
     n * m)."""
-    return _KER_ULPS * t_map.domain.n * t_map.codomain.n * float(np.finfo(float).eps)
+    return _rounding_cut(t_map.domain.n * t_map.codomain.n, 1.0)
 
 
 def _cb_upper(t_map: LinearMapOnAlgebra) -> float:
@@ -792,7 +802,8 @@ def build_symmetric_projection(theta: LinearMapOnAlgebra, q, algebra: Subalgebra
     comp_action, _ = algebra._coords_stack(qm @ cube @ qm)
     stackm = np.concatenate([theta.action - np.eye(d), comp_action - np.eye(d)], axis=0)
     _, sv, vh = np.linalg.svd(stackm)
-    fixed = np.tensordot(vh[sv <= 1e-9 * max(1.0, float(sv[0]))].conj(), cube, axes=1)
+    null = ~_nonzero(sv, max(1.0, float(sv[0])), 1e-9, "build_symmetric_projection fixed points")
+    fixed = np.tensordot(vh[null].conj(), cube, axes=1)
     range_ok = _spans_equal(p_map._apply_stack(cube), fixed)
 
     vanish = _max_op_norm(p_map._apply_stack(
@@ -891,11 +902,13 @@ def classify_projection(p_map: LinearMapOnAlgebra,
             p_map._apply_stack(p_pp @ pc) - p_map._apply_stack(_products(p_of, p_bc))))
     cond_exp = worst_ce <= 1e-9
 
-    range_closed = _spans_equal(p_of, np.concatenate([p_of, pp[_norm2(pp) > 1e-12]]))
+    products = pp[_nonzero(_norm2(pp), 1.0, 1e-12, "classify_projection range product cut")]
+    range_closed = _spans_equal(p_of, np.concatenate([p_of, products]))
 
     # kernel basis from the SVD null space of the (square) action
     _, sv, vh = np.linalg.svd(act)
-    kern = np.tensordot(vh[sv <= 1e-9 * max(1.0, sv[0])].conj(), cube, axes=1)
+    null = ~_nonzero(sv, max(1.0, sv[0]), 1e-9, "classify_projection kernel")
+    kern = np.tensordot(vh[null].conj(), cube, axes=1)
     worst_kernel = _max_op_norm(_products(kern, kern))
 
     return ProjectionClassification(

@@ -19,9 +19,12 @@ eigen-angle, known from the pencil only to about sqrt(eps); one Newton
 step on min eig sharpens it.  The sector of an accretive x = H + iK is
 arctan max |lambda| over K v = lambda H v on the range of H (pi/2 when K
 does not vanish on ker H).  Each decision is a cut
-at _KER_ULPS * n * eps * ||x||, a small multiple of the rounding level of
-the eigen-solve, never the sign of rounding noise: the cut scales with x,
-so the angle of s x is that of x.
+at _KER_ULPS * n * eps * ||x|| (linalg._rounding_cut), a small multiple of
+the rounding level of the eigen-solve, never the sign of rounding noise:
+the cut scales with x, so the angle of s x is that of x.  These sign and
+cluster tests take no ambiguity window (linalg._nonzero): their cut is a
+rounding bound, and computed kernels come out below 3 n eps ||x||, within
+2x of a tenth of the cut.
 """
 from __future__ import annotations
 
@@ -32,7 +35,8 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import InputError
-from .linalg import Tolerances, _as_positive_int, _herm_part, _norm2, as_matrix, resolve_tol
+from .linalg import (Tolerances, _as_positive_int, _herm_part, _norm2, _rounding_cut,
+                     as_matrix, resolve_tol)
 
 __all__ = [
     "RangeBoundary",
@@ -159,7 +163,7 @@ def _extreme_vectors(h: np.ndarray, lam: np.ndarray) -> np.ndarray:
     do all when the solve is singular (x = 0 makes every g - sigma I zero).
     """
     k, n = h.shape[0], h.shape[-1]
-    cut = _KER_ULPS * n * np.finfo(float).eps * float(np.max(np.abs(lam)))
+    cut = _rounding_cut(n, float(np.max(np.abs(lam))))
     shifted = np.concatenate((h, h))
     shifted.reshape(2 * k, n * n)[:, :: n + 1] -= (lam + np.repeat([cut, -cut], k))[:, None]
     p = np.arange(1.0, n + 1.0)
@@ -223,13 +227,13 @@ def _gap_jet(b: np.ndarray, psi: float):
     there."""
     y = np.exp(-1j * psi) * b
     w, v = np.linalg.eigh((y + y.conj().T) / 2.0)
-    hp, g, cut = (y - y.conj().T) / 2j, w[0], _KER_ULPS * w.size * np.finfo(float).eps
-    apart = w - g > cut * max(w[-1], -g)
+    hp, g = (y - y.conj().T) / 2j, w[0]
+    apart = w - g > _rounding_cut(w.size, max(w[-1], -g))
     k = w.size - int(np.count_nonzero(apart))
     if k > 1:
         hpv = v[:, :k].conj().T @ hp @ v[:, :k]
         s = np.linalg.eigvalsh(hpv)
-        if s[-1] - s[0] > cut * max(w[-1], -g, s[-1], -s[0]):
+        if s[-1] - s[0] > _rounding_cut(w.size, max(w[-1], -g, s[-1], -s[0])):
             # the lowest branch rises to the crossing if its slope is the larger
             cross = (w[k - 1] - g) / (s[-1] - s[0])
             return g, s[-1], s[0], np.copysign(cross, hpv[0, 0].real - hpv[-1, -1].real)
@@ -243,7 +247,7 @@ def _dist_to_point(a: np.ndarray, z: complex) -> float:
     b = a - z * np.eye(a.shape[0])
     c, mids = _pencil_angles(b)
     g = np.linalg.eigvalsh(_herm_parts(b, mids))[:, 0]
-    pos = g > _KER_ULPS * a.shape[0] * np.finfo(float).eps * (abs(z) + float(np.linalg.norm(a)))
+    pos = g > _rounding_cut(a.shape[0], abs(z) + float(np.linalg.norm(a)))
     if not pos.any():
         return 0.0
     # the candidates that bound the run of midpoints above ktol around the
@@ -316,17 +320,11 @@ def sectorial_angle(x, tol: Tolerances | None = None) -> SectorVerdict:
     return _sectorial_angle(as_matrix(x), resolve_tol(tol))
 
 
-# Kernel cut of the exact path, in units of n * eps * ||x||.  eigh resolves
-# H only to about n * eps * ||H||: Haar-conjugated kernels u (B + 0) u* and
-# the kernels of their shifted-route powers come out below 3 n eps ||x||.
-_KER_ULPS = 64.0
-
-
 def _sectorial_angle(a: np.ndarray, t: Tolerances) -> SectorVerdict:
     nrm = _norm2(a)
     if nrm <= t.eq_tol:
         return SectorVerdict(angle=0.0, witness=0j)
-    ktol = _KER_ULPS * a.shape[0] * np.finfo(float).eps * nrm
+    ktol = _rounding_cut(a.shape[0], nrm)
     w, v = np.linalg.eigh(_herm_part(a))
     if w[0] >= -ktol:
         return _accretive_sector(a, w, v, ktol)

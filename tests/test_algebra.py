@@ -183,15 +183,15 @@ def test_spans_equal_of_an_algebra_with_itself_takes_no_rank(monkeypatch):
 
 def test_span_rank_ambiguity_is_refused_by_every_span_question():
     # the stack [a, a + 4e-10 c] has relative singular values (1, 2e-10),
-    # inside the ambiguity window [1e-10, 1e-9) of the rank cut
+    # inside the ambiguity window (1e-10, 1e-9] of the rank cut
     a = np.diag([1.0, 0.0]).astype(complex)
     c = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     mats = [a, a + 4e-10 * c]
-    with pytest.raises(NumericError, match="ambiguous"):
+    with pytest.raises(NumericError, match="span rank decision is ambiguous"):
         span_contains(mats, c)
-    with pytest.raises(NumericError, match="ambiguous"):
+    with pytest.raises(NumericError, match="span rank decision is ambiguous"):
         spans_equal(mats, [a])
-    with pytest.raises(NumericError, match="ambiguous"):
+    with pytest.raises(NumericError, match="span rank decision is ambiguous"):
         SubalgebraBasis(mats, validate=False)
 
 
@@ -304,12 +304,17 @@ def test_support_idempotent_zero_matrix():
     assert operator_norm(res.s) <= 1e-12
 
 
+# the refusal of diag(1, 5e-9, 1.5e-9) and diag(1, 1e-9) by the Schur split
+_SPLIT_REFUSAL = (r"zero cluster split is ambiguous: (1\.5e-09|1e-09) lies within 10x below "
+                  r"the cut 1e-09 x scale 2")
+
+
 def test_support_idempotent_rejects_an_unseparated_zero_cluster():
-    """5e-9 sits above the zero cut 2e-9 but within 6x of the 1.5e-9
-    below it, so the cut cannot tell the kernel apart."""
-    x = np.diag([1.0, 5e-9, 1.5e-9]).astype(complex)
-    with pytest.raises(NumericError, match="cannot separate the zero cluster"):
-        support_idem(x)
+    """1.5e-9 sits in the window (2e-10, 2e-9] below the zero cut 2e-9, so
+    the cut cannot tell the kernel apart; so does 1e-9 of diag(1, 1e-9)."""
+    for x in (np.diag([1.0, 5e-9, 1.5e-9]), np.diag([1.0, 1e-9])):
+        with pytest.raises(NumericError, match=_SPLIT_REFUSAL):
+            support_idem(x.astype(complex))
 
 
 def test_zero_cut_and_rank_messages_name_no_parameter():
@@ -324,7 +329,7 @@ def test_zero_cut_and_rank_messages_name_no_parameter():
             call()
         msg = str(exc.value)
         assert "_tol" not in msg and "pass a" not in msg, msg
-        assert ("zero cut 2e-09" in msg) or ("the cut 1e-10" in msg), msg
+        assert ("zero cut 2e-09" in msg) or ("the cut 1e-09 x scale" in msg), msg
 
 
 def test_support_idem_and_ws_suite_read_the_split_not_eigvals(monkeypatch):

@@ -16,6 +16,7 @@ from realpos import (
     identity_map,
     transpose_map,
 )
+from realpos.maps import map_affine_combo
 
 CTX = full_context(2)
 ALG = full_matrix_algebra(2)
@@ -146,3 +147,36 @@ PROPER = identity_map(diagonal_algebra(2))  # a map on a proper domain
 def test_span_functions_reject_mixed_sizes(call):
     with pytest.raises(InputError):
         call()
+
+
+BAD_POSITIVE_REALS = [np.nan, np.inf, -np.inf, 0.0, -1.0, "abc", 1j, True, None]
+
+
+@pytest.mark.parametrize("value", BAD_POSITIVE_REALS, ids=repr)
+@pytest.mark.parametrize("call", [
+    lambda v: realpos.approximate_from_F(GOOD, CTX, v),
+    lambda v: realpos.scale_into_F(GOOD, CTX, v),
+], ids=["approximate_from_F.t", "scale_into_F.eps"])
+def test_scalar_parameters_must_be_finite_positive_reals(call, value):
+    with pytest.raises(InputError, match="must be a finite positive real"):
+        call(value)
+
+
+def _nan_action():
+    a = np.eye(4, dtype=complex)
+    a[1, 2] = np.nan
+    return a
+
+
+@pytest.mark.parametrize("action", [_nan_action(), np.full((4, 4), np.inf), "abc",
+                                    [[1, 2], [3]], np.eye(3)],
+                         ids=["nan", "inf", "string", "ragged", "wrong_shape"])
+def test_map_action_must_be_a_finite_complex_matrix_of_its_shape(action):
+    with pytest.raises(InputError, match="action"):
+        realpos.LinearMapOnAlgebra(ALG, ALG, action)
+
+
+@pytest.mark.parametrize("alpha, beta", [(np.nan, 1.0), (1.0, np.inf), ("abc", 1.0)])
+def test_map_affine_combo_rejects_non_finite_coefficients(alpha, beta):
+    with pytest.raises(InputError, match="alpha and beta must be finite numbers"):
+        map_affine_combo(identity_map(ALG), alpha, beta)

@@ -229,3 +229,28 @@ def test_random_idempotent_condition_cap():
         p = random_idempotent(4, seed)
         # the similarity's condition cap 1e3 bounds the idempotent norm
         assert operator_norm(p) <= 1e3 * (1 + 1e-9)
+
+
+# _nonzero at cut 1e-9 and scale 2: nonzero above 2e-9, zero at or below
+# 2e-10, refused in between
+CUT, SCALE = 1e-9, 2.0
+EDGE = CUT * SCALE
+
+
+def test_nonzero_returns_the_mask_of_values_above_the_cut():
+    values = np.array([3.0, EDGE / 10.0, np.nextafter(EDGE, 1.0), 0.0])
+    mask = linalg._nonzero(values, SCALE, CUT, "site")
+    assert mask.dtype == bool and mask.tolist() == [True, False, True, False]
+
+
+@pytest.mark.parametrize("value", [EDGE, np.nextafter(EDGE / 10.0, 1.0)],
+                         ids=["at_the_cut", "just_above_a_tenth"])
+def test_nonzero_refuses_both_window_edges(value):
+    with pytest.raises(NumericError, match=r"^site is ambiguous: .* within 10x below "
+                                           r"the cut 1e-09 x scale 2$"):
+        linalg._nonzero(np.array([1.0, value]), SCALE, CUT, "site")
+
+
+def test_nonzero_at_scale_zero_has_no_window():
+    assert linalg._nonzero(np.zeros(3), 0.0, CUT, "site").tolist() == [False] * 3
+    assert linalg._nonzero(np.array([1e-300, 0.0]), 0.0, CUT, "site").tolist() == [True, False]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from realpos.algebra import (
+    SubalgebraBasis,
     block_diag_algebra,
     diagonal_algebra,
     full_matrix_algebra,
@@ -960,3 +961,63 @@ def test_classify_rejects_non_idempotent():
     t_map = map_from_function(lambda m: 2.0 * m, alg)
     with pytest.raises(PreconditionError):
         classify_projection(t_map)
+
+
+def _unit(i, j):
+    m = np.zeros((2, 2), dtype=complex)
+    m[i, j] = 1.0
+    return m
+
+
+def _kraus_with_weight(v):
+    """Choi weights 2 and v: the Kraus operators I and sqrt(v/2) diag(1, -1)."""
+    return kraus_factor(map_from_kraus([np.eye(2), np.sqrt(v / 2.0) * np.diag([1.0, -1.0])], 2))
+
+
+def _operator_system_with_gap(v):
+    """A = span{E11, E12 + (1 - 2v) E21}: the smallest singular value of
+    [A; A*] is v times the largest."""
+    dom = SubalgebraBasis([_unit(0, 0), _unit(0, 1) + (1.0 - 2.0 * v) * _unit(1, 0)],
+                          validate=False)
+    return maps._operator_system(dom)
+
+
+def _theta_moving_e12_by(v):
+    """theta = Ad diag(1, e^{iv}) on M_2 with q = 1: (theta - id) E12 has norm v."""
+    alg = full_matrix_algebra(2)
+    u = np.diag([1.0, np.exp(1j * v)])
+    theta = map_from_function(lambda m: u @ m @ u.conj().T, alg)
+    return build_symmetric_projection(theta, np.eye(2, dtype=complex), alg)
+
+
+def _projection_with_singular_value(v):
+    """The near-idempotent diag(1, v) on the diagonal algebra."""
+    alg = diagonal_algebra(2)
+    return classify_projection(LinearMapOnAlgebra(alg, alg, np.diag([1.0, v])))
+
+
+def _projection_with_product(v):
+    """P(a) = a_12 (E12 + 1e-3 v E11), exactly idempotent: its range
+    product P(E12)^2 has norm 1e-3 v."""
+    b = _unit(0, 1) + 1e-3 * v * _unit(0, 0)
+    return classify_projection(map_from_function(lambda m: m[0, 1] * b, full_matrix_algebra(2)))
+
+
+ZERO_RULE_SITES = {
+    "kraus_factor": _kraus_with_weight,
+    "span rank decision": _operator_system_with_gap,
+    "build_symmetric_projection fixed points": _theta_moving_e12_by,
+    "classify_projection kernel": _projection_with_singular_value,
+    "classify_projection range product cut": _projection_with_product,
+}
+
+
+@pytest.mark.parametrize("site", sorted(ZERO_RULE_SITES))
+def test_maps_zero_decisions_refuse_a_value_in_the_window(site):
+    """Relative to the site's cut, 5e-10 lies in the window (1e-10, 1e-9]
+    of linalg._nonzero and 5e-12 below it: the site decides the second and
+    refuses the first, naming itself and its cut."""
+    call = ZERO_RULE_SITES[site]
+    call(5e-12)
+    with pytest.raises(NumericError, match=f"^{site} is ambiguous: .* the cut 1e-(09|12) x"):
+        call(5e-10)
