@@ -55,7 +55,7 @@ import scipy.special
 
 from .cones import AmbientContext, _element, _require_in
 from .errors import InputError, MethodDisagreementError, NumericError
-from .linalg import Tolerances, _nonzero, _norm2, _rounding_cut
+from .linalg import Tolerances, _is_number, _nonzero, _norm2, _rounding_cut
 from .numrange import _dist_to_point, _sectorial_angle
 from .report import VerificationReport, matrix_digest
 
@@ -250,13 +250,13 @@ class _Deflation:
         return _reassemble(z, fine, self.xc.shape[0]), est, nodes
 
 
-def _validate_exponent(r, lo_open: float, hi: float, allow_hi: bool) -> float:
-    r = float(r)
-    hi_ok = (r <= hi) if allow_hi else (r < hi)
-    if not (lo_open < r and hi_ok and np.isfinite(r)):
-        span = f"({lo_open}, {hi}{']' if allow_hi else ')'}"
-        raise InputError(f"exponent r must lie in {span}, got {r!r}")
-    return r
+def _validate_exponent(r) -> float:
+    """r as a float in (0, 1], the exponents of every power route;
+    InputError for anything else, a bool, a string, None or a complex
+    included."""
+    if not (_is_number(r) and 0.0 < r <= 1.0):
+        raise InputError(f"exponent r must lie in (0.0, 1.0], got {r!r}")
+    return float(r)
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +279,7 @@ def power_series(x, r: float, ctx: AmbientContext | None = None,
     within its budget, and NumericError is raised at once rather than
     silently truncating.
     """
-    r = _validate_exponent(r, 0.0, 1.0, allow_hi=True)
+    r = _validate_exponent(r)
     _, ctx, t, xc, _ = _element(x, ctx, tol, "power_series", cone="F")
     return ctx._embed(_power_series(_Deflation(xc, t), r))
 
@@ -353,7 +353,7 @@ def power_shifted(x, r: float, ctx: AmbientContext | None = None,
     minus 0, so the limit there is its principal power, computed directly
     by triangular inverse scaling-and-squaring.
     """
-    r = _validate_exponent(r, 0.0, 1.0, allow_hi=True)
+    r = _validate_exponent(r)
     _, ctx, t, xc, _ = _element(x, ctx, tol, "power_shifted")
     return ctx._embed(_Deflation(xc, t).shifted(r))
 
@@ -402,7 +402,7 @@ def _balakrishnan_rules(t11: np.ndarray, r: float, counts) -> list:
 
 def power_balakrishnan(x, r: float, ctx: AmbientContext | None = None,
                        tol: Tolerances | None = None) -> np.ndarray:
-    """x^r for accretive x and 0 < r < 1 via the Balakrishnan integral.
+    """x^r for accretive x and 0 < r <= 1 via the Balakrishnan integral.
 
     The zero cluster is deflated first; on the invertible Schur block T
     the map s = c (1 + u)/(1 - u), c = sqrt(min |t_ii| max |t_ii|), moves
@@ -411,9 +411,7 @@ def power_balakrishnan(x, r: float, ctx: AmbientContext | None = None,
     the last two rules, the error estimate, must fall below 1e-6 ||x||^r;
     the rule is doubled up to 1024 nodes before NumericError is raised.
     """
-    r = float(r)
-    if r != 1.0:
-        r = _validate_exponent(r, 0.0, 1.0, allow_hi=False)
+    r = _validate_exponent(r)
     _, ctx, t, xc, _ = _element(x, ctx, tol, "power_balakrishnan")
     return ctx._embed(_Deflation(xc, t).balakrishnan(r)[0])
 
@@ -434,7 +432,7 @@ def power_all_methods(x, r: float, ctx: AmbientContext | None = None,
     Raises MethodDisagreementError when completed methods differ by more
     than 1e-6 * (1 + ||x||).
     """
-    r = _validate_exponent(r, 0.0, 1.0, allow_hi=True)
+    r = _validate_exponent(r)
     _, ctx, t, xc, mem = _element(x, ctx, tol, "power_all_methods")
     return _power_all_methods(_Deflation(xc, t), r, ctx, mem)
 
@@ -486,7 +484,7 @@ def power(x, r: float, ctx: AmbientContext | None = None,
     MethodDisagreementError carrying the candidate values.  The shifted
     spectral value is returned.  r = 1 returns x exactly.
     """
-    r = _validate_exponent(r, 0.0, 1.0, allow_hi=True)
+    r = _validate_exponent(r)
     _, ctx, t, xc, mem = _element(x, ctx, tol, "power")
     return _power_all_methods(_Deflation(xc, t), r, ctx, mem)[0]
 

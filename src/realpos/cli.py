@@ -138,16 +138,10 @@ def _cmd_verify(args) -> int:
     tol = Tolerances()
     reports, ok = run_suites([args.suite], seed=args.seed, count=args.count,
                              n=args.n, tol=tol)
-    by_suite = {}
-    for r in reports:
-        by_suite.setdefault(r.check, [0, 0])
-        by_suite[r.check][1] += 1
-        if r.passed:
-            by_suite[r.check][0] += 1
-    order = [s for s in SUITE_ORDER if s in by_suite]
-    for name in order:
-        good, total = by_suite[name]
-        print(f"{name}: {good}/{total} passed")
+    for name in SUITE_ORDER:
+        passed = [r.passed for r in reports if r.check == name]
+        if passed:
+            print(f"{name}: {sum(passed)}/{len(passed)} passed")
     if args.report:
         cmd = (f"verify {args.suite} --seed {args.seed} "
                f"--count {args.count} --n {args.n}")

@@ -106,7 +106,12 @@ class Tolerances:
 
 
 def resolve_tol(tol: Tolerances | None) -> Tolerances:
-    return Tolerances() if tol is None else tol
+    """tol, or the default bundle for None; InputError for anything else."""
+    if tol is None:
+        return Tolerances()
+    if not isinstance(tol, Tolerances):
+        raise InputError(f"tol must be a Tolerances or None, got {tol!r}")
+    return tol
 
 
 def as_matrix(x, name: str = "x") -> np.ndarray:
@@ -130,11 +135,16 @@ def _as_sized(x, n: int, name: str = "x") -> np.ndarray:
     return a
 
 
+def _is_number(v, kind=numbers.Real) -> bool:
+    """Whether v is a number of the numbers ABC kind other than a bool: a
+    string, None or a bool is none, and a complex is not a numbers.Real."""
+    return isinstance(v, kind) and not isinstance(v, (bool, np.bool_))
+
+
 def _as_positive_real(v, what: str) -> float:
     """v as a finite float > 0; InputError for anything else, a bool, a
     complex, nan, inf or a string included."""
-    if (isinstance(v, (bool, np.bool_)) or not isinstance(v, numbers.Real)
-            or not (np.isfinite(v) and v > 0)):
+    if not (_is_number(v) and np.isfinite(v) and v > 0):
         raise InputError(f"{what} must be a finite positive real, got {v!r}")
     return float(v)
 

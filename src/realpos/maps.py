@@ -87,6 +87,9 @@ class LinearMapOnAlgebra:
     """
 
     def __init__(self, domain: SubalgebraBasis, codomain: SubalgebraBasis, action):
+        for name, basis in (("domain", domain), ("codomain", codomain)):
+            if not isinstance(basis, SubalgebraBasis):
+                raise InputError(f"{name} must be a SubalgebraBasis, got {type(basis).__name__}")
         self.domain = domain
         self.codomain = codomain
         try:

@@ -29,14 +29,15 @@ rounding bound, and computed kernels come out below 3 n eps ||x||, within
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 
 from .errors import InputError
-from .linalg import (Tolerances, _as_positive_int, _herm_part, _norm2, _rounding_cut,
-                     as_matrix, resolve_tol)
+from .linalg import (Tolerances, _as_positive_int, _herm_part, _is_number, _norm2,
+                     _rounding_cut, as_matrix, resolve_tol)
 
 __all__ = [
     "RangeBoundary",
@@ -109,9 +110,12 @@ def _herm_parts(x: np.ndarray, theta) -> np.ndarray:
     return y
 
 
-def _check_finite(value, name: str):
-    if not np.isfinite(value):
-        raise InputError(f"{name} must be finite, got {value!r}")
+def _check_finite(value, name: str, kind=numbers.Real):
+    """value, a finite number of the numbers ABC kind; InputError for
+    anything else, a bool, a string or None included."""
+    if not (_is_number(value, kind) and np.isfinite(value)):
+        raise InputError(f"{name} must be finite, a {kind.__name__.lower()} number; "
+                         f"got {value!r}")
     return value
 
 
@@ -119,7 +123,7 @@ def support_function(x, theta: float) -> float:
     """h(theta) = sup {Re(e^{-i theta} z) : z in W(x)}, bitwise the value
     that ``boundary`` reports at the same angle in [0, pi)."""
     a = as_matrix(x)
-    return float(np.linalg.eigvalsh(_herm_parts(a, _check_finite(float(theta), "theta")))[-1])
+    return float(np.linalg.eigvalsh(_herm_parts(a, float(_check_finite(theta, "theta"))))[-1])
 
 
 def boundary(x, m: int = 256) -> RangeBoundary:
@@ -204,7 +208,7 @@ def dist_to_point(x, z) -> float:
     bracket-end tangents give the next angle.  The largest g evaluated is
     returned, a lower bound accurate far beyond 1e-6 * (||x|| + |z| + 1).
     """
-    return _dist_to_point(as_matrix(x), _check_finite(complex(z), "z"))
+    return _dist_to_point(as_matrix(x), complex(_check_finite(z, "z", numbers.Complex)))
 
 
 # Newton on the slope of the gap stops at a step below _STEP_TOL (the gap is
@@ -448,9 +452,9 @@ def is_nearly_positive(x, eps: float, tol: Tolerances | None = None) -> NearlyPo
     """
     a = as_matrix(x)
     t = resolve_tol(tol)
-    eps = float(eps)
-    if not 0.0 < eps < 1.0:
+    if not (_is_number(eps) and 0.0 < eps < 1.0):
         raise InputError(f"eps must lie in (0, 1), got {eps!r}")
+    eps = float(eps)
     nrm = _norm2(a)
     sect = _sectorial_angle(a, t)
     verdict = (

@@ -1,10 +1,13 @@
 """Seeded verification suites behind the command-line `verify` command.
 
-Every suite draws its instances from a deterministic per-instance seed
-stream (seed, suite-index, instance-index), so reports are byte-stable
-for a fixed seed and instance counts do not interact across suites.
-Suites return lists of VerificationReport; a suite passes when every
-report in it passes.  Wall-clock timing never enters the reports.
+A suite is a generator (rngs, n, tol) that yields one (report, inputs)
+pair per instance, drawing that instance from its own generator in rngs.
+run_suite is the one loop: it seeds instance i of suite k from the stream
+(seed, k, i), so reports are byte-stable for a fixed seed and instance
+counts do not interact across suites; it stamps the tolerances on each
+report and tags it with its suite, instance and the digest of its inputs.
+A suite passes when every report in it passes.  Wall-clock timing never
+enters the reports.
 """
 from __future__ import annotations
 
@@ -32,133 +35,96 @@ from .report import VerificationReport, matrix_digest
 
 __all__ = ["SUITE_ORDER", "run_suite", "run_suites"]
 
-SUITE_ORDER = ("chaccr", "bal", "sectt", "lump", "supp3", "ws",
-               "decompose", "hsa", "aarnes", "proj", "rcp")
-_SUITE_INDEX = {name: i for i, name in enumerate(SUITE_ORDER)}
-
-
-def _rng(seed: int, suite: str, i: int) -> np.random.Generator:
-    return np.random.default_rng((int(seed), _SUITE_INDEX[suite], int(i)))
-
 
 def _tag(rep: VerificationReport, suite: str, i: int, seed: int, *mats) -> VerificationReport:
     """Name the report after its suite and instance; a library check has
     already digested the same mats into rep.instance."""
     rep.check = suite
     rep.instance = f"{suite}[{i}]:{rep.instance or matrix_digest(*mats)}"
-    rep.seed = [int(seed), _SUITE_INDEX[suite], int(i)]
+    rep.seed = [int(seed), SUITE_ORDER.index(suite), int(i)]
     return rep
 
 
-def suite_chaccr(seed: int, count: int, n: int, tol: Tolerances) -> list:
+def suite_chaccr(rngs, n: int, tol: Tolerances):
     """Five-way accretivity characterisation coherence, on constructed
     accretive matrices and on unconstrained (possibly non-accretive) ones."""
     ctx = cones_mod.full_context(n)
-    out = []
-    for i in range(count):
-        rng = _rng(seed, "chaccr", i)
+    for i, rng in enumerate(rngs):
         if i % 2 == 0:
             x = random_accretive(n, rng)
         else:
             x = random_matrix(n, rng)
             if i % 4 == 1:
                 x = x - 0.5 * np.eye(n)
-        rep = cones_mod.chaccr_verify(x, ctx, tol=tol)
-        out.append(_tag(rep, "chaccr", i, seed, x))
-    return out
+        yield cones_mod.chaccr_verify(x, ctx, tol=tol), (x,)
 
 
-def suite_bal(seed: int, count: int, n: int, tol: Tolerances) -> list:
+def suite_bal(rngs, n: int, tol: Tolerances):
     """Quadrature power against the spectral power on accretive inputs;
     both routes share one deflation of each input."""
-    exponents = (0.3, 0.7)
-    out = []
-    for i in range(count):
-        rng = _rng(seed, "bal", i)
+    for rng in rngs:
         x = random_accretive(n, rng)
         cones_mod._require_in(x, tol, "power_balakrishnan")
         d = calc_mod._Deflation(x, tol)
         residuals = {}
         verdicts = {}
         details = {}
-        passed = True
-        for r in exponents:
+        for r in (0.3, 0.7):
             key = f"r={r:g}"
             try:
                 y, _, nodes = d.balakrishnan(r)
                 dev = _norm2(y - d.shifted(r))
                 residuals[key] = float(dev)
                 details[f"nodes_{key}"] = nodes
-                ok = dev <= 1e-6 * (1.0 + d.nrm)
-                verdicts[key] = bool(ok)
-                passed = passed and ok
+                verdicts[key] = bool(dev <= 1e-6 * (1.0 + d.nrm))
             except NumericError as exc:
                 verdicts[key] = False
                 details[key] = str(exc)
-                passed = False
-        rep = VerificationReport(check="bal", passed=passed, verdicts=verdicts,
-                                 residuals=residuals, tolerances=tol.as_dict(),
-                                 details=details)
-        out.append(_tag(rep, "bal", i, seed, x))
-    return out
+        yield VerificationReport(check="bal", passed=all(verdicts.values()),
+                                 verdicts=verdicts, residuals=residuals,
+                                 details=details), (x,)
 
 
-def suite_sectt(seed: int, count: int, n: int, tol: Tolerances) -> list:
+def suite_sectt(rngs, n: int, tol: Tolerances):
     """Sector transformation: angle(x^t) against the sharp and generic
     bounds, and root angles against pi/(2n).  One deflation of each input
     gives every power; the roots x^{1/2} and x^{1/4} are grid points."""
     caps = (0.3, 0.6, 0.9, 1.2, np.pi / 2 - 0.1)
-    t_grid = (0.25, 0.5, 0.75)
-    out = []
-    for i in range(count):
-        rng = _rng(seed, "sectt", i)
+    for i, rng in enumerate(rngs):
         x = random_accretive(n, rng, angle_cap=caps[i % len(caps)])
         ang = sectorial_angle(x, tol).angle
-        verdicts = {}
-        residuals = {}
-        passed = True
         if ang is None:
-            rep = VerificationReport(check="sectt", passed=False,
-                                     verdicts={"angle_defined": False},
-                                     tolerances=tol.as_dict())
-            out.append(_tag(rep, "sectt", i, seed, x))
+            yield VerificationReport(check="sectt", passed=False,
+                                     verdicts={"angle_defined": False}), (x,)
             continue
         cones_mod._require_in(x, tol, "power_shifted")
         d = calc_mod._Deflation(x, tol)
+        verdicts = {}
+        residuals = {}
         # an undefined angle of x^t fails every law that reads it (residual -1.0)
         angles = {}
-        for t_exp in t_grid:
+        for t_exp in (0.25, 0.5, 0.75):
             ay = angles[t_exp] = sectorial_angle(d.shifted(t_exp), tol).angle
-            sharp = ay is not None and ay <= t_exp * ang + 1e-6
-            generic = ay is not None and ay <= t_exp * ang + (1.0 - t_exp) * np.pi / 2 + 1e-6
-            verdicts[f"sharp_t={t_exp:g}"] = bool(sharp)
-            verdicts[f"generic_t={t_exp:g}"] = bool(generic)
+            verdicts[f"sharp_t={t_exp:g}"] = bool(ay is not None and ay <= t_exp * ang + 1e-6)
+            verdicts[f"generic_t={t_exp:g}"] = bool(
+                ay is not None and ay <= t_exp * ang + (1.0 - t_exp) * np.pi / 2 + 1e-6)
             residuals[f"angle_t={t_exp:g}"] = -1.0 if ay is None else float(ay)
-            passed = passed and sharp and generic
         for nn in (2, 4):
             ay = angles[1.0 / nn]
-            ok = ay is not None and ay <= np.pi / (2 * nn) + 1e-6
-            verdicts[f"root_n={nn}"] = bool(ok)
+            verdicts[f"root_n={nn}"] = bool(ay is not None and ay <= np.pi / (2 * nn) + 1e-6)
             residuals[f"root_angle_n={nn}"] = -1.0 if ay is None else float(ay)
-            passed = passed and ok
         residuals["angle"] = float(ang)
-        rep = VerificationReport(check="sectt", passed=passed, verdicts=verdicts,
-                                 residuals=residuals, tolerances=tol.as_dict())
-        out.append(_tag(rep, "sectt", i, seed, x))
-    return out
+        yield VerificationReport(check="sectt", passed=all(verdicts.values()),
+                                 verdicts=verdicts, residuals=residuals), (x,)
 
 
-def suite_lump(seed: int, count: int, n: int, tol: Tolerances) -> list:
+def suite_lump(rngs, n: int, tol: Tolerances):
     """Cone-membership lumping for idempotents."""
     ctx = cones_mod.full_context(n)
-    out = []
-    for i in range(count):
-        rng = _rng(seed, "lump", i)
+    for rng in rngs:
         rank = 1 + int(rng.integers(0, n))
         p = random_idempotent(n, rng, rank=rank)
-        rep = alg_mod.lump_check(p, ctx, tol)
-        out.append(_tag(rep, "lump", i, seed, p))
-    return out
+        yield alg_mod.lump_check(p, ctx, tol), (p,)
 
 
 def _conjugated_block(rng, n: int, sizes_filled: list) -> np.ndarray:
@@ -174,77 +140,58 @@ def _conjugated_block(rng, n: int, sizes_filled: list) -> np.ndarray:
     return u @ d @ u.conj().T
 
 
-def suite_supp3(seed: int, count: int, n: int, tol: Tolerances) -> list:
+def suite_supp3(rngs, n: int, tol: Tolerances):
     """Support-idempotent order pairs with known ground truth: nested
     supports (expected comparable) and orthogonal supports (expected not)."""
-    if n < 2:
-        raise InputError("supp3 needs n >= 2")
     algebra = alg_mod.full_matrix_algebra(n)
-    out = []
-    for i in range(count):
-        rng = _rng(seed, "supp3", i)
+    for i, rng in enumerate(rngs):
         k1 = 1 + int(rng.integers(0, n - 1))
         u = random_unitary(n, rng)
         a = random_accretive(k1, rng) + 0.25 * np.eye(k1)
         dx = np.zeros((n, n), dtype=complex)
         dx[:k1, :k1] = a
         x = u @ dx @ u.conj().T
-        if i % 2 == 0:
-            k2 = k1 + int(rng.integers(0, n - k1)) if k1 < n else n
-            k2 = max(k2, k1)
-            b = random_accretive(k2, rng) + 0.25 * np.eye(k2)
-            dy = np.zeros((n, n), dtype=complex)
-            dy[:k2, :k2] = b
-            expected = True
-        else:
-            k2 = max(1, min(n - k1, 1 + int(rng.integers(0, max(n - k1, 1)))))
-            b = random_accretive(k2, rng) + 0.25 * np.eye(k2)
-            dy = np.zeros((n, n), dtype=complex)
-            dy[k1:k1 + k2, k1:k1 + k2] = b
-            expected = False
+        expected = i % 2 == 0
+        if expected:  # nested: k1 <= k2 < n, from the top corner
+            start, k2 = 0, k1 + int(rng.integers(0, n - k1))
+        else:  # orthogonal: 1 <= k2 <= n - k1, below the block of x
+            start, k2 = k1, 1 + int(rng.integers(0, n - k1))
+        b = random_accretive(k2, rng) + 0.25 * np.eye(k2)
+        dy = np.zeros((n, n), dtype=complex)
+        dy[start:start + k2, start:start + k2] = b
         y = u @ dy @ u.conj().T
         rep = alg_mod.supp_order(x, y, algebra, tol)
         claimed = bool(rep.verdicts.get("support_domination", False))
         rep.verdicts["matches_expected"] = claimed == expected
-        rep.details["expected_leq"] = bool(expected)
+        rep.details["expected_leq"] = expected
         rep.passed = bool(rep.passed and rep.verdicts["matches_expected"])
-        out.append(_tag(rep, "supp3", i, seed, x, y))
-    return out
+        yield rep, (x, y)
 
 
-def suite_ws(seed: int, count: int, n: int, tol: Tolerances) -> list:
+def suite_ws(rngs, n: int, tol: Tolerances):
     """Support-structure equivalences on invertible, kernel, and
     block-embedded accretive instances."""
-    out = []
-    for i in range(count):
-        rng = _rng(seed, "ws", i)
+    for i, rng in enumerate(rngs):
         family = i % 3
         if family == 0:
             x = random_accretive(n, rng) + 0.25 * np.eye(n)
             algebra = alg_mod.full_matrix_algebra(n)
         elif family == 1:
-            k = 1 + int(rng.integers(0, n - 1)) if n > 1 else 1
+            k = 1 + int(rng.integers(0, n - 1))
             x = _conjugated_block(rng, n, [(k, True), (n - k, False)])
             algebra = alg_mod.full_matrix_algebra(n)
-        else:
-            n1 = max(1, n - 1)
-            n2 = n - n1 if n - n1 >= 1 else 1
-            algebra = alg_mod.block_diag_algebra([n1, n2])
-            a = random_accretive(n1, rng) + 0.25 * np.eye(n1)
-            x = np.zeros((n1 + n2, n1 + n2), dtype=complex)
-            x[:n1, :n1] = a
-        rep = alg_mod.ws_suite(x, algebra, tol)
-        out.append(_tag(rep, "ws", i, seed, x))
-    return out
+        else:  # a (+) 0 in M_{n-1} (+) M_1
+            algebra = alg_mod.block_diag_algebra([n - 1, 1])
+            x = np.zeros((n, n), dtype=complex)
+            x[:-1, :-1] = random_accretive(n - 1, rng) + 0.25 * np.eye(n - 1)
+        yield alg_mod.ws_suite(x, algebra, tol), (x,)
 
 
-def suite_decompose(seed: int, count: int, n: int, tol: Tolerances) -> list:
+def suite_decompose(rngs, n: int, tol: Tolerances):
     """Splitting of norm-bounded elements into differences of halved
     F-elements, with exact reconstruction."""
     ctx = cones_mod.full_context(n)
-    out = []
-    for i in range(count):
-        rng = _rng(seed, "decompose", i)
+    for rng in rngs:
         b = random_contraction(n, rng, norm=float(rng.uniform(0.1, 0.99)))
         p, q = cones_mod.decompose_halfF(b, ctx, tol)
         rec = _norm2((p - q) - b)
@@ -257,81 +204,66 @@ def suite_decompose(seed: int, count: int, n: int, tol: Tolerances) -> list:
             "reconstruction": bool(rec <= 1e-12 * (1.0 + _norm2(b))),
             "complementary": bool(sum_res <= 1e-12),
         }
-        rep = VerificationReport(
+        yield VerificationReport(
             check="decompose", passed=all(verdicts.values()), verdicts=verdicts,
             residuals={"reconstruction": float(rec), "complementary": float(sum_res),
                        "F_plus": float(mp.F_residual), "F_minus": float(mq.F_residual)},
-            tolerances=tol.as_dict(),
-        )
-        out.append(_tag(rep, "decompose", i, seed, b))
-    return out
+        ), (b,)
 
 
-def suite_hsa(seed: int, count: int, n: int, tol: Tolerances) -> list:
+def suite_hsa(rngs, n: int, tol: Tolerances):
     """Hereditary-piece structure generated by single accretive elements."""
     algebra = alg_mod.full_matrix_algebra(n)
-    out = []
-    for i in range(count):
-        rng = _rng(seed, "hsa", i)
+    for i, rng in enumerate(rngs):
         if i % 2 == 0:
             z = np.eye(n) - random_contraction(n, rng, norm=0.8)
         else:
-            k = 1 + int(rng.integers(0, n - 1)) if n > 1 else 1
+            k = 1 + int(rng.integers(0, n - 1))
             zk = np.eye(k) - random_contraction(k, rng, norm=0.8)
             u = random_unitary(n, rng)
             zb = np.zeros((n, n), dtype=complex)
             zb[:k, :k] = zk
             z = u @ zb @ u.conj().T
-        res = alg_mod.hsa_from_z(z, algebra, tol)
-        out.append(_tag(res.report, "hsa", i, seed, z))
-    return out
+        yield alg_mod.hsa_from_z(z, algebra, tol).report, (z,)
 
 
-def suite_aarnes(seed: int, count: int, n: int, tol: Tolerances) -> list:
+def suite_aarnes(rngs, n: int, tol: Tolerances):
     """Sandwich / one-sided / unit-support equivalences."""
     algebra = alg_mod.full_matrix_algebra(n)
-    out = []
-    for i in range(count):
-        rng = _rng(seed, "aarnes", i)
+    for i, rng in enumerate(rngs):
         if i % 2 == 0:
             x = random_accretive(n, rng) + 0.25 * np.eye(n)
         else:
-            k = 1 + int(rng.integers(0, n - 1)) if n > 1 else 1
+            k = 1 + int(rng.integers(0, n - 1))
             x = _conjugated_block(rng, n, [(k, True), (n - k, False)])
-        rep = alg_mod.aarnes_kadison_check(x, algebra, tol)
-        out.append(_tag(rep, "aarnes", i, seed, x))
-    return out
+        yield alg_mod.aarnes_kadison_check(x, algebra, tol), (x,)
 
 
 def _theta_q_fixture(rng, n: int):
-    """Block algebra M_a (+) M_b, central idempotent q = 1 (+) 0, and the
-    period-2 inner symmetry Ad(u (+) 1) fixing q."""
-    a = max(1, n - 1) if n >= 2 else 1
-    b = max(1, n - a)
-    algebra = alg_mod.block_diag_algebra([a, b])
-    nn = a + b
+    """Block algebra M_{n-1} (+) M_1, central idempotent q = 1 (+) 0, and
+    the period-2 inner symmetry Ad(u (+) 1) fixing q."""
+    a = n - 1
+    algebra = alg_mod.block_diag_algebra([a, 1])
     if a == 1:
         u2 = np.array([[1.0 + 0j]])
     else:
         h = rng.standard_normal((a, a)) + 1j * rng.standard_normal((a, a))
-        w, v = np.linalg.eigh(h + h.conj().T)
+        _, v = np.linalg.eigh(h + h.conj().T)
         signs = np.where(np.arange(a) % 2 == 0, 1.0, -1.0)
         u2 = (v * signs) @ v.conj().T
-    u = np.eye(nn, dtype=complex)
+    u = np.eye(n, dtype=complex)
     u[:a, :a] = u2
-    q = np.zeros((nn, nn), dtype=complex)
+    q = np.zeros((n, n), dtype=complex)
     q[:a, :a] = np.eye(a)
     theta = maps_mod.map_from_function(lambda m: u @ m @ u.conj().T, algebra)
     return theta, q, algebra
 
 
-def suite_proj(seed: int, count: int, n: int, tol: Tolerances) -> list:
+def suite_proj(rngs, n: int, tol: Tolerances):
     """Symmetric-projection construction certificates plus the
     scalar-averaging classification; details["rcp_certificate"] names the
     certificate behind the RCP verdict ("" for an undecided one)."""
-    out = []
-    for i in range(count):
-        rng = _rng(seed, "proj", i)
+    for i, rng in enumerate(rngs):
         if i == 0:
             alg2 = alg_mod.full_matrix_algebra(2)
             p_map = maps_mod.map_from_function(
@@ -343,17 +275,15 @@ def suite_proj(seed: int, count: int, n: int, tol: Tolerances) -> list:
                 "rcp": bool(cls.rcp.passed),
                 "contractive": bool(cls.contractive),
             }
-            rep = VerificationReport(
+            yield VerificationReport(
                 check="proj", passed=all(verdicts.values()), verdicts=verdicts,
                 residuals={"cond_exp": float(cls.cond_exp_residual),
                            "idempotent": float(cls.idempotent_residual),
                            **{f"symmetry_level_{k}": float(v)
                               for k, v in cls.symmetric_levels.items()}},
-                tolerances=tol.as_dict(),
                 details={"fixture": "scalar_averaging_M2",
                          "rcp_certificate": cls.rcp.certificate or ""},
-            )
-            out.append(_tag(rep, "proj", i, seed, p_map.action))
+            ), (p_map.action,)
             continue
         theta, q, algebra = _theta_q_fixture(rng, n)
         p_map, cert = maps_mod.build_symmetric_projection(theta, q, algebra, tol=tol)
@@ -365,35 +295,31 @@ def suite_proj(seed: int, count: int, n: int, tol: Tolerances) -> list:
             "range_fixed_points": bool(cert.range_is_fixed_points),
             "complement_vanishing": bool(cert.complement_vanishing <= 1e-7),
         }
-        rep = VerificationReport(
+        yield VerificationReport(
             check="proj", passed=bool(cert.passed and all(verdicts.values())),
             verdicts=verdicts,
             residuals={"idempotent": float(cert.idempotent_residual),
                        "complement": float(cert.complement_vanishing),
                        **{f"symmetry_level_{k}": float(v)
                           for k, v in cert.symmetry_norms.items()}},
-            tolerances=tol.as_dict(),
             details={"fixture": "theta_q_block",
                      "rcp_certificate": cert.rcp.certificate or ""},
-        )
-        out.append(_tag(rep, "proj", i, seed, p_map.action))
-    return out
+        ), (p_map.action,)
 
 
-def suite_rcp(seed: int, count: int, n: int, tol: Tolerances) -> list:
+def suite_rcp(rngs, n: int, tol: Tolerances):
     """Real-complete-positivity verdicts against known ground truth:
     CP maps must pass (with the Choi certificate), the 2x2 transpose (the
     last instance when count >= 2) must fail with a certified witness at
     level 2."""
-    out = []
-    for i in range(count):
-        if i == count - 1 and count >= 2:  # the last instance: the 2x2 transpose
+    for i, rng in enumerate(rngs):
+        if 0 < i == len(rngs) - 1:  # the last of two or more: the 2x2 transpose
             t_map = maps_mod.transpose_map(2)
             v = maps_mod.rcp_test(t_map, tol=tol)
             wit_ok = (v.witness is not None and not v.passed and v.certified
                       and v.witness["out_abscissa"] <= -1e-4
                       and v.witness["in_abscissa"] >= -1e-10)
-            rep = VerificationReport(
+            yield VerificationReport(
                 check="rcp", passed=bool(wit_ok),
                 verdicts={"witness_found": bool(v.witness is not None),
                           "expected_failure": bool(not v.passed),
@@ -401,36 +327,27 @@ def suite_rcp(seed: int, count: int, n: int, tol: Tolerances) -> list:
                 residuals={} if v.witness is None else {
                     "witness_out_abscissa": float(v.witness["out_abscissa"]),
                     "witness_in_abscissa": float(v.witness["in_abscissa"])},
-                tolerances=tol.as_dict(),
                 details={"fixture": "transpose2",
                          "witness_level": None if v.witness is None
                          else int(v.witness["level"])},
-            )
-            out.append(_tag(rep, "rcp", i, seed, t_map.action))
+            ), (t_map.action,)
             continue
-        rng = _rng(seed, "rcp", i)
         if i == 0:
             t_map = maps_mod.identity_map(alg_mod.full_matrix_algebra(n))
             name = "identity"
         else:
             n_ops = 1 + int(rng.integers(0, 3))
-            ops = [random_matrix(n, rng) for _ in range(n_ops)]
-            t_map = maps_mod.map_from_kraus(ops, n)
+            t_map = maps_mod.map_from_kraus([random_matrix(n, rng) for _ in range(n_ops)], n)
             name = f"kraus_{n_ops}"
         v = maps_mod.rcp_test(t_map, tol=tol)
-        ok = v.passed and v.certified
-        rep = VerificationReport(
-            check="rcp", passed=bool(ok),
+        yield VerificationReport(
+            check="rcp", passed=bool(v.passed and v.certified),
             verdicts={"rcp_passed": bool(v.passed), "certified": bool(v.certified),
                       # rcp_test samples nothing; the key stays so that the
                       # verdict keys of the report do not change
                       "no_sampled_violations": True},
-            residuals={},
-            tolerances=tol.as_dict(),
             details={"fixture": name, "certificate": v.certificate or ""},
-        )
-        out.append(_tag(rep, "rcp", i, seed, t_map.action))
-    return out
+        ), (t_map.action,)
 
 
 _SUITES = {
@@ -446,10 +363,13 @@ _SUITES = {
     "proj": suite_proj,
     "rcp": suite_rcp,
 }
+SUITE_ORDER = tuple(_SUITES)
 
 
 def run_suite(name: str, seed: int, count: int, n: int,
               tol: Tolerances | None = None) -> list:
+    """The reports of count instances of the named suite at size n >= 2,
+    instance i drawn from default_rng((seed, suite index, i))."""
     t = resolve_tol(tol)
     if name not in _SUITES:
         raise InputError(f"unknown suite {name!r}; expected one of "
@@ -457,21 +377,20 @@ def run_suite(name: str, seed: int, count: int, n: int,
     count, n = _as_positive_int(count, "count"), _as_positive_int(n, "n")
     if n < 2:
         raise InputError(f"n must be >= 2, got {n}")
-    return _SUITES[name](_as_seed(seed), count, n, t)
+    seed, k = _as_seed(seed), SUITE_ORDER.index(name)
+    rngs = [np.random.default_rng((seed, k, i)) for i in range(count)]
+    reports = []
+    for i, (rep, mats) in enumerate(_SUITES[name](rngs, n, t)):
+        rep.tolerances = t.as_dict()
+        reports.append(_tag(rep, name, i, seed, *mats))
+    return reports
 
 
 def run_suites(names, seed: int, count: int, n: int, tol: Tolerances | None = None):
     """Run the named suites in canonical order; returns (reports, all_passed)."""
-    ordered = []
-    for name in SUITE_ORDER:
-        if name in names:
-            ordered.append(name)
-    unknown = [m for m in names if m not in SUITE_ORDER and m != "all"]
+    unknown = set(names) - set(SUITE_ORDER) - {"all"}
     if unknown:
         raise InputError(f"unknown suites: {', '.join(sorted(unknown))}")
-    if "all" in names:
-        ordered = list(SUITE_ORDER)
-    reports = []
-    for name in ordered:
-        reports.extend(run_suite(name, seed, count, n, tol))
+    reports = [rep for name in SUITE_ORDER if "all" in names or name in names
+               for rep in run_suite(name, seed, count, n, tol)]
     return reports, all(r.passed for r in reports)

@@ -149,17 +149,51 @@ def test_span_functions_reject_mixed_sizes(call):
         call()
 
 
-BAD_POSITIVE_REALS = [np.nan, np.inf, -np.inf, 0.0, -1.0, "abc", 1j, True, None]
+NOT_NUMBERS = ["0.5", "abc", True, None]
+BAD_POSITIVE_REALS = [np.nan, np.inf, -np.inf, 0.0, -1.0, 1j, *NOT_NUMBERS]
+
+# scalar parameter -> (call, values it refuses, message)
+SCALAR_CALLS = {
+    "approximate_from_F.t": (lambda v: realpos.approximate_from_F(GOOD, CTX, v),
+                             BAD_POSITIVE_REALS, "must be a finite positive real"),
+    "scale_into_F.eps": (lambda v: realpos.scale_into_F(GOOD, CTX, v),
+                         BAD_POSITIVE_REALS, "must be a finite positive real"),
+    **{f"{name}.r": (lambda v, f=getattr(realpos, name): f(GOOD, v),
+                     [*BAD_POSITIVE_REALS, 1.5], r"exponent r must lie in \(0\.0, 1\.0\]")
+       for name in ("power", "power_all_methods", "power_balakrishnan",
+                    "power_series", "power_shifted")},
+    "is_nearly_positive.eps": (lambda v: realpos.is_nearly_positive(GOOD, v),
+                               [*BAD_POSITIVE_REALS, 1.0], r"eps must lie in \(0, 1\)"),
+    "support_function.theta": (lambda v: realpos.support_function(GOOD, v),
+                               [np.nan, np.inf, 1j, *NOT_NUMBERS],
+                               "theta must be finite, a real number"),
+    "dist_to_point.z": (lambda v: realpos.dist_to_point(GOOD, v),
+                        [np.nan, complex(0.0, np.inf), *NOT_NUMBERS],
+                        "z must be finite, a complex number"),
+}
 
 
-@pytest.mark.parametrize("value", BAD_POSITIVE_REALS, ids=repr)
-@pytest.mark.parametrize("call", [
-    lambda v: realpos.approximate_from_F(GOOD, CTX, v),
-    lambda v: realpos.scale_into_F(GOOD, CTX, v),
-], ids=["approximate_from_F.t", "scale_into_F.eps"])
-def test_scalar_parameters_must_be_finite_positive_reals(call, value):
-    with pytest.raises(InputError, match="must be a finite positive real"):
+@pytest.mark.parametrize("name, value", [
+    pytest.param(name, v, id=f"{name}-{v!r}")
+    for name, (_, values, _) in SCALAR_CALLS.items() for v in values])
+def test_scalar_parameters_must_be_finite_positive_reals(name, value):
+    """Each scalar parameter refuses with InputError what is not a finite
+    number in its range: a string, None, a bool, and a complex where a
+    real is due, before float() or complex() can read it."""
+    call, _, message = SCALAR_CALLS[name]
+    with pytest.raises(InputError, match=message):
         call(value)
+
+
+@pytest.mark.parametrize("tol", ["x", 1e-3, {"eq_tol": 1e-9}], ids=repr)
+@pytest.mark.parametrize("call", [
+    lambda t: realpos.power(GOOD, 0.5, tol=t),
+    lambda t: realpos.rcp_test(identity_map(ALG), tol=t),
+    lambda t: realpos.run_suite("lump", 0, 1, 2, t),
+], ids=["power", "rcp_test", "run_suite"])
+def test_tol_must_be_a_tolerances_bundle_or_none(call, tol):
+    with pytest.raises(InputError, match="tol must be a Tolerances or None"):
+        call(tol)
 
 
 def _nan_action():
@@ -174,6 +208,13 @@ def _nan_action():
 def test_map_action_must_be_a_finite_complex_matrix_of_its_shape(action):
     with pytest.raises(InputError, match="action"):
         realpos.LinearMapOnAlgebra(ALG, ALG, action)
+
+
+@pytest.mark.parametrize("domain, codomain", [([GOOD], ALG), (ALG, [GOOD]), (ALG, None)],
+                         ids=["list_domain", "list_codomain", "none_codomain"])
+def test_map_domain_and_codomain_must_be_subalgebra_bases(domain, codomain):
+    with pytest.raises(InputError, match="must be a SubalgebraBasis"):
+        realpos.LinearMapOnAlgebra(domain, codomain, np.eye(4))
 
 
 @pytest.mark.parametrize("alpha, beta", [(np.nan, 1.0), (1.0, np.inf), ("abc", 1.0)])

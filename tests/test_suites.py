@@ -12,9 +12,12 @@ from realpos.serialize import dumps_stable, report_file_obj
 from realpos.suites import SUITE_ORDER, run_suite, run_suites
 
 
-@pytest.mark.parametrize("name", SUITE_ORDER)
-def test_each_suite_passes_small(name):
-    reports = run_suite(name, seed=11, count=4, n=3)
+# n = 2 is the smallest size run_suite admits; the n = 3 ids are the bare names
+@pytest.mark.parametrize("name, n", [
+    pytest.param(name, n, id=name if n == 3 else f"{name}-n{n}")
+    for n in (3, 2) for name in SUITE_ORDER])
+def test_each_suite_passes_small(name, n):
+    reports = run_suite(name, seed=11, count=4, n=n)
     assert len(reports) == 4
     for rep in reports:
         assert rep.check == name
