@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import _Deflation, _f_transform
-from .cones import AmbientContext, _element, _membership, full_context
+from .cones import AmbientContext, _context, _element, _membership, full_context
 from .errors import InputError, MethodDisagreementError, PreconditionError
 from .linalg import (Tolerances, _as_positive_int, _as_sized, _nonzero, _norm2, as_matrix,
                      resolve_tol)
@@ -100,6 +100,17 @@ def _max_op_norm(mats: np.ndarray) -> float:
     return float(np.max(_norm2(mats), initial=0.0))
 
 
+def _max_op_norm_above(mats: np.ndarray, bound: float) -> float:
+    """_max_op_norm(mats) when it exceeds bound, else some value <= bound,
+    for a residual that only feeds a "<= bound" decision.  The Frobenius
+    norm bounds the operator norm from above, so a matrix whose Frobenius
+    norm is below bound by more than rounding (a relative 1e-9) takes no
+    SVD; a non-finite one keeps its SVD, which raises."""
+    parts = np.ascontiguousarray(mats).view(float)  # real and imaginary parts
+    fro = np.sqrt(np.einsum("ijk,ijk->i", parts, parts))
+    return _max_op_norm(mats[~(fro <= bound * (1.0 - 1e-9))])
+
+
 def _worst_unit_residual(s: np.ndarray, mats: np.ndarray) -> float:
     """Largest operator norm of s b - b and b s - b over the (m, n, n)
     stack mats (0.0 for no matrices)."""
@@ -130,8 +141,7 @@ class SubalgebraBasis:
         n = mats[0].shape[0]
         if any(m.shape[0] != n for m in mats):
             raise InputError("basis matrices must share one ambient dimension")
-        if ambient is None:
-            ambient = full_context(n)
+        ambient = _context(ambient, n, "ambient")
         if ambient.n != n:
             raise InputError(f"basis matrices are {n}x{n} but ambient has n={ambient.n}")
         self.ambient = ambient
@@ -236,6 +246,14 @@ class SubalgebraBasis:
 
     def __repr__(self):
         return f"SubalgebraBasis(dim={self.dim}, n={self.n}, unit={'yes' if self.unit is not None else 'no'})"
+
+
+def _basis(algebra, name: str = "algebra") -> SubalgebraBasis:
+    """algebra itself; InputError, naming name, for anything that is not a
+    SubalgebraBasis."""
+    if not isinstance(algebra, SubalgebraBasis):
+        raise InputError(f"{name} must be a SubalgebraBasis, got {type(algebra).__name__}")
+    return algebra
 
 
 def subalgebra(basis, ambient: AmbientContext | None = None, unit=None,
@@ -468,7 +486,7 @@ def ws_suite(x, algebra: SubalgebraBasis, tol: Tolerances | None = None) -> Veri
     sense; the suite verifies that (i), (iv), (v) agree and that each
     implies (vi).
     """
-    a, ctx, t, xc, _ = _element(x, algebra.ambient, tol, "ws_suite")
+    a, ctx, t, xc, _ = _element(x, _basis(algebra).ambient, tol, "ws_suite")
     algebra._require(a, "ws_suite", "x")
 
     d = _Deflation(xc, t)
@@ -550,7 +568,8 @@ def hsa_from_z(z, algebra: SubalgebraBasis, tol: Tolerances | None = None) -> Hs
     lies in sAs), with s acting as a unit on D.  Memory is a few
     (dim A, n, n) stacks.
     """
-    a, ctx, t, xc, _ = _element(z, algebra.ambient, tol, "hsa_from_z", cone="F", name="z")
+    a, ctx, t, xc, _ = _element(z, _basis(algebra).ambient, tol, "hsa_from_z", cone="F",
+                                name="z")
     algebra._require(a, "hsa_from_z", "z")
     n = algebra.n
     cube = np.array(algebra.basis)
@@ -592,7 +611,7 @@ def hsa_from_z(z, algebra: SubalgebraBasis, tol: Tolerances | None = None) -> Hs
 
 def supp_order(x, y, algebra: SubalgebraBasis, tol: Tolerances | None = None) -> VerificationReport:
     """Check span(x A) inside span(y A)  <=>  s(y) s(x) = s(x)."""
-    ctx = algebra.ambient
+    ctx = _basis(algebra).ambient
     ax, _, t, xc, _ = _element(x, ctx, tol, "supp_order")
     ay, _, _, yc, _ = _element(y, ctx, t, "supp_order", name="y")
     cube = np.array(algebra.basis)
@@ -653,7 +672,7 @@ def aarnes_kadison_check(x, algebra: SubalgebraBasis,
     """Check the equivalent fullness conditions of an accretive element:
     span(x A x) = span(A)  <=>  span(x A) = span(A x) = span(A)  <=>
     s(x) acts as the unit of A."""
-    a, ctx, t, xc, _ = _element(x, algebra.ambient, tol, "aarnes_kadison_check")
+    a, ctx, t, xc, _ = _element(x, _basis(algebra).ambient, tol, "aarnes_kadison_check")
     cube = np.array(algebra.basis)
     c1 = _spans_equal(a @ cube @ a, algebra)
     c2 = _spans_equal(a @ cube, algebra) and _spans_equal(cube @ a, algebra)
@@ -697,7 +716,8 @@ def idempotent_ideal(q, algebra: SubalgebraBasis, x=None,
     """For an idempotent q in F inside the algebra: span(q A) is a right
     ideal with left unit q.  When an accretive x is supplied and its
     support lies in the algebra, span(x A) = span(s(x) A) as well."""
-    aq, ctx, t, _, _ = _element(q, algebra.ambient, tol, "idempotent_ideal", cone="F", name="q")
+    aq, ctx, t, _, _ = _element(q, _basis(algebra).ambient, tol, "idempotent_ideal", cone="F",
+                                name="q")
     idem_res = _norm2(aq @ aq - aq)
     if idem_res > 100 * t.eq_tol * (1.0 + _norm2(aq)) ** 2:
         raise PreconditionError(f"idempotent_ideal needs an idempotent q; residual {idem_res:.3g}")

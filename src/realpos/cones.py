@@ -107,6 +107,16 @@ def full_context(n: int) -> AmbientContext:
                           isometry=np.eye(n, dtype=complex))
 
 
+def _context(ctx, n: int, name: str = "ctx") -> AmbientContext:
+    """ctx, or M_n for None; InputError, naming name, for anything that is
+    not an AmbientContext."""
+    if ctx is None:
+        return full_context(n)
+    if not isinstance(ctx, AmbientContext):
+        raise InputError(f"{name} must be an AmbientContext or None, got {type(ctx).__name__}")
+    return ctx
+
+
 def corner_context(e, tol: Tolerances | None = None) -> AmbientContext:
     """Corner algebra e M_n e for a Hermitian idempotent e."""
     a = as_matrix(e, "e")
@@ -202,8 +212,7 @@ def _element(x, ctx: AmbientContext | None, tol: Tolerances | None, who: str,
     cone membership (None when cone is None, which computes none).
     """
     a = as_matrix(x, name)
-    if ctx is None:
-        ctx = full_context(a.shape[0])
+    ctx = _context(ctx, a.shape[0])
     t = resolve_tol(tol)
     xc = ctx._compress_member(a, t)
     mem = None if cone is None else _require_in(xc, t, who, cone, name)

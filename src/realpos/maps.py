@@ -27,7 +27,9 @@ import numpy as np
 
 from .algebra import (
     SubalgebraBasis,
+    _basis,
     _max_op_norm,
+    _max_op_norm_above,
     _pair_products,
     _rank,
     _spans_equal,
@@ -87,11 +89,8 @@ class LinearMapOnAlgebra:
     """
 
     def __init__(self, domain: SubalgebraBasis, codomain: SubalgebraBasis, action):
-        for name, basis in (("domain", domain), ("codomain", codomain)):
-            if not isinstance(basis, SubalgebraBasis):
-                raise InputError(f"{name} must be a SubalgebraBasis, got {type(basis).__name__}")
-        self.domain = domain
-        self.codomain = codomain
+        self.domain = _basis(domain, "domain")
+        self.codomain = _basis(codomain, "codomain")
         try:
             a = np.asarray(action, dtype=complex)
         except (TypeError, ValueError) as exc:
@@ -136,8 +135,16 @@ class LinearMapOnAlgebra:
                 f"codomain dim={self.codomain.dim}, full={self.full_domain})")
 
 
+def _linear_map(t_map, name: str = "t_map") -> LinearMapOnAlgebra:
+    """t_map itself; InputError, naming name, for anything that is not a
+    LinearMapOnAlgebra."""
+    if not isinstance(t_map, LinearMapOnAlgebra):
+        raise InputError(f"{name} must be a LinearMapOnAlgebra, got {type(t_map).__name__}")
+    return t_map
+
+
 def identity_map(algebra: SubalgebraBasis) -> LinearMapOnAlgebra:
-    return LinearMapOnAlgebra(algebra, algebra, np.eye(algebra.dim, dtype=complex))
+    return LinearMapOnAlgebra(algebra, algebra, np.eye(_basis(algebra).dim, dtype=complex))
 
 
 def transpose_map(n: int) -> LinearMapOnAlgebra:
@@ -153,7 +160,8 @@ def map_from_function(f, domain: SubalgebraBasis,
 
     Every basis image must be a codomain-size matrix in the codomain span
     (checked); one stacked solve gives the coordinates of all images."""
-    codomain = domain if codomain is None else codomain
+    domain = _basis(domain, "domain")
+    codomain = domain if codomain is None else _basis(codomain, "codomain")
     n = codomain.n
     images = [as_matrix(f(b), f"image[{i}]") for i, b in enumerate(domain.basis)]
     bad = next((i for i, img in enumerate(images) if img.shape != (n, n)), None)
@@ -183,7 +191,7 @@ def map_from_kraus(ops, n: int) -> LinearMapOnAlgebra:
 
 def map_affine_combo(t_map: LinearMapOnAlgebra, alpha: float, beta: float) -> LinearMapOnAlgebra:
     """alpha * id + beta * T for an endomorphism T (used for I-P, I-2P)."""
-    if t_map.domain.dim != t_map.codomain.dim:
+    if _linear_map(t_map).domain.dim != t_map.codomain.dim:
         raise InputError("affine combinations need an endomorphism")
     if not all(isinstance(c, numbers.Number) and np.isfinite(c) for c in (alpha, beta)):
         raise InputError(f"alpha and beta must be finite numbers, got {alpha!r}, {beta!r}")
@@ -253,7 +261,7 @@ class AmplifiedMap:
 def amplify(t_map: LinearMapOnAlgebra, k: int) -> AmplifiedMap:
     """The matrix-level amplification T_k = id_{M_k} tensor T, acting
     blockwise on M_k(span(domain)); the level k is an integer >= 1."""
-    return AmplifiedMap(t_map, _as_positive_int(k, "amplification level"))
+    return AmplifiedMap(_linear_map(t_map), _as_positive_int(k, "amplification level"))
 
 
 def _unit_pairing(k: int, n: int, swap: bool = False) -> np.ndarray:
@@ -286,7 +294,7 @@ class ChoiMatrix:
 
 def choi_matrix(t_map: LinearMapOnAlgebra, tol: Tolerances | None = None) -> ChoiMatrix:
     """Choi matrix of a full-domain map (block (i,j) = T(E_ij))."""
-    if not t_map.full_domain:
+    if not _linear_map(t_map).full_domain:
         raise UnsupportedError("the Choi matrix is defined for full-domain maps only")
     t = resolve_tol(tol)
     c = t_map._choi_block
@@ -415,7 +423,7 @@ def op_norm_estimate(t_map: LinearMapOnAlgebra, k: int = 1) -> NormEstimate:
     the estimate is a function of T and k alone; the best value is a
     certified lower bound.
     """
-    return _op_norm_estimates([t_map], k)[0]
+    return _op_norm_estimates([_linear_map(t_map)], k)[0]
 
 
 def _op_norm_estimates(t_maps, k: int, uppers=None) -> list:
@@ -642,7 +650,7 @@ def rcp_test(t_map: LinearMapOnAlgebra, tol: Tolerances | None = None) -> RcpVer
     operator algebra every map gets one, up to the cap and the tolerances.
     """
     t = resolve_tol(tol)
-    dom = t_map.domain
+    dom = _linear_map(t_map).domain
     d, n, m = dom.dim, dom.n, t_map.codomain.n
     q, pinv, null, perp = _operator_system(dom)
     u = dom._span_q
@@ -758,6 +766,7 @@ def build_symmetric_projection(theta: LinearMapOnAlgebra, q, algebra: Subalgebra
     acts as the identity on the complement, the compatibility the
     construction needs to be a projection onto a hereditary piece).
     """
+    theta, algebra = _linear_map(theta, "theta"), _basis(algebra)
     t = resolve_tol(tol)
     qm = as_matrix(q, "q")
     cube = np.array(algebra.basis)
@@ -769,12 +778,14 @@ def build_symmetric_projection(theta: LinearMapOnAlgebra, q, algebra: Subalgebra
         raise PreconditionError("theta's codomain is not the given algebra")
 
     t_cube = theta._apply_stack(cube)
-    worst = _max_op_norm(theta._apply_stack(t_cube) - cube)
-    if worst > 100 * t.eq_tol * scale:
+    bound = 100 * t.eq_tol * scale
+    worst = _max_op_norm_above(theta._apply_stack(t_cube) - cube, bound)
+    if worst > bound:
         raise PreconditionError(f"theta is not period-2: residual {worst:.3g}")
-    worst = _max_op_norm(theta._apply_stack(_products(cube, cube))
-                         - _products(t_cube, t_cube))
-    if worst > 100 * t.eq_tol * scale ** 2:
+    bound = 100 * t.eq_tol * scale ** 2
+    worst = _max_op_norm_above(theta._apply_stack(_products(cube, cube))
+                               - _products(t_cube, t_cube), bound)
+    if worst > bound:
         raise PreconditionError(f"theta is not multiplicative: residual {worst:.3g}")
     idem_res = _norm2(qm @ qm - qm)
     if idem_res > 100 * t.eq_tol * (1.0 + _norm2(qm)) ** 2:
@@ -874,7 +885,7 @@ def classify_projection(p_map: LinearMapOnAlgebra,
     range, associativity of the induced product a o b = P(ab), and
     square-zero behaviour of the kernel."""
     t = resolve_tol(tol)
-    if p_map.domain.dim != p_map.codomain.dim:
+    if _linear_map(p_map, "p_map").domain.dim != p_map.codomain.dim:
         raise PreconditionError("classify_projection needs an endomorphism")
     act = p_map.action
     va = p_map._vec_action

@@ -8,6 +8,8 @@ import pytest
 from realpos import algebra
 from realpos.algebra import (
     SubalgebraBasis,
+    _max_op_norm,
+    _max_op_norm_above,
     _pair_products,
     _worst_span_residual,
     _worst_unit_residual,
@@ -635,6 +637,29 @@ def test_stacked_residual_helpers_match_loops():
     e12[0, 0, 1] = 1.0  # s e12 = e12 but e12 s = 0
     for mats in (e12, left, e12[:0]):
         assert abs(_worst_unit_residual(s, mats) - _loop_unit_residual(s, list(mats))) <= 1e-14
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_screened_max_op_norm_decides_as_the_svd(seed):
+    """_max_op_norm_above decides "> bound" as _max_op_norm does, and above
+    the bound returns its value bitwise, on stacks straddling the bound:
+    full-rank matrices, and rank-one ones whose Frobenius norm equals their
+    operator norm, scaled to within a few ulps of it."""
+    rng = np.random.default_rng(seed)
+    n, bound = 4, 1e-7
+    u = rng.standard_normal((6, n, 1)) + 1j * rng.standard_normal((6, n, 1))
+    rank_one = u @ u.conj().swapaxes(1, 2)
+    full = rng.standard_normal((6, n, n)) + 1j * rng.standard_normal((6, n, n))
+    for mats in (rank_one, full):
+        mats = mats / _max_op_norm(mats)
+        for scale in bound * (1.0 + np.array([-4e-9, -1e-15, 0.0, 1e-15, 4e-9, 0.5])):
+            for stack in (scale * mats, scale * mats[:1], scale * mats[:0]):
+                exact, screened = _max_op_norm(stack), _max_op_norm_above(stack, bound)
+                assert (screened > bound) == (exact > bound)
+                if exact > bound:
+                    assert screened == exact
+    with pytest.raises(NumericError):
+        _max_op_norm_above(np.full((1, 2, 2), np.nan), bound)
 
 
 @pytest.mark.parametrize("n", [8, 16])

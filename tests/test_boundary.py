@@ -221,3 +221,59 @@ def test_map_domain_and_codomain_must_be_subalgebra_bases(domain, codomain):
 def test_map_affine_combo_rejects_non_finite_coefficients(alpha, beta):
     with pytest.raises(InputError, match="alpha and beta must be finite numbers"):
         map_affine_combo(identity_map(ALG), alpha, beta)
+
+
+MAP = identity_map(ALG)
+
+# public entry -> (call with v as its context, algebra or map argument,
+# the type that argument needs)
+TYPED_CALLS = {
+    **{f"{name}.ctx": (lambda v, f=getattr(realpos, name): f(GOOD, v), "AmbientContext")
+       for name in ("ba", "ba_ftransform_equal", "chaccr_verify", "decompose_halfF",
+                    "f_inverse", "f_transform", "lump_check", "membership",
+                    "power_property_report", "root_bai_check", "support_idem")},
+    **{f"{name}.ctx": (lambda v, f=getattr(realpos, name): f(GOOD, 0.5, ctx=v),
+                       "AmbientContext")
+       for name in ("power", "power_all_methods", "power_balakrishnan", "power_series",
+                    "power_shifted")},
+    "approximate_from_F.ctx": (lambda v: realpos.approximate_from_F(GOOD, v, 0.5),
+                               "AmbientContext"),
+    "scale_into_F.ctx": (lambda v: realpos.scale_into_F(GOOD, v, 0.5), "AmbientContext"),
+    "upper_bound_pair.ctx": (lambda v: realpos.upper_bound_pair(0.5 * GOOD, 0.5 * GOOD, v),
+                             "AmbientContext"),
+    "subalgebra.ambient": (lambda v: realpos.subalgebra([GOOD], ambient=v), "AmbientContext"),
+    **{f"{name}.algebra": (lambda v, f=getattr(realpos, name): f(GOOD, v), "SubalgebraBasis")
+       for name in ("aarnes_kadison_check", "hsa_from_z", "idempotent_ideal", "ws_suite")},
+    "supp_order.algebra": (lambda v: realpos.supp_order(GOOD, GOOD, v), "SubalgebraBasis"),
+    "identity_map.algebra": (identity_map, "SubalgebraBasis"),
+    "map_from_function.domain": (lambda v: realpos.map_from_function(lambda b: b, v),
+                                 "SubalgebraBasis"),
+    "map_from_function.codomain": (lambda v: realpos.map_from_function(lambda b: b, ALG, v),
+                                   "SubalgebraBasis"),
+    "build_symmetric_projection.algebra": (
+        lambda v: realpos.build_symmetric_projection(MAP, GOOD, v), "SubalgebraBasis"),
+    **{f"{name}.map": (getattr(realpos, name), "LinearMapOnAlgebra")
+       for name in ("choi_matrix", "classify_projection", "is_cp", "kraus_factor",
+                    "op_norm_estimate", "rcp_test")},
+    "amplify.map": (lambda v: amplify(v, 2), "LinearMapOnAlgebra"),
+    "map_affine_combo.map": (lambda v: map_affine_combo(v, 1.0, -2.0), "LinearMapOnAlgebra"),
+    "build_symmetric_projection.theta": (
+        lambda v: realpos.build_symmetric_projection(v, GOOD, ALG), "LinearMapOnAlgebra"),
+}
+
+# wrong values: the two other kinds of typed argument, a string, a list of
+# matrices and a number
+WRONG_TYPES = {"context": CTX, "algebra": ALG, "map": MAP,
+               "str": "c", "list": [GOOD], "float": 0.5}
+
+
+@pytest.mark.parametrize("name, bad", [
+    pytest.param(name, bad, id=f"{name}-{bad}")
+    for name, (_, needs) in TYPED_CALLS.items() for bad, v in WRONG_TYPES.items()
+    if type(v).__name__ != needs])
+def test_typed_arguments_reject_other_types(name, bad):
+    """A context, algebra or map argument of another type raises InputError
+    naming the type it needs, not an AttributeError from inside."""
+    call, needs = TYPED_CALLS[name]
+    with pytest.raises(InputError, match=f"must be an? {needs}"):
+        call(WRONG_TYPES[bad])

@@ -1,5 +1,10 @@
 """Fractional powers: three methods against closed-form oracles, the
 F-transform, and the power-law property reports."""
+import math
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -498,6 +503,48 @@ def test_series_tail_closed_form_matches_recurrence(r):
         assert abs(closed[k - 1] - tail) <= 1e-10 * tail, k
         b *= (k - r) / (k + 1)
         tail -= b
+
+
+@pytest.mark.parametrize("r", [0.02, 0.3, 0.5, 0.98])
+def test_series_tail_at_the_budget_matches_the_product_form(r):
+    """tail_K = prod_{k<=K} (1 - r/k), summed in logarithms exactly rounded."""
+    ref = math.exp(math.fsum(math.log1p(-r / k) for k in range(1, 200_001)))
+    assert abs(calculus._series_tail(r, 200_000) - ref) <= 1e-8 * ref
+
+
+def test_import_leaves_scipy_special_unloaded():
+    """The CLI imports no scipy.special, unless scipy.linalg itself does."""
+    # a fresh interpreter that imports the realpos this test imported
+    src = str(Path(calculus.__file__).resolve().parents[1])
+
+    def loads_special(module):
+        probe = (f"import sys; sys.path.insert(0, {src!r}); import {module}; "
+                 "print('scipy.special' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", probe], check=True,
+                             capture_output=True, text=True).stdout
+        return out.strip() == "True"
+
+    if loads_special("scipy.linalg"):
+        pytest.skip("this scipy loads scipy.special with scipy.linalg")
+    assert not loads_special("realpos.cli")
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("n", [2, 4, 8, 16])
+def test_chain_matches_an_unscreened_root_loop(n, seed):
+    """The screened chain takes the roots, and returns the b and ||I - b||,
+    of the loop that takes an SVD after every root."""
+    d = calculus._Deflation(10.0 ** (2 * seed) * random_accretive(n, seed), Tolerances())
+    b = d._split[1]
+    eye = np.eye(len(b), dtype=complex)
+    sqrts, e_norm = 0, operator_norm(eye - b)
+    while e_norm > 0.3:
+        b = calculus._sqrtm_tri(b)
+        sqrts += 1
+        e_norm = operator_norm(eye - b)
+    chain_b, chain_sqrts, chain_norm = d._chain
+    assert (chain_sqrts, chain_norm) == (sqrts, e_norm)
+    assert np.array_equal(chain_b, b)
 
 
 @pytest.mark.parametrize("seed", range(4))
