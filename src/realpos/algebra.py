@@ -366,7 +366,7 @@ def ba(x, ambient: AmbientContext | None = None,
     candidate (an element acting as identity on the span) is attached
     when one exists.
     """
-    a, ambient, t, _, _ = _element(x, ambient, tol, "ba", cone=None)
+    a, ambient, t, _, _ = _element(x, ambient, tol, "ba", cone=None, ctx_name="ambient")
     return _ba(a, ambient, t)
 
 

@@ -788,12 +788,13 @@ def build_symmetric_projection(theta: LinearMapOnAlgebra, q, algebra: Subalgebra
     if worst > bound:
         raise PreconditionError(f"theta is not multiplicative: residual {worst:.3g}")
     idem_res = _norm2(qm @ qm - qm)
-    if idem_res > 100 * t.eq_tol * (1.0 + _norm2(qm)) ** 2:
+    q_scale = 1.0 + _norm2(qm)
+    if idem_res > 100 * t.eq_tol * q_scale ** 2:
         raise PreconditionError(f"q is not idempotent: residual {idem_res:.3g}")
     if not algebra._contains(qm, 1e-7):
         raise PreconditionError("q does not lie in the algebra span")
     fix_res = _norm2(theta._apply_stack(qm[None])[0] - qm)
-    if fix_res > 100 * t.eq_tol * (1.0 + _norm2(qm)):
+    if fix_res > 100 * t.eq_tol * q_scale:
         raise PreconditionError(f"theta does not fix q: residual {fix_res:.3g}")
 
     images = 0.5 * (cube + 2.0 * (t_cube @ qm) - t_cube)

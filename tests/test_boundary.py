@@ -277,3 +277,9 @@ def test_typed_arguments_reject_other_types(name, bad):
     call, needs = TYPED_CALLS[name]
     with pytest.raises(InputError, match=f"must be an? {needs}"):
         call(WRONG_TYPES[bad])
+
+
+def test_ba_names_its_ambient_argument():
+    # ba calls its context ambient, and the message of a wrong one says so
+    with pytest.raises(InputError, match="^ambient must be an AmbientContext or None, got str"):
+        realpos.ba(GOOD, ambient="c")

@@ -22,10 +22,13 @@ from realpos.cones import (
 from realpos.errors import InputError, NumericError, PreconditionError
 from realpos.linalg import (
     Tolerances,
+    _rounding_cut,
     operator_norm,
     random_accretive,
     random_contraction,
+    random_hermitian,
     random_matrix,
+    random_unitary,
 )
 from realpos.numrange import abscissa
 from realpos.serialize import dumps_stable
@@ -120,6 +123,17 @@ def _chaccr_margins_per_t(x, eq_tol):
     return worst, failed
 
 
+def _kernel_input(n, rng):
+    """u (A (+) 0) u* with A accretive and u unitary, as calls-mixed draws
+    its kernel inputs: the abscissa is 0 up to rounding, where the
+    allowance of the screened t-grid is tightest."""
+    k = max(1, n // 2)
+    d = np.zeros((n, n), dtype=complex)
+    d[:k, :k] = random_accretive(k, rng)
+    u = random_unitary(n, rng)
+    return u @ d @ u.conj().T
+
+
 def _chaccr_inputs(n, rng):
     t4 = T_GRID[4]
     return [random_accretive(n, rng), random_matrix(n, rng) - 0.5 * np.eye(n),
@@ -127,10 +141,15 @@ def _chaccr_inputs(n, rng):
             -t4 * np.eye(n),       # t e + x singular at one grid point
             -10.0 * np.eye(n),     # exp(-t x) overflows at t = 100
             -10.0 * (np.eye(n) + np.eye(n, k=1)),  # non-normal, overflows at large t
-            -1e5 * np.eye(n)]      # exp(-t x) overflows at every t
+            -1e5 * np.eye(n),      # exp(-t x) overflows at every t
+            _kernel_input(n, rng),
+            # accretive, so the overflow guard passes at every t, but scipy's
+            # expm overflows at the large t only: the screen must fall back to
+            # the whole grid to list them all
+            1e38 * random_accretive(n, rng)]
 
 
-@pytest.mark.parametrize("n", [2, 4, 8])
+@pytest.mark.parametrize("n", [2, 4, 8, 16])
 def test_chaccr_residuals_match_per_t_loop_bitwise(n):
     for x in _chaccr_inputs(n, np.random.default_rng(n)):
         rep = chaccr_verify(x, full_context(n))
@@ -142,24 +161,82 @@ def test_chaccr_residuals_match_per_t_loop_bitwise(n):
         assert rep.details == expect
 
 
-@pytest.mark.parametrize("n", [2, 4, 8])
+def test_chaccr_expm_failing_at_large_t_only_is_listed_whole():
+    # the input of the fallback: expm fails at some t but not at all of them,
+    # and the guard trips at none
+    x = 1e38 * random_accretive(4, 0)
+    failed = chaccr_verify(x, full_context(4)).details["c3_failed_t"]
+    assert 0 < len(failed) < T_GRID.size and failed == list(T_GRID[-len(failed):])
+    assert abscissa(x) > 0
+
+
+T_SUBSETS = {"all": np.arange(20), "first": np.array([0]), "last": np.array([19]),
+             "scattered": np.array([1, 6, 7, 13, 19])}
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 16])
 def test_stacked_semigroup_and_resolvents_match_per_t_loop_bitwise(n):
     for x in _chaccr_inputs(n, np.random.default_rng(10 + n)):
         xc = np.asarray(x, dtype=complex)
         eye = np.eye(n)
-        exps, exp_ok, invs, inv_ok = cones._semigroup_and_resolvents(
-            xc, abscissa(xc), T_GRID)
+        for subset in T_SUBSETS.values():
+            ts = T_GRID[subset]
+            exps, exp_ok = cones._semigroup(xc, abscissa(xc), ts)
+            invs, inv_ok = cones._resolvent(xc, ts)
+            for i, t in enumerate(ts):
+                try:
+                    exp_ref, exp_ref_ok = _matrix_exp_per_t(-t * xc), True
+                except NumericError:
+                    exp_ref, exp_ref_ok = eye, False
+                try:
+                    inv_ref, inv_ref_ok = np.linalg.solve(t * eye + xc, eye), True
+                except np.linalg.LinAlgError:
+                    inv_ref, inv_ref_ok = eye, False
+                assert exp_ok[i] == exp_ref_ok and np.array_equal(exps[i], exp_ref)
+                assert inv_ok[i] == inv_ref_ok and np.array_equal(invs[i], inv_ref)
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 16])
+def test_chaccr_norm_bounds_hold_on_the_computed_norms(n):
+    """Every finite bound of _norm_bounds dominates the norm (or, for
+    condition 5, the difference of norms) that chaccr_verify computes at
+    that t, and every largest column norm over 1 + d is at most the norm:
+    the screen skips a t only on these bounds.  Scales up to 1e38 (where
+    expm overflows at large t) keep scipy's expm accurate.  At 1e100 it
+    returns near-unit matrices where exp(-t x) underflows, which no such
+    bound dominates; there the slack eq_tol (t ||x||)^2 exceeds 1e180, and
+    every margin of condition 3, bound or computed, rounds to minus it."""
+    rng = np.random.default_rng(40 + n)
+    eye = np.eye(n)
+    d = _rounding_cut(n, 1.0)
+    bases = [random_accretive(n, rng), _kernel_input(n, rng),
+             random_matrix(n, rng) - 0.5 * np.eye(n)]
+    # positive definite, scaled so that exp(-t x) is subnormal at t = 100:
+    # only the absolute allowance of its bound covers the rounding there
+    h = random_hermitian(n, rng, psd=True)
+    subnormal = [h * (e / (T_GRID[-1] * np.linalg.eigvalsh(h)[0])) for e in (712, 725, 730, 740)]
+    for x in [s * b for b in bases for s in (1.0, 1e-6, 1e6, 1e38)] + subnormal:
+        absc, nrm = abscissa(x), operator_norm(x)
+        lin_s = eye - T_GRID[:, None, None] * x
+        sq_s = eye - T_GRID[:, None, None] ** 2 * (x @ x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            lin_hi, exp_hi, inv_hi, gap_hi = cones._norm_bounds(absc, nrm, T_GRID, lin_s, sq_s)
+            lin_lo = np.linalg.norm(lin_s, axis=-2).max(axis=-1) / (1.0 + d)
+            sq_lo = np.linalg.norm(sq_s, axis=-2).max(axis=-1) / (1.0 + d)
         for i, t in enumerate(T_GRID):
+            lin, sq = operator_norm(lin_s[i]), operator_norm(sq_s[i])
+            assert lin <= lin_hi[i] or not np.isfinite(lin_hi[i])
+            assert lin - sq <= gap_hi[i] or not np.isfinite(gap_hi[i])
+            assert lin_lo[i] <= lin or not np.isfinite(lin_lo[i])
+            assert sq_lo[i] <= sq or not np.isfinite(sq_lo[i])
             try:
-                exp_ref, exp_ref_ok = _matrix_exp_per_t(-t * xc), True
+                with np.errstate(over="ignore", invalid="ignore"):
+                    e = _matrix_exp_per_t(-t * x)
+                assert operator_norm(e) <= exp_hi[i]
             except NumericError:
-                exp_ref, exp_ref_ok = eye, False
-            try:
-                inv_ref, inv_ref_ok = np.linalg.solve(t * eye + xc, eye), True
-            except np.linalg.LinAlgError:
-                inv_ref, inv_ref_ok = eye, False
-            assert exp_ok[i] == exp_ref_ok and np.array_equal(exps[i], exp_ref)
-            assert inv_ok[i] == inv_ref_ok and np.array_equal(invs[i], inv_ref)
+                pass
+            if t + absc > 0:
+                assert operator_norm(np.linalg.solve(t * eye + x, eye)) <= inv_hi[i]
 
 
 @pytest.mark.parametrize("scale, c3_failed, c4_failed", [
