@@ -26,28 +26,22 @@ from .linalg import (
     rng_for,
 )
 from .numrange import (
-    NearlyPositiveReport,
     RangeBoundary,
     SectorVerdict,
     abscissa,
     boundary,
     dist_to_point,
-    is_nearly_positive,
     sectorial_angle,
     support_function,
 )
 from .cones import (
     AmbientContext,
     ConeMembership,
-    approximate_from_F,
     chaccr_verify,
     corner_context,
     decompose_halfF,
     full_context,
     membership,
-    order_leq,
-    scale_into_F,
-    upper_bound_pair,
 )
 from .calculus import (
     f_inverse,
@@ -55,10 +49,8 @@ from .calculus import (
     power,
     power_all_methods,
     power_balakrishnan,
-    power_property_report,
     power_series,
     power_shifted,
-    root_bai_check,
 )
 from .algebra import (
     HsaResult,
@@ -66,12 +58,10 @@ from .algebra import (
     SupportIdempotent,
     aarnes_kadison_check,
     ba,
-    ba_ftransform_equal,
     block_diag_algebra,
     diagonal_algebra,
     full_matrix_algebra,
     hsa_from_z,
-    idempotent_ideal,
     lump_check,
     span_contains,
     spans_equal,

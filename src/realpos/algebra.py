@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import _Deflation, _f_transform
+from .calculus import _Deflation
 from .cones import AmbientContext, _context, _element, _membership, full_context
 from .errors import InputError, MethodDisagreementError, PreconditionError
 from .linalg import (Tolerances, _as_positive_int, _as_sized, _nonzero, _norm2, as_matrix,
@@ -47,8 +47,6 @@ __all__ = [
     "supp_order",
     "lump_check",
     "aarnes_kadison_check",
-    "ba_ftransform_equal",
-    "idempotent_ideal",
 ]
 
 #: relative singular-value cut for rank decisions on stacked spans
@@ -689,61 +687,4 @@ def aarnes_kadison_check(x, algebra: SubalgebraBasis,
         residuals={"support_unit": res_unit},
         tolerances=t.as_dict(),
         instance=matrix_digest(a),
-    )
-
-
-def ba_ftransform_equal(x, ctx: AmbientContext | None = None,
-                        tol: Tolerances | None = None) -> VerificationReport:
-    """The subalgebras generated by x and by F(x) = x(e+x)^{-1} coincide."""
-    a, ctx, t, xc, _ = _element(x, ctx, tol, "ba_ftransform_equal")
-    y = ctx._embed(_f_transform(xc))
-    b1 = _ba(a, ctx, t)
-    b2 = _ba(y, ctx, t)
-    equal = _spans_equal(b1, b2)
-    return VerificationReport(
-        check="ba_ftransform",
-        passed=bool(equal),
-        verdicts={"spans_equal": bool(equal)},
-        residuals={},
-        tolerances=t.as_dict(),
-        details={"dim_ba_x": b1.dim, "dim_ba_Fx": b2.dim},
-        instance=matrix_digest(a),
-    )
-
-
-def idempotent_ideal(q, algebra: SubalgebraBasis, x=None,
-                     tol: Tolerances | None = None) -> VerificationReport:
-    """For an idempotent q in F inside the algebra: span(q A) is a right
-    ideal with left unit q.  When an accretive x is supplied and its
-    support lies in the algebra, span(x A) = span(s(x) A) as well."""
-    aq, ctx, t, _, _ = _element(q, _basis(algebra).ambient, tol, "idempotent_ideal", cone="F",
-                                name="q")
-    idem_res = _norm2(aq @ aq - aq)
-    if idem_res > 100 * t.eq_tol * (1.0 + _norm2(aq)) ** 2:
-        raise PreconditionError(f"idempotent_ideal needs an idempotent q; residual {idem_res:.3g}")
-    algebra._require(aq, "idempotent_ideal", "q")
-    cube = np.array(algebra.basis)
-    ideal = _ortho_matrices(aq @ cube, algebra.n)
-    worst_ideal = _worst_span_residual(_pair_products(ideal, cube), ideal)
-    worst_unit = _max_op_norm(aq @ ideal - ideal)
-    verdicts = {"right_ideal": worst_ideal <= 1e-7, "left_unit": worst_unit <= 1e-7}
-    residuals = {"right_ideal": worst_ideal, "left_unit": worst_unit}
-    details = {"dim_ideal": len(ideal)}
-    if x is not None:
-        axm, _, _, xc, _ = _element(x, ctx, t, "idempotent_ideal")
-        s = _support_idem(_Deflation(xc, t), ctx).s
-        if algebra._contains(s, 1e-7):
-            same = _spans_equal(axm @ cube, s @ cube)
-            verdicts["xA_equals_sA"] = bool(same)
-            details["support_in_algebra"] = True
-        else:
-            details["support_in_algebra"] = False
-    return VerificationReport(
-        check="idempotent_ideal",
-        passed=all(verdicts.values()),
-        verdicts=verdicts,
-        residuals=residuals,
-        tolerances=t.as_dict(),
-        details=details,
-        instance=matrix_digest(aq),
     )

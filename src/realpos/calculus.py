@@ -52,11 +52,10 @@ from functools import cached_property, lru_cache
 import numpy as np
 import scipy.linalg as sla
 
-from .cones import AmbientContext, _element, _require_in
+from .cones import AmbientContext, _element
 from .errors import InputError, MethodDisagreementError, NumericError
 from .linalg import Tolerances, _is_number, _nonzero, _norm2, _rounding_cut
-from .numrange import _dist_to_point, _sectorial_angle
-from .report import VerificationReport, matrix_digest
+from .numrange import _dist_to_point
 
 __all__ = [
     "power_series",
@@ -66,8 +65,6 @@ __all__ = [
     "power_all_methods",
     "f_transform",
     "f_inverse",
-    "power_property_report",
-    "root_bai_check",
 ]
 
 
@@ -549,168 +546,3 @@ def f_inverse(y, ctx: AmbientContext | None = None,
         raise InputError(f"e - y is singular or nearly so (cond {cond:.3g})")
     x = np.linalg.solve(m, yc)
     return ctx._embed(x), cond
-
-
-# ---------------------------------------------------------------------------
-# law reports
-# ---------------------------------------------------------------------------
-
-def power_property_report(x, ctx: AmbientContext | None = None,
-                          tol: Tolerances | None = None) -> VerificationReport:
-    """Verify the functional-calculus laws on the fixed exponent grid
-    t = 0.1, 0.2, ..., 0.9.
-
-    Checks: the semigroup law x^s x^t = x^{s+t}; the scaling law
-    (c x)^t = c^t x^t; iterated powers (x^t)^{1/2} = x^{t/2} and
-    (x^t)^2 = x^{2t} for elements of F; the integral norm bound
-    ||x^t|| <= sin(pi t)/(pi t (1-t)) ||x||^t; the contractive-case bound
-    ||x^t|| <= Gamma(t/2) Gamma((1-t)/2) / (2 sqrt(pi) Gamma(t) Gamma(1-t))
-    for ||x|| <= 1 (Drury's bound, its Gamma values from math.gamma); and
-    the sector laws
-    angle(x^t) <= t * angle(x) and <= t*angle(x) + (1-t) pi/2.
-    """
-    a, ctx, t, xc, mem = _element(x, ctx, tol, "power_property_report")
-    grid = [k / 10 for k in range(1, 10)]
-
-    d_x = _Deflation(xc, t)
-    nrm = d_x.nrm
-    cache: dict[float, np.ndarray] = {}
-
-    def power_c(yc: np.ndarray, expos):
-        """power() of the element with corner coordinates yc at each
-        exponent, as coordinates; one deflation serves them all."""
-        d, m = _Deflation(yc, t), _require_in(yc, t, "power")
-        return [ctx._compress(_power_all_methods(d, e, ctx, m)[0]) for e in expos]
-
-    def pw(expo: float) -> np.ndarray:
-        key = round(expo, 12)
-        if key not in cache:
-            cache[key] = ctx._compress(_power_all_methods(d_x, expo, ctx, mem)[0])
-        return cache[key]
-
-    verdicts = {}
-    residuals = {}
-
-    # semigroup law
-    worst = 0.0
-    for i, s in enumerate(grid):
-        for u in grid[i:]:
-            if s + u > 1.0 + 1e-12:
-                continue
-            lhs = pw(s) @ pw(u)
-            rhs = pw(min(s + u, 1.0))
-            worst = max(worst, _norm2(lhs - rhs))
-    residuals["semigroup"] = worst
-    verdicts["semigroup"] = worst <= 1e-7 * (1.0 + nrm) ** 2
-
-    # scaling law with c = 2
-    c = 2.0
-    worst = 0.0
-    for u, lhs in zip(grid, power_c(ctx._compress(ctx._embed(c * xc)), grid)):
-        worst = max(worst, _norm2(lhs - (c ** u) * pw(u)))
-    residuals["scaling"] = worst
-    verdicts["scaling"] = worst <= 1e-7 * (1.0 + c) * (1.0 + nrm)
-
-    # iterated powers, for F elements only
-    if mem.in_F:
-        worst = 0.0
-        for u in (0.2, 0.5, 0.8):
-            root = power_c(ctx._compress(ctx._embed(pw(u))), (0.5,))[0]
-            worst = max(worst, _norm2(root - pw(u / 2.0)))
-            if 2.0 * u <= 1.0 + 1e-12:
-                worst = max(worst, _norm2(pw(u) @ pw(u) - pw(2.0 * u)))
-        residuals["iterated"] = worst
-        verdicts["iterated"] = worst <= 1e-6 * (1.0 + nrm)
-    else:
-        residuals["iterated"] = 0.0
-        verdicts["iterated"] = True
-
-    # norm bounds
-    worst_bal = -np.inf
-    worst_drury = -np.inf
-    gamma = math.gamma
-    for u in grid:
-        pn = _norm2(pw(u))
-        bal_bound = math.sin(math.pi * u) / (math.pi * u * (1.0 - u)) * nrm ** u
-        worst_bal = max(worst_bal, pn - bal_bound)
-        if nrm <= 1.0 + t.eq_tol:
-            dr = gamma(u / 2.0) * gamma((1.0 - u) / 2.0) / (
-                2.0 * math.sqrt(math.pi) * gamma(u) * gamma(1.0 - u))
-            worst_drury = max(worst_drury, pn - dr)
-    residuals["norm_bound_integral"] = worst_bal
-    verdicts["norm_bound_integral"] = worst_bal <= 1e-8
-    if nrm <= 1.0 + t.eq_tol:
-        residuals["norm_bound_contractive"] = worst_drury
-        verdicts["norm_bound_contractive"] = worst_drury <= 1e-8
-    else:
-        residuals["norm_bound_contractive"] = 0.0
-        verdicts["norm_bound_contractive"] = True
-
-    # sector laws
-    base_angle = _sectorial_angle(xc, t).angle
-    worst_sharp = -np.inf
-    worst_banach = -np.inf
-    if base_angle is not None:
-        for u in grid:
-            ang = _sectorial_angle(pw(u), t).angle
-            if ang is None:
-                worst_sharp = worst_banach = np.inf
-                break
-            worst_sharp = max(worst_sharp, ang - u * base_angle)
-            worst_banach = max(worst_banach,
-                               ang - (u * base_angle + (1.0 - u) * math.pi / 2.0))
-    residuals["sector_sharp"] = worst_sharp if np.isfinite(worst_sharp) else np.inf
-    residuals["sector_banach"] = worst_banach if np.isfinite(worst_banach) else np.inf
-    verdicts["sector_sharp"] = worst_sharp <= 1e-6
-    verdicts["sector_banach"] = worst_banach <= 1e-6
-
-    return VerificationReport(
-        check="power_properties",
-        passed=all(verdicts.values()),
-        verdicts=verdicts,
-        residuals={k: float(v) for k, v in residuals.items()},
-        tolerances=t.as_dict(),
-        details={"grid": grid, "norm": nrm,
-                 "angle": base_angle if base_angle is not None else "none"},
-        instance=matrix_digest(a),
-    )
-
-
-def root_bai_check(x, ctx: AmbientContext | None = None,
-                   tol: Tolerances | None = None) -> VerificationReport:
-    """Track the approximate-identity residual ||x^{1/n} x - x|| along
-    n = 2, 4, ..., 1024, one square root per step.
-
-    The residual decays like ||x|| |log(spectral floor)| / n -- an O(1/n)
-    envelope, not faster -- so the verdict asserts monotone-ish decay plus
-    a final residual below 1e-6 + 40 (1 + ||x||) / 1024.  (A fixed 1e-6
-    cut at n = 1024 is unattainable already for diag(1, 1/2), whose
-    residual there is 3.4e-4.)
-    """
-    a, ctx, t, xc, _ = _element(x, ctx, tol, "root_bai_check")
-    d = _Deflation(xc, t)
-    z, t11, k = d._split
-    levels = 10  # n = 2, 4, ..., 2 ** 10 = 1024
-    residuals_seq = []
-    block = t11.copy()
-    n_dim = xc.shape[0]
-    for _ in range(levels):
-        block = _sqrtm_tri(block) if k > 0 else block
-        root = _reassemble(z, block, n_dim) if k > 0 else np.zeros_like(xc)
-        residuals_seq.append(_norm2(root @ xc - xc))
-    decay_ok = all(
-        residuals_seq[i + 1] <= residuals_seq[i] * 1.05 + 1e-12
-        for i in range(len(residuals_seq) - 1)
-    )
-    envelope = 1e-6 + 40.0 * (1.0 + d.nrm) / (2 ** levels)
-    final_ok = residuals_seq[-1] <= envelope
-    verdicts = {"decay_monotone": bool(decay_ok), "final_below_envelope": bool(final_ok)}
-    return VerificationReport(
-        check="root_bai",
-        passed=all(verdicts.values()),
-        verdicts=verdicts,
-        residuals={"final": residuals_seq[-1], "envelope": envelope},
-        tolerances=t.as_dict(),
-        details={"sequence": residuals_seq, "n_max": 2 ** levels},
-        instance=matrix_digest(a),
-    )

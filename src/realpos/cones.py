@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericError, PreconditionError
-from .linalg import (_EXP_OVERFLOW, Tolerances, _as_positive_int, _as_positive_real,
-                     _matrix_exp, _norm2, _rounding_cut, as_matrix, resolve_tol)
+from .linalg import (_EXP_OVERFLOW, Tolerances, _as_positive_int, _matrix_exp, _norm2,
+                     _rounding_cut, as_matrix, resolve_tol)
 from .numrange import _abscissa
 from .report import VerificationReport, matrix_digest
 
@@ -29,11 +29,7 @@ __all__ = [
     "ConeMembership",
     "membership",
     "chaccr_verify",
-    "scale_into_F",
-    "approximate_from_F",
-    "order_leq",
     "decompose_halfF",
-    "upper_bound_pair",
 ]
 
 
@@ -454,47 +450,6 @@ def _largest_computed(margins: np.ndarray) -> float:
     return float(done.max()) if done.size else float(np.finfo(float).max)
 
 
-def scale_into_F(x, ctx: AmbientContext, eps: float,
-                 tol: Tolerances | None = None):
-    """Scale an accretive x into F: returns (C, y, certificate).
-
-    C = eps + ||x||^2 / eps and y = (x + eps e) / C satisfies
-    ||e - y|| <= 1 whenever x is accretive; the certificate is y's
-    F-residual (<= eq_tol).
-    """
-    eps = _as_positive_real(eps, "eps")
-    a, ctx, t, xc, _ = _element(x, ctx, tol, "scale_into_F")
-    nrm = _norm2(xc)
-    c = eps + nrm * nrm / eps
-    y = (a + eps * ctx.unit) / c
-    cert = _membership(ctx._compress(y), t).F_residual
-    return float(c), y, float(cert)
-
-
-def approximate_from_F(x, ctx: AmbientContext, t: float,
-                       tol: Tolerances | None = None) -> np.ndarray:
-    """Resolvent-type approximant a_t = x (e + t x)^{-1} for accretive x.
-
-    t * a_t lies in F and ||a_t - x|| <= t ||x||^2, so a_t -> x as t -> 0
-    with every t*a_t inside the shrunken cone.
-    """
-    t = _as_positive_real(t, "t")
-    _, ctx, _, xc, _ = _element(x, ctx, tol, "approximate_from_F")
-    k = xc.shape[0]
-    at = np.linalg.solve((np.eye(k) + t * xc).conj().T, xc.conj().T).conj().T
-    return ctx._embed(at)
-
-
-def order_leq(b, a, tol: Tolerances | None = None) -> bool:
-    """Accretive-cone order: b <= a iff a - b is accretive."""
-    t = resolve_tol(tol)
-    bb = as_matrix(b, "b")
-    aa = as_matrix(a, "a")
-    if bb.shape != aa.shape:
-        raise InputError(f"shape mismatch: {bb.shape} vs {aa.shape}")
-    return bool(_abscissa(aa - bb) >= -t.psd_tol)
-
-
 def decompose_halfF(b, ctx: AmbientContext, tol: Tolerances | None = None):
     """Write b = x - y with x, y in (1/2) F, given ||b|| < 1.
 
@@ -508,23 +463,3 @@ def decompose_halfF(b, ctx: AmbientContext, tol: Tolerances | None = None):
     x = (ctx.unit + a) / 2.0
     y = (ctx.unit - a) / 2.0
     return x, y
-
-
-def upper_bound_pair(x, y, ctx: AmbientContext, tol: Tolerances | None = None):
-    """Common accretive upper bound in (1/2)*2 F for two open-ball elements.
-
-    For ||x|| < 1 and ||y|| < 1 the unit e dominates both in the
-    accretive order (e - x and e - y are accretive since their Hermitian
-    parts are I - Re x >= (1 - ||x||) I > 0).
-    """
-    ax, ctx, t, xc, _ = _element(x, ctx, tol, "upper_bound_pair", cone=None)
-    ay, _, _, yc, _ = _element(y, ctx, t, "upper_bound_pair", cone=None, name="y")
-    nx, ny = _norm2(xc), _norm2(yc)
-    if nx >= 1.0 or ny >= 1.0:
-        raise PreconditionError(
-            f"upper_bound_pair needs open-unit-ball inputs, got norms {nx:.6g}, {ny:.6g}"
-        )
-    e = ctx.unit
-    if not (_abscissa(e - ax) >= -t.psd_tol and _abscissa(e - ay) >= -t.psd_tol):
-        raise NumericError("unit failed to dominate open-ball elements (unexpected)")
-    return e

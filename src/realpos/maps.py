@@ -184,7 +184,8 @@ def map_from_kraus(ops, n: int) -> LinearMapOnAlgebra:
         raise InputError("kraus operators must act on the domain dimension")
 
     def act(a):
-        return sum(o.conj().T @ a @ o for o in ops)
+        # started at a zero matrix, so an empty family gives the zero map
+        return sum((o.conj().T @ a @ o for o in ops), np.zeros((n, n), dtype=complex))
 
     return map_from_function(act, alg, alg)
 

@@ -42,13 +42,11 @@ from .linalg import (Tolerances, _as_positive_int, _herm_part, _is_number, _norm
 __all__ = [
     "RangeBoundary",
     "SectorVerdict",
-    "NearlyPositiveReport",
     "boundary",
     "abscissa",
     "support_function",
     "dist_to_point",
     "sectorial_angle",
-    "is_nearly_positive",
 ]
 
 
@@ -81,18 +79,6 @@ class SectorVerdict:
 
     angle: float | None
     witness: complex | None
-
-
-@dataclass(frozen=True)
-class NearlyPositiveReport:
-    """Outcome of the eps-nearly-positive test."""
-
-    verdict: bool
-    eps: float
-    norm: float
-    angle: float | None
-    herm_distance: float
-    herm_distance_ok: bool
 
 
 def _herm_parts(x: np.ndarray, theta) -> np.ndarray:
@@ -442,33 +428,3 @@ def _pencil_sector(a: np.ndarray, ktol: float) -> SectorVerdict:
     if (lo_arg <= hi_arg) if tie else (abs(lo_arg) > abs(hi_arg)):
         return SectorVerdict(angle=angle, witness=_ray_point(a, psi_plus, lo_arg, ktol))
     return SectorVerdict(angle=angle, witness=_ray_point(a, psi_minus, hi_arg, ktol))
-
-
-def is_nearly_positive(x, eps: float, tol: Tolerances | None = None) -> NearlyPositiveReport:
-    """Test ||x|| <= 1 together with sectorial angle < arcsin(eps).
-
-    When the verdict holds, the distance to the Hermitian part obeys
-    ||x - Re x|| <= eps (up to eq_tol); the report records that check.
-    """
-    a = as_matrix(x)
-    t = resolve_tol(tol)
-    if not (_is_number(eps) and 0.0 < eps < 1.0):
-        raise InputError(f"eps must lie in (0, 1), got {eps!r}")
-    eps = float(eps)
-    nrm = _norm2(a)
-    sect = _sectorial_angle(a, t)
-    verdict = (
-        nrm <= 1.0 + t.eq_tol
-        and sect.angle is not None
-        and sect.angle < math.asin(eps)
-    )
-    hdist = _norm2(a - _herm_part(a))
-    hdist_ok = (not verdict) or (hdist <= eps + t.eq_tol)
-    return NearlyPositiveReport(
-        verdict=bool(verdict),
-        eps=eps,
-        norm=nrm,
-        angle=sect.angle,
-        herm_distance=hdist,
-        herm_distance_ok=bool(hdist_ok),
-    )

@@ -15,12 +15,10 @@ from realpos.algebra import (
     _worst_unit_residual,
     aarnes_kadison_check,
     ba,
-    ba_ftransform_equal,
     block_diag_algebra,
     diagonal_algebra,
     full_matrix_algebra,
     hsa_from_z,
-    idempotent_ideal,
     lump_check,
     span_contains,
     spans_equal,
@@ -29,6 +27,7 @@ from realpos.algebra import (
     support_idem,
     ws_suite,
 )
+from realpos.calculus import f_transform
 from realpos.cones import full_context
 from realpos.errors import InputError, NumericError, PreconditionError
 from realpos.linalg import operator_norm, random_accretive, random_contraction, random_unitary
@@ -467,16 +466,22 @@ def test_aarnes_kadison_kernel_case_consistent():
     assert not any(rep.verdicts[k] for k in ("sandwich_full", "one_sided_full", "support_is_unit"))
 
 
-def test_ba_ftransform_equal():
-    x = random_accretive(3, 4) + 0.2 * np.eye(3)
-    rep = ba_ftransform_equal(x)
-    assert rep.passed
+@pytest.mark.parametrize("n", [2, 4, 8])
+@pytest.mark.parametrize("seed", [0, 1, 42])
+def test_ba_equals_ba_of_f_transform(n, seed):
+    """ba(x) = ba(F(x)): F(x) = x (e + x)^{-1} is a polynomial in x and x
+    one in F(x)."""
+    x = random_accretive(n, seed)
+    assert spans_equal(ba(x), ba(f_transform(x)))
 
 
-def test_idempotent_ideal():
-    q = np.diag([1.0, 1.0, 0.0]).astype(complex)
-    rep = idempotent_ideal(q, full_matrix_algebra(3))
-    assert rep.passed
+@pytest.mark.xfail(raises=NumericError, strict=True,
+                   reason="the monomial power basis of ba is too ill-conditioned at n = 12: "
+                          "the joint span rank lands in the zero rule's window")
+@pytest.mark.parametrize("seed", [0, 1, 42])
+def test_ba_equals_ba_of_f_transform_at_n12(seed):
+    x = random_accretive(12, seed)
+    assert spans_equal(ba(x), ba(f_transform(x)))
 
 
 # per-product reference loops for the stacked certificates
@@ -538,21 +543,9 @@ def _loop_aarnes(x, algebra):
     return {"support_unit": res_unit}, verdicts
 
 
-def _loop_idempotent_ideal(q, basis):
-    ideal = _loop_ortho([q @ b for b in basis])
-    residuals = {
-        "right_ideal": _loop_span_residual([j @ b for j in ideal for b in basis], ideal),
-        "left_unit": max((operator_norm(q @ j - j) for j in ideal), default=0.0),
-    }
-    verdicts = {"right_ideal": residuals["right_ideal"] <= 1e-7,
-                "left_unit": residuals["left_unit"] <= 1e-7}
-    return residuals, verdicts, {"dim_ideal": len(ideal)}
-
-
 def _certificate_cases():
-    """(algebra, z in F, the support projection of z) on invertible,
-    kernel and zero inputs, in full, block-diagonal and upper-triangular
-    algebras."""
+    """(algebra, z in F) on invertible, kernel and zero inputs, in full,
+    block-diagonal and upper-triangular algebras."""
     cases = []
     for n in (2, 3, 4):
         rng = np.random.default_rng(40 + n)
@@ -560,25 +553,23 @@ def _certificate_cases():
         k = n - 1
         zb = np.zeros((n, n), dtype=complex)
         zb[:k, :k] = np.eye(k) - random_contraction(k, rng, norm=0.8)
-        proj = np.diag([1.0] * k + [0.0]).astype(complex)
         alg = full_matrix_algebra(n)
-        cases.append((alg, np.eye(n) - random_contraction(n, rng, norm=0.8), np.eye(n)))
-        cases.append((alg, u @ zb @ u.conj().T, u @ proj @ u.conj().T))
+        cases.append((alg, np.eye(n) - random_contraction(n, rng, norm=0.8)))
+        cases.append((alg, u @ zb @ u.conj().T))
     rng = np.random.default_rng(47)
     blocks = block_diag_algebra([2, 1])
     for corner in (0.5, 0.0):
         z = np.zeros((3, 3), dtype=complex)
         z[:2, :2] = np.eye(2) - random_contraction(2, rng, norm=0.8)
         z[2, 2] = corner
-        cases.append((blocks, z, np.diag([1.0, 1.0, float(corner > 0)]).astype(complex)))
-    zero = np.zeros((3, 3), dtype=complex)
-    cases.append((full_matrix_algebra(3), zero, zero))
+        cases.append((blocks, z))
+    cases.append((full_matrix_algebra(3), np.zeros((3, 3), dtype=complex)))
     upper = _upper_triangular_algebra(3)
     c = np.triu(random_contraction(3, rng))
-    cases.append((upper, np.eye(3) - 0.8 * c / operator_norm(c), np.eye(3)))
+    cases.append((upper, np.eye(3) - 0.8 * c / operator_norm(c)))
     z = np.zeros((3, 3), dtype=complex)
     z[:2, :2] = [[0.6, 0.3], [0.0, 0.6]]
-    cases.append((upper, z, np.diag([1.0, 1.0, 0.0]).astype(complex)))
+    cases.append((upper, z))
     return cases
 
 
@@ -595,7 +586,7 @@ def _upper_triangular_algebra(n):
 
 @pytest.mark.parametrize("case", range(len(_certificate_cases())))
 def test_stacked_certificates_match_per_product_loop(case):
-    algebra, z, q = _certificate_cases()[case]
+    algebra, z = _certificate_cases()[case]
 
     # the product certificate is the oracle for the support-idempotent one
     rep = hsa_from_z(z, algebra).report
@@ -609,12 +600,6 @@ def test_stacked_certificates_match_per_product_loop(case):
     residuals, verdicts = _loop_aarnes(z, algebra)
     assert rep.verdicts == verdicts
     assert abs(rep.residuals["support_unit"] - residuals["support_unit"]) <= 1e-14
-
-    rep = idempotent_ideal(q, algebra)
-    residuals, verdicts, dims = _loop_idempotent_ideal(q, algebra.basis)
-    assert rep.verdicts == verdicts and rep.details == dims
-    for key, value in residuals.items():
-        assert abs(rep.residuals[key] - value) <= 1e-14, key
 
 
 def test_stacked_residual_helpers_match_loops():

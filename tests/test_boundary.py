@@ -26,9 +26,7 @@ GOOD = np.eye(2, dtype=complex)
 MATRIX_CALLS = {
     "aarnes_kadison_check": lambda m: realpos.aarnes_kadison_check(m, ALG),
     "abscissa": realpos.abscissa,
-    "approximate_from_F": lambda m: realpos.approximate_from_F(m, CTX, 0.5),
     "ba": realpos.ba,
-    "ba_ftransform_equal": realpos.ba_ftransform_equal,
     "boundary": realpos.boundary,
     "build_symmetric_projection": lambda m: realpos.build_symmetric_projection(
         identity_map(ALG), m, ALG),
@@ -40,30 +38,23 @@ MATRIX_CALLS = {
     "f_transform": realpos.f_transform,
     "herm_part": realpos.herm_part,
     "hsa_from_z": lambda m: realpos.hsa_from_z(m, ALG),
-    "idempotent_ideal": lambda m: realpos.idempotent_ideal(m, ALG),
-    "is_nearly_positive": lambda m: realpos.is_nearly_positive(m, 0.5),
     "lump_check": realpos.lump_check,
     "map_from_function": lambda m: realpos.map_from_function(lambda b: m, ALG),
     "map_from_kraus": lambda m: realpos.map_from_kraus([m], 2),
     "matrix_exp": realpos.matrix_exp,
     "membership": lambda m: realpos.membership(m, CTX),
     "operator_norm": realpos.operator_norm,
-    "order_leq": lambda m: realpos.order_leq(m, GOOD),
     "power": lambda m: realpos.power(m, 0.5),
     "power_all_methods": lambda m: realpos.power_all_methods(m, 0.5),
     "power_balakrishnan": lambda m: realpos.power_balakrishnan(m, 0.5),
-    "power_property_report": realpos.power_property_report,
     "power_series": lambda m: realpos.power_series(m, 0.5),
     "power_shifted": lambda m: realpos.power_shifted(m, 0.5),
-    "root_bai_check": realpos.root_bai_check,
-    "scale_into_F": lambda m: realpos.scale_into_F(m, CTX, 0.5),
     "sectorial_angle": realpos.sectorial_angle,
     "span_contains": lambda m: realpos.span_contains([GOOD], m),
     "subalgebra": lambda m: realpos.subalgebra([m]),
     "supp_order": lambda m: realpos.supp_order(m, GOOD, ALG),
     "support_function": lambda m: realpos.support_function(m, 0.0),
     "support_idem": realpos.support_idem,
-    "upper_bound_pair": lambda m: realpos.upper_bound_pair(m, GOOD, CTX),
     "ws_suite": lambda m: realpos.ws_suite(m, ALG),
     # public methods
     "AmbientContext.compress": CTX.compress,
@@ -154,16 +145,10 @@ BAD_POSITIVE_REALS = [np.nan, np.inf, -np.inf, 0.0, -1.0, 1j, *NOT_NUMBERS]
 
 # scalar parameter -> (call, values it refuses, message)
 SCALAR_CALLS = {
-    "approximate_from_F.t": (lambda v: realpos.approximate_from_F(GOOD, CTX, v),
-                             BAD_POSITIVE_REALS, "must be a finite positive real"),
-    "scale_into_F.eps": (lambda v: realpos.scale_into_F(GOOD, CTX, v),
-                         BAD_POSITIVE_REALS, "must be a finite positive real"),
     **{f"{name}.r": (lambda v, f=getattr(realpos, name): f(GOOD, v),
                      [*BAD_POSITIVE_REALS, 1.5], r"exponent r must lie in \(0\.0, 1\.0\]")
        for name in ("power", "power_all_methods", "power_balakrishnan",
                     "power_series", "power_shifted")},
-    "is_nearly_positive.eps": (lambda v: realpos.is_nearly_positive(GOOD, v),
-                               [*BAD_POSITIVE_REALS, 1.0], r"eps must lie in \(0, 1\)"),
     "support_function.theta": (lambda v: realpos.support_function(GOOD, v),
                                [np.nan, np.inf, 1j, *NOT_NUMBERS],
                                "theta must be finite, a real number"),
@@ -229,21 +214,15 @@ MAP = identity_map(ALG)
 # the type that argument needs)
 TYPED_CALLS = {
     **{f"{name}.ctx": (lambda v, f=getattr(realpos, name): f(GOOD, v), "AmbientContext")
-       for name in ("ba", "ba_ftransform_equal", "chaccr_verify", "decompose_halfF",
-                    "f_inverse", "f_transform", "lump_check", "membership",
-                    "power_property_report", "root_bai_check", "support_idem")},
+       for name in ("ba", "chaccr_verify", "decompose_halfF", "f_inverse", "f_transform",
+                    "lump_check", "membership", "support_idem")},
     **{f"{name}.ctx": (lambda v, f=getattr(realpos, name): f(GOOD, 0.5, ctx=v),
                        "AmbientContext")
        for name in ("power", "power_all_methods", "power_balakrishnan", "power_series",
                     "power_shifted")},
-    "approximate_from_F.ctx": (lambda v: realpos.approximate_from_F(GOOD, v, 0.5),
-                               "AmbientContext"),
-    "scale_into_F.ctx": (lambda v: realpos.scale_into_F(GOOD, v, 0.5), "AmbientContext"),
-    "upper_bound_pair.ctx": (lambda v: realpos.upper_bound_pair(0.5 * GOOD, 0.5 * GOOD, v),
-                             "AmbientContext"),
     "subalgebra.ambient": (lambda v: realpos.subalgebra([GOOD], ambient=v), "AmbientContext"),
     **{f"{name}.algebra": (lambda v, f=getattr(realpos, name): f(GOOD, v), "SubalgebraBasis")
-       for name in ("aarnes_kadison_check", "hsa_from_z", "idempotent_ideal", "ws_suite")},
+       for name in ("aarnes_kadison_check", "hsa_from_z", "ws_suite")},
     "supp_order.algebra": (lambda v: realpos.supp_order(GOOD, GOOD, v), "SubalgebraBasis"),
     "identity_map.algebra": (identity_map, "SubalgebraBasis"),
     "map_from_function.domain": (lambda v: realpos.map_from_function(lambda b: b, v),

@@ -1,6 +1,5 @@
-"""Cone membership, the five-way accretivity characterisation, scaling
-maps between the cones, order helpers, and corner (relative-unit)
-contexts."""
+"""Cone membership, the five-way accretivity characterisation, the
+splitting into halves of F, and corner (relative-unit) contexts."""
 import warnings
 
 import numpy as np
@@ -9,15 +8,11 @@ import scipy.linalg as sla
 
 from realpos import cones
 from realpos.cones import (
-    approximate_from_F,
     chaccr_verify,
     corner_context,
     decompose_halfF,
     full_context,
     membership,
-    order_leq,
-    scale_into_F,
-    upper_bound_pair,
 )
 from realpos.errors import InputError, NumericError, PreconditionError
 from realpos.linalg import (
@@ -290,45 +285,6 @@ def test_chaccr_clearly_nonaccretive_all_false():
     assert not any(rep.verdicts.values())
 
 
-def test_scale_into_F_certificate():
-    ctx = full_context(3)
-    x = random_accretive(3, 5) * 4.0
-    c, y, cert = scale_into_F(x, ctx, eps=0.5)
-    assert c > 0
-    assert cert <= 1e-9
-    assert operator_norm(np.eye(3) - y) <= 1.0 + 1e-9
-    assert operator_norm(c * y - (x + 0.5 * np.eye(3))) <= 1e-10 * (1 + operator_norm(x))
-
-
-def test_scale_into_F_rejects_nonaccretive():
-    ctx = full_context(2)
-    with pytest.raises(PreconditionError):
-        scale_into_F(-np.eye(2, dtype=complex), ctx, eps=0.5)
-    with pytest.raises(InputError):
-        scale_into_F(np.eye(2, dtype=complex), ctx, eps=0.0)
-
-
-def test_approximate_from_F_converges():
-    ctx = full_context(3)
-    x = random_accretive(3, 11) * 3.0
-    prev = None
-    for t in (1.0, 0.1, 0.01, 0.001):
-        y = approximate_from_F(x, ctx, t)
-        # y = x (e + t x)^-1 is in (1/t) F and tends to x
-        err = operator_norm(y - x)
-        if prev is not None:
-            assert err <= prev + 1e-12
-        prev = err
-    assert prev <= 0.01 * (1 + operator_norm(x) ** 2)
-
-
-def test_order_leq_hermitian():
-    a = np.diag([2.0, 3.0]).astype(complex)
-    b = np.diag([1.0, 1.0]).astype(complex)
-    assert order_leq(b, a)
-    assert not order_leq(a, b)
-
-
 def test_decompose_halfF_reconstruction():
     ctx = full_context(3)
     for seed in range(10):
@@ -344,19 +300,6 @@ def test_decompose_halfF_rejects_big_norm():
     ctx = full_context(2)
     with pytest.raises(PreconditionError):
         decompose_halfF(1.5 * np.eye(2, dtype=complex), ctx)
-
-
-def test_upper_bound_pair_dominates():
-    ctx = full_context(3)
-    x = random_matrix(3, 1)
-    y = random_matrix(3, 2)
-    x = 0.8 * x / operator_norm(x)
-    y = 0.9 * y / operator_norm(y)
-    e = upper_bound_pair(x, y, ctx)
-    assert order_leq(x, e)
-    assert order_leq(y, e)
-    with pytest.raises(PreconditionError):
-        upper_bound_pair(2 * x, y, ctx)
 
 
 def test_corner_context_roundtrip():

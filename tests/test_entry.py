@@ -11,11 +11,9 @@ import pytest
 from realpos.algebra import (
     SubalgebraBasis,
     aarnes_kadison_check,
-    ba_ftransform_equal,
     diagonal_algebra,
     full_matrix_algebra,
     hsa_from_z,
-    idempotent_ideal,
     lump_check,
     supp_order,
     support_idem,
@@ -27,20 +25,15 @@ from realpos.calculus import (
     power,
     power_all_methods,
     power_balakrishnan,
-    power_property_report,
     power_series,
     power_shifted,
-    root_bai_check,
 )
 from realpos.cones import (
-    approximate_from_F,
     chaccr_verify,
     corner_context,
     decompose_halfF,
     full_context,
     membership,
-    scale_into_F,
-    upper_bound_pair,
 )
 from realpos.errors import InputError, PreconditionError
 
@@ -54,19 +47,12 @@ ENTRIES = {
     "power_all_methods": ("r", "x", lambda v, ctx, alg, good: power_all_methods(v, 0.5, ctx)),
     "f_transform": ("r", "x", lambda v, ctx, alg, good: f_transform(v, ctx)),
     "f_inverse": (None, "y", lambda v, ctx, alg, good: f_inverse(v, ctx)),
-    "power_property_report": ("r", "x", lambda v, ctx, alg, good: power_property_report(v, ctx)),
-    "root_bai_check": ("r", "x", lambda v, ctx, alg, good: root_bai_check(v, ctx)),
     "support_idem": ("r", "x", lambda v, ctx, alg, good: support_idem(v, ctx)),
     "ws_suite": ("r", "x", lambda v, ctx, alg, good: ws_suite(v, alg)),
     "hsa_from_z": ("F", "z", lambda v, ctx, alg, good: hsa_from_z(v, alg)),
     "supp_order[x]": ("r", "x", lambda v, ctx, alg, good: supp_order(v, good, alg)),
     "supp_order[y]": ("r", "y", lambda v, ctx, alg, good: supp_order(good, v, alg)),
     "aarnes_kadison_check": ("r", "x", lambda v, ctx, alg, good: aarnes_kadison_check(v, alg)),
-    "ba_ftransform_equal": ("r", "x", lambda v, ctx, alg, good: ba_ftransform_equal(v, ctx)),
-    "idempotent_ideal[q]": ("F", "q", lambda v, ctx, alg, good: idempotent_ideal(v, alg)),
-    "idempotent_ideal[x]": ("r", "x", lambda v, ctx, alg, good: idempotent_ideal(good, alg, x=v)),
-    "scale_into_F": ("r", "x", lambda v, ctx, alg, good: scale_into_F(v, ctx, eps=0.5)),
-    "approximate_from_F": ("r", "x", lambda v, ctx, alg, good: approximate_from_F(v, ctx, 0.1)),
 }
 # entries without a cone requirement: id -> (input name, call(v, ctx, good)),
 # good an element of the corner with norm below 1
@@ -74,12 +60,10 @@ PLAIN_ENTRIES = {
     "membership": ("x", lambda v, ctx, good: membership(v, ctx)),
     "chaccr_verify": ("x", lambda v, ctx, good: chaccr_verify(v, ctx)),
     "decompose_halfF": ("b", lambda v, ctx, good: decompose_halfF(v, ctx)),
-    "upper_bound_pair[x]": ("x", lambda v, ctx, good: upper_bound_pair(v, good, ctx)),
-    "upper_bound_pair[y]": ("y", lambda v, ctx, good: upper_bound_pair(good, v, ctx)),
     "lump_check": ("p", lambda v, ctx, good: lump_check(v, ctx)),
 }
 # entries whose input must also lie in the given algebra
-IN_ALGEBRA = ("ws_suite", "hsa_from_z", "idempotent_ideal[q]")
+IN_ALGEBRA = ("ws_suite", "hsa_from_z")
 
 
 def _corner():

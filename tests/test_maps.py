@@ -99,6 +99,15 @@ def test_kraus_roundtrip_unitary_conjugation():
     assert abs(abs(ratio[0, 0]) - 1.0) <= 1e-9
 
 
+def test_empty_kraus_family_is_the_zero_map():
+    t_map = map_from_kraus([], 3)
+    assert np.array_equal(t_map.action, np.zeros((9, 9)))
+    assert is_cp(t_map).cp
+    assert kraus_factor(t_map) == ([], 0.0)
+    verdict = rcp_test(t_map)
+    assert verdict.passed and verdict.certified and verdict.certificate == "choi_psd"
+
+
 def test_kraus_roundtrip_random_cp():
     rng = rng_for(12)
     ops = [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))

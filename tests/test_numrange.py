@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from realpos import numrange
 from realpos.errors import InputError
-from realpos.calculus import power_property_report
+from realpos.calculus import power_shifted
 from realpos.linalg import (
     random_accretive,
     random_hermitian,
@@ -21,7 +21,6 @@ from realpos.numrange import (
     abscissa,
     boundary,
     dist_to_point,
-    is_nearly_positive,
     sectorial_angle,
     support_function,
 )
@@ -106,7 +105,12 @@ def test_sectorial_angle_conjugate_pair(phi):
 
 def test_sectorial_angle_psd_is_zero():
     x = np.diag([3.0, 1.0, 0.25]).astype(complex)
-    assert sectorial_angle(x).angle == pytest.approx(0.0, abs=1e-9)
+    assert sectorial_angle(x).angle == pytest.approx(0.0, abs=1e-12)
+
+
+def test_sectorial_angle_singular_psd_contraction_is_zero():
+    x = embed_with_kernel(np.diag([0.9, 0.5]).astype(complex), 4, 13)
+    assert sectorial_angle(x).angle == pytest.approx(0.0, abs=1e-12)
 
 
 def test_sectorial_angle_zero_matrix():
@@ -132,26 +136,6 @@ def test_sectorial_angle_interior_zero_sentinel():
 def test_sectorial_angle_negative_halfline():
     x = np.diag([-1.0, -2.0]).astype(complex)
     assert sectorial_angle(x).angle == pytest.approx(np.pi, abs=1e-8)
-
-
-def test_nearly_positive_small_rotation():
-    phi = 0.05
-    x = np.diag([1.0, np.exp(1j * phi)]).astype(complex)
-    rep = is_nearly_positive(x, eps=0.1)
-    assert rep.verdict
-    assert rep.herm_distance == pytest.approx(np.sin(phi), abs=1e-9)
-    assert rep.herm_distance_ok
-
-
-def test_nearly_positive_rejected_cases():
-    x = np.diag([1.0, np.exp(1j * 1.0)]).astype(complex)
-    assert not is_nearly_positive(x, eps=0.1).verdict  # angle too big
-    y = np.diag([2.0, 1.0]).astype(complex)
-    assert not is_nearly_positive(y, eps=0.1).verdict  # not a contraction
-    with pytest.raises(InputError):
-        is_nearly_positive(x, eps=1.5)
-    with pytest.raises(InputError):
-        is_nearly_positive(x, eps=0.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -729,25 +713,18 @@ def test_tangent_refinement_leaves_random_inputs_bitwise(monkeypatch):
     assert [sectorial_angle(x) for x in inputs] == with_refinement
 
 
-def test_nearly_positive_singular_psd_contraction():
-    x = embed_with_kernel(np.diag([0.9, 0.5]).astype(complex), 4, 13)
-    rep = is_nearly_positive(x, eps=0.1)
-    assert rep.verdict
-    assert rep.angle == pytest.approx(0.0, abs=1e-12)
-
-
-def test_power_property_report_sector_laws_on_kernel_input():
-    x = embed_with_kernel(random_accretive(2, 14, angle_cap=0.8), 4, 15)
-    rep = power_property_report(x)
-    assert rep.verdicts["sector_sharp"] and rep.verdicts["sector_banach"]
-
-
-def test_power_property_report_sector_laws_with_small_range_eigenvalue():
+@pytest.mark.parametrize("x", [
+    pytest.param(embed_with_kernel(random_accretive(2, 14, angle_cap=0.8), 4, 15),
+                 id="kernel-input"),
     # angle(x) = pi/4 exactly, and the shifted route keeps the eigenvalue
     # 1.9e-9 (1 + i), so angle(x^t) = t pi/4
-    rep = power_property_report(np.diag([1.0, 1.9e-9 * (1 + 1j)]))
-    assert rep.details["angle"] == pytest.approx(np.pi / 4, abs=1e-12)
-    assert rep.verdicts["sector_sharp"] and rep.verdicts["sector_banach"]
+    pytest.param(np.diag([1.0, 1.9e-9 * (1 + 1j)]), id="small-range-eigenvalue"),
+])
+def test_power_shrinks_the_sector(x):
+    """angle(x^t) <= t angle(x) on the exponent grid t = 0.1, ..., 0.9."""
+    angle = sectorial_angle(x).angle
+    for k in range(1, 10):
+        assert sectorial_angle(power_shifted(x, k / 10)).angle <= k / 10 * angle + 1e-6, k
 
 
 def test_non_finite_point_or_angle_rejected():
