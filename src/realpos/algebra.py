@@ -24,10 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import _Deflation
-from .cones import AmbientContext, _context, _element, _membership, full_context
+from .cones import AmbientContext, _element, _membership, full_context
 from .errors import InputError, MethodDisagreementError, PreconditionError
-from .linalg import (Tolerances, _as_positive_int, _as_sized, _nonzero, _norm2, as_matrix,
-                     resolve_tol)
+from .linalg import (Tolerances, _as_instance, _as_int, _as_sized, _nonzero, _norm2,
+                     as_matrix, resolve_tol)
 from .report import VerificationReport, matrix_digest
 
 __all__ = [
@@ -129,17 +129,14 @@ class SubalgebraBasis:
     def __init__(self, basis, ambient: AmbientContext | None = None,
                  unit=None, tol: Tolerances | None = None, validate: bool = True):
         t = resolve_tol(tol)
-        if validate:
-            mats = [as_matrix(b, f"basis[{i}]") for i, b in enumerate(basis)]
-            unit = None if unit is None else as_matrix(unit, "unit")
-        else:
-            mats = list(basis)
+        validate = _as_instance(validate, bool, "validate")
+        mats = _as_matrices(basis, "basis") if validate else list(basis)
         if not mats:
             raise InputError("a subalgebra basis needs at least one element")
         n = mats[0].shape[0]
-        if any(m.shape[0] != n for m in mats):
-            raise InputError("basis matrices must share one ambient dimension")
-        ambient = _context(ambient, n, "ambient")
+        if validate and unit is not None:
+            unit = _as_sized(unit, n, "unit")
+        ambient = _as_instance(ambient, AmbientContext, "ambient", lambda: full_context(n))
         if ambient.n != n:
             raise InputError(f"basis matrices are {n}x{n} but ambient has n={ambient.n}")
         self.ambient = ambient
@@ -246,14 +243,6 @@ class SubalgebraBasis:
         return f"SubalgebraBasis(dim={self.dim}, n={self.n}, unit={'yes' if self.unit is not None else 'no'})"
 
 
-def _basis(algebra, name: str = "algebra") -> SubalgebraBasis:
-    """algebra itself; InputError, naming name, for anything that is not a
-    SubalgebraBasis."""
-    if not isinstance(algebra, SubalgebraBasis):
-        raise InputError(f"{name} must be a SubalgebraBasis, got {type(algebra).__name__}")
-    return algebra
-
-
 def subalgebra(basis, ambient: AmbientContext | None = None, unit=None,
                tol: Tolerances | None = None) -> SubalgebraBasis:
     """Validate a basis (independence, closure, optional unit) and wrap it."""
@@ -262,12 +251,12 @@ def subalgebra(basis, ambient: AmbientContext | None = None, unit=None,
 
 def full_matrix_algebra(n: int) -> SubalgebraBasis:
     """The full n-by-n algebra with its matrix-unit basis E_ij, row-major."""
-    return block_diag_algebra([n])
+    return block_diag_algebra([_as_int(n, "n")])
 
 
 def diagonal_algebra(n: int) -> SubalgebraBasis:
     """The diagonal (commutative) subalgebra of M_n, with basis E_ii."""
-    return block_diag_algebra([1] * _as_positive_int(n, "n"))
+    return block_diag_algebra([1] * _as_int(n, "n"))
 
 
 def block_diag_algebra(sizes) -> SubalgebraBasis:
@@ -276,7 +265,7 @@ def block_diag_algebra(sizes) -> SubalgebraBasis:
     k = np.asarray(sizes, dtype=object)
     if k.ndim != 1 or k.size == 0:
         raise InputError("block sizes must be a nonempty list of positive integers")
-    k = np.array([_as_positive_int(s, "block size") for s in k])
+    k = np.array([_as_int(s, "block size") for s in k])
     blk = np.repeat(np.arange(k.size), k)  # the block of each row and column
     # the row-major order of the block-diagonal positions is block by block
     rows, cols = np.nonzero(blk[:, None] == blk)
@@ -287,10 +276,13 @@ def block_diag_algebra(sizes) -> SubalgebraBasis:
 
 
 def _as_matrices(mats, name: str) -> list:
-    """The validated elements of a list of same-size matrices; a
-    SubalgebraBasis is trusted as it is."""
+    """The validated elements of a list, tuple or (m, n, n) array of
+    same-size matrices; a SubalgebraBasis is trusted as it is.  InputError
+    for anything else, a single matrix, a number or a string included."""
     if isinstance(mats, SubalgebraBasis):
         return mats.basis
+    if not (isinstance(mats, (list, tuple)) or isinstance(mats, np.ndarray) and mats.ndim == 3):
+        raise InputError(f"{name} must be a list of matrices, got {type(mats).__name__}")
     out = [as_matrix(b, f"{name}[{i}]") for i, b in enumerate(mats)]
     if len({b.shape for b in out}) > 1:
         raise InputError(f"{name} mixes matrix sizes")
@@ -484,7 +476,8 @@ def ws_suite(x, algebra: SubalgebraBasis, tol: Tolerances | None = None) -> Veri
     sense; the suite verifies that (i), (iv), (v) agree and that each
     implies (vi).
     """
-    a, ctx, t, xc, _ = _element(x, _basis(algebra).ambient, tol, "ws_suite")
+    algebra = _as_instance(algebra, SubalgebraBasis, "algebra")
+    a, ctx, t, xc, _ = _element(x, algebra.ambient, tol, "ws_suite")
     algebra._require(a, "ws_suite", "x")
 
     d = _Deflation(xc, t)
@@ -566,8 +559,8 @@ def hsa_from_z(z, algebra: SubalgebraBasis, tol: Tolerances | None = None) -> Hs
     lies in sAs), with s acting as a unit on D.  Memory is a few
     (dim A, n, n) stacks.
     """
-    a, ctx, t, xc, _ = _element(z, _basis(algebra).ambient, tol, "hsa_from_z", cone="F",
-                                name="z")
+    algebra = _as_instance(algebra, SubalgebraBasis, "algebra")
+    a, ctx, t, xc, _ = _element(z, algebra.ambient, tol, "hsa_from_z", cone="F", name="z")
     algebra._require(a, "hsa_from_z", "z")
     n = algebra.n
     cube = np.array(algebra.basis)
@@ -609,7 +602,7 @@ def hsa_from_z(z, algebra: SubalgebraBasis, tol: Tolerances | None = None) -> Hs
 
 def supp_order(x, y, algebra: SubalgebraBasis, tol: Tolerances | None = None) -> VerificationReport:
     """Check span(x A) inside span(y A)  <=>  s(y) s(x) = s(x)."""
-    ctx = _basis(algebra).ambient
+    ctx = _as_instance(algebra, SubalgebraBasis, "algebra").ambient
     ax, _, t, xc, _ = _element(x, ctx, tol, "supp_order")
     ay, _, _, yc, _ = _element(y, ctx, t, "supp_order", name="y")
     cube = np.array(algebra.basis)
@@ -670,7 +663,8 @@ def aarnes_kadison_check(x, algebra: SubalgebraBasis,
     """Check the equivalent fullness conditions of an accretive element:
     span(x A x) = span(A)  <=>  span(x A) = span(A x) = span(A)  <=>
     s(x) acts as the unit of A."""
-    a, ctx, t, xc, _ = _element(x, _basis(algebra).ambient, tol, "aarnes_kadison_check")
+    algebra = _as_instance(algebra, SubalgebraBasis, "algebra")
+    a, ctx, t, xc, _ = _element(x, algebra.ambient, tol, "aarnes_kadison_check")
     cube = np.array(algebra.basis)
     c1 = _spans_equal(a @ cube @ a, algebra)
     c2 = _spans_equal(a @ cube, algebra) and _spans_equal(cube @ a, algebra)

@@ -54,7 +54,7 @@ import scipy.linalg as sla
 
 from .cones import AmbientContext, _element
 from .errors import InputError, MethodDisagreementError, NumericError
-from .linalg import Tolerances, _is_number, _nonzero, _norm2, _rounding_cut
+from .linalg import Tolerances, _as_number, _nonzero, _norm2, _rounding_cut
 from .numrange import _dist_to_point
 
 __all__ = [
@@ -72,6 +72,8 @@ __all__ = [
 _SERIES_TERMS = 200_000
 #: zero cut of the Schur split, relative to 1 + ||x||
 _ZERO_CUT = 1e-9
+#: the _as_number rule of the exponent r of every power route: (0, 1]
+_EXPONENT = ("exponent r", "lie in (0.0, 1.0]", lambda v: 0.0 < v <= 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -252,15 +254,6 @@ class _Deflation:
         return _reassemble(z, fine, self.xc.shape[0]), est, nodes
 
 
-def _validate_exponent(r) -> float:
-    """r as a float in (0, 1], the exponents of every power route;
-    InputError for anything else, a bool, a string, None or a complex
-    included."""
-    if not (_is_number(r) and 0.0 < r <= 1.0):
-        raise InputError(f"exponent r must lie in (0.0, 1.0], got {r!r}")
-    return float(r)
-
-
 # ---------------------------------------------------------------------------
 # the three methods
 # ---------------------------------------------------------------------------
@@ -281,7 +274,7 @@ def power_series(x, r: float, ctx: AmbientContext | None = None,
     within its budget, and NumericError is raised at once rather than
     silently truncating.
     """
-    r = _validate_exponent(r)
+    r = _as_number(r, *_EXPONENT)
     _, ctx, t, xc, _ = _element(x, ctx, tol, "power_series", cone="F")
     return ctx._embed(_power_series(_Deflation(xc, t), r))
 
@@ -361,7 +354,7 @@ def power_shifted(x, r: float, ctx: AmbientContext | None = None,
     minus 0, so the limit there is its principal power, computed directly
     by triangular inverse scaling-and-squaring.
     """
-    r = _validate_exponent(r)
+    r = _as_number(r, *_EXPONENT)
     _, ctx, t, xc, _ = _element(x, ctx, tol, "power_shifted")
     return ctx._embed(_Deflation(xc, t).shifted(r))
 
@@ -419,7 +412,7 @@ def power_balakrishnan(x, r: float, ctx: AmbientContext | None = None,
     the last two rules, the error estimate, must fall below 1e-6 ||x||^r;
     the rule is doubled up to 1024 nodes before NumericError is raised.
     """
-    r = _validate_exponent(r)
+    r = _as_number(r, *_EXPONENT)
     _, ctx, t, xc, _ = _element(x, ctx, tol, "power_balakrishnan")
     return ctx._embed(_Deflation(xc, t).balakrishnan(r)[0])
 
@@ -440,7 +433,7 @@ def power_all_methods(x, r: float, ctx: AmbientContext | None = None,
     Raises MethodDisagreementError when completed methods differ by more
     than 1e-6 * (1 + ||x||).
     """
-    r = _validate_exponent(r)
+    r = _as_number(r, *_EXPONENT)
     _, ctx, t, xc, mem = _element(x, ctx, tol, "power_all_methods")
     return _power_all_methods(_Deflation(xc, t), r, ctx, mem)
 
@@ -492,7 +485,7 @@ def power(x, r: float, ctx: AmbientContext | None = None,
     MethodDisagreementError carrying the candidate values.  The shifted
     spectral value is returned.  r = 1 returns x exactly.
     """
-    r = _validate_exponent(r)
+    r = _as_number(r, *_EXPONENT)
     _, ctx, t, xc, mem = _element(x, ctx, tol, "power")
     return _power_all_methods(_Deflation(xc, t), r, ctx, mem)[0]
 

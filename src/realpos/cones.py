@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericError, PreconditionError
-from .linalg import (_EXP_OVERFLOW, Tolerances, _as_positive_int, _matrix_exp, _norm2,
+from .linalg import (_EXP_OVERFLOW, Tolerances, _as_instance, _as_int, _matrix_exp, _norm2,
                      _rounding_cut, as_matrix, resolve_tol)
 from .numrange import _abscissa
 from .report import VerificationReport, matrix_digest
@@ -98,19 +98,9 @@ class AmbientContext:
 
 
 def full_context(n: int) -> AmbientContext:
-    n = _as_positive_int(n, "ambient dimension")
+    n = _as_int(n, "ambient dimension")
     return AmbientContext(n=n, unit=np.eye(n, dtype=complex), mode="full",
                           isometry=np.eye(n, dtype=complex))
-
-
-def _context(ctx, n: int, name: str = "ctx") -> AmbientContext:
-    """ctx, or M_n for None; InputError, naming name, for anything that is
-    not an AmbientContext."""
-    if ctx is None:
-        return full_context(n)
-    if not isinstance(ctx, AmbientContext):
-        raise InputError(f"{name} must be an AmbientContext or None, got {type(ctx).__name__}")
-    return ctx
 
 
 def corner_context(e, tol: Tolerances | None = None) -> AmbientContext:
@@ -209,7 +199,7 @@ def _element(x, ctx: AmbientContext | None, tol: Tolerances | None, who: str,
     and the cone membership (None when cone is None, which computes none).
     """
     a = as_matrix(x, name)
-    ctx = _context(ctx, a.shape[0], ctx_name)
+    ctx = _as_instance(ctx, AmbientContext, ctx_name, lambda: full_context(a.shape[0]))
     t = resolve_tol(tol)
     xc = ctx._compress_member(a, t)
     mem = None if cone is None else _require_in(xc, t, who, cone, name)

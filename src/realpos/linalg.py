@@ -17,6 +17,15 @@ A function that takes an element of a cone enters through the single
 entry check ``cones._element``: ``as_matrix``, the corner check, and the
 cone hypothesis, raised as one ``PreconditionError`` format.
 
+Every other argument is decided by one rule per kind, each raising
+``InputError`` with one message format: ``_as_int`` for sizes, levels,
+counts, seeds and ranks; ``_as_number`` for a finite number that is not
+a bool (exponents, angles, points, tolerances, coefficients and the
+generator parameters), with an optional range test; ``_as_instance``
+for a tolerance bundle, context, algebra, map, callable, flag or suite
+name, with None standing for a default where there is one; and
+``algebra._as_matrices`` for a list of same-size matrices.
+
 Decision layer: every rank, null space, zero cluster and Kraus cut asks
 ``_nonzero`` whether a singular value or eigenvalue is zero, with its own
 cut and scale; a value in the window between a tenth of the cut and the
@@ -26,6 +35,7 @@ cluster tests of ``numrange`` and the series and norm-bracket allowances.
 """
 from __future__ import annotations
 
+import cmath
 import numbers
 from dataclasses import dataclass
 
@@ -99,7 +109,8 @@ class Tolerances:
 
     def __post_init__(self):
         for name in ("eq_tol", "psd_tol", "conv_tol"):
-            _as_positive_real(getattr(self, name), f"tolerance {name}")
+            _as_number(getattr(self, name), f"tolerance {name}", "be a finite positive real",
+                       lambda v: v > 0)
 
     def as_dict(self):
         return {"eq_tol": self.eq_tol, "psd_tol": self.psd_tol, "conv_tol": self.conv_tol}
@@ -107,11 +118,7 @@ class Tolerances:
 
 def resolve_tol(tol: Tolerances | None) -> Tolerances:
     """tol, or the default bundle for None; InputError for anything else."""
-    if tol is None:
-        return Tolerances()
-    if not isinstance(tol, Tolerances):
-        raise InputError(f"tol must be a Tolerances or None, got {tol!r}")
-    return tol
+    return _as_instance(tol, Tolerances, "tol", Tolerances)
 
 
 def as_matrix(x, name: str = "x") -> np.ndarray:
@@ -135,26 +142,42 @@ def _as_sized(x, n: int, name: str = "x") -> np.ndarray:
     return a
 
 
-def _is_number(v, kind=numbers.Real) -> bool:
-    """Whether v is a number of the numbers ABC kind other than a bool: a
-    string, None or a bool is none, and a complex is not a numbers.Real."""
-    return isinstance(v, kind) and not isinstance(v, (bool, np.bool_))
-
-
-def _as_positive_real(v, what: str) -> float:
-    """v as a finite float > 0; InputError for anything else, a bool, a
-    complex, nan, inf or a string included."""
-    if not (_is_number(v) and np.isfinite(v) and v > 0):
-        raise InputError(f"{what} must be a finite positive real, got {v!r}")
-    return float(v)
-
-
-def _as_positive_int(v, what: str) -> int:
-    """v as an int >= 1; InputError for anything else, a bool, a float
-    or a numeric string included."""
-    if isinstance(v, (bool, np.bool_)) or not isinstance(v, (int, np.integer)) or v < 1:
-        raise InputError(f"{what} must be an integer >= 1, got {v!r}")
+def _as_int(v, what: str, lo: int = 1, hi: int | None = None) -> int:
+    """v as an int in [lo, hi] (hi None: no upper end); InputError for
+    anything else, a bool, a float or a numeric string included."""
+    if (isinstance(v, (bool, np.bool_)) or not isinstance(v, (int, np.integer))
+            or v < lo or (hi is not None and v > hi)):
+        bounds = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise InputError(f"{what} must be an integer {bounds}, got {v!r}")
     return int(v)
+
+
+def _as_number(v, what: str, need: str, ok=None, kind=numbers.Real):
+    """v as a float (a complex for kind numbers.Complex): a finite number
+    of the numbers ABC kind, not a bool, for which ok(v) holds when ok is
+    given; otherwise InputError "{what} must {need}, got {v!r}"."""
+    try:
+        good = (isinstance(v, kind) and not isinstance(v, (bool, np.bool_))
+                and cmath.isfinite(v) and (ok is None or ok(v)))
+    except OverflowError:  # an int beyond the double range
+        good = False
+    if not good:
+        raise InputError(f"{what} must {need}, got {v!r}")
+    return float(v) if kind is numbers.Real else complex(v)
+
+
+def _as_instance(v, cls, what: str, default=None):
+    """v, an instance of cls (a class or a tuple of them); for None,
+    default() when a default is given.  InputError, naming what and cls,
+    for anything else."""
+    if v is None and default is not None:
+        return default()
+    if not isinstance(v, cls):
+        kind = " or ".join(c.__name__ for c in cls) if isinstance(cls, tuple) else cls.__name__
+        article = "an" if kind[0] in "AEIOU" else "a"
+        raise InputError(f"{what} must be {article} {kind}{' or None' if default else ''}, "
+                         f"got {type(v).__name__}")
+    return v
 
 
 def _norm2(a: np.ndarray):
@@ -222,26 +245,18 @@ def matrix_exp(x) -> np.ndarray:
 # random_hermitian and random_accretive leave the check to random_matrix)
 # ---------------------------------------------------------------------------
 
-def _as_seed(v) -> int:
-    """v as a seed: an int >= 0; InputError for anything else, a bool, a
-    float or a numeric string included."""
-    if isinstance(v, (bool, np.bool_)) or not isinstance(v, (int, np.integer)) or v < 0:
-        raise InputError(f"seed must be an integer >= 0, got {v!r}")
-    return int(v)
-
-
 def rng_for(seed) -> np.random.Generator:
     """The one way randomness enters: a fresh PCG64 generator per seed (an
-    integer >= 0, see _as_seed); a Generator passes through unaltered, so
-    a caller can draw several instances from one stream."""
+    integer >= 0); a Generator passes through unaltered, so a caller can
+    draw several instances from one stream."""
     if isinstance(seed, np.random.Generator):
         return seed
-    return np.random.default_rng(_as_seed(seed))
+    return np.random.default_rng(_as_int(seed, "seed", lo=0))
 
 
 def random_matrix(n: int, seed) -> np.ndarray:
     """Complex Ginibre matrix, entries N(0,1/2n) + i N(0,1/2n)."""
-    n = _as_positive_int(n, "n")
+    n = _as_int(n, "n")
     rng = rng_for(seed)
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return g / np.sqrt(2.0 * n)
@@ -249,7 +264,7 @@ def random_matrix(n: int, seed) -> np.ndarray:
 
 def random_unitary(n: int, seed) -> np.ndarray:
     """Haar-distributed unitary (QR of Ginibre with phase correction)."""
-    n = _as_positive_int(n, "n")
+    n = _as_int(n, "n")
     rng = rng_for(seed)
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, r = np.linalg.qr(g)
@@ -259,6 +274,7 @@ def random_unitary(n: int, seed) -> np.ndarray:
 
 def random_hermitian(n: int, seed, psd: bool = False) -> np.ndarray:
     """Random Hermitian matrix of unit operator norm; PSD when requested."""
+    psd = _as_instance(psd, bool, "psd")
     rng = rng_for(seed)
     g = random_matrix(n, rng)
     if psd:
@@ -278,8 +294,8 @@ def random_accretive(n: int, seed, angle_cap: float = np.pi / 2) -> np.ndarray:
     vector v and the numerical range sits inside the closed sector of
     half-angle angle_cap exactly.
     """
-    if not (0 < angle_cap <= np.pi / 2 + 1e-15):
-        raise InputError(f"angle_cap must lie in (0, pi/2], got {angle_cap!r}")
+    angle_cap = _as_number(angle_cap, "angle_cap", "lie in (0, pi/2]",
+                           lambda a: 0 < a <= np.pi / 2 + 1e-15)
     rng = rng_for(seed)
     h = random_hermitian(n, rng, psd=True)
     kt = random_hermitian(n, rng)
@@ -293,11 +309,10 @@ def random_accretive(n: int, seed, angle_cap: float = np.pi / 2) -> np.ndarray:
 
 def random_contraction(n: int, seed, norm: float | None = None) -> np.ndarray:
     """Random matrix rescaled to a chosen operator norm < 1 (drawn when None)."""
-    n = _as_positive_int(n, "n")
+    n = _as_int(n, "n")
     rng = rng_for(seed)
-    target = rng.uniform(0.0, 0.99) if norm is None else float(norm)
-    if not 0 <= target < 1:
-        raise InputError(f"contraction norm must lie in [0, 1), got {target!r}")
+    target = rng.uniform(0.0, 0.99) if norm is None else _as_number(
+        norm, "contraction norm", "lie in [0, 1)", lambda v: 0 <= v < 1)
     g = random_matrix(n, rng)
     nrm = _norm2(g)
     return g * (target / nrm) if nrm > 0 else g
@@ -310,12 +325,9 @@ def random_idempotent(n: int, seed, rank: int | None = None) -> np.ndarray:
     values between 1e3^(-1/2) and 1e3^(1/2), so cond(S) <= 1e3 by
     construction.  The rank, drawn when None, is an integer in [0, n].
     """
-    n = _as_positive_int(n, "n")
-    if rank is not None and (isinstance(rank, (bool, np.bool_))
-                             or not isinstance(rank, (int, np.integer)) or not 0 <= rank <= n):
-        raise InputError(f"rank must be an integer in [0, {n}], got {rank!r}")
+    n = _as_int(n, "n")
     rng = rng_for(seed)
-    r = int(rng.integers(0, n + 1)) if rank is None else int(rank)
+    r = int(rng.integers(0, n + 1)) if rank is None else _as_int(rank, "rank", lo=0, hi=n)
     p = np.zeros((n, n), dtype=complex)
     p[:r, :r] = np.eye(r)
     q1 = random_unitary(n, rng)

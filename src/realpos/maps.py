@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -27,7 +28,7 @@ import numpy as np
 
 from .algebra import (
     SubalgebraBasis,
-    _basis,
+    _as_matrices,
     _max_op_norm,
     _max_op_norm_above,
     _pair_products,
@@ -38,7 +39,9 @@ from .algebra import (
 from .errors import InputError, NumericError, PreconditionError, UnsupportedError
 from .linalg import (
     Tolerances,
-    _as_positive_int,
+    _as_instance,
+    _as_int,
+    _as_number,
     _as_sized,
     _herm_part,
     _nonzero,
@@ -89,8 +92,8 @@ class LinearMapOnAlgebra:
     """
 
     def __init__(self, domain: SubalgebraBasis, codomain: SubalgebraBasis, action):
-        self.domain = _basis(domain, "domain")
-        self.codomain = _basis(codomain, "codomain")
+        self.domain = _as_instance(domain, SubalgebraBasis, "domain")
+        self.codomain = _as_instance(codomain, SubalgebraBasis, "codomain")
         try:
             a = np.asarray(action, dtype=complex)
         except (TypeError, ValueError) as exc:
@@ -125,8 +128,7 @@ class LinearMapOnAlgebra:
         """Block matrix of Choi(T o E_B), E_B the Hilbert-Schmidt projection
         onto the domain span B (least-squares coordinates are those of
         E_B(m)); Choi(T) on a full domain.  Built once, read-only."""
-        n = self.domain.n
-        c = amplify(self, n)._apply(_unit_pairing(n, n))
+        c = amplify(self, self.domain.n)._unblocks(self._vec_action.T.copy())
         c.flags.writeable = False
         return c
 
@@ -135,16 +137,9 @@ class LinearMapOnAlgebra:
                 f"codomain dim={self.codomain.dim}, full={self.full_domain})")
 
 
-def _linear_map(t_map, name: str = "t_map") -> LinearMapOnAlgebra:
-    """t_map itself; InputError, naming name, for anything that is not a
-    LinearMapOnAlgebra."""
-    if not isinstance(t_map, LinearMapOnAlgebra):
-        raise InputError(f"{name} must be a LinearMapOnAlgebra, got {type(t_map).__name__}")
-    return t_map
-
-
 def identity_map(algebra: SubalgebraBasis) -> LinearMapOnAlgebra:
-    return LinearMapOnAlgebra(algebra, algebra, np.eye(_basis(algebra).dim, dtype=complex))
+    algebra = _as_instance(algebra, SubalgebraBasis, "algebra")
+    return LinearMapOnAlgebra(algebra, algebra, np.eye(algebra.dim, dtype=complex))
 
 
 def transpose_map(n: int) -> LinearMapOnAlgebra:
@@ -160,8 +155,9 @@ def map_from_function(f, domain: SubalgebraBasis,
 
     Every basis image must be a codomain-size matrix in the codomain span
     (checked); one stacked solve gives the coordinates of all images."""
-    domain = _basis(domain, "domain")
-    codomain = domain if codomain is None else _basis(codomain, "codomain")
+    f = _as_instance(f, Callable, "f")
+    domain = _as_instance(domain, SubalgebraBasis, "domain")
+    codomain = _as_instance(codomain, SubalgebraBasis, "codomain", lambda: domain)
     n = codomain.n
     images = [as_matrix(f(b), f"image[{i}]") for i, b in enumerate(domain.basis)]
     bad = next((i for i, img in enumerate(images) if img.shape != (n, n)), None)
@@ -178,7 +174,7 @@ def map_from_function(f, domain: SubalgebraBasis,
 
 def map_from_kraus(ops, n: int) -> LinearMapOnAlgebra:
     """T(a) = sum_l op_l^* a op_l on the full n-by-n algebra."""
-    ops = [as_matrix(o, f"kraus[{i}]") for i, o in enumerate(ops)]
+    ops = _as_matrices(ops, "kraus")
     alg = full_matrix_algebra(n)
     if any(o.shape[0] != n for o in ops):
         raise InputError("kraus operators must act on the domain dimension")
@@ -192,10 +188,10 @@ def map_from_kraus(ops, n: int) -> LinearMapOnAlgebra:
 
 def map_affine_combo(t_map: LinearMapOnAlgebra, alpha: float, beta: float) -> LinearMapOnAlgebra:
     """alpha * id + beta * T for an endomorphism T (used for I-P, I-2P)."""
-    if _linear_map(t_map).domain.dim != t_map.codomain.dim:
+    if _as_instance(t_map, LinearMapOnAlgebra, "t_map").domain.dim != t_map.codomain.dim:
         raise InputError("affine combinations need an endomorphism")
-    if not all(isinstance(c, numbers.Number) and np.isfinite(c) for c in (alpha, beta)):
-        raise InputError(f"alpha and beta must be finite numbers, got {alpha!r}, {beta!r}")
+    for c in (alpha, beta):
+        _as_number(c, "alpha and beta", "be finite numbers", kind=numbers.Complex)
     eye = np.eye(t_map.domain.dim, dtype=complex)
     return LinearMapOnAlgebra(t_map.domain, t_map.codomain,
                               alpha * eye + beta * t_map.action)
@@ -262,7 +258,8 @@ class AmplifiedMap:
 def amplify(t_map: LinearMapOnAlgebra, k: int) -> AmplifiedMap:
     """The matrix-level amplification T_k = id_{M_k} tensor T, acting
     blockwise on M_k(span(domain)); the level k is an integer >= 1."""
-    return AmplifiedMap(_linear_map(t_map), _as_positive_int(k, "amplification level"))
+    return AmplifiedMap(_as_instance(t_map, LinearMapOnAlgebra, "t_map"),
+                        _as_int(k, "amplification level"))
 
 
 def _unit_pairing(k: int, n: int, swap: bool = False) -> np.ndarray:
@@ -295,7 +292,7 @@ class ChoiMatrix:
 
 def choi_matrix(t_map: LinearMapOnAlgebra, tol: Tolerances | None = None) -> ChoiMatrix:
     """Choi matrix of a full-domain map (block (i,j) = T(E_ij))."""
-    if not _linear_map(t_map).full_domain:
+    if not _as_instance(t_map, LinearMapOnAlgebra, "t_map").full_domain:
         raise UnsupportedError("the Choi matrix is defined for full-domain maps only")
     t = resolve_tol(tol)
     c = t_map._choi_block
@@ -424,7 +421,7 @@ def op_norm_estimate(t_map: LinearMapOnAlgebra, k: int = 1) -> NormEstimate:
     the estimate is a function of T and k alone; the best value is a
     certified lower bound.
     """
-    return _op_norm_estimates([_linear_map(t_map)], k)[0]
+    return _op_norm_estimates([_as_instance(t_map, LinearMapOnAlgebra, "t_map")], k)[0]
 
 
 def _op_norm_estimates(t_maps, k: int, uppers=None) -> list:
@@ -651,7 +648,7 @@ def rcp_test(t_map: LinearMapOnAlgebra, tol: Tolerances | None = None) -> RcpVer
     operator algebra every map gets one, up to the cap and the tolerances.
     """
     t = resolve_tol(tol)
-    dom = _linear_map(t_map).domain
+    dom = _as_instance(t_map, LinearMapOnAlgebra, "t_map").domain
     d, n, m = dom.dim, dom.n, t_map.codomain.n
     q, pinv, null, perp = _operator_system(dom)
     u = dom._span_q
@@ -767,9 +764,10 @@ def build_symmetric_projection(theta: LinearMapOnAlgebra, q, algebra: Subalgebra
     acts as the identity on the complement, the compatibility the
     construction needs to be a projection onto a hereditary piece).
     """
-    theta, algebra = _linear_map(theta, "theta"), _basis(algebra)
+    theta = _as_instance(theta, LinearMapOnAlgebra, "theta")
+    algebra = _as_instance(algebra, SubalgebraBasis, "algebra")
     t = resolve_tol(tol)
-    qm = as_matrix(q, "q")
+    qm = _as_sized(q, algebra.n, "q")
     cube = np.array(algebra.basis)
     scale = 1.0 + _max_op_norm(cube)
 
@@ -887,7 +885,7 @@ def classify_projection(p_map: LinearMapOnAlgebra,
     range, associativity of the induced product a o b = P(ab), and
     square-zero behaviour of the kernel."""
     t = resolve_tol(tol)
-    if _linear_map(p_map, "p_map").domain.dim != p_map.codomain.dim:
+    if _as_instance(p_map, LinearMapOnAlgebra, "p_map").domain.dim != p_map.codomain.dim:
         raise PreconditionError("classify_projection needs an endomorphism")
     act = p_map.action
     va = p_map._vec_action

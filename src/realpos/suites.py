@@ -20,8 +20,8 @@ from . import maps as maps_mod
 from .errors import InputError, NumericError
 from .linalg import (
     Tolerances,
-    _as_positive_int,
-    _as_seed,
+    _as_instance,
+    _as_int,
     _norm2,
     random_accretive,
     random_contraction,
@@ -371,13 +371,11 @@ def run_suite(name: str, seed: int, count: int, n: int,
     """The reports of count instances of the named suite at size n >= 2,
     instance i drawn from default_rng((seed, suite index, i))."""
     t = resolve_tol(tol)
-    if name not in _SUITES:
+    if _as_instance(name, str, "suite name") not in _SUITES:
         raise InputError(f"unknown suite {name!r}; expected one of "
                          f"{', '.join(SUITE_ORDER)} or all")
-    count, n = _as_positive_int(count, "count"), _as_positive_int(n, "n")
-    if n < 2:
-        raise InputError(f"n must be >= 2, got {n}")
-    seed, k = _as_seed(seed), SUITE_ORDER.index(name)
+    count, n = _as_int(count, "count"), _as_int(n, "n", lo=2)
+    seed, k = _as_int(seed, "seed", lo=0), SUITE_ORDER.index(name)
     rngs = [np.random.default_rng((seed, k, i)) for i in range(count)]
     reports = []
     for i, (rep, mats) in enumerate(_SUITES[name](rngs, n, t)):
@@ -388,7 +386,8 @@ def run_suite(name: str, seed: int, count: int, n: int,
 
 def run_suites(names, seed: int, count: int, n: int, tol: Tolerances | None = None):
     """Run the named suites in canonical order; returns (reports, all_passed)."""
-    unknown = set(names) - set(SUITE_ORDER) - {"all"}
+    names = _as_instance(names, (list, tuple), "names")
+    unknown = {_as_instance(s, str, "suite name") for s in names} - set(SUITE_ORDER) - {"all"}
     if unknown:
         raise InputError(f"unknown suites: {', '.join(sorted(unknown))}")
     reports = [rep for name in SUITE_ORDER if "all" in names or name in names

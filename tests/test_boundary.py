@@ -262,3 +262,184 @@ def test_ba_names_its_ambient_argument():
     # ba calls its context ambient, and the message of a wrong one says so
     with pytest.raises(InputError, match="^ambient must be an AmbientContext or None, got str"):
         realpos.ba(GOOD, ambient="c")
+
+
+# calls whose argument must be refused with InputError by the shared
+# argument rules, not accepted nor left to raise a bare TypeError or numpy
+# ValueError (InputError subclasses ValueError, so pytest.raises(InputError)
+# tells them apart)
+LEAKS = {
+    "random_accretive.angle_cap=str": (
+        lambda: realpos.random_accretive(2, 0, angle_cap="x"), "^angle_cap must lie in"),
+    "random_accretive.angle_cap=None": (
+        lambda: realpos.random_accretive(2, 0, angle_cap=None), "^angle_cap must lie in"),
+    "random_contraction.norm=str": (
+        lambda: realpos.random_contraction(2, 0, norm="0.5"), "^contraction norm must lie in"),
+    "random_contraction.norm=complex": (
+        lambda: realpos.random_contraction(2, 0, norm=0.5j), "^contraction norm must lie in"),
+    "random_hermitian.psd=str": (
+        lambda: realpos.random_hermitian(3, 0, psd="no"), "^psd must be a bool"),
+    "SubalgebraBasis.validate=str": (
+        lambda: realpos.SubalgebraBasis([GOOD], validate="no"), "^validate must be a bool"),
+    "map_affine_combo.alpha=bool": (
+        lambda: map_affine_combo(identity_map(ALG), True, 1.0),
+        "^alpha and beta must be finite numbers"),
+    "map_from_function.f=int": (
+        lambda: realpos.map_from_function(5, ALG), "^f must be a Callable"),
+    "run_suite.name=list": (
+        lambda: realpos.run_suite(["lump"], 0, 1, 2), "^suite name must be a str"),
+    "run_suites.names=str": (
+        lambda: realpos.run_suites("lump", 0, 1, 2), "^names must be a list or tuple"),
+    "run_suites.names=int": (
+        lambda: realpos.run_suites(5, 0, 1, 2), "^names must be a list or tuple"),
+    "span_contains.mats=int": (
+        lambda: realpos.span_contains(5, GOOD), "^mats must be a list of matrices"),
+    "spans_equal.mats_a=int": (
+        lambda: realpos.spans_equal(5, [GOOD]), "^mats_a must be a list of matrices"),
+    "subalgebra.basis=int": (
+        lambda: realpos.subalgebra(5), "^basis must be a list of matrices"),
+    "map_from_kraus.ops=int": (
+        lambda: realpos.map_from_kraus(5, 2), "^kraus must be a list of matrices"),
+    "subalgebra.unit=3x3": (
+        lambda: realpos.subalgebra([GOOD], unit=np.eye(3)), r"^unit is 3x3, expected 2x2"),
+    "build_symmetric_projection.q=3x3": (
+        lambda: realpos.build_symmetric_projection(identity_map(ALG), np.eye(3), ALG),
+        r"^q is 3x3, expected 2x2"),
+    "support_function.theta=10**400": (lambda: realpos.support_function(GOOD, 10 ** 400),
+                                       "^theta must be finite"),
+    "Tolerances.eq_tol=10**400": (lambda: realpos.Tolerances(eq_tol=10 ** 400),
+                                  "^tolerance eq_tol must be a finite positive real"),
+    "transpose_map.n=2.5": (lambda: transpose_map(2.5), "^n must be an integer"),
+    "map_from_kraus.n=2.5": (lambda: realpos.map_from_kraus([GOOD], 2.5),
+                             "^n must be an integer"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEAKS))
+def test_argument_leaks_are_input_errors(name):
+    call, message = LEAKS[name]
+    with pytest.raises(InputError, match=message):
+        call()
+
+
+# a valid call of every public function, by keyword; the sweep below swaps
+# one argument at a time for a probe.  matrix_digest takes only *matrices
+# and digests any array, so it has no row.
+SWEEP_CALLS = {
+    "aarnes_kadison_check": dict(x=GOOD, algebra=ALG),
+    "abscissa": dict(x=GOOD),
+    "amplify": dict(t_map=MAP, k=1),
+    "ba": dict(x=GOOD),
+    "block_diag_algebra": dict(sizes=[2]),
+    "boundary": dict(x=GOOD),
+    "build_symmetric_projection": dict(theta=MAP, q=GOOD, algebra=ALG),
+    "chaccr_verify": dict(x=GOOD, ctx=CTX),
+    "choi_matrix": dict(t_map=MAP),
+    "classify_projection": dict(p_map=MAP),
+    "corner_context": dict(e=GOOD),
+    "decompose_halfF": dict(b=0.5 * GOOD, ctx=CTX),
+    "diagonal_algebra": dict(n=2),
+    "dist_to_point": dict(x=GOOD, z=-1.0),
+    "f_inverse": dict(y=0.5 * GOOD),
+    "f_transform": dict(x=GOOD),
+    "full_context": dict(n=2),
+    "full_matrix_algebra": dict(n=2),
+    "herm_part": dict(x=GOOD),
+    "hsa_from_z": dict(z=GOOD, algebra=ALG),
+    "identity_map": dict(algebra=ALG),
+    "is_cp": dict(t_map=MAP),
+    "kraus_factor": dict(t_map=MAP),
+    "lump_check": dict(p=GOOD),
+    "map_affine_combo": dict(t_map=MAP, alpha=1.0, beta=-2.0),
+    "map_from_function": dict(f=np.transpose, domain=ALG),
+    "map_from_kraus": dict(ops=[GOOD], n=2),
+    "matrix_exp": dict(x=GOOD),
+    "membership": dict(x=GOOD, ctx=CTX),
+    "op_norm_estimate": dict(t_map=MAP),
+    "operator_norm": dict(x=GOOD),
+    **{name: dict(x=GOOD, r=0.5) for name in ("power", "power_all_methods",
+                                               "power_balakrishnan", "power_series",
+                                               "power_shifted")},
+    **{name: dict(n=2, seed=0) for name in ("random_accretive", "random_contraction",
+                                             "random_hermitian", "random_idempotent",
+                                             "random_matrix", "random_unitary")},
+    "rcp_test": dict(t_map=MAP),
+    "rng_for": dict(seed=0),
+    "run_suite": dict(name="lump", seed=0, count=1, n=2),
+    "run_suites": dict(names=["lump"], seed=0, count=1, n=2),
+    "sectorial_angle": dict(x=GOOD),
+    "span_contains": dict(mats=[GOOD], m=GOOD),
+    "spans_equal": dict(mats_a=[GOOD], mats_b=[GOOD]),
+    "subalgebra": dict(basis=[GOOD]),
+    "supp_order": dict(x=GOOD, y=GOOD, algebra=ALG),
+    "support_function": dict(x=GOOD, theta=0.0),
+    "support_idem": dict(x=GOOD),
+    "transpose_map": dict(n=2),
+    "ws_suite": dict(x=GOOD, algebra=ALG),
+}
+
+# a numeric string, None, a bool and a bare int
+PROBES = {"str": "2", "None": None, "bool": True, "int": 2}
+
+# the probes a parameter takes, by name or by function.name; every other
+# probe, given to any parameter, is an InputError
+ACCEPTS = {
+    "tol": {"None"}, "ctx": {"None"}, "ambient": {"None"}, "unit": {"None"},
+    "codomain": {"None"}, "norm": {"None"}, "rank": {"None", "int"},
+    "n": {"int"}, "seed": {"int"}, "count": {"int"}, "k": {"int"},
+    "psd": {"bool"},
+    "run_suite.name": {"str"},
+    "support_function.theta": {"int"},
+    "dist_to_point.z": {"int"},
+    "map_affine_combo.alpha": {"int"},
+    "map_affine_combo.beta": {"int"},
+}
+
+
+def _sweep_function(name):
+    return map_affine_combo if name == "map_affine_combo" else getattr(realpos, name)
+
+
+def _sweep_parameters():
+    for name in sorted(SWEEP_CALLS):
+        for p in inspect.signature(_sweep_function(name)).parameters.values():
+            yield name, p.name
+
+
+def test_the_sweep_covers_every_public_function():
+    # map_affine_combo is public in realpos.maps, not at the top level
+    public = {name for name, v in vars(realpos).items()
+              if not name.startswith("_") and inspect.isfunction(v)}
+    assert public | {"map_affine_combo"} == set(SWEEP_CALLS) | {"matrix_digest"}
+    for name, kwargs in SWEEP_CALLS.items():
+        params = inspect.signature(_sweep_function(name)).parameters.values()
+        assert all(p.kind == p.POSITIONAL_OR_KEYWORD for p in params), name
+        required = {p.name for p in params if p.default is p.empty}
+        assert required <= set(kwargs) <= {p.name for p in params}, name
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_CALLS))
+def test_the_sweep_base_calls_succeed(name):
+    _sweep_function(name)(**SWEEP_CALLS[name])
+
+
+@pytest.mark.parametrize("name, param", [pytest.param(f, p, id=f"{f}.{p}")
+                                         for f, p in _sweep_parameters()])
+def test_every_parameter_refuses_probes_of_the_wrong_kind(name, param):
+    """A str, None, a bool or a bare int given to a parameter that does not
+    take it raises InputError, not a TypeError or numpy ValueError from
+    inside, and is not accepted."""
+    accepts = ACCEPTS.get(f"{name}.{param}", ACCEPTS.get(param, set()))
+    leaks = []
+    for kind, probe in PROBES.items():
+        if kind in accepts:
+            continue
+        try:
+            _sweep_function(name)(**{**SWEEP_CALLS[name], param: probe})
+        except InputError:
+            continue
+        except Exception as exc:  # any other exception is the leak
+            leaks.append(f"{kind}: {type(exc).__name__}: {exc}")
+        else:
+            leaks.append(f"{kind}: accepted")
+    assert not leaks, leaks

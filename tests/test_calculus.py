@@ -452,8 +452,8 @@ def test_balakrishnan_resolves_hard_spectra(name, x, r):
         assert err <= tol, err
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 4: the zero cut 1e-9 (1 + ||x||) takes "
-                   "the eigenvalue 1e-5 of spread 1e10 for kernel, and both routes share it")
+@pytest.mark.xfail(strict=True, reason="the zero cut 1e-9 (1 + ||x||) of the power routes "
+                   "takes the eigenvalue 1e-5 of spread 1e10 for kernel, and both routes share it")
 def test_balakrishnan_spread_1e10_matches_scipy_at_small_r():
     """Off the oracle by 0.79 against the tolerance 0.1 at r = 0.02: the
     dropped eigenvalue sits at 0.09999 x the cut, just below the window."""
