@@ -65,7 +65,6 @@ from .algebra import (
     lump_check,
     span_contains,
     spans_equal,
-    subalgebra,
     supp_order,
     support_idem,
     ws_suite,

@@ -32,7 +32,6 @@ from .report import VerificationReport, matrix_digest
 
 __all__ = [
     "SubalgebraBasis",
-    "subalgebra",
     "full_matrix_algebra",
     "diagonal_algebra",
     "block_diag_algebra",
@@ -93,6 +92,16 @@ def _worst_span_residual(products: np.ndarray, q: np.ndarray) -> float:
     return float(np.max(rel, initial=0.0))
 
 
+def _closure_residual(cube: np.ndarray, q: np.ndarray) -> float:
+    """_worst_span_residual of every product l r of two matrices of the
+    (d, n, n) stack cube against the span rows q, taken for a block of
+    right factors r at a time that holds at most about 4096 products (16
+    MB at n = 16; one block for d^2 <= 4096)."""
+    step = max(1, 4096 // len(cube))
+    return max(_worst_span_residual(_pair_products(cube, cube[i:i + step]), q)
+               for i in range(0, len(cube), step))
+
+
 def _max_op_norm(mats: np.ndarray) -> float:
     """Largest operator norm over an (m, n, n) stack (0.0 for m = 0)."""
     return float(np.max(_norm2(mats), initial=0.0))
@@ -119,29 +128,26 @@ class SubalgebraBasis:
     """A linearly independent basis of a multiplicatively closed span
     inside an ambient context.
 
-    closure_residual records the worst relative distance of a pairwise
-    product from the span; the constructor rejects sets that are not
-    actually algebras (unless validate=False for trusted internal
-    constructions, which still computes spans but skips the O(d^2)
-    product check and the per-matrix input validation).
+    The constructor validates every basis matrix and the unit, and
+    rejects a dependent basis, a span that is not closed under products
+    (closure_residual, the worst relative distance of a pairwise product
+    from the span, above 100 eq_tol) and a declared unit that is not in
+    the span or is no unit for it.
     """
 
     def __init__(self, basis, ambient: AmbientContext | None = None,
-                 unit=None, tol: Tolerances | None = None, validate: bool = True):
+                 unit=None, tol: Tolerances | None = None):
         t = resolve_tol(tol)
-        validate = _as_instance(validate, bool, "validate")
-        mats = _as_matrices(basis, "basis") if validate else list(basis)
+        mats = _as_matrices(basis, "basis")
         if not mats:
             raise InputError("a subalgebra basis needs at least one element")
         n = mats[0].shape[0]
-        if validate and unit is not None:
+        if unit is not None:
             unit = _as_sized(unit, n, "unit")
         ambient = _as_instance(ambient, AmbientContext, "ambient", lambda: full_context(n))
         if ambient.n != n:
             raise InputError(f"basis matrices are {n}x{n} but ambient has n={ambient.n}")
-        self.ambient = ambient
-        self.basis = mats
-        self.unit = unit
+        self.ambient, self.basis, self.unit = ambient, mats, unit
 
         # one SVD u sv vh of the normalised rows decides independence and
         # gives both the orthonormal span rows vh and the coordinate solver
@@ -150,28 +156,23 @@ class SubalgebraBasis:
         u, sv, vh = np.linalg.svd(_stack(vecs), full_matrices=False)
         rank = _rank(sv)
         if rank != len(mats):
-            raise InputError(
-                f"basis is not linearly independent: rank {rank} < {len(mats)} elements"
-            )
+            raise InputError(f"basis is not linearly independent: rank {rank} < {len(mats)} "
+                             "elements")
         self._span_q = vh
         # pinv(vecs.T) = diag(1/norms) conj(u) diag(1/sv) conj(vh) at full rank
         self._pinv = (u.conj() / sv) @ vh.conj() / np.linalg.norm(vecs, axis=1)[:, None]
         self._cols = vecs.T
 
-        self.closure_residual = 0.0
-        if validate:
-            self.closure_residual = _worst_span_residual(_pair_products(cube, cube), self._span_q)
-            if self.closure_residual > 100 * t.eq_tol:
-                raise InputError(
-                    f"basis is not multiplicatively closed: relative closure residual "
-                    f"{self.closure_residual:.3g}"
-                )
-            if self.unit is not None:
-                if self._span_distance(self.unit) > 100 * t.eq_tol * (1.0 + np.linalg.norm(self.unit)):
-                    raise InputError("declared unit does not lie in the span")
-                worst_u = _worst_unit_residual(self.unit, cube)
-                if worst_u > 100 * t.eq_tol * (1.0 + _max_op_norm(cube)):
-                    raise InputError(f"declared unit fails u b = b = b u (residual {worst_u:.3g})")
+        self.closure_residual = _closure_residual(cube, self._span_q)
+        if self.closure_residual > 100 * t.eq_tol:
+            raise InputError(f"basis is not multiplicatively closed: relative closure "
+                             f"residual {self.closure_residual:.3g}")
+        if self.unit is not None:
+            if self._span_distance(self.unit) > 100 * t.eq_tol * (1.0 + np.linalg.norm(self.unit)):
+                raise InputError("declared unit does not lie in the span")
+            worst_u = _worst_unit_residual(self.unit, cube)
+            if worst_u > 100 * t.eq_tol * (1.0 + _max_op_norm(cube)):
+                raise InputError(f"declared unit fails u b = b = b u (residual {worst_u:.3g})")
 
     @classmethod
     def _matrix_units(cls, units: np.ndarray) -> "SubalgebraBasis":
@@ -241,12 +242,6 @@ class SubalgebraBasis:
 
     def __repr__(self):
         return f"SubalgebraBasis(dim={self.dim}, n={self.n}, unit={'yes' if self.unit is not None else 'no'})"
-
-
-def subalgebra(basis, ambient: AmbientContext | None = None, unit=None,
-               tol: Tolerances | None = None) -> SubalgebraBasis:
-    """Validate a basis (independence, closure, optional unit) and wrap it."""
-    return SubalgebraBasis(basis, ambient=ambient, unit=unit, tol=tol, validate=True)
 
 
 def full_matrix_algebra(n: int) -> SubalgebraBasis:
@@ -352,9 +347,10 @@ def ba(x, ambient: AmbientContext | None = None,
     """The (non-unital) subalgebra generated by x: span{x, x^2, x^3, ...}.
 
     Powers of x/||x|| accumulate until the numerical rank of the stacked
-    span stops growing; the returned basis is orthonormalised.  A unit
-    candidate (an element acting as identity on the span) is attached
-    when one exists.
+    span stops growing; the returned basis is orthonormalised and goes
+    through the SubalgebraBasis constructor, so its closure_residual
+    certifies that the span is closed.  A unit candidate (an element
+    acting as identity on the span) is attached when one exists.
     """
     a, ambient, t, _, _ = _element(x, ambient, tol, "ba", cone=None, ctx_name="ambient")
     return _ba(a, ambient, t)
@@ -378,11 +374,8 @@ def _ba(a: np.ndarray, ambient: AmbientContext, t: Tolerances) -> SubalgebraBasi
             powers.pop()
             break
         rank = new_rank
-    basis = _ortho_matrices(powers, n)
-    alg = SubalgebraBasis(basis, ambient=ambient, validate=False)
-    unit = _unit_candidate(alg, t)
-    if unit is not None:
-        alg.unit = unit
+    alg = SubalgebraBasis(_ortho_matrices(powers, n), ambient=ambient, tol=t)
+    alg.unit = _unit_candidate(alg, t)
     return alg
 
 

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericError, PreconditionError
-from .linalg import (_EXP_OVERFLOW, Tolerances, _as_instance, _as_int, _matrix_exp, _norm2,
-                     _rounding_cut, as_matrix, resolve_tol)
+from .linalg import (_EXP_OVERFLOW, Tolerances, _as_array, _as_instance, _as_int, _as_sized,
+                     _matrix_exp, _norm2, _rounding_cut, as_matrix, resolve_tol)
 from .numrange import _abscissa
 from .report import VerificationReport, matrix_digest
 
@@ -34,56 +34,58 @@ __all__ = [
 
 
 class AmbientContext:
-    """Ambient algebra: full M_n or a corner e M_n e.
-
-    The corner case carries the isometry u (n-by-k, columns an
-    orthonormal basis of range e); compression u* x u identifies the
-    corner with M_k isometrically, which is how every norm, abscissa and
-    inverse below is evaluated.
+    """Ambient algebra: full M_n (isometry None) or the corner e M_n e of
+    e = u u*, for an n-by-k isometry u whose columns are an orthonormal
+    basis of range e.  Compression u* x u identifies the corner with M_k
+    isometrically, which is how every norm, abscissa and inverse below is
+    evaluated.  The unit e and the dimension k are read off u.
     """
 
-    def __init__(self, n: int, unit: np.ndarray, mode: str, isometry: np.ndarray):
-        self.n = int(n)
-        self.unit = unit
-        self.mode = mode
-        self.isometry = isometry
-        self.dim = isometry.shape[1]
+    def __init__(self, n: int, isometry=None):
+        self.n = _as_int(n, "ambient dimension")
+        u = None if isometry is None else _as_array(isometry, "isometry")
+        if u is not None:
+            k = u.shape[1] if u.ndim == 2 else 0
+            if (u.shape != (self.n, k) or k < 1 or not np.isfinite(u).all()
+                    or _norm2(u.conj().T @ u - np.eye(k)) > _rounding_cut(self.n, 1.0)):
+                raise InputError(f"isometry must be a finite {self.n} x k matrix, 1 <= k <= "
+                                 f"{self.n}, with orthonormal columns; got shape {u.shape}")
+        self.isometry = u
+
+    @property
+    def dim(self) -> int:
+        return self.n if self.isometry is None else self.isometry.shape[1]
+
+    @property
+    def unit(self) -> np.ndarray:
+        u = self.isometry
+        return np.eye(self.n, dtype=complex) if u is None else u @ u.conj().T
 
     def __repr__(self):
-        return f"AmbientContext(mode={self.mode!r}, n={self.n}, dim={self.dim})"
+        return f"AmbientContext(n={self.n}, dim={self.dim})"
 
     def _compress(self, a: np.ndarray) -> np.ndarray:
-        if self.mode == "full":
-            return a
         u = self.isometry
-        return u.conj().T @ a @ u
+        return a if u is None else u.conj().T @ a @ u
 
     def compress(self, x) -> np.ndarray:
         """u* x u: coordinates of a corner element in M_dim."""
-        a = as_matrix(x)
-        if a.shape[0] != self.n:
-            raise InputError(f"matrix is {a.shape[0]}x{a.shape[0]}, ambient expects n={self.n}")
-        return self._compress(a)
+        return self._compress(_as_sized(x, self.n, "x"))
 
     def _embed(self, y: np.ndarray) -> np.ndarray:
-        if self.mode == "full":
-            return y
         u = self.isometry
-        return u @ y @ u.conj().T
+        return y if u is None else u @ y @ u.conj().T
 
     def embed(self, y) -> np.ndarray:
         """u y u*: corner coordinates back into the ambient algebra."""
-        y = as_matrix(y)
-        if y.shape[0] != self.dim:
-            raise InputError(f"corner coordinates are {y.shape[0]}-dim, expected {self.dim}")
-        return self._embed(y)
+        return self._embed(_as_sized(y, self.dim, "y"))
 
     def _compress_member(self, a: np.ndarray, t: Tolerances) -> np.ndarray:
         """Corner coordinates of a validated matrix, once it is checked to
         lie in the corner (ex = xe = x)."""
         if a.shape[0] != self.n:
             raise InputError(f"matrix is {a.shape[0]}x{a.shape[0]}, ambient expects n={self.n}")
-        if self.mode == "full":
+        if self.isometry is None:
             return a
         e = self.unit
         scale = 1.0 + _norm2(a)
@@ -98,9 +100,7 @@ class AmbientContext:
 
 
 def full_context(n: int) -> AmbientContext:
-    n = _as_int(n, "ambient dimension")
-    return AmbientContext(n=n, unit=np.eye(n, dtype=complex), mode="full",
-                          isometry=np.eye(n, dtype=complex))
+    return AmbientContext(n)
 
 
 def corner_context(e, tol: Tolerances | None = None) -> AmbientContext:
@@ -118,9 +118,7 @@ def corner_context(e, tol: Tolerances | None = None) -> AmbientContext:
     mask = w > 0.5
     if not np.any(mask):
         raise InputError("corner unit has rank 0; the corner algebra is trivial")
-    u = v[:, mask]
-    e_clean = u @ u.conj().T
-    return AmbientContext(n=a.shape[0], unit=e_clean, mode="corner", isometry=u)
+    return AmbientContext(a.shape[0], v[:, mask])
 
 
 @dataclass(frozen=True)

@@ -22,9 +22,9 @@ Every other argument is decided by one rule per kind, each raising
 counts, seeds and ranks; ``_as_number`` for a finite number that is not
 a bool (exponents, angles, points, tolerances, coefficients and the
 generator parameters), with an optional range test; ``_as_instance``
-for a tolerance bundle, context, algebra, map, callable, flag or suite
-name, with None standing for a default where there is one; and
-``algebra._as_matrices`` for a list of same-size matrices.
+for a tolerance bundle, context, algebra, map, range boundary, callable,
+flag or suite name, with None standing for a default where there is one;
+and ``algebra._as_matrices`` for a list of same-size matrices.
 
 Decision layer: every rank, null space, zero cluster and Kraus cut asks
 ``_nonzero`` whether a singular value or eigenvalue is zero, with its own
@@ -121,12 +121,18 @@ def resolve_tol(tol: Tolerances | None) -> Tolerances:
     return _as_instance(tol, Tolerances, "tol", Tolerances)
 
 
-def as_matrix(x, name: str = "x") -> np.ndarray:
-    """Validate and return ``x`` as a square finite complex matrix."""
+def _as_array(x, name: str) -> np.ndarray:
+    """x as a complex array of any shape; InputError when numpy cannot
+    convert it."""
     try:
-        a = np.asarray(x, dtype=complex)
+        return np.asarray(x, dtype=complex)
     except (TypeError, ValueError) as exc:
         raise InputError(f"{name} is not convertible to a complex matrix: {exc}") from exc
+
+
+def as_matrix(x, name: str = "x") -> np.ndarray:
+    """Validate and return ``x`` as a square finite complex matrix."""
+    a = _as_array(x, name)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
         raise InputError(f"{name} must be a nonempty square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():

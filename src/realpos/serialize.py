@@ -12,11 +12,12 @@ builder in this package keeps fixed.  All files use LF newlines.
 from __future__ import annotations
 
 import json
-import math
 
 import numpy as np
 
 from .errors import InputError
+from .linalg import _as_array, _as_instance, _as_int, _as_number
+from .numrange import RangeBoundary
 
 __all__ = [
     "fmt_float",
@@ -33,11 +34,9 @@ __all__ = [
 
 
 def fmt_float(x: float) -> str:
-    """17 significant digits; exact round-trip for IEEE doubles."""
-    x = float(x)
-    if math.isnan(x) or math.isinf(x):
-        raise InputError(f"non-finite value {x!r} cannot be serialized")
-    return "%.17g" % x
+    """17 significant digits; exact round-trip for IEEE doubles.  A value
+    that is not a finite real number is an InputError."""
+    return "%.17g" % _as_number(x, "serialized value", "be a finite real number")
 
 
 #: json.dumps(s) for a str s: the ASCII-escaped quoted string
@@ -107,7 +106,7 @@ def load_json(path: str):
 # ---------------------------------------------------------------------------
 
 def matrix_to_obj(m) -> dict:
-    m = np.asarray(m, dtype=complex)
+    m = _as_array(m, "m")
     if m.ndim != 2:
         raise InputError(f"expected a 2-d array, got ndim={m.ndim}")
     return {
@@ -120,11 +119,12 @@ def matrix_to_obj(m) -> dict:
 
 def matrix_from_obj(obj) -> np.ndarray:
     try:
-        rows, cols = int(obj["rows"]), int(obj["cols"])
+        rows, cols = obj["rows"], obj["cols"]
         re = np.asarray(obj["re"], dtype=float)
         im = np.asarray(obj["im"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed matrix object: {exc}") from exc
+    rows, cols = _as_int(rows, "matrix rows"), _as_int(cols, "matrix cols")
     if re.shape != (rows, cols) or im.shape != (rows, cols):
         raise InputError(
             f"matrix object shape mismatch: declared {(rows, cols)}, "
@@ -151,6 +151,7 @@ def read_matrix(path: str) -> np.ndarray:
 
 def boundary_csv(rb, path: str) -> None:
     """theta, h_theta, re, im — one row per sampled boundary direction."""
+    rb = _as_instance(rb, RangeBoundary, "rb")
     lines = ["theta,h_theta,re,im"]
     for th, h, z in zip(rb.angles, rb.support_values, rb.boundary_points):
         lines.append(",".join([fmt_float(th), fmt_float(h),
@@ -168,6 +169,7 @@ def boundary_svg(rb, path: str | None = None) -> str:
     the axes and the unit circle are drawn, and the boundary is a
     polyline over the sampled points.
     """
+    rb = _as_instance(rb, RangeBoundary, "rb")
     size = 800
     pts = np.asarray(rb.boundary_points, dtype=complex)
     xs = np.concatenate([pts.real, [-1.0, 1.0, 0.0]])

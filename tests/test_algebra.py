@@ -22,7 +22,6 @@ from realpos.algebra import (
     lump_check,
     span_contains,
     spans_equal,
-    subalgebra,
     supp_order,
     support_idem,
     ws_suite,
@@ -68,7 +67,7 @@ def test_block_diag_algebra_lists_each_block_row_major():
 
 def _svd_factored(alg):
     """The algebra's matrix units factored by the SVD of the general path."""
-    return SubalgebraBasis(alg.basis, ambient=alg.ambient, unit=alg.unit, validate=False)
+    return SubalgebraBasis(alg.basis, ambient=alg.ambient, unit=alg.unit)
 
 
 @pytest.mark.parametrize("sizes", [[2], [4], [3, 1], [1] * 4, [8], [16]],
@@ -156,14 +155,14 @@ def test_subalgebra_rejects_non_closed_span():
     e12 = np.array([[0, 1.0], [0, 0]], dtype=complex)
     e22 = np.array([[0, 0], [0, 1.0]], dtype=complex)
     with pytest.raises(InputError):
-        subalgebra([e11 + e12, e22])
-    subalgebra([e12])  # nilpotent line is fine
+        SubalgebraBasis([e11 + e12, e22])
+    SubalgebraBasis([e12])  # nilpotent line is fine
 
 
 def test_subalgebra_rejects_dependent_basis():
     e11 = np.array([[1.0, 0], [0, 0]], dtype=complex)
     with pytest.raises(InputError):
-        SubalgebraBasis([e11, 2 * e11], validate=False)
+        SubalgebraBasis([e11, 2 * e11])
 
 
 def test_span_helpers():
@@ -193,7 +192,7 @@ def test_span_rank_ambiguity_is_refused_by_every_span_question():
     with pytest.raises(NumericError, match="span rank decision is ambiguous"):
         spans_equal(mats, [a])
     with pytest.raises(NumericError, match="span rank decision is ambiguous"):
-        SubalgebraBasis(mats, validate=False)
+        SubalgebraBasis(mats)
 
 
 def test_coords_and_project():
@@ -213,6 +212,29 @@ def test_ba_generated_dimension_oracle():
     assert alg.dim == 2
     assert alg.unit is not None
     assert np.allclose(alg.unit, np.diag([1.0, 1.0, 0.0]), atol=1e-8)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 42])
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_ba_carries_its_closure_certificate(n, seed):
+    """ba(x) goes through the validating constructor: its closure_residual
+    is the worst product residual recomputed from its basis, not an
+    unchecked 0.0, and it is small."""
+    alg = ba(random_accretive(n, seed))
+    cube = np.array(alg.basis)
+    assert alg.closure_residual == _worst_span_residual(_pair_products(cube, cube), alg._span_q)
+    assert alg.closure_residual <= 1e-10
+
+
+def test_closure_check_in_blocks_is_the_one_block_check():
+    """81^2 products exceed one block of 4096, so the closure residual is
+    taken over two blocks of right factors: it is the worst residual of
+    all products."""
+    cube = np.array(full_matrix_algebra(9).basis) + 1e-3 * random_accretive(9, 5)
+    q = algebra._ortho_matrices(cube[:80], 9).reshape(80, -1)  # one direction short
+    whole = _worst_span_residual(_pair_products(cube, cube), q)
+    assert algebra._closure_residual(cube, q) == pytest.approx(whole, rel=1e-12)
+    assert whole > 0.1
 
 
 def test_ba_of_zero_rejected():

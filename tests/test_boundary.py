@@ -2,6 +2,7 @@
 matrix validates it and rejects malformed input with InputError, so the
 trusting internal kernels never see it."""
 import inspect
+import os
 
 import numpy as np
 import pytest
@@ -17,13 +18,20 @@ from realpos import (
     transpose_map,
 )
 from realpos.maps import map_affine_combo
+from realpos.serialize import boundary_csv, boundary_svg, fmt_float, matrix_from_obj, matrix_to_obj
 
 CTX = full_context(2)
 ALG = full_matrix_algebra(2)
 GOOD = np.eye(2, dtype=complex)
 
+# the public classes whose constructors take caller input (the others are
+# results the library builds)
+CONSTRUCTORS = {"AmbientContext", "LinearMapOnAlgebra", "SubalgebraBasis", "Tolerances"}
+
 # public name -> call with the matrix argument m in first matrix position
 MATRIX_CALLS = {
+    "AmbientContext": lambda m: realpos.AmbientContext(2, m),
+    "LinearMapOnAlgebra": lambda m: realpos.LinearMapOnAlgebra(ALG, ALG, m),
     "aarnes_kadison_check": lambda m: realpos.aarnes_kadison_check(m, ALG),
     "abscissa": realpos.abscissa,
     "ba": realpos.ba,
@@ -49,9 +57,9 @@ MATRIX_CALLS = {
     "power_balakrishnan": lambda m: realpos.power_balakrishnan(m, 0.5),
     "power_series": lambda m: realpos.power_series(m, 0.5),
     "power_shifted": lambda m: realpos.power_shifted(m, 0.5),
+    "SubalgebraBasis": lambda m: realpos.SubalgebraBasis([m]),
     "sectorial_angle": realpos.sectorial_angle,
     "span_contains": lambda m: realpos.span_contains([GOOD], m),
-    "subalgebra": lambda m: realpos.subalgebra([m]),
     "supp_order": lambda m: realpos.supp_order(m, GOOD, ALG),
     "support_function": lambda m: realpos.support_function(m, 0.0),
     "support_idem": realpos.support_idem,
@@ -66,10 +74,11 @@ MATRIX_CALLS = {
     "AmplifiedMap.apply": amplify(transpose_map(2), 1).apply,
 }
 
-# public functions that take no matrix (sizes, seeds, maps, suite names),
-# or, for spans_equal and matrix_digest, lists or tuples of arrays
+# public functions and constructors that take no matrix (sizes, seeds,
+# maps, suite names, tolerances), or, for spans_equal and matrix_digest,
+# lists or tuples of arrays
 NO_MATRIX = {
-    "amplify", "block_diag_algebra", "choi_matrix", "classify_projection",
+    "Tolerances", "amplify", "block_diag_algebra", "choi_matrix", "classify_projection",
     "diagonal_algebra", "full_context", "full_matrix_algebra",
     "identity_map", "is_cp", "kraus_factor", "matrix_digest", "op_norm_estimate",
     "random_accretive", "random_contraction", "random_hermitian", "random_idempotent",
@@ -88,11 +97,14 @@ def _bad_inputs():
             "empty": np.zeros((0, 0), dtype=complex)}
 
 
+def _public_functions():
+    return {name for name, v in vars(realpos).items()
+            if not name.startswith("_") and inspect.isfunction(v)}
+
+
 def test_every_public_function_is_classified():
-    public = {name for name, v in vars(realpos).items()
-              if not name.startswith("_") and inspect.isfunction(v)}
     functions = {name for name in MATRIX_CALLS if "." not in name}
-    assert public == functions | NO_MATRIX
+    assert _public_functions() | CONSTRUCTORS == functions | NO_MATRIX
 
 
 @pytest.mark.parametrize("bad", sorted(_bad_inputs()))
@@ -220,7 +232,8 @@ TYPED_CALLS = {
                        "AmbientContext")
        for name in ("power", "power_all_methods", "power_balakrishnan", "power_series",
                     "power_shifted")},
-    "subalgebra.ambient": (lambda v: realpos.subalgebra([GOOD], ambient=v), "AmbientContext"),
+    "SubalgebraBasis.ambient": (lambda v: realpos.SubalgebraBasis([GOOD], ambient=v),
+                                "AmbientContext"),
     **{f"{name}.algebra": (lambda v, f=getattr(realpos, name): f(GOOD, v), "SubalgebraBasis")
        for name in ("aarnes_kadison_check", "hsa_from_z", "ws_suite")},
     "supp_order.algebra": (lambda v: realpos.supp_order(GOOD, GOOD, v), "SubalgebraBasis"),
@@ -279,8 +292,6 @@ LEAKS = {
         lambda: realpos.random_contraction(2, 0, norm=0.5j), "^contraction norm must lie in"),
     "random_hermitian.psd=str": (
         lambda: realpos.random_hermitian(3, 0, psd="no"), "^psd must be a bool"),
-    "SubalgebraBasis.validate=str": (
-        lambda: realpos.SubalgebraBasis([GOOD], validate="no"), "^validate must be a bool"),
     "map_affine_combo.alpha=bool": (
         lambda: map_affine_combo(identity_map(ALG), True, 1.0),
         "^alpha and beta must be finite numbers"),
@@ -296,12 +307,12 @@ LEAKS = {
         lambda: realpos.span_contains(5, GOOD), "^mats must be a list of matrices"),
     "spans_equal.mats_a=int": (
         lambda: realpos.spans_equal(5, [GOOD]), "^mats_a must be a list of matrices"),
-    "subalgebra.basis=int": (
-        lambda: realpos.subalgebra(5), "^basis must be a list of matrices"),
+    "SubalgebraBasis.basis=int": (
+        lambda: realpos.SubalgebraBasis(5), "^basis must be a list of matrices"),
     "map_from_kraus.ops=int": (
         lambda: realpos.map_from_kraus(5, 2), "^kraus must be a list of matrices"),
-    "subalgebra.unit=3x3": (
-        lambda: realpos.subalgebra([GOOD], unit=np.eye(3)), r"^unit is 3x3, expected 2x2"),
+    "SubalgebraBasis.unit=3x3": (
+        lambda: realpos.SubalgebraBasis([GOOD], unit=np.eye(3)), r"^unit is 3x3, expected 2x2"),
     "build_symmetric_projection.q=3x3": (
         lambda: realpos.build_symmetric_projection(identity_map(ALG), np.eye(3), ALG),
         r"^q is 3x3, expected 2x2"),
@@ -312,6 +323,18 @@ LEAKS = {
     "transpose_map.n=2.5": (lambda: transpose_map(2.5), "^n must be an integer"),
     "map_from_kraus.n=2.5": (lambda: realpos.map_from_kraus([GOOD], 2.5),
                              "^n must be an integer"),
+    "AmbientContext.n=2.5": (lambda: realpos.AmbientContext(2.5),
+                             "^ambient dimension must be an integer"),
+    "AmbientContext.n=str": (lambda: realpos.AmbientContext("x", GOOD),
+                             "^ambient dimension must be an integer"),
+    "AmbientContext.isometry=ones": (lambda: realpos.AmbientContext(2, isometry=np.ones((2, 1))),
+                                     "^isometry must be a finite 2 x k matrix"),
+    "fmt_float.x=None": (lambda: fmt_float(None), "^serialized value must be a finite real"),
+    "fmt_float.x=str": (lambda: fmt_float("1.5"), "^serialized value must be a finite real"),
+    "matrix_to_obj.m=str": (lambda: matrix_to_obj("x"), "^m is not convertible"),
+    "boundary_csv.rb=str": (lambda: boundary_csv("x", os.devnull),
+                            "^rb must be a RangeBoundary, got str"),
+    "boundary_svg.rb=list": (lambda: boundary_svg([1j]), "^rb must be a RangeBoundary, got list"),
 }
 
 
@@ -322,10 +345,15 @@ def test_argument_leaks_are_input_errors(name):
         call()
 
 
-# a valid call of every public function, by keyword; the sweep below swaps
-# one argument at a time for a probe.  matrix_digest takes only *matrices
-# and digests any array, so it has no row.
+# a valid call, by keyword, of every public function, of each constructor
+# in CONSTRUCTORS and of the serialize helpers that write no file; the
+# sweep below swaps one argument at a time for a probe.  matrix_digest
+# takes only *matrices and digests any array, so it has no row.
 SWEEP_CALLS = {
+    "AmbientContext": dict(n=2),
+    "LinearMapOnAlgebra": dict(domain=ALG, codomain=ALG, action=np.eye(4)),
+    "SubalgebraBasis": dict(basis=[GOOD]),
+    "Tolerances": dict(),
     "aarnes_kadison_check": dict(x=GOOD, algebra=ALG),
     "abscissa": dict(x=GOOD),
     "amplify": dict(t_map=MAP, k=1),
@@ -342,6 +370,7 @@ SWEEP_CALLS = {
     "dist_to_point": dict(x=GOOD, z=-1.0),
     "f_inverse": dict(y=0.5 * GOOD),
     "f_transform": dict(x=GOOD),
+    "fmt_float": dict(x=0.5),
     "full_context": dict(n=2),
     "full_matrix_algebra": dict(n=2),
     "herm_part": dict(x=GOOD),
@@ -354,6 +383,8 @@ SWEEP_CALLS = {
     "map_from_function": dict(f=np.transpose, domain=ALG),
     "map_from_kraus": dict(ops=[GOOD], n=2),
     "matrix_exp": dict(x=GOOD),
+    "matrix_from_obj": dict(obj=matrix_to_obj(GOOD)),
+    "matrix_to_obj": dict(m=GOOD),
     "membership": dict(x=GOOD, ctx=CTX),
     "op_norm_estimate": dict(t_map=MAP),
     "operator_norm": dict(x=GOOD),
@@ -370,7 +401,6 @@ SWEEP_CALLS = {
     "sectorial_angle": dict(x=GOOD),
     "span_contains": dict(mats=[GOOD], m=GOOD),
     "spans_equal": dict(mats_a=[GOOD], mats_b=[GOOD]),
-    "subalgebra": dict(basis=[GOOD]),
     "supp_order": dict(x=GOOD, y=GOOD, algebra=ALG),
     "support_function": dict(x=GOOD, theta=0.0),
     "support_idem": dict(x=GOOD),
@@ -385,7 +415,7 @@ PROBES = {"str": "2", "None": None, "bool": True, "int": 2}
 # probe, given to any parameter, is an InputError
 ACCEPTS = {
     "tol": {"None"}, "ctx": {"None"}, "ambient": {"None"}, "unit": {"None"},
-    "codomain": {"None"}, "norm": {"None"}, "rank": {"None", "int"},
+    "codomain": {"None"}, "norm": {"None"}, "rank": {"None", "int"}, "isometry": {"None"},
     "n": {"int"}, "seed": {"int"}, "count": {"int"}, "k": {"int"},
     "psd": {"bool"},
     "run_suite.name": {"str"},
@@ -393,11 +423,18 @@ ACCEPTS = {
     "dist_to_point.z": {"int"},
     "map_affine_combo.alpha": {"int"},
     "map_affine_combo.beta": {"int"},
+    "LinearMapOnAlgebra.codomain": set(),
+    **{f"Tolerances.{p}": {"int"} for p in ("eq_tol", "psd_tol", "conv_tol")},
+    "fmt_float.x": {"int"},
 }
+
+# swept callables that are not top-level names of realpos
+NOT_TOP_LEVEL = {f.__name__: f for f in (map_affine_combo, fmt_float, matrix_from_obj,
+                                         matrix_to_obj)}
 
 
 def _sweep_function(name):
-    return map_affine_combo if name == "map_affine_combo" else getattr(realpos, name)
+    return NOT_TOP_LEVEL[name] if name in NOT_TOP_LEVEL else getattr(realpos, name)
 
 
 def _sweep_parameters():
@@ -407,10 +444,8 @@ def _sweep_parameters():
 
 
 def test_the_sweep_covers_every_public_function():
-    # map_affine_combo is public in realpos.maps, not at the top level
-    public = {name for name, v in vars(realpos).items()
-              if not name.startswith("_") and inspect.isfunction(v)}
-    assert public | {"map_affine_combo"} == set(SWEEP_CALLS) | {"matrix_digest"}
+    swept = _public_functions() | CONSTRUCTORS | set(NOT_TOP_LEVEL)
+    assert swept == set(SWEEP_CALLS) | {"matrix_digest"}
     for name, kwargs in SWEEP_CALLS.items():
         params = inspect.signature(_sweep_function(name)).parameters.values()
         assert all(p.kind == p.POSITIONAL_OR_KEYWORD for p in params), name

@@ -8,6 +8,7 @@ import scipy.linalg as sla
 
 from realpos import cones
 from realpos.cones import (
+    AmbientContext,
     chaccr_verify,
     corner_context,
     decompose_halfF,
@@ -321,6 +322,17 @@ def test_corner_context_rejects_outside_corner():
     y = np.array([[1.0, 0.2], [0.0, 0.0]], dtype=complex)  # couples corner to complement
     with pytest.raises(InputError):
         membership(y, ctx)
+
+
+def test_a_context_is_read_off_its_isometry():
+    full = AmbientContext(3)
+    assert full.isometry is None and full.dim == 3
+    assert np.array_equal(full.unit, np.eye(3)) and full.unit.dtype == complex
+    e = np.diag([1.0, 0.0, 1.0]).astype(complex)
+    corner = corner_context(e)
+    assert corner.dim == 2 and np.allclose(corner.unit, e, atol=1e-15)
+    again = AmbientContext(3, corner.isometry)
+    assert again.dim == 2 and np.array_equal(again.unit, corner.unit)
 
 
 def test_corner_context_validates_projection():

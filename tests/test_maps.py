@@ -1,15 +1,17 @@
 """Linear maps: Choi matrices, Kraus factors, amplification, norm
 estimation, real-complete-positivity testing, symmetric projections."""
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from realpos.algebra import (
     SubalgebraBasis,
+    _stack,
     block_diag_algebra,
     diagonal_algebra,
     full_matrix_algebra,
     spans_equal,
-    subalgebra,
 )
 from realpos import maps
 from realpos.errors import InputError, NumericError, PreconditionError, UnsupportedError
@@ -582,8 +584,8 @@ def test_rcp_non_full_domain_certified_pass():
     # the upper-triangular algebra is not *-closed, but A + A* = M_2 and
     # the identity there is CP: certified at C_0
     e = np.eye(2, dtype=complex)
-    upper = subalgebra([np.outer(e[0], e[0]), np.outer(e[0], e[1]), np.outer(e[1], e[1])],
-                       unit=np.eye(2))
+    upper = SubalgebraBasis([np.outer(e[0], e[0]), np.outer(e[0], e[1]), np.outer(e[1], e[1])],
+                            unit=np.eye(2))
     v = rcp_test(identity_map(upper))
     assert v.passed and v.certified and v.certificate == "choi_psd"
 
@@ -663,7 +665,7 @@ def _unit_e12_map(c):
     (it extends to the CP map [[a, b], [d, e]] -> [[a, c b], [conj(c) d, e]]
     on M_2 iff |c| <= 1)."""
     e12 = np.array([[0, 1], [0, 0]], dtype=complex)
-    alg = subalgebra([np.eye(2), e12], unit=np.eye(2))
+    alg = SubalgebraBasis([np.eye(2), e12], unit=np.eye(2))
     return LinearMapOnAlgebra(alg, alg, np.diag([1.0, c]))
 
 
@@ -676,8 +678,8 @@ def _toeplitz_maps(count_per_n=12):
     out = []
     for n in range(2, 6):
         shift = np.eye(n, k=1, dtype=complex)
-        alg = subalgebra([np.linalg.matrix_power(shift, k) for k in range(n)],
-                         unit=np.eye(n))
+        alg = SubalgebraBasis([np.linalg.matrix_power(shift, k) for k in range(n)],
+                              unit=np.eye(n))
         rng = np.random.default_rng((20261019, n))
         kept = 0
         while kept < count_per_n:
@@ -719,7 +721,7 @@ def test_rcp_non_hermitian_unit_image_fails_at_level_1():
     # A cap A* = span{I} for A = span{I, E12}; T(I) = (1 + i/2) I is not
     # Hermitian, so T~ is not well defined on A + A*
     e12 = np.array([[0, 1], [0, 0]], dtype=complex)
-    alg = subalgebra([np.eye(2), e12], unit=np.eye(2))
+    alg = SubalgebraBasis([np.eye(2), e12], unit=np.eye(2))
     t_map = LinearMapOnAlgebra(alg, alg, np.diag([1.0 + 0.5j, 0.3]))
     v = rcp_test(t_map)
     assert _assert_witness(t_map, v)["level"] == 1 and v.steps == 0
@@ -740,7 +742,7 @@ def test_rcp_nilpotent_domain_certified_pass():
     # span{E12} has no unit and its only accretive element is 0, so every
     # map is RCP; 5 id extends to 5 times a CP map on M_2
     e12 = np.array([[0, 1], [0, 0]], dtype=complex)
-    t_map = map_from_function(lambda m: 5.0 * m, subalgebra([e12]))
+    t_map = map_from_function(lambda m: 5.0 * m, SubalgebraBasis([e12]))
     v = rcp_test(t_map)
     assert v.passed and v.certified and v.certificate == "cp_extension"
 
@@ -985,9 +987,11 @@ def _kraus_with_weight(v):
 
 def _operator_system_with_gap(v):
     """A = span{E11, E12 + (1 - 2v) E21}: the smallest singular value of
-    [A; A*] is v times the largest."""
-    dom = SubalgebraBasis([_unit(0, 0), _unit(0, 1) + (1.0 - 2.0 * v) * _unit(1, 0)],
-                          validate=False)
+    [A; A*] is v times the largest.  A is no algebra (E11 times the second
+    element leaves it), so it reaches _operator_system as a stand-in with
+    the dim, n and orthonormal span rows _span_q that it reads."""
+    rows = _stack([_unit(0, 0), _unit(0, 1) + (1.0 - 2.0 * v) * _unit(1, 0)])
+    dom = SimpleNamespace(dim=2, n=2, _span_q=np.linalg.svd(rows, full_matrices=False)[2])
     return maps._operator_system(dom)
 
 

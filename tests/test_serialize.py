@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from realpos.algebra import subalgebra
+import realpos.cli as cli
+from realpos.algebra import SubalgebraBasis
 from realpos.errors import InputError
 from realpos.numrange import boundary
 from realpos.report import matrix_digest
@@ -99,6 +100,19 @@ def test_matrix_obj_validation():
         matrix_from_obj({"nope": True})
 
 
+@pytest.mark.parametrize("key, size", [("rows", 2.7), ("rows", "2"), ("cols", True)],
+                         ids=["rows=2.7", "rows=str", "cols=True"])
+def test_matrix_obj_sizes_are_integers_not_truncated(tmp_path, key, size):
+    """A declared size 2.7, "2" or True is refused, not read as 2, by the
+    library and by the command line (exit 2), though re and im are 2x2."""
+    obj = {**matrix_to_obj(np.eye(2)), key: size}
+    with pytest.raises(InputError, match=f"^matrix {key} must be an integer"):
+        matrix_from_obj(obj)
+    p = tmp_path / "m.json"
+    p.write_text(json.dumps(obj))
+    assert cli.main(["nrange", str(p)]) == cli.EXIT_USAGE
+
+
 _E11 = np.diag([1.0, 0.0]).astype(complex)
 _E12 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 _E22 = np.diag([0.0, 1.0]).astype(complex)
@@ -111,11 +125,11 @@ _E22 = np.diag([0.0, 1.0]).astype(complex)
 ], ids=["not_closed", "not_square", "wrong_unit"])
 def test_json_algebras_and_maps_are_validated(basis, unit):
     """A basis decoded from JSON matrix objects is validated like any other:
-    subalgebra(...) refuses it, so no map can be built on it."""
+    SubalgebraBasis(...) refuses it, so no map can be built on it."""
     decoded = [matrix_from_obj(json.loads(dumps_stable(matrix_to_obj(b)))) for b in basis]
     decoded_unit = None if unit is None else matrix_from_obj(matrix_to_obj(unit))
     with pytest.raises(InputError):
-        subalgebra(decoded, unit=decoded_unit)
+        SubalgebraBasis(decoded, unit=decoded_unit)
 
 
 def test_boundary_csv_format(tmp_path):
