@@ -10,7 +10,6 @@ from .errors import (
     NumericError,
     PreconditionError,
     RealposError,
-    UnsupportedError,
 )
 from .linalg import (
     Tolerances,

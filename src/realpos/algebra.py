@@ -20,6 +20,7 @@ residuals between (d_A, n, n) stacks, so no triple product is formed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -92,14 +93,20 @@ def _worst_span_residual(products: np.ndarray, q: np.ndarray) -> float:
     return float(np.max(rel, initial=0.0))
 
 
+def _right_blocks(d: int) -> list:
+    """Slices of d right factors, each of which, taken against d left
+    factors, makes at most about 4096 products (16 MB at n = 16; one
+    slice for d^2 <= 4096)."""
+    step = max(1, 4096 // d)
+    return [slice(i, i + step) for i in range(0, d, step)]
+
+
 def _closure_residual(cube: np.ndarray, q: np.ndarray) -> float:
     """_worst_span_residual of every product l r of two matrices of the
-    (d, n, n) stack cube against the span rows q, taken for a block of
-    right factors r at a time that holds at most about 4096 products (16
-    MB at n = 16; one block for d^2 <= 4096)."""
-    step = max(1, 4096 // len(cube))
-    return max(_worst_span_residual(_pair_products(cube, cube[i:i + step]), q)
-               for i in range(0, len(cube), step))
+    (d, n, n) stack cube against the span rows q, taken for one
+    _right_blocks slice of right factors r at a time."""
+    return max(_worst_span_residual(_pair_products(cube, cube[b]), q)
+               for b in _right_blocks(len(cube)))
 
 
 def _max_op_norm(mats: np.ndarray) -> float:
@@ -128,26 +135,24 @@ class SubalgebraBasis:
     """A linearly independent basis of a multiplicatively closed span
     inside an ambient context.
 
-    The constructor validates every basis matrix and the unit, and
-    rejects a dependent basis, a span that is not closed under products
-    (closure_residual, the worst relative distance of a pairwise product
-    from the span, above 100 eq_tol) and a declared unit that is not in
-    the span or is no unit for it.
+    The constructor validates every basis matrix and rejects a dependent
+    basis and a span that is not closed under products (closure_residual,
+    the worst relative distance of a pairwise product from the span,
+    above 100 eq_tol).  Whether the span has a unit is read off the span
+    itself, on first use of ``unit``.
     """
 
     def __init__(self, basis, ambient: AmbientContext | None = None,
-                 unit=None, tol: Tolerances | None = None):
+                 tol: Tolerances | None = None):
         t = resolve_tol(tol)
         mats = _as_matrices(basis, "basis")
         if not mats:
             raise InputError("a subalgebra basis needs at least one element")
         n = mats[0].shape[0]
-        if unit is not None:
-            unit = _as_sized(unit, n, "unit")
         ambient = _as_instance(ambient, AmbientContext, "ambient", lambda: full_context(n))
         if ambient.n != n:
             raise InputError(f"basis matrices are {n}x{n} but ambient has n={ambient.n}")
-        self.ambient, self.basis, self.unit = ambient, mats, unit
+        self.ambient, self.basis = ambient, mats
 
         # one SVD u sv vh of the normalised rows decides independence and
         # gives both the orthonormal span rows vh and the coordinate solver
@@ -167,12 +172,25 @@ class SubalgebraBasis:
         if self.closure_residual > 100 * t.eq_tol:
             raise InputError(f"basis is not multiplicatively closed: relative closure "
                              f"residual {self.closure_residual:.3g}")
-        if self.unit is not None:
-            if self._span_distance(self.unit) > 100 * t.eq_tol * (1.0 + np.linalg.norm(self.unit)):
-                raise InputError("declared unit does not lie in the span")
-            worst_u = _worst_unit_residual(self.unit, cube)
-            if worst_u > 100 * t.eq_tol * (1.0 + _max_op_norm(cube)):
-                raise InputError(f"declared unit fails u b = b = b u (residual {worst_u:.3g})")
+
+    @cached_property
+    def unit(self) -> np.ndarray | None:
+        """Least-squares element u of the span with u b = b = b u for all
+        basis b, or None when the residual says there is no unit; solved
+        over all 2 d^2 products on first use."""
+        cube = np.array(self.basis)
+        d = len(cube)
+        # for each b, the rows of u b = b (columns vec(f b) over the basis f)
+        # and of b u = b (columns vec(b f)), both against vec(b)
+        prods = _pair_products(cube, cube).reshape(d, d, -1)  # [b, f] = vec(f b)
+        blocks = np.stack([prods, prods.transpose(1, 0, 2)], axis=1)
+        m = blocks.transpose(0, 1, 3, 2).reshape(-1, d)
+        v = np.repeat(cube.reshape(d, -1), 2, axis=0).ravel()
+        c, *_ = np.linalg.lstsq(m, v, rcond=None)
+        res = float(np.linalg.norm(m @ c - v))
+        if res > 1e-8 * (1.0 + np.linalg.norm(v)):
+            return None
+        return np.tensordot(c, cube, axes=1)
 
     @classmethod
     def _matrix_units(cls, units: np.ndarray) -> "SubalgebraBasis":
@@ -241,7 +259,7 @@ class SubalgebraBasis:
         return self._project_vecs(_vec(_as_sized(m, self.n, "m"))).reshape(self.n, self.n)
 
     def __repr__(self):
-        return f"SubalgebraBasis(dim={self.dim}, n={self.n}, unit={'yes' if self.unit is not None else 'no'})"
+        return f"SubalgebraBasis(dim={self.dim}, n={self.n})"
 
 
 def full_matrix_algebra(n: int) -> SubalgebraBasis:
@@ -349,8 +367,9 @@ def ba(x, ambient: AmbientContext | None = None,
     Powers of x/||x|| accumulate until the numerical rank of the stacked
     span stops growing; the returned basis is orthonormalised and goes
     through the SubalgebraBasis constructor, so its closure_residual
-    certifies that the span is closed.  A unit candidate (an element
-    acting as identity on the span) is attached when one exists.
+    certifies that the span is closed.  Its unit, an element acting as
+    identity on the span when one exists, is read off the span on first
+    use, as for any SubalgebraBasis.
     """
     a, ambient, t, _, _ = _element(x, ambient, tol, "ba", cone=None, ctx_name="ambient")
     return _ba(a, ambient, t)
@@ -374,27 +393,7 @@ def _ba(a: np.ndarray, ambient: AmbientContext, t: Tolerances) -> SubalgebraBasi
             powers.pop()
             break
         rank = new_rank
-    alg = SubalgebraBasis(_ortho_matrices(powers, n), ambient=ambient, tol=t)
-    alg.unit = _unit_candidate(alg, t)
-    return alg
-
-
-def _unit_candidate(alg: SubalgebraBasis, t: Tolerances):
-    """Least-squares element u of the span with u b = b = b u for all
-    basis b; None when the residual says there is no unit."""
-    cube = np.array(alg.basis)
-    d = len(cube)
-    # for each b, the rows of u b = b (columns vec(f b) over the basis f)
-    # and of b u = b (columns vec(b f)), both against vec(b)
-    prods = _pair_products(cube, cube).reshape(d, d, -1)  # [b, f] = vec(f b)
-    blocks = np.stack([prods, prods.transpose(1, 0, 2)], axis=1)
-    m = blocks.transpose(0, 1, 3, 2).reshape(-1, d)
-    v = np.repeat(cube.reshape(d, -1), 2, axis=0).ravel()
-    c, *_ = np.linalg.lstsq(m, v, rcond=None)
-    res = float(np.linalg.norm(m @ c - v))
-    if res > 1e-8 * (1.0 + np.linalg.norm(v)):
-        return None
-    return np.tensordot(c, cube, axes=1)
+    return SubalgebraBasis(_ortho_matrices(powers, n), ambient=ambient, tol=t)
 
 
 @dataclass(frozen=True)

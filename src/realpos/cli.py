@@ -26,7 +26,6 @@ from .errors import (
     NumericError,
     PreconditionError,
     RealposError,
-    UnsupportedError,
 )
 from .linalg import (
     Tolerances,
@@ -194,7 +193,7 @@ def main(argv=None) -> int:
     except PreconditionError as exc:
         print(f"error: precondition: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (InputError, UnsupportedError) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NumericError as exc:

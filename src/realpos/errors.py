@@ -38,7 +38,3 @@ class MethodDisagreementError(NumericError):
     def __init__(self, message, values=None):
         super().__init__(message)
         self.values = values if values is not None else {}
-
-
-class UnsupportedError(RealposError, NotImplementedError):
-    """The request is outside the supported scope of an operation."""

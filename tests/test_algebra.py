@@ -67,7 +67,7 @@ def test_block_diag_algebra_lists_each_block_row_major():
 
 def _svd_factored(alg):
     """The algebra's matrix units factored by the SVD of the general path."""
-    return SubalgebraBasis(alg.basis, ambient=alg.ambient, unit=alg.unit)
+    return SubalgebraBasis(alg.basis, ambient=alg.ambient)
 
 
 @pytest.mark.parametrize("sizes", [[2], [4], [3, 1], [1] * 4, [8], [16]],
@@ -75,6 +75,7 @@ def _svd_factored(alg):
 def test_matrix_units_closed_form_is_bitwise_the_svd_factoring(sizes):
     alg = block_diag_algebra(sizes)
     ref = _svd_factored(alg)
+    assert "unit" not in vars(ref)  # read off the span on first use only: no 2 d^2 products
     for name in ("_span_q", "_pinv", "_cols"):
         got, want = getattr(alg, name), getattr(ref, name)
         assert got.dtype == want.dtype and got.shape == want.shape, name
@@ -247,6 +248,34 @@ def test_ba_nilpotent_has_no_unit():
     alg = ba(x)
     assert alg.dim == 1
     assert alg.unit is None
+
+
+def test_unit_is_read_off_the_span():
+    """span{I, E12} has the unit I; span{E12} has none, and span{E11, E12}
+    only a one-sided one (E11 b = b for both b, but E12 E11 = 0)."""
+    e11 = np.diag([1.0, 0.0]).astype(complex)
+    e12 = np.array([[0, 1.0], [0, 0]], dtype=complex)
+    alg = SubalgebraBasis([np.eye(2), e12])
+    assert "unit" not in vars(alg)
+    assert operator_norm(alg.unit - np.eye(2)) <= 1e-12
+    assert SubalgebraBasis([e12]).unit is None
+    assert SubalgebraBasis([e11, e12]).unit is None
+
+
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_ba_unit_is_the_support_idempotent(n):
+    """On accretive x, kernel blocks of dimension 0 to n - 2 included, the
+    unit of ba(x) is s(x): both are the range projection."""
+    for seed in range(4):
+        rng = np.random.default_rng(60 + seed)
+        u = random_unitary(n, rng)
+        k = seed % (n - 1)
+        x = np.zeros((n, n), dtype=complex)
+        x[k:, k:] = random_accretive(n - k, rng) + 0.2 * np.eye(n - k)
+        x = u @ x @ u.conj().T
+        alg = ba(x)
+        assert "unit" not in vars(alg)
+        assert operator_norm(alg.unit - support_idem(x).s) <= 1e-10
 
 
 @pytest.mark.parametrize("x", [
@@ -603,7 +632,7 @@ def _upper_triangular_algebra(n):
             e = np.zeros((n, n), dtype=complex)
             e[i, j] = 1.0
             units.append(e)
-    return SubalgebraBasis(units, unit=np.eye(n))
+    return SubalgebraBasis(units)
 
 
 @pytest.mark.parametrize("case", range(len(_certificate_cases())))

@@ -311,8 +311,6 @@ LEAKS = {
         lambda: realpos.SubalgebraBasis(5), "^basis must be a list of matrices"),
     "map_from_kraus.ops=int": (
         lambda: realpos.map_from_kraus(5, 2), "^kraus must be a list of matrices"),
-    "SubalgebraBasis.unit=3x3": (
-        lambda: realpos.SubalgebraBasis([GOOD], unit=np.eye(3)), r"^unit is 3x3, expected 2x2"),
     "build_symmetric_projection.q=3x3": (
         lambda: realpos.build_symmetric_projection(identity_map(ALG), np.eye(3), ALG),
         r"^q is 3x3, expected 2x2"),
@@ -414,7 +412,7 @@ PROBES = {"str": "2", "None": None, "bool": True, "int": 2}
 # the probes a parameter takes, by name or by function.name; every other
 # probe, given to any parameter, is an InputError
 ACCEPTS = {
-    "tol": {"None"}, "ctx": {"None"}, "ambient": {"None"}, "unit": {"None"},
+    "tol": {"None"}, "ctx": {"None"}, "ambient": {"None"},
     "codomain": {"None"}, "norm": {"None"}, "rank": {"None", "int"}, "isometry": {"None"},
     "n": {"int"}, "seed": {"int"}, "count": {"int"}, "k": {"int"},
     "psd": {"bool"},

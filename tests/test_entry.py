@@ -76,7 +76,12 @@ def _corner():
             b = np.zeros((3, 3), dtype=complex)
             b[i, j] = 1.0
             basis.append(b)
-    return ctx, SubalgebraBasis(basis, ambient=ctx, unit=e), e
+    return ctx, SubalgebraBasis(basis, ambient=ctx), e
+
+
+def test_the_corner_algebra_reads_its_unit_off_its_span():
+    _, alg, e = _corner()
+    assert np.allclose(alg.unit, e, atol=1e-12)
 
 
 @pytest.mark.parametrize("entry", sorted(ENTRIES))

@@ -14,7 +14,7 @@ from realpos.algebra import (
     spans_equal,
 )
 from realpos import maps
-from realpos.errors import InputError, NumericError, PreconditionError, UnsupportedError
+from realpos.errors import InputError, NumericError, PreconditionError
 from realpos.linalg import operator_norm, random_matrix, random_unitary, rng_for
 from realpos.maps import (
     LinearMapOnAlgebra,
@@ -85,7 +85,7 @@ def test_choi_block_is_built_once_and_read_only():
 
 
 def test_choi_requires_full_domain():
-    with pytest.raises(UnsupportedError):
+    with pytest.raises(PreconditionError):
         choi_matrix(identity_map(diagonal_algebra(2)))
 
 
@@ -214,7 +214,8 @@ def test_amplify_matches_blockwise_reference(k, domain):
     assert np.allclose(y, _amplify_reference(t_map, x, k), atol=1e-12)
     # transpose action pairs with apply under sum(a * b)
     z = rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape)
-    assert np.sum(tk.apply_transpose(z) * x) == pytest.approx(np.sum(z * y), abs=1e-10)
+    z_t = tk._unblocks(tk._blocks(z) @ tk.base._vec_action)
+    assert np.sum(z_t * x) == pytest.approx(np.sum(z * y), abs=1e-10)
     # projection onto M_k(domain) is the domain projection of each block
     n = alg.n
     w = rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape)
@@ -337,7 +338,7 @@ def _norm_estimate_by_loop(t_map, k, upper=None, steps=_ASCENT_STEPS):
         for idx in list(active):
             val, w, v = state[idx]
             total_iter += 1
-            g = tk.apply_transpose(np.outer(w.conj(), v)).T
+            g = tk._unblocks(tk._blocks(np.outer(w.conj(), v)) @ tk.base._vec_action).T
             gu, _, gvh = np.linalg.svd(g)
             u_new = gvh.conj().T @ gu.conj().T
             if not full:
@@ -584,8 +585,7 @@ def test_rcp_non_full_domain_certified_pass():
     # the upper-triangular algebra is not *-closed, but A + A* = M_2 and
     # the identity there is CP: certified at C_0
     e = np.eye(2, dtype=complex)
-    upper = SubalgebraBasis([np.outer(e[0], e[0]), np.outer(e[0], e[1]), np.outer(e[1], e[1])],
-                            unit=np.eye(2))
+    upper = SubalgebraBasis([np.outer(e[0], e[0]), np.outer(e[0], e[1]), np.outer(e[1], e[1])])
     v = rcp_test(identity_map(upper))
     assert v.passed and v.certified and v.certificate == "choi_psd"
 
@@ -665,7 +665,7 @@ def _unit_e12_map(c):
     (it extends to the CP map [[a, b], [d, e]] -> [[a, c b], [conj(c) d, e]]
     on M_2 iff |c| <= 1)."""
     e12 = np.array([[0, 1], [0, 0]], dtype=complex)
-    alg = SubalgebraBasis([np.eye(2), e12], unit=np.eye(2))
+    alg = SubalgebraBasis([np.eye(2), e12])
     return LinearMapOnAlgebra(alg, alg, np.diag([1.0, c]))
 
 
@@ -678,8 +678,7 @@ def _toeplitz_maps(count_per_n=12):
     out = []
     for n in range(2, 6):
         shift = np.eye(n, k=1, dtype=complex)
-        alg = SubalgebraBasis([np.linalg.matrix_power(shift, k) for k in range(n)],
-                              unit=np.eye(n))
+        alg = SubalgebraBasis([np.linalg.matrix_power(shift, k) for k in range(n)])
         rng = np.random.default_rng((20261019, n))
         kept = 0
         while kept < count_per_n:
@@ -721,7 +720,7 @@ def test_rcp_non_hermitian_unit_image_fails_at_level_1():
     # A cap A* = span{I} for A = span{I, E12}; T(I) = (1 + i/2) I is not
     # Hermitian, so T~ is not well defined on A + A*
     e12 = np.array([[0, 1], [0, 0]], dtype=complex)
-    alg = SubalgebraBasis([np.eye(2), e12], unit=np.eye(2))
+    alg = SubalgebraBasis([np.eye(2), e12])
     t_map = LinearMapOnAlgebra(alg, alg, np.diag([1.0 + 0.5j, 0.3]))
     v = rcp_test(t_map)
     assert _assert_witness(t_map, v)["level"] == 1 and v.steps == 0
@@ -943,6 +942,33 @@ def test_symmetric_is_read_at_the_lowest_level():
     for k, norm in ((1, 1.0), (2, 2.0), (3, 2.0)):
         assert c.symmetric_levels[k] == pytest.approx(norm, abs=1e-8)
     assert c.symmetric and not c.completely_symmetric
+
+
+def test_multiplicativity_check_streams_blocks_of_products(monkeypatch):
+    """At n = 12 the algebra M_11 + M_1 has d = 122, so d^2 = 14884 pairwise
+    products: build_symmetric_projection forms them a block of right
+    factors at a time, no stack above 4096 matrices, and a map that is not
+    multiplicative (the transpose) is refused with the residual of the whole
+    stack."""
+    theta, q, alg = _theta_q_fixture(rng_for(12), 12)
+    assert alg.dim == 122
+    sizes = []
+    products = maps._products
+
+    def spy(left, right):
+        sizes.append(len(right) * len(left))
+        return products(left, right)
+
+    monkeypatch.setattr(maps, "_products", spy)
+    build_symmetric_projection(theta, q, alg)
+    assert len(sizes) > 2 and max(sizes) <= 4096
+
+    flip = map_from_function(np.transpose, alg)
+    cube = np.array(alg.basis)
+    t_cube = flip._apply_stack(cube)
+    whole = _norm2(flip._apply_stack(products(cube, cube)) - products(t_cube, t_cube)).max()
+    with pytest.raises(PreconditionError, match=f"not multiplicative: residual {whole:.3g}$"):
+        build_symmetric_projection(flip, q, alg)
 
 
 @pytest.mark.parametrize("n", [3, 4, 6])

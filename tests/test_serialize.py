@@ -118,18 +118,16 @@ _E12 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 _E22 = np.diag([0.0, 1.0]).astype(complex)
 
 
-@pytest.mark.parametrize("basis, unit", [
-    ([_E11 + _E12, _E22], None),                      # (E11 + E12) E22 = E12 leaves the span
-    ([np.ones((2, 3), dtype=complex)], None),         # not square
-    ([_E11, _E22], 2.0 * np.eye(2, dtype=complex)),  # 2 I is no unit
-], ids=["not_closed", "not_square", "wrong_unit"])
-def test_json_algebras_and_maps_are_validated(basis, unit):
+@pytest.mark.parametrize("basis", [
+    [_E11 + _E12, _E22],               # (E11 + E12) E22 = E12 leaves the span
+    [np.ones((2, 3), dtype=complex)],  # not square
+], ids=["not_closed", "not_square"])
+def test_json_algebras_and_maps_are_validated(basis):
     """A basis decoded from JSON matrix objects is validated like any other:
     SubalgebraBasis(...) refuses it, so no map can be built on it."""
     decoded = [matrix_from_obj(json.loads(dumps_stable(matrix_to_obj(b)))) for b in basis]
-    decoded_unit = None if unit is None else matrix_from_obj(matrix_to_obj(unit))
     with pytest.raises(InputError):
-        SubalgebraBasis(decoded, unit=decoded_unit)
+        SubalgebraBasis(decoded)
 
 
 def test_boundary_csv_format(tmp_path):
