@@ -139,7 +139,9 @@ class SubalgebraBasis:
     basis and a span that is not closed under products (closure_residual,
     the worst relative distance of a pairwise product from the span,
     above 100 eq_tol).  Whether the span has a unit is read off the span
-    itself, on first use of ``unit``.
+    itself, on first use of ``unit``.  A basis has no public span
+    methods: whether a matrix lies in the span is asked through
+    ``span_contains``, which reads ``_span_residual``.
     """
 
     def __init__(self, basis, ambient: AmbientContext | None = None,
@@ -219,33 +221,22 @@ class SubalgebraBasis:
         per row of v (or a single vector)."""
         return (v @ self._span_q.conj().T) @ self._span_q
 
-    def _span_distance(self, m) -> float:
-        v = _vec(m)
-        return float(np.linalg.norm(v - self._project_vecs(v)))
-
-    def contains(self, m) -> bool:
-        """Does m lie in the span (relative residual <= _SPAN_TOL)?"""
-        return self._contains(_as_sized(m, self.n, "m"), _SPAN_TOL)
-
-    def _contains(self, a: np.ndarray, tol: float) -> bool:
-        return self._span_distance(a) <= tol * (1.0 + np.linalg.norm(_vec(a)))
+    def _span_residual(self, v: np.ndarray) -> float:
+        """The relative distance ||v - P v||_F / (1 + ||v||_F) of v from
+        the span, P the projection onto it: the residual that the "is a in
+        A?" questions on a basis read, for one vectorised matrix v or a
+        stack of them (rows) taken as one block."""
+        return float(np.linalg.norm(v - self._project_vecs(v))) / (1.0 + np.linalg.norm(v))
 
     def _require(self, a: np.ndarray, who: str, name: str, tol: float = 1e-7) -> None:
         """Raise PreconditionError, in the format of the cone entry check,
-        unless a lies in the span (the test of _contains at tol)."""
-        res = self._span_distance(a)
-        bound = tol * (1.0 + np.linalg.norm(_vec(a)))
-        if res > bound:
+        unless a lies in the span (_span_residual at most tol)."""
+        res = self._span_residual(_vec(a))
+        if res > tol:
             raise PreconditionError(
-                f"{who} needs {name} in the algebra; span residual {res:.3g} "
-                f"exceeds {tol:.3g} * (1 + ||{name}||_F) = {bound:.3g}"
+                f"{who} needs {name} in the algebra; span residual ||{name} - P {name}||_F "
+                f"/ (1 + ||{name}||_F) = {res:.3g} exceeds {tol:.3g}"
             )
-
-    def coords(self, m):
-        """Least-squares coordinates of m in the (original) basis,
-        with the representation residual."""
-        c, res = self._coords_stack(_as_sized(m, self.n, "m")[None])
-        return c[:, 0], float(res[0])
 
     def _coords_stack(self, mats: np.ndarray):
         """Least-squares coordinates of each matrix of an (m, n, n) stack:
@@ -254,9 +245,6 @@ class SubalgebraBasis:
         v = mats.reshape(len(mats), -1).T
         c = self._pinv @ v
         return c, np.linalg.norm(self._cols @ c - v, axis=0)
-
-    def project(self, m) -> np.ndarray:
-        return self._project_vecs(_vec(_as_sized(m, self.n, "m"))).reshape(self.n, self.n)
 
     def __repr__(self):
         return f"SubalgebraBasis(dim={self.dim}, n={self.n})"
@@ -304,10 +292,11 @@ def _as_matrices(mats, name: str) -> list:
 
 def span_contains(mats, m) -> bool:
     """Does m lie in the linear span of mats (relative residual <=
-    _SPAN_TOL)?  An ambiguous rank of mats raises NumericError, as in
-    spans_equal."""
+    _SPAN_TOL)?  For a list of matrices an ambiguous rank raises
+    NumericError, as in spans_equal; a SubalgebraBasis had its rank
+    certified by its constructor."""
     if isinstance(mats, SubalgebraBasis):
-        return mats.contains(m)
+        return mats._span_residual(_vec(_as_sized(m, mats.n, "m"))) <= _SPAN_TOL
     mats = _as_matrices(mats, "mats")
     if not mats:
         return float(np.linalg.norm(as_matrix(m, "m"))) <= _SPAN_TOL
@@ -476,7 +465,7 @@ def ws_suite(x, algebra: SubalgebraBasis, tol: Tolerances | None = None) -> Veri
     sup = _support_idem(d, ctx)
     s = sup.s
 
-    v1 = algebra._contains(s, 1e-7)
+    v1 = algebra._span_residual(_vec(s)) <= 1e-7
 
     # (iv): least squares for x y x = x over the algebra
     cols = (a @ np.array(algebra.basis) @ a).reshape(algebra.dim, -1).T
@@ -568,7 +557,7 @@ def hsa_from_z(z, algebra: SubalgebraBasis, tol: Tolerances | None = None) -> Hs
         z_rows, s_rows = z_side.reshape(len(cube), -1), s_side.reshape(len(cube), -1)
         residuals[key] = max(_worst_span_residual(z_rows, _ortho_matrices(s_side, n)),
                              _worst_span_residual(s_rows, bases[key]))
-    residuals["support_in_algebra"] = algebra._span_distance(s) / (1.0 + np.linalg.norm(s))
+    residuals["support_in_algebra"] = algebra._span_residual(_vec(s))
     residuals["idempotent"] = _norm2(s @ s - s)
     residuals["support_commutes"] = _worst_unit_residual(s, a[None])
     residuals["support_unit"] = _worst_unit_residual(s, bases["inner_ideal"])
@@ -663,7 +652,7 @@ def aarnes_kadison_check(x, algebra: SubalgebraBasis,
     s = _support_idem(_Deflation(xc, t), ctx).s
     res_unit = _worst_unit_residual(s, cube)
     scale = 1.0 + _max_op_norm(cube)
-    c3 = res_unit <= 1e-7 * scale and algebra._contains(s, 1e-7)
+    c3 = res_unit <= 1e-7 * scale and algebra._span_residual(_vec(s)) <= 1e-7
     verdicts = {"sandwich_full": bool(c1), "one_sided_full": bool(c2),
                 "support_is_unit": bool(c3)}
     return VerificationReport(

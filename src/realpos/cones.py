@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericError, PreconditionError
-from .linalg import (_EXP_OVERFLOW, Tolerances, _as_array, _as_instance, _as_int, _as_sized,
+from .linalg import (_EXP_OVERFLOW, Tolerances, _as_array, _as_instance, _as_int,
                      _matrix_exp, _norm2, _rounding_cut, as_matrix, resolve_tol)
 from .numrange import _abscissa
 from .report import VerificationReport, matrix_digest
@@ -38,7 +38,10 @@ class AmbientContext:
     e = u u*, for an n-by-k isometry u whose columns are an orthonormal
     basis of range e.  Compression u* x u identifies the corner with M_k
     isometrically, which is how every norm, abscissa and inverse below is
-    evaluated.  The unit e and the dimension k are read off u.
+    evaluated.  The unit e and the dimension k are read off u.  A context
+    has no public compress or embed: the entry check of every function
+    that takes an element (``_element``) checks it lies in the corner
+    before compressing it.
     """
 
     def __init__(self, n: int, isometry=None):
@@ -68,35 +71,9 @@ class AmbientContext:
         u = self.isometry
         return a if u is None else u.conj().T @ a @ u
 
-    def compress(self, x) -> np.ndarray:
-        """u* x u: coordinates of a corner element in M_dim."""
-        return self._compress(_as_sized(x, self.n, "x"))
-
     def _embed(self, y: np.ndarray) -> np.ndarray:
         u = self.isometry
         return y if u is None else u @ y @ u.conj().T
-
-    def embed(self, y) -> np.ndarray:
-        """u y u*: corner coordinates back into the ambient algebra."""
-        return self._embed(_as_sized(y, self.dim, "y"))
-
-    def _compress_member(self, a: np.ndarray, t: Tolerances) -> np.ndarray:
-        """Corner coordinates of a validated matrix, once it is checked to
-        lie in the corner (ex = xe = x)."""
-        if a.shape[0] != self.n:
-            raise InputError(f"matrix is {a.shape[0]}x{a.shape[0]}, ambient expects n={self.n}")
-        if self.isometry is None:
-            return a
-        e = self.unit
-        scale = 1.0 + _norm2(a)
-        r_left = _norm2(e @ a - a)
-        r_right = _norm2(a @ e - a)
-        if max(r_left, r_right) > 100 * t.eq_tol * scale:
-            raise InputError(
-                "matrix does not lie in the corner: residuals "
-                f"|ex-x|={r_left:.3g}, |xe-x|={r_right:.3g} exceed tolerance"
-            )
-        return self._compress(a)
 
 
 def full_context(n: int) -> AmbientContext:
@@ -191,15 +168,28 @@ def _element(x, ctx: AmbientContext | None, tol: Tolerances | None, who: str,
     """The entry check of every function that takes a cone element.
 
     Validates x (as name) and ctx (as ctx_name; None is M_n), checks that
-    x lies in the corner and, unless cone is None, that it lies in the
-    cone ("r" or "F"; see _require_in).  Returns (a, ctx, t, xc, mem): the
-    validated matrix, the context, the tolerances, the corner coordinates
-    and the cone membership (None when cone is None, which computes none).
+    x is ctx.n-by-ctx.n (in the message format of _as_sized), that it
+    lies in the corner (ex = xe = x) and, unless cone is None, that it
+    lies in the cone ("r" or "F"; see _require_in).  Returns (a, ctx, t,
+    xc, mem): the validated matrix, the context, the tolerances, the
+    corner coordinates and the cone membership (None when cone is None,
+    which computes none).
     """
     a = as_matrix(x, name)
     ctx = _as_instance(ctx, AmbientContext, ctx_name, lambda: full_context(a.shape[0]))
     t = resolve_tol(tol)
-    xc = ctx._compress_member(a, t)
+    n = ctx.n
+    if a.shape[0] != n:
+        raise InputError(f"{name} is {a.shape[0]}x{a.shape[0]}, expected {n}x{n}")
+    if ctx.isometry is not None:
+        e, scale = ctx.unit, 1.0 + _norm2(a)
+        r_left, r_right = _norm2(e @ a - a), _norm2(a @ e - a)
+        if max(r_left, r_right) > 100 * t.eq_tol * scale:
+            raise InputError(
+                "matrix does not lie in the corner: residuals "
+                f"|ex-x|={r_left:.3g}, |xe-x|={r_right:.3g} exceed tolerance"
+            )
+    xc = ctx._compress(a)
     mem = None if cone is None else _require_in(xc, t, who, cone, name)
     return a, ctx, t, xc, mem
 

@@ -35,6 +35,7 @@ from .algebra import (
     _rank,
     _right_blocks,
     _spans_equal,
+    _vec,
     full_matrix_algebra,
 )
 from .errors import InputError, NumericError, PreconditionError
@@ -233,19 +234,17 @@ class AmplifiedMap:
     def apply(self, x) -> np.ndarray:
         a = _as_sized(x, self.n_in)
         if not self.full_domain:
-            rows = self._blocks(a)
-            res = float(np.linalg.norm(rows - self.base.domain._project_vecs(rows)))
-            if res > 1e-7 * (1.0 + np.linalg.norm(rows)):
-                raise InputError(
-                    f"map input lies outside M_{self.k}(domain span) (residual {res:.3g})"
-                )
+            res = self.base.domain._span_residual(self._blocks(a))
+            if res > 1e-7:
+                raise InputError(f"map input lies outside M_{self.k}(domain span) "
+                                 f"(relative residual {res:.3g})")
         return self._apply(a)
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
         """T_k(x) for x in M_k(domain span), unchecked."""
         return self._unblocks(self._blocks(x) @ self.base._vec_action.T)
 
-    def project(self, x: np.ndarray) -> np.ndarray:
+    def _project(self, x: np.ndarray) -> np.ndarray:
         """Orthogonal projection onto M_k(domain span), block by block, of
         one matrix or of each matrix of a stack."""
         return self._unblocks(self.base.domain._project_vecs(self._blocks(x)))
@@ -493,7 +492,7 @@ def _op_norm_estimates(t_maps, k: int, uppers=None) -> list:
         gu, _, gvh = np.linalg.svd(g)
         u_new = gvh.conj().swapaxes(-2, -1) @ gu.conj().swapaxes(-2, -1)
         if not tk.full_domain:
-            u_new = tk.project(u_new)
+            u_new = tk._project(u_new)
             nn = _norm2(u_new)
             big = nn > 1.0
             u_new[big] /= nn[big, None, None]
@@ -788,7 +787,7 @@ def build_symmetric_projection(theta: LinearMapOnAlgebra, q, algebra: Subalgebra
     q_scale = 1.0 + _norm2(qm)
     if idem_res > 100 * t.eq_tol * q_scale ** 2:
         raise PreconditionError(f"q is not idempotent: residual {idem_res:.3g}")
-    if not algebra._contains(qm, 1e-7):
+    if algebra._span_residual(_vec(qm)) > 1e-7:
         raise PreconditionError("q does not lie in the algebra span")
     fix_res = _norm2(theta._apply_stack(qm[None])[0] - qm)
     if fix_res > 100 * t.eq_tol * q_scale:

@@ -95,7 +95,7 @@ def test_matrix_units_closed_form_is_the_svd_span_up_to_row_signs(sizes):
     assert alg._pinv.tobytes() == ref._pinv.tobytes()
     assert alg._cols.tobytes() == ref._cols.tobytes()
     m = random_accretive(alg.n, 3)
-    assert np.array_equal(alg.project(m), ref.project(m))
+    assert np.array_equal(alg._project_vecs(m.ravel()), ref._project_vecs(m.ravel()))
 
 
 @pytest.mark.parametrize("sizes", [[], [2, 0]])
@@ -138,9 +138,9 @@ def test_coords_and_map_actions_match_lstsq_on_a_scaled_non_orthogonal_basis():
     cols = np.array(basis).reshape(6, -1).T
     for _ in range(3):
         m = np.triu(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
-        c, res = alg.coords(m)
-        assert np.allclose(c, _lstsq_equilibrated(cols, m.ravel()), rtol=1e-10, atol=0)
-        assert res <= 1e-10 * np.linalg.norm(m)
+        c, res = alg._coords_stack(m[None])
+        assert np.allclose(c[:, 0], _lstsq_equilibrated(cols, m.ravel()), rtol=1e-10, atol=0)
+        assert res[0] <= 1e-10 * np.linalg.norm(m)
     # a similarity by an invertible upper-triangular g maps the algebra to itself
     g = np.triu(rng.standard_normal((3, 3))) + 3.0 * np.eye(3)
     g_inv = np.linalg.inv(g)
@@ -199,11 +199,12 @@ def test_span_rank_ambiguity_is_refused_by_every_span_question():
 def test_coords_and_project():
     d = diagonal_algebra(2)
     m = np.diag([2.0, 3.0]).astype(complex)
-    c, res = d.coords(m)
-    assert res <= 1e-12
-    assert np.allclose(d.project(m), m, atol=1e-12)
+    c, res = d._coords_stack(m[None])
+    assert res[0] <= 1e-12
+    assert np.allclose(c[:, 0], [2.0, 3.0], atol=1e-12)
+    assert np.allclose(d._project_vecs(m.ravel()), m.ravel(), atol=1e-12)
     off = np.array([[0, 1.0], [0, 0]], dtype=complex)
-    assert operator_norm(d.project(off)) <= 1e-12
+    assert operator_norm(d._project_vecs(off.ravel()).reshape(2, 2)) <= 1e-12
 
 
 def test_ba_generated_dimension_oracle():

@@ -329,7 +329,7 @@ def _deflation_cases():
     x_cor = u @ d @ u.conj().T
     cases = [(x_inv, full_context(4), x_inv), (x_ker, full_context(4), x_ker)]
     ctx = corner_context(e)
-    cases.append((x_cor, ctx, ctx.compress(x_cor)))
+    cases.append((x_cor, ctx, ctx._compress(x_cor)))
     return cases
 
 
@@ -338,9 +338,9 @@ def test_one_deflation_gives_every_shifted_power_bitwise():
     for x, ctx, xc in _deflation_cases():
         d = calculus._Deflation(xc, t)
         for r in (0.25, 0.5, 0.75, 1.0):
-            assert np.array_equal(ctx.embed(d.shifted(r)), power_shifted(x, r, ctx, tol=t)), r
+            assert np.array_equal(ctx._embed(d.shifted(r)), power_shifted(x, r, ctx, tol=t)), r
         y, _, _ = d.balakrishnan(0.5)
-        assert np.array_equal(ctx.embed(y), power_balakrishnan(x, 0.5, ctx, tol=t))
+        assert np.array_equal(ctx._embed(y), power_balakrishnan(x, 0.5, ctx, tol=t))
 
 
 @pytest.mark.parametrize("k", [1, 2, 4, 16])

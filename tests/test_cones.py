@@ -309,9 +309,9 @@ def test_corner_context_roundtrip():
     assert ctx.dim == 2
     x = np.zeros((3, 3), dtype=complex)
     x[:2, :2] = [[1.0, 0.5], [0.0, 2.0]]
-    xc = ctx.compress(x)
+    xc = ctx._compress(x)
     assert xc.shape == (2, 2)
-    assert np.allclose(ctx.embed(xc), x, atol=1e-12)
+    assert np.allclose(ctx._embed(xc), x, atol=1e-12)
     m = membership(x, ctx)
     assert m.in_r
 

@@ -111,11 +111,28 @@ def test_one_entry_check(entry):
             call(p, ctx, diagonal_algebra(3), eye)
         msg = str(info.value)
         assert msg.startswith(f"{who} needs {name} in the algebra; span residual "), msg
-        assert msg.endswith(f"exceeds 1e-07 * (1 + ||{name}||_F) = 2e-07"), msg
+        # p - P p holds the two off-diagonal halves: 2^{-1/2} / (1 + 1)
+        assert msg.endswith(f"||{name} - P {name}||_F / (1 + ||{name}||_F) = 0.354 "
+                            "exceeds 1e-07"), msg
 
     ctx, alg, e = _corner()
     with pytest.raises(InputError, match="does not lie in the corner"):
         call(eye, ctx, alg, e)  # I has ex - x != 0
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRIES) + sorted(PLAIN_ENTRIES))
+def test_wrong_size_input_is_named_in_the_sized_format(entry):
+    """A 3x3 input to a context or algebra on M_2 is refused in the one
+    size format of the package, under the input's own name."""
+    ctx, alg, good = full_context(2), full_matrix_algebra(2), 0.5 * np.eye(2, dtype=complex)
+    if entry in ENTRIES:
+        _, name, call = ENTRIES[entry]
+        args = (ctx, alg, good)
+    else:
+        name, call = PLAIN_ENTRIES[entry]
+        args = (ctx, good)
+    with pytest.raises(InputError, match=f"^{name} is 3x3, expected 2x2$"):
+        call(np.eye(3), *args)
 
 
 @pytest.mark.parametrize("entry", sorted(PLAIN_ENTRIES))
