@@ -153,6 +153,9 @@ PROPER = identity_map(diagonal_algebra(2))  # a map on a proper domain
     lambda: realpos.span_contains([GOOD], np.eye(3)),
     lambda: realpos.span_contains([GOOD, np.eye(3)], GOOD),
     lambda: realpos.spans_equal([GOOD], [np.eye(3)]),
+    lambda: realpos.hsa_from_z(np.eye(3), ALG),
+    lambda: realpos.supp_order(GOOD, np.eye(3), ALG),
+    lambda: realpos.aarnes_kadison_check(np.eye(3), ALG),
     lambda: realpos.span_contains(ALG, np.eye(3)),
     lambda: transpose_map(2).apply(np.eye(3)),
     lambda: PROPER.apply(np.eye(3)),
