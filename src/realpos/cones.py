@@ -186,7 +186,7 @@ def _element(x, ctx: AmbientContext | None, tol: Tolerances | None, who: str,
         r_left, r_right = _norm2(e @ a - a), _norm2(a @ e - a)
         if max(r_left, r_right) > 100 * t.eq_tol * scale:
             raise InputError(
-                "matrix does not lie in the corner: residuals "
+                f"{name} does not lie in the corner: residuals "
                 f"|ex-x|={r_left:.3g}, |xe-x|={r_right:.3g} exceed tolerance"
             )
     xc = ctx._compress(a)

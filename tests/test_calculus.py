@@ -187,6 +187,68 @@ def test_f_transform_contraction_bound():
         assert lhs <= min(1.0, 1.0 / d) + 1e-8
 
 
+def _f_inputs(n, seed):
+    """Accretive inputs of the calls-mixed kinds at size n: random, at
+    scales 1, 1e-6 and 1e6; a kernel u (B + 0) u*; a normal matrix u D u*
+    with Re D >= 0, for which ||(e + x)^{-1}|| = 1 / dist(-1, W(x))."""
+    rng = np.random.default_rng((seed, n))
+    x = random_accretive(n, seed)
+    u = random_unitary(n, rng)
+    k = 1 + seed % max(1, n - 1)
+    block = np.zeros((n, n), dtype=complex)
+    block[:k, :k] = random_accretive(k, seed + 1)
+    lam = rng.uniform(0.0, 2.0, n) + 1j * rng.uniform(-3.0, 3.0, n)
+    return [x, 1e-6 * x, 1e6 * x, u @ block @ u.conj().T, (u * lam) @ u.conj().T]
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 16])
+def test_f_transform_certificate_needs_no_distance_search(monkeypatch, n):
+    """The witness vector decides the contraction certificate of every
+    input kind: the numerical-range distance search never runs."""
+    calls = []
+    monkeypatch.setattr(calculus, "_dist_to_point", lambda *a: calls.append(a) or 1.0)
+    for seed in range(6):
+        for x in _f_inputs(n, seed):
+            f_transform(x)
+    assert not calls
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 16])
+def test_f_transform_undecided_witness_runs_the_distance_search(monkeypatch, n):
+    """A witness forced undecided falls back to the distance search, which
+    returns the same bits and refuses with the same message as before."""
+    for x in _f_inputs(n, 3):
+        ref = f_transform(x)
+        calls = []
+        dist = calculus._dist_to_point
+        with monkeypatch.context() as mp:
+            mp.setattr(calculus, "_witness_certifies", lambda xc, m: False)
+            mp.setattr(calculus, "_dist_to_point", lambda *a: calls.append(a) or dist(*a))
+            got = f_transform(x)
+            assert len(calls) == 1
+            assert got.tobytes() == ref.tobytes()
+            # a distance of 1e9 caps ||e - F(x)|| = ||(e + x)^{-1}|| >= 1 / (1 + ||x||)
+            # at 1e-9 + 1e-8, below that floor for every input here (||x|| <= 2e6)
+            mp.setattr(calculus, "_dist_to_point", lambda *a: 1e9)
+            with pytest.raises(NumericError, match="^F-transform contraction certificate failed: "
+                                                   r"\|\|e - F\(x\)\|\| = "):
+                f_transform(x)
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 16])
+def test_f_transform_witness_bound_lies_above_the_distance(n):
+    """d_up = |1 + w*xw| + cut, w the top left singular vector of
+    (e + x)^{-1}, bounds the computed dist(-1, W(x)) from above."""
+    from realpos.numrange import dist_to_point
+
+    for seed in range(4):
+        for x in _f_inputs(n, seed)[:4]:
+            u = np.linalg.svd(np.linalg.inv(np.eye(n) + x))[0]
+            w = u[:, 0]
+            d_up = abs(1.0 + w.conj() @ x @ w) + _rounding_cut(n, 1.0 + np.linalg.norm(x))
+            assert d_up >= dist_to_point(x, -1.0)
+
+
 def test_f_inverse_rejects_singular():
     with pytest.raises(InputError):
         f_inverse(np.eye(2, dtype=complex))  # e - y = 0

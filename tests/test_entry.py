@@ -116,7 +116,7 @@ def test_one_entry_check(entry):
                             "exceeds 1e-07"), msg
 
     ctx, alg, e = _corner()
-    with pytest.raises(InputError, match="does not lie in the corner"):
+    with pytest.raises(InputError, match=f"^{name} does not lie in the corner"):
         call(eye, ctx, alg, e)  # I has ex - x != 0
 
 
@@ -143,5 +143,5 @@ def test_plain_entry_names_its_input(entry):
     bad[0, 1] = np.nan
     with pytest.raises(InputError, match=f"^{name} contains non-finite entries$"):
         call(bad, ctx, 0.5 * e)
-    with pytest.raises(InputError, match="does not lie in the corner"):
+    with pytest.raises(InputError, match=f"^{name} does not lie in the corner"):
         call(np.eye(3, dtype=complex), ctx, 0.5 * e)  # I has ex - x != 0
