@@ -55,7 +55,6 @@ import scipy.linalg as sla
 from .cones import AmbientContext, _element
 from .errors import InputError, MethodDisagreementError, NumericError
 from .linalg import Tolerances, _as_number, _nonzero, _norm2, _rounding_cut
-from .numrange import _dist_to_point
 
 __all__ = [
     "power_series",
@@ -395,11 +394,7 @@ def _balakrishnan_rules(t11: np.ndarray, r: float, counts) -> list:
     rules = [_gauss_jacobi(m, r) for m in counts]
     u = np.concatenate([nodes for nodes, _ in rules])
     x = _solve_shifted_stack(t11, c * (1.0 + u), 1.0 - u)
-    w = np.zeros((u.size, len(rules)))
-    row = 0
-    for j, (_, weights) in enumerate(rules):
-        w[row:row + weights.size, j] = weights
-        row += weights.size
+    w = sla.block_diag(*(weights[:, None] for _, weights in rules))
     k = t11.shape[0]
     total = x.reshape(k * k, -1) @ ((2.0 * c ** r) * w)
     return [total[:, j].reshape(k, k) for j in range(len(rules))]
@@ -504,49 +499,38 @@ def f_transform(x, ctx: AmbientContext | None = None,
 
     The contraction certificate ||e - F(x)|| = ||(e + x)^{-1}||
     <= 1 / dist(-1, W(x)) <= 1 is checked on the way out, proved by a
-    witness vector (see _witness_certifies); the numerical-range distance
-    search runs only when the witness leaves it undecided.
+    witness vector (see _f_transform) with no numerical-range search.
     """
     _, ctx, _, xc, _ = _element(x, ctx, tol, "f_transform")
     return ctx._embed(_f_transform(xc))
 
 
-def _witness_certifies(xc: np.ndarray, m: np.ndarray) -> bool:
-    """Whether the top left singular vector w of m = (e + x)^{-1} proves
-    ||m|| <= min(1, 1/dist(-1, W(x))) + 1e-8 (Kato, Perturbation Theory,
-    V.3.2): (e + x) w has norm 1/||m||, so |1 + w*xw| <= 1/||m|| by
-    Cauchy-Schwarz, and w*xw in W(x) bounds the distance above by d_up =
-    |1 + w*xw| + _rounding_cut(n, 1 + ||x||_F) for x n-by-n.  A pass
-    against 1/d_up is a pass against any lower bound of the distance; the
-    cut covers the rounding of w*xw and of ||m||.  False when the SVD or
-    the test fails."""
-    try:
-        u, s, _ = np.linalg.svd(m)
-    except np.linalg.LinAlgError:
-        return False
-    w = u[:, 0]
-    cut = _rounding_cut(xc.shape[0], 1.0 + float(np.linalg.norm(xc)))
-    d_up = abs(1.0 + w.conj() @ xc @ w) + cut
-    return bool(s[0] <= min(1.0, 1.0 / d_up) + 1e-8)
-
-
 def _f_transform(xc: np.ndarray) -> np.ndarray:
     """F(x) with its contraction certificate, on the corner coordinates xc
-    of an accretive element: the witness of _witness_certifies, else
-    ||e - F(x)|| against the distance _dist_to_point finds."""
+    of an accretive element.
+
+    The certificate lhs = ||m|| <= min(1, 1/dist(-1, W(x))), m = e - F(x)
+    = (e + x)^{-1}, is proved by the top left singular vector w of m
+    (Kato, Perturbation Theory, V.3.2): (e + x) w has norm 1/lhs, so
+    |1 + w*xw| <= 1/lhs by Cauchy-Schwarz, and w*xw in W(x) bounds the
+    distance above by d_up = |1 + w*xw| + _rounding_cut(k, 1 + ||x||_F),
+    the cut covering the rounding of w*xw and of lhs.  A pass against
+    1/d_up is a pass against the distance itself.
+    """
     k = xc.shape[0]
     eye = np.eye(k, dtype=complex)
     y = np.linalg.solve(eye + xc, xc)
-    m = eye - y
-    if _witness_certifies(xc, m):
-        return y
-    lhs = _norm2(m)
-    d = _dist_to_point(xc, complex(-1.0))
-    bound = min(1.0, 1.0 / d) if d > 0 else 1.0
+    try:
+        u, s, _ = np.linalg.svd(eye - y)
+    except np.linalg.LinAlgError as exc:  # LAPACK gives up on non-finite entries
+        raise NumericError(f"operator norm failed: {exc}") from exc
+    w = u[:, 0]
+    d_up = abs(1.0 + w.conj() @ xc @ w) + _rounding_cut(k, 1.0 + float(np.linalg.norm(xc)))
+    lhs, bound = s[0], min(1.0, 1.0 / d_up)
     if lhs > bound + 1e-8:
         raise NumericError(
             f"F-transform contraction certificate failed: ||e - F(x)|| = {lhs:.12g} "
-            f"exceeds min(1, 1/dist(-1, W(x))) = {bound:.12g}"
+            f"exceeds min(1, 1/d) = {bound:.12g}, d = |1 + w*xw| + cut >= dist(-1, W(x))"
         )
     return y
 

@@ -187,7 +187,7 @@ def _element(x, ctx: AmbientContext | None, tol: Tolerances | None, who: str,
         if max(r_left, r_right) > 100 * t.eq_tol * scale:
             raise InputError(
                 f"{name} does not lie in the corner: residuals "
-                f"|ex-x|={r_left:.3g}, |xe-x|={r_right:.3g} exceed tolerance"
+                f"|e{name}-{name}|={r_left:.3g}, |{name}e-{name}|={r_right:.3g} exceed tolerance"
             )
     xc = ctx._compress(a)
     mem = None if cone is None else _require_in(xc, t, who, cone, name)

@@ -168,25 +168,6 @@ def test_f_transform_oracles():
     assert np.allclose(f_transform(x), np.diag([0.5, 0.0]), atol=1e-12)
 
 
-def test_f_transform_roundtrip():
-    for seed in range(10):
-        x = random_accretive(3, seed) * (1 + seed % 3)
-        y = f_transform(x)
-        back, cond = f_inverse(y)
-        assert operator_norm(back - x) <= 1e-8 * (1 + cond)
-
-
-def test_f_transform_contraction_bound():
-    from realpos.numrange import dist_to_point
-
-    for seed in range(10):
-        x = random_accretive(3, seed)
-        y = f_transform(x)
-        lhs = operator_norm(np.eye(3) - y)
-        d = dist_to_point(x, -1.0)
-        assert lhs <= min(1.0, 1.0 / d) + 1e-8
-
-
 def _f_inputs(n, seed):
     """Accretive inputs of the calls-mixed kinds at size n: random, at
     scales 1, 1e-6 and 1e6; a kernel u (B + 0) u*; a normal matrix u D u*
@@ -201,38 +182,41 @@ def _f_inputs(n, seed):
     return [x, 1e-6 * x, 1e6 * x, u @ block @ u.conj().T, (u * lam) @ u.conj().T]
 
 
-@pytest.mark.parametrize("n", [2, 4, 8, 16])
-def test_f_transform_certificate_needs_no_distance_search(monkeypatch, n):
-    """The witness vector decides the contraction certificate of every
-    input kind: the numerical-range distance search never runs."""
-    calls = []
-    monkeypatch.setattr(calculus, "_dist_to_point", lambda *a: calls.append(a) or 1.0)
-    for seed in range(6):
-        for x in _f_inputs(n, seed):
-            f_transform(x)
-    assert not calls
+def test_f_transform_roundtrip():
+    """f_inverse undoes f_transform: on scaled random inputs at n = 3, and
+    on every input kind of _f_inputs at n = 2-16 over seeds 0-63 to the
+    benchmark oracle's bound 1e-9 cond (1 + ||x||), the witness proving
+    each certificate with no refusal."""
+    for seed in range(10):
+        x = random_accretive(3, seed) * (1 + seed % 3)
+        y = f_transform(x)
+        back, cond = f_inverse(y)
+        assert operator_norm(back - x) <= 1e-8 * (1 + cond)
+    for n in range(2, 17):
+        for seed in range(64):
+            for x in _f_inputs(n, seed):
+                back, cond = f_inverse(f_transform(x))
+                assert operator_norm(back - x) <= 1e-9 * cond * (1.0 + operator_norm(x)), (n, seed)
 
 
-@pytest.mark.parametrize("n", [2, 4, 8, 16])
-def test_f_transform_undecided_witness_runs_the_distance_search(monkeypatch, n):
-    """A witness forced undecided falls back to the distance search, which
-    returns the same bits and refuses with the same message as before."""
-    for x in _f_inputs(n, 3):
-        ref = f_transform(x)
-        calls = []
-        dist = calculus._dist_to_point
-        with monkeypatch.context() as mp:
-            mp.setattr(calculus, "_witness_certifies", lambda xc, m: False)
-            mp.setattr(calculus, "_dist_to_point", lambda *a: calls.append(a) or dist(*a))
-            got = f_transform(x)
-            assert len(calls) == 1
-            assert got.tobytes() == ref.tobytes()
-            # a distance of 1e9 caps ||e - F(x)|| = ||(e + x)^{-1}|| >= 1 / (1 + ||x||)
-            # at 1e-9 + 1e-8, below that floor for every input here (||x|| <= 2e6)
-            mp.setattr(calculus, "_dist_to_point", lambda *a: 1e9)
-            with pytest.raises(NumericError, match="^F-transform contraction certificate failed: "
-                                                   r"\|\|e - F\(x\)\|\| = "):
-                f_transform(x)
+def test_f_transform_contraction_bound():
+    from realpos.numrange import dist_to_point
+
+    for seed in range(10):
+        x = random_accretive(3, seed)
+        y = f_transform(x)
+        lhs = operator_norm(np.eye(3) - y)
+        d = dist_to_point(x, -1.0)
+        assert lhs <= min(1.0, 1.0 / d) + 1e-8
+
+
+def test_f_transform_refuses_a_failed_certificate(monkeypatch):
+    """A witness bound d_up pushed to 1e9 caps ||e - F(x)|| at 1e-9 + 1e-8,
+    below ||(e + x)^{-1}|| >= 1 / (1 + ||x||) = 1/2: the certificate fails."""
+    monkeypatch.setattr(calculus, "_rounding_cut", lambda k, scale: 1e9)
+    with pytest.raises(NumericError, match=r"^F-transform contraction certificate failed: "
+                                           r"\|\|e - F\(x\)\|\| = 0\.5 exceeds min\(1, 1/d\) = "):
+        f_transform(np.eye(2, dtype=complex))
 
 
 @pytest.mark.parametrize("n", [2, 4, 8, 16])
